@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import freetree, graphspace, isometry, pingpong, tits
+from . import isometry, pingpong, sampled, tits
 from .errors import InputError
 
 TOL = 1e-9
@@ -56,25 +56,14 @@ def packing_bound(P0: int, r0: float, R: float, r: float) -> float:
 
 
 def ball_growth_counts(space, base, radii):
-    """(R, point count of the closed R-ball) along the radius grid."""
-    counts = []
-    if isinstance(space, freetree.FreeTreeSpace):
-        sizes = space.sphere_sizes(int(max(radii)))
-        cum = np.cumsum(sizes)
-        for R in radii:
-            counts.append((float(R), int(cum[min(int(R), len(cum) - 1)])))
-        return counts
-    d = isometry.dist_fn(space)
-    pool = space.vertices if hasattr(space, "vertices") else list(space.points)
-    for R in radii:
-        counts.append((float(R),
-                       sum(1 for v in pool if d(base, v) <= R + TOL)))
-    return counts
+    """(R, point count of the closed R-ball) along the radius grid; the
+    half-plane, whose balls are not finite, raises InputError."""
+    return [(float(R), space.ball_size(base, R)) for R in radii]
 
 
 def orbit_growth_counts(space, generators, base, radii, word_cap: int):
     """Orbit-point counts |B(base, R) ∩ orbit| using words up to word_cap."""
-    d = isometry.dist_fn(space)
+    d = sampled.dist_oracle(space)
     table = dict(generators)
     orbit = {_pt_key(base): base}
     for word in tits.enumerate_words([n for n, _ in generators], word_cap):
@@ -177,7 +166,7 @@ def action_stats(space, generators, sample, word_cap: int,
     elems = []
     for word in tits.enumerate_words(names, word_cap):
         g = tits.evaluate_word(space, word, table)
-        if pingpong._identity_check(space, g):
+        if space.is_identity(g):
             continue
         elems.append((tits.word_to_text(word), g))
     if not elems:
@@ -186,7 +175,7 @@ def action_stats(space, generators, sample, word_cap: int,
     profiles = {}
 
     stats = ActionStats(word_cap=word_cap, sample_size=len(sample))
-    d = isometry.dist_fn(space)
+    d = sampled.dist_oracle(space)
     radii_grid = [config.eps0 * 2.0 ** k for k in range(-2, 7)]
     for x in sample:
         disp = {w: d(x, isometry.apply_isometry(space, g, x))
@@ -210,7 +199,7 @@ def _is_finite_order(space, g) -> bool:
         return False
     h = g
     for _ in range(24):
-        if pingpong._identity_check(space, h):
+        if space.is_identity(h):
             return True
         h = pingpong._compose(space, h, g)
     return False
@@ -243,8 +232,8 @@ def _pair_elementary(space, a, b, profiles) -> bool:
             profiles[w] = isometry.classify(g, space)
     if profiles[wa].kind == "elliptic" or profiles[wb].kind == "elliptic":
         return False
-    return tits._boundary_sets_eq(list(profiles[wa].fixed_boundary),
-                                  list(profiles[wb].fixed_boundary))
+    return tits._boundary_sets_eq(space, profiles[wa].fixed_boundary,
+                                  profiles[wb].fixed_boundary)
 
 
 def axis_proximity_length(space, a, b, reach: float, step: float = 0.01,
@@ -259,18 +248,13 @@ def axis_proximity_length(space, a, b, reach: float, step: float = 0.01,
     pb = isometry.classify(b, space)
     if pa.kind != "hyperbolic" or pb.kind != "hyperbolic":
         raise InputError("both isometries must be hyperbolic")
-    d = isometry.dist_fn(space)
+    d = sampled.dist_oracle(space)
+    base = pa.axis.at(0.0)
     total = 0.0
     n = int(span / step)
     for k in range(-n, n + 1):
-        z = pingpong.point_along(space, pa.axis, _axis_base(space, pa), k * step)
-        foot = pingpong._project_point(pb.axis, z)
+        z = pa.axis.point_along(base, k * step)
+        foot = pb.axis.project(z)
         if d(z, foot) <= reach:
             total += step
     return total
-
-
-def _axis_base(space, prof):
-    if isinstance(prof.axis, tuple):
-        return prof.axis[1].prefix or ""
-    return prof.axis.at(0.0)

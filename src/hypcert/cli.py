@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__, bounds, freetree, graphspace, halfplane
-from . import isometry, pingpong, sampled, tits
+from . import isometry, sampled, tits
 from .errors import (BudgetError, HypcertError, InputError, SearchExhausted)
 
 
@@ -135,15 +135,6 @@ def resolve_seed(args):
     return args.seed
 
 
-def _point_arg(space, text):
-    if isinstance(space, halfplane.HalfPlane):
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
-    if isinstance(space, freetree.FreeTreeSpace):
-        return freetree.parse_word(text) if text != "e" else ""
-    return text
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -211,17 +202,10 @@ def cmd_classify(args):
         prof = isometry.classify(g, space)
         out.append({"name": name, "kind": prof.kind, "ell": prof.ell,
                     "asymptotic": prof.asymptotic,
-                    "fixed_boundary": [_boundary_json(x)
-                                       for x in prof.fixed_boundary]})
+                    "fixed_boundary": prof.fixed_boundary})
     emit({"manifest": manifest(args, "classify", {}),
           "result": {"generators": out}}, args)
     return 0
-
-
-def _boundary_json(x):
-    if isinstance(x, freetree.TreeEnd):
-        return {"prefix": x.prefix, "period": x.period}
-    return "inf" if math.isinf(x) else x
 
 
 def cmd_certify(args):
@@ -252,20 +236,12 @@ def cmd_certify(args):
     return 0 if cert.valid else 1
 
 
-def cmd_tits(args):
-    return cmd_certify(args)
-
-
 def cmd_margulis(args):
     space, gens = load_group_spec(args.input)
     g = gens[0][1]
     rng = random.Random(args.seed)
-    center = _point_arg(space, args.center)
-    if isinstance(space, halfplane.HalfPlane):
-        sample = halfplane.sample_ball(center, args.radius,
-                                       args.sample_size, rng)
-    else:
-        sample = space.sample_ball(center, args.radius, args.sample_size, rng)
+    center = space.parse_point(args.center)
+    sample = space.sample_ball(center, args.radius, args.sample_size, rng)
     rep = isometry.domain_gap_report(space, g, args.eps1, args.eps2, sample,
                                      power_cap=args.power_cap,
                                      P0=args.P0, r0=args.r0)
@@ -280,7 +256,7 @@ def cmd_margulis(args):
 def cmd_entropy(args):
     space, gens = load_group_spec(args.input)
     radii = [float(x) for x in args.radii.split(",")]
-    base = _point_arg(space, args.base)
+    base = space.parse_point(args.base)
     if args.orbit:
         counts = bounds.orbit_growth_counts(space, gens, base, radii,
                                             args.word_cap)
@@ -321,11 +297,8 @@ def cmd_bounds(args):
 def cmd_stats(args):
     space, gens = load_group_spec(args.input)
     rng = random.Random(args.seed)
-    base = _point_arg(space, args.base)
-    if isinstance(space, halfplane.HalfPlane):
-        sample = halfplane.sample_ball(base, args.radius, args.sample_size, rng)
-    else:
-        sample = space.sample_ball(base, args.radius, args.sample_size, rng)
+    base = space.parse_point(args.base)
+    sample = space.sample_ball(base, args.radius, args.sample_size, rng)
     bc = bounds.BoundsConfig(P0=args.P0, r0=args.r0, delta=args.delta,
                              eps0=args.eps0, N=args.N)
     st = bounds.action_stats(space, gens, sample, args.word_cap, bc)
@@ -422,15 +395,14 @@ def build_parser():
     sp = add("classify", cmd_classify, help="classify the generators")
     sp.add_argument("--input", required=True)
 
-    for name in ("certify", "tits"):
-        sp = add(name, cmd_certify if name == "certify" else cmd_tits,
-                 help="free-group witness search and certification")
-        sp.add_argument("--input", required=True)
-        sp.add_argument("--delta", type=float, default=1.0)
-        sp.add_argument("--eps0", type=float, default=0.1)
-        sp.add_argument("--depth", type=int, default=8)
-        sp.add_argument("--N-max", dest="N_max", type=int, default=64)
-        sp.add_argument("--sample-size", type=int, default=400)
+    sp = add("certify", cmd_certify, aliases=["tits"],
+             help="free-group witness search and certification")
+    sp.add_argument("--input", required=True)
+    sp.add_argument("--delta", type=float, default=1.0)
+    sp.add_argument("--eps0", type=float, default=0.1)
+    sp.add_argument("--depth", type=int, default=8)
+    sp.add_argument("--N-max", dest="N_max", type=int, default=64)
+    sp.add_argument("--sample-size", type=int, default=400)
 
     sp = add("margulis", cmd_margulis, help="sampled Margulis domain gaps")
     sp.add_argument("--input", required=True)

@@ -1,4 +1,4 @@
-"""Cayley trees of free groups: reduced-word arithmetic, geodesics, ends.
+"""Cayley trees of free groups: reduced-word arithmetic, geodesics, ends, lines.
 
 Group elements and tree vertices are freely reduced words over
 a..z (generators) and A..Z (their inverses); the empty string is the
@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import InputError
+from .isometry import IsometryProfile
+from .sampled import DiscreteSpace
 
 _WORD_TOKEN = re.compile(r"\s*([a-zA-Z])(?:\^(-?\d+))?")
 
@@ -155,16 +157,74 @@ class TreeEnd:
         return TreeEnd(p, q)
 
 
-def axis_ends(w: str) -> tuple:
-    """(repelling, attracting) ends of a hyperbolic element."""
+def _depth(*ends) -> int:
+    """A word length that reaches past the junctions of the given ends."""
+    return 8 + sum(len(e.prefix) + 2 * len(e.period) for e in ends)
+
+
+class TreeLine(tuple):
+    """Bi-infinite line of the tree, oriented from end ``self[0]`` to end
+    ``self[1]``.  It is the pair of its ends, so it unpacks, compares and
+    serializes as that pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, neg: TreeEnd, pos: TreeEnd):
+        return super().__new__(cls, (neg, pos))
+
+    def boundary(self) -> tuple:
+        return tuple(self)
+
+    def reversed(self) -> "TreeLine":
+        return TreeLine(self[1], self[0])
+
+    def project(self, x) -> str:
+        """Nearest vertex of the line to a vertex, or the limit of those
+        along a ray into an end."""
+        em, ep = self
+        if em == ep:
+            raise InputError("coincident line endpoints")
+        if isinstance(x, TreeEnd):
+            if x == em or x == ep:
+                raise InputError("boundary point is an endpoint of the line")
+            depth = _depth(em, ep, x)
+            return median(em.ray_word(depth), ep.ray_word(depth),
+                          x.ray_word(depth))
+        depth = _depth(em, ep) + len(x)
+        return median(em.ray_word(depth), ep.ray_word(depth), x)
+
+    project_boundary = project
+
+    def point_along(self, base: str, T: float) -> str:
+        """The vertex at signed distance round(T) from a vertex of the line."""
+        steps = int(round(abs(T)))
+        target = self[1] if T >= 0 else self[0]
+        deep = target.ray_word(len(base) + steps + _depth(target))
+        path = geodesic_path(base, deep)
+        return path[min(steps, len(path) - 1)]
+
+    def at(self, t: float) -> str:
+        """Arclength parametrization, from the attracting end's junction."""
+        return self.point_along(self[1].prefix, t)
+
+    def order_key(self, p: str) -> int:
+        """Position of a vertex of the line: its distance from a vertex far
+        toward the first end."""
+        return word_dist(self[0].ray_word(len(p) + _depth(*self)), p)
+
+
+def axis_ends(w: str) -> TreeLine:
+    """The axis of a hyperbolic element, from its repelling to its
+    attracting end."""
     c, u = cyclic_reduce(w)
     if not u:
         raise InputError("elliptic word has no axis")
-    return TreeEnd(c, invert(u)), TreeEnd(c, u)
+    return TreeLine(TreeEnd(c, invert(u)), TreeEnd(c, u))
 
 
-class FreeTreeSpace:
-    """The Cayley tree of the free group of the given rank."""
+class FreeTreeSpace(DiscreteSpace):
+    """The Cayley tree of the free group of the given rank; its vertices
+    and isometries are both reduced words."""
 
     def __init__(self, rank: int = 2):
         if not 2 <= rank <= 26:
@@ -183,13 +243,9 @@ class FreeTreeSpace:
     def dist(self, u: str, v: str) -> int:
         return word_dist(self.check_point(u), self.check_point(v))
 
-    def apply(self, g: str, p: str) -> str:
-        return mul(self.check_point(g), self.check_point(p))
-
-    def geodesic(self, u: str, v: str) -> list:
-        if u == v:
-            raise InputError("coincident endpoints")
-        return geodesic_path(self.check_point(u), self.check_point(v))
+    def parse_point(self, text: str) -> str:
+        """A word in generator syntax, or "e" for the identity."""
+        return parse_word(text) if text != "e" else ""
 
     def ball(self, center: str, R: int) -> list:
         """All vertices within distance R of center, BFS order."""
@@ -214,13 +270,42 @@ class FreeTreeSpace:
             sizes.append(sizes[-1] * (k - 1))
         return sizes[: R + 1]
 
-    def sample_ball(self, center: str, R, n: int, rng=None) -> list:
-        """The whole ball when it has at most n vertices, else n seeded picks."""
-        pts = self.ball(center, int(R))
-        if len(pts) <= n or rng is None:
-            return pts
-        keep = sorted(rng.sample(range(len(pts)), n))
-        out = [pts[i] for i in keep]
-        if center not in out:
-            out[0] = center
-        return out
+    def ball_size(self, center: str, R) -> int:
+        return sum(self.sphere_sizes(int(R)))
+
+    def candidates(self, pts) -> list:
+        """The vertices of the geodesics between the points."""
+        out = set()
+        for p in pts:
+            for q in pts:
+                out.update(geodesic_path(p, q))
+        return sorted(out)
+
+    def point_on_geodesic(self, p: str, q: str, t: float) -> str:
+        t = min(max(t, 0.0), self.dist(p, q))
+        path = geodesic_path(p, q)
+        return path[min(int(round(t)), len(path) - 1)]
+
+    def act(self, g: str, x: str) -> str:
+        return mul(self.check_point(g), self.check_point(x))
+
+    def compose(self, g: str, h: str) -> str:
+        return reduce_word(g + h)
+
+    def power(self, g: str, n: int) -> str:
+        base = g if n >= 0 else invert(g)
+        return reduce_word(base * abs(n))
+
+    def is_identity(self, g: str) -> bool:
+        return g == ""
+
+    def classify(self, g: str) -> IsometryProfile:
+        """Elliptic for the identity, else hyperbolic with the cyclically
+        reduced length as translation length."""
+        w = reduce_word(g)
+        if not w:
+            return IsometryProfile("elliptic", 0.0, 0.0, fixed_point="")
+        _, core = cyclic_reduce(w)
+        ends = axis_ends(w)
+        return IsometryProfile("hyperbolic", float(len(core)), float(len(core)),
+                               axis=ends, fixed_boundary=ends)

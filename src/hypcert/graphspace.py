@@ -7,15 +7,18 @@ import random
 import numpy as np
 
 from .errors import InputError
+from .isometry import IsometryProfile
+from .sampled import DiscreteSpace
 
 TOL = 1e-9
 
 
-class MetricGraphSpace:
+class MetricGraphSpace(DiscreteSpace):
     """Connected weighted graph with its all-pairs shortest-path metric.
 
     Vertices are arbitrary hashable ids; isometries are registered
-    distance-preserving vertex permutations.
+    distance-preserving vertex permutations, named by strings.  They act
+    on points only: products and powers are not supported.
     """
 
     def __init__(self, vertices, edges):
@@ -55,22 +58,44 @@ class MetricGraphSpace:
             raise InputError(f"permutation {name!r} does not preserve distances")
         self.isometries[name] = dict(perm)
 
-    def apply(self, name: str, p):
+    def parse_point(self, text: str):
+        """The vertex whose text form is the given text."""
+        for v in self.vertices:
+            if str(v) == text:
+                return v
+        raise InputError(f"unknown vertex {text!r}")
+
+    def act(self, name: str, p):
         return self.isometries[name][p]
 
-    def ball(self, center, R: float) -> list:
-        i = self.index[center]
-        return [v for v in self.vertices if self.table[i, self.index[v]] <= R + TOL]
+    apply = act
 
-    def sample_ball(self, center, R: float, n: int, rng=None) -> list:
-        pts = self.ball(center, R)
-        if len(pts) <= n or rng is None:
-            return pts
-        keep = sorted(rng.sample(range(len(pts)), n))
-        out = [pts[i] for i in keep]
-        if center not in out:
-            out[0] = center
-        return out
+    def ball(self, center, R: float) -> list:
+        try:
+            row = self.table[self.index[center]]
+        except KeyError:
+            raise InputError(f"unknown vertex {center!r}") from None
+        return [v for v, dv in zip(self.vertices, row) if dv <= R + TOL]
+
+    def candidates(self, pts) -> list:
+        return self.vertices
+
+    def compose(self, g, h):
+        raise InputError("graph isometries support no products")
+
+    def power(self, g, n: int):
+        raise InputError("graph isometries support no powers")
+
+    def is_identity(self, g) -> bool:
+        return all(self.act(g, v) == v for v in self.vertices)
+
+    def classify(self, g) -> IsometryProfile:
+        """Every graph isometry is elliptic; it is reported as fixing the
+        circumcenter of the whole graph."""
+        if g not in self.isometries:
+            raise InputError(f"unknown graph isometry {g!r}")
+        center, _ = self.circumcenter(self.vertices)
+        return IsometryProfile("elliptic", 0.0, 0.0, fixed_point=center)
 
 
 def grid_graph(n: int) -> MetricGraphSpace:

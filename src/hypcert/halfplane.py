@@ -9,11 +9,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from . import isometry
+from .errors import AmbiguityError, InputError
+from .isometry import IsometryProfile
 
 INF = math.inf
 
 TOL = 1e-9
+
+PARABOLIC_BAND = 1e-9
+CROSS_CHECK_BAND = 1e-3
+# the orbit estimator carries an O(log n / n) residual near the parabolic
+# border, so the cross-check only flags gross contradictions
+AMBIGUITY_TOL = 1e-2
 
 
 def check_point(p) -> complex:
@@ -199,7 +207,8 @@ class HGeodesic:
                        math.exp(t) * (v - u) / (1.0 + s2))
 
     def param(self, z) -> float:
-        """Arclength parameter of the nearest-point projection of z."""
+        """Arclength parameter of the nearest-point projection of z; also
+        the order key of the line's points."""
         z = check_point(z)
         if math.isinf(self.pos):
             return math.log(abs(z - self.neg))
@@ -219,11 +228,21 @@ class HGeodesic:
             return 0.0
         return math.log(abs(xi - self.neg)) - math.log(abs(self.pos - xi))
 
+    order_key = param
+
     def project(self, z) -> complex:
+        """Nearest point of an interior point, or the limit of those for
+        a boundary point."""
+        if not isinstance(z, complex):
+            return self.project_boundary(float(z))
         return self.at(self.param(z))
 
     def project_boundary(self, xi: float) -> complex:
         return self.at(self.param_boundary(xi))
+
+    def point_along(self, base, T: float) -> complex:
+        """The point at signed arclength T from a point of the line."""
+        return self.at(self.param(base) + T)
 
     def distance_to(self, z) -> float:
         return dist(z, self.project(z))
@@ -260,22 +279,149 @@ def point_at(origin: complex, theta: float, rho: float) -> complex:
 
 
 class HalfPlane:
-    """Model-space facade bundling the module's distance and geodesic tools."""
+    """The half-plane as a model space: points are complex numbers,
+    isometries Moebius matrices, boundary points reals or inf."""
 
     def dist(self, p, q) -> float:
         return dist(p, q)
 
-    def apply(self, g: Moebius, p: complex) -> complex:
-        return g(check_point(p))
+    def parse_point(self, text: str) -> complex:
+        """'x,y' for the point x + iy."""
+        try:
+            x, y = text.split(",")
+            return check_point(complex(float(x), float(y)))
+        except ValueError:
+            raise InputError(
+                f"expected a half-plane point 'x,y', got {text!r}") from None
 
-    def geodesic(self, p, q) -> HGeodesic:
-        return HGeodesic.through(p, q)
+    def sample_ball(self, center, R, n, rng) -> list:
+        return sample_ball(center, R, n, rng)
+
+    def ball_size(self, center, R):
+        raise InputError("half-plane balls are not finite; "
+                         "count orbit points instead (entropy --orbit)")
+
+    def point_on_geodesic(self, p, q, t: float) -> complex:
+        t = min(max(t, 0.0), dist(p, q))
+        return HGeodesic.through(p, q).point_along(p, t)
+
+    def circumcenter(self, pts):
+        """Line searches toward the current farthest point: the maximal
+        distance is convex along geodesics."""
+        def radius(z):
+            return max(dist(z, p) for p in pts)
+
+        center = pts[0]
+        rad = radius(center)
+        for _ in range(400):
+            far = max(pts, key=lambda p: dist(center, p))
+            span = dist(center, far)
+            if span < 1e-15:
+                break
+            geo = HGeodesic.through(center, far)
+            t0 = geo.param(center)
+            lo, hi = 0.0, span
+            for _ in range(90):
+                m1 = lo + (hi - lo) / 3.0
+                m2 = hi - (hi - lo) / 3.0
+                if radius(geo.at(t0 + m1)) <= radius(geo.at(t0 + m2)):
+                    hi = m2
+                else:
+                    lo = m1
+            new_center = geo.at(t0 + (lo + hi) / 2.0)
+            new_rad = radius(new_center)
+            if rad - new_rad < 1e-12:
+                if new_rad < rad:
+                    center, rad = new_center, new_rad
+                break
+            center, rad = new_center, new_rad
+        return center, rad
 
     def geodesic_from_boundary(self, neg: float, pos: float) -> HGeodesic:
         return HGeodesic(neg, pos)
 
-    def sample_ball(self, center, R, n, rng) -> list:
-        return sample_ball(center, R, n, rng)
+    def act(self, g: Moebius, x):
+        return g(x)
+
+    def compose(self, g: Moebius, h: Moebius) -> Moebius:
+        return g @ h
+
+    def power(self, g: Moebius, n: int) -> Moebius:
+        return g ** n
+
+    def is_identity(self, g: Moebius) -> bool:
+        return g.is_identity()
+
+    def iso_key(self, g: Moebius) -> tuple:
+        return tuple(round(v, 9) for v in g.entries())
+
+    def boundary_eq(self, x, y) -> bool:
+        return boundary_eq(x, y)
+
+    def classify(self, g: Moebius) -> IsometryProfile:
+        """Classify by |trace|; near the parabolic border the orbit growth
+        rate is consulted as an independent tiebreaker."""
+        tr = abs(g.trace())
+        if abs(tr - 2.0) <= CROSS_CHECK_BAND:
+            orbit = isometry.orbit_translation_length(g)
+            trace_par = abs(tr - 2.0) <= PARABOLIC_BAND
+            if trace_par and orbit > AMBIGUITY_TOL:
+                raise AmbiguityError(
+                    "trace says parabolic but the orbit translates",
+                    trace_diag=tr, orbit_diag=orbit)
+            if not trace_par:
+                ell_tr = 2.0 * math.acosh(tr / 2.0) if tr > 2.0 else 0.0
+                if abs(ell_tr - orbit) > AMBIGUITY_TOL:
+                    raise AmbiguityError(
+                        "trace and orbit translation lengths disagree",
+                        trace_diag=ell_tr, orbit_diag=orbit)
+        if tr > 2.0 + PARABOLIC_BAND:
+            ell = 2.0 * math.acosh(tr / 2.0)
+            rep, att = _fixed_boundary_pair(g)
+            return IsometryProfile("hyperbolic", ell, ell,
+                                   axis=HGeodesic(rep, att),
+                                   fixed_boundary=(rep, att))
+        if tr >= 2.0 - PARABOLIC_BAND:
+            if g.is_identity():
+                return IsometryProfile("elliptic", 0.0, 0.0, fixed_point=1j)
+            fx = _parabolic_fixed_point(g)
+            return IsometryProfile("parabolic", 0.0, 0.0, fixed_boundary=(fx,))
+        return IsometryProfile("elliptic", 0.0, 0.0,
+                               fixed_point=_elliptic_fixed_point(g))
+
+
+def _fixed_boundary_pair(g):
+    """(repelling, attracting) boundary fixed points of a hyperbolic matrix."""
+    a, b, c, d = g.entries()
+    if abs(c) < 1e-300:
+        # fixed points are inf and b/(d-a)
+        other = b / (d - a) if abs(d - a) > 0 else 0.0
+        roots = [INF, other]
+    else:
+        disc = math.sqrt((d - a) * (d - a) + 4.0 * b * c)
+        roots = [((a - d) + disc) / (2.0 * c), ((a - d) - disc) / (2.0 * c)]
+    # derivative at a fixed x is (cx + d)^-2; attracting iff |cx + d| > 1
+    def mult(x):
+        if math.isinf(x):
+            return abs(a)  # |derivative|^(-1/2) at infinity in the chart 1/z
+        return abs(c * x + d)
+    roots.sort(key=mult)
+    return roots[0], roots[1]
+
+
+def _parabolic_fixed_point(g):
+    a, b, c, d = g.entries()
+    if abs(c) < 1e-12:
+        return INF
+    return (a - d) / (2.0 * c)
+
+
+def _elliptic_fixed_point(g):
+    a, b, c, d = g.entries()
+    disc = complex((d - a) * (d - a) + 4.0 * b * c) ** 0.5
+    z1 = ((a - d) + disc) / (2.0 * c)
+    z2 = ((a - d) - disc) / (2.0 * c)
+    return z1 if z1.imag > 0 else z2
 
 
 H2 = HalfPlane()

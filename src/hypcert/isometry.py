@@ -1,5 +1,6 @@
-"""Isometry classification, translation lengths, axes, circumcenters,
-and sampled Margulis domains with gap bounds."""
+"""Isometry profiles, translation lengths, axes, circumcenters, and
+sampled Margulis domains with gap bounds, over the model interface that
+each space implements (dist, act, power, classify, ...)."""
 
 from __future__ import annotations
 
@@ -8,16 +9,10 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from . import freetree, graphspace, halfplane
-from .errors import AmbiguityError, DomainError, InputError, PreconditionError
+from . import sampled
+from .errors import DomainError, InputError, PreconditionError
 
 TOL = 1e-9
-
-PARABOLIC_BAND = 1e-9
-CROSS_CHECK_BAND = 1e-3
-# the orbit estimator carries an O(log n / n) residual near the parabolic
-# border, so the cross-check only flags gross contradictions
-AMBIGUITY_TOL = 1e-2
 
 
 @dataclass
@@ -33,86 +28,18 @@ class IsometryProfile:
 def classify(g, space=None) -> IsometryProfile:
     """Type, translation length and boundary data of an isometry.
 
-    Half-plane matrices classify by |trace|; near the parabolic border
-    the orbit growth rate is consulted as an independent tiebreaker.
-    Tree words classify by cyclically reduced length; finite-graph
-    permutations are always elliptic.
+    Half-plane matrices classify by |trace|, tree words by cyclically
+    reduced length; finite-graph permutations are always elliptic.
+    Without a space, g is a half-plane matrix.
     """
-    if isinstance(g, halfplane.Moebius):
-        return _classify_moebius(g)
-    if isinstance(space, graphspace.MetricGraphSpace):
-        return _classify_graph(space, g)
-    if isinstance(g, str):
-        return _classify_word(g)
-    raise InputError(f"cannot classify {type(g).__name__}")
+    if space is None:
+        from .halfplane import H2 as space  # halfplane imports this module
+    return space.classify(g)
 
 
-def _classify_moebius(g: halfplane.Moebius) -> IsometryProfile:
-    tr = abs(g.trace())
-    if abs(tr - 2.0) <= CROSS_CHECK_BAND:
-        orbit = orbit_translation_length(g)
-        trace_par = abs(tr - 2.0) <= PARABOLIC_BAND
-        if trace_par and orbit > AMBIGUITY_TOL:
-            raise AmbiguityError(
-                "trace says parabolic but the orbit translates",
-                trace_diag=tr, orbit_diag=orbit)
-        if not trace_par:
-            ell_tr = 2.0 * math.acosh(tr / 2.0) if tr > 2.0 else 0.0
-            if abs(ell_tr - orbit) > AMBIGUITY_TOL:
-                raise AmbiguityError(
-                    "trace and orbit translation lengths disagree",
-                    trace_diag=ell_tr, orbit_diag=orbit)
-    if tr > 2.0 + PARABOLIC_BAND:
-        ell = 2.0 * math.acosh(tr / 2.0)
-        rep, att = _fixed_boundary_pair(g)
-        return IsometryProfile("hyperbolic", ell, ell,
-                               axis=halfplane.HGeodesic(rep, att),
-                               fixed_boundary=(rep, att))
-    if tr >= 2.0 - PARABOLIC_BAND:
-        if g.is_identity():
-            return IsometryProfile("elliptic", 0.0, 0.0, fixed_point=1j)
-        fx = _parabolic_fixed_point(g)
-        return IsometryProfile("parabolic", 0.0, 0.0, fixed_boundary=(fx,))
-    return IsometryProfile("elliptic", 0.0, 0.0,
-                           fixed_point=_elliptic_fixed_point(g))
-
-
-def _fixed_boundary_pair(g):
-    """(repelling, attracting) boundary fixed points of a hyperbolic matrix."""
-    a, b, c, d = g.entries()
-    if abs(c) < 1e-300:
-        # fixed points are inf and b/(d-a)
-        other = b / (d - a) if abs(d - a) > 0 else 0.0
-        roots = [halfplane.INF, other]
-    else:
-        disc = math.sqrt((d - a) * (d - a) + 4.0 * b * c)
-        roots = [((a - d) + disc) / (2.0 * c), ((a - d) - disc) / (2.0 * c)]
-    # derivative at a fixed x is (cx + d)^-2; attracting iff |cx + d| > 1
-    def mult(x):
-        if math.isinf(x):
-            return abs(a)  # |derivative|^(-1/2) at infinity in the chart 1/z
-        return abs(c * x + d)
-    roots.sort(key=mult)
-    return roots[0], roots[1]
-
-
-def _parabolic_fixed_point(g):
-    a, b, c, d = g.entries()
-    if abs(c) < 1e-12:
-        return halfplane.INF
-    return (a - d) / (2.0 * c)
-
-
-def _elliptic_fixed_point(g):
-    a, b, c, d = g.entries()
-    disc = complex((d - a) * (d - a) + 4.0 * b * c) ** 0.5
-    z1 = ((a - d) + disc) / (2.0 * c)
-    z2 = ((a - d) - disc) / (2.0 * c)
-    return z1 if z1.imag > 0 else z2
-
-
-def orbit_translation_length(g: halfplane.Moebius, n: int = 1024) -> float:
-    """Asymptotic displacement from the orbit of i under high powers.
+def orbit_translation_length(g, n: int = 1024) -> float:
+    """Asymptotic displacement of a half-plane matrix, from the orbit of i
+    under high powers.
 
     Uses (d(x, g^n x) - d(x, g^(n/2) x)) / (n/2): the additive offset of
     the orbit from the axis cancels, so the estimate converges fast.
@@ -136,25 +63,6 @@ def _mp_orbit_dist(P):
     return 2 * mp.asinh(s)
 
 
-def _classify_word(w: str) -> IsometryProfile:
-    w = freetree.reduce_word(w)
-    if not w:
-        return IsometryProfile("elliptic", 0.0, 0.0, fixed_point="")
-    conj, core = freetree.cyclic_reduce(w)
-    ends = freetree.axis_ends(w)
-    return IsometryProfile("hyperbolic", float(len(core)), float(len(core)),
-                           axis=ends, fixed_boundary=ends,
-                           fixed_point=None)
-
-
-def _classify_graph(space, g) -> IsometryProfile:
-    name = g if isinstance(g, str) else None
-    if name not in space.isometries:
-        raise InputError(f"unknown graph isometry {g!r}")
-    center, _ = circumcenter(space, space.vertices)
-    return IsometryProfile("elliptic", 0.0, 0.0, fixed_point=center)
-
-
 def axis(g, space=None):
     prof = classify(g, space)
     if prof.kind != "hyperbolic":
@@ -163,27 +71,15 @@ def axis(g, space=None):
 
 
 def apply_isometry(space, g, x):
-    if isinstance(g, halfplane.Moebius):
-        return g(x) if isinstance(x, complex) else g.apply_boundary(x)
-    if isinstance(g, str) and isinstance(space, freetree.FreeTreeSpace):
-        return space.apply(g, x)
-    if isinstance(space, graphspace.MetricGraphSpace):
-        return space.apply(g, x)
-    raise InputError("isometry/model mismatch")
+    return space.act(g, x)
 
 
 def isometry_power(space, g, n: int):
-    if isinstance(g, halfplane.Moebius):
-        return g ** n
-    if isinstance(g, str) and isinstance(space, freetree.FreeTreeSpace):
-        base = g if n >= 0 else freetree.invert(g)
-        return freetree.reduce_word(base * abs(n))
-    raise InputError("powers supported for matrix and word isometries only")
+    return space.power(g, n)
 
 
 def displacement(space, g, x) -> float:
-    d = space.dist if not isinstance(space, halfplane.HalfPlane) else halfplane.dist
-    return d(x, apply_isometry(space, g, x))
+    return space.dist(x, apply_isometry(space, g, x))
 
 
 def power_displacement_check(space, g, x, n: int, delta: float):
@@ -191,7 +87,7 @@ def power_displacement_check(space, g, x, n: int, delta: float):
     if n < 1:
         raise InputError("need n >= 1")
     prof = classify(g, space)
-    d = dist_fn(space)
+    d = sampled.dist_oracle(space)
     gx = apply_isometry(space, g, x)
     gnx = apply_isometry(space, isometry_power(space, g, n), x)
     measured = d(x, gnx)
@@ -199,69 +95,18 @@ def power_displacement_check(space, g, x, n: int, delta: float):
     return measured, bound
 
 
-def dist_fn(space):
-    if isinstance(space, halfplane.HalfPlane):
-        return halfplane.dist
-    return space.dist
-
-
 def circumcenter(space, pts):
     """The point minimizing the maximal distance to a finite set.
 
-    In the half-plane the minimum is found by line searches toward the
-    current farthest point (the max-distance function is convex along
-    geodesics); discrete models return the best candidate point.
+    In the half-plane the minimum is found by line searches; discrete
+    models return the best candidate point.
     """
     pts = list(pts)
     if not pts:
         raise InputError("empty point set")
     if len(pts) == 1:
         return pts[0], 0.0
-    if isinstance(space, halfplane.HalfPlane):
-        return _circumcenter_h2(pts)
-    d = dist_fn(space)
-    if isinstance(space, freetree.FreeTreeSpace):
-        candidates = set()
-        for p in pts:
-            for q in pts:
-                candidates.update(freetree.geodesic_path(p, q))
-        candidates = sorted(candidates)
-    else:
-        candidates = space.vertices
-    radii = [(max(d(c, p) for p in pts), c) for c in candidates]
-    rad, center = min(radii, key=lambda t: (t[0], str(t[1])))
-    return center, rad
-
-
-def _circumcenter_h2(pts):
-    def radius(z):
-        return max(halfplane.dist(z, p) for p in pts)
-
-    center = pts[0]
-    rad = radius(center)
-    for _ in range(400):
-        far = max(pts, key=lambda p: halfplane.dist(center, p))
-        span = halfplane.dist(center, far)
-        if span < 1e-15:
-            break
-        geo = halfplane.HGeodesic.through(center, far)
-        t0 = geo.param(center)
-        lo, hi = 0.0, span
-        for _ in range(90):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if radius(geo.at(t0 + m1)) <= radius(geo.at(t0 + m2)):
-                hi = m2
-            else:
-                lo = m1
-        new_center = geo.at(t0 + (lo + hi) / 2.0)
-        new_rad = radius(new_center)
-        if rad - new_rad < 1e-12:
-            if new_rad < rad:
-                center, rad = new_center, new_rad
-            break
-        center, rad = new_center, new_rad
-    return center, rad
+    return space.circumcenter(pts)
 
 
 def margulis_membership(space, g, eps: float, x, power_cap: int):
@@ -274,7 +119,7 @@ def margulis_membership(space, g, eps: float, x, power_cap: int):
     if eps <= 0 or power_cap < 1:
         raise InputError("need eps > 0 and power_cap >= 1")
     prof = classify(g, space)
-    d = dist_fn(space)
+    d = sampled.dist_oracle(space)
     cap = power_cap
     if prof.kind == "hyperbolic":
         cap = min(cap, max(1, math.ceil(eps / prof.ell)))
@@ -342,7 +187,7 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     """
     if not (0 < eps1 <= eps2):
         raise InputError("need 0 < eps1 <= eps2")
-    d = dist_fn(space)
+    d = sampled.dist_oracle(space)
     dom1 = margulis_domain_sample(space, g, eps1, sample, power_cap)
     dom2 = margulis_domain_sample(space, g, eps2, sample, power_cap)
     if not dom1.members:

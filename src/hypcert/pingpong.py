@@ -7,61 +7,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import freetree, halfplane, isometry, sampled
+from . import isometry, sampled
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, PreconditionError)
 
 TOL = 1e-9
 
 ORACLE_WORD_BUDGET = 10 ** 6
-
-
-def _is_tree_line(line):
-    return (isinstance(line, tuple) and len(line) == 2
-            and all(isinstance(e, freetree.TreeEnd) for e in line))
-
-
-def _shared_endpoint(alpha, beta) -> bool:
-    if isinstance(alpha, halfplane.HGeodesic):
-        return any(halfplane.boundary_eq(u, v)
-                   for u in alpha.boundary() for v in beta.boundary())
-    return any(u == v for u in alpha for v in beta)
-
-
-def _project_boundary(alpha, end):
-    if isinstance(alpha, halfplane.HGeodesic):
-        return alpha.project_boundary(end)
-    return sampled._tree_line_project(alpha[0], alpha[1], end)
-
-
-def _project_point(line, x):
-    if isinstance(line, halfplane.HGeodesic):
-        return line.project(x)
-    return sampled._tree_line_project(line[0], line[1], x)
-
-
-def point_along(space, line, base, T: float):
-    """The point of the line at signed arclength T from a point on it."""
-    if isinstance(line, halfplane.HGeodesic):
-        return line.at(line.param(base) + T)
-    em, ep = line
-    steps = int(round(abs(T)))
-    target = ep if T >= 0 else em
-    deep = target.ray_word(len(base) + steps
-                           + len(target.prefix) + 2 * len(target.period) + 8)
-    path = freetree.geodesic_path(base, deep)
-    return path[min(steps, len(path) - 1)]
-
-
-def _line_order_key(line, p):
-    """Arclength position of a point of the line, for orientation checks."""
-    if isinstance(line, halfplane.HGeodesic):
-        return line.param(p)
-    em, ep = line
-    depth = len(p) + len(ep.prefix) + 2 * len(ep.period) + len(em.prefix) \
-        + 2 * len(em.period) + 8
-    u = em.ray_word(depth)
-    return freetree.word_dist(u, p)
 
 
 @dataclass
@@ -79,25 +31,17 @@ def endpoint_projections(space, alpha, beta) -> EndpointProjections:
     one along alpha, the roles are swapped (equivalent to replacing the
     second generator by its inverse) and this is recorded.
     """
-    if _shared_endpoint(alpha, beta):
+    if any(space.boundary_eq(u, v)
+           for u in alpha.boundary() for v in beta.boundary()):
         raise ElementaryPairError("the axes share a boundary endpoint")
-    if isinstance(alpha, halfplane.HGeodesic):
-        bm, bp = beta.boundary()
-    else:
-        bm, bp = beta
-    xm = _project_boundary(alpha, bm)
-    xp = _project_boundary(alpha, bp)
-    swapped = _line_order_key(alpha, xp) < _line_order_key(alpha, xm)
+    bm, bp = beta.boundary()
+    xm = alpha.project_boundary(bm)
+    xp = alpha.project_boundary(bp)
+    swapped = alpha.order_key(xp) < alpha.order_key(xm)
     if swapped:
         xm, xp = xp, xm
-    d = isometry.dist_fn(space)
+    d = sampled.dist_oracle(space)
     return EndpointProjections(xm, xp, float(d(xm, xp)), swapped)
-
-
-def _reverse_line(line):
-    if isinstance(line, halfplane.HGeodesic):
-        return line.reversed()
-    return (line[1], line[0])
 
 
 def min_free_power(space, a, b, delta: float):
@@ -135,9 +79,9 @@ class PingPongData:
 def pingpong_data(space, a, b, N: int, delta: float) -> PingPongData:
     pa, pb = isometry.classify(a, space), isometry.classify(b, space)
     ep = endpoint_projections(space, pa.axis, pb.axis)
-    beta = _reverse_line(pb.axis) if ep.swapped else pb.axis
-    ym = _project_point(beta, ep.x_minus)
-    yp = _project_point(beta, ep.x_plus)
+    beta = pb.axis.reversed() if ep.swapped else pb.axis
+    ym = beta.project(ep.x_minus)
+    yp = beta.project(ep.x_plus)
     return PingPongData(ep.x_minus, ep.x_plus, ym, yp, ep.M0, delta, N,
                         ep.swapped, alpha=pa.axis, beta=beta)
 
@@ -148,7 +92,7 @@ def proof_set_membership(space, a, b, data: PingPongData, z):
     A+ holds the points closer to a^N x- than to x+, and so on; the
     second generator is read with its orientation fixed by the data.
     """
-    d = isometry.dist_fn(space)
+    d = sampled.dist_oracle(space)
     beff = _effective_b(space, b, data)
     aN = isometry.isometry_power(space, a, data.N)
     a_N = isometry.isometry_power(space, a, -data.N)
@@ -172,15 +116,16 @@ def _effective_b(space, b, data: PingPongData):
 
 def end_set_membership(space, data: PingPongData, T: float, z):
     """Membership of z in the four T-neighbourhood sets of the axis ends."""
-    d = isometry.dist_fn(space)
+    d = sampled.dist_oracle(space)
+    alpha, beta = data.alpha, data.beta
     names = []
-    if d(z, point_along(space, data.alpha, data.x_plus, T)) <= d(z, data.x_plus):
+    if d(z, alpha.point_along(data.x_plus, T)) <= d(z, data.x_plus):
         names.append("A+")
-    if d(z, point_along(space, data.alpha, data.x_minus, -T)) <= d(z, data.x_minus):
+    if d(z, alpha.point_along(data.x_minus, -T)) <= d(z, data.x_minus):
         names.append("A-")
-    if d(z, point_along(space, data.beta, data.y_plus, T)) <= d(z, data.y_plus):
+    if d(z, beta.point_along(data.y_plus, T)) <= d(z, data.y_plus):
         names.append("B+")
-    if d(z, point_along(space, data.beta, data.y_minus, -T)) <= d(z, data.y_minus):
+    if d(z, beta.point_along(data.y_minus, -T)) <= d(z, data.y_minus):
         names.append("B-")
     return names
 
@@ -245,7 +190,7 @@ def pingpong_certify(space, a, b, N: int, delta: float, points,
     # distances as the A- test; pushing z forward instead loses the
     # point's position entirely once a^N contracts it below double
     # resolution near the attracting fixed point.
-    d = isometry.dist_fn(space)
+    d = sampled.dist_oracle(space)
     a_Nxp = isometry.apply_isometry(
         space, isometry.isometry_power(space, a, -N), data.x_plus)
     b_Nyp = isometry.apply_isometry(
@@ -299,7 +244,7 @@ def schottky_margin(space, a, b, delta: float, points,
     pa, pb = isometry.classify(a, space), isometry.classify(b, space)
     if pa.kind == "elliptic" or pb.kind == "elliptic":
         raise DomainError("both isometries must be non-elliptic")
-    d = isometry.dist_fn(space)
+    d = sampled.dist_oracle(space)
 
     def min_disp(g, x):
         best = math.inf
@@ -354,32 +299,8 @@ def _schottky_candidate(space, a, b, x0, y0, delta, budget, d):
     return best, ok
 
 
-def _identity_check(space, g) -> bool:
-    if isinstance(g, halfplane.Moebius):
-        return g.is_identity()
-    if isinstance(g, str):
-        return g == ""
-    if hasattr(space, "vertices"):
-        return all(space.apply(g, v) == v for v in space.vertices)
-    raise InputError("cannot test identity for this isometry")
-
-
-def _iso_key(space, g):
-    if isinstance(g, halfplane.Moebius):
-        return tuple(round(v, 9) for v in g.entries())
-    return g
-
-
 def _compose(space, g, h):
-    if isinstance(g, halfplane.Moebius):
-        return g @ h
-    if isinstance(g, str):
-        return freetree.reduce_word(g + h)
-    raise InputError("composition unsupported for this isometry kind")
-
-
-def _invert_iso(space, g):
-    return isometry.isometry_power(space, g, -1)
+    return space.compose(g, h)
 
 
 def word_oracle(space, gens, depth: int, kind: str = "group",
@@ -398,7 +319,8 @@ def word_oracle(space, gens, depth: int, kind: str = "group",
         letters = []
         for name, g in gens:
             letters.append((name, g, name))
-            letters.append((name + "^-1", _invert_iso(space, g), name))
+            letters.append((name + "^-1",
+                            isometry.isometry_power(space, g, -1), name))
         return _oracle_group(space, letters, depth, budget)
     if kind == "semigroup":
         return _oracle_semigroup(space, gens, depth, budget)
@@ -434,7 +356,7 @@ def _oracle_group(space, letters, depth, budget):
             if count > budget:
                 raise BudgetError("word budget exhausted",
                                   reached=level)
-            if _identity_check(space, g):
+            if space.is_identity(g):
                 return False, _render(letters[i][0] for i in word)
         if level == depth:
             break
@@ -461,7 +383,7 @@ def _oracle_semigroup(space, gens, depth, budget):
                 count += 1
                 if count > budget:
                     raise BudgetError("word budget exhausted", reached=level)
-                key = _iso_key(space, g2)
+                key = space.iso_key(g2)
                 if key in seen:
                     return False, (_render(seen[key]) + " = " + _render(w2))
                 seen[key] = w2

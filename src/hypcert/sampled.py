@@ -6,12 +6,10 @@ nearest-point projections, and Helly-style witnesses.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import freetree, halfplane
 from .errors import BudgetError, InputError, PreconditionError
 
 TOL = 1e-9
@@ -58,6 +56,9 @@ class SampledSpace:
     def __len__(self):
         return len(self.points)
 
+    def point_on_geodesic(self, p, q, t: float):
+        return nearest_on_geodesic(self.d, self.points, p, q, t)
+
     def to_json(self) -> dict:
         return {"points": list(self.points), "dist": self.dist.tolist()}
 
@@ -88,9 +89,7 @@ def dist_oracle(space):
     """Uniform d(p, q) callable over sampled and model spaces."""
     if isinstance(space, SampledSpace):
         return space.d
-    if hasattr(space, "dist") and callable(space.dist):
-        return space.dist
-    raise InputError(f"no distance oracle for {type(space).__name__}")
+    return space.dist
 
 
 def gromov_product(space, y, z, base) -> float:
@@ -327,21 +326,19 @@ def covering_number(space: SampledSpace, region, r: float,
 
 
 def point_on_geodesic(space, p, q, t: float):
-    """The point at arclength t from p along a geodesic [p, q].
+    """The point at arclength t from p along a geodesic [p, q], t clamped
+    to [0, d(p, q)].
 
     Exact for the half-plane and tree models; for sampled spaces and
     graphs, the best sample point for the two distance constraints.
     """
-    d = dist_oracle(space)
+    return space.point_on_geodesic(p, q, t)
+
+
+def nearest_on_geodesic(d, candidates, p, q, t: float):
+    """The candidate that best meets d(p, x) = t and d(x, q) = d(p, q) - t."""
     L = d(p, q)
     t = min(max(t, 0.0), L)
-    if isinstance(space, halfplane.HalfPlane):
-        g = halfplane.HGeodesic.through(p, q)
-        return g.at(g.param(p) + t)
-    if isinstance(space, freetree.FreeTreeSpace):
-        path = freetree.geodesic_path(p, q)
-        return path[min(int(round(t)), len(path) - 1)]
-    candidates = space.points if isinstance(space, SampledSpace) else space.vertices
     return min(candidates,
                key=lambda x: max(abs(d(p, x) - t), abs(d(q, x) - (L - t))))
 
@@ -366,45 +363,17 @@ def tripod_points(space, x, y, z):
 def project(space, target, x):
     """Nearest-point projection of an interior point or a boundary datum.
 
-    ``target`` is a half-plane geodesic, a tree line given as a pair of
-    ends, or a finite point set.  Boundary inputs take the limit of
-    projections along a ray into the point.
+    ``target`` is a line of a model space (a half-plane geodesic or a
+    tree line), which projects both kinds of point itself, or a finite
+    point set.
     """
-    if isinstance(target, halfplane.HGeodesic):
-        if isinstance(x, complex):
-            return target.project(x)
-        return target.project_boundary(float(x))
-    if (isinstance(target, tuple) and len(target) == 2
-            and all(isinstance(e, freetree.TreeEnd) for e in target)):
-        return _tree_line_project(target[0], target[1], x)
+    if hasattr(target, "project"):
+        return target.project(x)
     pts = list(target)
     if not pts:
         raise InputError("empty projection target")
     d = dist_oracle(space)
     return min(pts, key=lambda p: (d(x, p), pts.index(p)))
-
-
-def _tree_line_project(em: freetree.TreeEnd, ep: freetree.TreeEnd, x):
-    if em == ep:
-        raise InputError("coincident line endpoints")
-    if isinstance(x, freetree.TreeEnd):
-        if x == em or x == ep:
-            raise InputError("boundary point is an endpoint of the line")
-        depth = _tree_depth(em, ep, x)
-        return freetree.median(em.ray_word(depth), ep.ray_word(depth),
-                               x.ray_word(depth))
-    depth = _tree_depth(em, ep) + len(x)
-    return freetree.median(em.ray_word(depth), ep.ray_word(depth), x)
-
-
-def _tree_depth(*ends_or_words):
-    total = 8
-    for e in ends_or_words:
-        if isinstance(e, freetree.TreeEnd):
-            total += len(e.prefix) + 2 * len(e.period)
-        else:
-            total += len(e)
-    return total
 
 
 def helly_witness(space, sets, delta: float, lam: float):
@@ -436,5 +405,39 @@ def hausdorff_distance(space, A, B) -> float:
     return max(da, db)
 
 
-def seeded_rng(seed: int) -> random.Random:
-    return random.Random(seed)
+class DiscreteSpace:
+    """Defaults shared by the discrete models (the free-group tree and
+    finite graphs).  Subclasses provide ``dist``, ``ball`` and
+    ``candidates``, the finite point set searched for the circumcenter
+    and geodesic points of a set of points."""
+
+    def sample_ball(self, center, R, n: int, rng=None) -> list:
+        """The whole ball when it has at most n points, else n seeded
+        picks that keep the center."""
+        pts = self.ball(center, R)
+        if len(pts) <= n or rng is None:
+            return pts
+        keep = sorted(rng.sample(range(len(pts)), n))
+        out = [pts[i] for i in keep]
+        if center not in out:
+            out[0] = center
+        return out
+
+    def ball_size(self, center, R) -> int:
+        return len(self.ball(center, R))
+
+    def point_on_geodesic(self, p, q, t: float):
+        return nearest_on_geodesic(self.dist, self.candidates([p, q]), p, q, t)
+
+    def circumcenter(self, pts):
+        """The best candidate point, ties broken by its text form."""
+        radii = [(max(self.dist(c, p) for p in pts), c)
+                 for c in self.candidates(pts)]
+        rad, center = min(radii, key=lambda t: (t[0], str(t[1])))
+        return center, rad
+
+    def iso_key(self, g):
+        return g
+
+    def boundary_eq(self, u, v) -> bool:
+        return u == v

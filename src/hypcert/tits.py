@@ -9,27 +9,18 @@ import time
 from dataclasses import dataclass, field
 
 from . import freetree, halfplane, isometry, pingpong
-from .errors import (DomainError, ElementaryPairError, InputError,
-                     SearchExhausted)
+from .errors import (BudgetError, DomainError, ElementaryPairError,
+                     InputError, SearchExhausted)
 
 TOL = 1e-9
 
 
-def _boundary_set(profile):
-    return list(profile.fixed_boundary)
-
-
-def _boundary_points_eq(u, v) -> bool:
-    if isinstance(u, freetree.TreeEnd) or isinstance(v, freetree.TreeEnd):
-        return u == v
-    return halfplane.boundary_eq(float(u), float(v))
-
-
-def _boundary_sets_eq(s1, s2) -> bool:
+def _boundary_sets_eq(space, s1, s2) -> bool:
     if len(s1) != len(s2):
         return False
-    return (all(any(_boundary_points_eq(u, v) for v in s2) for u in s1)
-            and all(any(_boundary_points_eq(u, v) for v in s1) for u in s2))
+    eq = space.boundary_eq
+    return (all(any(eq(u, v) for v in s2) for u in s1)
+            and all(any(eq(u, v) for v in s1) for u in s2))
 
 
 def is_elementary_pair(space, a, b) -> bool:
@@ -41,7 +32,7 @@ def is_elementary_pair(space, a, b) -> bool:
     pa, pb = isometry.classify(a, space), isometry.classify(b, space)
     if pa.kind == "elliptic" or pb.kind == "elliptic":
         raise DomainError("elementary detection needs non-elliptic inputs")
-    return _boundary_sets_eq(_boundary_set(pa), _boundary_set(pb))
+    return _boundary_sets_eq(space, pa.fixed_boundary, pb.fixed_boundary)
 
 
 def enumerate_words(letters, max_len: int, budget: int = 10 ** 6):
@@ -114,14 +105,13 @@ class TitsWitness:
 def _finite_order(space, g, depth) -> bool:
     try:
         passed, _ = pingpong.word_oracle(space, [("g", g)], depth, "group")
-    except Exception:
+    except BudgetError:
         return False
     return not passed
 
 
 def _certify_sample(space, data, cfg, rng):
     if isinstance(space, halfplane.HalfPlane):
-        d = isometry.dist_fn(space)
         radius = max(3.0 * (data.M0 + data.N * 2.0), 10.0)
         return halfplane.sample_ball(1j, radius, cfg.sample_size, rng)
     if isinstance(space, freetree.FreeTreeSpace):
@@ -236,11 +226,8 @@ def _small_ell(space, a, b, table, names, cfg, rng, stats, t_start):
         if all(name == names[0] for name, _ in word):
             continue  # powers of a never make a free pair with a
         g = evaluate_word(space, word, table)
-        try:
-            passed, counter = pingpong.word_oracle(
-                space, [(names[0], a), ("w", g)], cfg.oracle_depth, "group")
-        except SearchExhausted:
-            continue
+        passed, _ = pingpong.word_oracle(
+            space, [(names[0], a), ("w", g)], cfg.oracle_depth, "group")
         if passed:
             cert = pingpong.FreeCertificate(
                 kind="group", names=(names[0], "w"), N=1,

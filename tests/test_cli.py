@@ -173,3 +173,49 @@ class TestDeterminism:
         assert code == 0
         # 12 significant digits survive the JSON round trip
         assert rep["result"]["generators"][0]["ell"] == 1.38629436112
+
+
+def _cycle_file(tmp_path):
+    spec = {"model": "graph",
+            "params": {"vertices": [0, 1, 2, 3],
+                       "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]},
+            "generators": [{"name": "r", "perm": [1, 2, 3, 0]},
+                           {"name": "s", "perm": [0, 3, 2, 1]}]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+class TestModelInputs:
+    def test_h2_base_e_is_exit_2(self, tmp_path, h2_pair_file):
+        code, _ = run(tmp_path, "entropy", "--input", h2_pair_file, "--orbit")
+        assert code == 2
+
+    def test_graph_base_names_a_vertex(self, tmp_path):
+        path = _cycle_file(tmp_path)
+        code, rep = run(tmp_path, "entropy", "--input", path,
+                        "--base", "0", "--radii", "0,1,2")
+        assert code == 0
+        assert rep["result"]["counts"] == [[0.0, 1], [1.0, 3], [2.0, 4]]
+        code, _ = run(tmp_path, "margulis", "--input", path, "--eps1", "0.5",
+                      "--eps2", "1", "--center", "0")
+        assert code == 0
+        # stats needs inverses, which graph isometries do not support
+        code, _ = run(tmp_path, "stats", "--input", path, "--base", "0")
+        assert code == 2
+
+    def test_h2_ball_entropy_asks_for_orbit(self, tmp_path, h2_pair_file,
+                                            capsys):
+        code, _ = run(tmp_path, "entropy", "--input", h2_pair_file,
+                      "--base", "0,1")
+        assert code == 2
+        assert "--orbit" in capsys.readouterr().err
+
+    def test_graph_certify_is_exit_2(self, tmp_path):
+        code, _ = run(tmp_path, "certify", "--input", _cycle_file(tmp_path))
+        assert code == 2
+
+    def test_tits_is_certify(self, tmp_path, h2_pair_file):
+        code, rep = run(tmp_path, "tits", "--input", h2_pair_file)
+        assert code == 0
+        assert rep["manifest"]["command"] == "certify"

@@ -212,3 +212,43 @@ class TestMetricGraph:
             u, v, w = r.choice(vs), r.choice(vs), r.choice(vs)
             assert G.dist(u, v) == G.dist(v, u)
             assert G.dist(u, w) <= G.dist(u, v) + G.dist(v, w) + 1e-9
+
+
+def _h2_model():
+    g = halfplane.Moebius(2.0, 1.0, 1.0, 1.0)
+    pts = [1j, 0.5 + 2j, -1.0 + 0.3j]
+    return halfplane.H2, g, pts, lambda p: f"{p.real!r},{p.imag!r}"
+
+
+def _tree_model():
+    return freetree.FreeTreeSpace(2), "aB", ["", "ab", "Ba"], freetree.format_word
+
+
+def _grid_model():
+    G = graphspace.grid_graph(3)
+    G.register_isometry("flip", {(i, j): (j, i)
+                                 for i in range(3) for j in range(3)})
+    return G, "flip", [(0, 0), (0, 2), (1, 2)], str
+
+
+@pytest.mark.parametrize("make", [_h2_model, _tree_model, _grid_model],
+                         ids=["h2", "tree", "grid"])
+def test_model_contract(make):
+    space, g, pts, text = make()
+    for p in pts:
+        assert space.parse_point(text(p)) == p
+        for q in pts:
+            assert space.dist(p, q) == pytest.approx(space.dist(q, p))
+            assert space.dist(space.act(g, p), space.act(g, q)) == \
+                pytest.approx(space.dist(p, q))
+    if isinstance(space, graphspace.MetricGraphSpace):
+        with pytest.raises(InputError):
+            space.compose(g, g)
+        with pytest.raises(InputError):
+            space.power(g, 2)
+        return
+    h = g
+    for n in range(2, 5):
+        h = space.compose(h, g)
+        assert space.iso_key(space.power(g, n)) == space.iso_key(h)
+    assert space.is_identity(space.compose(g, space.power(g, -1)))

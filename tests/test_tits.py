@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hypcert import freetree, halfplane, isometry, tits
+from hypcert import freetree, graphspace, halfplane, isometry, tits
 from hypcert.errors import (DomainError, ElementaryPairError, InputError,
                             SearchExhausted)
 
@@ -114,3 +114,12 @@ class TestWitnessSearch:
         wit = tits.tits_witness(H2, a, b)
         w = b @ a @ b.inverse() if wit.w == "b a b^-1" else b
         assert not tits.is_elementary_pair(H2, a, w)
+
+
+def test_finite_order_check_lets_model_errors_through():
+    G = graphspace.grid_graph(3)
+    G.register_isometry("flip", {(i, j): (j, i)
+                                 for i in range(3) for j in range(3)})
+    # graph isometries have no powers, so the oracle cannot run on them
+    with pytest.raises(InputError):
+        tits._finite_order(G, "flip", 8)
