@@ -201,10 +201,10 @@ class HGeodesic:
         if t >= 0:
             s2 = math.exp(-2.0 * t)
             return complex((u * s2 + v) / (s2 + 1.0),
-                           math.exp(-t) * (v - u) / (s2 + 1.0))
+                           math.exp(-t) * abs(v - u) / (s2 + 1.0))
         s2 = math.exp(2.0 * t)
         return complex((u + s2 * v) / (1.0 + s2),
-                       math.exp(t) * (v - u) / (1.0 + s2))
+                       math.exp(t) * abs(v - u) / (1.0 + s2))
 
     def param(self, z) -> float:
         """Arclength parameter of the nearest-point projection of z; also

@@ -107,6 +107,12 @@ class TestHGeodesic:
         g = halfplane.HGeodesic(-1.0, 1.0)
         assert g.project_boundary(math.inf) == pytest.approx(1j)
 
+    def test_reversed_circle_stays_in_half_plane(self):
+        # neg > pos: the point at t on (3, 1) is the point at -t on (1, 3)
+        z = halfplane.HGeodesic(3.0, 1.0).at(0.5)
+        assert z.imag > 0
+        assert z == pytest.approx(halfplane.HGeodesic(1.0, 3.0).at(-0.5))
+
 
 class TestPolarAndSampling:
     @given(st.floats(min_value=0.0, max_value=300.0),
