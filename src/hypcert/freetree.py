@@ -271,6 +271,7 @@ class FreeTreeSpace(DiscreteSpace):
         return sizes[: R + 1]
 
     def ball_size(self, center: str, R) -> int:
+        """Closed form; the tree looks the same from every vertex."""
         return sum(self.sphere_sizes(int(R)))
 
     def candidates(self, pts) -> list:

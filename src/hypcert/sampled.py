@@ -57,7 +57,7 @@ class SampledSpace:
         return len(self.points)
 
     def point_on_geodesic(self, p, q, t: float):
-        return nearest_on_geodesic(self.d, self.points, p, q, t)
+        return _nearest_on_geodesic(self.d, self.points, p, q, t)
 
     def to_json(self) -> dict:
         return {"points": list(self.points), "dist": self.dist.tolist()}
@@ -335,7 +335,7 @@ def point_on_geodesic(space, p, q, t: float):
     return space.point_on_geodesic(p, q, t)
 
 
-def nearest_on_geodesic(d, candidates, p, q, t: float):
+def _nearest_on_geodesic(d, candidates, p, q, t: float):
     """The candidate that best meets d(p, x) = t and d(x, q) = d(p, q) - t."""
     L = d(p, q)
     t = min(max(t, 0.0), L)
@@ -427,7 +427,7 @@ class DiscreteSpace:
         return len(self.ball(center, R))
 
     def point_on_geodesic(self, p, q, t: float):
-        return nearest_on_geodesic(self.dist, self.candidates([p, q]), p, q, t)
+        return _nearest_on_geodesic(self.dist, self.candidates([p, q]), p, q, t)
 
     def circumcenter(self, pts):
         """The best candidate point, ties broken by its text form."""
