@@ -64,10 +64,9 @@ def ball_growth_counts(space, base, radii):
 def orbit_growth_counts(space, generators, base, radii, word_cap: int):
     """Orbit-point counts |B(base, R) ∩ orbit| using words up to word_cap."""
     d = sampled.dist_oracle(space)
-    table = dict(generators)
     orbit = {_pt_key(base): base}
-    for word in tits.enumerate_words([n for n, _ in generators], word_cap):
-        g = tits.evaluate_word(space, word, table)
+    letters = pingpong.group_letters(space, generators)
+    for _, g in pingpong.walk_words(space, letters, word_cap):
         p = isometry.apply_isometry(space, g, base)
         orbit.setdefault(_pt_key(p), p)
     pts = list(orbit.values())
@@ -161,17 +160,14 @@ def action_stats(space, generators, sample, word_cap: int,
     All values are truncations: sys over-estimates and dias
     under-estimates their true counterparts.
     """
-    table = dict(generators)
-    names = [n for n, _ in generators]
-    elems = []
-    for word in tits.enumerate_words(names, word_cap):
-        g = tits.evaluate_word(space, word, table)
-        if space.is_identity(g):
-            continue
-        elems.append((tits.word_to_text(word), g))
+    letters = pingpong.group_letters(space, generators)
+    elems = [(pingpong.word_to_text(word), g)
+             for word, g in pingpong.walk_words(space, letters, word_cap)
+             if not space.is_identity(g)]
     if not elems:
         raise InputError("no nontrivial elements within the word cap")
-    finite_order = {w: _is_finite_order(space, g) for w, g in elems}
+    finite_order = {w: isometry.classify(g, space).kind == "elliptic"
+                    and tits._finite_order(space, g, 24) for w, g in elems}
     profiles = {}
 
     stats = ActionStats(word_cap=word_cap, sample_size=len(sample))
@@ -191,18 +187,6 @@ def action_stats(space, generators, sample, word_cap: int,
     if thin:
         stats.nilrad_plus_estimate = max(stats.nilrad_at[k] for k in thin)
     return stats
-
-
-def _is_finite_order(space, g) -> bool:
-    prof = isometry.classify(g, space)
-    if prof.kind != "elliptic":
-        return False
-    h = g
-    for _ in range(24):
-        if space.is_identity(h):
-            return True
-        h = pingpong._compose(space, h, g)
-    return False
 
 
 def _nilrad_at(space, elems, disp, radii_grid, profiles):

@@ -122,6 +122,9 @@ def load_group_spec(path):
             gens.append((name, name))
     else:
         raise InputError(f"unknown model {model!r}")
+    names = [name for name, _ in gens]
+    if len(set(names)) != len(names):
+        raise InputError(f"duplicate generator names in {names}")
     return space, gens
 
 

@@ -244,9 +244,6 @@ class HGeodesic:
         """The point at signed arclength T from a point of the line."""
         return self.at(self.param(base) + T)
 
-    def distance_to(self, z) -> float:
-        return dist(z, self.project(z))
-
     def reversed(self) -> "HGeodesic":
         return HGeodesic(self.pos, self.neg)
 

@@ -1,6 +1,7 @@
 """Free-group and free-semigroup certification: axis endpoint
 projections, explicit power thresholds, ping-pong set disjointness,
-Schottky margins, and an independent brute-force word oracle."""
+Schottky margins, and the shortlex walk over reduced words that the
+independent word oracle runs on."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from .errors import (BudgetError, DomainError, ElementaryPairError,
 
 TOL = 1e-9
 
-ORACLE_WORD_BUDGET = 10 ** 6
+# words one walk may visit; read at each call, so tests can lower it
+WORD_BUDGET = 10 ** 6
 
 
 @dataclass
@@ -303,9 +305,64 @@ def _compose(space, g, h):
     return space.compose(g, h)
 
 
+def group_letters(space, gens):
+    """Walk letters of the group generated by (name, isometry) pairs:
+    each generator followed by its inverse, computed once."""
+    return [letter for name, g in gens
+            for letter in (((name, 1), g),
+                           ((name, -1), isometry.isometry_power(space, g, -1)))]
+
+
+def walk_words(space, letters, max_len: int, budget: int = None):
+    """Freely reduced words of length 1..max_len in shortlex order, each
+    with the isometry it names.
+
+    ``letters`` are ((name, sign), element) pairs in the order of the
+    walk; no letter follows its own inverse.  Yields (word, element),
+    where a word's element is its prefix's element composed with the
+    last letter's, so every word costs one composition; with None
+    elements nothing is composed.  The current level's pairs are the
+    only ones kept.  Raises BudgetError instead of yielding more than
+    ``budget`` words (default: WORD_BUDGET as it is at the call).
+    """
+    if max_len < 1:
+        raise InputError("max_len must be >= 1")
+    if budget is None:
+        budget = WORD_BUDGET
+    count = 0
+    frontier = [((), None)]
+    for level in range(1, max_len + 1):
+        nxt = []
+        for word, g in frontier:
+            for sym, h in letters:
+                if word and word[-1] == (sym[0], -sym[1]):
+                    continue
+                count += 1
+                if count > budget:
+                    raise BudgetError("word budget exhausted", reached=level)
+                w2 = word + (sym,)
+                g2 = h if g is None else _compose(space, g, h)
+                yield w2, g2
+                if level < max_len:
+                    nxt.append((w2, g2))
+        frontier = nxt
+
+
+def word_to_text(word) -> str:
+    """A (name, sign) word as text, with runs of one letter as powers:
+    a a b^-1 reads "a^2 b^-1"."""
+    runs = []
+    for name, sign in word:
+        if runs and runs[-1][0] == name and (runs[-1][1] < 0) == (sign < 0):
+            runs[-1][1] += sign
+        else:
+            runs.append([name, sign])
+    return " ".join(n if e == 1 else f"{n}^{e}" for n, e in runs)
+
+
 def word_oracle(space, gens, depth: int, kind: str = "group",
-                budget: int = ORACLE_WORD_BUDGET):
-    """Breadth-first enumeration of reduced words in the generators.
+                budget: int = None):
+    """Walk the reduced words in the generators up to the given depth.
 
     Group kind passes when no nonempty reduced word acts as the
     identity; semigroup kind passes when all positive words act as
@@ -314,79 +371,19 @@ def word_oracle(space, gens, depth: int, kind: str = "group",
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
-    gens = list(gens)
     if kind == "group":
-        letters = []
-        for name, g in gens:
-            letters.append((name, g, name))
-            letters.append((name + "^-1",
-                            isometry.isometry_power(space, g, -1), name))
-        return _oracle_group(space, letters, depth, budget)
-    if kind == "semigroup":
-        return _oracle_semigroup(space, gens, depth, budget)
-    raise InputError(f"unknown oracle kind {kind!r}")
-
-
-def _render(word_letters) -> str:
-    out = []
-    for name in word_letters:
-        base, exp = (name[:-3], -1) if name.endswith("^-1") else (name, 1)
-        if out and out[-1][0] == base and (out[-1][1] < 0) == (exp < 0):
-            out[-1][1] += exp
-        else:
-            out.append([base, exp])
-    return " ".join(b if e == 1 else f"{b}^{e}" for b, e in out)
-
-
-def _oracle_group(space, letters, depth, budget):
-    # letters: (display, isometry, family); a letter may not follow its
-    # own family's opposite sign, which rules out the trivial backtracks
-    inv_of = {}
-    for i, (disp, g, fam) in enumerate(letters):
-        for j, (disp2, g2, fam2) in enumerate(letters):
-            if fam == fam2 and i != j:
-                inv_of[i] = j
-    frontier = []
-    count = 0
-    for i, (disp, g, fam) in enumerate(letters):
-        frontier.append(([i], g))
-    for level in range(1, depth + 1):
-        for word, g in frontier:
-            count += 1
-            if count > budget:
-                raise BudgetError("word budget exhausted",
-                                  reached=level)
+        for word, g in walk_words(space, group_letters(space, gens), depth,
+                                  budget):
             if space.is_identity(g):
-                return False, _render(letters[i][0] for i in word)
-        if level == depth:
-            break
-        nxt = []
-        for word, g in frontier:
-            for i, (disp, h, fam) in enumerate(letters):
-                if inv_of.get(word[-1]) == i:
-                    continue
-                nxt.append((word + [i], _compose(space, g, h)))
-        frontier = nxt
-    return True, None
-
-
-def _oracle_semigroup(space, gens, depth, budget):
+                return False, word_to_text(word)
+        return True, None
+    if kind != "semigroup":
+        raise InputError(f"unknown oracle kind {kind!r}")
     seen = {}
-    frontier = [([], None)]
-    count = 0
-    for level in range(1, depth + 1):
-        nxt = []
-        for word, g in frontier:
-            for name, h in gens:
-                w2 = word + [name]
-                g2 = h if g is None else _compose(space, g, h)
-                count += 1
-                if count > budget:
-                    raise BudgetError("word budget exhausted", reached=level)
-                key = space.iso_key(g2)
-                if key in seen:
-                    return False, (_render(seen[key]) + " = " + _render(w2))
-                seen[key] = w2
-                nxt.append((w2, g2))
-        frontier = nxt
+    for word, g in walk_words(space, [((name, 1), g) for name, g in gens],
+                              depth, budget):
+        key = space.iso_key(g)
+        if key in seen:
+            return False, word_to_text(seen[key]) + " = " + word_to_text(word)
+        seen[key] = word
     return True, None

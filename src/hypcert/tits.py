@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from . import freetree, halfplane, isometry, pingpong
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, SearchExhausted)
+from .pingpong import word_to_text
 
 TOL = 1e-9
 
@@ -39,41 +40,21 @@ def enumerate_words(letters, max_len: int, budget: int = 10 ** 6):
     """All freely reduced words of length 1..max_len in shortlex order.
 
     Words are tuples of (letter name, +1 or -1); the letter order is
-    each generator followed by its inverse.
+    each generator followed by its inverse.  This is
+    pingpong.walk_words without elements.
     """
-    if max_len < 1:
-        raise InputError("max_len must be >= 1")
-    syms = []
-    for name in letters:
-        syms.append((name, 1))
-        syms.append((name, -1))
-    count = 0
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for s in syms:
-                if w and w[-1][0] == s[0] and w[-1][1] == -s[1]:
-                    continue
-                w2 = w + (s,)
-                count += 1
-                if count > budget:
-                    raise SearchExhausted("word budget exhausted",
-                                          stats={"emitted": count - 1})
-                yield w2
-                nxt.append(w2)
-        frontier = nxt
-
-
-def word_to_text(word) -> str:
-    out = []
-    for name, sign in word:
-        out.append(name if sign == 1 else f"{name}^-1")
-    return pingpong._render(iter(out))
+    syms = [((name, sign), None) for name in letters for sign in (1, -1)]
+    try:
+        for word, _ in pingpong.walk_words(None, syms, max_len, budget):
+            yield word
+    except BudgetError:
+        raise SearchExhausted("word budget exhausted",
+                              stats={"emitted": budget}) from None
 
 
 def evaluate_word(space, word, table):
-    """Compose the isometries named by a (name, sign) word."""
+    """Compose the isometries named by a (name, sign) word; the per-word
+    reference for the elements of pingpong.walk_words."""
     g = None
     for name, sign in word:
         h = table[name] if sign == 1 else isometry.isometry_power(
@@ -102,12 +83,10 @@ class TitsWitness:
     search_stats: dict = field(default_factory=dict)
 
 
-def _finite_order(space, g, depth) -> bool:
-    try:
-        passed, _ = pingpong.word_oracle(space, [("g", g)], depth, "group")
-    except BudgetError:
-        return False
-    return not passed
+def _finite_order(space, g, k) -> bool:
+    """Whether g^j is the identity for some 1 <= j <= k."""
+    return any(space.is_identity(h)
+               for _, h in pingpong.walk_words(space, [(("g", 1), g)], k))
 
 
 def _certify_sample(space, data, cfg, rng):
@@ -133,7 +112,6 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
     rng = random.Random(cfg.seed)
     t_start = time.monotonic()
     stats = {"candidates": 0, "words": 0}
-    table = {names[0]: a, names[1]: b}
 
     pa = isometry.classify(a, space)
     pb = isometry.classify(b, space)
@@ -156,13 +134,13 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
         if is_elementary_pair(space, a, b_eff):
             raise ElementaryPairError("the pair generates an elementary group")
         if pa.ell > cfg.eps0 / 3.0:
-            return _large_ell_group(space, a, b_eff, b_word, table, names,
+            return _large_ell_group(space, a, b, b_eff, b_word, names,
                                     cfg, rng, stats, t_start)
-        return _small_ell(space, a, b, table, names, cfg, rng, stats, t_start)
+        return _small_ell(space, a, b, names, cfg, rng, stats, t_start)
     if pa.kind != "elliptic" and pb.kind != "elliptic" \
             and (pa.kind == "hyperbolic") != (pb.kind == "hyperbolic"):
-        return _semigroup_case(space, a, b, table, names, cfg, stats, t_start)
-    return _small_ell(space, a, b, table, names, cfg, rng, stats, t_start)
+        return _semigroup_case(space, a, b, names, cfg, stats, t_start)
+    return _small_ell(space, a, b, names, cfg, rng, stats, t_start)
 
 
 def _finish(stats, t_start):
@@ -170,14 +148,14 @@ def _finish(stats, t_start):
     return stats
 
 
-def _large_ell_group(space, a, b_eff, b_word, table, names, cfg, rng,
-                     stats, t_start):
+def _large_ell_group(space, a, b, b_eff, b_word, names, cfg, rng, stats,
+                     t_start):
     candidates = [(b_word, b_eff)]
     for j in range(1, cfg.conjugate_bound + 1):
         bj = pingpong._compose(
             space, pingpong._compose(
-                space, isometry.isometry_power(space, table[names[1]], j), a),
-            isometry.isometry_power(space, table[names[1]], -j))
+                space, isometry.isometry_power(space, b, j), a),
+            isometry.isometry_power(space, b, -j))
         wj = ((names[1], j), (names[0], 1), (names[1], -j))
         candidates.append((_expand(wj), bj))
     last_err = None
@@ -209,23 +187,21 @@ def _expand(compact):
     return tuple(out)
 
 
-def _small_ell(space, a, b, table, names, cfg, rng, stats, t_start):
+def _small_ell(space, a, b, names, cfg, rng, stats, t_start):
     pa = isometry.classify(a, space)
     pb = isometry.classify(b, space)
     # Schottky leg over the conjugate family, when both are hyperbolic
     if pa.kind == "hyperbolic" and pb.kind == "hyperbolic":
-        sm_witness = _conjugate_schottky(space, a, b, table, names, cfg,
-                                         rng, stats, t_start)
+        sm_witness = _conjugate_schottky(space, a, b, names, cfg, rng,
+                                         stats, t_start)
         if sm_witness is not None:
             return sm_witness
     # oracle-certified shortlex fallback
-    for word in enumerate_words(names, cfg.N_max):
+    letters = pingpong.group_letters(space, [(names[0], a), (names[1], b)])
+    for word, g in pingpong.walk_words(space, letters, cfg.N_max):
         stats["words"] += 1
-        if len(word) == 1 and word[0] == (names[0], 1):
-            continue
         if all(name == names[0] for name, _ in word):
             continue  # powers of a never make a free pair with a
-        g = evaluate_word(space, word, table)
         passed, _ = pingpong.word_oracle(
             space, [(names[0], a), ("w", g)], cfg.oracle_depth, "group")
         if passed:
@@ -241,7 +217,7 @@ def _small_ell(space, a, b, table, names, cfg, rng, stats, t_start):
                           stats=_finish(stats, t_start))
 
 
-def _conjugate_schottky(space, a, b, table, names, cfg, rng, stats, t_start):
+def _conjugate_schottky(space, a, b, names, cfg, rng, stats, t_start):
     pts = _certify_sample(
         space, pingpong.PingPongData(None, None, None, None, 0.0,
                                      cfg.delta, 1, False), cfg, rng)
@@ -278,7 +254,7 @@ def _conjugate_schottky(space, a, b, table, names, cfg, rng, stats, t_start):
     return None
 
 
-def _semigroup_case(space, a, b, table, names, cfg, stats, t_start):
+def _semigroup_case(space, a, b, names, cfg, stats, t_start):
     last = None
     for N in range(1, cfg.N_max + 1):
         stats["candidates"] += 1

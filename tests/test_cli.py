@@ -219,3 +219,27 @@ class TestModelInputs:
         code, rep = run(tmp_path, "tits", "--input", h2_pair_file)
         assert code == 0
         assert rep["manifest"]["command"] == "certify"
+
+
+class TestWordWalkInputs:
+    def _twin_file(self, tmp_path):
+        spec = {"model": "free_tree", "params": {"rank": 2}, "generators": [
+            {"name": "a", "word": "a"}, {"name": "a", "word": "b"}]}
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["entropy", "--orbit"],
+                                         ["certify"], ["stats"]])
+    def test_duplicate_generator_names_are_exit_2(self, tmp_path, capsys,
+                                                  command):
+        code, _ = run(tmp_path, *command, "--input", self._twin_file(tmp_path))
+        assert code == 2
+        assert "duplicate generator names" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["entropy", "--orbit"], ["stats"]])
+    def test_word_budget_overrun_is_exit_3(self, tmp_path, tree_pair_file,
+                                           monkeypatch, command):
+        monkeypatch.setattr("hypcert.pingpong.WORD_BUDGET", 100)
+        code, _ = run(tmp_path, *command, "--input", tree_pair_file)
+        assert code == 3
