@@ -318,12 +318,14 @@ def walk_words(space, letters, max_len: int, budget: int = None):
     with the isometry it names.
 
     ``letters`` are ((name, sign), element) pairs in the order of the
-    walk; no letter follows its own inverse.  Yields (word, element),
-    where a word's element is its prefix's element composed with the
-    last letter's, so every word costs one composition; with None
-    elements nothing is composed.  The current level's pairs are the
-    only ones kept.  Raises BudgetError instead of yielding more than
-    ``budget`` words (default: WORD_BUDGET as it is at the call).
+    walk, with one name per generator; no letter follows its own
+    inverse, the letter of the same name and the opposite sign.  Yields
+    (word, element), where a word's element is its prefix's element
+    composed with the last letter's, so every word costs one
+    composition; with None elements nothing is composed.  The current
+    level's pairs are the only ones kept.  Raises BudgetError instead of
+    yielding more than ``budget`` words (default: WORD_BUDGET as it is
+    at the call).
     """
     if max_len < 1:
         raise InputError("max_len must be >= 1")
@@ -367,23 +369,29 @@ def word_oracle(space, gens, depth: int, kind: str = "group",
     Group kind passes when no nonempty reduced word acts as the
     identity; semigroup kind passes when all positive words act as
     pairwise distinct isometries.  Sound up to the stated depth.
-    Returns (passed, counterexample word or None).
+    Returns (passed, counterexample word or None).  The walk names each
+    generator by its position, so generators that share a name are
+    still told apart when letters cancel.
     """
-    if depth < 1:
-        raise InputError("depth must be >= 1")
+    names = [name for name, _ in gens]
+
+    def text(word):
+        return word_to_text([(names[i], sign) for i, sign in word])
+
+    indexed = [(i, g) for i, (_, g) in enumerate(gens)]
     if kind == "group":
-        for word, g in walk_words(space, group_letters(space, gens), depth,
+        for word, g in walk_words(space, group_letters(space, indexed), depth,
                                   budget):
             if space.is_identity(g):
-                return False, word_to_text(word)
+                return False, text(word)
         return True, None
     if kind != "semigroup":
         raise InputError(f"unknown oracle kind {kind!r}")
     seen = {}
-    for word, g in walk_words(space, [((name, 1), g) for name, g in gens],
+    for word, g in walk_words(space, [((i, 1), g) for i, g in indexed],
                               depth, budget):
         key = space.iso_key(g)
         if key in seen:
-            return False, word_to_text(seen[key]) + " = " + word_to_text(word)
+            return False, text(seen[key]) + " = " + text(word)
         seen[key] = word
     return True, None

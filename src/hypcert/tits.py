@@ -198,7 +198,14 @@ def _small_ell(space, a, b, names, cfg, rng, stats, t_start):
             return sm_witness
     # oracle-certified shortlex fallback
     letters = pingpong.group_letters(space, [(names[0], a), (names[1], b)])
-    for word, g in pingpong.walk_words(space, letters, cfg.N_max):
+    cap = 4 ** min(cfg.N_max, 9)
+    # walk no level past the one where the word cap is reached
+    max_len, total = 1, 4
+    while total < cap:
+        max_len += 1
+        total += 4 * 3 ** (max_len - 1)
+    for word, g in pingpong.walk_words(space, letters,
+                                       min(cfg.N_max, max_len)):
         stats["words"] += 1
         if all(name == names[0] for name, _ in word):
             continue  # powers of a never make a free pair with a
@@ -211,7 +218,7 @@ def _small_ell(space, a, b, names, cfg, rng, stats, t_start):
                 oracle_depth=cfg.oracle_depth, oracle_passed=True)
             return TitsWitness("small_ell", 1, word_to_text(word), cert,
                                _finish(stats, t_start))
-        if stats["words"] >= 4 ** min(cfg.N_max, 9):
+        if stats["words"] >= cap:
             break
     raise SearchExhausted("no oracle-certified witness within the word budget",
                           stats=_finish(stats, t_start))

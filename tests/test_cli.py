@@ -243,3 +243,13 @@ class TestWordWalkInputs:
         monkeypatch.setattr("hypcert.pingpong.WORD_BUDGET", 100)
         code, _ = run(tmp_path, *command, "--input", tree_pair_file)
         assert code == 3
+
+    def test_generator_named_w_does_not_certify_a_commuting_pair(
+            self, tmp_path):
+        spec = {"model": "h2", "generators": [
+            {"name": "w", "matrix": [[1.0, 1.0], [0.0, 1.0]]},
+            {"name": "b", "matrix": [[1.0, 2.0], [0.0, 1.0]]}]}
+        path = tmp_path / "commuting.json"
+        path.write_text(json.dumps(spec))
+        code, _ = run(tmp_path, "certify", "--input", str(path))
+        assert code != 0

@@ -117,3 +117,11 @@ class TestFiniteOrder:
 
     def test_hyperbolic_is_not_finite_order(self, schottky_pair):
         assert not tits._finite_order(H2, schottky_pair[0], 24)
+
+
+def test_group_oracle_tells_apart_generators_that_share_a_name():
+    a = halfplane.Moebius(1.0, 1.0, 0.0, 1.0)
+    b = halfplane.Moebius(1.0, 2.0, 0.0, 1.0)
+    passed, counter = pingpong.word_oracle(H2, [("w", a), ("w", b)], 3)
+    assert not passed
+    assert counter == "w^2 w^-1"
