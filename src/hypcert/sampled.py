@@ -414,6 +414,8 @@ class DiscreteSpace:
     def sample_ball(self, center, R, n: int, rng=None) -> list:
         """The whole ball when it has at most n points, else n seeded
         picks that keep the center."""
+        if n < 1:
+            raise InputError("need n >= 1")
         pts = self.ball(center, R)
         if len(pts) <= n or rng is None:
             return pts

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 
 from . import freetree, halfplane, isometry, pingpong
@@ -89,13 +88,31 @@ def _finite_order(space, g, k) -> bool:
                for _, h in pingpong.walk_words(space, [(("g", 1), g)], k))
 
 
-def _certify_sample(space, data, cfg, rng):
+def _certify_sample(space, M0, N, cfg, rng):
     if isinstance(space, halfplane.HalfPlane):
-        radius = max(3.0 * (data.M0 + data.N * 2.0), 10.0)
+        radius = max(3.0 * (M0 + N * 2.0), 10.0)
         return halfplane.sample_ball(1j, radius, cfg.sample_size, rng)
     if isinstance(space, freetree.FreeTreeSpace):
         return space.sample_ball("", 5, cfg.sample_size, rng)
     return space.sample_ball(space.vertices[0], math.inf, cfg.sample_size, rng)
+
+
+def _conjugates(space, a, b, k):
+    """b^j a b^-j for j = 1..k."""
+    return [pingpong._compose(
+                space, pingpong._compose(
+                    space, isometry.isometry_power(space, b, j), a),
+                isometry.isometry_power(space, b, -j))
+            for j in range(1, k + 1)]
+
+
+def _oracle_witness(case, kind, names, N, text, cfg, stats, evidence=None):
+    """A witness whose certificate rests on a passing word oracle alone."""
+    cert = pingpong.FreeCertificate(
+        kind=kind, names=tuple(names), N=N, witness_word=text,
+        delta=cfg.delta, oracle_depth=cfg.oracle_depth, oracle_passed=True,
+        evidence=evidence)
+    return TitsWitness(case, N, text, cert, stats)
 
 
 def tits_witness(space, a, b, cfg: TitsConfig = None,
@@ -110,7 +127,6 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
     """
     cfg = cfg or TitsConfig()
     rng = random.Random(cfg.seed)
-    t_start = time.monotonic()
     stats = {"candidates": 0, "words": 0}
 
     pa = isometry.classify(a, space)
@@ -124,9 +140,7 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
     if pa.kind == "hyperbolic" and pb.kind == "hyperbolic" \
             and abs(pa.ell - pb.ell) > TOL:
         # conjugation trick: b a b^-1 translates exactly like a
-        b_eff = pingpong._compose(
-            space, pingpong._compose(space, b, a),
-            isometry.isometry_power(space, b, -1))
+        b_eff, = _conjugates(space, a, b, 1)
         b_word = ((names[1], 1), (names[0], 1), (names[1], -1))
         pb = isometry.classify(b_eff, space)
 
@@ -135,49 +149,38 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
             raise ElementaryPairError("the pair generates an elementary group")
         if pa.ell > cfg.eps0 / 3.0:
             return _large_ell_group(space, a, b, b_eff, b_word, names,
-                                    cfg, rng, stats, t_start)
-        return _small_ell(space, a, b, names, cfg, rng, stats, t_start)
+                                    cfg, rng, stats)
+        return _small_ell(space, a, b, names, cfg, rng, stats)
     if pa.kind != "elliptic" and pb.kind != "elliptic" \
             and (pa.kind == "hyperbolic") != (pb.kind == "hyperbolic"):
-        return _semigroup_case(space, a, b, names, cfg, stats, t_start)
-    return _small_ell(space, a, b, names, cfg, rng, stats, t_start)
+        return _semigroup_case(space, a, b, names, cfg, stats)
+    return _small_ell(space, a, b, names, cfg, rng, stats)
 
 
-def _finish(stats, t_start):
-    stats["time"] = round(time.monotonic() - t_start, 6)
-    return stats
-
-
-def _large_ell_group(space, a, b, b_eff, b_word, names, cfg, rng, stats,
-                     t_start):
-    candidates = [(b_word, b_eff)]
-    for j in range(1, cfg.conjugate_bound + 1):
-        bj = pingpong._compose(
-            space, pingpong._compose(
-                space, isometry.isometry_power(space, b, j), a),
-            isometry.isometry_power(space, b, -j))
-        wj = ((names[1], j), (names[0], 1), (names[1], -j))
-        candidates.append((_expand(wj), bj))
+def _large_ell_group(space, a, b, b_eff, b_word, names, cfg, rng, stats):
+    conj = _conjugates(space, a, b, cfg.conjugate_bound)
+    candidates = [(b_word, b_eff)] + [
+        (_expand(((names[1], j), (names[0], 1), (names[1], -j))), bj)
+        for j, bj in enumerate(conj, 1)]
     last_err = None
     for word, g in candidates:
         stats["candidates"] += 1
         try:
             if is_elementary_pair(space, a, g):
                 continue
-            N, _ = pingpong.min_free_power(space, a, g, cfg.delta)
-            data = pingpong.pingpong_data(space, a, g, N, cfg.delta)
-            pts = _certify_sample(space, data, cfg, rng)
+            N, ep = pingpong.min_free_power(space, a, g, cfg.delta)
+            pts = _certify_sample(space, ep.M0, N, cfg, rng)
             cert = pingpong.pingpong_certify(
                 space, a, g, N, cfg.delta, pts,
                 oracle_depth=cfg.oracle_depth, names=(names[0], "w"))
             if cert.valid:
                 cert.witness_word = word_to_text(word)
                 return TitsWitness("large_ell_group", N, word_to_text(word),
-                                   cert, _finish(stats, t_start))
+                                   cert, stats)
         except (DomainError, ElementaryPairError) as e:
             last_err = e
     raise SearchExhausted(f"no certified conjugate witness ({last_err})",
-                          stats=_finish(stats, t_start))
+                          stats=stats)
 
 
 def _expand(compact):
@@ -187,13 +190,12 @@ def _expand(compact):
     return tuple(out)
 
 
-def _small_ell(space, a, b, names, cfg, rng, stats, t_start):
+def _small_ell(space, a, b, names, cfg, rng, stats):
     pa = isometry.classify(a, space)
     pb = isometry.classify(b, space)
     # Schottky leg over the conjugate family, when both are hyperbolic
     if pa.kind == "hyperbolic" and pb.kind == "hyperbolic":
-        sm_witness = _conjugate_schottky(space, a, b, names, cfg, rng,
-                                         stats, t_start)
+        sm_witness = _conjugate_schottky(space, a, b, names, cfg, rng, stats)
         if sm_witness is not None:
             return sm_witness
     # oracle-certified shortlex fallback
@@ -212,29 +214,17 @@ def _small_ell(space, a, b, names, cfg, rng, stats, t_start):
         passed, _ = pingpong.word_oracle(
             space, [(names[0], a), ("w", g)], cfg.oracle_depth, "group")
         if passed:
-            cert = pingpong.FreeCertificate(
-                kind="group", names=(names[0], "w"), N=1,
-                witness_word=word_to_text(word), delta=cfg.delta,
-                oracle_depth=cfg.oracle_depth, oracle_passed=True)
-            return TitsWitness("small_ell", 1, word_to_text(word), cert,
-                               _finish(stats, t_start))
+            return _oracle_witness("small_ell", "group", (names[0], "w"), 1,
+                                   word_to_text(word), cfg, stats)
         if stats["words"] >= cap:
             break
     raise SearchExhausted("no oracle-certified witness within the word budget",
-                          stats=_finish(stats, t_start))
+                          stats=stats)
 
 
-def _conjugate_schottky(space, a, b, names, cfg, rng, stats, t_start):
-    pts = _certify_sample(
-        space, pingpong.PingPongData(None, None, None, None, 0.0,
-                                     cfg.delta, 1, False), cfg, rng)
-    conj = []
-    for i in range(1, cfg.conjugate_bound + 1):
-        bi = pingpong._compose(
-            space, pingpong._compose(
-                space, isometry.isometry_power(space, b, i), a),
-            isometry.isometry_power(space, b, -i))
-        conj.append((i, bi))
+def _conjugate_schottky(space, a, b, names, cfg, rng, stats):
+    pts = _certify_sample(space, 0.0, 1, cfg, rng)
+    conj = list(enumerate(_conjugates(space, a, b, cfg.conjugate_bound), 1))
     for idx, (i, bi) in enumerate(conj):
         for j, bj in conj[idx + 1:]:
             stats["candidates"] += 1
@@ -251,17 +241,13 @@ def _conjugate_schottky(space, a, b, names, cfg, rng, stats, t_start):
             passed, _ = pingpong.word_oracle(
                 space, [("u", bi), ("v", bj)], cfg.oracle_depth, "group")
             if passed:
-                cert = pingpong.FreeCertificate(
-                    kind="group", names=("u", "v"), N=1,
-                    witness_word=word_to_text(word), delta=cfg.delta,
-                    oracle_depth=cfg.oracle_depth, oracle_passed=True,
-                    evidence=sm)
-                return TitsWitness("small_ell", 1, word_to_text(word), cert,
-                                   _finish(stats, t_start))
+                return _oracle_witness("small_ell", "group", ("u", "v"), 1,
+                                       word_to_text(word), cfg, stats,
+                                       evidence=sm)
     return None
 
 
-def _semigroup_case(space, a, b, names, cfg, stats, t_start):
+def _semigroup_case(space, a, b, names, cfg, stats):
     last = None
     for N in range(1, cfg.N_max + 1):
         stats["candidates"] += 1
@@ -271,13 +257,9 @@ def _semigroup_case(space, a, b, names, cfg, stats, t_start):
             space, [(names[0], aN), (names[1], bN)],
             cfg.oracle_depth, "semigroup")
         if passed:
-            cert = pingpong.FreeCertificate(
-                kind="semigroup", names=tuple(names), N=N,
-                witness_word=names[1], delta=cfg.delta,
-                oracle_depth=cfg.oracle_depth, oracle_passed=True)
-            return TitsWitness("large_ell_semigroup", N, names[1], cert,
-                               _finish(stats, t_start))
+            return _oracle_witness("large_ell_semigroup", "semigroup", names,
+                                   N, names[1], cfg, stats)
         last = counter
     raise SearchExhausted(
         f"semigroup oracle kept finding coincidences (last: {last})",
-        stats=_finish(stats, t_start))
+        stats=stats)

@@ -253,3 +253,38 @@ class TestWordWalkInputs:
         path.write_text(json.dumps(spec))
         code, _ = run(tmp_path, "certify", "--input", str(path))
         assert code != 0
+
+
+class TestCertifyReport:
+    @staticmethod
+    def _result(N):
+        return {"case": "large_ell_group", "N": N, "witness_word": "b",
+                "kind": "group", "valid": True, "M0": 0.0, "swapped": False,
+                "disjoint_ok": True, "nesting_ok": True, "oracle_depth": 8,
+                "oracle_passed": True, "sample_size": 400,
+                "search_stats": {"candidates": 1, "words": 0}}
+
+    def test_h2_pair(self, tmp_path, h2_pair_file):
+        code, rep = run(tmp_path, "certify", "--input", h2_pair_file)
+        assert code == 0
+        assert rep["result"] == self._result(56)
+
+    def test_tree_pair(self, tmp_path, tree_pair_file):
+        code, rep = run(tmp_path, "certify", "--input", tree_pair_file,
+                        "--delta", "0")
+        assert code == 0
+        assert rep["result"] == self._result(1)
+
+
+class TestSampleSize:
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["certify"], ["stats"],
+        ["margulis", "--eps1", "0.5", "--eps2", "1.0", "--center", "e"]],
+        ids=["certify", "stats", "margulis"])
+    def test_non_positive_is_exit_2(self, tmp_path, tree_pair_file, capsys,
+                                    command, size):
+        code, _ = run(tmp_path, *command, "--input", tree_pair_file,
+                      "--sample-size", size)
+        assert code == 2
+        assert "need n >= 1" in capsys.readouterr().err

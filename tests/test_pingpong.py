@@ -183,3 +183,16 @@ class TestWordOracle:
         with pytest.raises(BudgetError):
             pingpong.word_oracle(H2, [("a", s1), ("b", s2)], 8,
                                  "group", budget=50)
+
+
+def test_certify_reports_overlapping_proof_sets(schottky_pair):
+    # at delta 0 the power is 1 and the four sets overlap near i
+    a, b = schottky_pair
+    N, _ = pingpong.min_free_power(H2, a, b, 0.0)
+    assert N == 1
+    pts = halfplane.sample_ball(1j, 6.0, 2000, random.Random(0))
+    cert = pingpong.pingpong_certify(H2, a, b, N, 0.0, pts)
+    assert cert.disjoint_ok is False
+    assert not cert.valid
+    assert cert.violations
+    assert all(len(names) >= 2 for _, names in cert.violations)

@@ -123,3 +123,23 @@ def test_finite_order_check_lets_model_errors_through():
     # graph isometries have no powers, so the oracle cannot run on them
     with pytest.raises(InputError):
         tits._finite_order(G, "flip", 8)
+
+
+def _hyperbolic(u, v, ell):
+    """g diag(e^{ell/2}, e^{-ell/2}) g^-1 for g = [[v, u], [1, 1]]: axis
+    from u to v, translation length ell."""
+    lam = math.exp(ell / 2.0)
+    inv = 1.0 / lam
+    s = v - u
+    return halfplane.Moebius((v * lam - u * inv) / s, u * v * (inv - lam) / s,
+                             (lam - inv) / s, (v * inv - u * lam) / s)
+
+
+def test_small_translation_pair_runs_the_schottky_leg():
+    a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
+    wit = tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
+    # the three conjugate pairs fail their margins, so the shortlex
+    # fallback answers with its third word
+    assert wit.case_tag == "small_ell"
+    assert wit.w == "b"
+    assert wit.search_stats == {"candidates": 3, "words": 3}
