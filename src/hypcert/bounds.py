@@ -4,6 +4,7 @@ estimators with their closed-form floors."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -69,9 +70,8 @@ def orbit_growth_counts(space, generators, base, radii, word_cap: int):
     for _, g in pingpong.walk_words(space, letters, word_cap):
         p = isometry.apply_isometry(space, g, base)
         orbit.setdefault(_pt_key(p), p)
-    pts = list(orbit.values())
-    return [(float(R), sum(1 for p in pts if d(base, p) <= R + TOL))
-            for R in radii]
+    dists = [d(base, p) for p in orbit.values()]
+    return [(float(R), sum(1 for x in dists if x <= R + TOL)) for R in radii]
 
 
 def _pt_key(p):
@@ -166,9 +166,9 @@ def action_stats(space, generators, sample, word_cap: int,
              if not space.is_identity(g)]
     if not elems:
         raise InputError("no nontrivial elements within the word cap")
-    finite_order = {w: isometry.classify(g, space).kind == "elliptic"
+    profiles = {w: isometry.classify(g, space) for w, g in elems}
+    finite_order = {w: profiles[w].kind == "elliptic"
                     and tits._finite_order(space, g, 24) for w, g in elems}
-    profiles = {}
 
     stats = ActionStats(word_cap=word_cap, sample_size=len(sample))
     d = sampled.dist_oracle(space)
@@ -176,48 +176,30 @@ def action_stats(space, generators, sample, word_cap: int,
     for x in sample:
         disp = {w: d(x, isometry.apply_isometry(space, g, x))
                 for w, g in elems}
-        key = isometry._key(x)
-        stats.sys_at[key] = min(disp.values())
+        stats.sys_at[x] = min(disp.values())
         free_vals = [v for w, v in disp.items() if not finite_order[w]]
-        stats.sys_free_at[key] = min(free_vals) if free_vals else math.inf
-        stats.nilrad_at[key] = _nilrad_at(space, elems, disp, radii_grid,
-                                          profiles)
+        stats.sys_free_at[x] = min(free_vals) if free_vals else math.inf
+        stats.nilrad_at[x] = _nilrad_at(space, disp, radii_grid, profiles)
     stats.dias_estimate = max(stats.sys_at.values())
-    thin = [k for k in stats.sys_at if stats.sys_at[k] < config.eps0]
+    thin = [x for x, v in stats.sys_at.items() if v < config.eps0]
     if thin:
-        stats.nilrad_plus_estimate = max(stats.nilrad_at[k] for k in thin)
+        stats.nilrad_plus_estimate = max(stats.nilrad_at[x] for x in thin)
     return stats
 
 
-def _nilrad_at(space, elems, disp, radii_grid, profiles):
+def _nilrad_at(space, disp, radii_grid, profiles):
+    """The last grid radius r at which every pair of elements displacing
+    the point by at most r is non-elliptic with equal fixed sets."""
     best = 0.0
     for r in radii_grid:
-        near = [(w, g) for w, g in elems if disp[w] <= r]
-        ok = True
-        for i in range(len(near)):
-            for j in range(i + 1, len(near)):
-                if not _pair_elementary(space, near[i], near[j], profiles):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            best = r
-        else:
+        near = [profiles[w] for w, v in disp.items() if v <= r]
+        if not all(p.kind != "elliptic" and q.kind != "elliptic"
+                   and tits._boundary_sets_eq(space, p.fixed_boundary,
+                                              q.fixed_boundary)
+                   for p, q in itertools.combinations(near, 2)):
             break
+        best = r
     return best
-
-
-def _pair_elementary(space, a, b, profiles) -> bool:
-    wa, ga = a
-    wb, gb = b
-    for w, g in ((wa, ga), (wb, gb)):
-        if w not in profiles:
-            profiles[w] = isometry.classify(g, space)
-    if profiles[wa].kind == "elliptic" or profiles[wb].kind == "elliptic":
-        return False
-    return tits._boundary_sets_eq(space, profiles[wa].fixed_boundary,
-                                  profiles[wb].fixed_boundary)
 
 
 def axis_proximity_length(space, a, b, reach: float, step: float = 0.01,

@@ -256,6 +256,11 @@ def cmd_margulis(args):
     return 0
 
 
+def _bounds_config(args):
+    return bounds.BoundsConfig(P0=args.P0, r0=args.r0, delta=args.delta,
+                               eps0=args.eps0, N=args.N)
+
+
 def cmd_entropy(args):
     space, gens = load_group_spec(args.input)
     radii = [float(x) for x in args.radii.split(",")]
@@ -266,8 +271,7 @@ def cmd_entropy(args):
     else:
         counts = bounds.ball_growth_counts(space, base, radii)
     rep = bounds.entropy_estimate(counts)
-    bc = bounds.BoundsConfig(P0=args.P0, r0=args.r0, delta=args.delta,
-                             eps0=args.eps0, N=args.N)
+    bc = _bounds_config(args)
     check = bounds.entropy_bounds_check(bc, rep["estimate"], args.context)
     cfg = {"radii": radii, "orbit": args.orbit, "word_cap": args.word_cap,
            "base": args.base, "P0": args.P0, "r0": args.r0, "N": args.N,
@@ -279,8 +283,7 @@ def cmd_entropy(args):
 
 
 def cmd_bounds(args):
-    bc = bounds.BoundsConfig(P0=args.P0, r0=args.r0, delta=args.delta,
-                             eps0=args.eps0, N=args.N)
+    bc = _bounds_config(args)
     der = bc.derived()
     result = {"config": vars(bc), "C0": der.C0, "E0": der.E0, "H0": der.H0,
               "diastole_floor": bounds.diastole_floor(bc)}
@@ -302,8 +305,7 @@ def cmd_stats(args):
     rng = random.Random(args.seed)
     base = space.parse_point(args.base)
     sample = space.sample_ball(base, args.radius, args.sample_size, rng)
-    bc = bounds.BoundsConfig(P0=args.P0, r0=args.r0, delta=args.delta,
-                             eps0=args.eps0, N=args.N)
+    bc = _bounds_config(args)
     st = bounds.action_stats(space, gens, sample, args.word_cap, bc)
     nil_plus = st.nilrad_plus_estimate
     result = {
@@ -358,6 +360,15 @@ def cmd_degenerate(args):
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _add_bounds_flags(sp):
+    """The BoundsConfig flags shared by entropy, bounds and stats."""
+    sp.add_argument("--P0", type=int, default=4)
+    sp.add_argument("--r0", type=float, default=0.5)
+    sp.add_argument("--delta", type=float, default=1.0)
+    sp.add_argument("--eps0", type=float, default=0.1)
+    sp.add_argument("--N", type=int, default=1)
 
 
 def build_parser():
@@ -426,18 +437,10 @@ def build_parser():
     sp.add_argument("--word-cap", type=int, default=8)
     sp.add_argument("--context", default="group_nonelementary",
                     choices=["group_nonelementary", "space"])
-    sp.add_argument("--P0", type=int, default=4)
-    sp.add_argument("--r0", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--eps0", type=float, default=0.1)
-    sp.add_argument("--N", type=int, default=1)
+    _add_bounds_flags(sp)
 
     sp = add("bounds", cmd_bounds, help="constant ledger and closed forms")
-    sp.add_argument("--P0", type=int, default=4)
-    sp.add_argument("--r0", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--eps0", type=float, default=0.1)
-    sp.add_argument("--N", type=int, default=1)
+    _add_bounds_flags(sp)
     sp.add_argument("--nilrad-plus", default=None)
     sp.add_argument("--R", type=float, default=None)
     sp.add_argument("--r", type=float, default=None)
@@ -448,11 +451,7 @@ def build_parser():
     sp.add_argument("--base", default="e")
     sp.add_argument("--radius", type=float, default=3.0)
     sp.add_argument("--sample-size", type=int, default=100)
-    sp.add_argument("--P0", type=int, default=4)
-    sp.add_argument("--r0", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--eps0", type=float, default=0.1)
-    sp.add_argument("--N", type=int, default=1)
+    _add_bounds_flags(sp)
 
     sp = add("degenerate", cmd_degenerate,
              help="trajectory of a degenerating matrix family")

@@ -35,11 +35,12 @@ def dist(p, q) -> float:
     """Hyperbolic distance, via sinh(d/2) = |p-q| / (2 sqrt(Im p Im q)).
 
     The asinh form stays accurate for very distant points, where the
-    cosh identity would overflow.
+    cosh identity would overflow.  Halving the operands (exact) instead
+    of doubling the denominator keeps the quotient from being inf/inf.
     """
     p, q = check_point(p), check_point(q)
-    num = math.hypot(p.real - q.real, p.imag - q.imag)
-    return 2.0 * math.asinh(num / (2.0 * math.sqrt(p.imag) * math.sqrt(q.imag)))
+    num = math.hypot(p.real / 2 - q.real / 2, p.imag / 2 - q.imag / 2)
+    return 2.0 * math.asinh(num / (math.sqrt(p.imag) * math.sqrt(q.imag)))
 
 
 def boundary_eq(x, y, tol=TOL) -> bool:

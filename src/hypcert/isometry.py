@@ -133,28 +133,16 @@ def margulis_membership(space, g, eps: float, x, power_cap: int):
 
 @dataclass
 class MargulisDomainSample:
-    g: object
-    eps: float
-    power_cap: int
     members: list = field(default_factory=list)
-    witness_powers: dict = field(default_factory=dict)
     outside: list = field(default_factory=list)
 
 
 def margulis_domain_sample(space, g, eps, sample, power_cap=64) -> MargulisDomainSample:
-    out = MargulisDomainSample(g=g, eps=eps, power_cap=power_cap)
+    out = MargulisDomainSample()
     for x in sample:
-        member, i = margulis_membership(space, g, eps, x, power_cap)
-        if member:
-            out.members.append(x)
-            out.witness_powers[_key(x)] = i
-        else:
-            out.outside.append(x)
+        member, _ = margulis_membership(space, g, eps, x, power_cap)
+        (out.members if member else out.outside).append(x)
     return out
-
-
-def _key(x):
-    return x if isinstance(x, (str, int, tuple)) else repr(x)
 
 
 @dataclass

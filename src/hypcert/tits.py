@@ -144,9 +144,10 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
         b_word = ((names[1], 1), (names[0], 1), (names[1], -1))
         pb = isometry.classify(b_eff, space)
 
+    if pa.kind != "elliptic" and pb.kind != "elliptic" and _boundary_sets_eq(
+            space, pa.fixed_boundary, pb.fixed_boundary):
+        raise ElementaryPairError("the pair generates an elementary group")
     if pa.kind == "hyperbolic" and pb.kind == "hyperbolic":
-        if is_elementary_pair(space, a, b_eff):
-            raise ElementaryPairError("the pair generates an elementary group")
         if pa.ell > cfg.eps0 / 3.0:
             return _large_ell_group(space, a, b, b_eff, b_word, names,
                                     cfg, rng, stats)

@@ -254,6 +254,17 @@ class TestWordWalkInputs:
         code, _ = run(tmp_path, "certify", "--input", str(path))
         assert code != 0
 
+    def test_commuting_parabolics_are_an_elementary_pair(self, tmp_path,
+                                                          capsys):
+        spec = {"model": "h2", "generators": [
+            {"name": "a", "matrix": [[1.0, 1.0], [0.0, 1.0]]},
+            {"name": "b", "matrix": [[1.0, 2.0], [0.0, 1.0]]}]}
+        path = tmp_path / "parabolics.json"
+        path.write_text(json.dumps(spec))
+        code, _ = run(tmp_path, "certify", "--input", str(path))
+        assert code == 2
+        assert "elementary" in capsys.readouterr().err
+
 
 class TestCertifyReport:
     @staticmethod

@@ -40,6 +40,10 @@ class TestHalfPlaneMetric:
         d = halfplane.dist(complex(0.0, 1e-150), complex(0.0, 1e150))
         assert d == pytest.approx(300.0 * math.log(10.0), rel=1e-12)
 
+    def test_huge_finite_points_are_not_nan(self):
+        d = halfplane.dist(complex(-1e308, 1.7e308), complex(1e308, 1.7e308))
+        assert d == pytest.approx(1.1174212, rel=1e-7)
+
 
 class TestMoebius:
     def test_determinant_normalization(self):

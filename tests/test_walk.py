@@ -53,6 +53,44 @@ def test_orbit_counts_match_per_word_fold(model, tree2, schottky_pair):
             == _orbit_counts_by_fold(space, gens, base, radii, 5))
 
 
+@pytest.mark.parametrize("model", ["h2", "tree"])
+def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
+                                              monkeypatch):
+    space, gens, base = _pairs(tree2, schottky_pair)[model]
+    orbit = {bounds._pt_key(base)}
+    for _, g in pingpong.walk_words(
+            space, pingpong.group_letters(space, gens), 4):
+        orbit.add(bounds._pt_key(isometry.apply_isometry(space, g, base)))
+    calls = []
+    dist = type(space).dist
+
+    def counting_dist(self, p, q):
+        calls.append(q)
+        return dist(self, p, q)
+
+    monkeypatch.setattr(type(space), "dist", counting_dist)
+    bounds.orbit_growth_counts(space, gens, base, [1.0, 2.0, 3.0, 4.0], 4)
+    assert len(calls) == len(orbit)
+
+
+def test_action_stats_classifies_each_element_once(schottky_pair, rng,
+                                                   monkeypatch):
+    gens = list(zip("ab", schottky_pair))
+    elems = [g for _, g in pingpong.walk_words(
+        H2, pingpong.group_letters(H2, gens), 3) if not H2.is_identity(g)]
+    calls = []
+    classify = isometry.classify
+
+    def counting_classify(g, space=None):
+        calls.append(g)
+        return classify(g, space)
+
+    monkeypatch.setattr(isometry, "classify", counting_classify)
+    sample = halfplane.sample_ball(1j, 2.0, 10, rng)
+    bounds.action_stats(H2, gens, sample, 3, bounds.BoundsConfig())
+    assert len(calls) == len(elems)
+
+
 def test_one_composition_per_word(tree2, monkeypatch):
     calls = []
 
