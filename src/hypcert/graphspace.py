@@ -35,19 +35,27 @@ class MetricGraphSpace(DiscreteSpace):
                 raise InputError(f"nonpositive edge weight {w}")
             i, j = self.index[u], self.index[v]
             D[i, j] = D[j, i] = min(D[i, j], float(w))
-        # Floyd-Warshall, vectorized over rows
+        # Floyd-Warshall, vectorized over rows, in one reused buffer
+        via = np.empty_like(D)
         for k in range(n):
-            np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+            np.minimum(D, np.add(D[:, k, None], D[None, k, :], out=via), out=D)
         if not np.all(np.isfinite(D)):
             raise InputError("graph is not connected")
         self.table = D
         self.isometries = {}
 
-    def dist(self, p, q) -> float:
+    def _position(self, v) -> int:
         try:
-            return float(self.table[self.index[p], self.index[q]])
-        except KeyError as e:
-            raise InputError(f"unknown vertex {e.args[0]!r}") from None
+            return self.index[v]
+        except KeyError:
+            raise InputError(f"unknown vertex {v!r}") from None
+
+    def dist(self, p, q) -> float:
+        return float(self.table[self._position(p), self._position(q)])
+
+    def dist_matrix(self, points) -> np.ndarray:
+        idx = [self._position(p) for p in points]
+        return self.table[np.ix_(idx, idx)]
 
     def register_isometry(self, name: str, perm) -> None:
         """perm maps vertex -> vertex; must preserve the distance table."""
@@ -71,10 +79,7 @@ class MetricGraphSpace(DiscreteSpace):
     apply = act
 
     def ball(self, center, R: float) -> list:
-        try:
-            row = self.table[self.index[center]]
-        except KeyError:
-            raise InputError(f"unknown vertex {center!r}") from None
+        row = self.table[self._position(center)]
         return [v for v, dv in zip(self.vertices, row) if dv <= R + TOL]
 
     def candidates(self, pts) -> list:

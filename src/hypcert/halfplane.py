@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import isometry
 from .errors import AmbiguityError, InputError
 from .isometry import IsometryProfile
@@ -41,6 +43,20 @@ def dist(p, q) -> float:
     p, q = check_point(p), check_point(q)
     num = math.hypot(p.real / 2 - q.real / 2, p.imag / 2 - q.imag / 2)
     return 2.0 * math.asinh(num / (math.sqrt(p.imag) * math.sqrt(q.imag)))
+
+
+def dist_matrix(points) -> np.ndarray:
+    """``dist`` over all pairs, bit for bit (numpy's hypot and asinh differ)."""
+    z = np.array([check_point(p) for p in points])
+    re, im, root = z.real / 2, z.imag / 2, np.sqrt(z.imag)
+    D = np.empty((len(z), len(z)))
+    for i in range(len(z)):
+        num = list(map(math.hypot, (re[i] - re).tolist(), (im[i] - im).tolist()))
+        D[i] = list(map(math.asinh, (num / (root[i] * root)).tolist()))
+    return 2.0 * D
+
+
+dist.dist_matrix = dist_matrix
 
 
 def boundary_eq(x, y, tol=TOL) -> bool:

@@ -16,6 +16,7 @@ TOL = 1e-9
 
 EXHAUSTIVE_CAP = 200
 EXACT_PACK_CAP = 64
+_TRIANGLE_TILE = 64   # rows per tile of the triangle check
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,8 @@ class SampledSpace:
             raise InputError("negative distances or nonzero diagonal")
         if not np.allclose(D, D.T, atol=TOL):
             raise InputError("distance matrix not symmetric")
-        for k in range(n):
-            if np.any(D > D[:, k, None] + D[None, k, :] + TOL):
-                raise InputError("triangle inequality violated")
+        if not _triangle_holds(D):
+            raise InputError("triangle inequality violated")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
     def index(self, p) -> int:
@@ -69,9 +69,25 @@ class SampledSpace:
         return cls(tuple(obj["points"]), np.asarray(obj["dist"], dtype=float))
 
 
+def _triangle_holds(D) -> bool:
+    """D[i, j] <= (D[i, k] + D[k, j]) + TOL for all i, j and k."""
+    for a in range(0, len(D), _TRIANGLE_TILE):
+        rows = D[a:a + _TRIANGLE_TILE]
+        t, b = np.empty(rows.shape), np.empty(rows.shape, dtype=bool)
+        for k in range(len(D)):
+            np.add(rows[:, k, None], D[k], out=t)
+            np.add(t, TOL, out=t)
+            if np.greater(rows, t, out=b).any():
+                return False
+    return True
+
+
 def from_points(points, dist_fn, provenance=None) -> SampledSpace:
     pts = list(points)
-    D = np.array([[dist_fn(p, q) for q in pts] for p in pts], dtype=float)
+    # a model method or a function attribute that builds the whole table
+    table = getattr(getattr(dist_fn, "__self__", dist_fn), "dist_matrix", None)
+    D = (np.asarray(table(pts), dtype=float) if table is not None else
+         np.array([[dist_fn(p, q) for q in pts] for p in pts], dtype=float))
     D = (D + D.T) / 2.0
     return SampledSpace(tuple(range(len(pts))) if _unhashable(pts) else tuple(pts),
                         D, provenance or {})
@@ -128,11 +144,14 @@ def four_point_delta(space: SampledSpace, mode: str = "exhaustive",
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _pairing_defects(s1, s2, s3):
-    hi = np.maximum(s1, np.maximum(s2, s3))
-    lo = np.minimum(s1, np.minimum(s2, s3))
-    mid = s1 + s2 + s3 - hi - lo
-    return (hi - mid) / 2.0
+def _pairing_defects(s1, s2, s3, hi=None, lo=None, out=None):
+    """Half the gap between the largest and middle sums, in any buffers given."""
+    hi = np.maximum(s1, np.maximum(s2, s3, out=hi), out=hi)
+    lo = np.minimum(s1, np.minimum(s2, s3, out=lo), out=lo)
+    mid = np.add(np.add(s1, s2, out=out), s3, out=out)
+    mid -= hi
+    mid -= lo
+    return np.divide(np.subtract(hi, mid, out=mid), 2.0, out=mid)
 
 
 def _delta_exhaustive(space, D, n):
@@ -140,23 +159,25 @@ def _delta_exhaustive(space, D, n):
     S = D[pk, pl]
     # pairs are ordered by first index, so {k > j} is a suffix
     row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    buffers = np.empty((6, pk.size))
     best = 0.0
     worst = (space.points[0],) * 4
     checked = 0
     for i in range(n - 3):
-        for j in range(i + 1, n - 1):
+        Dik, Dil = D[i, pk], D[i, pl]
+        for j in range(i + 1, n - 2):  # j = n - 2 leaves no pair k < l
             s = int(row_start[j + 1])
-            kk, ll = pk[s:], pl[s:]
-            if kk.size == 0:
-                continue
-            vals = _pairing_defects(D[i, j] + S[s:], D[i, kk] + D[j, ll],
-                                    D[i, ll] + D[j, kk])
+            s1, s2, s3, hi, lo, out = buffers[:, s:]
+            np.add(D[i, j], S[s:], out=s1)
+            np.add(Dik[s:], np.take(D[j], pl[s:], out=s2, mode="clip"), out=s2)
+            np.add(Dil[s:], np.take(D[j], pk[s:], out=s3, mode="clip"), out=s3)
+            vals = _pairing_defects(s1, s2, s3, hi, lo, out)
             checked += vals.size
             t = int(np.argmax(vals))
             if vals[t] > best:
                 best = float(vals[t])
                 worst = (space.points[i], space.points[j],
-                         space.points[kk[t]], space.points[ll[t]])
+                         space.points[pk[s + t]], space.points[pl[s + t]])
     return HyperbolicityEstimate(best, checked, "exhaustive", worst)
 
 
@@ -268,18 +289,17 @@ def packing_number(space: SampledSpace, center, R: float, r: float,
 
 
 def _greedy_cover(D, region, centers, r):
-    uncovered = set(region)
+    """Greedy cover by closed r-balls: each step takes the first best center."""
+    cov = D[np.ix_(centers, np.unique(region))] <= r + TOL
+    uncovered = np.ones(cov.shape[1], dtype=bool)
     chosen = []
-    while uncovered:
-        gain, pick = 0, None
-        for ci in centers:
-            g = sum(1 for u in uncovered if D[ci, u] <= r + TOL)
-            if g > gain:
-                gain, pick = g, ci
-        if pick is None:
+    while uncovered.any():
+        gain = np.count_nonzero(cov & uncovered, axis=1)
+        pick = int(np.argmax(gain))
+        if gain[pick] == 0:
             raise PreconditionError("region not coverable by sample centers")
-        chosen.append(pick)
-        uncovered = {u for u in uncovered if D[pick, u] > r + TOL}
+        chosen.append(centers[pick])
+        uncovered &= ~cov[pick]
     return chosen
 
 

@@ -136,6 +136,7 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
             raise InputError("generator has finite order; "
                              "the free-group search needs torsion-free input")
 
+    profiles = (pa, pb)  # b's own; pb turns into b_eff's below
     b_eff, b_word = b, ((names[1], 1),)
     if pa.kind == "hyperbolic" and pb.kind == "hyperbolic" \
             and abs(pa.ell - pb.ell) > TOL:
@@ -151,11 +152,11 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
         if pa.ell > cfg.eps0 / 3.0:
             return _large_ell_group(space, a, b, b_eff, b_word, names,
                                     cfg, rng, stats)
-        return _small_ell(space, a, b, names, cfg, rng, stats)
+        return _small_ell(space, a, b, profiles, names, cfg, rng, stats)
     if pa.kind != "elliptic" and pb.kind != "elliptic" \
             and (pa.kind == "hyperbolic") != (pb.kind == "hyperbolic"):
         return _semigroup_case(space, a, b, names, cfg, stats)
-    return _small_ell(space, a, b, names, cfg, rng, stats)
+    return _small_ell(space, a, b, profiles, names, cfg, rng, stats)
 
 
 def _large_ell_group(space, a, b, b_eff, b_word, names, cfg, rng, stats):
@@ -191,11 +192,9 @@ def _expand(compact):
     return tuple(out)
 
 
-def _small_ell(space, a, b, names, cfg, rng, stats):
-    pa = isometry.classify(a, space)
-    pb = isometry.classify(b, space)
+def _small_ell(space, a, b, profiles, names, cfg, rng, stats):
     # Schottky leg over the conjugate family, when both are hyperbolic
-    if pa.kind == "hyperbolic" and pb.kind == "hyperbolic":
+    if all(p.kind == "hyperbolic" for p in profiles):
         sm_witness = _conjugate_schottky(space, a, b, names, cfg, rng, stats)
         if sm_witness is not None:
             return sm_witness

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,3 +195,110 @@ class TestRuntimeBudgets:
         est = sampled.four_point_delta(sp)
         assert time.monotonic() - t0 < 1.0
         assert est.delta_hat == 0.0
+
+
+def _scalar_table(points, dist_fn):
+    """from_points through the double loop: a plain function offers no
+    whole-table method."""
+    return sampled.from_points(points, lambda p, q: dist_fn(p, q)).dist
+
+
+def _reference_greedy_cover(D, region, centers, r):
+    uncovered = set(region)
+    chosen = []
+    while uncovered:
+        gain, pick = 0, None
+        for ci in centers:
+            g = sum(1 for u in uncovered if D[ci, u] <= r + sampled.TOL)
+            if g > gain:
+                gain, pick = g, ci
+        if pick is None:
+            raise PreconditionError("region not coverable by sample centers")
+        chosen.append(pick)
+        uncovered = {u for u in uncovered if D[pick, u] > r + sampled.TOL}
+    return chosen
+
+
+def _reference_delta(space):
+    D, pts = space.dist.tolist(), space.points
+    best, worst, checked = 0.0, (pts[0],) * 4, 0
+    for i, j, k, l in itertools.combinations(range(len(pts)), 4):
+        s1, s2, s3 = D[i][j] + D[k][l], D[i][k] + D[j][l], D[i][l] + D[j][k]
+        hi, lo = max(s1, s2, s3), min(s1, s2, s3)
+        v = (hi - (s1 + s2 + s3 - hi - lo)) / 2.0
+        checked += 1
+        if v > best:
+            best, worst = v, (pts[i], pts[j], pts[k], pts[l])
+    return best, checked, worst
+
+
+class TestFastPaths:
+    def test_h2_table_matches_scalar_loop(self):
+        pts = halfplane.sample_ball(1j, 6.0, 60, random.Random(5))
+        pts += [complex(1e-150, 1e-150), complex(1e150, 1e-150),
+                complex(-1e150, 1e150), complex(-1e308, 1.7e308),
+                complex(1e308, 1.7e308)]
+        ref = _scalar_table(pts, halfplane.dist)
+        assert np.array_equal(sampled.from_points(pts, halfplane.dist).dist,
+                              ref)
+
+    def test_h2_table_rejects_bad_points(self):
+        with pytest.raises(InputError):
+            sampled.from_points([1j, complex(0.0, -1.0)], halfplane.dist)
+
+    def test_graph_table_matches_scalar_loop(self):
+        G = graphspace.random_connected_graph(40, 30, 7)
+        sub = random.Random(3).sample(G.vertices, 25)
+        for pts in (G.vertices, sub):
+            assert np.array_equal(sampled.from_points(pts, G.dist).dist,
+                                  _scalar_table(pts, G.dist))
+        with pytest.raises(InputError):
+            sampled.from_points(sub + ["nowhere"], G.dist)
+
+    def test_greedy_cover_matches_set_loop(self):
+        G = graphspace.grid_graph(7)
+        D = sampled.from_points(G.vertices, G.dist).dist
+        rng = random.Random(11)
+        everyone = list(range(len(D)))
+        for r in (0.5, 1.0, 1.5, 2.0, 3.0):
+            shuffled = rng.sample(everyone, len(everyone))
+            region = rng.sample(everyone, 20) + [0, 0]
+            for reg, cen in ((everyone, everyone), (everyone, shuffled),
+                             (region, everyone), (region, shuffled[:30])):
+                try:
+                    want = _reference_greedy_cover(D, reg, cen, r)
+                except PreconditionError:
+                    with pytest.raises(PreconditionError):
+                        sampled._greedy_cover(D, reg, cen, r)
+                    continue
+                assert sampled._greedy_cover(D, reg, cen, r) == want
+
+    def test_greedy_cover_refuses_an_uncoverable_region(self):
+        G = graphspace.grid_graph(4)
+        D = sampled.from_points(G.vertices, G.dist).dist
+        with pytest.raises(PreconditionError):
+            sampled._greedy_cover(D, [0, 15], [0, 1], 1.0)
+
+    @pytest.mark.parametrize("family", ["grid", "h2"])
+    def test_exhaustive_delta_matches_brute_force(self, family):
+        if family == "grid":
+            G = graphspace.grid_graph(4)
+            sp = sampled.from_points(G.vertices[:14], G.dist)
+        else:
+            pts = halfplane.sample_ball(1j, 3.0, 14, random.Random(4))
+            sp = sampled.from_points(pts, halfplane.dist)
+        est = sampled.four_point_delta(sp)
+        assert (est.delta_hat, est.quadruples_checked,
+                est.worst_quadruple) == _reference_delta(sp)
+
+    def test_triangle_check_reaches_last_tile_and_last_k(self):
+        n = sampled._TRIANGLE_TILE + 5
+        D = np.full((n, n), 2.0)
+        np.fill_diagonal(D, 0.0)
+        D[n - 1, n - 2] = D[n - 2, n - 1] = 1.0
+        D[n - 1, n - 3] = D[n - 3, n - 1] = 0.5
+        # d(n-2, n-3) = 2 > 1 + 0.5, through k = n - 1 only
+        with pytest.raises(InputError, match="triangle"):
+            sampled.SampledSpace(tuple(range(n)), D)
+        D[n - 2, n - 3] = D[n - 3, n - 2] = 1.5
+        assert len(sampled.SampledSpace(tuple(range(n)), D)) == n

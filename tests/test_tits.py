@@ -143,3 +143,18 @@ def test_small_translation_pair_runs_the_schottky_leg():
     assert wit.case_tag == "small_ell"
     assert wit.w == "b"
     assert wit.search_stats == {"candidates": 3, "words": 3}
+
+
+def test_small_translation_pair_classifies_each_generator_once(monkeypatch):
+    a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
+    seen = []
+    classify = isometry.classify
+
+    def counting(g, space):
+        seen.append(g)
+        return classify(g, space)
+
+    monkeypatch.setattr(isometry, "classify", counting)
+    tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
+    assert sum(g is a for g in seen) == 1
+    assert sum(g is b for g in seen) == 1
