@@ -19,15 +19,25 @@ WORD_BUDGET = 10 ** 6
 
 
 @dataclass
-class EndpointProjections:
+class PingPongData:
+    """Projections x-, x+ of the second axis's ends on the first axis,
+    their projections y-, y+ back on the second axis in its fixed
+    orientation, the spread M0 = d(x-, x+) and both axes; N and delta
+    are the power and hyperbolicity constant the record serves."""
     x_minus: object
     x_plus: object
+    y_minus: object
+    y_plus: object
     M0: float
     swapped: bool
+    alpha: object
+    beta: object
+    N: int = None
+    delta: float = None
 
 
-def endpoint_projections(space, alpha, beta) -> EndpointProjections:
-    """Projections of the endpoints of beta on alpha, oriented forward.
+def endpoint_projections(space, alpha, beta) -> PingPongData:
+    """The ping-pong record of two axes, oriented forward.
 
     If the projection of beta's forward endpoint trails the backward
     one along alpha, the roles are swapped (equivalent to replacing the
@@ -42,12 +52,15 @@ def endpoint_projections(space, alpha, beta) -> EndpointProjections:
     swapped = alpha.order_key(xp) < alpha.order_key(xm)
     if swapped:
         xm, xp = xp, xm
+        beta = beta.reversed()
     d = sampled.dist_oracle(space)
-    return EndpointProjections(xm, xp, float(d(xm, xp)), swapped)
+    return PingPongData(xm, xp, beta.project(xm), beta.project(xp),
+                        float(d(xm, xp)), swapped, alpha, beta)
 
 
 def min_free_power(space, a, b, delta: float):
-    """Smallest certified power: N = ceil((M0 + 77 delta) / ell).
+    """Smallest certified power: N = ceil((M0 + 77 delta) / ell), with
+    the pair's ping-pong record at that power.
 
     Both isometries must be hyperbolic with the same translation length
     (arrange this by conjugation before calling) and non-elementary.
@@ -59,33 +72,20 @@ def min_free_power(space, a, b, delta: float):
         raise PreconditionError(
             f"translation lengths differ: {pa.ell} vs {pb.ell}; "
             "conjugate one generator first")
-    ep = endpoint_projections(space, pa.axis, pb.axis)
-    N = max(1, math.ceil((ep.M0 + 77.0 * delta) / pa.ell - TOL))
-    return N, ep
-
-
-@dataclass
-class PingPongData:
-    x_minus: object
-    x_plus: object
-    y_minus: object
-    y_plus: object
-    M0: float
-    delta: float
-    N: int
-    swapped: bool
-    alpha: object = None
-    beta: object = None
+    data = endpoint_projections(space, pa.axis, pb.axis)
+    data.delta = delta
+    data.N = max(1, math.ceil((data.M0 + 77.0 * delta) / pa.ell - TOL))
+    return data.N, data
 
 
 def pingpong_data(space, a, b, N: int, delta: float) -> PingPongData:
-    pa, pb = isometry.classify(a, space), isometry.classify(b, space)
-    ep = endpoint_projections(space, pa.axis, pb.axis)
-    beta = pb.axis.reversed() if ep.swapped else pb.axis
-    ym = beta.project(ep.x_minus)
-    yp = beta.project(ep.x_plus)
-    return PingPongData(ep.x_minus, ep.x_plus, ym, yp, ep.M0, delta, N,
-                        ep.swapped, alpha=pa.axis, beta=beta)
+    """The ping-pong record at power N, which must reach the certified
+    threshold."""
+    Nmin, data = min_free_power(space, a, b, delta)
+    if N < Nmin:
+        raise PreconditionError(f"N = {N} below certified threshold {Nmin}")
+    data.N = N
+    return data
 
 
 def proof_set_membership(space, a, b, data: PingPongData, z):
@@ -94,26 +94,32 @@ def proof_set_membership(space, a, b, data: PingPongData, z):
     A+ holds the points closer to a^N x- than to x+, and so on; the
     second generator is read with its orientation fixed by the data.
     """
-    return _sets_containing(space, _proof_sides(space, a, b, data), z)
+    return _sets_containing(
+        space, _proof_sides(space, data, _powers(space, a, b, data)), z)
 
 
-def _effective_b(space, b, data: PingPongData):
-    return isometry.isometry_power(space, b, -1) if data.swapped else b
+def _powers(space, a, b, data: PingPongData):
+    """a^N, a^-N, b^N and b^-N, with b read in the data's orientation.
+    Each negative power is taken as such, not as the inverse of the
+    positive one, whose floats would differ."""
+    if data.swapped:
+        b = isometry.isometry_power(space, b, -1)
+    return [isometry.isometry_power(space, g, n)
+            for g in (a, b) for n in (data.N, -data.N)]
 
 
-def _proof_sides(space, a, b, data: PingPongData):
+def _proof_sides(space, data: PingPongData, powers):
     """The four proof sets as (name, centre, anchor): the set holds the
     points at least as close to the centre as to the anchor."""
-    beff = _effective_b(space, b, data)
+    aN, a_N, bN, b_N = powers
 
-    def image(g, n, x):
-        return isometry.apply_isometry(
-            space, isometry.isometry_power(space, g, n), x)
+    def image(g, x):
+        return isometry.apply_isometry(space, g, x)
 
-    return [("A+", image(a, data.N, data.x_minus), data.x_plus),
-            ("A-", image(a, -data.N, data.x_plus), data.x_minus),
-            ("B+", image(beff, data.N, data.y_minus), data.y_plus),
-            ("B-", image(beff, -data.N, data.y_plus), data.y_minus)]
+    return [("A+", image(aN, data.x_minus), data.x_plus),
+            ("A-", image(a_N, data.x_plus), data.x_minus),
+            ("B+", image(bN, data.y_minus), data.y_plus),
+            ("B-", image(b_N, data.y_plus), data.y_minus)]
 
 
 def _sets_containing(space, sides, z):
@@ -172,13 +178,10 @@ def pingpong_certify(space, a, b, N: int, delta: float, points,
     space's hyperbolicity), and the word oracle must find no nontrivial
     relation up to the given depth.
     """
-    Nmin, _ = min_free_power(space, a, b, delta)
-    if N < Nmin:
-        raise PreconditionError(f"N = {N} below certified threshold {Nmin}")
     data = pingpong_data(space, a, b, N, delta)
-    aN = isometry.isometry_power(space, a, N)
-    bN = isometry.isometry_power(space, _effective_b(space, b, data), N)
-    sides = _proof_sides(space, a, b, data)
+    powers = _powers(space, a, b, data)
+    aN, _, bN, _ = powers
+    sides = _proof_sides(space, data, powers)
     violations = []
     for z in points:
         names_in = _sets_containing(space, sides, z)

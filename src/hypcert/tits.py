@@ -3,11 +3,11 @@ shortlex word enumeration, and the (N, w) witness driver."""
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
 from dataclasses import dataclass, field
 
-from . import freetree, halfplane, isometry, pingpong
+from . import halfplane, isometry, pingpong
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, SearchExhausted)
 from .pingpong import word_to_text
@@ -89,21 +89,20 @@ def _finite_order(space, g, k) -> bool:
 
 
 def _certify_sample(space, M0, N, cfg, rng):
+    # only hyperbolic pairs get here, and graph isometries are elliptic
     if isinstance(space, halfplane.HalfPlane):
         radius = max(3.0 * (M0 + N * 2.0), 10.0)
         return halfplane.sample_ball(1j, radius, cfg.sample_size, rng)
-    if isinstance(space, freetree.FreeTreeSpace):
-        return space.sample_ball("", 5, cfg.sample_size, rng)
-    return space.sample_ball(space.vertices[0], math.inf, cfg.sample_size, rng)
+    return space.sample_ball("", 5, cfg.sample_size, rng)
 
 
 def _conjugates(space, a, b, k):
-    """b^j a b^-j for j = 1..k."""
-    return [pingpong._compose(
-                space, pingpong._compose(
-                    space, isometry.isometry_power(space, b, j), a),
-                isometry.isometry_power(space, b, -j))
-            for j in range(1, k + 1)]
+    """(j, b^j a b^-j) for j = 1..k, each built when it is asked for."""
+    for j in range(1, k + 1):
+        yield j, pingpong._compose(
+            space, pingpong._compose(
+                space, isometry.isometry_power(space, b, j), a),
+            isometry.isometry_power(space, b, -j))
 
 
 def _oracle_witness(case, kind, names, N, text, cfg, stats, evidence=None):
@@ -136,42 +135,35 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
             raise InputError("generator has finite order; "
                              "the free-group search needs torsion-free input")
 
-    profiles = (pa, pb)  # b's own; pb turns into b_eff's below
-    b_eff, b_word = b, ((names[1], 1),)
-    if pa.kind == "hyperbolic" and pb.kind == "hyperbolic" \
-            and abs(pa.ell - pb.ell) > TOL:
-        # conjugation trick: b a b^-1 translates exactly like a
-        b_eff, = _conjugates(space, a, b, 1)
-        b_word = ((names[1], 1), (names[0], 1), (names[1], -1))
-        pb = isometry.classify(b_eff, space)
-
     if pa.kind != "elliptic" and pb.kind != "elliptic" and _boundary_sets_eq(
             space, pa.fixed_boundary, pb.fixed_boundary):
         raise ElementaryPairError("the pair generates an elementary group")
     if pa.kind == "hyperbolic" and pb.kind == "hyperbolic":
         if pa.ell > cfg.eps0 / 3.0:
-            return _large_ell_group(space, a, b, b_eff, b_word, names,
-                                    cfg, rng, stats)
-        return _small_ell(space, a, b, profiles, names, cfg, rng, stats)
+            return _large_ell_group(space, a, b, abs(pa.ell - pb.ell) <= TOL,
+                                    names, cfg, rng, stats)
+        return _small_ell(space, a, b, (pa, pb), names, cfg, rng, stats)
     if pa.kind != "elliptic" and pb.kind != "elliptic" \
             and (pa.kind == "hyperbolic") != (pb.kind == "hyperbolic"):
         return _semigroup_case(space, a, b, names, cfg, stats)
-    return _small_ell(space, a, b, profiles, names, cfg, rng, stats)
+    return _small_ell(space, a, b, (pa, pb), names, cfg, rng, stats)
 
 
-def _large_ell_group(space, a, b, b_eff, b_word, names, cfg, rng, stats):
-    conj = _conjugates(space, a, b, cfg.conjugate_bound)
-    candidates = [(b_word, b_eff)] + [
+def _large_ell_group(space, a, b, same_ell, names, cfg, rng, stats):
+    """Try b itself when it translates like a, then the conjugates
+    b^j a b^-j, which always do; a candidate sharing an axis endpoint
+    with a is passed over."""
+    candidates = (
         (_expand(((names[1], j), (names[0], 1), (names[1], -j))), bj)
-        for j, bj in enumerate(conj, 1)]
+        for j, bj in _conjugates(space, a, b, cfg.conjugate_bound))
+    if same_ell:
+        candidates = itertools.chain([(((names[1], 1),), b)], candidates)
     last_err = None
     for word, g in candidates:
         stats["candidates"] += 1
         try:
-            if is_elementary_pair(space, a, g):
-                continue
-            N, ep = pingpong.min_free_power(space, a, g, cfg.delta)
-            pts = _certify_sample(space, ep.M0, N, cfg, rng)
+            N, data = pingpong.min_free_power(space, a, g, cfg.delta)
+            pts = _certify_sample(space, data.M0, N, cfg, rng)
             cert = pingpong.pingpong_certify(
                 space, a, g, N, cfg.delta, pts,
                 oracle_depth=cfg.oracle_depth, names=(names[0], "w"))
@@ -224,7 +216,7 @@ def _small_ell(space, a, b, profiles, names, cfg, rng, stats):
 
 def _conjugate_schottky(space, a, b, names, cfg, rng, stats):
     pts = _certify_sample(space, 0.0, 1, cfg, rng)
-    conj = list(enumerate(_conjugates(space, a, b, cfg.conjugate_bound), 1))
+    conj = list(_conjugates(space, a, b, cfg.conjugate_bound))
     for idx, (i, bi) in enumerate(conj):
         for j, bj in conj[idx + 1:]:
             stats["candidates"] += 1

@@ -196,3 +196,18 @@ def test_certify_reports_overlapping_proof_sets(schottky_pair):
     assert not cert.valid
     assert cert.violations
     assert all(len(names) >= 2 for _, names in cert.violations)
+
+
+def test_certify_classifies_each_isometry_once(schottky_pair, monkeypatch):
+    a, b = schottky_pair
+    seen = []
+    classify = isometry.classify
+
+    def counting(g, space=None):
+        seen.append(g)
+        return classify(g, space)
+
+    monkeypatch.setattr(isometry, "classify", counting)
+    cert = pingpong.pingpong_certify(H2, a, b, 56, 1.0, [1j])
+    assert cert.valid
+    assert len(seen) == 2 and seen[0] is a and seen[1] is b

@@ -158,3 +158,32 @@ def test_small_translation_pair_classifies_each_generator_once(monkeypatch):
     tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
     assert sum(g is a for g in seen) == 1
     assert sum(g is b for g in seen) == 1
+
+
+def test_shipped_pair_builds_no_untried_conjugate(schottky_pair, monkeypatch):
+    a, b = schottky_pair
+    built = []
+    conjugates = tits._conjugates
+
+    def recording(*args):
+        for item in conjugates(*args):
+            built.append(item)
+            yield item
+
+    monkeypatch.setattr(tits, "_conjugates", recording)
+    wit = tits.tits_witness(H2, a, b)
+    # b translates like a and is the first candidate; it passes
+    assert wit.w == "b"
+    assert wit.search_stats["candidates"] == 1
+    assert built == []
+
+
+def test_unequal_lengths_try_each_conjugate_once():
+    # b a b^-1 is the first candidate, and b itself is never tried
+    a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
+    b = halfplane.Moebius(1.4, 0.6, 0.6, 1.4)
+    wit = tits.tits_witness(H2, a, b, tits.TitsConfig(delta=0.0))
+    assert wit.case_tag == "large_ell_group"
+    assert (wit.N, wit.w) == (1, "b^3 a b^-3")
+    assert wit.certificate.valid
+    assert wit.search_stats == {"candidates": 3, "words": 0}
