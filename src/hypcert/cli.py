@@ -83,6 +83,15 @@ def load_space(path) -> sampled.SampledSpace:
     return sampled.SampledSpace.from_json(load_json(path))
 
 
+def _moebius(m):
+    """The Moebius map of a 2x2 matrix given as JSON rows of numbers."""
+    try:
+        (a, b), (c, d) = m
+        return halfplane.Moebius(a, b, c, d)
+    except (TypeError, ValueError):
+        raise InputError(f"not a 2x2 matrix of numbers: {m!r}") from None
+
+
 def load_group_spec(path):
     """Parse {"model": ..., "params": ..., "generators": [...]} input."""
     obj = load_json(path)
@@ -96,29 +105,36 @@ def load_group_spec(path):
             m = g.get("matrix")
             if m is None:
                 raise InputError("h2 generators need a matrix")
-            gens.append((g.get("name", f"g{k}"),
-                         halfplane.Moebius(m[0][0], m[0][1], m[1][0], m[1][1])))
+            gens.append((g.get("name", f"g{k}"), _moebius(m)))
     elif model == "free_tree":
         space = freetree.FreeTreeSpace(int(params.get("rank", 2)))
         for k, g in enumerate(gens_spec):
             if "word" not in g:
                 raise InputError("free_tree generators need a word")
             gens.append((g.get("name", f"g{k}"),
-                         freetree.parse_word(g["word"])))
+                         space.check_point(freetree.parse_word(g["word"]))))
     elif model == "graph":
         verts = params.get("vertices")
         edges = params.get("edges")
         if verts is None or edges is None:
             raise InputError("graph model needs params.vertices and params.edges")
         verts = [tuple(v) if isinstance(v, list) else v for v in verts]
+
+        def vertex(i):
+            if i not in range(len(verts)):
+                raise InputError(f"vertex index {i!r} out of range")
+            return verts[int(i)]
+
         space = graphspace.MetricGraphSpace(
-            verts, [(verts[int(u)], verts[int(v)], w) for u, v, w in edges])
+            verts, [(vertex(u), vertex(v), w) for u, v, w in edges])
         for k, g in enumerate(gens_spec):
             if "perm" not in g:
                 raise InputError("graph generators need a perm")
             name = g.get("name", f"g{k}")
+            if len(g["perm"]) != len(verts):
+                raise InputError(f"perm of {name!r} needs one image per vertex")
             space.register_isometry(
-                name, {verts[i]: verts[int(j)] for i, j in enumerate(g["perm"])})
+                name, {v: vertex(j) for v, j in zip(verts, g["perm"])})
             gens.append((name, name))
     else:
         raise InputError(f"unknown model {model!r}")
@@ -262,7 +278,10 @@ def _bounds_config(args):
 
 def cmd_entropy(args):
     space, gens = load_group_spec(args.input)
-    radii = [float(x) for x in args.radii.split(",")]
+    try:
+        radii = [float(x) for x in args.radii.split(",")]
+    except ValueError:
+        raise InputError(f"--radii needs numbers, got {args.radii!r}") from None
     base = space.parse_point(args.base)
     if args.orbit:
         counts = bounds.orbit_growth_counts(space, gens, base, radii,
@@ -287,8 +306,11 @@ def cmd_bounds(args):
     result = {"config": vars(bc), "C0": der.C0, "E0": der.E0, "H0": der.H0,
               "diastole_floor": bounds.diastole_floor(bc)}
     if args.nilrad_plus is not None:
-        npl = -math.inf if args.nilrad_plus == "-inf" \
-            else float(args.nilrad_plus)
+        try:
+            npl = float(args.nilrad_plus)
+        except ValueError:
+            raise InputError("--nilrad-plus needs a number or -inf, "
+                             f"got {args.nilrad_plus!r}") from None
         result["systole_floor"] = bounds.systole_floor(bc, npl)
         result["nilrad_plus"] = "-inf" if npl == -math.inf else npl
     if args.R is not None and args.r is not None:
@@ -329,9 +351,12 @@ def cmd_degenerate(args):
     spec = load_json(args.input)
     if spec.get("model", "h2") != "h2":
         raise InputError("degeneration families are matrix families")
-    am = spec["a"]["matrix"]
-    a = halfplane.Moebius(am[0][0], am[0][1], am[1][0], am[1][1])
-    polys = spec["b"]["poly_matrix"]
+    try:
+        a = _moebius(spec["a"]["matrix"])
+        polys = spec["b"]["poly_matrix"]
+    except (KeyError, TypeError):
+        raise InputError("degeneration families need a.matrix "
+                         "and b.poly_matrix") from None
     t0f, t1f = spec.get("t_range", [0.0, 1.0])
     steps = args.steps if args.steps is not None else spec.get("steps", 64)
     rows = []

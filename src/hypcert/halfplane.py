@@ -76,6 +76,8 @@ class Moebius:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
+        if not all(math.isfinite(x) for x in (a, b, c, d)):
+            raise InputError(f"matrix with a non-finite entry {[a, b, c, d]}")
         det = a * d - b * c
         if det <= 0:
             raise InputError(f"matrix with nonpositive determinant {det}")

@@ -299,3 +299,71 @@ class TestSampleSize:
                       "--sample-size", size)
         assert code == 2
         assert "need n >= 1" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    _CYCLE3 = {"vertices": [0, 1, 2],
+               "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]}
+
+    @staticmethod
+    def _write(tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("matrix", ["[[NaN, 0], [0, 1]]",
+                                        "[[Infinity, 1], [1, 1]]"],
+                             ids=["nan", "infinity"])
+    def test_non_finite_matrix_is_exit_2(self, tmp_path, capsys, matrix):
+        # Python's json reads NaN and Infinity
+        text = ('{"model": "h2", "generators": ['
+                '{"name": "a", "matrix": %s}, '
+                '{"name": "b", "matrix": [[1, 1], [0, 1]]}]}' % matrix)
+        code, rep = run(tmp_path, "certify",
+                        "--input", self._write(tmp_path, text))
+        assert code == 2
+        assert rep is None
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        {"model": "graph", "params": _CYCLE3,
+         "generators": [{"perm": [2, 1, 7]}]},
+        {"model": "graph", "params": _CYCLE3,
+         "generators": [{"perm": [2, 1]}]},
+        {"model": "graph", "params": _CYCLE3,
+         "generators": [{"perm": [2, 1, 0, 0]}]},
+        {"model": "graph", "generators": [],
+         "params": {"vertices": [0, 1, 2], "edges": [[0, 1, 1], [1, 3, 1]]}},
+        {"model": "graph", "generators": [],
+         "params": {"vertices": [0, 1, 2],
+                    "edges": [[0, 1, 1], [1, 2, 1], [2, -1, 1]]}},
+        {"model": "h2", "generators": [{"matrix": [[2.0, 0.0]]}]},
+        {"model": "h2", "generators": [
+            {"matrix": [[2.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]}]},
+        {"model": "h2", "generators": [{"matrix": [["2", 0.0], [0.0, 0.5]]}]},
+        {"model": "free_tree", "params": {"rank": 2},
+         "generators": [{"word": "c"}]},
+    ], ids=["perm-image-out-of-range", "perm-too-short", "perm-too-long",
+            "edge-out-of-range", "edge-negative-index", "matrix-1x2",
+            "matrix-3x3", "matrix-string-entry", "word-beyond-rank"])
+    def test_malformed_group_spec_is_exit_2(self, tmp_path, capsys, spec):
+        code, rep = run(tmp_path, "classify",
+                        "--input", self._write(tmp_path, json.dumps(spec)))
+        assert code == 2
+        assert rep is None
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--input", "{tree}", "--radii", "1,x"],
+        ["bounds", "--nilrad-plus", "abc"],
+        ["degenerate", "--input", "{family}"],
+    ], ids=["radii", "nilrad-plus", "family-without-b"])
+    def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
+                                          tree_pair_file, argv):
+        family = self._write(tmp_path, json.dumps(
+            {"model": "h2", "a": {"matrix": [[2.0, 0.0], [0.0, 0.5]]}}))
+        argv = [x.format(tree=tree_pair_file, family=family) for x in argv]
+        code, rep = run(tmp_path, *argv)
+        assert code == 2
+        assert rep is None
+        assert "input error" in capsys.readouterr().err
