@@ -76,9 +76,11 @@ class Moebius:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        if not all(math.isfinite(x) for x in (a, b, c, d)):
-            raise InputError(f"matrix with a non-finite entry {[a, b, c, d]}")
         det = a * d - b * c
+        # finite only when every entry is, and when no product overflows
+        if not math.isfinite(det):
+            raise InputError(
+                f"matrix {[a, b, c, d]} has a non-finite entry or determinant")
         if det <= 0:
             raise InputError(f"matrix with nonpositive determinant {det}")
         s = math.sqrt(det)

@@ -311,9 +311,10 @@ class TestMalformedInput:
         path.write_text(text)
         return str(path)
 
-    @pytest.mark.parametrize("matrix", ["[[NaN, 0], [0, 1]]",
-                                        "[[Infinity, 1], [1, 1]]"],
-                             ids=["nan", "infinity"])
+    @pytest.mark.parametrize("matrix", [
+        "[[NaN, 0], [0, 1]]", "[[Infinity, 1], [1, 1]]",
+        "[[1e200, 1e200], [1e200, 1.5e200]]"],
+        ids=["nan", "infinity", "overflowing-determinant"])
     def test_non_finite_matrix_is_exit_2(self, tmp_path, capsys, matrix):
         # Python's json reads NaN and Infinity
         text = ('{"model": "h2", "generators": ['
