@@ -162,20 +162,21 @@ def test_small_translation_pair_classifies_each_generator_once(monkeypatch):
 
 def test_shipped_pair_builds_no_untried_conjugate(schottky_pair, monkeypatch):
     a, b = schottky_pair
-    built = []
-    conjugates = tits._conjugates
+    powers_of_b = []
+    power = isometry.isometry_power
 
-    def recording(*args):
-        for item in conjugates(*args):
-            built.append(item)
-            yield item
+    def recording(space, g, n):
+        if g is b:
+            powers_of_b.append(n)
+        return power(space, g, n)
 
-    monkeypatch.setattr(tits, "_conjugates", recording)
+    monkeypatch.setattr(isometry, "isometry_power", recording)
     wit = tits.tits_witness(H2, a, b)
-    # b translates like a and is the first candidate; it passes
-    assert wit.w == "b"
+    # b translates like a and is the first candidate; it passes, so the
+    # only powers of b are those of its proof sets, and no b^j a b^-j
+    assert wit.w == "b" and wit.N == 56
     assert wit.search_stats["candidates"] == 1
-    assert built == []
+    assert sorted(powers_of_b) == [-56, 56]
 
 
 def test_unequal_lengths_try_each_conjugate_once():
