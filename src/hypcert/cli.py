@@ -95,9 +95,16 @@ def _moebius(m):
 def load_group_spec(path):
     """Parse {"model": ..., "params": ..., "generators": [...]} input."""
     obj = load_json(path)
+    if not isinstance(obj, dict):
+        raise InputError("a group spec is a JSON object")
     model = obj.get("model")
     params = obj.get("params", {})
     gens_spec = obj.get("generators", [])
+    if not isinstance(params, dict):
+        raise InputError("params must be an object")
+    if not (isinstance(gens_spec, list)
+            and all(isinstance(g, dict) for g in gens_spec)):
+        raise InputError("generators must be a list of objects")
     gens = []
     if model == "h2":
         space = halfplane.H2
@@ -107,16 +114,21 @@ def load_group_spec(path):
                 raise InputError("h2 generators need a matrix")
             gens.append((g.get("name", f"g{k}"), _moebius(m)))
     elif model == "free_tree":
-        space = freetree.FreeTreeSpace(int(params.get("rank", 2)))
+        try:
+            rank = int(params.get("rank", 2))
+        except (TypeError, ValueError):
+            raise InputError(
+                f"rank must be an integer: {params['rank']!r}") from None
+        space = freetree.FreeTreeSpace(rank)
         for k, g in enumerate(gens_spec):
-            if "word" not in g:
-                raise InputError("free_tree generators need a word")
+            if not isinstance(g.get("word"), str):
+                raise InputError("free_tree generators need a word string")
             gens.append((g.get("name", f"g{k}"),
                          space.check_point(freetree.parse_word(g["word"]))))
     elif model == "graph":
         verts = params.get("vertices")
         edges = params.get("edges")
-        if verts is None or edges is None:
+        if not (isinstance(verts, list) and isinstance(edges, list)):
             raise InputError("graph model needs params.vertices and params.edges")
         verts = [tuple(v) if isinstance(v, list) else v for v in verts]
 
@@ -125,11 +137,18 @@ def load_group_spec(path):
                 raise InputError(f"vertex index {i!r} out of range")
             return verts[int(i)]
 
-        space = graphspace.MetricGraphSpace(
-            verts, [(vertex(u), vertex(v), w) for u, v, w in edges])
+        def edge(e):
+            if not (isinstance(e, list) and len(e) == 3):
+                raise InputError(f"an edge is [u, v, weight], got {e!r}")
+            u, v, w = e
+            if not isinstance(w, (int, float)):
+                raise InputError(f"non-numeric edge weight {w!r}")
+            return vertex(u), vertex(v), w
+
+        space = graphspace.MetricGraphSpace(verts, [edge(e) for e in edges])
         for k, g in enumerate(gens_spec):
-            if "perm" not in g:
-                raise InputError("graph generators need a perm")
+            if not isinstance(g.get("perm"), list):
+                raise InputError("graph generators need a perm list")
             name = g.get("name", f"g{k}")
             if len(g["perm"]) != len(verts):
                 raise InputError(f"perm of {name!r} needs one image per vertex")

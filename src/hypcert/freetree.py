@@ -15,6 +15,10 @@ from .isometry import IsometryProfile
 from .sampled import DiscreteSpace
 
 _WORD_TOKEN = re.compile(r"\s*([a-zA-Z])(?:\^(-?\d+))?")
+# a letter next to its inverse: what a reduced word never contains
+_LOWER = "abcdefghijklmnopqrstuvwxyz"
+_CANCELLING = re.compile("|".join(ch + ch.swapcase()
+                                  for ch in _LOWER + _LOWER.upper()))
 
 
 def reduce_word(w: str) -> str:
@@ -83,6 +87,15 @@ def mul(u: str, v: str) -> str:
     return reduce_word(u + v)
 
 
+def _seam_mul(u: str, v: str) -> str:
+    """The product of two reduced words: only letters where u ends and v
+    begins can cancel, so nothing else is scanned."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k].swapcase():
+        k += 1
+    return u[:len(u) - k] + v[k:]
+
+
 def word_dist(u: str, v: str) -> int:
     return len(mul(invert(u), v))
 
@@ -101,14 +114,19 @@ def geodesic_path(u: str, v: str) -> list:
     return down + up
 
 
+def _conjugator_length(w: str) -> int:
+    """len(c) for a reduced word w = c u c^-1 with u cyclically reduced."""
+    k = 0
+    while len(w) - 2 * k >= 2 and w[k] == w[-1 - k].swapcase():
+        k += 1
+    return k
+
+
 def cyclic_reduce(w: str) -> tuple:
     """Returns (conjugator c, core u) with w = c u c^-1 and u cyclically reduced."""
     w = reduce_word(w)
-    c = []
-    while len(w) >= 2 and w[0] == w[-1].swapcase():
-        c.append(w[0])
-        w = w[1:-1]
-    return "".join(c), w
+    k = _conjugator_length(w)
+    return w[:k], w[k:len(w) - k]
 
 
 def primitive_root(u: str) -> str:
@@ -236,12 +254,13 @@ class FreeTreeSpace(DiscreteSpace):
     def check_point(self, w: str) -> str:
         if not isinstance(w, str) or not set(w) <= self.alphabet:
             raise InputError(f"not a word over rank-{self.rank} alphabet: {w!r}")
-        if not is_reduced(w):
+        if _CANCELLING.search(w):
             raise InputError(f"word not freely reduced: {w!r}")
         return w
 
     def dist(self, u: str, v: str) -> int:
-        return word_dist(self.check_point(u), self.check_point(v))
+        return len(_seam_mul(invert(self.check_point(u)),
+                             self.check_point(v)))
 
     def parse_point(self, text: str) -> str:
         """A word in generator syntax, or "e" for the identity."""
@@ -258,7 +277,7 @@ class FreeTreeSpace(DiscreteSpace):
                 for ch in self.alphabet
                 if not w or ch != w[-1].swapcase()
             ))
-        return [mul(center, w) for shell in shells for w in shell]
+        return [_seam_mul(center, w) for shell in shells for w in shell]
 
     def sphere_sizes(self, R: int) -> list:
         """Vertex counts of the spheres S(e, 0..R)."""
@@ -288,14 +307,20 @@ class FreeTreeSpace(DiscreteSpace):
         return path[min(int(round(t)), len(path) - 1)]
 
     def act(self, g: str, x: str) -> str:
-        return mul(self.check_point(g), self.check_point(x))
+        return _seam_mul(self.check_point(g), self.check_point(x))
 
     def compose(self, g: str, h: str) -> str:
-        return reduce_word(g + h)
+        """g h for reduced words g and h."""
+        return _seam_mul(g, h)
 
     def power(self, g: str, n: int) -> str:
-        base = g if n >= 0 else invert(g)
-        return reduce_word(base * abs(n))
+        """g^n for a reduced word g: with g (or g^-1 for n < 0) written
+        c u c^-1, u cyclically reduced, the copies of u do not cancel."""
+        if n == 0:
+            return ""
+        w = g if n > 0 else invert(g)
+        k = _conjugator_length(w)
+        return w[:k] + w[k:len(w) - k] * abs(n) + w[len(w) - k:]
 
     def is_identity(self, g: str) -> bool:
         return g == ""
@@ -303,10 +328,9 @@ class FreeTreeSpace(DiscreteSpace):
     def classify(self, g: str) -> IsometryProfile:
         """Elliptic for the identity, else hyperbolic with the cyclically
         reduced length as translation length."""
-        w = reduce_word(g)
-        if not w:
+        c, core = cyclic_reduce(g)
+        if not core:
             return IsometryProfile("elliptic", 0.0, 0.0, fixed_point="")
-        _, core = cyclic_reduce(w)
-        ends = axis_ends(w)
+        ends = TreeLine(TreeEnd(c, invert(core)), TreeEnd(c, core))
         return IsometryProfile("hyperbolic", float(len(core)), float(len(core)),
                                axis=ends, fixed_boundary=ends)

@@ -368,3 +368,32 @@ class TestMalformedInput:
         assert code == 2
         assert rep is None
         assert "input error" in capsys.readouterr().err
+
+
+class TestMalformedSpecShape:
+    _CYCLE3 = {"vertices": [0, 1, 2],
+               "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]}
+
+    @pytest.mark.parametrize("spec", [
+        {"model": "graph", "generators": [],
+         "params": {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2, 1]]}},
+        {"model": "graph", "generators": [],
+         "params": {"vertices": [0, 1, 2],
+                    "edges": [[0, 1, "x"], [1, 2, 1], [2, 0, 1]]}},
+        {"model": "graph", "params": _CYCLE3, "generators": [{"perm": 5}]},
+        {"model": "free_tree", "generators": [{"word": 5}]},
+        {"model": "free_tree", "params": {"rank": "x"},
+         "generators": [{"word": "a"}]},
+        [{"model": "free_tree"}],
+        {"model": "h2",
+         "generators": {"a": {"matrix": [[2.0, 0.0], [0.0, 0.5]]}}},
+    ], ids=["edge-of-two", "edge-weight-string", "perm-not-a-list",
+            "word-not-a-string", "rank-not-a-number", "top-level-list",
+            "generators-object"])
+    def test_is_exit_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, rep = run(tmp_path, "classify", "--input", str(path))
+        assert code == 2
+        assert rep is None
+        assert "input error" in capsys.readouterr().err

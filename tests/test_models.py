@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcert import freetree, graphspace, halfplane
+from hypcert import freetree, graphspace, halfplane, tits
 from hypcert.errors import InputError
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0)
@@ -189,6 +189,60 @@ class TestFreeTree:
         assert len(T.ball("", 1)) == 5
         assert len(T.ball("", 2)) == 17
         assert T.sphere_sizes(3) == [1, 4, 12, 36]
+
+
+rank3_words = st.text("abcABC", max_size=40).map(freetree.reduce_word)
+
+
+class TestReducedWordProducts:
+    """FreeTreeSpace arithmetic on reduced words, against whole-word
+    reduction of the same products."""
+
+    T = freetree.FreeTreeSpace(3)
+
+    @given(rank3_words, rank3_words)
+    def test_compose(self, g, h):
+        assert self.T.compose(g, h) == freetree.reduce_word(g + h)
+
+    @given(st.one_of(rank3_words, st.sampled_from(["abA", "bcaCB", "AcBa"])),
+           st.integers(-6, 6))
+    def test_power(self, g, n):
+        base = g if n >= 0 else freetree.invert(g)
+        assert self.T.power(g, n) == freetree.reduce_word(base * abs(n))
+
+    @given(rank3_words, rank3_words)
+    def test_act_and_dist(self, g, x):
+        assert self.T.act(g, x) == freetree.mul(g, x)
+        assert self.T.dist(g, x) == freetree.word_dist(g, x)
+
+    @given(st.text("abcABC", max_size=12))
+    def test_check_point_rejects_exactly_the_unreduced(self, w):
+        if freetree.is_reduced(w):
+            assert self.T.check_point(w) == w
+        else:
+            with pytest.raises(InputError):
+                self.T.check_point(w)
+
+    def test_no_whole_word_reduction(self, monkeypatch):
+        chars = []
+        reduce_word = freetree.reduce_word
+
+        def counting(w):
+            chars.append(len(w))
+            return reduce_word(w)
+
+        monkeypatch.setattr(freetree, "reduce_word", counting)
+        g, h = "abAcB", "bCaBa"
+        self.T.compose(g, h)
+        self.T.power(g, 5)
+        self.T.power(g, -5)
+        self.T.act(g, h)
+        self.T.dist(g, h)
+        assert chars == []
+        # whole-word products passed 7,718,956 characters here; the
+        # classifications still reduce a few, which shows the patch took
+        tits.tits_witness(freetree.FreeTreeSpace(2), "a", "b")
+        assert 0 < sum(chars) < 10_000
 
 
 class TestMetricGraph:
