@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import isometry, pingpong, sampled, tits
+from . import isometry, pingpong, sampled
 from .errors import InputError
 
 TOL = 1e-9
@@ -168,7 +168,8 @@ def action_stats(space, generators, sample, word_cap: int,
         raise InputError("no nontrivial elements within the word cap")
     profiles = {w: isometry.classify(g, space) for w, g in elems}
     finite_order = {w: profiles[w].kind == "elliptic"
-                    and tits._finite_order(space, g, 24) for w, g in elems}
+                    and pingpong.has_finite_order(space, g, 24)
+                    for w, g in elems}
 
     stats = ActionStats(word_cap=word_cap, sample_size=len(sample))
     d = sampled.dist_oracle(space)
@@ -193,9 +194,7 @@ def _nilrad_at(space, disp, radii_grid, profiles):
     best = 0.0
     for r in radii_grid:
         near = [profiles[w] for w, v in disp.items() if v <= r]
-        if not all(p.kind != "elliptic" and q.kind != "elliptic"
-                   and tits._boundary_sets_eq(space, p.fixed_boundary,
-                                              q.fixed_boundary)
+        if not all(isometry.elementary_profiles(space, p, q)
                    for p, q in itertools.combinations(near, 2)):
             break
         best = r

@@ -105,6 +105,11 @@ def load_group_spec(path):
     if not (isinstance(gens_spec, list)
             and all(isinstance(g, dict) for g in gens_spec)):
         raise InputError("generators must be a list of objects")
+    names = [g.get("name", f"g{k}") for k, g in enumerate(gens_spec)]
+    if any(isinstance(name, (list, dict)) for name in names):
+        raise InputError(f"names must be strings or numbers: {names}")
+    if len(set(names)) != len(names):
+        raise InputError(f"duplicate generator names in {names}")
     gens = []
     if model == "h2":
         space = halfplane.H2
@@ -112,7 +117,7 @@ def load_group_spec(path):
             m = g.get("matrix")
             if m is None:
                 raise InputError("h2 generators need a matrix")
-            gens.append((g.get("name", f"g{k}"), _moebius(m)))
+            gens.append((names[k], _moebius(m)))
     elif model == "free_tree":
         try:
             rank = int(params.get("rank", 2))
@@ -123,7 +128,7 @@ def load_group_spec(path):
         for k, g in enumerate(gens_spec):
             if not isinstance(g.get("word"), str):
                 raise InputError("free_tree generators need a word string")
-            gens.append((g.get("name", f"g{k}"),
+            gens.append((names[k],
                          space.check_point(freetree.parse_word(g["word"]))))
     elif model == "graph":
         verts = params.get("vertices")
@@ -146,10 +151,9 @@ def load_group_spec(path):
             return vertex(u), vertex(v), w
 
         space = graphspace.MetricGraphSpace(verts, [edge(e) for e in edges])
-        for k, g in enumerate(gens_spec):
+        for name, g in zip(names, gens_spec):
             if not isinstance(g.get("perm"), list):
                 raise InputError("graph generators need a perm list")
-            name = g.get("name", f"g{k}")
             if len(g["perm"]) != len(verts):
                 raise InputError(f"perm of {name!r} needs one image per vertex")
             space.register_isometry(
@@ -157,9 +161,6 @@ def load_group_spec(path):
             gens.append((name, name))
     else:
         raise InputError(f"unknown model {model!r}")
-    names = [name for name, _ in gens]
-    if len(set(names)) != len(names):
-        raise InputError(f"duplicate generator names in {names}")
     return space, gens
 
 

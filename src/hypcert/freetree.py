@@ -36,7 +36,7 @@ def invert(w: str) -> str:
 
 
 def is_reduced(w: str) -> bool:
-    return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
+    return not _CANCELLING.search(w)
 
 
 def parse_word(text: str) -> str:
@@ -254,7 +254,7 @@ class FreeTreeSpace(DiscreteSpace):
     def check_point(self, w: str) -> str:
         if not isinstance(w, str) or not set(w) <= self.alphabet:
             raise InputError(f"not a word over rank-{self.rank} alphabet: {w!r}")
-        if _CANCELLING.search(w):
+        if not is_reduced(w):
             raise InputError(f"word not freely reduced: {w!r}")
         return w
 

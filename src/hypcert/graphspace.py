@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -22,15 +23,20 @@ class MetricGraphSpace(DiscreteSpace):
     """
 
     def __init__(self, vertices, edges):
-        """edges: iterable of (u, v, weight) with positive weights."""
+        """edges: iterable of (u, v, weight) with positive finite weights."""
         self.vertices = list(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        try:
+            self.index = {v: i for i, v in enumerate(self.vertices)}
+        except TypeError:
+            raise InputError("vertex ids must be hashable") from None
+        if len(self.index) != len(self.vertices):
             raise InputError("duplicate vertex ids")
-        self.index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
         D = np.full((n, n), np.inf)
         np.fill_diagonal(D, 0.0)
         for u, v, w in edges:
+            if not math.isfinite(w):
+                raise InputError(f"non-finite edge weight {w}")
             if w <= 0:
                 raise InputError(f"nonpositive edge weight {w}")
             i, j = self.index[u], self.index[v]
@@ -75,8 +81,6 @@ class MetricGraphSpace(DiscreteSpace):
 
     def act(self, name: str, p):
         return self.isometries[name][p]
-
-    apply = act
 
     def ball(self, center, R: float) -> list:
         row = self.table[self._position(center)]

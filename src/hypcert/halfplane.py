@@ -355,9 +355,6 @@ class HalfPlane:
             center, rad = new_center, new_rad
         return center, rad
 
-    def geodesic_from_boundary(self, neg: float, pos: float) -> HGeodesic:
-        return HGeodesic(neg, pos)
-
     def act(self, g: Moebius, x):
         return g(x)
 

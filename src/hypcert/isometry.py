@@ -37,6 +37,17 @@ def classify(g, space=None) -> IsometryProfile:
     return space.classify(g)
 
 
+def elementary_profiles(space, pa: IsometryProfile,
+                        pb: IsometryProfile) -> bool:
+    """Whether both isometries are non-elliptic and fix the same boundary
+    set, compared by the space's boundary_eq: then the pair generates
+    an elementary group."""
+    s1, s2, eq = pa.fixed_boundary, pb.fixed_boundary, space.boundary_eq
+    return ("elliptic" not in (pa.kind, pb.kind) and len(s1) == len(s2)
+            and all(any(eq(u, v) for v in s2) for u in s1)
+            and all(any(eq(u, v) for v in s1) for u in s2))
+
+
 def orbit_translation_length(g, n: int = 1024) -> float:
     """Asymptotic displacement of a half-plane matrix, from the orbit of i
     under high powers.

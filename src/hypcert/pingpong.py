@@ -22,8 +22,10 @@ WORD_BUDGET = 10 ** 6
 class PingPongData:
     """Projections x-, x+ of the second axis's ends on the first axis,
     their projections y-, y+ back on the second axis in its fixed
-    orientation, the spread M0 = d(x-, x+) and both axes; N and delta
-    are the power and hyperbolicity constant the record serves."""
+    orientation, the spread M0 = d(x-, x+) and both axes.  A record
+    built for a pair of generators also holds them, the second in the
+    record's orientation (its inverse when swapped), with the power N
+    and the hyperbolicity constant delta it serves."""
     x_minus: object
     x_plus: object
     y_minus: object
@@ -32,6 +34,8 @@ class PingPongData:
     swapped: bool
     alpha: object
     beta: object
+    a: object = None
+    b: object = None
     N: int = None
     delta: float = None
 
@@ -58,9 +62,9 @@ def endpoint_projections(space, alpha, beta) -> PingPongData:
                         float(d(xm, xp)), swapped, alpha, beta)
 
 
-def min_free_power(space, a, b, delta: float):
-    """Smallest certified power: N = ceil((M0 + 77 delta) / ell), with
-    the pair's ping-pong record at that power.
+def min_free_power(space, a, b, delta: float) -> PingPongData:
+    """The pair's ping-pong record at the smallest certified power,
+    N = ceil((M0 + 77 delta) / ell).
 
     Both isometries must be hyperbolic with the same translation length
     (arrange this by conjugation before calling) and non-elementary.
@@ -73,39 +77,38 @@ def min_free_power(space, a, b, delta: float):
             f"translation lengths differ: {pa.ell} vs {pb.ell}; "
             "conjugate one generator first")
     data = endpoint_projections(space, pa.axis, pb.axis)
+    data.a = a
+    data.b = isometry.isometry_power(space, b, -1) if data.swapped else b
     data.delta = delta
     data.N = max(1, math.ceil((data.M0 + 77.0 * delta) / pa.ell - TOL))
-    return data.N, data
+    return data
 
 
 def pingpong_data(space, a, b, N: int, delta: float) -> PingPongData:
     """The ping-pong record at power N, which must reach the certified
     threshold."""
-    Nmin, data = min_free_power(space, a, b, delta)
-    if N < Nmin:
-        raise PreconditionError(f"N = {N} below certified threshold {Nmin}")
+    data = min_free_power(space, a, b, delta)
+    if N < data.N:
+        raise PreconditionError(f"N = {N} below certified threshold {data.N}")
     data.N = N
     return data
 
 
-def proof_set_membership(space, a, b, data: PingPongData, z):
+def proof_set_membership(space, data: PingPongData, z):
     """Which of the four attracting/repelling sets contain z.
 
-    A+ holds the points closer to a^N x- than to x+, and so on; the
-    second generator is read with its orientation fixed by the data.
+    A+ holds the points closer to a^N x- than to x+, and so on.
     """
     return _sets_containing(
-        space, _proof_sides(space, data, _powers(space, a, b, data)), z)
+        space, _proof_sides(space, data, _powers(space, data)), z)
 
 
-def _powers(space, a, b, data: PingPongData):
-    """a^N, a^-N, b^N and b^-N, with b read in the data's orientation.
-    Each negative power is taken as such, not as the inverse of the
-    positive one, whose floats would differ."""
-    if data.swapped:
-        b = isometry.isometry_power(space, b, -1)
+def _powers(space, data: PingPongData):
+    """a^N, a^-N, b^N and b^-N of the record's generators.  Each
+    negative power is taken as such, not as the inverse of the positive
+    one, whose floats would differ."""
     return [isometry.isometry_power(space, g, n)
-            for g in (a, b) for n in (data.N, -data.N)]
+            for g in (data.a, data.b) for n in (data.N, -data.N)]
 
 
 def _proof_sides(space, data: PingPongData, powers):
@@ -128,6 +131,12 @@ def _sets_containing(space, sides, z):
             if d(z, centre) <= d(z, anchor)]
 
 
+def _overlaps(space, sides, points):
+    """(z, names) for each point z in two or more of the sets."""
+    hits = ((z, _sets_containing(space, sides, z)) for z in points)
+    return [(z, tuple(names)) for z, names in hits if len(names) > 1]
+
+
 def end_set_disjointness(space, data: PingPongData, T: float, points):
     """Sampled pairwise-disjointness check of the four T-neighbourhood
     sets of the axis ends."""
@@ -136,11 +145,7 @@ def end_set_disjointness(space, data: PingPongData, T: float, points):
              ("A-", alpha.point_along(data.x_minus, -T), data.x_minus),
              ("B+", beta.point_along(data.y_plus, T), data.y_plus),
              ("B-", beta.point_along(data.y_minus, -T), data.y_minus)]
-    overlaps = []
-    for z in points:
-        names = _sets_containing(space, sides, z)
-        if len(names) > 1:
-            overlaps.append((z, tuple(names)))
+    overlaps = _overlaps(space, sides, points)
     return {"T": T, "checked": len(points), "overlaps": len(overlaps),
             "disjoint": not overlaps,
             "first_overlap": overlaps[0] if overlaps else None}
@@ -162,42 +167,34 @@ class FreeCertificate:
     oracle_passed: bool = False
     counterexample: str = None
     sample_size: int = 0
-    evidence: object = None
 
     @property
     def valid(self) -> bool:
         return bool(self.disjoint_ok is not False and self.oracle_passed)
 
 
-def pingpong_certify(space, a, b, N: int, delta: float, points,
+def pingpong_certify(space, data: PingPongData, points,
                      oracle_depth: int = 8, names=("a", "b")) -> FreeCertificate:
-    """Certify that the N-th powers generate a free group of rank two.
+    """Certify that the record's a^N and b^N generate a free group.
 
     Two independent legs: the four attracting/repelling sets must be
-    pairwise disjoint on the sample (sound when delta really bounds the
-    space's hyperbolicity), and the word oracle must find no nontrivial
-    relation up to the given depth.
+    pairwise disjoint on the sample (sound when the record's delta
+    really bounds the space's hyperbolicity), and the word oracle must
+    find no nontrivial relation up to the given depth.
     """
-    data = pingpong_data(space, a, b, N, delta)
-    powers = _powers(space, a, b, data)
+    powers = _powers(space, data)
     aN, _, bN, _ = powers
-    sides = _proof_sides(space, data, powers)
-    violations = []
-    for z in points:
-        names_in = _sets_containing(space, sides, z)
-        if len(names_in) > 1:
-            violations.append((z, tuple(names_in)))
-
+    violations = _overlaps(space, _proof_sides(space, data, powers), points)
     passed, counter = word_oracle(space, [(names[0], aN), (names[1], bN)],
                                   oracle_depth, "group")
     return FreeCertificate(
-        kind="group", names=tuple(names), N=N,
-        witness_word=names[1], delta=delta, M0=data.M0, swapped=data.swapped,
-        disjoint_ok=not violations,
+        kind="group", names=tuple(names), N=data.N,
+        witness_word=names[1], delta=data.delta, M0=data.M0,
+        swapped=data.swapped, disjoint_ok=not violations,
         # a^N maps X minus A- onto int A+ by the sets' definition; b likewise
         nesting_ok=True, violations=violations,
         oracle_depth=oracle_depth, oracle_passed=passed,
-        counterexample=counter, sample_size=len(points), evidence=data)
+        counterexample=counter, sample_size=len(points))
 
 
 @dataclass
@@ -327,6 +324,12 @@ def walk_words(space, letters, max_len: int, budget: int = None):
                 if level < max_len:
                     nxt.append((w2, g2))
         frontier = nxt
+
+
+def has_finite_order(space, g, k: int) -> bool:
+    """Whether g^j is the identity for some 1 <= j <= k."""
+    return any(space.is_identity(h)
+               for _, h in walk_words(space, [(("g", 1), g)], k))
 
 
 def word_to_text(word) -> str:

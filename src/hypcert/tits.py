@@ -3,6 +3,7 @@ shortlex word enumeration, and the (N, w) witness driver."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -15,14 +16,6 @@ from .pingpong import word_to_text
 TOL = 1e-9
 
 
-def _boundary_sets_eq(space, s1, s2) -> bool:
-    if len(s1) != len(s2):
-        return False
-    eq = space.boundary_eq
-    return (all(any(eq(u, v) for v in s2) for u in s1)
-            and all(any(eq(u, v) for v in s1) for u in s2))
-
-
 def is_elementary_pair(space, a, b) -> bool:
     """True iff the two non-elliptic isometries fix the same boundary set.
 
@@ -32,7 +25,7 @@ def is_elementary_pair(space, a, b) -> bool:
     pa, pb = isometry.classify(a, space), isometry.classify(b, space)
     if pa.kind == "elliptic" or pb.kind == "elliptic":
         raise DomainError("elementary detection needs non-elliptic inputs")
-    return _boundary_sets_eq(space, pa.fixed_boundary, pb.fixed_boundary)
+    return isometry.elementary_profiles(space, pa, pb)
 
 
 def enumerate_words(letters, max_len: int, budget: int = 10 ** 6):
@@ -58,7 +51,7 @@ def evaluate_word(space, word, table):
     for name, sign in word:
         h = table[name] if sign == 1 else isometry.isometry_power(
             space, table[name], -1)
-        g = h if g is None else pingpong._compose(space, g, h)
+        g = h if g is None else space.compose(g, h)
     return g
 
 
@@ -82,12 +75,6 @@ class TitsWitness:
     search_stats: dict = field(default_factory=dict)
 
 
-def _finite_order(space, g, k) -> bool:
-    """Whether g^j is the identity for some 1 <= j <= k."""
-    return any(space.is_identity(h)
-               for _, h in pingpong.walk_words(space, [(("g", 1), g)], k))
-
-
 def _certify_sample(space, M0, N, cfg, rng):
     # only hyperbolic pairs get here, and graph isometries are elliptic
     if isinstance(space, halfplane.HalfPlane):
@@ -99,18 +86,16 @@ def _certify_sample(space, M0, N, cfg, rng):
 def _conjugates(space, a, b, k):
     """(j, b^j a b^-j) for j = 1..k, each built when it is asked for."""
     for j in range(1, k + 1):
-        yield j, pingpong._compose(
-            space, pingpong._compose(
-                space, isometry.isometry_power(space, b, j), a),
+        yield j, space.compose(
+            space.compose(isometry.isometry_power(space, b, j), a),
             isometry.isometry_power(space, b, -j))
 
 
-def _oracle_witness(case, kind, names, N, text, cfg, stats, evidence=None):
+def _oracle_witness(case, kind, names, N, text, cfg, stats):
     """A witness whose certificate rests on a passing word oracle alone."""
     cert = pingpong.FreeCertificate(
         kind=kind, names=tuple(names), N=N, witness_word=text,
-        delta=cfg.delta, oracle_depth=cfg.oracle_depth, oracle_passed=True,
-        evidence=evidence)
+        delta=cfg.delta, oracle_depth=cfg.oracle_depth, oracle_passed=True)
     return TitsWitness(case, N, text, cert, stats)
 
 
@@ -131,20 +116,19 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
     pa = isometry.classify(a, space)
     pb = isometry.classify(b, space)
     for g, prof in ((a, pa), (b, pb)):
-        if prof.kind == "elliptic" and _finite_order(space, g, cfg.oracle_depth):
+        if prof.kind == "elliptic" and pingpong.has_finite_order(
+                space, g, cfg.oracle_depth):
             raise InputError("generator has finite order; "
                              "the free-group search needs torsion-free input")
 
-    if pa.kind != "elliptic" and pb.kind != "elliptic" and _boundary_sets_eq(
-            space, pa.fixed_boundary, pb.fixed_boundary):
+    if isometry.elementary_profiles(space, pa, pb):
         raise ElementaryPairError("the pair generates an elementary group")
     if pa.kind == "hyperbolic" and pb.kind == "hyperbolic":
         if pa.ell > cfg.eps0 / 3.0:
             return _large_ell_group(space, a, b, abs(pa.ell - pb.ell) <= TOL,
                                     names, cfg, rng, stats)
         return _small_ell(space, a, b, (pa, pb), names, cfg, rng, stats)
-    if pa.kind != "elliptic" and pb.kind != "elliptic" \
-            and (pa.kind == "hyperbolic") != (pb.kind == "hyperbolic"):
+    if {pa.kind, pb.kind} == {"hyperbolic", "parabolic"}:
         return _semigroup_case(space, a, b, names, cfg, stats)
     return _small_ell(space, a, b, (pa, pb), names, cfg, rng, stats)
 
@@ -162,16 +146,16 @@ def _large_ell_group(space, a, b, same_ell, names, cfg, rng, stats):
     for word, g in candidates:
         stats["candidates"] += 1
         try:
-            N, data = pingpong.min_free_power(space, a, g, cfg.delta)
-            pts = _certify_sample(space, data.M0, N, cfg, rng)
+            data = pingpong.min_free_power(space, a, g, cfg.delta)
+            pts = _certify_sample(space, data.M0, data.N, cfg, rng)
             cert = pingpong.pingpong_certify(
-                space, a, g, N, cfg.delta, pts,
-                oracle_depth=cfg.oracle_depth, names=(names[0], "w"))
+                space, data, pts, oracle_depth=cfg.oracle_depth,
+                names=(names[0], "w"))
             if cert.valid:
                 cert.witness_word = word_to_text(word)
-                return TitsWitness("large_ell_group", N, word_to_text(word),
-                                   cert, stats)
-        except (DomainError, ElementaryPairError) as e:
+                return TitsWitness("large_ell_group", data.N,
+                                   word_to_text(word), cert, stats)
+        except DomainError as e:
             last_err = e
     raise SearchExhausted(f"no certified conjugate witness ({last_err})",
                           stats=stats)
@@ -217,25 +201,25 @@ def _small_ell(space, a, b, profiles, names, cfg, rng, stats):
 def _conjugate_schottky(space, a, b, names, cfg, rng, stats):
     pts = _certify_sample(space, 0.0, 1, cfg, rng)
     conj = list(_conjugates(space, a, b, cfg.conjugate_bound))
-    for idx, (i, bi) in enumerate(conj):
-        for j, bj in conj[idx + 1:]:
-            stats["candidates"] += 1
-            try:
-                if is_elementary_pair(space, bi, bj):
-                    continue
-                sm = pingpong.schottky_margin(space, bi, bj, cfg.delta, pts)
-            except DomainError:
+    # each conjugate is classified once, by the first pair that needs it
+    profile = functools.cache(lambda k: isometry.classify(conj[k][1], space))
+    for p, q in itertools.combinations(range(len(conj)), 2):
+        (i, bi), (j, bj) = conj[p], conj[q]
+        stats["candidates"] += 1
+        try:
+            if isometry.elementary_profiles(space, profile(p), profile(q)):
                 continue
-            if not sm.passes:
-                continue
-            word = _expand(((names[1], j - i), (names[0], 1),
-                            (names[1], i - j)))
-            passed, _ = pingpong.word_oracle(
-                space, [("u", bi), ("v", bj)], cfg.oracle_depth, "group")
-            if passed:
-                return _oracle_witness("small_ell", "group", ("u", "v"), 1,
-                                       word_to_text(word), cfg, stats,
-                                       evidence=sm)
+            sm = pingpong.schottky_margin(space, bi, bj, cfg.delta, pts)
+        except DomainError:
+            continue
+        if not sm.passes:
+            continue
+        word = _expand(((names[1], j - i), (names[0], 1), (names[1], i - j)))
+        passed, _ = pingpong.word_oracle(
+            space, [("u", bi), ("v", bj)], cfg.oracle_depth, "group")
+        if passed:
+            return _oracle_witness("small_ell", "group", ("u", "v"), 1,
+                                   word_to_text(word), cfg, stats)
     return None
 
 

@@ -344,9 +344,22 @@ class TestMalformedInput:
         {"model": "h2", "generators": [{"matrix": [["2", 0.0], [0.0, 0.5]]}]},
         {"model": "free_tree", "params": {"rank": 2},
          "generators": [{"word": "c"}]},
+        {"model": "graph", "generators": [],
+         "params": {"vertices": [[[0]], 1, 2],
+                    "edges": [[0, 1, 1], [1, 2, 1]]}},
+        {"model": "h2", "generators": [
+            {"name": ["a"], "matrix": [[2.0, 0.0], [0.0, 0.5]]}]},
+        {"model": "graph", "generators": [],
+         "params": {"vertices": [0, 1, 2],
+                    "edges": [[0, 1, math.nan], [1, 2, 1]]}},
+        {"model": "graph", "generators": [],
+         "params": {"vertices": [0, 1, 2],
+                    "edges": [[0, 1, math.inf], [1, 2, 1], [2, 0, 1]]}},
     ], ids=["perm-image-out-of-range", "perm-too-short", "perm-too-long",
             "edge-out-of-range", "edge-negative-index", "matrix-1x2",
-            "matrix-3x3", "matrix-string-entry", "word-beyond-rank"])
+            "matrix-3x3", "matrix-string-entry", "word-beyond-rank",
+            "vertex-nested-list", "name-list", "edge-weight-nan",
+            "edge-weight-infinity"])
     def test_malformed_group_spec_is_exit_2(self, tmp_path, capsys, spec):
         code, rep = run(tmp_path, "classify",
                         "--input", self._write(tmp_path, json.dumps(spec)))

@@ -254,13 +254,20 @@ class TestMetricGraph:
         G = graphspace.grid_graph(3)
         flip = {(i, j): (j, i) for i in range(3) for j in range(3)}
         G.register_isometry("flip", flip)
-        assert G.apply("flip", (0, 2)) == (2, 0)
+        assert G.act("flip", (0, 2)) == (2, 0)
 
     def test_non_isometry_rejected(self):
         G = graphspace.grid_graph(3)
         bad = {(i, j): (0, 0) for i in range(3) for j in range(3)}
         with pytest.raises(InputError):
             G.register_isometry("bad", bad)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, w):
+        # a triangle stays connected without the bad edge
+        edges = [(0, 1, w), (1, 2, 1.0), (2, 0, 1.0)]
+        with pytest.raises(InputError, match="non-finite edge weight"):
+            graphspace.MetricGraphSpace([0, 1, 2], edges)
 
     def test_regular_tree_graph_ball_sizes(self):
         G = graphspace.regular_tree_graph(4, 3)

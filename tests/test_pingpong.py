@@ -56,18 +56,16 @@ class TestEndpointProjections:
 class TestMinFreePower:
     def test_shipped_pair_value(self, schottky_pair):
         a, b = schottky_pair
-        N, _ = pingpong.min_free_power(H2, a, b, 1.0)
-        assert N == 56
+        assert pingpong.min_free_power(H2, a, b, 1.0).N == 56
 
     def test_threshold_scales_with_delta(self, schottky_pair):
         a, b = schottky_pair
-        N1, _ = pingpong.min_free_power(H2, a, b, 1.0)
-        N2, _ = pingpong.min_free_power(H2, a, b, 2.0)
+        N1 = pingpong.min_free_power(H2, a, b, 1.0).N
+        N2 = pingpong.min_free_power(H2, a, b, 2.0).N
         assert N2 > N1
 
     def test_tree_pair_needs_no_power(self, tree2):
-        N, _ = pingpong.min_free_power(tree2, "a", "b", 0.0)
-        assert N == 1
+        assert pingpong.min_free_power(tree2, "a", "b", 0.0).N == 1
 
     def test_unequal_lengths_rejected(self):
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
@@ -75,23 +73,37 @@ class TestMinFreePower:
         with pytest.raises(PreconditionError):
             pingpong.min_free_power(H2, a, b, 1.0)
 
+    def test_record_holds_the_pair_in_its_orientation(self):
+        a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
+        shift = halfplane.Moebius(1.0, 3.0, 0.0, 1.0)
+        b = shift @ halfplane.Moebius(1.25, 0.75, 0.75, 1.25) @ shift.inverse()
+        records = [(g, pingpong.min_free_power(H2, a, g, 1.0))
+                   for g in (b, b ** -1)]
+        assert sorted(data.swapped for _, data in records) == [False, True]
+        for g, data in records:
+            assert data.a is a and data.delta == 1.0
+            if data.swapped:
+                assert H2.iso_key(data.b) == H2.iso_key(g ** -1)
+            else:
+                assert data.b is g
+
 
 class TestProofSets:
     def test_axis_endpoints_separate(self, schottky_pair, rng):
         a, b = schottky_pair
-        N, _ = pingpong.min_free_power(H2, a, b, 1.0)
-        data = pingpong.pingpong_data(H2, a, b, N, 1.0)
+        data = pingpong.min_free_power(H2, a, b, 1.0)
+        N = data.N
         # deep points on the two axes fall into the right sets
         far_plus = (a ** N)(1j)
-        assert "A+" in pingpong.proof_set_membership(H2, a, b, data, far_plus)
+        assert "A+" in pingpong.proof_set_membership(H2, data, far_plus)
         far_minus = (a ** -N)(1j)
-        assert "A-" in pingpong.proof_set_membership(H2, a, b, data, far_minus)
+        assert "A-" in pingpong.proof_set_membership(H2, data, far_minus)
 
     def test_certificate_valid(self, schottky_pair, rng):
         a, b = schottky_pair
-        N, _ = pingpong.min_free_power(H2, a, b, 1.0)
+        data = pingpong.min_free_power(H2, a, b, 1.0)
         pts = halfplane.sample_ball(1j, 10.0, 400, rng)
-        cert = pingpong.pingpong_certify(H2, a, b, N, 1.0, pts)
+        cert = pingpong.pingpong_certify(H2, data, pts)
         assert cert.valid
         assert cert.disjoint_ok and cert.nesting_ok and cert.oracle_passed
         assert cert.N == 56
@@ -99,7 +111,7 @@ class TestProofSets:
     def test_underpowered_n_rejected(self, schottky_pair, rng):
         a, b = schottky_pair
         with pytest.raises(PreconditionError):
-            pingpong.pingpong_certify(H2, a, b, 2, 1.0, [1j])
+            pingpong.pingpong_data(H2, a, b, 2, 1.0)
 
 
 class TestEndSets:
@@ -188,18 +200,20 @@ class TestWordOracle:
 def test_certify_reports_overlapping_proof_sets(schottky_pair):
     # at delta 0 the power is 1 and the four sets overlap near i
     a, b = schottky_pair
-    N, _ = pingpong.min_free_power(H2, a, b, 0.0)
-    assert N == 1
+    data = pingpong.min_free_power(H2, a, b, 0.0)
+    assert data.N == 1
     pts = halfplane.sample_ball(1j, 6.0, 2000, random.Random(0))
-    cert = pingpong.pingpong_certify(H2, a, b, N, 0.0, pts)
+    cert = pingpong.pingpong_certify(H2, data, pts)
     assert cert.disjoint_ok is False
     assert not cert.valid
     assert cert.violations
     assert all(len(names) >= 2 for _, names in cert.violations)
 
 
-def test_certify_classifies_each_isometry_once(schottky_pair, monkeypatch):
+def test_certify_classifies_nothing(schottky_pair, monkeypatch):
+    # the record already holds what classification gave
     a, b = schottky_pair
+    data = pingpong.pingpong_data(H2, a, b, 56, 1.0)
     seen = []
     classify = isometry.classify
 
@@ -208,6 +222,6 @@ def test_certify_classifies_each_isometry_once(schottky_pair, monkeypatch):
         return classify(g, space)
 
     monkeypatch.setattr(isometry, "classify", counting)
-    cert = pingpong.pingpong_certify(H2, a, b, 56, 1.0, [1j])
-    assert cert.valid
-    assert len(seen) == 2 and seen[0] is a and seen[1] is b
+    cert = pingpong.pingpong_certify(H2, data, [1j])
+    assert cert.valid and cert.N == 56
+    assert seen == []

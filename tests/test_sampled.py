@@ -131,11 +131,11 @@ class TestTripodsAndProjections:
         assert thin <= 4.0 * math.log(3.0)
 
     def test_h2_projection(self):
-        g = H2.geodesic_from_boundary(-1.0, 1.0)
+        g = halfplane.HGeodesic(-1.0, 1.0)
         assert sampled.project(H2, g, 5j) == pytest.approx(1j)
 
     def test_h2_boundary_projection(self):
-        g = H2.geodesic_from_boundary(-1.0, 1.0)
+        g = halfplane.HGeodesic(-1.0, 1.0)
         assert sampled.project(H2, g, math.inf) == pytest.approx(1j)
 
     def test_tree_line_projection(self):
@@ -151,7 +151,7 @@ class TestTripodsAndProjections:
     @given(st.floats(min_value=-30.0, max_value=30.0),
            st.floats(min_value=-30.0, max_value=30.0))
     def test_h2_projection_contracts(self, s, t):
-        g = H2.geodesic_from_boundary(0.0, math.inf)
+        g = halfplane.HGeodesic(0.0, math.inf)
         z, w = complex(1.0, math.exp(s / 3.0)), complex(-2.0, math.exp(t / 3.0))
         dp = halfplane.dist(g.project(z), g.project(w))
         assert dp <= halfplane.dist(z, w) + 1e-9

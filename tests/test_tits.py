@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hypcert import freetree, graphspace, halfplane, isometry, tits
+from hypcert import freetree, graphspace, halfplane, isometry, pingpong, tits
 from hypcert.errors import (DomainError, ElementaryPairError, InputError,
                             SearchExhausted)
 
@@ -122,7 +122,7 @@ def test_finite_order_check_lets_model_errors_through():
                                  for i in range(3) for j in range(3)})
     # graph isometries have no powers, so the oracle cannot run on them
     with pytest.raises(InputError):
-        tits._finite_order(G, "flip", 8)
+        pingpong.has_finite_order(G, "flip", 8)
 
 
 def _hyperbolic(u, v, ell):
@@ -158,6 +158,42 @@ def test_small_translation_pair_classifies_each_generator_once(monkeypatch):
     tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
     assert sum(g is a for g in seen) == 1
     assert sum(g is b for g in seen) == 1
+
+
+def test_schottky_leg_classifies_each_conjugate_once(monkeypatch):
+    a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
+    seen = []
+    classify = isometry.classify
+
+    def counting(g, space):
+        seen.append(g)
+        return classify(g, space)
+
+    def no_margin(*args):
+        raise DomainError("margins are not under test")
+
+    monkeypatch.setattr(isometry, "classify", counting)
+    monkeypatch.setattr(pingpong, "schottky_margin", no_margin)
+    wit = tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
+    # a and b, then the three conjugates of the three pairs, once each
+    assert wit.search_stats["candidates"] == 3
+    assert len(seen) == 5 and len({id(g) for g in seen}) == 5
+
+
+def test_shipped_pair_classifies_a_twice(schottky_pair, monkeypatch):
+    # once to route the pair, once for the candidate's ping-pong record
+    a, b = schottky_pair
+    seen = []
+    classify = isometry.classify
+
+    def counting(g, space):
+        seen.append(g)
+        return classify(g, space)
+
+    monkeypatch.setattr(isometry, "classify", counting)
+    wit = tits.tits_witness(H2, a, b)
+    assert wit.w == "b" and wit.certificate.valid
+    assert sum(g is a for g in seen) == 2
 
 
 def test_shipped_pair_builds_no_untried_conjugate(schottky_pair, monkeypatch):

@@ -141,9 +141,9 @@ def test_semigroup_counterexample_names_both_words():
 class TestFiniteOrder:
     def test_order_twelve_rotation(self):
         r = halfplane.rotation_about_i(math.pi / 6.0)
-        assert not tits._finite_order(H2, r, 8)
-        assert tits._finite_order(H2, r, 12)
-        assert not tits._finite_order(H2, r, 11)
+        assert not pingpong.has_finite_order(H2, r, 8)
+        assert pingpong.has_finite_order(H2, r, 12)
+        assert not pingpong.has_finite_order(H2, r, 11)
 
     def test_bounds_counts_order_twelve_as_finite(self, rng):
         r = halfplane.rotation_about_i(math.pi / 6.0)
@@ -154,7 +154,7 @@ class TestFiniteOrder:
         assert all(v == math.inf for v in st.sys_free_at.values())
 
     def test_hyperbolic_is_not_finite_order(self, schottky_pair):
-        assert not tits._finite_order(H2, schottky_pair[0], 24)
+        assert not pingpong.has_finite_order(H2, schottky_pair[0], 24)
 
 
 def test_group_oracle_tells_apart_generators_that_share_a_name():
