@@ -4,6 +4,7 @@ estimators with their closed-form floors."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -64,14 +65,13 @@ def ball_growth_counts(space, base, radii):
 
 def orbit_growth_counts(space, generators, base, radii, word_cap: int):
     """Orbit-point counts |B(base, R) ∩ orbit| using words up to word_cap."""
-    d = sampled.dist_oracle(space)
     orbit = {_pt_key(base): base}
     letters = pingpong.group_letters(space, generators)
     for _, g in pingpong.walk_words(space, letters, word_cap):
         p = isometry.apply_isometry(space, g, base)
         orbit.setdefault(_pt_key(p), p)
-    dists = [d(base, p) for p in orbit.values()]
-    return [(float(R), sum(1 for x in dists if x <= R + TOL)) for R in radii]
+    dists = sorted(space.dist_table([base], list(orbit.values()))[0].tolist())
+    return [(float(R), bisect.bisect_right(dists, R + TOL)) for R in radii]
 
 
 def _pt_key(p):
@@ -172,11 +172,11 @@ def action_stats(space, generators, sample, word_cap: int,
                     for w, g in elems}
 
     stats = ActionStats(word_cap=word_cap, sample_size=len(sample))
-    d = sampled.dist_oracle(space)
     radii_grid = [config.eps0 * 2.0 ** k for k in range(-2, 7)]
     for x in sample:
-        disp = {w: d(x, isometry.apply_isometry(space, g, x))
-                for w, g in elems}
+        row = space.dist_table(
+            [x], [isometry.apply_isometry(space, g, x) for _, g in elems])
+        disp = dict(zip((w for w, _ in elems), row[0].tolist()))
         stats.sys_at[x] = min(disp.values())
         free_vals = [v for w, v in disp.items() if not finite_order[w]]
         stats.sys_free_at[x] = min(free_vals) if free_vals else math.inf

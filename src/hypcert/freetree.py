@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
 from .isometry import IsometryProfile
 from .sampled import DiscreteSpace
@@ -250,17 +252,27 @@ class FreeTreeSpace(DiscreteSpace):
         self.rank = rank
         self.letters = [chr(ord("a") + i) for i in range(rank)]
         self.alphabet = set("".join(self.letters) + "".join(self.letters).upper())
+        # a reduced word: letters of the alphabet, none before its inverse
+        self._reduced_word = re.compile("(?:%s)*" % "|".join(
+            f"{ch}(?!{ch.swapcase()})" for ch in sorted(self.alphabet))).fullmatch
 
     def check_point(self, w: str) -> str:
+        if isinstance(w, str) and self._reduced_word(w):
+            return w
         if not isinstance(w, str) or not set(w) <= self.alphabet:
             raise InputError(f"not a word over rank-{self.rank} alphabet: {w!r}")
-        if not is_reduced(w):
-            raise InputError(f"word not freely reduced: {w!r}")
-        return w
+        raise InputError(f"word not freely reduced: {w!r}")
 
     def dist(self, u: str, v: str) -> int:
         return len(_seam_mul(invert(self.check_point(u)),
                              self.check_point(v)))
+
+    def dist_table(self, xs, ys) -> np.ndarray:
+        """``dist`` over xs by ys, as ints; each word is checked once."""
+        inv = [invert(self.check_point(x)) for x in xs]
+        ys = [self.check_point(y) for y in ys]
+        return np.array([[len(_seam_mul(u, y)) for y in ys] for u in inv],
+                        dtype=int).reshape(len(inv), len(ys))
 
     def parse_point(self, text: str) -> str:
         """A word in generator syntax, or "e" for the identity."""

@@ -59,9 +59,9 @@ class MetricGraphSpace(DiscreteSpace):
     def dist(self, p, q) -> float:
         return float(self.table[self._position(p), self._position(q)])
 
-    def dist_matrix(self, points) -> np.ndarray:
-        idx = [self._position(p) for p in points]
-        return self.table[np.ix_(idx, idx)]
+    def dist_table(self, xs, ys) -> np.ndarray:
+        return self.table[np.ix_([self._position(p) for p in xs],
+                                 [self._position(q) for q in ys])]
 
     def register_isometry(self, name: str, perm) -> None:
         """perm maps vertex -> vertex; must preserve the distance table."""

@@ -45,18 +45,29 @@ def dist(p, q) -> float:
     return 2.0 * math.asinh(num / (math.sqrt(p.imag) * math.sqrt(q.imag)))
 
 
-def dist_matrix(points) -> np.ndarray:
-    """``dist`` over all pairs, bit for bit (numpy's hypot and asinh differ)."""
-    z = np.array([check_point(p) for p in points])
-    re, im, root = z.real / 2, z.imag / 2, np.sqrt(z.imag)
-    D = np.empty((len(z), len(z)))
-    for i in range(len(z)):
-        num = list(map(math.hypot, (re[i] - re).tolist(), (im[i] - im).tolist()))
-        D[i] = list(map(math.asinh, (num / (root[i] * root)).tolist()))
-    return 2.0 * D
+def dist_table(xs, ys) -> np.ndarray:
+    """``dist`` over xs by ys, bit for bit (numpy's hypot and asinh differ).
+
+    Each point is checked once.  One Python row per point of the shorter
+    side: ``dist`` is symmetric to the bit, so a tall table is built as
+    the transpose of a wide one.
+    """
+    if len(xs) > len(ys):
+        return dist_table(ys, xs).T
+    zx = [check_point(p) for p in xs]
+    zy = np.array([check_point(q) for q in ys], dtype=complex)
+    re, im, root = zy.real / 2, zy.imag / 2, np.sqrt(zy.imag)
+    D = np.empty((len(zx), len(zy)))
+    for i, p in enumerate(zx):
+        num = list(map(math.hypot, (p.real / 2 - re).tolist(),
+                       (p.imag / 2 - im).tolist()))
+        D[i] = list(map(math.asinh,
+                        (num / (math.sqrt(p.imag) * root)).tolist()))
+    D *= 2.0
+    return D
 
 
-dist.dist_matrix = dist_matrix
+dist.dist_table = dist_table
 
 
 def boundary_eq(x, y, tol=TOL) -> bool:
@@ -302,6 +313,9 @@ class HalfPlane:
 
     def dist(self, p, q) -> float:
         return dist(p, q)
+
+    def dist_table(self, xs, ys) -> np.ndarray:
+        return dist_table(xs, ys)
 
     def parse_point(self, text: str) -> complex:
         """'x,y' for the point x + iy."""

@@ -186,15 +186,13 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     """
     if not (0 < eps1 <= eps2):
         raise InputError("need 0 < eps1 <= eps2")
-    d = sampled.dist_oracle(space)
     dom1 = margulis_domain_sample(space, g, eps1, sample, power_cap)
     dom2 = margulis_domain_sample(space, g, eps2, sample, power_cap)
     if not dom1.members:
         raise PreconditionError("inner domain empty on the sample")
-    def to_inner(x):
-        return min(d(x, y) for y in dom1.members)
-    gaps = [to_inner(x) for x in dom2.outside]
-    spans = [to_inner(x) for x in dom2.members]
+    # each point's distance to the inner domain, as the model's own type
+    gaps = space.dist_table(dom2.outside, dom1.members).min(axis=1).tolist()
+    spans = space.dist_table(dom2.members, dom1.members).min(axis=1).tolist()
     lb2 = None
     if P0 is not None and r0 is not None and eps2 <= r0 and eps1 < 2.0:
         lb2 = gap_lower_bound_ii(P0, eps1, eps2)

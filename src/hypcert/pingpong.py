@@ -99,8 +99,10 @@ def proof_set_membership(space, data: PingPongData, z):
 
     A+ holds the points closer to a^N x- than to x+, and so on.
     """
-    return _sets_containing(
-        space, _proof_sides(space, data, _powers(space, data)), z)
+    d = sampled.dist_oracle(space)
+    return [name for name, centre, anchor
+            in _proof_sides(space, data, _powers(space, data))
+            if d(z, centre) <= d(z, anchor)]
 
 
 def _powers(space, data: PingPongData):
@@ -125,16 +127,14 @@ def _proof_sides(space, data: PingPongData, powers):
             ("B-", image(b_N, data.y_plus), data.y_minus)]
 
 
-def _sets_containing(space, sides, z):
-    d = sampled.dist_oracle(space)
-    return [name for name, centre, anchor in sides
-            if d(z, centre) <= d(z, anchor)]
-
-
 def _overlaps(space, sides, points):
     """(z, names) for each point z in two or more of the sets."""
-    hits = ((z, _sets_containing(space, sides, z)) for z in points)
-    return [(z, tuple(names)) for z, names in hits if len(names) > 1]
+    names, centres, anchors = zip(*sides)
+    inside = (space.dist_table(points, centres)
+              <= space.dist_table(points, anchors)).tolist()
+    hits = ((z, [n for n, hit in zip(names, row) if hit])
+            for z, row in zip(points, inside))
+    return [(z, tuple(ns)) for z, ns in hits if len(ns) > 1]
 
 
 def end_set_disjointness(space, data: PingPongData, T: float, points):
@@ -208,7 +208,7 @@ class SchottkyMargin:
     position_ok: bool = None
 
 
-def schottky_margin(space, a, b, delta: float, points,
+def schottky_margin(space, a, b, delta: float, points, profiles=None,
                     power_budget: int = 6) -> SchottkyMargin:
     """Sampled estimate of the pair's Margulis constant L(a, b).
 
@@ -217,8 +217,11 @@ def schottky_margin(space, a, b, delta: float, points,
     true infimum, so a passing margin is advisory and should be paired
     with the word oracle.  Also evaluates the Schottky-position
     inequality at a candidate point between the two thick regions.
+    ``profiles`` are the pair's classifications, when the caller has
+    them already.
     """
-    pa, pb = isometry.classify(a, space), isometry.classify(b, space)
+    pa, pb = profiles or (isometry.classify(a, space),
+                          isometry.classify(b, space))
     if pa.kind == "elliptic" or pb.kind == "elliptic":
         raise DomainError("both isometries must be non-elliptic")
     d = sampled.dist_oracle(space)

@@ -85,8 +85,8 @@ def _triangle_holds(D) -> bool:
 def from_points(points, dist_fn, provenance=None) -> SampledSpace:
     pts = list(points)
     # a model method or a function attribute that builds the whole table
-    table = getattr(getattr(dist_fn, "__self__", dist_fn), "dist_matrix", None)
-    D = (np.asarray(table(pts), dtype=float) if table is not None else
+    table = getattr(getattr(dist_fn, "__self__", dist_fn), "dist_table", None)
+    D = (np.asarray(table(pts, pts), dtype=float) if table is not None else
          np.array([[dist_fn(p, q) for q in pts] for p in pts], dtype=float))
     D = (D + D.T) / 2.0
     return SampledSpace(tuple(range(len(pts))) if _unhashable(pts) else tuple(pts),
@@ -427,9 +427,9 @@ def hausdorff_distance(space, A, B) -> float:
 
 class DiscreteSpace:
     """Defaults shared by the discrete models (the free-group tree and
-    finite graphs).  Subclasses provide ``dist``, ``ball`` and
-    ``candidates``, the finite point set searched for the circumcenter
-    and geodesic points of a set of points."""
+    finite graphs).  Subclasses provide ``dist``, ``dist_table``, ``ball``
+    and ``candidates``, the finite point set searched for the
+    circumcenter and geodesic points of a set of points."""
 
     def sample_ball(self, center, R, n: int, rng=None) -> list:
         """The whole ball when it has at most n points, else n seeded

@@ -209,7 +209,8 @@ def _conjugate_schottky(space, a, b, names, cfg, rng, stats):
         try:
             if isometry.elementary_profiles(space, profile(p), profile(q)):
                 continue
-            sm = pingpong.schottky_margin(space, bi, bj, cfg.delta, pts)
+            sm = pingpong.schottky_margin(space, bi, bj, cfg.delta, pts,
+                                          (profile(p), profile(q)))
         except DomainError:
             continue
         if not sm.passes:

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -323,3 +325,56 @@ def test_model_contract(make):
         h = space.compose(h, g)
         assert space.iso_key(space.power(g, n)) == space.iso_key(h)
     assert space.is_identity(space.compose(g, space.power(g, -1)))
+
+
+def _same_in_type_and_bits(got, want):
+    assert [[type(v) for v in row] for row in got] == \
+        [[type(v) for v in row] for row in want]
+    assert [[repr(v) for v in row] for row in got] == \
+        [[repr(v) for v in row] for row in want]
+
+
+_TABLE_CASES = {
+    "h2": (halfplane.H2, [1j, 0.5 + 2j, complex(0.0, 1e-150),
+                          complex(0.0, 1e150), complex(-1e308, 1.7e308)],
+           [complex(1e308, 1.7e308), -3.0 + 0.01j, 1j], 0.0 + 0.0j),
+    "tree": (freetree.FreeTreeSpace(2), ["", "ab", "Ba", "aaB"],
+             ["b", "", "abA"], "aA"),
+    "grid": (graphspace.grid_graph(3), [(0, 0), (2, 1), (1, 1)],
+             [(0, 2), (2, 2)], (5, 5)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_TABLE_CASES))
+def test_dist_table_is_the_scalar_loop(model):
+    space, xs, ys, _ = _TABLE_CASES[model]
+    for a, b in ((xs, ys), (ys, xs), (xs, xs)):
+        _same_in_type_and_bits(space.dist_table(a, b).tolist(),
+                               [[space.dist(x, y) for y in b] for x in a])
+    assert space.dist_table([], ys).shape == (0, len(ys))
+    assert space.dist_table(xs, []).shape == (len(xs), 0)
+
+
+@pytest.mark.parametrize("model", sorted(_TABLE_CASES))
+def test_dist_table_checks_every_point(model):
+    space, xs, ys, bad = _TABLE_CASES[model]
+    with pytest.raises(InputError):
+        space.dist_table(xs + [bad], ys)
+    with pytest.raises(InputError):
+        space.dist_table(xs, [bad] + ys)
+
+
+def _readme_interface():
+    """The names of README's model interface list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("The interface:", 1)[1].split("\n\n", 2)[1]
+    return re.findall(r"`(\w+)`", block)
+
+
+@pytest.mark.parametrize("space", [halfplane.H2, freetree.FreeTreeSpace(2),
+                                   graphspace.grid_graph(2)],
+                         ids=["h2", "tree", "graph"])
+def test_models_share_the_readme_interface(space):
+    names = _readme_interface()
+    assert "dist_table" in names and "classify" in names
+    assert [n for n in names if not callable(getattr(space, n, None))] == []

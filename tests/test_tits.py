@@ -180,6 +180,22 @@ def test_schottky_leg_classifies_each_conjugate_once(monkeypatch):
     assert len(seen) == 5 and len({id(g) for g in seen}) == 5
 
 
+def test_schottky_margins_reuse_the_cached_profiles(monkeypatch):
+    a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
+    seen = []
+    classify = isometry.classify
+
+    def counting(g, space):
+        seen.append(g)
+        return classify(g, space)
+
+    monkeypatch.setattr(isometry, "classify", counting)
+    tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
+    # a, b and the three conjugates; the margins of the three pairs
+    # classified both conjugates again, 11 calls in all
+    assert len(seen) == 5
+
+
 def test_shipped_pair_classifies_a_twice(schottky_pair, monkeypatch):
     # once to route the pair, once for the candidate's ping-pong record
     a, b = schottky_pair

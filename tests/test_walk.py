@@ -62,13 +62,18 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
             space, pingpong.group_letters(space, gens), 4):
         orbit.add(bounds._pt_key(isometry.apply_isometry(space, g, base)))
     calls = []
-    dist = type(space).dist
+    dist, dist_table = type(space).dist, type(space).dist_table
 
     def counting_dist(self, p, q):
         calls.append(q)
         return dist(self, p, q)
 
+    def counting_table(self, xs, ys):
+        calls.extend(ys)
+        return dist_table(self, xs, ys)
+
     monkeypatch.setattr(type(space), "dist", counting_dist)
+    monkeypatch.setattr(type(space), "dist_table", counting_table)
     bounds.orbit_growth_counts(space, gens, base, [1.0, 2.0, 3.0, 4.0], 4)
     assert len(calls) == len(orbit)
 
