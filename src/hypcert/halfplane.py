@@ -293,18 +293,34 @@ def point_at(origin: complex, theta: float, rho: float) -> complex:
     """Point at hyperbolic distance rho from ``origin``, direction theta.
 
     theta = pi/2 points straight up.  Evaluated in closed form so that
-    very large rho stays representable.
+    very large rho stays representable: where e^(2 rho) overflows, the
+    formula is divided through by it and Im is carried as a logarithm.
+    A point that doubles cannot hold is an input error.
     """
     origin = check_point(origin)
     # geodesic polar formula around i, then translate i -> origin
     c = math.cos((math.pi / 2.0 - theta) / 2.0)
     s = math.sin((math.pi / 2.0 - theta) / 2.0)
-    e = math.exp(rho)
-    den = c * c + s * s * e * e
-    zx = c * s * (e * e - 1.0) / den
-    zy = e / den
     y0 = origin.imag
-    return complex(y0 * zx + origin.real, y0 * zy)
+    e = math.exp(min(rho, 709.0))  # e * e overflows long before the clamp
+    if math.isfinite(e * e):
+        den = c * c + s * s * e * e
+        zx = c * s * (e * e - 1.0) / den
+        zy = y0 * (e / den)
+    else:  # s = 0 is straight up, where c = 1 and den = e^-2rho may underflow
+        t2 = math.exp(-2.0 * rho)
+        den = c * c * t2 + s * s
+        zx = c * s * (1.0 - t2) / den if s else 0.0
+        log_y = math.log(y0) - rho - (math.log(den) if den else -2.0 * rho)
+        zy = math.exp(log_y) if log_y < _LOG_MAX else math.inf
+    p = complex(y0 * zx + origin.real, zy)
+    if not (p.imag > 0.0 and math.isfinite(p.real) and math.isfinite(p.imag)):
+        raise InputError(f"the point at distance {rho} from {origin} "
+                         "cannot be held in doubles")
+    return p
+
+
+_LOG_MAX = 709.78  # just below log of the largest double
 
 
 class HalfPlane:
@@ -461,17 +477,22 @@ def sample_ball(center: complex, R: float, n: int, rng) -> list[complex]:
 
     Radius is drawn by inverting the area CDF (density sinh), angle
     uniform; equivalent in law to disk-model rejection sampling but with
-    no rejections and no precision loss at large R.
+    no rejections and no precision loss at large R.  Any R > 0 is taken;
+    a drawn point that doubles cannot hold is an input error (from the
+    center i, that is most points past distance about 745).
     """
     center = check_point(center)
     if R <= 0 or n < 1:
         raise InputError("need R > 0 and n >= 1")
     pts = []
-    # cosh R - 1 computed stably for both tiny and huge R
-    cap = 2.0 * math.sinh(R / 2.0) ** 2
+    # cosh R - 1 computed stably for tiny R, and while it stays finite
+    cap = 2.0 * math.sinh(R / 2.0) ** 2 if R < _LOG_MAX else math.inf
     for _ in range(n):
         u = rng.random()
-        rho = 2.0 * math.asinh(math.sqrt(u * cap / 2.0))
+        if cap < math.inf:
+            rho = 2.0 * math.asinh(math.sqrt(u * cap / 2.0))
+        else:  # 2 asinh(sqrt(u) sinh(R/2)) to rounding, as u >= 2^-53
+            rho = R + math.log(u) if u else 0.0
         theta = rng.random() * 2.0 * math.pi
         pts.append(point_at(center, theta, rho))
     return pts

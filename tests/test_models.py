@@ -3,6 +3,7 @@ import random
 import re
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +137,26 @@ class TestPolarAndSampling:
     def test_sample_ball_fills_the_ball(self):
         pts = halfplane.sample_ball(1j, 4.0, 500, random.Random(1))
         assert max(halfplane.dist(1j, z) for z in pts) > 3.5
+
+    # e^(2 rho) overflows from rho = 355, and cosh R from R = 710; from
+    # the center i, points past distance about 745 leave the doubles
+    @pytest.mark.parametrize("R, center", [(355.0, 1j), (400.0, 1j),
+                                           (800.0, complex(2.0, 1e174))])
+    def test_sample_ball_at_large_radius(self, R, center):
+        rng, replay = random.Random(3), random.Random(3)
+        for z in halfplane.sample_ball(center, R, 300, rng):
+            u = replay.random()
+            replay.random()
+            rho = float(2 * mp.asinh(mp.sqrt(u) * mp.sinh(mp.mpf(R) / 2)))
+            assert z.imag > 0.0 and math.isfinite(z.real)
+            assert math.isfinite(z.imag)
+            assert halfplane.dist(center, z) == pytest.approx(rho, rel=1e-12)
+
+    def test_points_past_the_doubles_are_input_errors(self):
+        with pytest.raises(InputError, match="cannot be held in doubles"):
+            halfplane.sample_ball(1j, 800.0, 10, random.Random(3))
+        z = halfplane.point_at(1j, math.pi / 2.0, 400.0)
+        assert z == complex(0.0, math.exp(400.0))
 
 
 words = st.lists(st.sampled_from("abAB"), max_size=8).map("".join)
