@@ -24,6 +24,8 @@ CROSS_CHECK_BAND = 1e-3
 # the orbit estimator carries an O(log n / n) residual near the parabolic
 # border, so the cross-check only flags gross contradictions
 AMBIGUITY_TOL = 1e-2
+_LOG_MAX = 709.78  # just below the log of the largest double
+_TABLE_COLUMNS = 4096
 
 
 def check_point(p) -> complex:
@@ -50,7 +52,8 @@ def dist_table(xs, ys) -> np.ndarray:
 
     Each point is checked once.  One Python row per point of the shorter
     side: ``dist`` is symmetric to the bit, so a tall table is built as
-    the transpose of a wide one.
+    the transpose of a wide one.  Long rows go in column blocks, which
+    bound the Python lists a row builds.
     """
     if len(xs) > len(ys):
         return dist_table(ys, xs).T
@@ -59,10 +62,12 @@ def dist_table(xs, ys) -> np.ndarray:
     re, im, root = zy.real / 2, zy.imag / 2, np.sqrt(zy.imag)
     D = np.empty((len(zx), len(zy)))
     for i, p in enumerate(zx):
-        num = list(map(math.hypot, (p.real / 2 - re).tolist(),
-                       (p.imag / 2 - im).tolist()))
-        D[i] = list(map(math.asinh,
-                        (num / (math.sqrt(p.imag) * root)).tolist()))
+        for j in range(0, len(zy), _TABLE_COLUMNS):
+            c = slice(j, j + _TABLE_COLUMNS)
+            num = list(map(math.hypot, (p.real / 2 - re[c]).tolist(),
+                           (p.imag / 2 - im[c]).tolist()))
+            D[i, c] = list(map(math.asinh,
+                               (num / (math.sqrt(p.imag) * root[c])).tolist()))
     D *= 2.0
     return D
 
@@ -318,9 +323,6 @@ def point_at(origin: complex, theta: float, rho: float) -> complex:
         raise InputError(f"the point at distance {rho} from {origin} "
                          "cannot be held in doubles")
     return p
-
-
-_LOG_MAX = 709.78  # just below log of the largest double
 
 
 class HalfPlane:

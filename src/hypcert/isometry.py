@@ -190,7 +190,6 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     dom2 = margulis_domain_sample(space, g, eps2, sample, power_cap)
     if not dom1.members:
         raise PreconditionError("inner domain empty on the sample")
-    # each point's distance to the inner domain, as the model's own type
     gaps = space.dist_table(dom2.outside, dom1.members).min(axis=1).tolist()
     spans = space.dist_table(dom2.members, dom1.members).min(axis=1).tolist()
     lb2 = None

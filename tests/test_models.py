@@ -376,6 +376,13 @@ def test_dist_table_is_the_scalar_loop(model):
     assert space.dist_table(xs, []).shape == (len(xs), 0)
 
 
+def test_long_h2_rows_are_the_scalar_loop():
+    # rows past halfplane's column block are built in pieces
+    ys = halfplane.sample_ball(2j, 6.0, 5000, random.Random(1))
+    _same_in_type_and_bits(halfplane.dist_table([1j], ys).tolist(),
+                           [[halfplane.dist(1j, y) for y in ys]])
+
+
 @pytest.mark.parametrize("model", sorted(_TABLE_CASES))
 def test_dist_table_checks_every_point(model):
     space, xs, ys, bad = _TABLE_CASES[model]

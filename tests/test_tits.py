@@ -191,8 +191,8 @@ def test_schottky_margins_reuse_the_cached_profiles(monkeypatch):
 
     monkeypatch.setattr(isometry, "classify", counting)
     tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
-    # a, b and the three conjugates; the margins of the three pairs
-    # classified both conjugates again, 11 calls in all
+    # a, b and the three conjugates, each once: the three margins take
+    # the conjugates' cached profiles instead of classifying them again
     assert len(seen) == 5
 
 
