@@ -41,10 +41,13 @@ class MetricGraphSpace(DiscreteSpace):
                 raise InputError(f"nonpositive edge weight {w}")
             i, j = self.index[u], self.index[v]
             D[i, j] = D[j, i] = min(D[i, j], float(w))
-        # Floyd-Warshall, vectorized over rows, in one reused buffer
+        # Floyd-Warshall; step k changes only the span of finite D[:, k], D[k]
         via = np.empty_like(D)
         for k in range(n):
-            np.minimum(D, np.add(D[:, k, None], D[None, k, :], out=via), out=D)
+            r, c = np.flatnonzero(D[:, k] < np.inf), np.flatnonzero(D[k] < np.inf)
+            rows, cols = slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1)
+            np.minimum(D[rows, cols], np.add(D[rows, k, None], D[k, cols],
+                                             out=via[rows, cols]), out=D[rows, cols])
         if not np.all(np.isfinite(D)):
             raise InputError("graph is not connected")
         self.table = D

@@ -17,6 +17,7 @@ TOL = 1e-9
 EXHAUSTIVE_CAP = 200
 EXACT_PACK_CAP = 64
 _TRIANGLE_TILE = 64   # rows per tile of the triangle check
+_DELTA_BLOCK = 12288   # sums per row block of the exhaustive delta
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class SampledSpace:
             raise InputError("non-finite distance entries")
         if np.any(D < -TOL) or np.any(np.abs(np.diag(D)) > TOL):
             raise InputError("negative distances or nonzero diagonal")
-        if not np.allclose(D, D.T, atol=TOL):
+        if not np.allclose(D, D.T, rtol=0, atol=TOL):
             raise InputError("distance matrix not symmetric")
         if not _triangle_holds(D):
             raise InputError("triangle inequality violated")
@@ -71,14 +72,14 @@ class SampledSpace:
 
 def _triangle_holds(D) -> bool:
     """D[i, j] <= (D[i, k] + D[k, j]) + TOL for all i, j and k."""
+    # x -> fl(x + TOL) is monotone, so TOL is added once to the running min
     for a in range(0, len(D), _TRIANGLE_TILE):
         rows = D[a:a + _TRIANGLE_TILE]
-        t, b = np.empty(rows.shape), np.empty(rows.shape, dtype=bool)
+        t, low = np.empty(rows.shape), np.full(rows.shape, np.inf)
         for k in range(len(D)):
-            np.add(rows[:, k, None], D[k], out=t)
-            np.add(t, TOL, out=t)
-            if np.greater(rows, t, out=b).any():
-                return False
+            np.minimum(low, np.add(rows[:, k, None], D[k], out=t), out=low)
+        if np.greater(rows, np.add(low, TOL, out=low)).any():
+            return False
     return True
 
 
@@ -155,30 +156,41 @@ def _pairing_defects(s1, s2, s3, hi=None, lo=None, out=None):
 
 
 def _delta_exhaustive(space, D, n):
-    pk, pl = np.triu_indices(n, 1)
-    S = D[pk, pl]
-    # pairs are ordered by first index, so {k > j} is a suffix
-    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    buffers = np.empty((6, pk.size))
-    best = 0.0
-    worst = (space.points[0],) * 4
-    checked = 0
-    for i in range(n - 3):
-        Dik, Dil = D[i, pk], D[i, pl]
-        for j in range(i + 1, n - 2):  # j = n - 2 leaves no pair k < l
-            s = int(row_start[j + 1])
-            s1, s2, s3, hi, lo, out = buffers[:, s:]
-            np.add(D[i, j], S[s:], out=s1)
-            np.add(Dik[s:], np.take(D[j], pl[s:], out=s2, mode="clip"), out=s2)
-            np.add(Dil[s:], np.take(D[j], pk[s:], out=s3, mode="clip"), out=s3)
-            vals = _pairing_defects(s1, s2, s3, hi, lo, out)
-            checked += vals.size
-            t = int(np.argmax(vals))
-            if vals[t] > best:
-                best = float(vals[t])
-                worst = (space.points[i], space.points[j],
-                         space.points[pk[s + t]], space.points[pl[s + t]])
+    """Quadruples i < j < k < l grouped by k; of those with the largest
+    defect, the lexicographically first is kept."""
+    buffers = np.empty((6, max(_DELTA_BLOCK, n)))
+    best, worst, checked = 0.0, None, 0
+    for k in range(2, n - 1):
+        v, quad, m = _delta_middle(D, k, buffers)
+        checked += m
+        if v > best or (v == best and worst and quad < worst):
+            best, worst = v, quad
+    worst = tuple(space.points[v] for v in (worst or (0,) * 4))
     return HyperbolicityEstimate(best, checked, "exhaustive", worst)
+
+
+def _delta_middle(D, k, buffers):
+    """Largest defect over i < j < k < l, its first quadruple and the count.
+    Rows are the pairs (i, j) in i-major order, columns the l, in blocks
+    of at most _DELTA_BLOCK sums that read the upper triangle of D only."""
+    pi, pj = np.triu_indices(k, 1)
+    cols = len(D) - 1 - k
+    Dij, Dik, Djk = D[pi, pj][:, None], D[pi, k][:, None], D[pj, k][:, None]
+    Dkl, above = D[k, k + 1:], D[:k, k + 1:]
+    step = max(1, _DELTA_BLOCK // cols)
+    best, worst = 0.0, None
+    for a in range(0, pi.size, step):
+        b = min(a + step, pi.size)
+        s1, s2, s3, hi, lo, out = buffers[:, :(b - a) * cols].reshape(6, -1, cols)
+        np.add(Dij[a:b], Dkl, out=s1)
+        np.add(Dik[a:b], np.take(above, pj[a:b], 0, s2, "clip"), out=s2)
+        np.add(np.take(above, pi[a:b], 0, s3, "clip"), Djk[a:b], out=s3)
+        vals = _pairing_defects(s1, s2, s3, hi, lo, out)
+        r, c = divmod(int(np.argmax(vals)), cols)
+        if vals[r, c] > best:
+            best = float(vals[r, c])
+            worst = (int(pi[a + r]), int(pj[a + r]), k, k + 1 + c)
+    return best, worst, pi.size * cols
 
 
 def _delta_sampled(space, D, n, n_quadruples, seed):
