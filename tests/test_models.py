@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,6 +293,33 @@ class TestMetricGraph:
         with pytest.raises(InputError, match="non-finite edge weight"):
             graphspace.MetricGraphSpace([0, 1, 2], edges)
 
+    @pytest.mark.parametrize("build", [
+        lambda: graphspace.grid_graph(6),
+        lambda: graphspace.random_connected_graph(40, 30, 7),
+        lambda: graphspace.regular_tree_graph(3, 3),
+        lambda: _shuffled_grid(6, seed=2)])
+    def test_table_is_full_floyd_warshall(self, build, monkeypatch):
+        built = []
+
+        class Recording(graphspace.MetricGraphSpace):
+            def __init__(self, vertices, edges):
+                built.append((list(vertices), list(edges)))
+                super().__init__(*built[-1])
+
+        monkeypatch.setattr(graphspace, "MetricGraphSpace", Recording)
+        G = build()
+        want = _reference_floyd_warshall(*built[-1])
+        assert G.table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (2, 3, 1.0)],
+        # interleaved components: every finite span has gaps
+        [(0, 2, 1.0), (2, 4, 1.5), (1, 3, 1.0), (3, 5, 0.5)]])
+    def test_disconnected_graph_rejected(self, edges):
+        vertices = sorted({v for e in edges for v in e[:2]})
+        with pytest.raises(InputError, match="graph is not connected"):
+            graphspace.MetricGraphSpace(vertices, edges)
+
     def test_regular_tree_graph_ball_sizes(self):
         G = graphspace.regular_tree_graph(4, 3)
         assert len(G.vertices) == 1 + 4 + 12 + 36
@@ -306,6 +334,28 @@ class TestMetricGraph:
             u, v, w = r.choice(vs), r.choice(vs), r.choice(vs)
             assert G.dist(u, v) == G.dist(v, u)
             assert G.dist(u, w) <= G.dist(u, v) + G.dist(v, w) + 1e-9
+
+
+def _shuffled_grid(n, seed):
+    """The n x n unit grid with its vertices listed in a shuffled order."""
+    verts = [(i, j) for i in range(n) for j in range(n)]
+    random.Random(seed).shuffle(verts)
+    edges = [((i, j), (i + di, j + dj), 1.0) for i, j in verts
+             for di, dj in ((1, 0), (0, 1)) if i + di < n and j + dj < n]
+    return graphspace.MetricGraphSpace(verts, edges)
+
+
+def _reference_floyd_warshall(vertices, edges):
+    """All-pairs shortest paths, every step over the whole matrix."""
+    index = {v: i for i, v in enumerate(vertices)}
+    D = np.full((len(vertices), len(vertices)), np.inf)
+    np.fill_diagonal(D, 0.0)
+    for u, v, w in edges:
+        i, j = index[u], index[v]
+        D[i, j] = D[j, i] = min(D[i, j], float(w))
+    for k in range(len(vertices)):
+        D = np.minimum(D, D[:, k, None] + D[None, k, :])
+    return D
 
 
 def _h2_model():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +20,37 @@ def euclidean_square():
     return sampled.from_points(pts, lambda p, q: math.dist(p, q))
 
 
+def tied_squares():
+    """Two 4-cycles {0, 6, 7, 8} and {2, 3, 4, 5} at distance 2, and 1 a
+    twin of 0 at distance 1.  The largest defect, 1, is reached first in
+    lexicographic order by (0, 6, 7, 8), after (1, 6, 7, 8) in the same
+    middle index and (2, 3, 4, 5) in a smaller one."""
+    D = np.full((9, 9), 2.0)
+    np.fill_diagonal(D, 0.0)
+    for cycle in ((0, 6, 7, 8), (2, 3, 4, 5)):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            D[a, b] = D[b, a] = 1.0
+    D[1] = D[:, 1] = D[0]
+    D[0, 1] = D[1, 0] = 1.0
+    D[1, 1] = 0.0
+    return sampled.SampledSpace(tuple(range(9)), D)
+
+
 class TestSampledSpace:
     def test_validates_symmetry(self):
         import numpy as np
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InputError):
             sampled.SampledSpace(("p", "q"), D)
+
+    def test_symmetry_tolerance_is_absolute(self):
+        # a relative tolerance let d(b, a) = 1000.009 stand beside d(a, b) = 1000
+        D = np.array([[0.0, 1000.0, 1000.0], [1000.009, 0.0, 1000.0],
+                      [1000.0, 1000.0, 0.0]])
+        with pytest.raises(InputError, match="not symmetric"):
+            sampled.SampledSpace(("a", "b", "c"), D)
+        D[1, 0] = 1000.0 + 5e-10
+        assert sampled.SampledSpace(("a", "b", "c"), D).d("b", "a") == D[1, 0]
 
     def test_validates_triangle(self):
         import numpy as np
@@ -232,6 +258,12 @@ def _reference_delta(space):
     return best, checked, worst
 
 
+def _triangle_loop(D):
+    D = D.tolist()
+    return not any(D[i][j] > (D[i][k] + D[k][j]) + sampled.TOL
+                   for i, j, k in itertools.product(range(len(D)), repeat=3))
+
+
 class TestFastPaths:
     def test_h2_table_matches_scalar_loop(self):
         pts = halfplane.sample_ball(1j, 6.0, 60, random.Random(5))
@@ -290,6 +322,53 @@ class TestFastPaths:
         est = sampled.four_point_delta(sp)
         assert (est.delta_hat, est.quadruples_checked,
                 est.worst_quadruple) == _reference_delta(sp)
+
+    @pytest.mark.parametrize("block", [1, 5, 7])
+    def test_exhaustive_delta_across_row_blocks(self, block, tree_ball_space,
+                                                monkeypatch):
+        # blocks of a few sums split each middle index's rows
+        monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
+        G = graphspace.grid_graph(4)
+        R = graphspace.random_connected_graph(16, 6, 2)
+        pts = halfplane.sample_ball(1j, 3.0, 14, random.Random(4))
+        for sp in (sampled.from_points(G.vertices, G.dist),
+                   sampled.from_points(pts, halfplane.dist),
+                   sampled.from_points(R.vertices, R.dist),
+                   tree_ball_space, euclidean_square(), tied_squares()):
+            est = sampled.four_point_delta(sp)
+            best, checked, worst = _reference_delta(sp)
+            assert est.delta_hat.hex() == best.hex()
+            assert (est.quadruples_checked, est.worst_quadruple) == (checked, worst)
+        assert sampled.four_point_delta(tied_squares()).worst_quadruple == (0, 6, 7, 8)
+        # all defects 0 in the tree: the default worst quadruple
+        tree = sampled.four_point_delta(tree_ball_space)
+        assert tree.worst_quadruple == (tree_ball_space.points[0],) * 4
+
+    def test_exhaustive_delta_memory(self):
+        # buffers of a fixed size: a block that grows with n fails here
+        pts = halfplane.sample_ball(1j, 6.0, 200, random.Random(3))
+        sp = sampled.from_points(pts, halfplane.dist)
+        tracemalloc.start()
+        try:
+            sampled.four_point_delta(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8e6
+
+    @pytest.mark.parametrize("row", [3, 4])
+    def test_triangle_check_is_the_triple_loop_at_the_bound(self, row,
+                                                            monkeypatch):
+        # tiles of 4 rows: row 3 ends the first tile, row 4 starts the next
+        monkeypatch.setattr(sampled, "_TRIANGLE_TILE", 4)
+        D = graphspace.random_connected_graph(10, 5, 1).table.copy()
+        j = 9
+        bound = min((D[row, k] + D[k, j]) + sampled.TOL
+                    for k in range(len(D)) if k not in (row, j))
+        D[row, j] = D[j, row] = bound
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[row, j] = D[j, row] = np.nextafter(bound, np.inf)
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
 
     def test_triangle_check_reaches_last_tile_and_last_k(self):
         n = sampled._TRIANGLE_TILE + 5
