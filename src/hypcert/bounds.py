@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import isometry, pingpong, sampled
+from . import isometry, pingpong
 from .errors import InputError
 
 TOL = 1e-9
@@ -41,12 +41,6 @@ class DerivedConstants:
     C0: float
     E0: float
     H0: float
-
-    def R_eps(self, eps: float) -> float:
-        """Radius below which almost-stabilizers stay elementary."""
-        if eps <= 0:
-            raise InputError("eps must be positive")
-        return math.log(1.0 / (eps * self.H0)) / self.H0
 
 
 def packing_bound(P0: int, r0: float, R: float, r: float) -> float:
@@ -124,11 +118,11 @@ def entropy_bounds_check(config: BoundsConfig, measured: float,
 
 def systole_floor(config: BoundsConfig, nilrad_plus: float) -> float:
     """min(eps0, exp(-H0 * nilrad_plus) / H0); the -inf sentinel for an
-    empty thin part returns eps0."""
+    empty thin part returns eps0, and NaN is refused."""
     H0 = config.derived().H0
     if nilrad_plus == -math.inf:
         return config.eps0
-    if nilrad_plus < 0:
+    if not nilrad_plus >= 0:
         raise InputError("nilrad_plus must be >= 0 or the -inf sentinel")
     return min(config.eps0, math.exp(-H0 * nilrad_plus) / H0)
 
@@ -213,13 +207,12 @@ def axis_proximity_length(space, a, b, reach: float, step: float = 0.01,
     pb = isometry.classify(b, space)
     if pa.kind != "hyperbolic" or pb.kind != "hyperbolic":
         raise InputError("both isometries must be hyperbolic")
-    d = sampled.dist_oracle(space)
     base = pa.axis.at(0.0)
     total = 0.0
     n = int(span / step)
     for k in range(-n, n + 1):
         z = pa.axis.point_along(base, k * step)
         foot = pb.axis.project(z)
-        if d(z, foot) <= reach:
+        if space.dist(z, foot) <= reach:
             total += step
     return total

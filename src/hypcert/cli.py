@@ -51,7 +51,11 @@ def _round12(obj):
 
 
 def emit(report, args):
-    text = json.dumps(_round12(report), indent=2) + "\n"
+    _write(json.dumps(_round12(report), indent=2) + "\n", args)
+
+
+def _write(text, args):
+    """Text to the --output file, or to stdout without one."""
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -367,8 +371,16 @@ def cmd_stats(args):
     return 0
 
 
+def _numbers(v, n=None) -> bool:
+    """Whether v is a JSON list of numbers, n of them if n is given."""
+    return (isinstance(v, list) and n in (None, len(v))
+            and all(type(x) in (int, float) for x in v))
+
+
 def cmd_degenerate(args):
     spec = load_json(args.input)
+    if not isinstance(spec, dict):
+        raise InputError("a degeneration family is a JSON object")
     if spec.get("model", "h2") != "h2":
         raise InputError("degeneration families are matrix families")
     try:
@@ -377,8 +389,17 @@ def cmd_degenerate(args):
     except (KeyError, TypeError):
         raise InputError("degeneration families need a.matrix "
                          "and b.poly_matrix") from None
-    t0f, t1f = spec.get("t_range", [0.0, 1.0])
+    if not (isinstance(polys, list) and len(polys) == 2 and all(
+            isinstance(row, list) and len(row) == 2 and all(map(_numbers, row))
+            for row in polys)):
+        raise InputError("b.poly_matrix is a 2x2 matrix of coefficient lists")
+    t_range = spec.get("t_range", [0.0, 1.0])
+    if not _numbers(t_range, 2):
+        raise InputError(f"t_range must be two numbers, got {t_range!r}")
+    t0f, t1f = t_range
     steps = args.steps if args.steps is not None else spec.get("steps", 64)
+    if not (type(steps) is int and steps >= 0):
+        raise InputError(f"steps must be an integer >= 0, got {steps!r}")
     rows = []
     for k in range(steps + 1):
         t = t0f + (t1f - t0f) * k / steps if steps > 0 else t0f
@@ -394,12 +415,7 @@ def cmd_degenerate(args):
     writer.writerow(["t", "ell", "trace", "kind"])
     for t, ell, tr, kind in rows:
         writer.writerow([f"{t:.12g}", f"{ell:.12g}", f"{tr:.12g}", kind])
-    text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args)
     return 0
 
 
@@ -508,9 +524,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    resolve_seed(args)
     t0 = time.monotonic()
     try:
+        resolve_seed(args)
         code = args.fn(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -59,24 +59,6 @@ def parse_word(text: str) -> str:
     return reduce_word("".join(out))
 
 
-def format_word(w: str) -> str:
-    """Render a reduced word back into the a^n b^-m syntax."""
-    if not w:
-        return "e"
-    out = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        n = j - i
-        ch = w[i]
-        base, exp = (ch, n) if ch.islower() else (ch.lower(), -n)
-        out.append(base if exp == 1 else f"{base}^{exp}")
-        i = j
-    return "".join(out)
-
-
 def common_prefix(u: str, v: str) -> str:
     n = min(len(u), len(v))
     i = 0
@@ -168,14 +150,6 @@ class TreeEnd:
         reps = -(-max(0, length - len(self.prefix)) // len(self.period)) + 1
         return (self.prefix + self.period * reps)[:length]
 
-    def translate(self, g: str) -> "TreeEnd":
-        # g may cancel through the prefix into the periodic part; absorb
-        # periods until the junction is reduced (g is finite, so this stops)
-        p, q = reduce_word(g + self.prefix), self.period
-        while not is_reduced(p + q):
-            p = reduce_word(p + q)
-        return TreeEnd(p, q)
-
 
 def _depth(*ends) -> int:
     """A word length that reaches past the junctions of the given ends."""
@@ -231,15 +205,6 @@ class TreeLine(tuple):
         """Position of a vertex of the line: its distance from a vertex far
         toward the first end."""
         return word_dist(self[0].ray_word(len(p) + _depth(*self)), p)
-
-
-def axis_ends(w: str) -> TreeLine:
-    """The axis of a hyperbolic element, from its repelling to its
-    attracting end."""
-    c, u = cyclic_reduce(w)
-    if not u:
-        raise InputError("elliptic word has no axis")
-    return TreeLine(TreeEnd(c, invert(u)), TreeEnd(c, u))
 
 
 class FreeTreeSpace(DiscreteSpace):

@@ -173,18 +173,6 @@ class Moebius:
             and abs(abs(self.a) - 1.0) <= tol
         )
 
-    def max_entry_gap(self, other: "Moebius") -> float:
-        """Max entrywise distance, modulo the projective sign."""
-        g1 = max(
-            abs(self.a - other.a), abs(self.b - other.b),
-            abs(self.c - other.c), abs(self.d - other.d),
-        )
-        g2 = max(
-            abs(self.a + other.a), abs(self.b + other.b),
-            abs(self.c + other.c), abs(self.d + other.d),
-        )
-        return min(g1, g2)
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 

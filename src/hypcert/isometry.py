@@ -1,16 +1,15 @@
-"""Isometry profiles, translation lengths, axes, circumcenters, and
-sampled Margulis domains with gap bounds, over the model interface that
-each space implements (dist, act, power, classify, ...)."""
+"""Isometry profiles, translation lengths, and sampled Margulis domains
+with gap bounds, over the model interface that each space implements
+(dist, act, power, classify, ...)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
-from . import sampled
-from .errors import DomainError, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 
 TOL = 1e-9
 
@@ -74,50 +73,12 @@ def _mp_orbit_dist(P):
     return 2 * mp.asinh(s)
 
 
-def axis(g, space=None):
-    prof = classify(g, space)
-    if prof.kind != "hyperbolic":
-        raise DomainError(f"{prof.kind} isometry has no axis")
-    return prof.axis
-
-
 def apply_isometry(space, g, x):
     return space.act(g, x)
 
 
 def isometry_power(space, g, n: int):
     return space.power(g, n)
-
-
-def displacement(space, g, x) -> float:
-    return space.dist(x, apply_isometry(space, g, x))
-
-
-def power_displacement_check(space, g, x, n: int, delta: float):
-    """Measured d(x, g^n x) against the logarithmic power bound."""
-    if n < 1:
-        raise InputError("need n >= 1")
-    prof = classify(g, space)
-    d = sampled.dist_oracle(space)
-    gx = apply_isometry(space, g, x)
-    gnx = apply_isometry(space, isometry_power(space, g, n), x)
-    measured = d(x, gnx)
-    bound = d(x, gx) + (n - 1) * prof.ell + 4.0 * delta * math.log2(n)
-    return measured, bound
-
-
-def circumcenter(space, pts):
-    """The point minimizing the maximal distance to a finite set.
-
-    In the half-plane the minimum is found by line searches; discrete
-    models return the best candidate point.
-    """
-    pts = list(pts)
-    if not pts:
-        raise InputError("empty point set")
-    if len(pts) == 1:
-        return pts[0], 0.0
-    return space.circumcenter(pts)
 
 
 def margulis_membership(space, g, eps: float, x, power_cap: int):
@@ -130,30 +91,15 @@ def margulis_membership(space, g, eps: float, x, power_cap: int):
     if eps <= 0 or power_cap < 1:
         raise InputError("need eps > 0 and power_cap >= 1")
     prof = classify(g, space)
-    d = sampled.dist_oracle(space)
     cap = power_cap
     if prof.kind == "hyperbolic":
         cap = min(cap, max(1, math.ceil(eps / prof.ell)))
     y = x
     for i in range(1, cap + 1):
         y = apply_isometry(space, g, y)
-        if d(x, y) <= eps + TOL:
+        if space.dist(x, y) <= eps + TOL:
             return True, i
     return False, None
-
-
-@dataclass
-class MargulisDomainSample:
-    members: list = field(default_factory=list)
-    outside: list = field(default_factory=list)
-
-
-def margulis_domain_sample(space, g, eps, sample, power_cap=64) -> MargulisDomainSample:
-    out = MargulisDomainSample()
-    for x in sample:
-        member, _ = margulis_membership(space, g, eps, x, power_cap)
-        (out.members if member else out.outside).append(x)
-    return out
 
 
 @dataclass
@@ -186,18 +132,21 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     """
     if not (0 < eps1 <= eps2):
         raise InputError("need 0 < eps1 <= eps2")
-    dom1 = margulis_domain_sample(space, g, eps1, sample, power_cap)
-    dom2 = margulis_domain_sample(space, g, eps2, sample, power_cap)
-    if not dom1.members:
+    inside = [[margulis_membership(space, g, eps, x, power_cap)[0]
+               for x in sample] for eps in (eps1, eps2)]
+    inner = [x for x, hit in zip(sample, inside[0]) if hit]
+    within = [x for x, hit in zip(sample, inside[1]) if hit]
+    outside = [x for x, hit in zip(sample, inside[1]) if not hit]
+    if not inner:
         raise PreconditionError("inner domain empty on the sample")
-    gaps = space.dist_table(dom2.outside, dom1.members).min(axis=1).tolist()
-    spans = space.dist_table(dom2.members, dom1.members).min(axis=1).tolist()
+    gaps = space.dist_table(outside, inner).min(axis=1).tolist()
+    spans = space.dist_table(within, inner).min(axis=1).tolist()
     lb2 = None
     if P0 is not None and r0 is not None and eps2 <= r0 and eps1 < 2.0:
         lb2 = gap_lower_bound_ii(P0, eps1, eps2)
     return GapReport(
         eps1=eps1, eps2=eps2, power_cap=power_cap,
-        inner_count=len(dom1.members), outer_count=len(dom2.outside),
+        inner_count=len(inner), outer_count=len(outside),
         min_gap_observed=min(gaps) if gaps else math.inf,
         lower_bound_i=(eps2 - eps1) / 2.0,
         lower_bound_ii=lb2,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import isometry, sampled
+from . import isometry
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, PreconditionError)
 
@@ -57,9 +57,8 @@ def endpoint_projections(space, alpha, beta) -> PingPongData:
     if swapped:
         xm, xp = xp, xm
         beta = beta.reversed()
-    d = sampled.dist_oracle(space)
     return PingPongData(xm, xp, beta.project(xm), beta.project(xp),
-                        float(d(xm, xp)), swapped, alpha, beta)
+                        float(space.dist(xm, xp)), swapped, alpha, beta)
 
 
 def min_free_power(space, a, b, delta: float) -> PingPongData:
@@ -99,7 +98,7 @@ def proof_set_membership(space, data: PingPongData, z):
 
     A+ holds the points closer to a^N x- than to x+, and so on.
     """
-    d = sampled.dist_oracle(space)
+    d = space.dist
     return [name for name, centre, anchor
             in _proof_sides(space, data, _powers(space, data))
             if d(z, centre) <= d(z, anchor)]
@@ -224,7 +223,7 @@ def schottky_margin(space, a, b, delta: float, points, profiles=None,
                           isometry.classify(b, space))
     if pa.kind == "elliptic" or pb.kind == "elliptic":
         raise DomainError("both isometries must be non-elliptic")
-    d = sampled.dist_oracle(space)
+    d = space.dist
 
     def min_disp(g, x):
         best = math.inf
@@ -265,7 +264,7 @@ def _schottky_candidate(space, a, b, x0, y0, delta, budget, d):
     best, best_score = x0, -math.inf
     steps = 32
     for k in range(steps + 1):
-        z = sampled.point_on_geodesic(space, x0, y0, span * k / steps)
+        z = space.point_on_geodesic(x0, y0, span * k / steps)
         score = min(disp(a_pows, z), disp(b_pows, z))
         if score > best_score:
             best, best_score = z, score

@@ -1,11 +1,9 @@
 """Metric primitives over distance oracles: Gromov products, four-point
-hyperbolicity estimates, packing and covering numbers, tripods,
-nearest-point projections, and Helly-style witnesses.
+hyperbolicity estimates, packing and covering numbers, and tripods.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,16 +355,6 @@ def covering_number(space: SampledSpace, region, r: float,
     return len(_min_cover(D, reg, centers, r, greedy))
 
 
-def point_on_geodesic(space, p, q, t: float):
-    """The point at arclength t from p along a geodesic [p, q], t clamped
-    to [0, d(p, q)].
-
-    Exact for the half-plane and tree models; for sampled spaces and
-    graphs, the best sample point for the two distance constraints.
-    """
-    return space.point_on_geodesic(p, q, t)
-
-
 def _nearest_on_geodesic(d, candidates, p, q, t: float):
     """The candidate that best meets d(p, x) = t and d(x, q) = d(p, q) - t."""
     L = d(p, q)
@@ -384,57 +372,11 @@ def tripod_points(space, x, y, z):
     d = dist_oracle(space)
     gx = gromov_product(space, y, z, x)
     gy = gromov_product(space, x, z, y)
-    gz = gromov_product(space, x, y, z)
-    c_x = point_on_geodesic(space, y, z, gy)
-    c_y = point_on_geodesic(space, x, z, gx)
-    c_z = point_on_geodesic(space, x, y, gx)
+    c_x = space.point_on_geodesic(y, z, gy)
+    c_y = space.point_on_geodesic(x, z, gx)
+    c_z = space.point_on_geodesic(x, y, gx)
     thin = max(d(c_x, c_y), d(c_x, c_z), d(c_y, c_z))
     return c_x, c_y, c_z, thin
-
-
-def project(space, target, x):
-    """Nearest-point projection of an interior point or a boundary datum.
-
-    ``target`` is a line of a model space (a half-plane geodesic or a
-    tree line), which projects both kinds of point itself, or a finite
-    point set.
-    """
-    if hasattr(target, "project"):
-        return target.project(x)
-    pts = list(target)
-    if not pts:
-        raise InputError("empty projection target")
-    d = dist_oracle(space)
-    return min(pts, key=lambda p: (d(x, p), pts.index(p)))
-
-
-def helly_witness(space, sets, delta: float, lam: float):
-    """A point within 119 delta + 15 lambda of every set in a
-    pairwise-intersecting family of lambda-quasiconvex sets.
-
-    Constructive recipe: from a base point in the first set, take each
-    set's nearest point, and return the farthest of those.
-    """
-    sets = [list(s) for s in sets]
-    if not sets or any(not s for s in sets):
-        raise InputError("sets must be nonempty")
-    if lam < 0 or delta < 0:
-        raise InputError("delta and lambda must be nonnegative")
-    d = dist_oracle(space)
-    for a, b in itertools.combinations(range(len(sets)), 2):
-        gap = min(d(p, q) for p in sets[a] for q in sets[b])
-        if gap > 2.0 * lam + 4.0 * delta + TOL:
-            raise PreconditionError(f"sets {a} and {b} do not intersect")
-    x0 = sets[0][0]
-    feet = [min(s, key=lambda p: d(x0, p)) for s in sets]
-    return max(feet, key=lambda p: d(x0, p))
-
-
-def hausdorff_distance(space, A, B) -> float:
-    d = dist_oracle(space)
-    da = max(min(d(a, b) for b in B) for a in A)
-    db = max(min(d(a, b) for a in A) for b in B)
-    return max(da, db)
 
 
 class DiscreteSpace:

@@ -17,10 +17,6 @@ class TestDerivedConstants:
         assert der.E0 == pytest.approx(math.log(5.0) / 0.5)
         assert der.H0 == pytest.approx(der.E0)
 
-    def test_radius_threshold_monotone(self):
-        der = bounds.BoundsConfig().derived()
-        assert der.R_eps(0.01) > der.R_eps(0.1)
-
     def test_invalid_config(self):
         with pytest.raises(InputError):
             bounds.BoundsConfig(eps0=0.0)

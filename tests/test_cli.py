@@ -168,6 +168,14 @@ class TestDeterminism:
         assert code == 0
         assert rep["manifest"]["seed"] == 99
 
+    def test_non_integer_env_seed_is_exit_2(self, tmp_path, tree_ball_file,
+                                            monkeypatch, capsys):
+        monkeypatch.setenv("HYPCERT_SEED", "x")
+        code, rep = run(tmp_path, "delta", "--input", tree_ball_file)
+        assert code == 2
+        assert rep is None
+        assert "input error: HYPCERT_SEED" in capsys.readouterr().err
+
     def test_float_formatting_stable(self, tmp_path, h2_pair_file):
         code, rep = run(tmp_path, "classify", "--input", h2_pair_file)
         assert code == 0
@@ -367,15 +375,26 @@ class TestMalformedInput:
         assert rep is None
         assert "input error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["entropy", "--input", "{tree}", "--radii", "1,x"],
-        ["bounds", "--nilrad-plus", "abc"],
-        ["degenerate", "--input", "{family}"],
-    ], ids=["radii", "nilrad-plus", "family-without-b"])
+    _A = {"model": "h2", "a": {"matrix": [[2.0, 0.0], [0.0, 0.5]]}}
+    _FAMILY = {**_A, "b": {"poly_matrix": [[[1.0], [0.0]], [[0.0], [1.0]]]}}
+    _DEGENERATE = ["degenerate", "--input", "{family}"]
+
+    @pytest.mark.parametrize("argv, family", [
+        (["entropy", "--input", "{tree}", "--radii", "1,x"], _A),
+        (["bounds", "--nilrad-plus", "abc"], _A),
+        (["bounds", "--nilrad-plus", "nan"], _A),
+        (_DEGENERATE, _A),
+        (_DEGENERATE, [_FAMILY]),
+        (_DEGENERATE, {**_FAMILY, "t_range": [0]}),
+        (_DEGENERATE, {**_FAMILY, "steps": "x"}),
+        (_DEGENERATE, {**_FAMILY, "b": {"poly_matrix": [[1, 1], [0, 1]]}}),
+        (_DEGENERATE + ["--steps", "-3"], _FAMILY),
+    ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
+            "family-list", "t-range-of-one", "steps-not-a-number",
+            "poly-matrix-of-numbers", "negative-steps"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
-                                          tree_pair_file, argv):
-        family = self._write(tmp_path, json.dumps(
-            {"model": "h2", "a": {"matrix": [[2.0, 0.0], [0.0, 0.5]]}}))
+                                          tree_pair_file, argv, family):
+        family = self._write(tmp_path, json.dumps(family))
         argv = [x.format(tree=tree_pair_file, family=family) for x in argv]
         code, rep = run(tmp_path, *argv)
         assert code == 2

@@ -1,13 +1,27 @@
 """Each module of the package uses every name it imports and reads no
-underscore-prefixed name of another package module."""
+underscore-prefixed name of another package module, and every public
+function, class and method is named by the package or the benchmark."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hypcert"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hypcert"
 MODULES = sorted(SRC.glob("*.py"))
+
+# public names that only tests reach, each kept for what it serves
+KEPT = {
+    "tripod_points": "the README lists tripods among the sample estimators",
+    "is_elementary_pair": "criterion 11 skips elementary pairs with it",
+    "end_set_disjointness": "criterion 7 checks the end neighbourhoods",
+    "axis_proximity_length": "criterion 11 measures the axis overlap",
+    "rotation_about_i": "criterion 9 builds its elliptic generator with it",
+    "regular_tree_graph": "the README lists tree graphs among the generators",
+    "to_json": "SampledSpace.to_json writes the fixtures and criterion 14",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -49,6 +63,42 @@ def private_reads(source: str) -> list:
     return sorted(found)
 
 
+def unreferenced(package: list, others: list = ()) -> list:
+    """The public top-level functions and classes, and public methods of
+    top-level classes, of the package sources that no source names
+    other than by defining them.  A dotted string such as
+    "FreeTreeSpace.dist" names each of its parts."""
+    trees = [ast.parse(s) for s in list(package) + list(others)]
+    defined = set()
+    for tree in trees[:len(package)]:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined |= {n.name for n in node.body
+                            if isinstance(n, ast.FunctionDef)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    named = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[\w.]+", node.value)):
+            named.update(node.value.split("."))
+    return sorted(n for n in defined - named if not n.startswith("_"))
+
+
+def test_every_public_name_is_referenced():
+    """A name that only tests reach is deleted or listed in KEPT; a KEPT
+    name that the package comes to use leaves the list."""
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced([p.read_text() for p in MODULES], bench) == \
+        sorted(KEPT)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -62,6 +112,18 @@ def test_module_reads_no_private_name_of_another(path):
 def test_unused_import_is_caught():
     source = "import math\nfrom . import freetree, halfplane\nhalfplane.H2\n"
     assert unused_imports(source) == ["freetree", "math"]
+
+
+def test_unreferenced_function_is_caught():
+    source = ("import math\n"
+              "def used():\n    return math.pi\n"
+              "def planted():\n    return used()\n"
+              "class Shape:\n"
+              "    def area(self):\n        return 0\n"
+              "    def _hidden(self):\n        return 1\n"
+              "def _private():\n    return 2\n")
+    assert unreferenced([source]) == ["Shape", "area", "planted"]
+    assert unreferenced([source], ["Shape.area\n", "x = 'planted'\n"]) == []
 
 
 def test_private_read_is_caught():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcert import freetree, graphspace, halfplane, isometry
-from hypcert.errors import DomainError, InputError, PreconditionError
+from hypcert import graphspace, halfplane, isometry
+from hypcert.errors import PreconditionError
 
 H2 = halfplane.H2
 
@@ -105,47 +105,46 @@ class TestTranslationLengthCrossCheck:
 class TestDisplacementAndAxes:
     def test_displacement_minimized_on_axis(self):
         g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        on_axis = isometry.displacement(H2, g, 1j)
-        off_axis = isometry.displacement(H2, g, 1.0 + 1j)
+        on_axis = H2.dist(1j, H2.act(g, 1j))
+        off_axis = H2.dist(1.0 + 1j, H2.act(g, 1.0 + 1j))
         assert on_axis == pytest.approx(2.0 * math.log(2.0))
         assert off_axis > on_axis
 
     def test_axis_endpoints(self):
         g = halfplane.Moebius(1.25, 0.75, 0.75, 1.25)
-        ax = isometry.axis(g)
+        ax = H2.classify(g).axis
         assert ax.neg == pytest.approx(-1.0)
         assert ax.pos == pytest.approx(1.0)
-
-    def test_axis_requires_hyperbolic(self):
-        with pytest.raises(DomainError):
-            isometry.axis(halfplane.Moebius(1.0, 1.0, 0.0, 1.0))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=64),
            st.floats(min_value=0.1, max_value=3.0))
     def test_power_displacement_bound(self, n, y):
+        # d(x, g^n x) <= d(x, g x) + (n - 1) ell + 4 delta log2 n
         g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        observed, bound = isometry.power_displacement_check(
-            H2, g, complex(1.0, y), n, math.log(3.0))
+        x, delta = complex(1.0, y), math.log(3.0)
+        observed = H2.dist(x, H2.act(H2.power(g, n), x))
+        bound = (H2.dist(x, H2.act(g, x)) + (n - 1) * H2.classify(g).ell
+                 + 4.0 * delta * math.log2(n))
         assert observed <= bound + 1e-9
 
 
 class TestCircumcenter:
     def test_two_point_h2(self):
-        center, rad = isometry.circumcenter(H2, [1j, 4j])
+        center, rad = H2.circumcenter([1j, 4j])
         assert center == pytest.approx(2j)
         assert rad == pytest.approx(math.log(2.0))
 
     def test_invariant_under_isometry(self):
         pts = [1j, 4j, 1.0 + 2j]
         g = halfplane.Moebius(1.0, 1.0, 0.0, 1.0)
-        c1, r1 = isometry.circumcenter(H2, pts)
-        c2, r2 = isometry.circumcenter(H2, [g(z) for z in pts])
+        c1, r1 = H2.circumcenter(pts)
+        c2, r2 = H2.circumcenter([g(z) for z in pts])
         assert r2 == pytest.approx(r1, abs=1e-5)
         assert abs(g(c1) - c2) < 1e-4
 
     def test_tree(self, tree2):
-        center, rad = isometry.circumcenter(tree2, ["aa", "ab", "b"])
+        center, rad = tree2.circumcenter(["aa", "ab", "b"])
         assert center == "a" or rad <= 2
 
 
@@ -166,9 +165,9 @@ class TestMargulisDomain:
         g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
         rng = random.Random(0)
         pts = halfplane.sample_ball(1j, 3.0, 200, rng)
-        dom = isometry.margulis_domain_sample(H2, g, 1.5, pts)
-        assert len(dom.members) + len(dom.outside) == 200
-        assert len(dom.members) > 0
+        rep = isometry.domain_gap_report(H2, g, 1.5, 1.5, pts)
+        assert rep.inner_count + rep.outer_count == 200
+        assert rep.inner_count > 0
 
     def test_gap_report_bound(self):
         g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hypcert import freetree, halfplane, isometry, pingpong
+from hypcert import halfplane, isometry, pingpong
 from hypcert.errors import (BudgetError, ElementaryPairError,
                             PreconditionError)
 
@@ -14,7 +14,7 @@ class TestEndpointProjections:
     def test_h2_schottky_pair(self, schottky_pair):
         a, b = schottky_pair
         ep = pingpong.endpoint_projections(
-            H2, isometry.axis(a), isometry.axis(b))
+            H2, H2.classify(a).axis, H2.classify(b).axis)
         # both endpoints of the (-1, 1) axis project onto i
         assert ep.M0 == pytest.approx(0.0)
         assert not ep.swapped
@@ -26,7 +26,7 @@ class TestEndpointProjections:
         shift = halfplane.Moebius(1.0, 3.0, 0.0, 1.0)
         b = shift @ halfplane.Moebius(1.25, 0.75, 0.75, 1.25) @ shift.inverse()
         ep = pingpong.endpoint_projections(
-            H2, isometry.axis(a), isometry.axis(b))
+            H2, H2.classify(a).axis, H2.classify(b).axis)
         assert ep.M0 > 0.0
 
     def test_swap_detection(self):
@@ -34,9 +34,9 @@ class TestEndpointProjections:
         shift = halfplane.Moebius(1.0, 3.0, 0.0, 1.0)
         b = shift @ halfplane.Moebius(1.25, 0.75, 0.75, 1.25) @ shift.inverse()
         ep_fwd = pingpong.endpoint_projections(
-            H2, isometry.axis(a), isometry.axis(b))
+            H2, H2.classify(a).axis, H2.classify(b).axis)
         ep_rev = pingpong.endpoint_projections(
-            H2, isometry.axis(a), isometry.axis(b).reversed())
+            H2, H2.classify(a).axis, H2.classify(b).axis.reversed())
         assert ep_fwd.swapped != ep_rev.swapped
         assert ep_fwd.M0 == pytest.approx(ep_rev.M0)
 
@@ -45,11 +45,11 @@ class TestEndpointProjections:
         g = halfplane.Moebius(3.0, 0.0, 0.0, 1.0 / 3.0)
         with pytest.raises(ElementaryPairError):
             pingpong.endpoint_projections(
-                H2, isometry.axis(a), isometry.axis(g))
+                H2, H2.classify(a).axis, H2.classify(g).axis)
 
     def test_tree_lines(self, tree2):
         ep = pingpong.endpoint_projections(
-            tree2, freetree.axis_ends("a"), freetree.axis_ends("b"))
+            tree2, tree2.classify("a").axis, tree2.classify("b").axis)
         assert ep.M0 == 0.0
 
 

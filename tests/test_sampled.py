@@ -158,21 +158,21 @@ class TestTripodsAndProjections:
 
     def test_h2_projection(self):
         g = halfplane.HGeodesic(-1.0, 1.0)
-        assert sampled.project(H2, g, 5j) == pytest.approx(1j)
+        assert g.project(5j) == pytest.approx(1j)
 
     def test_h2_boundary_projection(self):
         g = halfplane.HGeodesic(-1.0, 1.0)
-        assert sampled.project(H2, g, math.inf) == pytest.approx(1j)
+        assert g.project(math.inf) == pytest.approx(1j)
 
-    def test_tree_line_projection(self):
-        line = freetree.axis_ends("a")
-        assert sampled.project(None, line, "aab") == "aa"
-        assert sampled.project(None, line, "baa") == ""
+    def test_tree_line_projection(self, tree2):
+        line = tree2.classify("a").axis
+        assert line.project("aab") == "aa"
+        assert line.project("baa") == ""
 
-    def test_tree_end_projection(self):
-        line = freetree.axis_ends("a")
+    def test_tree_end_projection(self, tree2):
+        line = tree2.classify("a").axis
         xi = freetree.TreeEnd("b", "b")
-        assert sampled.project(None, line, xi) == ""
+        assert line.project(xi) == ""
 
     @given(st.floats(min_value=-30.0, max_value=30.0),
            st.floats(min_value=-30.0, max_value=30.0))
@@ -183,34 +183,13 @@ class TestTripodsAndProjections:
         assert dp <= halfplane.dist(z, w) + 1e-9
 
     def test_point_on_geodesic_h2(self):
-        z = sampled.point_on_geodesic(H2, 1j, 4j, math.log(2.0))
+        z = H2.point_on_geodesic(1j, 4j, math.log(2.0))
         assert z == pytest.approx(2j)
 
     def test_point_on_geodesic_tree(self):
         T = freetree.FreeTreeSpace(2)
-        assert sampled.point_on_geodesic(T, "aa", "ab", 1.0) == "a"
-        assert sampled.point_on_geodesic(T, "aa", "ab", 2.0) == "ab"
-
-
-class TestHelly:
-    def test_witness_for_nested_tree_balls(self, tree2):
-        sets = [tree2.ball("", 1), tree2.ball("a", 1), tree2.ball("", 2)]
-        w = sampled.helly_witness(tree2, sets, 0.0, 1.0)
-        assert all(min(tree2.dist(w, p) for p in s) <= 2.0 for s in sets)
-
-    def test_disjoint_sets_rejected(self, tree2):
-        sets = [["aaa"], ["bbb"]]
-        with pytest.raises(PreconditionError):
-            sampled.helly_witness(tree2, sets, 0.0, 0.0)
-
-
-class TestHausdorff:
-    def test_symmetric_zero(self, tree2):
-        A = ["", "a", "b"]
-        assert sampled.hausdorff_distance(tree2, A, A) == 0
-
-    def test_known_value(self, tree2):
-        assert sampled.hausdorff_distance(tree2, [""], ["aa", "b"]) == 2
+        assert T.point_on_geodesic("aa", "ab", 1.0) == "a"
+        assert T.point_on_geodesic("aa", "ab", 2.0) == "ab"
 
 
 class TestRuntimeBudgets:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hypcert import bounds, halfplane, isometry, pingpong, sampled, tits
+from hypcert import bounds, halfplane, isometry, pingpong, tits
 from hypcert.errors import BudgetError
 
 H2 = halfplane.H2
@@ -34,7 +34,7 @@ def test_walk_elements_match_per_word_fold(model, tree2, schottky_pair):
 
 
 def _orbit_counts_by_fold(space, gens, base, radii, word_cap):
-    d = sampled.dist_oracle(space)
+    d = space.dist
     table = dict(gens)
     orbit = {bounds._pt_key(base): base}
     for word in tits.enumerate_words([n for n, _ in gens], word_cap):
