@@ -12,6 +12,7 @@ from .isometry import IsometryProfile
 from .sampled import DiscreteSpace
 
 TOL = 1e-9
+_FW_ROWS = 64   # rows per block of a Floyd-Warshall step
 
 
 class MetricGraphSpace(DiscreteSpace):
@@ -41,13 +42,21 @@ class MetricGraphSpace(DiscreteSpace):
                 raise InputError(f"nonpositive edge weight {w}")
             i, j = self.index[u], self.index[v]
             D[i, j] = D[j, i] = min(D[i, j], float(w))
-        # Floyd-Warshall; step k changes only the span of finite D[:, k], D[k]
-        via = np.empty_like(D)
+        # Floyd-Warshall over the upper triangle, in blocks of rows.  The
+        # full update keeps D equal to D.T bit for bit, as fp addition
+        # commutes, so column k is D[:k, k] ++ D[k, k:]; step k changes
+        # only the span of its finite entries, since inf + w = inf
+        via = np.empty((_FW_ROWS, n))
         for k in range(n):
-            r, c = np.flatnonzero(D[:, k] < np.inf), np.flatnonzero(D[k] < np.inf)
-            rows, cols = slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1)
-            np.minimum(D[rows, cols], np.add(D[rows, k, None], D[k, cols],
-                                             out=via[rows, cols]), out=D[rows, cols])
+            col = np.concatenate((D[:k, k], D[k, k:]))
+            f = np.flatnonzero(col < np.inf)
+            end = f[-1] + 1
+            for a in range(f[0], end, _FW_ROWS):
+                b = min(a + _FW_ROWS, end)
+                np.minimum(D[a:b, a:end], np.add(col[a:b, None], col[a:end],
+                                                 out=via[:b - a, :end - a]),
+                           out=D[a:b, a:end])
+        np.copyto(D, D.T, where=np.tri(n, k=-1, dtype=bool))
         if not np.all(np.isfinite(D)):
             raise InputError("graph is not connected")
         self.table = D

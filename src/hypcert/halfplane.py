@@ -343,38 +343,6 @@ class HalfPlane:
         t = min(max(t, 0.0), dist(p, q))
         return HGeodesic.through(p, q).point_along(p, t)
 
-    def circumcenter(self, pts):
-        """Line searches toward the current farthest point: the maximal
-        distance is convex along geodesics."""
-        def radius(z):
-            return max(dist(z, p) for p in pts)
-
-        center = pts[0]
-        rad = radius(center)
-        for _ in range(400):
-            far = max(pts, key=lambda p: dist(center, p))
-            span = dist(center, far)
-            if span < 1e-15:
-                break
-            geo = HGeodesic.through(center, far)
-            t0 = geo.param(center)
-            lo, hi = 0.0, span
-            for _ in range(90):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if radius(geo.at(t0 + m1)) <= radius(geo.at(t0 + m2)):
-                    hi = m2
-                else:
-                    lo = m1
-            new_center = geo.at(t0 + (lo + hi) / 2.0)
-            new_rad = radius(new_center)
-            if rad - new_rad < 1e-12:
-                if new_rad < rad:
-                    center, rad = new_center, new_rad
-                break
-            center, rad = new_center, new_rad
-        return center, rad
-
     def act(self, g: Moebius, x):
         return g(x)
 

@@ -4,6 +4,7 @@ hyperbolicity estimates, packing and covering numbers, and tripods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,12 +71,16 @@ class SampledSpace:
 
 def _triangle_holds(D) -> bool:
     """D[i, j] <= (D[i, k] + D[k, j]) + TOL for all i, j and k."""
-    # x -> fl(x + TOL) is monotone, so TOL is added once to the running min
+    # x -> fl(x + TOL) is monotone, so TOL is added once to the running min.
+    # On a D equal to D.T bit for bit, (j, i, k) makes the comparison of
+    # (i, j, k), so a tile skips the columns before its first row
+    sym = np.array_equal(D, D.T)
     for a in range(0, len(D), _TRIANGLE_TILE):
-        rows = D[a:a + _TRIANGLE_TILE]
+        tile, c = D[a:a + _TRIANGLE_TILE], a if sym else 0
+        rows = tile[:, c:]
         t, low = np.empty(rows.shape), np.full(rows.shape, np.inf)
         for k in range(len(D)):
-            np.minimum(low, np.add(rows[:, k, None], D[k], out=t), out=low)
+            np.minimum(low, np.add(tile[:, k, None], D[k, c:], out=t), out=low)
         if np.greater(rows, np.add(low, TOL, out=low)).any():
             return False
     return True
@@ -155,26 +160,43 @@ def _pairing_defects(s1, s2, s3, hi=None, lo=None, out=None):
 
 def _delta_exhaustive(space, D, n):
     """Quadruples i < j < k < l grouped by k; of those with the largest
-    defect, the lexicographically first is kept."""
+    defect, the lexicographically first is kept.  Every quadruple is
+    counted: it is either evaluated or bounded below the best."""
+    # The upper triangle read here meets the triangle inequality within
+    # 2 TOL, as each entry of a checked table is within TOL of its mirror.
+    # So a quadruple's defect is at most any one of its distances d plus
+    # 2 TOL: the two sums without d lie within 2 d + 4 TOL of each other,
+    # and the one with d at most 2 d + 4 TOL above either.  Rounding (the
+    # check, the sums, the defect, best - margin) adds under 2^-48 max(1,
+    # max|D|), so a distance below best - margin puts the defect strictly
+    # below best: the quadruple can neither take nor tie it.
+    margin = 2.0 * TOL + 2.0 ** -40 * max(1.0, float(np.abs(D).max()))
     buffers = np.empty((6, max(_DELTA_BLOCK, n)))
-    best, worst, checked = 0.0, None, 0
-    for k in range(2, n - 1):
-        v, quad, m = _delta_middle(D, k, buffers)
-        checked += m
+    best, worst = 0.0, None
+    for k in range(n - 2, 1, -1):   # downward: large defects come early
+        v, quad = _delta_middle(D, k, best - margin, buffers)
         if v > best or (v == best and worst and quad < worst):
             best, worst = v, quad
     worst = tuple(space.points[v] for v in (worst or (0,) * 4))
-    return HyperbolicityEstimate(best, checked, "exhaustive", worst)
+    return HyperbolicityEstimate(best, math.comb(n, 4), "exhaustive", worst)
 
 
-def _delta_middle(D, k, buffers):
-    """Largest defect over i < j < k < l, its first quadruple and the count.
-    Rows are the pairs (i, j) in i-major order, columns the l, in blocks
-    of at most _DELTA_BLOCK sums that read the upper triangle of D only."""
+def _delta_middle(D, k, floor, buffers):
+    """Largest defect over i < j < k < l and its first quadruple, skipping
+    the rows (i, j) and columns l with D[i, j], D[i, k], D[j, k] or
+    D[k, l] below floor.  Rows are the pairs (i, j) in i-major order,
+    columns the l, in blocks of at most _DELTA_BLOCK sums that read the
+    upper triangle of D only."""
     pi, pj = np.triu_indices(k, 1)
-    cols = len(D) - 1 - k
+    keep = np.minimum(D[pi, pj], D[pi, k])
+    keep = np.minimum(keep, D[pj, k], out=keep) >= floor
+    pi, pj = pi[keep], pj[keep]
+    ls = k + 1 + np.flatnonzero(D[k, k + 1:] >= floor)
+    cols = ls.size
+    if not cols:
+        return 0.0, None
     Dij, Dik, Djk = D[pi, pj][:, None], D[pi, k][:, None], D[pj, k][:, None]
-    Dkl, above = D[k, k + 1:], D[:k, k + 1:]
+    Dkl, above = D[k, ls], D[:k, ls]
     step = max(1, _DELTA_BLOCK // cols)
     best, worst = 0.0, None
     for a in range(0, pi.size, step):
@@ -187,8 +209,8 @@ def _delta_middle(D, k, buffers):
         r, c = divmod(int(np.argmax(vals)), cols)
         if vals[r, c] > best:
             best = float(vals[r, c])
-            worst = (int(pi[a + r]), int(pj[a + r]), k, k + 1 + c)
-    return best, worst, pi.size * cols
+            worst = (int(pi[a + r]), int(pj[a + r]), k, int(ls[c]))
+    return best, worst
 
 
 def _delta_sampled(space, D, n, n_quadruples, seed):

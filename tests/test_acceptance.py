@@ -11,8 +11,6 @@ import random
 import sys
 import time
 
-import pytest
-
 from hypcert import (bounds, cli, freetree, graphspace, halfplane, isometry,
                      pingpong, sampled, tits)
 

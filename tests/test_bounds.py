@@ -1,9 +1,8 @@
 import math
-import random
 
 import pytest
 
-from hypcert import bounds, freetree, graphspace, halfplane, sampled
+from hypcert import bounds, graphspace, halfplane, sampled
 from hypcert.errors import InputError
 
 H2 = halfplane.H2

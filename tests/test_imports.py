@@ -1,6 +1,7 @@
-"""Each module of the package uses every name it imports and reads no
-underscore-prefixed name of another package module, and every public
-function, class and method is named by the package or the benchmark."""
+"""Each module of the package and of its tests uses every name it
+imports, each package module reads no underscore-prefixed name of
+another package module, and every public function, class and method is
+named by the package or the benchmark."""
 
 import ast
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hypcert"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # public names that only tests reach, each kept for what it serves
 KEPT = {
@@ -99,7 +101,9 @@ def test_every_public_name_is_referenced():
         sorted(KEPT)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
 

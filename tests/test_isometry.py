@@ -130,19 +130,6 @@ class TestDisplacementAndAxes:
 
 
 class TestCircumcenter:
-    def test_two_point_h2(self):
-        center, rad = H2.circumcenter([1j, 4j])
-        assert center == pytest.approx(2j)
-        assert rad == pytest.approx(math.log(2.0))
-
-    def test_invariant_under_isometry(self):
-        pts = [1j, 4j, 1.0 + 2j]
-        g = halfplane.Moebius(1.0, 1.0, 0.0, 1.0)
-        c1, r1 = H2.circumcenter(pts)
-        c2, r2 = H2.circumcenter([g(z) for z in pts])
-        assert r2 == pytest.approx(r1, abs=1e-5)
-        assert abs(g(c1) - c2) < 1e-4
-
     def test_tree(self, tree2):
         center, rad = tree2.circumcenter(["aa", "ab", "b"])
         assert center == "a" or rad <= 2

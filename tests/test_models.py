@@ -297,7 +297,8 @@ class TestMetricGraph:
         lambda: graphspace.grid_graph(6),
         lambda: graphspace.random_connected_graph(40, 30, 7),
         lambda: graphspace.regular_tree_graph(3, 3),
-        lambda: _shuffled_grid(6, seed=2)])
+        lambda: _shuffled_grid(6, seed=2),
+        lambda: _wide_weight_graph(150, 200, seed=5)])
     def test_table_is_full_floyd_warshall(self, build, monkeypatch):
         built = []
 
@@ -342,6 +343,17 @@ def _shuffled_grid(n, seed):
     random.Random(seed).shuffle(verts)
     edges = [((i, j), (i + di, j + dj), 1.0) for i, j in verts
              for di, dj in ((1, 0), (0, 1)) if i + di < n and j + dj < n]
+    return graphspace.MetricGraphSpace(verts, edges)
+
+
+def _wide_weight_graph(n, chords, seed):
+    """A random tree plus chords over shuffled vertices, with non-integer
+    weights from 1e-3 to 1e6: summation order would show in the bits."""
+    rng = random.Random(seed)
+    verts = rng.sample(range(n), n)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(chords)]
+    edges = [(u, v, 10.0 ** rng.uniform(-3.0, 6.0)) for u, v in pairs]
     return graphspace.MetricGraphSpace(verts, edges)
 
 

@@ -36,6 +36,28 @@ def tied_squares():
     return sampled.SampledSpace(tuple(range(9)), D)
 
 
+def slack_squares(eps=2.0 ** -31, skew=0.0):
+    """Two 4-cycles (0, 2, 1, 3) and (4, 5, 6, 7) at distance 2, both of
+    defect exactly 1 in the upper triangle.  The first has sides 1 - eps
+    and diagonals 2 - eps, which pass the triangle check only through
+    TOL + skew, so its defect exceeds its smallest distance by eps.  The
+    lower triangle is off by skew, up on sides and down on diagonals."""
+    D = np.full((8, 8), 2.0)
+    np.fill_diagonal(D, 0.0)
+    for cycle, side, diagonal in (((0, 2, 1, 3), 1.0 - eps, 2.0 - eps),
+                                  ((4, 5, 6, 7), 1.0, 2.0)):
+        for t, a in enumerate(cycle):
+            for b, d, up in ((cycle[(t + 1) % 4], side, skew),
+                             (cycle[(t + 2) % 4], diagonal, -skew)):
+                D[min(a, b), max(a, b)], D[max(a, b), min(a, b)] = d, d + up
+    return sampled.SampledSpace(tuple(range(8)), D)
+
+
+def skewed_squares():
+    """slack_squares symmetric only within TOL, with a slack above TOL."""
+    return slack_squares(3 * 2.0 ** -31, 0.9 * sampled.TOL)
+
+
 class TestSampledSpace:
     def test_validates_symmetry(self):
         import numpy as np
@@ -237,6 +259,10 @@ def _reference_delta(space):
     return best, checked, worst
 
 
+def _graph_space(G):
+    return sampled.from_points(G.vertices, G.dist)
+
+
 def _triangle_loop(D):
     D = D.tolist()
     return not any(D[i][j] > (D[i][k] + D[k][j]) + sampled.TOL
@@ -323,6 +349,46 @@ class TestFastPaths:
         tree = sampled.four_point_delta(tree_ball_space)
         assert tree.worst_quadruple == (tree_ball_space.points[0],) * 4
 
+    @pytest.mark.parametrize("build", [
+        lambda: _graph_space(graphspace.grid_graph(6)),
+        lambda: _graph_space(graphspace.random_connected_graph(30, 8, 1)),
+        lambda: _graph_space(graphspace.random_connected_graph(30, 8, 4)),
+        tied_squares, slack_squares, skewed_squares],
+        ids=["grid6", "graph1", "graph4", "tied", "slack", "skewed"])
+    def test_pruned_delta_matches_brute_force(self, build, monkeypatch):
+        sp = build()
+        best, checked, worst = _reference_delta(sp)
+        evaluated = []
+
+        def counting(s1, *rest):
+            evaluated.append(s1.size)
+            return pairing_defects(s1, *rest)
+
+        pairing_defects = sampled._pairing_defects
+        monkeypatch.setattr(sampled, "_pairing_defects", counting)
+        for block in (1, 5, 7):
+            monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
+            est = sampled.four_point_delta(sp)
+            assert est.delta_hat.hex() == best.hex()
+            assert (est.quadruples_checked, est.worst_quadruple) == (checked, worst)
+        if build not in (tied_squares, slack_squares, skewed_squares):
+            # the smallest-side bound skips quadruples on these spaces
+            assert sum(evaluated) < 3 * checked
+
+    @pytest.mark.parametrize("build", [slack_squares, skewed_squares])
+    def test_slack_squares_tie_is_kept(self, build):
+        # the worst quadruple is the first square, reached after the second
+        est = sampled.four_point_delta(build())
+        assert (est.delta_hat, est.worst_quadruple) == (1.0, (0, 1, 2, 3))
+
+    def test_delta_skip_is_strict(self):
+        # a floor equal to a distance keeps the rows and columns at it
+        D = tied_squares().dist
+        buffers = np.empty((6, 64))
+        assert sampled._delta_middle(D, 7, 1.0, buffers) == (1.0, (0, 6, 7, 8))
+        assert sampled._delta_middle(D, 7, np.nextafter(1.0, 2.0),
+                                     buffers) == (0.0, None)
+
     def test_exhaustive_delta_memory(self):
         # buffers of a fixed size: a block that grows with n fails here
         pts = halfplane.sample_ball(1j, 6.0, 200, random.Random(3))
@@ -340,14 +406,33 @@ class TestFastPaths:
                                                             monkeypatch):
         # tiles of 4 rows: row 3 ends the first tile, row 4 starts the next
         monkeypatch.setattr(sampled, "_TRIANGLE_TILE", 4)
+        # on an exactly symmetric table and on one symmetric within TOL
+        for mirror in (0.0, sampled.TOL / 2):
+            D = graphspace.random_connected_graph(10, 5, 1).table.copy()
+            j = 9
+            bound = min((D[row, k] + D[k, j]) + sampled.TOL
+                        for k in range(len(D)) if k not in (row, j))
+            D[row, j], D[j, row] = bound, bound - mirror
+            assert sampled._triangle_holds(D) and _triangle_loop(D)
+            D[row, j] = np.nextafter(bound, np.inf)
+            D[j, row] = D[row, j] - mirror
+            assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+
+    def test_triangle_check_refuses_a_lower_triangle_violation(self,
+                                                               monkeypatch):
+        # symmetric within TOL, and only (j, i) with i < j breaks the
+        # triangle: a scan of the upper triangle alone would pass it
+        monkeypatch.setattr(sampled, "_TRIANGLE_TILE", 4)
         D = graphspace.random_connected_graph(10, 5, 1).table.copy()
-        j = 9
-        bound = min((D[row, k] + D[k, j]) + sampled.TOL
-                    for k in range(len(D)) if k not in (row, j))
-        D[row, j] = D[j, row] = bound
-        assert sampled._triangle_holds(D) and _triangle_loop(D)
-        D[row, j] = D[j, row] = np.nextafter(bound, np.inf)
-        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+        i, j = 2, 9
+        bound = min((D[i, k] + D[k, j]) + sampled.TOL
+                    for k in range(len(D)) if k not in (i, j))
+        D[i, j], D[j, i] = bound, np.nextafter(bound, np.inf)
+        upper = np.triu(D) + np.triu(D, 1).T
+        assert sampled._triangle_holds(upper) and _triangle_loop(upper)
+        assert not _triangle_loop(D)
+        with pytest.raises(InputError, match="triangle"):
+            sampled.SampledSpace(tuple(range(10)), D)
 
     def test_triangle_check_reaches_last_tile_and_last_k(self):
         n = sampled._TRIANGLE_TILE + 5

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hypcert import freetree, graphspace, halfplane, isometry, pingpong, tits
+from hypcert import graphspace, halfplane, isometry, pingpong, tits
 from hypcert.errors import (DomainError, ElementaryPairError, InputError,
                             SearchExhausted)
 
