@@ -1,5 +1,5 @@
-"""Metric primitives over distance oracles: Gromov products, four-point
-hyperbolicity estimates, packing and covering numbers, and tripods.
+"""Metric primitives over finite samples: four-point hyperbolicity
+estimates and packing and covering numbers.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ EXHAUSTIVE_CAP = 200
 EXACT_PACK_CAP = 64
 _TRIANGLE_TILE = 64   # rows per tile of the triangle check
 _DELTA_BLOCK = 12288   # sums per row block of the exhaustive delta
+_MAX_ENTRY = np.finfo(float).max / 8   # no sum of six entries overflows
 
 
 @dataclass(frozen=True)
 class SampledSpace:
-    """Finite point list with its symmetric distance matrix."""
+    """Finite point list with its distance matrix, stored exactly
+    symmetric: a table symmetric within TOL is kept as min(D, D.T)."""
 
     points: tuple
     dist: np.ndarray
@@ -32,17 +34,24 @@ class SampledSpace:
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "dist", D)
         n = len(self.points)
+        if _unhashable(self.points):
+            raise InputError("point ids must be hashable")
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        if len(self._index) != n:
+            raise InputError("duplicate point ids")
         if D.shape != (n, n):
             raise InputError(f"distance matrix shape {D.shape} for {n} points")
-        if not np.all(np.isfinite(D)):
-            raise InputError("non-finite distance entries")
+        if not np.all(np.abs(D) <= _MAX_ENTRY):
+            raise InputError(f"non-finite distance entries or above {_MAX_ENTRY:.6g}")
         if np.any(D < -TOL) or np.any(np.abs(np.diag(D)) > TOL):
             raise InputError("negative distances or nonzero diagonal")
         if not np.allclose(D, D.T, rtol=0, atol=TOL):
             raise InputError("distance matrix not symmetric")
+        if not np.array_equal(D, D.T):   # a new array: the caller's stays
+            D = np.minimum(D, D.T)
+            object.__setattr__(self, "dist", D)
         if not _triangle_holds(D):
             raise InputError("triangle inequality violated")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
     def index(self, p) -> int:
         try:
@@ -56,31 +65,38 @@ class SampledSpace:
     def __len__(self):
         return len(self.points)
 
-    def point_on_geodesic(self, p, q, t: float):
-        return _nearest_on_geodesic(self.d, self.points, p, q, t)
-
     def to_json(self) -> dict:
         return {"points": list(self.points), "dist": self.dist.tolist()}
 
     @classmethod
     def from_json(cls, obj) -> "SampledSpace":
-        if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
-            raise InputError('expected {"points": [...], "dist": [[...]]}')
-        return cls(tuple(obj["points"]), np.asarray(obj["dist"], dtype=float))
+        """The space of to_json's output; list ids come back as tuples."""
+        obj = obj if isinstance(obj, dict) else {}
+        pts, rows = obj.get("points"), obj.get("dist")
+        if not (isinstance(pts, list) and isinstance(rows, list) and all(
+                isinstance(row, list) and len(row) == len(pts)
+                and all(type(x) in (int, float) for x in row) for row in rows)):
+            raise InputError('expected {"points": [...], "dist": [[...]]}, '
+                             "a row of numbers per point")
+        try:
+            D = np.array(rows, dtype=float)
+        except OverflowError:
+            raise InputError("distance entries beyond the float range") from None
+        return cls(tuple(tuple(p) if isinstance(p, list) else p for p in pts), D)
 
 
 def _triangle_holds(D) -> bool:
-    """D[i, j] <= (D[i, k] + D[k, j]) + TOL for all i, j and k."""
+    """D[i, j] <= (D[i, k] + D[k, j]) + TOL for all i, j and k, on a D
+    equal to D.T bit for bit."""
     # x -> fl(x + TOL) is monotone, so TOL is added once to the running min.
-    # On a D equal to D.T bit for bit, (j, i, k) makes the comparison of
-    # (i, j, k), so a tile skips the columns before its first row
-    sym = np.array_equal(D, D.T)
+    # (j, i, k) makes the comparison of (i, j, k), so a tile skips the
+    # columns before its first row
     for a in range(0, len(D), _TRIANGLE_TILE):
-        tile, c = D[a:a + _TRIANGLE_TILE], a if sym else 0
-        rows = tile[:, c:]
+        tile = D[a:a + _TRIANGLE_TILE]
+        rows = tile[:, a:]
         t, low = np.empty(rows.shape), np.full(rows.shape, np.inf)
         for k in range(len(D)):
-            np.minimum(low, np.add(tile[:, k, None], D[k, c:], out=t), out=low)
+            np.minimum(low, np.add(tile[:, k, None], D[k, a:], out=t), out=low)
         if np.greater(rows, np.add(low, TOL, out=low)).any():
             return False
     return True
@@ -92,7 +108,6 @@ def from_points(points, dist_fn, provenance=None) -> SampledSpace:
     table = getattr(getattr(dist_fn, "__self__", dist_fn), "dist_table", None)
     D = (np.asarray(table(pts, pts), dtype=float) if table is not None else
          np.array([[dist_fn(p, q) for q in pts] for p in pts], dtype=float))
-    D = (D + D.T) / 2.0
     return SampledSpace(tuple(range(len(pts))) if _unhashable(pts) else tuple(pts),
                         D, provenance or {})
 
@@ -103,18 +118,6 @@ def _unhashable(pts):
         return False
     except TypeError:
         return True
-
-
-def dist_oracle(space):
-    """Uniform d(p, q) callable over sampled and model spaces."""
-    if isinstance(space, SampledSpace):
-        return space.d
-    return space.dist
-
-
-def gromov_product(space, y, z, base) -> float:
-    d = dist_oracle(space)
-    return 0.5 * (d(base, y) + d(base, z) - d(y, z))
 
 
 @dataclass(frozen=True)
@@ -162,15 +165,14 @@ def _delta_exhaustive(space, D, n):
     """Quadruples i < j < k < l grouped by k; of those with the largest
     defect, the lexicographically first is kept.  Every quadruple is
     counted: it is either evaluated or bounded below the best."""
-    # The upper triangle read here meets the triangle inequality within
-    # 2 TOL, as each entry of a checked table is within TOL of its mirror.
-    # So a quadruple's defect is at most any one of its distances d plus
-    # 2 TOL: the two sums without d lie within 2 d + 4 TOL of each other,
-    # and the one with d at most 2 d + 4 TOL above either.  Rounding (the
-    # check, the sums, the defect, best - margin) adds under 2^-48 max(1,
-    # max|D|), so a distance below best - margin puts the defect strictly
-    # below best: the quadruple can neither take nor tie it.
-    margin = 2.0 * TOL + 2.0 ** -40 * max(1.0, float(np.abs(D).max()))
+    # D is symmetric and meets the triangle inequality within TOL.  For a
+    # distance d of a quadruple, the two sums without d lie within 2 d +
+    # 2 TOL of each other, and the one with d at most 2 d + 2 TOL above
+    # either: the defect is at most d + TOL.  Rounding (the check, the
+    # sums, the defect, best - margin) adds under 2^-48 max(1, max|D|), so
+    # a distance below best - margin puts the defect strictly below best:
+    # the quadruple can neither take nor tie it.
+    margin = TOL + 2.0 ** -40 * max(1.0, float(np.abs(D).max()))
     buffers = np.empty((6, max(_DELTA_BLOCK, n)))
     best, worst = 0.0, None
     for k in range(n - 2, 1, -1):   # downward: large defects come early
@@ -377,35 +379,11 @@ def covering_number(space: SampledSpace, region, r: float,
     return len(_min_cover(D, reg, centers, r, greedy))
 
 
-def _nearest_on_geodesic(d, candidates, p, q, t: float):
-    """The candidate that best meets d(p, x) = t and d(x, q) = d(p, q) - t."""
-    L = d(p, q)
-    t = min(max(t, 0.0), L)
-    return min(candidates,
-               key=lambda x: max(abs(d(p, x) - t), abs(d(q, x) - (L - t))))
-
-
-def tripod_points(space, x, y, z):
-    """Internal triangle points at the Gromov-product arclengths.
-
-    Returns (c_x, c_y, c_z, thinness) with c_x on [y, z] etc.; thinness
-    is the max pairwise distance among the three.
-    """
-    d = dist_oracle(space)
-    gx = gromov_product(space, y, z, x)
-    gy = gromov_product(space, x, z, y)
-    c_x = space.point_on_geodesic(y, z, gy)
-    c_y = space.point_on_geodesic(x, z, gx)
-    c_z = space.point_on_geodesic(x, y, gx)
-    thin = max(d(c_x, c_y), d(c_x, c_z), d(c_y, c_z))
-    return c_x, c_y, c_z, thin
-
-
 class DiscreteSpace:
     """Defaults shared by the discrete models (the free-group tree and
     finite graphs).  Subclasses provide ``dist``, ``dist_table``, ``ball``
     and ``candidates``, the finite point set searched for the
-    circumcenter and geodesic points of a set of points."""
+    circumcenter of a set of points."""
 
     def sample_ball(self, center, R, n: int, rng=None) -> list:
         """The whole ball when it has at most n points, else n seeded
@@ -423,9 +401,6 @@ class DiscreteSpace:
 
     def ball_size(self, center, R) -> int:
         return len(self.ball(center, R))
-
-    def point_on_geodesic(self, p, q, t: float):
-        return _nearest_on_geodesic(self.dist, self.candidates([p, q]), p, q, t)
 
     def circumcenter(self, pts):
         """The best candidate point, ties broken by its text form."""

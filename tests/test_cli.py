@@ -378,6 +378,10 @@ class TestMalformedInput:
     _A = {"model": "h2", "a": {"matrix": [[2.0, 0.0], [0.0, 0.5]]}}
     _FAMILY = {**_A, "b": {"poly_matrix": [[[1.0], [0.0]], [[0.0], [1.0]]]}}
     _DEGENERATE = ["degenerate", "--input", "{family}"]
+    _DELTA = ["delta", "--input", "{family}"]
+    _SQUARE = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+    _HUGE = [[0, 1e308, 6e307, 6e307], [1e308, 0, 6e307, 6e307],
+             [6e307, 6e307, 0, 1e308], [6e307, 6e307, 1e308, 0]]
 
     @pytest.mark.parametrize("argv, family", [
         (["entropy", "--input", "{tree}", "--radii", "1,x"], _A),
@@ -389,9 +393,23 @@ class TestMalformedInput:
         (_DEGENERATE, {**_FAMILY, "steps": "x"}),
         (_DEGENERATE, {**_FAMILY, "b": {"poly_matrix": [[1, 1], [0, 1]]}}),
         (_DEGENERATE + ["--steps", "-3"], _FAMILY),
+        (_DELTA, {"points": [[[0]], 1, 2, 3], "dist": _SQUARE}),
+        (_DELTA, {"points": 4, "dist": _SQUARE}),
+        (["cov", "--input", "{family}", "--r", "1"],
+         {"points": [0, 1, 2], "dist": [[0, 1, 1], [1, 0], [1, 1, 0]]}),
+        (_DELTA, {"points": [0, 1, 2, 3],
+                  "dist": [row[:3] + ["x"] for row in _SQUARE]}),
+        (["pack", "--input", "{family}", "--center", "0", "--R", "2",
+          "--r", "0.5"], {"points": [0, 0, 2, 3], "dist": _SQUARE}),
+        (_DELTA, {"points": [0, 1, 2, 3], "dist": _HUGE}),
+        (_DELTA, {"points": [0, 1, 2, 3],
+                  "dist": [row[:3] + [10 ** 400] for row in _SQUARE]}),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
-            "poly-matrix-of-numbers", "negative-steps"])
+            "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
+            "space-points-not-a-list", "space-ragged-dist",
+            "space-string-entry", "space-duplicate-ids",
+            "space-delta-sums-overflow", "space-int-beyond-float"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))

@@ -16,7 +16,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # public names that only tests reach, each kept for what it serves
 KEPT = {
-    "tripod_points": "the README lists tripods among the sample estimators",
     "is_elementary_pair": "criterion 11 skips elementary pairs with it",
     "end_set_disjointness": "criterion 7 checks the end neighbourhoods",
     "axis_proximity_length": "criterion 11 measures the axis overlap",

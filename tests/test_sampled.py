@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcert import freetree, graphspace, halfplane, sampled
+from hypcert import cli, freetree, graphspace, halfplane, sampled
 from hypcert.errors import BudgetError, InputError, PreconditionError
 
 H2 = halfplane.H2
@@ -36,7 +37,7 @@ def tied_squares():
     return sampled.SampledSpace(tuple(range(9)), D)
 
 
-def slack_squares(eps=2.0 ** -31, skew=0.0):
+def slack_table(eps=2.0 ** -31, skew=0.0):
     """Two 4-cycles (0, 2, 1, 3) and (4, 5, 6, 7) at distance 2, both of
     defect exactly 1 in the upper triangle.  The first has sides 1 - eps
     and diagonals 2 - eps, which pass the triangle check only through
@@ -50,12 +51,20 @@ def slack_squares(eps=2.0 ** -31, skew=0.0):
             for b, d, up in ((cycle[(t + 1) % 4], side, skew),
                              (cycle[(t + 2) % 4], diagonal, -skew)):
                 D[min(a, b), max(a, b)], D[max(a, b), min(a, b)] = d, d + up
-    return sampled.SampledSpace(tuple(range(8)), D)
+    return D
+
+
+def slack_squares():
+    return sampled.SampledSpace(tuple(range(8)), slack_table())
+
+
+def skewed_table():
+    """slack_table symmetric only within TOL, with a slack above TOL."""
+    return slack_table(3 * 2.0 ** -31, 0.9 * sampled.TOL)
 
 
 def skewed_squares():
-    """slack_squares symmetric only within TOL, with a slack above TOL."""
-    return slack_squares(3 * 2.0 ** -31, 0.9 * sampled.TOL)
+    return sampled.SampledSpace(tuple(range(8)), skewed_table())
 
 
 class TestSampledSpace:
@@ -72,7 +81,21 @@ class TestSampledSpace:
         with pytest.raises(InputError, match="not symmetric"):
             sampled.SampledSpace(("a", "b", "c"), D)
         D[1, 0] = 1000.0 + 5e-10
-        assert sampled.SampledSpace(("a", "b", "c"), D).d("b", "a") == D[1, 0]
+        sp = sampled.SampledSpace(("a", "b", "c"), D)
+        # kept as min(D, D.T) in a new array; a symmetric table is not copied
+        assert sp.d("b", "a") == sp.d("a", "b") == 1000.0
+        assert D[1, 0] == 1000.0 + 5e-10
+        assert sampled.SampledSpace(("a", "b", "c"), sp.dist).dist is sp.dist
+
+    def test_entries_that_overflow_the_delta_sums_are_refused(self):
+        # the three sums of a quadruple add six entries: with 1e308 they
+        # overflowed to inf, and the NaN defects gave delta 0
+        D = np.array([[0, 10, 6, 6], [10, 0, 6, 6], [6, 6, 0, 10],
+                      [6, 6, 10, 0]]) * 1e306
+        assert sampled.four_point_delta(sampled.SampledSpace(
+            tuple(range(4)), D)).delta_hat == pytest.approx(4e306, rel=1e-12)
+        with pytest.raises(InputError, match="above"):
+            sampled.SampledSpace(tuple(range(4)), 10 * D)
 
     def test_validates_triangle(self):
         import numpy as np
@@ -81,14 +104,20 @@ class TestSampledSpace:
             sampled.SampledSpace(("p", "q", "r"), D)
 
     def test_json_roundtrip(self, tree_ball_space):
-        again = sampled.SampledSpace.from_json(tree_ball_space.to_json())
-        assert again.points == tree_ball_space.points
-        assert (again.dist == tree_ball_space.dist).all()
+        G = graphspace.grid_graph(3)
+        # the grid's tuple ids are written as JSON lists
+        for sp in (tree_ball_space, sampled.from_points(G.vertices, G.dist)):
+            text = json.dumps(sp.to_json())
+            again = sampled.SampledSpace.from_json(json.loads(text))
+            assert again.points == sp.points
+            assert (again.dist == sp.dist).all()
 
 
 class TestFourPointDelta:
     def test_tree_sample_is_exactly_zero(self, tree2):
         pts = tree2.ball("", 3)[:60]
+        table = tree2.dist_table(pts, pts)
+        assert np.array_equal(table, table.T)
         sp = sampled.from_points(pts, tree2.dist)
         est = sampled.four_point_delta(sp)
         assert est.delta_hat == 0.0
@@ -169,15 +198,6 @@ class TestPackingAndCovering:
 
 
 class TestTripodsAndProjections:
-    def test_tree_tripod_is_degenerate(self, tree2):
-        c_x, c_y, c_z, thin = sampled.tripod_points(tree2, "aa", "ab", "ba")
-        assert thin == 0
-        assert c_x == c_y == c_z == "a"
-
-    def test_h2_tripod_thinness_small(self):
-        c_x, c_y, c_z, thin = sampled.tripod_points(H2, 1j, 4j, 2 + 2j)
-        assert thin <= 4.0 * math.log(3.0)
-
     def test_h2_projection(self):
         g = halfplane.HGeodesic(-1.0, 1.0)
         assert g.project(5j) == pytest.approx(1j)
@@ -276,6 +296,8 @@ class TestFastPaths:
                 complex(-1e150, 1e150), complex(-1e308, 1.7e308),
                 complex(1e308, 1.7e308)]
         ref = _scalar_table(pts, halfplane.dist)
+        table = halfplane.dist.dist_table(pts, pts)
+        assert np.array_equal(table, table.T)
         assert np.array_equal(sampled.from_points(pts, halfplane.dist).dist,
                               ref)
 
@@ -287,6 +309,8 @@ class TestFastPaths:
         G = graphspace.random_connected_graph(40, 30, 7)
         sub = random.Random(3).sample(G.vertices, 25)
         for pts in (G.vertices, sub):
+            table = G.dist_table(pts, pts)
+            assert np.array_equal(table, table.T)
             assert np.array_equal(sampled.from_points(pts, G.dist).dist,
                                   _scalar_table(pts, G.dist))
         with pytest.raises(InputError):
@@ -375,11 +399,31 @@ class TestFastPaths:
             # the smallest-side bound skips quadruples on these spaces
             assert sum(evaluated) < 3 * checked
 
-    @pytest.mark.parametrize("build", [slack_squares, skewed_squares])
+    @pytest.mark.parametrize("build", [slack_squares])
     def test_slack_squares_tie_is_kept(self, build):
         # the worst quadruple is the first square, reached after the second
         est = sampled.four_point_delta(build())
         assert (est.delta_hat, est.worst_quadruple) == (1.0, (0, 1, 2, 3))
+
+    def test_skewed_squares_delta_is_orientation_free(self, tmp_path):
+        # stored as min(D, D.T): a table symmetric within TOL and its
+        # transpose are the same space
+        D = skewed_table()
+        a, b = (sampled.SampledSpace(tuple(range(8)), M) for M in (D, D.T))
+        assert a.dist.tobytes() == b.dist.tobytes()
+        for sp in (a, b):
+            est = sampled.four_point_delta(sp)
+            assert (est.delta_hat.hex(), est.worst_quadruple) == \
+                ("0x1.fffffff844e10p-1", (0, 1, 2, 3))
+        results = []
+        for name, M in (("upper", D), ("lower", D.T)):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+            path.write_text(json.dumps({"points": list(range(8)),
+                                        "dist": M.tolist()}))
+            assert cli.main(["delta", "--input", str(path),
+                             "--output", str(out)]) == 0
+            results.append(json.loads(out.read_text())["result"])
+        assert results[0] == results[1]
 
     def test_delta_skip_is_strict(self):
         # a floor equal to a distance keeps the rows and columns at it
@@ -406,31 +450,30 @@ class TestFastPaths:
                                                             monkeypatch):
         # tiles of 4 rows: row 3 ends the first tile, row 4 starts the next
         monkeypatch.setattr(sampled, "_TRIANGLE_TILE", 4)
-        # on an exactly symmetric table and on one symmetric within TOL
-        for mirror in (0.0, sampled.TOL / 2):
-            D = graphspace.random_connected_graph(10, 5, 1).table.copy()
-            j = 9
-            bound = min((D[row, k] + D[k, j]) + sampled.TOL
-                        for k in range(len(D)) if k not in (row, j))
-            D[row, j], D[j, row] = bound, bound - mirror
-            assert sampled._triangle_holds(D) and _triangle_loop(D)
-            D[row, j] = np.nextafter(bound, np.inf)
-            D[j, row] = D[row, j] - mirror
-            assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+        D = graphspace.random_connected_graph(10, 5, 1).table.copy()
+        j = 9
+        bound = min((D[row, k] + D[k, j]) + sampled.TOL
+                    for k in range(len(D)) if k not in (row, j))
+        D[row, j] = D[j, row] = bound
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[row, j] = D[j, row] = np.nextafter(bound, np.inf)
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
 
     def test_triangle_check_refuses_a_lower_triangle_violation(self,
                                                                monkeypatch):
-        # symmetric within TOL, and only (j, i) with i < j breaks the
-        # triangle: a scan of the upper triangle alone would pass it
+        # (j, i) alone 1 ulp past the bound is symmetrised away; past it
+        # on both sides is refused
         monkeypatch.setattr(sampled, "_TRIANGLE_TILE", 4)
         D = graphspace.random_connected_graph(10, 5, 1).table.copy()
         i, j = 2, 9
         bound = min((D[i, k] + D[k, j]) + sampled.TOL
                     for k in range(len(D)) if k not in (i, j))
-        D[i, j], D[j, i] = bound, np.nextafter(bound, np.inf)
-        upper = np.triu(D) + np.triu(D, 1).T
-        assert sampled._triangle_holds(upper) and _triangle_loop(upper)
+        over = np.nextafter(bound, np.inf)
+        D[i, j], D[j, i] = bound, over
         assert not _triangle_loop(D)
+        sp = sampled.SampledSpace(tuple(range(10)), D)
+        assert sp.d(j, i) == sp.d(i, j) == bound
+        D[i, j] = over
         with pytest.raises(InputError, match="triangle"):
             sampled.SampledSpace(tuple(range(10)), D)
 
