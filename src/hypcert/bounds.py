@@ -74,11 +74,12 @@ def _pt_key(p):
     return p
 
 
-def entropy_estimate(counts, window: float = 0.5):
+def entropy_estimate(counts):
     """Exponential growth rate: least-squares slope of log count vs R.
 
-    Fits over the top `window` fraction of the radius grid to skip the
-    small-radius transient.  Returns a report with per-radius counts.
+    Fits over the top half of the radius grid (at least two radii) to
+    skip the small-radius transient.  Returns a report with per-radius
+    counts.
     """
     counts = [(float(R), int(c)) for R, c in counts]
     if len(counts) < 3:
@@ -86,7 +87,7 @@ def entropy_estimate(counts, window: float = 0.5):
     if any(c <= 0 for _, c in counts):
         raise InputError("counts must be positive")
     counts.sort()
-    k = max(2, int(math.ceil(len(counts) * window)))
+    k = max(2, math.ceil(len(counts) / 2))
     tail = counts[-k:]
     xs = np.array([R for R, _ in tail])
     ys = np.array([math.log(c) for _, c in tail])

@@ -200,9 +200,8 @@ def cmd_pack(args):
     center = _parse_point_id(space, args.center)
     prof = sampled.packing_number(space, center, args.R, args.r,
                                   mode=args.mode)
-    if args.P0 is not None:
-        prof.theoretical_bound = bounds.packing_bound(
-            args.P0, args.r0, args.R, args.r)
+    bound = (None if args.P0 is None else
+             bounds.packing_bound(args.P0, args.r0, args.R, args.r))
     cfg = {"center": args.center, "R": args.R, "r": args.r, "mode": args.mode,
            "P0": args.P0, "r0": args.r0}
     emit({"manifest": manifest(args, "pack", cfg),
@@ -210,7 +209,7 @@ def cmd_pack(args):
                      "pack_greedy": prof.pack_greedy,
                      "cov_greedy": prof.cov_greedy,
                      "witness": list(prof.witness),
-                     "theoretical_bound": prof.theoretical_bound}}, args)
+                     "theoretical_bound": bound}}, args)
     return 0
 
 

@@ -26,26 +26,17 @@ class ElementaryPairError(DomainError):
 
 
 class AmbiguityError(HypcertError):
-    """Two independent classification routes disagree; carries both diagnostics."""
-
-    def __init__(self, message, trace_diag=None, orbit_diag=None):
-        super().__init__(message)
-        self.trace_diag = trace_diag
-        self.orbit_diag = orbit_diag
+    """Two independent classification routes disagree; the message gives
+    both diagnostics."""
 
 
 class BudgetError(HypcertError):
     """A configured work cap was exceeded; may carry a partial/fallback result."""
 
-    def __init__(self, message, fallback=None, reached=None):
+    def __init__(self, message, fallback=None):
         super().__init__(message)
         self.fallback = fallback
-        self.reached = reached
 
 
 class SearchExhausted(HypcertError):
-    """Bounded search finished without a witness; carries the search stats."""
-
-    def __init__(self, message, stats=None):
-        super().__init__(message)
-        self.stats = stats or {}
+    """Bounded search finished without a witness."""

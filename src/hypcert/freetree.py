@@ -270,19 +270,6 @@ class FreeTreeSpace(DiscreteSpace):
         """Closed form; the tree looks the same from every vertex."""
         return sum(self.sphere_sizes(int(R)))
 
-    def candidates(self, pts) -> list:
-        """The vertices of the geodesics between the points."""
-        out = set()
-        for p in pts:
-            for q in pts:
-                out.update(geodesic_path(p, q))
-        return sorted(out)
-
-    def point_on_geodesic(self, p: str, q: str, t: float) -> str:
-        t = min(max(t, 0.0), self.dist(p, q))
-        path = geodesic_path(p, q)
-        return path[min(int(round(t)), len(path) - 1)]
-
     def act(self, g: str, x: str) -> str:
         return _seam_mul(self.check_point(g), self.check_point(x))
 
@@ -307,7 +294,7 @@ class FreeTreeSpace(DiscreteSpace):
         reduced length as translation length."""
         c, core = cyclic_reduce(g)
         if not core:
-            return IsometryProfile("elliptic", 0.0, 0.0, fixed_point="")
+            return IsometryProfile("elliptic", 0.0, 0.0)
         ends = TreeLine(TreeEnd(c, invert(core)), TreeEnd(c, core))
         return IsometryProfile("hyperbolic", float(len(core)), float(len(core)),
                                axis=ends, fixed_boundary=ends)

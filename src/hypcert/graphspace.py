@@ -98,9 +98,6 @@ class MetricGraphSpace(DiscreteSpace):
         row = self.table[self._position(center)]
         return [v for v, dv in zip(self.vertices, row) if dv <= R + TOL]
 
-    def candidates(self, pts) -> list:
-        return self.vertices
-
     def compose(self, g, h):
         raise InputError("graph isometries support no products")
 
@@ -111,12 +108,10 @@ class MetricGraphSpace(DiscreteSpace):
         return all(self.act(g, v) == v for v in self.vertices)
 
     def classify(self, g) -> IsometryProfile:
-        """Every graph isometry is elliptic; it is reported as fixing the
-        circumcenter of the whole graph."""
+        """Every graph isometry is elliptic."""
         if g not in self.isometries:
             raise InputError(f"unknown graph isometry {g!r}")
-        center, _ = self.circumcenter(self.vertices)
-        return IsometryProfile("elliptic", 0.0, 0.0, fixed_point=center)
+        return IsometryProfile("elliptic", 0.0, 0.0)
 
 
 def grid_graph(n: int) -> MetricGraphSpace:

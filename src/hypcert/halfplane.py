@@ -75,10 +75,10 @@ def dist_table(xs, ys) -> np.ndarray:
 dist.dist_table = dist_table
 
 
-def boundary_eq(x, y, tol=TOL) -> bool:
+def boundary_eq(x, y) -> bool:
     if math.isinf(x) or math.isinf(y):
         return math.isinf(x) and math.isinf(y)
-    return abs(x - y) <= tol
+    return abs(x - y) <= TOL
 
 
 class Moebius:
@@ -165,12 +165,12 @@ class Moebius:
             return INF
         return (self.a * x + self.b) / den
 
-    def is_identity(self, tol=TOL) -> bool:
+    def is_identity(self) -> bool:
         return (
-            abs(self.b) <= tol
-            and abs(self.c) <= tol
-            and abs(self.a - self.d) <= tol
-            and abs(abs(self.a) - 1.0) <= tol
+            abs(self.b) <= TOL
+            and abs(self.c) <= TOL
+            and abs(self.a - self.d) <= TOL
+            and abs(abs(self.a) - 1.0) <= TOL
         )
 
     def entries(self):
@@ -202,20 +202,6 @@ class HGeodesic:
     def __post_init__(self):
         if boundary_eq(self.neg, self.pos):
             raise InputError("coincident boundary endpoints")
-
-    @classmethod
-    def through(cls, p, q) -> "HGeodesic":
-        """The geodesic through two interior points, oriented p -> q."""
-        p, q = check_point(p), check_point(q)
-        if abs(p.real - q.real) <= 1e-14 * max(1.0, abs(p.real)):
-            x0 = p.real
-            return cls(x0, INF) if q.imag > p.imag else cls(INF, x0)
-        c = (abs(p) ** 2 - abs(q) ** 2) / (2.0 * (p.real - q.real))
-        r = abs(p - c)
-        u, v = c - r, c + r
-        # orient so q lies forward of p
-        g = cls(u, v)
-        return g if g.param(q) > g.param(p) else cls(v, u)
 
     def at(self, t: float) -> complex:
         if math.isinf(self.pos):
@@ -339,10 +325,6 @@ class HalfPlane:
         raise InputError("half-plane balls are not finite; "
                          "count orbit points instead (entropy --orbit)")
 
-    def point_on_geodesic(self, p, q, t: float) -> complex:
-        t = min(max(t, 0.0), dist(p, q))
-        return HGeodesic.through(p, q).point_along(p, t)
-
     def act(self, g: Moebius, x):
         return g(x)
 
@@ -370,27 +352,24 @@ class HalfPlane:
             trace_par = abs(tr - 2.0) <= PARABOLIC_BAND
             if trace_par and orbit > AMBIGUITY_TOL:
                 raise AmbiguityError(
-                    "trace says parabolic but the orbit translates",
-                    trace_diag=tr, orbit_diag=orbit)
+                    f"trace says parabolic (|trace| {tr!r}) "
+                    f"but the orbit translates by {orbit!r}")
             if not trace_par:
                 ell_tr = 2.0 * math.acosh(tr / 2.0) if tr > 2.0 else 0.0
                 if abs(ell_tr - orbit) > AMBIGUITY_TOL:
                     raise AmbiguityError(
-                        "trace and orbit translation lengths disagree",
-                        trace_diag=ell_tr, orbit_diag=orbit)
+                        "trace and orbit translation lengths disagree: "
+                        f"{ell_tr!r} vs {orbit!r}")
         if tr > 2.0 + PARABOLIC_BAND:
             ell = 2.0 * math.acosh(tr / 2.0)
             rep, att = _fixed_boundary_pair(g)
             return IsometryProfile("hyperbolic", ell, ell,
                                    axis=HGeodesic(rep, att),
                                    fixed_boundary=(rep, att))
-        if tr >= 2.0 - PARABOLIC_BAND:
-            if g.is_identity():
-                return IsometryProfile("elliptic", 0.0, 0.0, fixed_point=1j)
+        if tr >= 2.0 - PARABOLIC_BAND and not g.is_identity():
             fx = _parabolic_fixed_point(g)
             return IsometryProfile("parabolic", 0.0, 0.0, fixed_boundary=(fx,))
-        return IsometryProfile("elliptic", 0.0, 0.0,
-                               fixed_point=_elliptic_fixed_point(g))
+        return IsometryProfile("elliptic", 0.0, 0.0)
 
 
 def _fixed_boundary_pair(g):
@@ -417,14 +396,6 @@ def _parabolic_fixed_point(g):
     if abs(c) < 1e-12:
         return INF
     return (a - d) / (2.0 * c)
-
-
-def _elliptic_fixed_point(g):
-    a, b, c, d = g.entries()
-    disc = complex((d - a) * (d - a) + 4.0 * b * c) ** 0.5
-    z1 = ((a - d) + disc) / (2.0 * c)
-    z2 = ((a - d) - disc) / (2.0 * c)
-    return z1 if z1.imag > 0 else z2
 
 
 H2 = HalfPlane()

@@ -21,7 +21,6 @@ class IsometryProfile:
     asymptotic: float
     axis: object = None
     fixed_boundary: tuple = ()
-    fixed_point: object = None
 
 
 def classify(g, space=None) -> IsometryProfile:
@@ -47,16 +46,17 @@ def elementary_profiles(space, pa: IsometryProfile,
             and all(any(eq(u, v) for v in s1) for u in s2))
 
 
-def orbit_translation_length(g, n: int = 1024) -> float:
+def orbit_translation_length(g) -> float:
     """Asymptotic displacement of a half-plane matrix, from the orbit of i
     under high powers.
 
-    Uses (d(x, g^n x) - d(x, g^(n/2) x)) / (n/2): the additive offset of
-    the orbit from the axis cancels, so the estimate converges fast.
+    Uses (d(x, g^n x) - d(x, g^(n/2) x)) / (n/2) at n = 1024: the
+    additive offset of the orbit from the axis cancels, so the estimate
+    converges fast.
     Evaluated in extended precision since the matrix powers overflow
     doubles for translation lengths over a few tenths.
     """
-    half = n // 2
+    half = 512
     with mp.workdps(60):
         M = mp.matrix([[g.a, g.b], [g.c, g.d]])
         Ph = M ** half

@@ -16,6 +16,8 @@ TOL = 1e-9
 
 # words one walk may visit; read at each call, so tests can lower it
 WORD_BUDGET = 10 ** 6
+# powers of each generator whose displacements schottky_margin measures
+SCHOTTKY_POWERS = 6
 
 
 @dataclass
@@ -153,10 +155,7 @@ def end_set_disjointness(space, data: PingPongData, T: float, points):
 @dataclass
 class FreeCertificate:
     kind: str  # group | semigroup
-    names: tuple
     N: int
-    witness_word: str
-    delta: float
     M0: float = None
     swapped: bool = False
     disjoint_ok: bool = None
@@ -164,7 +163,6 @@ class FreeCertificate:
     violations: list = field(default_factory=list)
     oracle_depth: int = 0
     oracle_passed: bool = False
-    counterexample: str = None
     sample_size: int = 0
 
     @property
@@ -173,7 +171,7 @@ class FreeCertificate:
 
 
 def pingpong_certify(space, data: PingPongData, points,
-                     oracle_depth: int = 8, names=("a", "b")) -> FreeCertificate:
+                     oracle_depth: int = 8) -> FreeCertificate:
     """Certify that the record's a^N and b^N generate a free group.
 
     Two independent legs: the four attracting/repelling sets must be
@@ -184,16 +182,15 @@ def pingpong_certify(space, data: PingPongData, points,
     powers = _powers(space, data)
     aN, _, bN, _ = powers
     violations = _overlaps(space, _proof_sides(space, data, powers), points)
-    passed, counter = word_oracle(space, [(names[0], aN), (names[1], bN)],
-                                  oracle_depth, "group")
+    passed, _ = word_oracle(space, [("a", aN), ("b", bN)], oracle_depth,
+                            "group")
     return FreeCertificate(
-        kind="group", names=tuple(names), N=data.N,
-        witness_word=names[1], delta=data.delta, M0=data.M0,
+        kind="group", N=data.N, M0=data.M0,
         swapped=data.swapped, disjoint_ok=not violations,
         # a^N maps X minus A- onto int A+ by the sets' definition; b likewise
         nesting_ok=True, violations=violations,
         oracle_depth=oracle_depth, oracle_passed=passed,
-        counterexample=counter, sample_size=len(points))
+        sample_size=len(points))
 
 
 @dataclass
@@ -201,23 +198,17 @@ class SchottkyMargin:
     L_hat: float
     threshold: float
     passes: bool
-    power_budget: int
-    grid_size: int
-    candidate: object = None
-    position_ok: bool = None
 
 
-def schottky_margin(space, a, b, delta: float, points, profiles=None,
-                    power_budget: int = 6) -> SchottkyMargin:
+def schottky_margin(space, a, b, delta: float, points,
+                    profiles=None) -> SchottkyMargin:
     """Sampled estimate of the pair's Margulis constant L(a, b).
 
     L_hat is the grid infimum of max over the two generators of the
-    minimal displacement under nonzero powers; it over-estimates the
-    true infimum, so a passing margin is advisory and should be paired
-    with the word oracle.  Also evaluates the Schottky-position
-    inequality at a candidate point between the two thick regions.
-    ``profiles`` are the pair's classifications, when the caller has
-    them already.
+    minimal displacement under the powers 1..SCHOTTKY_POWERS; it
+    over-estimates the true infimum, so a passing margin is advisory
+    and should be paired with the word oracle.  ``profiles`` are the
+    pair's classifications, when the caller has them already.
     """
     pa, pb = profiles or (isometry.classify(a, space),
                           isometry.classify(b, space))
@@ -228,55 +219,15 @@ def schottky_margin(space, a, b, delta: float, points, profiles=None,
     def min_disp(g, x):
         best = math.inf
         y = x
-        for _ in range(power_budget):
+        for _ in range(SCHOTTKY_POWERS):
             y = isometry.apply_isometry(space, g, y)
             best = min(best, d(x, y))
         return best
 
-    evals = []
-    for x in points:
-        da, db = min_disp(a, x), min_disp(b, x)
-        evals.append((max(da, db), da, db, x))
-    L_hat = min(e[0] for e in evals)
+    L_hat = min(max(min_disp(a, x), min_disp(b, x)) for x in points)
     threshold = max(pa.ell, pb.ell) + 56.0 * delta
-    x0 = min(evals, key=lambda e: e[1])[3]
-    y0 = min(evals, key=lambda e: e[2])[3]
-    candidate, pos_ok = _schottky_candidate(space, a, b, x0, y0,
-                                          delta, power_budget, d)
     return SchottkyMargin(L_hat=float(L_hat), threshold=float(threshold),
-                          passes=bool(L_hat > threshold + TOL),
-                          power_budget=power_budget, grid_size=len(points),
-                          candidate=candidate, position_ok=pos_ok)
-
-
-def _schottky_candidate(space, a, b, x0, y0, delta, budget, d):
-    """Sweep [x0, y0] for the point best separated from both thick parts,
-    then check d(a^p x, b^q x) > max of the displacements + 2 delta."""
-    exps = [p for p in range(-budget, budget + 1) if p != 0]
-    a_pows = {p: isometry.isometry_power(space, a, p) for p in exps}
-    b_pows = {p: isometry.isometry_power(space, b, p) for p in exps}
-
-    def disp(pows, z):
-        return min(d(z, isometry.apply_isometry(space, pows[p], z))
-                   for p in range(1, budget + 1))
-
-    span = d(x0, y0)
-    best, best_score = x0, -math.inf
-    steps = 32
-    for k in range(steps + 1):
-        z = space.point_on_geodesic(x0, y0, span * k / steps)
-        score = min(disp(a_pows, z), disp(b_pows, z))
-        if score > best_score:
-            best, best_score = z, score
-
-    def orbit(pows):
-        return [(gz, d(best, gz)) for gz in
-                (isometry.apply_isometry(space, pows[p], best) for p in exps)]
-
-    bz_all = orbit(b_pows)
-    ok = all(d(az, bz) > max(daz, dbz) + 2.0 * delta
-             for az, daz in orbit(a_pows) for bz, dbz in bz_all)
-    return best, ok
+                          passes=bool(L_hat > threshold + TOL))
 
 
 def _compose(space, g, h):
@@ -319,7 +270,7 @@ def walk_words(space, letters, max_len: int, budget: int = None):
                     continue
                 count += 1
                 if count > budget:
-                    raise BudgetError("word budget exhausted", reached=level)
+                    raise BudgetError("word budget exhausted")
                 w2 = word + (sym,)
                 g2 = h if g is None else _compose(space, g, h)
                 yield w2, g2

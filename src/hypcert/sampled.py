@@ -5,7 +5,7 @@ estimates and packing and covering numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class SampledSpace:
 
     points: tuple
     dist: np.ndarray
-    provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         D = np.asarray(self.dist, dtype=float)
@@ -58,9 +57,6 @@ class SampledSpace:
             return self._index[p]
         except KeyError:
             raise InputError(f"unknown point id {p!r}") from None
-
-    def d(self, p, q) -> float:
-        return float(self.dist[self.index(p), self.index(q)])
 
     def __len__(self):
         return len(self.points)
@@ -102,14 +98,14 @@ def _triangle_holds(D) -> bool:
     return True
 
 
-def from_points(points, dist_fn, provenance=None) -> SampledSpace:
+def from_points(points, dist_fn) -> SampledSpace:
     pts = list(points)
     # a model method or a function attribute that builds the whole table
     table = getattr(getattr(dist_fn, "__self__", dist_fn), "dist_table", None)
     D = (np.asarray(table(pts, pts), dtype=float) if table is not None else
          np.array([[dist_fn(p, q) for q in pts] for p in pts], dtype=float))
-    return SampledSpace(tuple(range(len(pts))) if _unhashable(pts) else tuple(pts),
-                        D, provenance or {})
+    ids = tuple(range(len(pts))) if _unhashable(pts) else tuple(pts)
+    return SampledSpace(ids, D)
 
 
 def _unhashable(pts):
@@ -143,8 +139,7 @@ def four_point_delta(space: SampledSpace, mode: str = "exhaustive",
         raise InputError("need at least 4 points")
     if mode == "exhaustive":
         if n > cap:
-            raise BudgetError(f"{n} points exceeds exhaustive cap {cap}",
-                              reached=cap)
+            raise BudgetError(f"{n} points exceeds exhaustive cap {cap}")
         return _delta_exhaustive(space, D, n)
     if mode == "sampled":
         return _delta_sampled(space, D, n, n_quadruples, seed)
@@ -241,14 +236,10 @@ def _delta_sampled(space, D, n, n_quadruples, seed):
 
 @dataclass
 class PackingProfile:
-    center: object
-    R: float
-    r: float
     pack_greedy: int
     cov_greedy: int
     pack_exact: int = None
     witness: tuple = ()
-    theoretical_bound: float = None
 
 
 def _ball_indices(space: SampledSpace, center, R):
@@ -306,8 +297,7 @@ def packing_number(space: SampledSpace, center, R: float, r: float,
     ball = _ball_indices(space, center, R)
     greedy = _greedy_separated(D, ball, c, r)
     cov = _greedy_cover(D, ball, list(range(len(space))), r)
-    prof = PackingProfile(center=center, R=R, r=r, pack_greedy=len(greedy),
-                          cov_greedy=len(cov),
+    prof = PackingProfile(pack_greedy=len(greedy), cov_greedy=len(cov),
                           witness=tuple(space.points[i] for i in greedy))
     if mode == "greedy":
         return prof
@@ -315,7 +305,7 @@ def packing_number(space: SampledSpace, center, R: float, r: float,
         raise InputError(f"unknown mode {mode!r}")
     if len(ball) > cap:
         raise BudgetError(f"ball has {len(ball)} points, exact cap {cap}",
-                          fallback=prof, reached=len(ball))
+                          fallback=prof)
     exact = _max_separated(D, ball, r, [ball.index(i) for i in greedy])
     prof.pack_exact = len(exact)
     prof.witness = tuple(space.points[i] for i in exact)
@@ -375,15 +365,14 @@ def covering_number(space: SampledSpace, region, r: float,
         raise InputError(f"unknown mode {mode!r}")
     if len(reg) > cap:
         raise BudgetError(f"region has {len(reg)} points, exact cap {cap}",
-                          fallback=len(greedy), reached=len(reg))
+                          fallback=len(greedy))
     return len(_min_cover(D, reg, centers, r, greedy))
 
 
 class DiscreteSpace:
     """Defaults shared by the discrete models (the free-group tree and
-    finite graphs).  Subclasses provide ``dist``, ``dist_table``, ``ball``
-    and ``candidates``, the finite point set searched for the
-    circumcenter of a set of points."""
+    finite graphs).  Subclasses provide ``dist``, ``dist_table`` and
+    ``ball``."""
 
     def sample_ball(self, center, R, n: int, rng=None) -> list:
         """The whole ball when it has at most n points, else n seeded
@@ -401,13 +390,6 @@ class DiscreteSpace:
 
     def ball_size(self, center, R) -> int:
         return len(self.ball(center, R))
-
-    def circumcenter(self, pts):
-        """The best candidate point, ties broken by its text form."""
-        radii = [(max(self.dist(c, p) for p in pts), c)
-                 for c in self.candidates(pts)]
-        rad, center = min(radii, key=lambda t: (t[0], str(t[1])))
-        return center, rad
 
     def iso_key(self, g):
         return g

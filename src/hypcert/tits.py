@@ -40,8 +40,7 @@ def enumerate_words(letters, max_len: int, budget: int = 10 ** 6):
         for word, _ in pingpong.walk_words(None, syms, max_len, budget):
             yield word
     except BudgetError:
-        raise SearchExhausted("word budget exhausted",
-                              stats={"emitted": budget}) from None
+        raise SearchExhausted("word budget exhausted") from None
 
 
 def evaluate_word(space, word, table):
@@ -91,11 +90,10 @@ def _conjugates(space, a, b, k):
             isometry.isometry_power(space, b, -j))
 
 
-def _oracle_witness(case, kind, names, N, text, cfg, stats):
+def _oracle_witness(case, kind, N, text, cfg, stats):
     """A witness whose certificate rests on a passing word oracle alone."""
     cert = pingpong.FreeCertificate(
-        kind=kind, names=tuple(names), N=N, witness_word=text,
-        delta=cfg.delta, oracle_depth=cfg.oracle_depth, oracle_passed=True)
+        kind=kind, N=N, oracle_depth=cfg.oracle_depth, oracle_passed=True)
     return TitsWitness(case, N, text, cert, stats)
 
 
@@ -149,16 +147,13 @@ def _large_ell_group(space, a, b, same_ell, names, cfg, rng, stats):
             data = pingpong.min_free_power(space, a, g, cfg.delta)
             pts = _certify_sample(space, data.M0, data.N, cfg, rng)
             cert = pingpong.pingpong_certify(
-                space, data, pts, oracle_depth=cfg.oracle_depth,
-                names=(names[0], "w"))
+                space, data, pts, oracle_depth=cfg.oracle_depth)
             if cert.valid:
-                cert.witness_word = word_to_text(word)
                 return TitsWitness("large_ell_group", data.N,
                                    word_to_text(word), cert, stats)
         except DomainError as e:
             last_err = e
-    raise SearchExhausted(f"no certified conjugate witness ({last_err})",
-                          stats=stats)
+    raise SearchExhausted(f"no certified conjugate witness ({last_err})")
 
 
 def _expand(compact):
@@ -190,12 +185,11 @@ def _small_ell(space, a, b, profiles, names, cfg, rng, stats):
         passed, _ = pingpong.word_oracle(
             space, [(names[0], a), ("w", g)], cfg.oracle_depth, "group")
         if passed:
-            return _oracle_witness("small_ell", "group", (names[0], "w"), 1,
+            return _oracle_witness("small_ell", "group", 1,
                                    word_to_text(word), cfg, stats)
         if stats["words"] >= cap:
             break
-    raise SearchExhausted("no oracle-certified witness within the word budget",
-                          stats=stats)
+    raise SearchExhausted("no oracle-certified witness within the word budget")
 
 
 def _conjugate_schottky(space, a, b, names, cfg, rng, stats):
@@ -219,7 +213,7 @@ def _conjugate_schottky(space, a, b, names, cfg, rng, stats):
         passed, _ = pingpong.word_oracle(
             space, [("u", bi), ("v", bj)], cfg.oracle_depth, "group")
         if passed:
-            return _oracle_witness("small_ell", "group", ("u", "v"), 1,
+            return _oracle_witness("small_ell", "group", 1,
                                    word_to_text(word), cfg, stats)
     return None
 
@@ -234,9 +228,8 @@ def _semigroup_case(space, a, b, names, cfg, stats):
             space, [(names[0], aN), (names[1], bN)],
             cfg.oracle_depth, "semigroup")
         if passed:
-            return _oracle_witness("large_ell_semigroup", "semigroup", names,
-                                   N, names[1], cfg, stats)
+            return _oracle_witness("large_ell_semigroup", "semigroup", N,
+                                   names[1], cfg, stats)
         last = counter
     raise SearchExhausted(
-        f"semigroup oracle kept finding coincidences (last: {last})",
-        stats=stats)
+        f"semigroup oracle kept finding coincidences (last: {last})")

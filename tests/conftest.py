@@ -14,7 +14,7 @@ def tree2():
 @pytest.fixture(scope="session")
 def tree_ball_space(tree2):
     pts = tree2.ball("", 2)
-    return sampled.from_points(pts, tree2.dist, provenance="F2 ball radius 2")
+    return sampled.from_points(pts, tree2.dist)
 
 
 @pytest.fixture(scope="session")

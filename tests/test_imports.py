@@ -1,7 +1,8 @@
 """Each module of the package and of its tests uses every name it
 imports, each package module reads no underscore-prefixed name of
-another package module, and every public function, class and method is
-named by the package or the benchmark."""
+another package module, every public function, class and method is
+named by the package or the benchmark, and every field of a package
+dataclass is read by them."""
 
 import ast
 import pathlib
@@ -22,6 +23,15 @@ KEPT = {
     "rotation_about_i": "criterion 9 builds its elliptic generator with it",
     "regular_tree_graph": "the README lists tree graphs among the generators",
     "to_json": "SampledSpace.to_json writes the fixtures and criterion 14",
+}
+
+# dataclass fields, or whole dataclasses, that no package or benchmark
+# code reads as an attribute, each kept for what it serves
+KEPT_FIELDS = {
+    "GapReport": "the margulis report emits its fields through vars()",
+    "FreeCertificate.violations": "tests read the overlapping points",
+    "SchottkyMargin.L_hat": "tests read the margin as evidence",
+    "SchottkyMargin.threshold": "tests read the margin as evidence",
 }
 
 
@@ -92,12 +102,41 @@ def unreferenced(package: list, others: list = ()) -> list:
     return sorted(n for n in defined - named if not n.startswith("_"))
 
 
+def _dataclass(node) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def unread_fields(package: list, others: list = ()) -> list:
+    """"Class.field" for each annotated field of a top-level dataclass of
+    the package sources that no source reads as an attribute."""
+    trees = [ast.parse(s) for s in list(package) + list(others)]
+    fields = [f"{node.name}.{item.target.id}"
+              for tree in trees[:len(package)] for node in tree.body
+              if isinstance(node, ast.ClassDef) and _dataclass(node)
+              for item in node.body if isinstance(item, ast.AnnAssign)]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(f for f in fields if f.split(".")[1] not in read)
+
+
 def test_every_public_name_is_referenced():
     """A name that only tests reach is deleted or listed in KEPT; a KEPT
     name that the package comes to use leaves the list."""
     bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert unreferenced([p.read_text() for p in MODULES], bench) == \
         sorted(KEPT)
+
+
+def test_every_record_field_is_read():
+    """A field that only tests reach is deleted or listed in
+    KEPT_FIELDS, by itself or with its class; an entry that the package
+    comes to read leaves the list."""
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    unread = unread_fields([p.read_text() for p in MODULES], bench)
+    assert {f if f in KEPT_FIELDS else f.split(".")[0] for f in unread} == \
+        set(KEPT_FIELDS)
 
 
 @pytest.mark.parametrize(
@@ -127,6 +166,24 @@ def test_unreferenced_function_is_caught():
               "def _private():\n    return 2\n")
     assert unreferenced([source]) == ["Shape", "area", "planted"]
     assert unreferenced([source], ["Shape.area\n", "x = 'planted'\n"]) == []
+
+
+def test_unread_field_is_caught():
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\n"
+              "class Record:\n"
+              "    kept: int\n"
+              "    planted: int = 0\n"
+              "    stored: list = field(default_factory=list)\n"
+              "@dataclass\n"
+              "class Other:\n"
+              "    kept: int\n"
+              "class Plain:\n"
+              "    ignored: int\n"
+              "def use(r):\n"
+              "    r.stored = [r.kept]\n")
+    assert unread_fields([source]) == ["Record.planted", "Record.stored"]
+    assert unread_fields([source], ["x.planted\n"]) == ["Record.stored"]
 
 
 def test_private_read_is_caught():

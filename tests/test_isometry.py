@@ -48,7 +48,6 @@ class TestClassification:
         prof = isometry.classify(halfplane.rotation_about_i(1.0))
         assert prof.kind == "elliptic"
         assert prof.ell == 0.0
-        assert prof.fixed_point == pytest.approx(1j)
 
     def test_identity_is_trivially_elliptic(self):
         prof = isometry.classify(halfplane.Moebius.identity())
@@ -73,6 +72,21 @@ class TestClassification:
                                      for i in range(3) for j in range(3)})
         prof = isometry.classify("flip", G)
         assert prof.kind == "elliptic"
+
+    def test_graph_classify_measures_no_distance(self, monkeypatch):
+        # the profile holds no fixed point, so no centre is searched for
+        G = graphspace.grid_graph(6)
+        G.register_isometry("reflect", {(i, j): (5 - i, j)
+                                        for i in range(6) for j in range(6)})
+        dist, calls = G.dist, []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return dist(p, q)
+
+        monkeypatch.setattr(G, "dist", counted)
+        assert isometry.classify("reflect", G).kind == "elliptic"
+        assert calls == []
 
 
 class TestTranslationLengthCrossCheck:
@@ -127,12 +141,6 @@ class TestDisplacementAndAxes:
         bound = (H2.dist(x, H2.act(g, x)) + (n - 1) * H2.classify(g).ell
                  + 4.0 * delta * math.log2(n))
         assert observed <= bound + 1e-9
-
-
-class TestCircumcenter:
-    def test_tree(self, tree2):
-        center, rad = tree2.circumcenter(["aa", "ab", "b"])
-        assert center == "a" or rad <= 2
 
 
 class TestMargulisDomain:

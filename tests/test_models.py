@@ -94,10 +94,6 @@ class TestHGeodesic:
         g = halfplane.HGeodesic(2.0, math.inf)
         assert g.param(g.at(t)) == pytest.approx(t, abs=1e-9)
 
-    def test_through_orientation(self):
-        g = halfplane.HGeodesic.through(1j, 4j)
-        assert g.param(4j) > g.param(1j)
-
     @given(points)
     def test_projection_is_nearest(self, z):
         g = halfplane.HGeodesic(-1.0, 1.0)

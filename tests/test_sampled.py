@@ -83,7 +83,7 @@ class TestSampledSpace:
         D[1, 0] = 1000.0 + 5e-10
         sp = sampled.SampledSpace(("a", "b", "c"), D)
         # kept as min(D, D.T) in a new array; a symmetric table is not copied
-        assert sp.d("b", "a") == sp.d("a", "b") == 1000.0
+        assert sp.dist[1, 0] == sp.dist[0, 1] == 1000.0
         assert D[1, 0] == 1000.0 + 5e-10
         assert sampled.SampledSpace(("a", "b", "c"), sp.dist).dist is sp.dist
 
@@ -223,15 +223,6 @@ class TestTripodsAndProjections:
         z, w = complex(1.0, math.exp(s / 3.0)), complex(-2.0, math.exp(t / 3.0))
         dp = halfplane.dist(g.project(z), g.project(w))
         assert dp <= halfplane.dist(z, w) + 1e-9
-
-    def test_point_on_geodesic_h2(self):
-        z = H2.point_on_geodesic(1j, 4j, math.log(2.0))
-        assert z == pytest.approx(2j)
-
-    def test_point_on_geodesic_tree(self):
-        T = freetree.FreeTreeSpace(2)
-        assert T.point_on_geodesic("aa", "ab", 1.0) == "a"
-        assert T.point_on_geodesic("aa", "ab", 2.0) == "ab"
 
 
 class TestRuntimeBudgets:
@@ -472,7 +463,7 @@ class TestFastPaths:
         D[i, j], D[j, i] = bound, over
         assert not _triangle_loop(D)
         sp = sampled.SampledSpace(tuple(range(10)), D)
-        assert sp.d(j, i) == sp.d(i, j) == bound
+        assert sp.dist[j, i] == sp.dist[i, j] == bound
         D[i, j] = over
         with pytest.raises(InputError, match="triangle"):
             sampled.SampledSpace(tuple(range(10)), D)
