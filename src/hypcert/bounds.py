@@ -44,11 +44,15 @@ class DerivedConstants:
 
 
 def packing_bound(P0: int, r0: float, R: float, r: float) -> float:
-    """Propagated packing ceiling P0 (1 + P0)^(R/s - 1), s = min(r, r0)."""
+    """Propagated packing ceiling P0 (1 + P0)^(R/s - 1), s = min(r, r0);
+    inf where it leaves the float range."""
     if not (0 < r <= R):
         raise InputError("need 0 < r <= R")
     s = r if r <= r0 else r0
-    return P0 * (1.0 + P0) ** (R / s - 1.0)
+    try:
+        return P0 * (1.0 + P0) ** (R / s - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def ball_growth_counts(space, base, radii):

@@ -209,6 +209,7 @@ def cmd_pack(args):
                      "pack_greedy": prof.pack_greedy,
                      "cov_greedy": prof.cov_greedy,
                      "witness": list(prof.witness),
+                     "nodes": prof.nodes,
                      "theoretical_bound": bound}}, args)
     return 0
 

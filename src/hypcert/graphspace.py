@@ -26,6 +26,8 @@ class MetricGraphSpace(DiscreteSpace):
     def __init__(self, vertices, edges):
         """edges: iterable of (u, v, weight) with positive finite weights."""
         self.vertices = list(vertices)
+        if not self.vertices:
+            raise InputError("graph has no vertices")
         try:
             self.index = {v: i for i, v in enumerate(self.vertices)}
         except TypeError:

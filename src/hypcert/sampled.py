@@ -240,6 +240,7 @@ class PackingProfile:
     cov_greedy: int
     pack_exact: int = None
     witness: tuple = ()
+    nodes: int = None
 
 
 def _ball_indices(space: SampledSpace, center, R):
@@ -258,7 +259,13 @@ def _greedy_separated(D, ball, c, r):
 
 
 def _max_separated(D, ball, r, incumbent):
-    """Branch-and-bound maximum 2r-separated subset (conflict = within 2r)."""
+    """Branch-and-bound maximum 2r-separated subset (conflict = within 2r)
+    and the number of nodes visited.
+
+    A node is pruned when its chosen points plus a greedy clique cover of
+    its candidates cannot exceed the incumbent: a clique of the conflict
+    graph holds at most one separated point.  Only a strictly larger set
+    replaces the incumbent, so the bound leaves the witness unchanged."""
     m = len(ball)
     conflict = [0] * m
     for a in range(m):
@@ -267,10 +274,26 @@ def _max_separated(D, ball, r, incumbent):
                 conflict[a] |= 1 << b
                 conflict[b] |= 1 << a
     best = list(incumbent)
+    nodes = 0
+
+    def cover_exceeds(cand: int, room: int) -> bool:
+        """Whether a greedy clique cover of cand needs more than room
+        cliques: each takes the lowest candidate left, then the lowest
+        that conflicts with all its members, until none does."""
+        while cand and room >= 0:
+            room -= 1
+            fits = cand
+            while fits:
+                low = fits & -fits
+                cand &= ~low
+                fits &= conflict[low.bit_length() - 1]
+        return room < 0
 
     def bb(cand: int, chosen: list):
-        nonlocal best
-        if len(chosen) + bin(cand).count("1") <= len(best):
+        nonlocal best, nodes
+        nodes += 1
+        room = len(best) - len(chosen)
+        if bin(cand).count("1") <= room or not cover_exceeds(cand, room):
             return
         if cand == 0:
             best = chosen[:]
@@ -280,7 +303,7 @@ def _max_separated(D, ball, r, incumbent):
         bb(cand & ~(1 << v), chosen)
 
     bb((1 << m) - 1, [])
-    return [ball[v] for v in best]
+    return [ball[v] for v in best], nodes
 
 
 def packing_number(space: SampledSpace, center, R: float, r: float,
@@ -288,7 +311,9 @@ def packing_number(space: SampledSpace, center, R: float, r: float,
     """Largest number of pairwise (> 2r)-separated points in the ball B(center, R).
 
     Greedy mode reports a maximal-by-inclusion lower bound; exact mode
-    runs branch-and-bound seeded with the greedy set.
+    runs branch-and-bound seeded with the greedy set and counts its
+    nodes.  The witness is the greedy set when that is optimal, otherwise
+    the first maximum set in include-first order of ball index.
     """
     if not (R >= r > 0):
         raise InputError("need R >= r > 0")
@@ -306,7 +331,8 @@ def packing_number(space: SampledSpace, center, R: float, r: float,
     if len(ball) > cap:
         raise BudgetError(f"ball has {len(ball)} points, exact cap {cap}",
                           fallback=prof)
-    exact = _max_separated(D, ball, r, [ball.index(i) for i in greedy])
+    exact, prof.nodes = _max_separated(D, ball, r,
+                                       [ball.index(i) for i in greedy])
     prof.pack_exact = len(exact)
     prof.witness = tuple(space.points[i] for i in exact)
     return prof

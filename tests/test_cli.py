@@ -42,6 +42,25 @@ class TestPackCov:
         assert rep["result"]["pack_exact"] == 4
         assert rep["result"]["theoretical_bound"] == 20.0
 
+    def test_nodes_reported_in_exact_mode_only(self, tmp_path,
+                                               tree_ball_file):
+        argv = ["pack", "--input", tree_ball_file, "--center", "e",
+                "--R", "2", "--r", "1"]
+        code, rep = run(tmp_path, *argv)
+        assert code == 0
+        assert rep["result"]["nodes"] >= 1
+        code, rep = run(tmp_path, *argv, "--mode", "greedy")
+        assert code == 0
+        assert rep["result"]["nodes"] is None
+
+    def test_packing_bound_beyond_floats_is_inf(self, tmp_path,
+                                                tree_ball_file):
+        code, rep = run(tmp_path, "pack", "--input", tree_ball_file,
+                        "--center", "e", "--R", "1000", "--r", "0.01",
+                        "--P0", "4", "--mode", "greedy")
+        assert code == 0
+        assert rep["result"]["theoretical_bound"] == "inf"
+
     def test_cov(self, tmp_path, tree_ball_file):
         code, rep = run(tmp_path, "cov", "--input", tree_ball_file,
                         "--r", "1")
@@ -118,6 +137,11 @@ class TestEntropyAndBounds:
         r = rep["result"]
         assert r["systole_floor"] == 0.1
         assert r["packing_bound"] == 20.0
+
+    def test_packing_bound_beyond_floats_is_inf(self, tmp_path):
+        code, rep = run(tmp_path, "bounds", "--R", "1000", "--r", "0.01")
+        assert code == 0
+        assert rep["result"]["packing_bound"] == "inf"
 
     def test_stats(self, tmp_path, tree_pair_file):
         code, rep = run(tmp_path, "stats", "--input", tree_pair_file,
@@ -363,11 +387,13 @@ class TestMalformedInput:
         {"model": "graph", "generators": [],
          "params": {"vertices": [0, 1, 2],
                     "edges": [[0, 1, math.inf], [1, 2, 1], [2, 0, 1]]}},
+        {"model": "graph", "params": {"vertices": [], "edges": []},
+         "generators": [{"name": "g", "perm": []}]},
     ], ids=["perm-image-out-of-range", "perm-too-short", "perm-too-long",
             "edge-out-of-range", "edge-negative-index", "matrix-1x2",
             "matrix-3x3", "matrix-string-entry", "word-beyond-rank",
             "vertex-nested-list", "name-list", "edge-weight-nan",
-            "edge-weight-infinity"])
+            "edge-weight-infinity", "no-vertices"])
     def test_malformed_group_spec_is_exit_2(self, tmp_path, capsys, spec):
         code, rep = run(tmp_path, "classify",
                         "--input", self._write(tmp_path, json.dumps(spec)))

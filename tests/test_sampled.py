@@ -197,6 +197,130 @@ class TestPackingAndCovering:
             assert p2r <= c2r <= pr
 
 
+def _conflicts(D, ball, r):
+    """Bitsets of the ball positions within 2r of each position."""
+    m = len(ball)
+    conflict = [0] * m
+    for a in range(m):
+        for b in range(a + 1, m):
+            if D[ball[a], ball[b]] <= 2.0 * r + sampled.TOL:
+                conflict[a] |= 1 << b
+                conflict[b] |= 1 << a
+    return conflict
+
+
+def _reference_max_separated(D, ball, r, incumbent):
+    """The search bounded by candidate count alone, and its node count."""
+    conflict = _conflicts(D, ball, r)
+    best, nodes = list(incumbent), 0
+
+    def bb(cand, chosen):
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen) + bin(cand).count("1") <= len(best):
+            return
+        if cand == 0:
+            best = chosen[:]
+            return
+        v = (cand & -cand).bit_length() - 1
+        bb(cand & ~(1 << v) & ~conflict[v], chosen + [v])
+        bb(cand & ~(1 << v), chosen)
+
+    bb((1 << len(ball)) - 1, [])
+    return [ball[v] for v in best], nodes
+
+
+def _reference_packing(space, center, R, r):
+    D, c = space.dist, space.index(center)
+    ball = sampled._ball_indices(space, center, R)
+    greedy = sampled._greedy_separated(D, ball, c, r)
+    best, nodes = _reference_max_separated(
+        D, ball, r, [ball.index(i) for i in greedy])
+    return len(best), tuple(space.points[i] for i in best), nodes
+
+
+def _separated_sets(D, ball, r, k, limit):
+    """How many k-subsets of the ball are 2r-separated, counted up to limit."""
+    conflict = _conflicts(D, ball, r)
+
+    def count(cand, need):
+        if need == 0:
+            return 1
+        if bin(cand).count("1") < need:
+            return 0
+        v = (cand & -cand).bit_length() - 1
+        found = count(cand & ~(1 << v) & ~conflict[v], need - 1)
+        return found if found >= limit else found + count(cand & ~(1 << v),
+                                                          need)
+
+    return min(count((1 << len(ball)) - 1, k), limit)
+
+
+def _ball_space(family, k):
+    """The k-th test ball of a family, as (space, center, R), with at most
+    40 points: a whole seeded H² sample, the 7x7 grid's ball of radius
+    3 + k around its middle, a seeded random graph's largest ball around
+    vertex 0, or the radius-2 ball of the free group of rank 2 + k."""
+    if family == "h2":
+        pts = halfplane.sample_ball(1j, 3.0, 40, random.Random(k))
+        return sampled.from_points(pts, halfplane.dist), pts[0], math.inf
+    if family == "grid":
+        g = graphspace.grid_graph(7)
+        return sampled.from_points(g.vertices, g.dist), (3, 3), 3.0 + k
+    if family == "graph":
+        g = graphspace.random_connected_graph(60, 15, k)
+        sp = sampled.from_points(g.vertices, g.dist)
+        R = max(x for x in np.unique(sp.dist[0])
+                if (sp.dist[0] <= x + sampled.TOL).sum() <= 40)
+        return sp, 0, float(R)
+    t = freetree.FreeTreeSpace(2 + k)
+    return sampled.from_points(t.ball("", 2), t.dist), "", 2.0
+
+
+class TestExactPackingSearch:
+    @pytest.mark.parametrize("family, ks", [
+        ("h2", (1, 2, 3)), ("grid", (0, 1)), ("graph", (1, 2, 3)),
+        ("tree", (0, 1))], ids=["h2", "grid", "graph", "tree"])
+    def test_matches_count_bounded_search(self, family, ks):
+        for k in ks:
+            sp, center, R = _ball_space(family, k)
+            assert len(sampled._ball_indices(sp, center, R)) <= 40
+            scale = 1.0 if math.isinf(R) else R
+            for r in (scale / 4, scale / 3, scale / 2):
+                prof = sampled.packing_number(sp, center, R, r)
+                size, witness, _ = _reference_packing(sp, center, R, r)
+                assert (prof.pack_exact, prof.witness) == (size, witness)
+
+    @pytest.mark.parametrize("R", [3.0, 4.0])
+    def test_tied_grid_optima_keep_the_first_set(self, R):
+        sp, center, _ = _ball_space("grid", 0)
+        prof = sampled.packing_number(sp, center, R, 1.0)
+        ball = sampled._ball_indices(sp, center, R)
+        assert _separated_sets(sp.dist, ball, 1.0, prof.pack_exact, 3) == 3
+        assert ((prof.pack_exact, prof.witness)
+                == _reference_packing(sp, center, R, 1.0)[:2])
+
+    def test_nodes_repeat(self):
+        counts = set()
+        for _ in range(3):
+            sp, center, R = _ball_space("graph", 2)
+            counts.add(sampled.packing_number(sp, center, R, R / 3).nodes)
+        assert len(counts) == 1
+
+    def test_clique_cover_bound_prunes_the_f3_ball(self):
+        sp, center, R = _ball_space("tree", 1)
+        assert len(sp) == 37
+        assert _reference_packing(sp, center, R, R / 2)[2] > 10 ** 5
+        prof = sampled.packing_number(sp, center, R, R / 2)
+        assert prof.pack_exact == 6
+        assert prof.nodes < 10 ** 4
+
+    def test_greedy_mode_counts_no_nodes(self, tree_ball_space):
+        prof = sampled.packing_number(tree_ball_space, "", 2.0, 1.0,
+                                      mode="greedy")
+        assert prof.nodes is None
+
+
 class TestTripodsAndProjections:
     def test_h2_projection(self):
         g = halfplane.HGeodesic(-1.0, 1.0)
