@@ -7,3 +7,6 @@ half-plane, free-group Cayley trees, and finite metric graphs.
 """
 
 __version__ = "0.1.0"
+
+# the absolute tolerance of every float comparison in the package
+TOL = 1e-9

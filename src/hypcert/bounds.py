@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import isometry, pingpong
+from . import TOL, isometry, pingpong
 from .errors import InputError
-
-TOL = 1e-9
 
 
 @dataclass

@@ -42,9 +42,6 @@ def _round12(obj):
         return int(obj)
     if isinstance(obj, freetree.TreeEnd):
         return {"prefix": obj.prefix, "period": obj.period}
-    if isinstance(obj, halfplane.Moebius):
-        return {"matrix": [[_round12(obj.a), _round12(obj.b)],
-                           [_round12(obj.c), _round12(obj.d)]]}
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     return repr(obj)
@@ -408,7 +405,7 @@ def cmd_degenerate(args):
         b = halfplane.Moebius(m[0][0], m[0][1], m[1][0], m[1][1])
         g = a @ b
         tr = abs(g.trace())
-        prof = isometry.classify(g)
+        prof = isometry.classify(g, halfplane.H2)
         rows.append((t, prof.ell, tr, prof.kind))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

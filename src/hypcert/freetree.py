@@ -209,7 +209,9 @@ class TreeLine(tuple):
 
 class FreeTreeSpace(DiscreteSpace):
     """The Cayley tree of the free group of the given rank; its vertices
-    and isometries are both reduced words."""
+    and isometries are both reduced words.  A word is checked once, where
+    it enters (``parse_point``, ``ball`` centres, ``dist_table``); ``act``,
+    ``dist``, ``compose`` and ``power`` take checked words as they are."""
 
     def __init__(self, rank: int = 2):
         if not 2 <= rank <= 26:
@@ -229,8 +231,7 @@ class FreeTreeSpace(DiscreteSpace):
         raise InputError(f"word not freely reduced: {w!r}")
 
     def dist(self, u: str, v: str) -> int:
-        return len(_seam_mul(invert(self.check_point(u)),
-                             self.check_point(v)))
+        return len(_seam_mul(invert(u), v))
 
     def dist_table(self, xs, ys) -> np.ndarray:
         """``dist`` over xs by ys, as ints; each word is checked once."""
@@ -241,7 +242,7 @@ class FreeTreeSpace(DiscreteSpace):
 
     def parse_point(self, text: str) -> str:
         """A word in generator syntax, or "e" for the identity."""
-        return parse_word(text) if text != "e" else ""
+        return self.check_point(parse_word(text)) if text != "e" else ""
 
     def ball(self, center: str, R: int) -> list:
         """All vertices within distance R of center, BFS order."""
@@ -271,7 +272,7 @@ class FreeTreeSpace(DiscreteSpace):
         return sum(self.sphere_sizes(int(R)))
 
     def act(self, g: str, x: str) -> str:
-        return _seam_mul(self.check_point(g), self.check_point(x))
+        return _seam_mul(g, x)
 
     def compose(self, g: str, h: str) -> str:
         """g h for reduced words g and h."""

@@ -7,11 +7,11 @@ import random
 
 import numpy as np
 
+from . import TOL
 from .errors import InputError
 from .isometry import IsometryProfile
 from .sampled import DiscreteSpace
 
-TOL = 1e-9
 _FW_ROWS = 64   # rows per block of a Floyd-Warshall step
 
 

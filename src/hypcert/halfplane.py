@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import isometry
+from . import TOL, isometry
 from .errors import AmbiguityError, InputError
 from .isometry import IsometryProfile
 
 INF = math.inf
-
-TOL = 1e-9
 
 PARABOLIC_BAND = 1e-9
 CROSS_CHECK_BAND = 1e-3
@@ -147,23 +145,13 @@ class Moebius:
             n >>= 1
         return out
 
-    def __call__(self, z):
-        if isinstance(z, complex):
-            den = self.c * z + self.d
-            m2 = den.real * den.real + den.imag * den.imag
-            num = (self.a * z + self.b) * den.conjugate()
-            # Im(gz) = Im(z) / |cz + d|^2 for det 1: exact positivity,
-            # where the plain complex division cancels to zero
-            return complex(num.real / m2, z.imag / m2)
-        return self.apply_boundary(z)
-
-    def apply_boundary(self, x: float) -> float:
-        if math.isinf(x):
-            return self.a / self.c if self.c != 0 else INF
-        den = self.c * x + self.d
-        if den == 0:
-            return INF
-        return (self.a * x + self.b) / den
+    def __call__(self, z: complex) -> complex:
+        den = self.c * z + self.d
+        m2 = den.real * den.real + den.imag * den.imag
+        num = (self.a * z + self.b) * den.conjugate()
+        # Im(gz) = Im(z) / |cz + d|^2 for det 1: exact positivity,
+        # where the plain complex division cancels to zero
+        return complex(num.real / m2, z.imag / m2)
 
     def is_identity(self) -> bool:
         return (

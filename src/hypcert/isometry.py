@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from . import TOL
 from .errors import InputError, PreconditionError
-
-TOL = 1e-9
 
 
 @dataclass
@@ -23,15 +22,12 @@ class IsometryProfile:
     fixed_boundary: tuple = ()
 
 
-def classify(g, space=None) -> IsometryProfile:
+def classify(g, space) -> IsometryProfile:
     """Type, translation length and boundary data of an isometry.
 
     Half-plane matrices classify by |trace|, tree words by cyclically
     reduced length; finite-graph permutations are always elliptic.
-    Without a space, g is a half-plane matrix.
     """
-    if space is None:
-        from .halfplane import H2 as space  # halfplane imports this module
     return space.classify(g)
 
 

@@ -8,11 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import isometry
+from . import TOL, isometry
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, PreconditionError)
-
-TOL = 1e-9
 
 # words one walk may visit; read at each call, so tests can lower it
 WORD_BUDGET = 10 ** 6
@@ -242,7 +240,7 @@ def group_letters(space, gens):
                            ((name, -1), isometry.isometry_power(space, g, -1)))]
 
 
-def walk_words(space, letters, max_len: int, budget: int = None):
+def walk_words(space, letters, max_len: int):
     """Freely reduced words of length 1..max_len in shortlex order, each
     with the isometry it names.
 
@@ -253,13 +251,11 @@ def walk_words(space, letters, max_len: int, budget: int = None):
     composed with the last letter's, so every word costs one
     composition; with None elements nothing is composed.  The current
     level's pairs are the only ones kept.  Raises BudgetError instead of
-    yielding more than ``budget`` words (default: WORD_BUDGET as it is
-    at the call).
+    yielding more than WORD_BUDGET words, as it is at the call.
     """
     if max_len < 1:
         raise InputError("max_len must be >= 1")
-    if budget is None:
-        budget = WORD_BUDGET
+    budget = WORD_BUDGET
     count = 0
     frontier = [((), None)]
     for level in range(1, max_len + 1):
@@ -297,8 +293,7 @@ def word_to_text(word) -> str:
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in runs)
 
 
-def word_oracle(space, gens, depth: int, kind: str = "group",
-                budget: int = None):
+def word_oracle(space, gens, depth: int, kind: str = "group"):
     """Walk the reduced words in the generators up to the given depth.
 
     Group kind passes when no nonempty reduced word acts as the
@@ -315,8 +310,7 @@ def word_oracle(space, gens, depth: int, kind: str = "group",
 
     indexed = [(i, g) for i, (_, g) in enumerate(gens)]
     if kind == "group":
-        for word, g in walk_words(space, group_letters(space, indexed), depth,
-                                  budget):
+        for word, g in walk_words(space, group_letters(space, indexed), depth):
             if space.is_identity(g):
                 return False, text(word)
         return True, None
@@ -324,7 +318,7 @@ def word_oracle(space, gens, depth: int, kind: str = "group",
         raise InputError(f"unknown oracle kind {kind!r}")
     seen = {}
     for word, g in walk_words(space, [((i, 1), g) for i, g in indexed],
-                              depth, budget):
+                              depth):
         key = space.iso_key(g)
         if key in seen:
             return False, text(seen[key]) + " = " + text(word)

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import TOL
 from .errors import BudgetError, InputError, PreconditionError
-
-TOL = 1e-9
 
 EXHAUSTIVE_CAP = 200
 EXACT_PACK_CAP = 64
@@ -125,21 +124,23 @@ class HyperbolicityEstimate:
 
 
 def four_point_delta(space: SampledSpace, mode: str = "exhaustive",
-                     n_quadruples: int = 100000, seed: int = 0,
-                     cap: int = EXHAUSTIVE_CAP) -> HyperbolicityEstimate:
+                     n_quadruples: int = 100000,
+                     seed: int = 0) -> HyperbolicityEstimate:
     """Smallest four-point defect delta over the checked quadruples.
 
     For each quadruple the three pairing sums are formed; the defect is
     half the gap between the largest and the second largest.  Sampled
-    mode draws seeded quadruples and lower-bounds the exhaustive value.
+    mode draws seeded quadruples and lower-bounds the exhaustive value;
+    exhaustive mode takes at most EXHAUSTIVE_CAP points.
     """
     D = space.dist
     n = len(space)
     if n < 4:
         raise InputError("need at least 4 points")
     if mode == "exhaustive":
-        if n > cap:
-            raise BudgetError(f"{n} points exceeds exhaustive cap {cap}")
+        if n > EXHAUSTIVE_CAP:
+            raise BudgetError(
+                f"{n} points exceeds exhaustive cap {EXHAUSTIVE_CAP}")
         return _delta_exhaustive(space, D, n)
     if mode == "sampled":
         return _delta_sampled(space, D, n, n_quadruples, seed)
@@ -307,13 +308,14 @@ def _max_separated(D, ball, r, incumbent):
 
 
 def packing_number(space: SampledSpace, center, R: float, r: float,
-                   mode: str = "exact", cap: int = EXACT_PACK_CAP) -> PackingProfile:
+                   mode: str = "exact") -> PackingProfile:
     """Largest number of pairwise (> 2r)-separated points in the ball B(center, R).
 
     Greedy mode reports a maximal-by-inclusion lower bound; exact mode
-    runs branch-and-bound seeded with the greedy set and counts its
-    nodes.  The witness is the greedy set when that is optimal, otherwise
-    the first maximum set in include-first order of ball index.
+    runs branch-and-bound seeded with the greedy set, on balls of at
+    most EXACT_PACK_CAP points, and counts its nodes.  The witness is
+    the greedy set when that is optimal, otherwise the first maximum set
+    in include-first order of ball index.
     """
     if not (R >= r > 0):
         raise InputError("need R >= r > 0")
@@ -328,9 +330,10 @@ def packing_number(space: SampledSpace, center, R: float, r: float,
         return prof
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
-    if len(ball) > cap:
-        raise BudgetError(f"ball has {len(ball)} points, exact cap {cap}",
-                          fallback=prof)
+    if len(ball) > EXACT_PACK_CAP:
+        raise BudgetError(
+            f"ball has {len(ball)} points, exact cap {EXACT_PACK_CAP}",
+            fallback=prof)
     exact, prof.nodes = _max_separated(D, ball, r,
                                        [ball.index(i) for i in greedy])
     prof.pack_exact = len(exact)
@@ -375,8 +378,9 @@ def _min_cover(D, region, centers, r, incumbent):
 
 
 def covering_number(space: SampledSpace, region, r: float,
-                    mode: str = "exact", cap: int = EXACT_PACK_CAP) -> int:
-    """Fewest sample points whose closed r-balls cover the region."""
+                    mode: str = "exact") -> int:
+    """Fewest sample points whose closed r-balls cover the region;
+    exact mode takes regions of at most EXACT_PACK_CAP points."""
     if r <= 0:
         raise InputError("need r > 0")
     reg = [space.index(p) for p in region]
@@ -389,9 +393,10 @@ def covering_number(space: SampledSpace, region, r: float,
         return len(greedy)
     if mode != "exact":
         raise InputError(f"unknown mode {mode!r}")
-    if len(reg) > cap:
-        raise BudgetError(f"region has {len(reg)} points, exact cap {cap}",
-                          fallback=len(greedy))
+    if len(reg) > EXACT_PACK_CAP:
+        raise BudgetError(
+            f"region has {len(reg)} points, exact cap {EXACT_PACK_CAP}",
+            fallback=len(greedy))
     return len(_min_cover(D, reg, centers, r, greedy))
 
 
@@ -400,13 +405,13 @@ class DiscreteSpace:
     finite graphs).  Subclasses provide ``dist``, ``dist_table`` and
     ``ball``."""
 
-    def sample_ball(self, center, R, n: int, rng=None) -> list:
+    def sample_ball(self, center, R, n: int, rng) -> list:
         """The whole ball when it has at most n points, else n seeded
         picks that keep the center."""
         if n < 1:
             raise InputError("need n >= 1")
         pts = self.ball(center, R)
-        if len(pts) <= n or rng is None:
+        if len(pts) <= n:
             return pts
         keep = sorted(rng.sample(range(len(pts)), n))
         out = [pts[i] for i in keep]

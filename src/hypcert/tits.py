@@ -8,12 +8,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from . import halfplane, isometry, pingpong
+from . import TOL, halfplane, isometry, pingpong
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, SearchExhausted)
 from .pingpong import word_to_text
-
-TOL = 1e-9
 
 
 def is_elementary_pair(space, a, b) -> bool:
@@ -28,16 +26,17 @@ def is_elementary_pair(space, a, b) -> bool:
     return isometry.elementary_profiles(space, pa, pb)
 
 
-def enumerate_words(letters, max_len: int, budget: int = 10 ** 6):
+def enumerate_words(letters, max_len: int):
     """All freely reduced words of length 1..max_len in shortlex order.
 
     Words are tuples of (letter name, +1 or -1); the letter order is
     each generator followed by its inverse.  This is
-    pingpong.walk_words without elements.
+    pingpong.walk_words without elements, and stops with SearchExhausted
+    where the walk's budget runs out.
     """
     syms = [((name, sign), None) for name in letters for sign in (1, -1)]
     try:
-        for word, _ in pingpong.walk_words(None, syms, max_len, budget):
+        for word, _ in pingpong.walk_words(None, syms, max_len):
             yield word
     except BudgetError:
         raise SearchExhausted("word budget exhausted") from None

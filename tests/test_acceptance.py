@@ -100,7 +100,7 @@ def test_criterion_05_classification_cross_check():
         worst = max(worst, abs(ell - isometry.orbit_translation_length(g)))
     g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
     power_ok = all(
-        abs(isometry.classify(g ** k).ell - k * 2.0 * math.log(2.0)) <= 1e-9
+        abs(isometry.classify(g ** k, H2).ell - k * 2.0 * math.log(2.0)) <= 1e-9
         for k in range(1, 9))
     verdict(5, "trace vs orbit translation lengths", worst < 1e-6 and power_ok)
 

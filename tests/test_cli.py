@@ -109,6 +109,19 @@ class TestCertify:
         code, _ = run(tmp_path, "certify", "--input", str(p))
         assert code == 2
 
+    def test_search_exhausted_is_exit_4(self, tmp_path, capsys):
+        # two parabolics: the Schottky leg does not apply, and one word
+        # is too few for the shortlex fallback
+        spec = {"model": "h2", "generators": [
+            {"name": "a", "matrix": [[1, 1], [0, 1]]},
+            {"name": "b", "matrix": [[1, 0], [1, 1]]}]}
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps(spec))
+        code, rep = run(tmp_path, "certify", "--input", str(p),
+                        "--N-max", "1")
+        assert code == 4 and rep is None
+        assert capsys.readouterr().err.startswith("search exhausted:")
+
 
 class TestMargulis:
     def test_gap_report(self, tmp_path, h2_pair_file):
@@ -242,6 +255,17 @@ class TestModelInputs:
                       "--base", "0,1")
         assert code == 2
         assert "--orbit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--base", "z"], ["entropy", "--base", "c"],
+        ["entropy", "--orbit", "--base", "z"], ["stats", "--base", "c"],
+        ["margulis", "--eps1", "0.5", "--eps2", "1", "--center", "z"]],
+        ids=["ball-z", "ball-c", "orbit", "stats", "margulis"])
+    def test_tree_word_outside_the_rank_is_exit_2(self, tmp_path, capsys,
+                                                  tree_pair_file, argv):
+        code, rep = run(tmp_path, *argv, "--input", tree_pair_file)
+        assert code == 2 and rep is None
+        assert "rank-2 alphabet" in capsys.readouterr().err
 
     def test_graph_certify_is_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "certify", "--input", _cycle_file(tmp_path))

@@ -25,32 +25,32 @@ def random_hyperbolic(rng):
 
 class TestClassification:
     def test_hyperbolic_diagonal(self):
-        prof = isometry.classify(halfplane.Moebius(2.0, 0.0, 0.0, 0.5))
+        prof = isometry.classify(halfplane.Moebius(2.0, 0.0, 0.0, 0.5), H2)
         assert prof.kind == "hyperbolic"
         assert prof.ell == pytest.approx(2.0 * math.log(2.0))
         assert prof.fixed_boundary == (0.0, math.inf)
 
     def test_hyperbolic_symmetric(self):
-        prof = isometry.classify(halfplane.Moebius(1.25, 0.75, 0.75, 1.25))
+        prof = isometry.classify(halfplane.Moebius(1.25, 0.75, 0.75, 1.25), H2)
         assert prof.kind == "hyperbolic"
         rep, att = prof.fixed_boundary
         assert rep == pytest.approx(-1.0)
         assert att == pytest.approx(1.0)
 
     def test_parabolic(self):
-        prof = isometry.classify(halfplane.Moebius(1.0, 1.0, 0.0, 1.0))
+        prof = isometry.classify(halfplane.Moebius(1.0, 1.0, 0.0, 1.0), H2)
         assert prof.kind == "parabolic"
         assert prof.ell == 0.0
         assert prof.asymptotic == 0.0
         assert prof.fixed_boundary == (math.inf,)
 
     def test_elliptic(self):
-        prof = isometry.classify(halfplane.rotation_about_i(1.0))
+        prof = isometry.classify(halfplane.rotation_about_i(1.0), H2)
         assert prof.kind == "elliptic"
         assert prof.ell == 0.0
 
     def test_identity_is_trivially_elliptic(self):
-        prof = isometry.classify(halfplane.Moebius.identity())
+        prof = isometry.classify(halfplane.Moebius.identity(), H2)
         assert prof.kind == "elliptic"
         assert prof.ell == 0.0
 
@@ -107,7 +107,7 @@ class TestTranslationLengthCrossCheck:
     @given(st.integers(min_value=1, max_value=8))
     def test_power_scaling(self, k):
         g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        prof = isometry.classify(g ** k)
+        prof = isometry.classify(g ** k, H2)
         assert prof.ell == pytest.approx(k * 2.0 * math.log(2.0), abs=1e-9)
 
     def test_power_scaling_tree(self, tree2):

@@ -75,11 +75,6 @@ class TestMoebius:
         z = g(1j)
         assert z.imag > 0.0
 
-    def test_boundary_action(self):
-        g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        assert g.apply_boundary(math.inf) == math.inf
-        assert g.apply_boundary(1.0) == pytest.approx(4.0)
-
 
 class TestHGeodesic:
     @given(st.floats(min_value=-5.0, max_value=5.0),
@@ -234,6 +229,23 @@ class TestReducedWordProducts:
     def test_act_and_dist(self, g, x):
         assert self.T.act(g, x) == freetree.mul(g, x)
         assert self.T.dist(g, x) == freetree.word_dist(g, x)
+
+    def test_act_and_dist_check_nothing(self, monkeypatch):
+        # words are checked where they enter, not again on every use
+        checked = []
+        check_point = freetree.FreeTreeSpace.check_point
+
+        def counting(space, w):
+            checked.append(w)
+            return check_point(space, w)
+
+        monkeypatch.setattr(freetree.FreeTreeSpace, "check_point", counting)
+        assert self.T.act("abAcB", "bCaBa") == "aa"
+        assert self.T.dist("abAcB", "bCaBa") == 10
+        assert checked == []
+        # an entry still checks, which shows the patch took
+        assert self.T.parse_point("a b^-1") == "aB"
+        assert checked == ["aB"]
 
     @given(st.text("abcABC", max_size=12))
     def test_check_point_rejects_exactly_the_unreduced(self, w):

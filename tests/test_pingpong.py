@@ -210,12 +210,12 @@ class TestWordOracle:
             tree2, [("a", "a"), ("b", "b")], 6, "group")
         assert passed
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         s1 = halfplane.Moebius(1.0, 2.0, 0.0, 1.0)
         s2 = halfplane.Moebius(1.0, 0.0, 2.0, 1.0)
+        monkeypatch.setattr(pingpong, "WORD_BUDGET", 50)
         with pytest.raises(BudgetError):
-            pingpong.word_oracle(H2, [("a", s1), ("b", s2)], 8,
-                                 "group", budget=50)
+            pingpong.word_oracle(H2, [("a", s1), ("b", s2)], 8, "group")
 
 
 def test_certify_reports_overlapping_proof_sets(schottky_pair):

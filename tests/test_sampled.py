@@ -144,12 +144,13 @@ class TestFourPointDelta:
         assert a.delta_hat == b.delta_hat
         assert a.worst_quadruple == b.worst_quadruple
 
-    def test_exhaustive_cap(self):
+    def test_exhaustive_cap(self, monkeypatch):
         T = freetree.FreeTreeSpace(2)
         pts = T.ball("", 4)
         sp = sampled.from_points(pts, T.dist)
+        monkeypatch.setattr(sampled, "EXHAUSTIVE_CAP", 100)
         with pytest.raises(BudgetError):
-            sampled.four_point_delta(sp, cap=100)
+            sampled.four_point_delta(sp)
 
     def test_h2_sample_bounded_by_known_constant(self):
         rng = random.Random(2)
@@ -174,9 +175,10 @@ class TestPackingAndCovering:
             prof = sampled.packing_number(tree_ball_space, "", 2.0, r)
             assert prof.pack_greedy <= prof.pack_exact
 
-    def test_exact_cap_fallback(self, tree_ball_space):
+    def test_exact_cap_fallback(self, tree_ball_space, monkeypatch):
+        monkeypatch.setattr(sampled, "EXACT_PACK_CAP", 4)
         with pytest.raises(BudgetError) as exc:
-            sampled.packing_number(tree_ball_space, "", 2.0, 1.0, cap=4)
+            sampled.packing_number(tree_ball_space, "", 2.0, 1.0)
         assert exc.value.fallback.pack_greedy >= 1
 
     def test_covering_tree_ball(self, tree_ball_space):

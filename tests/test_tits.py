@@ -51,8 +51,9 @@ class TestWordEnumeration:
             for u, v in zip(w, w[1:]):
                 assert not (u[0] == v[0] and u[1] == -v[1])
 
-    def test_budget(self):
-        gen = tits.enumerate_words(["a", "b"], 12, budget=100)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(pingpong, "WORD_BUDGET", 100)
+        gen = tits.enumerate_words(["a", "b"], 12)
         with pytest.raises(SearchExhausted):
             list(gen)
 
@@ -143,6 +144,19 @@ def test_small_translation_pair_runs_the_schottky_leg():
     assert wit.case_tag == "small_ell"
     assert wit.w == "b"
     assert wit.search_stats == {"candidates": 3, "words": 3}
+
+
+def test_schottky_leg_certifies_the_first_conjugate_pair():
+    # at delta 0 the margin threshold is the translation length, which
+    # the first conjugates b a b^-1 and b^2 a b^-2 clear; conjugated by
+    # b^-1 they are a and the witness
+    a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
+    wit = tits.tits_witness(H2, a, b,
+                            tits.TitsConfig(delta=0.0, conjugate_bound=3))
+    assert wit.case_tag == "small_ell"
+    assert wit.w == "b a b^-1"
+    assert wit.search_stats == {"candidates": 1, "words": 0}
+    assert wit.certificate.valid
 
 
 def test_small_translation_pair_classifies_each_generator_once(monkeypatch):

@@ -114,9 +114,10 @@ def test_one_composition_per_word(tree2, monkeypatch):
     assert calls == []
 
 
-def test_walk_budget():
+def test_walk_budget(monkeypatch):
+    monkeypatch.setattr(pingpong, "WORD_BUDGET", 5)
     letters = [(("a", 1), None), (("a", -1), None)]
-    walk = pingpong.walk_words(None, letters, 10, budget=5)
+    walk = pingpong.walk_words(None, letters, 10)
     assert len([next(walk) for _ in range(5)]) == 5
     with pytest.raises(BudgetError):
         next(walk)
@@ -128,10 +129,11 @@ def test_walk_reads_budget_at_call(monkeypatch):
         list(pingpong.walk_words(None, [(("a", 1), None)], 4))
 
 
-def test_semigroup_oracle_budget_guard(schottky_pair):
+def test_semigroup_oracle_budget_guard(schottky_pair, monkeypatch):
+    monkeypatch.setattr(pingpong, "WORD_BUDGET", 50)
     with pytest.raises(BudgetError):
         pingpong.word_oracle(H2, list(zip("ab", schottky_pair)), 8,
-                             "semigroup", budget=50)
+                             "semigroup")
 
 
 def test_semigroup_counterexample_names_both_words():
