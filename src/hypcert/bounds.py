@@ -25,8 +25,12 @@ class BoundsConfig:
     tolerance: float = TOL
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.r0 <= 0 or self.N < 1 or self.P0 < 1:
-            raise InputError("need eps0 > 0, r0 > 0, N >= 1, P0 >= 1")
+        # comparisons with NaN are false, so NaN fails each of them
+        if not (0 < self.eps0 < math.inf and 0 < self.r0 < math.inf
+                and -math.inf < self.delta < math.inf
+                and self.N >= 1 and self.P0 >= 1):
+            raise InputError("need finite eps0 > 0, finite r0 > 0, "
+                             "finite delta, N >= 1, P0 >= 1")
 
     def derived(self) -> "DerivedConstants":
         E0 = math.log(1.0 + self.P0) / self.r0

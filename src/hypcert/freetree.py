@@ -290,6 +290,11 @@ class FreeTreeSpace(DiscreteSpace):
     def is_identity(self, g: str) -> bool:
         return g == ""
 
+    def commute(self, g: str, h: str) -> bool:
+        """Whether g h = h g.  Two words that do not commute are a free
+        basis of the group they generate (Nielsen-Schreier and Hopf)."""
+        return _seam_mul(g, h) == _seam_mul(h, g)
+
     def classify(self, g: str) -> IsometryProfile:
         """Elliptic for the identity, else hyperbolic with the cyclically
         reduced length as translation length."""

@@ -325,6 +325,39 @@ class HalfPlane:
     def is_identity(self, g: Moebius) -> bool:
         return g.is_identity()
 
+    # Batch arithmetic: many matrices as a (4, ...) array of their a, b,
+    # c and d entries, computed as the Moebius methods compute them, so
+    # the entries and verdicts match theirs bit for bit.  Entries that
+    # overflow become inf or NaN, as in the scalar product, silently.
+
+    def batch(self, gs) -> np.ndarray:
+        """The entries of the given matrices, one column each."""
+        return np.array([g.entries() for g in gs], dtype=float).T.reshape(
+            4, len(gs))
+
+    def compose_batch(self, P, Q) -> np.ndarray:
+        """``compose`` of every column of P with every column of Q, as a
+        (4, len P, len Q) array: the products and sums of
+        ``Moebius.__matmul__``, then the sign rule of ``Moebius._set``."""
+        pa, pb, pc, pd = P[:, :, None]
+        qa, qb, qc, qd = Q[:, None, :]
+        with np.errstate(all="ignore"):
+            R = np.stack((pa * qa + pb * qc, pa * qb + pb * qd,
+                          pc * qa + pd * qc, pc * qb + pd * qd))
+            a, b, c, d = R
+            tr = a + d
+            first = np.where(a != 0, a,
+                             np.where(b != 0, b, np.where(c != 0, c, d)))
+            np.negative(R, out=R, where=(tr < 0) | ((tr == 0) & (first < 0)))
+        return R
+
+    def is_identity_batch(self, E) -> np.ndarray:
+        """``Moebius.is_identity`` of every column of E."""
+        a, b, c, d = E
+        with np.errstate(all="ignore"):
+            return ((np.abs(b) <= TOL) & (np.abs(c) <= TOL)
+                    & (np.abs(a - d) <= TOL) & (np.abs(np.abs(a) - 1.0) <= TOL))
+
     def iso_key(self, g: Moebius) -> tuple:
         return tuple(round(v, 9) for v in g.entries())
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import TOL, isometry
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, PreconditionError)
@@ -16,6 +18,9 @@ from .errors import (BudgetError, DomainError, ElementaryPairError,
 WORD_BUDGET = 10 ** 6
 # powers of each generator whose displacements schottky_margin measures
 SCHOTTKY_POWERS = 6
+# parents per block of a level that the batched group oracle builds at
+# once, which bounds the block's temporary arrays
+_BATCH_PARENTS = 4096
 
 
 @dataclass
@@ -302,7 +307,16 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
     Returns (passed, counterexample word or None).  The walk names each
     generator by its position, so generators that share a name are
     still told apart when letters cancel.
+
+    The group kind decides as walk_words would, with its words, order
+    and budget, without an isometry object per word where the model
+    allows: on a model with batch arithmetic it builds each level as
+    one array; for two elements of a model that can tell whether they
+    commute, two that do not are a free basis, so no word is the
+    identity and only the walk's length is checked against the budget.
     """
+    if depth < 1:
+        raise InputError("depth must be >= 1")
     names = [name for name, _ in gens]
 
     def text(word):
@@ -310,10 +324,17 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
 
     indexed = [(i, g) for i, (_, g) in enumerate(gens)]
     if kind == "group":
-        for word, g in walk_words(space, group_letters(space, indexed), depth):
-            if space.is_identity(g):
-                return False, text(word)
-        return True, None
+        if (len(gens) == 2 and hasattr(space, "commute")
+                and not space.commute(gens[0][1], gens[1][1])):
+            _check_walk_length(2 * len(gens), depth)
+            return True, None
+        letters = group_letters(space, indexed)
+        if hasattr(space, "compose_batch"):
+            word = _first_identity_batched(space, letters, depth)
+        else:
+            word = next((w for w, g in walk_words(space, letters, depth)
+                         if space.is_identity(g)), None)
+        return word is None, None if word is None else text(word)
     if kind != "semigroup":
         raise InputError(f"unknown oracle kind {kind!r}")
     seen = {}
@@ -324,3 +345,71 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
             return False, text(seen[key]) + " = " + text(word)
         seen[key] = word
     return True, None
+
+
+def _check_walk_length(k, depth):
+    """Raise BudgetError where walk_words over k group letters, none
+    the identity, would pass WORD_BUDGET before reaching the depth."""
+    budget, total, level = WORD_BUDGET, 0, k
+    for _ in range(depth):
+        total += level
+        if total > budget:
+            raise BudgetError("word budget exhausted")
+        level *= k - 1
+
+
+def _first_identity_batched(space, letters, depth):
+    """The first word of walk_words(space, letters, depth) whose element
+    is the identity, or None, on the model's batch arithmetic.
+
+    Each level is an array of elements with the last letter of each
+    word, built from the previous level in blocks of _BATCH_PARENTS
+    parents.  A parent's children are its products with every letter
+    but its last letter's inverse, in letter order, so the level is in
+    shortlex order and word i of a level extends word i // (k - 1) of
+    the one before.  The budget is applied as the walk applies it: the
+    words up to WORD_BUDGET are tested, and BudgetError is raised only
+    when the walk would go past it without finding the identity.
+    """
+    k = len(letters)
+    position = {sym: j for j, (sym, _) in enumerate(letters)}
+    inverse = np.array([position[name, -sign] for (name, sign), _ in letters])
+    L = space.batch([g for _, g in letters])
+    budget, count = WORD_BUDGET, 0
+    lasts = []  # the last letter of each word, for the levels built so far
+    E, last = L, np.arange(k)
+    for level in range(1, depth + 1):
+        blocks = ([(E, last)] if level == 1
+                  else _level_blocks(space, E, last, L, inverse))
+        start, kept = count, []
+        for BE, blast in blocks:
+            hits = np.flatnonzero(space.is_identity_batch(
+                BE[:, :max(0, budget - count)]))
+            if hits.size:
+                i = count - start + hits[0]
+                word = [blast[hits[0]]]
+                for prev in reversed(lasts):
+                    i //= k - 1
+                    word.append(prev[i])
+                return [letters[j][0] for j in reversed(word)]
+            count += len(blast)
+            if count > budget:
+                raise BudgetError("word budget exhausted")
+            if level < depth:
+                kept.append((BE, blast))
+        if kept:
+            E = np.concatenate([BE for BE, _ in kept], axis=1)
+            last = np.concatenate([blast for _, blast in kept])
+            lasts.append(last)
+    return None
+
+
+def _level_blocks(space, E, last, L, inverse):
+    """(elements, last letters) of the words one letter longer than
+    those of (E, last), a block of parents at a time."""
+    k = len(inverse)
+    for s in range(0, len(last), _BATCH_PARENTS):
+        products = space.compose_batch(E[:, s:s + _BATCH_PARENTS], L)
+        keep = np.ones(products.shape[1:], dtype=bool)
+        keep[np.arange(len(keep)), inverse[last[s:s + _BATCH_PARENTS]]] = False
+        yield products[:, keep], np.broadcast_to(np.arange(k), keep.shape)[keep]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -62,6 +63,13 @@ class TitsConfig:
     conjugate_bound: int = 16
     sample_size: int = 400
     seed: int = 0
+
+    def __post_init__(self):
+        # comparisons with NaN are false, so NaN fails each of them
+        if not (0 <= self.delta < math.inf and 0 < self.eps0 < math.inf
+                and self.N_max >= 1):
+            raise InputError("need finite delta >= 0, finite eps0 > 0 "
+                             "and N_max >= 1")
 
 
 @dataclass

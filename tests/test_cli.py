@@ -430,6 +430,10 @@ class TestMalformedInput:
     _DEGENERATE = ["degenerate", "--input", "{family}"]
     _DELTA = ["delta", "--input", "{family}"]
     _SQUARE = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+    _PAIR = {"model": "h2", "generators": [
+        {"name": "a", "matrix": [[2.0, 0.0], [0.0, 0.5]]},
+        {"name": "b", "matrix": [[1.25, 0.75], [0.75, 1.25]]}]}
+    _CERTIFY = ["certify", "--input", "{family}"]
     _HUGE = [[0, 1e308, 6e307, 6e307], [1e308, 0, 6e307, 6e307],
              [6e307, 6e307, 0, 1e308], [6e307, 6e307, 1e308, 0]]
 
@@ -454,12 +458,26 @@ class TestMalformedInput:
         (_DELTA, {"points": [0, 1, 2, 3], "dist": _HUGE}),
         (_DELTA, {"points": [0, 1, 2, 3],
                   "dist": [row[:3] + [10 ** 400] for row in _SQUARE]}),
+        (_CERTIFY + ["--delta", "nan"], _PAIR),
+        (_CERTIFY + ["--delta", "inf"], _PAIR),
+        (_CERTIFY + ["--delta", "-1"], _PAIR),
+        (_CERTIFY + ["--eps0", "0"], _PAIR),
+        (_CERTIFY + ["--eps0", "nan"], _PAIR),
+        (_CERTIFY + ["--N-max", "0"], _PAIR),
+        (["bounds", "--r0", "nan"], _A),
+        (["bounds", "--r0", "inf"], _A),
+        (["bounds", "--eps0", "nan"], _A),
+        (["bounds", "--delta", "inf"], _A),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
             "space-points-not-a-list", "space-ragged-dist",
             "space-string-entry", "space-duplicate-ids",
-            "space-delta-sums-overflow", "space-int-beyond-float"])
+            "space-delta-sums-overflow", "space-int-beyond-float",
+            "certify-delta-nan", "certify-delta-inf", "certify-delta-negative",
+            "certify-eps0-zero", "certify-eps0-nan", "certify-N-max-zero",
+            "bounds-r0-nan", "bounds-r0-inf", "bounds-eps0-nan",
+            "bounds-delta-inf"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))
