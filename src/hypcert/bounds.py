@@ -65,12 +65,13 @@ def ball_growth_counts(space, base, radii):
 
 def orbit_growth_counts(space, generators, base, radii, word_cap: int):
     """Orbit-point counts |B(base, R) ∩ orbit| using words up to word_cap."""
-    orbit = {_pt_key(base): base}
     letters = pingpong.group_letters(space, generators)
-    for _, g in pingpong.walk_words(space, letters, word_cap):
-        p = isometry.apply_isometry(space, g, base)
-        orbit.setdefault(_pt_key(p), p)
-    dists = sorted(space.dist_table([base], list(orbit.values()))[0].tolist())
+    pingpong.check_walk_length(len(letters), word_cap)
+    orbit = {_pt_key(base): base}
+    for E, _ in pingpong.walk_levels(space, letters, word_cap):
+        for p in space.act_batch(E, base):
+            orbit.setdefault(_pt_key(p), p)
+    dists = sorted(space.dist_row(base, list(orbit.values())).tolist())
     return [(float(R), bisect.bisect_right(dists, R + TOL)) for R in radii]
 
 
@@ -162,25 +163,26 @@ def action_stats(space, generators, sample, word_cap: int,
     under-estimates their true counterparts.
     """
     letters = pingpong.group_letters(space, generators)
-    elems = [(pingpong.word_to_text(word), g)
-             for word, g in pingpong.walk_words(space, letters, word_cap)
-             if not space.is_identity(g)]
-    if not elems:
+    pingpong.check_walk_length(len(letters), word_cap)
+    levels = [E for E, _ in pingpong.walk_levels(space, letters, word_cap)]
+    gs = [g for E in levels for g in pingpong.level_elements(space, E)]
+    nontrivial = np.array([not space.is_identity(g) for g in gs])
+    if not nontrivial.any():
         raise InputError("no nontrivial elements within the word cap")
-    profiles = {w: isometry.classify(g, space) for w, g in elems}
-    finite_order = {w: profiles[w].kind == "elliptic"
-                    and pingpong.has_finite_order(space, g, 24)
-                    for w, g in elems}
+    elems = [g for g, keep in zip(gs, nontrivial) if keep]
+    profiles = [isometry.classify(g, space) for g in elems]
+    finite_order = np.array([p.kind == "elliptic"
+                             and pingpong.has_finite_order(space, g, 24)
+                             for g, p in zip(elems, profiles)], dtype=bool)
 
     stats = ActionStats(word_cap=word_cap, sample_size=len(sample))
     radii_grid = [config.eps0 * 2.0 ** k for k in range(-2, 7)]
     for x in sample:
-        row = space.dist_table(
-            [x], [isometry.apply_isometry(space, g, x) for _, g in elems])
-        disp = dict(zip((w for w, _ in elems), row[0].tolist()))
-        stats.sys_at[x] = min(disp.values())
-        free_vals = [v for w, v in disp.items() if not finite_order[w]]
-        stats.sys_free_at[x] = min(free_vals) if free_vals else math.inf
+        images = [p for E in levels for p in space.act_batch(E, x)]
+        disp = space.dist_row(x, list(itertools.compress(images, nontrivial)))
+        stats.sys_at[x] = disp.min().item()
+        free = disp[~finite_order]
+        stats.sys_free_at[x] = free.min().item() if free.size else math.inf
         stats.nilrad_at[x] = _nilrad_at(space, disp, radii_grid, profiles)
     stats.dias_estimate = max(stats.sys_at.values())
     thin = [x for x, v in stats.sys_at.items() if v < config.eps0]
@@ -194,7 +196,7 @@ def _nilrad_at(space, disp, radii_grid, profiles):
     the point by at most r is non-elliptic with equal fixed sets."""
     best = 0.0
     for r in radii_grid:
-        near = [profiles[w] for w, v in disp.items() if v <= r]
+        near = [profiles[i] for i in np.flatnonzero(disp <= r)]
         if not all(isometry.elementary_profiles(space, p, q)
                    for p, q in itertools.combinations(near, 2)):
             break

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -428,7 +429,9 @@ def _add_bounds_flags(sp):
     sp.add_argument("--N", type=int, default=1)
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once: parsing leaves it as it was."""
     p = argparse.ArgumentParser(
         prog="hypcert",
         description="hyperbolic-geometry toolkit: delta estimation, packing, "

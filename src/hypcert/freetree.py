@@ -74,7 +74,9 @@ def mul(u: str, v: str) -> str:
 def _seam_mul(u: str, v: str) -> str:
     """The product of two reduced words: only letters where u ends and v
     begins can cancel, so nothing else is scanned."""
-    k, n = 0, min(len(u), len(v))
+    if not (u and v) or u[-1] != v[0].swapcase():
+        return u + v
+    k, n = 1, min(len(u), len(v))
     while k < n and u[-1 - k] == v[k].swapcase():
         k += 1
     return u[:len(u) - k] + v[k:]
@@ -211,7 +213,7 @@ class FreeTreeSpace(DiscreteSpace):
     """The Cayley tree of the free group of the given rank; its vertices
     and isometries are both reduced words.  A word is checked once, where
     it enters (``parse_point``, ``ball`` centres, ``dist_table``); ``act``,
-    ``dist``, ``compose`` and ``power`` take checked words as they are."""
+    ``dist``, ``dist_row``, ``compose`` and ``power`` take them as they are."""
 
     def __init__(self, rank: int = 2):
         if not 2 <= rank <= 26:
@@ -239,6 +241,12 @@ class FreeTreeSpace(DiscreteSpace):
         ys = [self.check_point(y) for y in ys]
         return np.array([[len(_seam_mul(u, y)) for y in ys] for u in inv],
                         dtype=int).reshape(len(inv), len(ys))
+
+    def dist_row(self, x: str, ps) -> np.ndarray:
+        """``dist`` from x to each of ps, unchecked: products of checked
+        words, as the program builds them, are reduced."""
+        u = invert(x)
+        return np.array([len(_seam_mul(u, p)) for p in ps], dtype=int)
 
     def parse_point(self, text: str) -> str:
         """A word in generator syntax, or "e" for the identity."""

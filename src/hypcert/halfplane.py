@@ -24,6 +24,8 @@ CROSS_CHECK_BAND = 1e-3
 AMBIGUITY_TOL = 1e-2
 _LOG_MAX = 709.78  # just below the log of the largest double
 _TABLE_COLUMNS = 4096
+_NEAREST_BLOCK = 1 << 14   # table entries per block of nearest's estimate
+_NEAREST_MARGIN = 1e-12   # relative; far above the estimate's few ulps
 
 
 def check_point(p) -> complex:
@@ -48,15 +50,19 @@ def dist(p, q) -> float:
 def dist_table(xs, ys) -> np.ndarray:
     """``dist`` over xs by ys, bit for bit (numpy's hypot and asinh differ).
 
-    Each point is checked once.  One Python row per point of the shorter
-    side: ``dist`` is symmetric to the bit, so a tall table is built as
-    the transpose of a wide one.  Long rows go in column blocks, which
-    bound the Python lists a row builds.
+    Each point is checked once, the shorter side's first.  One Python
+    row per point of the shorter side: ``dist`` is symmetric to the
+    bit, so a tall table is built as the transpose of a wide one.
     """
     if len(xs) > len(ys):
         return dist_table(ys, xs).T
     zx = [check_point(p) for p in xs]
-    zy = np.array([check_point(q) for q in ys], dtype=complex)
+    return _table(zx, np.array([check_point(q) for q in ys], dtype=complex))
+
+
+def _table(zx, zy):
+    """``dist`` over checked points zx by the checked array zy; long
+    rows go in column blocks, which bound a row's Python lists."""
     re, im, root = zy.real / 2, zy.imag / 2, np.sqrt(zy.imag)
     D = np.empty((len(zx), len(zy)))
     for i, p in enumerate(zx):
@@ -149,6 +155,9 @@ class Moebius:
         den = self.c * z + self.d
         m2 = den.real * den.real + den.imag * den.imag
         num = (self.a * z + self.b) * den.conjugate()
+        if not m2:
+            raise InputError(f"the image of {z} under {self!r} is not "
+                             "representable: |cz + d|^2 underflows to 0")
         # Im(gz) = Im(z) / |cz + d|^2 for det 1: exact positivity,
         # where the plain complex division cancels to zero
         return complex(num.real / m2, z.imag / m2)
@@ -297,6 +306,47 @@ class HalfPlane:
     def dist_table(self, xs, ys) -> np.ndarray:
         return dist_table(xs, ys)
 
+    def dist_row(self, x, ps) -> np.ndarray:
+        """``dist_table([x], ps)[0]`` for points the program built, still
+        checked, since their floats can overflow, but all at once."""
+        x, zy = check_point(x), np.array(ps, dtype=complex)
+        ok = (zy.imag > 0) & np.isfinite(zy.real) & np.isfinite(zy.imag)
+        if not ok.all():
+            check_point(ps[int(np.argmin(ok))])
+        return _table([x], zy)[0]
+
+    def nearest(self, xs, ys) -> np.ndarray:
+        """``dist_table(xs, ys).min(axis=1)`` bit for bit, with its checks.
+
+        A numpy estimate of the table, in blocks of _NEAREST_BLOCK entries,
+        is within a few ulps: only its hypot and asinh differ.  An entry
+        above its row's least estimate by more than _NEAREST_MARGIN, plus
+        an absolute part above the subnormal range, is no minimum; the rest
+        are measured with ``dist``, as is every entry with a subnormal hypot
+        and every row with a non-finite estimate."""
+        if not (len(xs) and len(ys)):
+            return dist_table(xs, ys).min(axis=1)
+        pts = [xs, ys]
+        for k in (0, 1) if len(xs) <= len(ys) else (1, 0):
+            pts[k] = np.array([check_point(p) for p in pts[k]], dtype=complex)
+        zx, zy = pts
+        re, im, root = zy.real / 2, zy.imag / 2, np.sqrt(zy.imag)
+        out = np.full(len(zx), np.inf)
+        step = max(1, _NEAREST_BLOCK // len(zy))
+        rel, tiny = _NEAREST_MARGIN, np.finfo(float).tiny
+        for s in range(0, len(zx), step):
+            p = zx[s:s + step, None]
+            with np.errstate(all="ignore"):
+                num = np.hypot(p.real / 2 - re, p.imag / 2 - im)
+                est = 2.0 * np.arcsinh(num / (np.sqrt(p.imag) * root))
+            near = (est <= est.min(axis=1, keepdims=True) * (1.0 + rel)
+                    + 2.0 ** 64 * tiny) | (num < tiny)
+            near[~np.isfinite(est).all(axis=1)] = True
+            rows, cols = np.nonzero(near)
+            exact = list(map(dist, zx[s + rows].tolist(), zy[cols].tolist()))
+            np.minimum.at(out, s + rows, exact)
+        return out
+
     def parse_point(self, text: str) -> complex:
         """'x,y' for the point x + iy."""
         try:
@@ -350,6 +400,26 @@ class HalfPlane:
                              np.where(b != 0, b, np.where(c != 0, c, d)))
             np.negative(R, out=R, where=(tr < 0) | ((tr == 0) & (first < 0)))
         return R
+
+    def unbatch(self, E) -> list:
+        """The matrices of the columns of E."""
+        return [Moebius._unit(*col) for col in E.T.tolist()]
+
+    def act_batch(self, E, z) -> list:
+        """``act`` of every column of E on z, as a list: the float
+        operations of ``Moebius.__call__``, raising its error for the
+        first column whose image underflows."""
+        a, b, c, d = E
+        x, y = z.real, z.imag
+        with np.errstate(all="ignore"):   # float * complex as in CPython
+            dr, di = c * x - 0.0 * y + d, c * y + 0.0 * x + 0.0
+            m2 = dr * dr + di * di
+            nr, ni = a * x - 0.0 * y + b, a * y + 0.0 * x + 0.0
+            out = np.empty(len(m2), dtype=complex)
+            out.real, out.imag = (nr * dr - ni * -di) / m2, y / m2
+        if not m2.all():
+            self.unbatch(E[:, np.argmin(m2 != 0)][:, None])[0](z)
+        return out.tolist()
 
     def is_identity_batch(self, E) -> np.ndarray:
         """``Moebius.is_identity`` of every column of E."""

@@ -77,27 +77,6 @@ def isometry_power(space, g, n: int):
     return space.power(g, n)
 
 
-def margulis_membership(space, g, eps: float, x, power_cap: int):
-    """Is x within the generalized Margulis domain of g at level eps?
-
-    Tests d(x, g^i x) <= eps over 0 < i <= power_cap (negative powers
-    give the same displacements).  For hyperbolic g, powers beyond
-    eps / ell displace everything too far, so the scan stops there.
-    """
-    if eps <= 0 or power_cap < 1:
-        raise InputError("need eps > 0 and power_cap >= 1")
-    prof = classify(g, space)
-    cap = power_cap
-    if prof.kind == "hyperbolic":
-        cap = min(cap, max(1, math.ceil(eps / prof.ell)))
-    y = x
-    for i in range(1, cap + 1):
-        y = apply_isometry(space, g, y)
-        if space.dist(x, y) <= eps + TOL:
-            return True, i
-    return False, None
-
-
 @dataclass
 class GapReport:
     eps1: float
@@ -128,15 +107,32 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     """
     if not (0 < eps1 <= eps2):
         raise InputError("need 0 < eps1 <= eps2")
-    inside = [[margulis_membership(space, g, eps, x, power_cap)[0]
-               for x in sample] for eps in (eps1, eps2)]
-    inner = [x for x, hit in zip(sample, inside[0]) if hit]
-    within = [x for x, hit in zip(sample, inside[1]) if hit]
-    outside = [x for x, hit in zip(sample, inside[1]) if not hit]
+    if power_cap < 1:
+        raise InputError("need eps > 0 and power_cap >= 1")
+    # x is in the level-eps domain if d(x, g^i x) <= eps at some 0 < i <=
+    # cap, which stops at eps / ell for hyperbolic g; one scan for both
+    prof = classify(g, space)
+    caps = [power_cap if prof.kind != "hyperbolic"
+            else min(power_cap, max(1, math.ceil(eps / prof.ell)))
+            for eps in (eps1, eps2)]
+    inside = []
+    for x in sample:
+        y, hits = x, [False, False]
+        for i in range(1, caps[1] + 1):
+            y = apply_isometry(space, g, y)
+            d = space.dist(x, y)
+            hits = [hit or (i <= cap and d <= eps + TOL)
+                    for hit, cap, eps in zip(hits, caps, (eps1, eps2))]
+            if all(hit or i >= cap for hit, cap in zip(hits, caps)):
+                break
+        inside.append(hits)
+    inner = [x for x, (hit, _) in zip(sample, inside) if hit]
+    within = [x for x, (_, hit) in zip(sample, inside) if hit]
+    outside = [x for x, (_, hit) in zip(sample, inside) if not hit]
     if not inner:
         raise PreconditionError("inner domain empty on the sample")
-    gaps = space.dist_table(outside, inner).min(axis=1).tolist()
-    spans = space.dist_table(within, inner).min(axis=1).tolist()
+    gaps = space.nearest(outside, inner).tolist()
+    spans = space.nearest(within, inner).tolist()
     lb2 = None
     if P0 is not None and r0 is not None and eps2 <= r0 and eps1 < 2.0:
         lb2 = gap_lower_bound_ii(P0, eps1, eps2)

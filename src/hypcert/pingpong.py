@@ -18,8 +18,8 @@ from .errors import (BudgetError, DomainError, ElementaryPairError,
 WORD_BUDGET = 10 ** 6
 # powers of each generator whose displacements schottky_margin measures
 SCHOTTKY_POWERS = 6
-# parents per block of a level that the batched group oracle builds at
-# once, which bounds the block's temporary arrays
+# parents per block of a level that walk_levels builds at once in
+# batch arithmetic, which bounds the block's temporary arrays
 _BATCH_PARENTS = 4096
 
 
@@ -245,39 +245,91 @@ def group_letters(space, gens):
                            ((name, -1), isometry.isometry_power(space, g, -1)))]
 
 
-def walk_words(space, letters, max_len: int):
-    """Freely reduced words of length 1..max_len in shortlex order, each
-    with the isometry it names.
+def _inverses(letters):
+    """Each letter's inverse's position (-1 for none), and the number of
+    letters that may follow a word: k - 1 of k that hold their inverses."""
+    position = {sym: j for j, (sym, _) in enumerate(letters)}
+    inverse = np.array([position.get((name, -sign), -1)
+                        for (name, sign), _ in letters], dtype=np.intp)
+    paired = np.count_nonzero(inverse >= 0)
+    if 0 < paired < len(inverse):
+        raise InputError("walk letters hold every inverse or none")
+    return inverse, len(inverse) - (paired > 0)
 
-    ``letters`` are ((name, sign), element) pairs in the order of the
-    walk, with one name per generator; no letter follows its own
-    inverse, the letter of the same name and the opposite sign.  Yields
-    (word, element), where a word's element is its prefix's element
-    composed with the last letter's, so every word costs one
-    composition; with None elements nothing is composed.  The current
-    level's pairs are the only ones kept.  Raises BudgetError instead of
-    yielding more than WORD_BUDGET words, as it is at the call.
-    """
+
+def walk_levels(space, letters, max_len: int):
+    """Each level of the shortlex walk over freely reduced words of
+    length 1..max_len: its words' elements (the model's batch, or a
+    list), and their last letters' positions in ``letters``, which are
+    ((name, sign), element) pairs in walk order, one name per generator.
+
+    A word's children append each letter but its last one's inverse, in
+    order, so word i of a level past the first extends word i // c of
+    the one before, for c letters that may follow a word.  A child's
+    element is its parent's composed with the letter's (None composes
+    nothing), from the level before, _BATCH_PARENTS parents at a time.
+    The levels hold the first WORD_BUDGET words, as it is at the call;
+    asking for more raises BudgetError."""
     if max_len < 1:
         raise InputError("max_len must be >= 1")
-    budget = WORD_BUDGET
-    count = 0
-    frontier = [((), None)]
-    for level in range(1, max_len + 1):
-        nxt = []
-        for word, g in frontier:
-            for sym, h in letters:
-                if word and word[-1] == (sym[0], -sym[1]):
-                    continue
-                count += 1
-                if count > budget:
-                    raise BudgetError("word budget exhausted")
-                w2 = word + (sym,)
-                g2 = h if g is None else _compose(space, g, h)
-                yield w2, g2
-                if level < max_len:
-                    nxt.append((w2, g2))
-        frontier = nxt
+    inverse, c = _inverses(letters)
+    batched = hasattr(space, "compose_batch")
+    L = (space.batch if batched else list)([g for _, g in letters])
+    ix = np.arange(len(letters), dtype=np.min_scalar_type(len(letters)))
+    budget, count, E, last = WORD_BUDGET, 0, None, None
+    for _ in range(max_len):
+        size = len(inverse) if last is None else len(last) * c
+        take = min(size, budget - count)
+        if not size:
+            return
+        if not take:
+            raise BudgetError("word budget exhausted")
+        if last is None:
+            E, last = (L[:, :take] if batched else L[:take]), ix[:take]
+        else:
+            E, last = _children(space, batched, E, last[:-(-take // c)], L,
+                                inverse, ix, take)
+        count += take
+        yield E, last
+        if take < size:
+            raise BudgetError("word budget exhausted")
+
+
+def _children(space, batched, E, last, L, inverse, ix, take):
+    """The first take words of the level after (E, last), as walk_levels;
+    the level's array is filled a block of parents at a time."""
+    keep = np.ones((len(last), len(inverse)), dtype=bool)
+    inv = inverse[last]
+    keep[np.flatnonzero(inv >= 0), inv[inv >= 0]] = False
+    letter = np.broadcast_to(ix, keep.shape)[keep][:take]
+    if not batched:
+        return [h if g is None else _compose(space, g, h) for g, h in
+                zip(map(E.__getitem__, np.nonzero(keep)[0].tolist()),
+                    map(L.__getitem__, letter.tolist()))], letter
+    out, n = np.empty((4, take)), 0
+    for s in range(0, len(last), _BATCH_PARENTS):
+        rows = keep[s:s + _BATCH_PARENTS]
+        block = space.compose_batch(E[:, s:s + len(rows)], L)[:, rows]
+        out[:, n:n + block.shape[1]] = block[:, :take - n]
+        n += block.shape[1]
+    return out, letter
+
+
+def walk_words(space, letters, max_len: int):
+    """The (word, element) pairs of walk_levels one at a time, a word
+    being a tuple of (name, sign) letters."""
+    _, c = _inverses(letters)
+    syms = [sym for sym, _ in letters]
+    words = None
+    for E, last in walk_levels(space, letters, max_len):
+        words = [(words[i // c] if words else ()) + (syms[j],)
+                 for i, j in enumerate(last.tolist())]
+        yield from zip(words, level_elements(space, E))
+
+
+def level_elements(space, E) -> list:
+    """The elements of a level of walk_levels, one object each."""
+    return space.unbatch(E) if hasattr(space, "compose_batch") else E
 
 
 def has_finite_order(space, g, k: int) -> bool:
@@ -326,7 +378,7 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
     if kind == "group":
         if (len(gens) == 2 and hasattr(space, "commute")
                 and not space.commute(gens[0][1], gens[1][1])):
-            _check_walk_length(2 * len(gens), depth)
+            check_walk_length(2 * len(gens), depth)
             return True, None
         letters = group_letters(space, indexed)
         if hasattr(space, "compose_batch"):
@@ -347,9 +399,9 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
     return True, None
 
 
-def _check_walk_length(k, depth):
-    """Raise BudgetError where walk_words over k group letters, none
-    the identity, would pass WORD_BUDGET before reaching the depth."""
+def check_walk_length(k, depth):
+    """Raise BudgetError where the walk over k group letters would pass
+    WORD_BUDGET before the depth, before a word is built."""
     budget, total, level = WORD_BUDGET, 0, k
     for _ in range(depth):
         total += level
@@ -360,56 +412,16 @@ def _check_walk_length(k, depth):
 
 def _first_identity_batched(space, letters, depth):
     """The first word of walk_words(space, letters, depth) whose element
-    is the identity, or None, on the model's batch arithmetic.
-
-    Each level is an array of elements with the last letter of each
-    word, built from the previous level in blocks of _BATCH_PARENTS
-    parents.  A parent's children are its products with every letter
-    but its last letter's inverse, in letter order, so the level is in
-    shortlex order and word i of a level extends word i // (k - 1) of
-    the one before.  The budget is applied as the walk applies it: the
-    words up to WORD_BUDGET are tested, and BudgetError is raised only
-    when the walk would go past it without finding the identity.
-    """
-    k = len(letters)
-    position = {sym: j for j, (sym, _) in enumerate(letters)}
-    inverse = np.array([position[name, -sign] for (name, sign), _ in letters])
-    L = space.batch([g for _, g in letters])
-    budget, count = WORD_BUDGET, 0
-    lasts = []  # the last letter of each word, for the levels built so far
-    E, last = L, np.arange(k)
-    for level in range(1, depth + 1):
-        blocks = ([(E, last)] if level == 1
-                  else _level_blocks(space, E, last, L, inverse))
-        start, kept = count, []
-        for BE, blast in blocks:
-            hits = np.flatnonzero(space.is_identity_batch(
-                BE[:, :max(0, budget - count)]))
-            if hits.size:
-                i = count - start + hits[0]
-                word = [blast[hits[0]]]
-                for prev in reversed(lasts):
-                    i //= k - 1
-                    word.append(prev[i])
-                return [letters[j][0] for j in reversed(word)]
-            count += len(blast)
-            if count > budget:
-                raise BudgetError("word budget exhausted")
-            if level < depth:
-                kept.append((BE, blast))
-        if kept:
-            E = np.concatenate([BE for BE, _ in kept], axis=1)
-            last = np.concatenate([blast for _, blast in kept])
-            lasts.append(last)
+    is the identity, or None, rebuilt from the last letters of the
+    levels of walk_levels by the parent rule i // (k - 1)."""
+    lasts = []
+    for E, last in walk_levels(space, letters, depth):
+        lasts.append(last)
+        hits = np.flatnonzero(space.is_identity_batch(E))
+        if hits.size:
+            i, word = hits[0], []
+            for prev in reversed(lasts):
+                word.append(prev[i])
+                i //= len(letters) - 1
+            return [letters[j][0] for j in reversed(word)]
     return None
-
-
-def _level_blocks(space, E, last, L, inverse):
-    """(elements, last letters) of the words one letter longer than
-    those of (E, last), a block of parents at a time."""
-    k = len(inverse)
-    for s in range(0, len(last), _BATCH_PARENTS):
-        products = space.compose_batch(E[:, s:s + _BATCH_PARENTS], L)
-        keep = np.ones(products.shape[1:], dtype=bool)
-        keep[np.arange(len(keep)), inverse[last[s:s + _BATCH_PARENTS]]] = False
-        yield products[:, keep], np.broadcast_to(np.arange(k), keep.shape)[keep]

@@ -402,8 +402,8 @@ def covering_number(space: SampledSpace, region, r: float,
 
 class DiscreteSpace:
     """Defaults shared by the discrete models (the free-group tree and
-    finite graphs).  Subclasses provide ``dist``, ``dist_table`` and
-    ``ball``."""
+    finite graphs).  Subclasses provide ``dist``, ``dist_table``, ``act``
+    and ``ball``; a batch of isometries is a list."""
 
     def sample_ball(self, center, R, n: int, rng) -> list:
         """The whole ball when it has at most n points, else n seeded
@@ -421,6 +421,15 @@ class DiscreteSpace:
 
     def ball_size(self, center, R) -> int:
         return len(self.ball(center, R))
+
+    def act_batch(self, gs, x) -> list:
+        return [self.act(g, x) for g in gs]
+
+    def dist_row(self, x, ps) -> np.ndarray:
+        return self.dist_table([x], ps)[0]
+
+    def nearest(self, xs, ys) -> np.ndarray:
+        return self.dist_table(xs, ys).min(axis=1)
 
     def iso_key(self, g):
         return g

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from hypcert import cli
+from hypcert import cli, halfplane, isometry, pingpong
+from hypcert.errors import InputError
 
 
 def run(tmp_path, *argv):
@@ -515,3 +516,114 @@ class TestMalformedSpecShape:
         assert code == 2
         assert rep is None
         assert "input error" in capsys.readouterr().err
+
+
+def _spec(tmp_path, matrices, name="pair.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"model": "h2", "generators": [
+        {"name": n, "matrix": m} for n, m in zip("ab", matrices)]}))
+    return str(path)
+
+
+class TestUnderflowingImage:
+    # a^9 z = 1e360 z: |cz + d|^2 = 1e-360 underflows to 0
+    PAIR = [[[1e20, 0], [0, 1e-20]], [[1.25, 0.75], [0.75, 1.25]]]
+
+    @pytest.mark.parametrize("cap", ["8", "9"])
+    def test_orbit_entropy_is_exit_2(self, tmp_path, capsys, cap):
+        code, rep = run(tmp_path, "entropy", "--orbit", "--base", "0,1",
+                        "--word-cap", cap, "--input",
+                        _spec(tmp_path, self.PAIR))
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert ("underflows" in err) == (cap == "9")
+
+    def test_moebius_call_refuses_it(self):
+        g = halfplane.Moebius(1e180, 0.0, 0.0, 1e-180)
+        with pytest.raises(InputError, match="underflows"):
+            g(1j)
+
+
+class TestWalkBudgetUpFront:
+    @pytest.mark.parametrize("command", [
+        ["entropy", "--orbit", "--base", "0,1", "--word-cap", "12"],
+        ["stats", "--base", "0,1", "--word-cap", "12"]])
+    def test_exit_3_before_any_level(self, tmp_path, h2_pair_file, capsys,
+                                     monkeypatch, command):
+        def no_walk(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(pingpong, "walk_levels", no_walk)
+        code, rep = run(tmp_path, *command, "--input", h2_pair_file)
+        assert code == 3 and rep is None
+        assert "budget exceeded: word budget exhausted" in \
+            capsys.readouterr().err
+
+    def test_exit_3_at_the_budget_only(self, tmp_path, tree_pair_file,
+                                       monkeypatch):
+        # 4 + 12 + 36 + 108 = 160 words of length at most 4
+        for budget, want in ((159, 3), (160, 0)):
+            monkeypatch.setattr(pingpong, "WORD_BUDGET", budget)
+            for command in (["entropy", "--orbit"], ["stats"]):
+                code, _ = run(tmp_path, *command, "--word-cap", "4",
+                              "--input", tree_pair_file)
+                assert code == want
+
+
+class TestParserOnce:
+    def _argvs(self, tmp_path, h2_pair_file, tree_pair_file):
+        return [["classify", "--input", h2_pair_file],
+                ["certify", "--input", tree_pair_file],
+                ["bounds", "--P0", "3"],
+                ["stats", "--input", tree_pair_file, "--word-cap", "2"],
+                ["entropy", "--input", h2_pair_file, "--orbit",
+                 "--base", "0,1", "--word-cap", "3"],
+                ["margulis", "--input", h2_pair_file, "--eps1", "1.5",
+                 "--eps2", "2.0", "--sample-size", "50", "--seed", "4"],
+                ["bounds"]]
+
+    def _outputs(self, tmp_path, argvs, fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out.append(run(tmp_path, *argv))
+        return out
+
+    def test_calls_in_one_process_match_fresh_parsers(
+            self, tmp_path, h2_pair_file, tree_pair_file, monkeypatch):
+        argvs = self._argvs(tmp_path, h2_pair_file, tree_pair_file)
+        fresh = self._outputs(tmp_path, argvs, fresh=True)
+        cli.build_parser.cache_clear()
+        with pytest.raises(SystemExit):   # a parse error leaves it intact
+            cli.main(["stats", "--word-cap", "x"])
+        shared = self._outputs(tmp_path, argvs, fresh=False)
+        assert shared == fresh
+        assert cli.build_parser.cache_info().misses == 1
+        # the environment's seed is still read at every call
+        monkeypatch.setenv("HYPCERT_SEED", "7")
+        assert run(tmp_path, "bounds")[1]["manifest"]["seed"] == 7
+        monkeypatch.delenv("HYPCERT_SEED")
+        assert run(tmp_path, "bounds")[1]["manifest"]["seed"] == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+
+class TestMargulisClassifiesOnce:
+    def test_parabolic_pair(self, tmp_path, capsys, monkeypatch):
+        argv = ["margulis", "--input",
+                _spec(tmp_path, [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]),
+                "--eps1", "0.01", "--eps2", "0.02", "--sample-size", "200"]
+        calls = []
+        classify = isometry.classify
+
+        def counting(g, space):
+            calls.append(g)
+            return classify(g, space)
+
+        monkeypatch.setattr(isometry, "classify", counting)
+        code, rep = run(tmp_path, *argv)
+        assert (code, rep, len(calls)) == (2, None, 1)
+        err = capsys.readouterr().err.splitlines()
+        assert err[:-1] == ["error: inner domain empty on the sample"]
+        assert err[-1].startswith("elapsed:")

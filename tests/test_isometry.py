@@ -146,15 +146,16 @@ class TestDisplacementAndAxes:
 class TestMargulisDomain:
     def test_membership_on_and_off_axis(self):
         g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        inside, power = isometry.margulis_membership(H2, g, 1.5, 1j, 64)
-        assert inside and power == 1
-        outside, _ = isometry.margulis_membership(H2, g, 1.5, 1.0 + 0.1j, 64)
-        assert not outside
+        rep = isometry.domain_gap_report(H2, g, 1.5, 1.5, [1j, 1.0 + 0.1j])
+        assert (rep.inner_count, rep.outer_count) == (1, 1)
+        # the first power already returns within 1.5
+        rep = isometry.domain_gap_report(H2, g, 1.5, 1.5, [1j], power_cap=1)
+        assert rep.inner_count == 1
 
     def test_eps_above_ell_includes_axis_neighborhood(self):
         g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        inside, _ = isometry.margulis_membership(H2, g, 2.0, 0.1 + 1j, 64)
-        assert inside
+        rep = isometry.domain_gap_report(H2, g, 2.0, 2.0, [0.1 + 1j])
+        assert rep.inner_count == 1
 
     def test_domain_sample_split(self):
         g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)

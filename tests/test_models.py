@@ -480,3 +480,182 @@ def test_models_share_the_readme_interface(space):
     names = _readme_interface()
     assert "dist_table" in names and "classify" in names
     assert [n for n in names if not callable(getattr(space, n, None))] == []
+
+
+# --------------------------- batch action, built-point rows, row minima
+
+def _points_bits(zs):
+    """The bits of complex points, with each NaN as one NaN."""
+    x = np.array([(z.real, z.imag) for z in zs], dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def _act_cases():
+    rng = random.Random(11)
+    gs = []
+    while len(gs) < 8:
+        a, b, c, d = (rng.uniform(-3.0, 3.0) for _ in range(4))
+        if a * d - b * c > 0.1:
+            gs.append(halfplane.Moebius(a, b, c, d))
+    gs += [g ** 700 for g in gs[:4]]   # entries overflow to inf and NaN
+    gs += [halfplane.Moebius(0.0, -1.0, 1.0, 0.0),
+           halfplane.Moebius(1.0, 0.0, 0.0, 1.0),
+           halfplane.Moebius(1e150, 0.0, 0.0, 1e-150),
+           halfplane.Moebius(-2.0, 1.0, -1.0, 0.0),
+           # signed zeros: at z = -0.0 + 1j the real part of gz is +0.0
+           # only through the zero imaginary part that float * complex
+           # gives the float factor
+           halfplane.Moebius(2.0, -0.0, -0.0, 0.5)]
+    return gs
+
+
+_ACT_POINTS = [1j, 0.5 + 2j, -3.0 + 1e-9j, complex(0.0, 1e-300),
+               complex(-1e150, 1e150), complex(2.0, 5e-324),
+               complex(-0.0, 1.0), complex(1e300, 1e-300)]
+
+
+@pytest.mark.parametrize("z", _ACT_POINTS, ids=repr)
+def test_act_batch_is_moebius_call_bit_for_bit(z, capfd):
+    H2 = halfplane.H2
+    gs = []
+    for g in _act_cases():
+        try:
+            g(z)
+            gs.append(g)
+        except InputError:   # |cz + d|^2 underflows; see the next test
+            pass
+    assert len(gs) > 10
+    with np.errstate(all="raise"):
+        got = H2.act_batch(H2.batch(gs), z)
+    assert all(type(p) is complex for p in got)
+    assert _points_bits(got) == _points_bits([g(z) for g in gs])
+    assert capfd.readouterr().err == ""
+
+
+def test_act_batch_raises_the_call_error_of_the_first_underflow():
+    H2 = halfplane.H2
+    fine = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
+    tiny = [halfplane.Moebius(1e160 * k, 0.0, 0.0, 1e-160 / k)
+            for k in (1.0, 1e3, 1e4)]
+    z = 1j
+    assert tiny[0](z).imag > 0   # |cz + d|^2 = 1e-320 is still subnormal
+    messages = []
+    for g in tiny[1:]:
+        with pytest.raises(InputError, match="underflows") as called:
+            g(z)
+        messages.append(str(called.value))
+    with pytest.raises(InputError) as batched:
+        H2.act_batch(H2.batch([fine, tiny[0], tiny[2], tiny[1]]), z)
+    assert str(batched.value) == messages[1] != messages[0]
+
+
+def test_unbatch_gives_the_matrices_back():
+    gs = _act_cases()
+    back = halfplane.H2.unbatch(halfplane.H2.batch(gs))
+    assert all(type(h) is halfplane.Moebius for h in back)
+    assert _points_bits([complex(*g.entries()[:2]) for g in back]) == \
+        _points_bits([complex(*g.entries()[:2]) for g in gs])
+    assert _points_bits([complex(*g.entries()[2:]) for g in back]) == \
+        _points_bits([complex(*g.entries()[2:]) for g in gs])
+
+
+@pytest.mark.parametrize("model", sorted(_TABLE_CASES))
+def test_dist_row_is_the_table_row(model):
+    space, xs, ys, bad = _TABLE_CASES[model]
+    for x in xs:
+        _same_in_type_and_bits([space.dist_row(x, ys).tolist()],
+                               space.dist_table([x], ys).tolist())
+    if model == "h2":   # floats the program builds can overflow
+        with pytest.raises(InputError) as row:
+            space.dist_row(xs[0], ys + [bad])
+        with pytest.raises(InputError) as table:
+            space.dist_table([xs[0]], ys + [bad])
+        assert str(row.value) == str(table.value)
+
+
+def test_tree_rows_check_nothing(monkeypatch):
+    tree = freetree.FreeTreeSpace(2)
+    ball = tree.ball("", 3)
+    want = {x: tree.dist_table([x], ball).tolist() for x in ball[:20]}
+    calls = []
+    monkeypatch.setattr(freetree.FreeTreeSpace, "check_point",
+                        lambda self, w: calls.append(w) or w)
+    for x, row in want.items():
+        _same_in_type_and_bits([tree.dist_row(x, ball).tolist()], row)
+    assert calls == []
+
+
+def _min_rows(space, xs, ys):
+    """space.dist_table(xs, ys).min(axis=1), or the error it raises."""
+    try:
+        with np.errstate(over="ignore"):   # entries that are inf, as in dist
+            return space.dist_table(xs, ys).min(axis=1)
+    except (InputError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _nearest(space, xs, ys):
+    try:
+        return space.nearest(xs, ys)
+    except (InputError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _same_minima(space, xs, ys):
+    got, want = _nearest(space, xs, ys), _min_rows(space, xs, ys)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _h2_cases():
+    rng = random.Random(5)
+    ball = halfplane.sample_ball(1j, 6.0, 300, rng)
+    small = halfplane.sample_ball(0.3 + 2j, 2.0, 40, rng)
+    scaled = {s: [complex(z.real * s, z.imag * s) for z in small]
+              for s in (1e-150, 1e150)}
+    ties = [1j, 2j, 0.5j, 1.0 + 1j, -1.0 + 1j, 2j, 1j]
+    close = [complex(0.0, 1e-300), complex(1e-310, 1e-300),
+             complex(-1e-310, 1e-300), complex(0.0, 1e-300 + 1e-315)]
+    return {"seeded": (ball, small), "seeded-tall": (small, ball),
+            "ties": (ties, ties), "ties-shifted": ([1j, 3j], ties),
+            "coincident": (small[:10] + ball[:5], small),
+            "tiny": (scaled[1e-150], scaled[1e-150][::-1]),
+            "huge": (scaled[1e150], scaled[1e150][:7]),
+            "mixed-scales": (scaled[1e-150][:5] + scaled[1e150][:5], small),
+            "subnormal-gaps": (close, close[::-1]),
+            # two entries whose order numpy's hypot and asinh reverse
+            "near-ties": ([1j], [-0.8449038053460146 + 0.16883370029561454j,
+                                 -3.1998167980099086 + 9.08262147267447j,
+                                 1.5118578764628696 + 0.19561301242971602j]),
+            "near-ties-2": ([1j], [1.5118578764628696 + 0.19561301242971602j,
+                                   -2.1503367583981627 + 16.654951386091813j]),
+            "overflowing": ([complex(1e300, 1e-300), 1j],
+                            [complex(-1e300, 1e-300), 2j,
+                             complex(1e300, 1.0)]),
+            "empty-xs": ([], small), "empty-ys": (small, []),
+            "both-empty": ([], [])}
+
+
+@pytest.mark.parametrize("case", sorted(_h2_cases()))
+def test_nearest_is_the_table_minimum_bit_for_bit(case):
+    xs, ys = _h2_cases()[case]
+    _same_minima(halfplane.H2, xs, ys)
+
+
+_OTHER_BAD = {"h2": complex(1.0, -1.0), "tree": "bB", "grid": (7, 7)}
+
+
+@pytest.mark.parametrize("model", sorted(_TABLE_CASES))
+def test_nearest_checks_as_the_table_does(model):
+    space, xs, ys, bad = _TABLE_CASES[model]
+    other = _OTHER_BAD[model]   # which is named depends on the order
+    for a, b in ((xs, ys), (ys, xs), (xs + [bad], ys), (xs, [bad] + ys),
+                 ([bad], ys), (xs, [bad]), (xs[:1], ys + [bad]),
+                 (xs + [bad], [other] + ys), (ys + [bad], [other] + xs),
+                 ([bad], [other]), (xs + [bad], [other])):
+        _same_minima(space, a, b)
+    for a, b in ((xs + [bad], ys), (xs, [bad] + ys)):
+        with pytest.raises(InputError):
+            space.nearest(a, b)

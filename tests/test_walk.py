@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hypcert import bounds, cli, halfplane, isometry, pingpong, tits
-from hypcert.errors import BudgetError, InputError
+from hypcert import bounds, cli, freetree, halfplane, isometry, pingpong, tits
+from hypcert.errors import BudgetError, InputError, PreconditionError
 
 H2 = halfplane.H2
 
@@ -66,7 +66,8 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
             space, pingpong.group_letters(space, gens), 4):
         orbit.add(bounds._pt_key(isometry.apply_isometry(space, g, base)))
     calls = []
-    dist, dist_table = type(space).dist, type(space).dist_table
+    model = type(space)
+    dist, dist_table, dist_row = model.dist, model.dist_table, model.dist_row
 
     def counting_dist(self, p, q):
         calls.append(q)
@@ -76,8 +77,13 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
         calls.extend(ys)
         return dist_table(self, xs, ys)
 
-    monkeypatch.setattr(type(space), "dist", counting_dist)
-    monkeypatch.setattr(type(space), "dist_table", counting_table)
+    def counting_row(self, x, ps):
+        calls.extend(ps)
+        return dist_row(self, x, ps)
+
+    monkeypatch.setattr(model, "dist", counting_dist)
+    monkeypatch.setattr(model, "dist_table", counting_table)
+    monkeypatch.setattr(model, "dist_row", counting_row)
     bounds.orbit_growth_counts(space, gens, base, [1.0, 2.0, 3.0, 4.0], 4)
     assert len(calls) == len(orbit)
 
@@ -390,3 +396,288 @@ def test_certify_reports_the_same_with_the_per_word_oracle(
     monkeypatch.setattr(pingpong, "word_oracle", _per_word_oracle)
     assert cli.main(argv) == code
     assert capsys.readouterr().out == out
+
+
+# ------------------------------------------- the level walk, word by word
+
+
+def _per_word_walk(space, letters, max_len):
+    """The shortlex walk one word at a time, each element its prefix's
+    composed with the last letter's: the reference for walk_levels and
+    walk_words."""
+    if max_len < 1:
+        raise InputError("max_len must be >= 1")
+    budget, count = pingpong.WORD_BUDGET, 0
+    frontier = [((), None)]
+    for level in range(1, max_len + 1):
+        nxt = []
+        for word, g in frontier:
+            for sym, h in letters:
+                if word and word[-1] == (sym[0], -sym[1]):
+                    continue
+                count += 1
+                if count > budget:
+                    raise BudgetError("word budget exhausted")
+                w2 = word + (sym,)
+                g2 = h if g is None else space.compose(g, h)
+                yield w2, g2
+                if level < max_len:
+                    nxt.append((w2, g2))
+        frontier = nxt
+
+
+def _element_bits(g):
+    if isinstance(g, halfplane.Moebius):
+        return _bits(g.entries())
+    return g
+
+
+def _walk_prefix(walk):
+    """The (word, element bits) pairs a walk yields, and whether it
+    ended with the budget error."""
+    out = []
+    try:
+        for word, g in walk:
+            out.append((word, _element_bits(g)))
+    except BudgetError:
+        return out, True
+    return out, False
+
+
+def _letter_cases():
+    tree2 = freetree.FreeTreeSpace(2)
+    a, b = M(2, 0, 0, 0.5), M(1.25, 0.75, 0.75, 1.25)
+    H2_group = pingpong.group_letters(H2, [(0, a), (1, b)])
+    return {
+        "h2-group": (H2, H2_group, 5),
+        "h2-psl2z": (H2, pingpong.group_letters(H2, list(enumerate(
+            g for _, g in PSL2Z))), 6),
+        "h2-overflow": (H2, pingpong.group_letters(
+            H2, [(0, a ** 1100), (1, b ** 1100)]), 4),
+        "h2-semigroup": (H2, [((0, 1), a), ((1, 1), b)], 6),
+        "h2-one-letter": (H2, [(("g", 1), halfplane.rotation_about_i(1.0))],
+                          7),
+        "tree-group": (tree2, pingpong.group_letters(
+            tree2, [("u", "ab"), ("v", "aBB")]), 5),
+        "tree-semigroup": (tree2, [(("u", 1), "ab"), (("v", 1), "ba"),
+                                   (("w", 1), "A")], 4),
+        "no-elements": (None, [((n, s), None) for n in "abc"
+                               for s in (1, -1)], 4),
+    }
+
+
+@pytest.fixture(params=sorted(_letter_cases()))
+def letter_case(request):
+    return _letter_cases()[request.param]
+
+
+def test_walk_words_is_the_per_word_walk(letter_case, blocks):
+    space, letters, depth = letter_case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (_walk_prefix(pingpong.walk_words(space, letters, depth))
+                == _walk_prefix(_per_word_walk(space, letters, depth)))
+
+
+def test_levels_follow_the_parent_rule(letter_case, blocks):
+    space, letters, depth = letter_case
+    free = all((n, -s) not in {sym for sym, _ in letters}
+               for (n, s), _ in letters)
+    c = len(letters) - (0 if free else 1)
+    words = [w for w, _ in _per_word_walk(space, letters, depth)]
+    lasts, rebuilt = [], []
+    for level, (E, last) in enumerate(
+            pingpong.walk_levels(space, letters, depth), 1):
+        assert len(pingpong.level_elements(space, E)) == len(last)
+        lasts.append(last)
+        for i in range(len(last)):
+            word, k = [], i
+            for prev in reversed(lasts):
+                word.append(letters[prev[k]][0])
+                k //= c
+            rebuilt.append(tuple(reversed(word)))
+    assert rebuilt == words
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5, 6, 7, 23, 24, 25, 100])
+def test_walk_budget_ends_mid_level_as_the_per_word_walk(
+        letter_case, blocks, monkeypatch, budget):
+    space, letters, depth = letter_case
+    monkeypatch.setattr(pingpong, "WORD_BUDGET", budget)
+    got = _walk_prefix(pingpong.walk_words(space, letters, depth))
+    assert got == _walk_prefix(_per_word_walk(space, letters, depth))
+    levels = []
+    try:
+        for _, last in pingpong.walk_levels(space, letters, depth):
+            levels.append(len(last))
+    except BudgetError:
+        assert got[1]
+    assert sum(levels) == len(got[0])
+
+
+def test_walk_letters_hold_every_inverse_or_none():
+    letters = [(("a", 1), None), (("a", -1), None), (("b", 1), None)]
+    with pytest.raises(InputError):
+        next(pingpong.walk_levels(None, letters, 2))
+
+
+def test_walk_without_letters_is_empty():
+    assert list(pingpong.walk_levels(None, [], 3)) == []
+    assert list(pingpong.walk_words(None, [], 3)) == []
+
+
+# ------------------------------ the action commands, level by level
+
+
+def _orbit_counts_per_word(space, generators, base, radii, word_cap):
+    """orbit_growth_counts with an isometry and an action per word."""
+    orbit = {bounds._pt_key(base): base}
+    letters = pingpong.group_letters(space, generators)
+    for _, g in _per_word_walk(space, letters, word_cap):
+        p = isometry.apply_isometry(space, g, base)
+        orbit.setdefault(bounds._pt_key(p), p)
+    dists = sorted(space.dist_table([base], list(orbit.values()))[0].tolist())
+    return [(float(R), sum(1 for d in dists if d <= R + bounds.TOL))
+            for R in radii]
+
+
+def _action_stats_per_word(space, generators, sample, word_cap, config):
+    """action_stats with an isometry, an action and a dict entry per
+    word."""
+    letters = pingpong.group_letters(space, generators)
+    elems = [(pingpong.word_to_text(word), g)
+             for word, g in _per_word_walk(space, letters, word_cap)
+             if not space.is_identity(g)]
+    if not elems:
+        raise InputError("no nontrivial elements within the word cap")
+    profiles = {w: isometry.classify(g, space) for w, g in elems}
+    finite_order = {w: profiles[w].kind == "elliptic"
+                    and pingpong.has_finite_order(space, g, 24)
+                    for w, g in elems}
+    stats = bounds.ActionStats(word_cap=word_cap, sample_size=len(sample))
+    radii_grid = [config.eps0 * 2.0 ** k for k in range(-2, 7)]
+    for x in sample:
+        row = space.dist_table(
+            [x], [isometry.apply_isometry(space, g, x) for _, g in elems])
+        disp = dict(zip((w for w, _ in elems), row[0].tolist()))
+        stats.sys_at[x] = min(disp.values())
+        free_vals = [v for w, v in disp.items() if not finite_order[w]]
+        stats.sys_free_at[x] = min(free_vals) if free_vals else math.inf
+        best = 0.0
+        for r in radii_grid:
+            near = [profiles[w] for w, v in disp.items() if v <= r]
+            if not all(isometry.elementary_profiles(space, p, q)
+                       for i, p in enumerate(near) for q in near[i + 1:]):
+                break
+            best = r
+        stats.nilrad_at[x] = best
+    stats.dias_estimate = max(stats.sys_at.values())
+    thin = [x for x, v in stats.sys_at.items() if v < config.eps0]
+    if thin:
+        stats.nilrad_plus_estimate = max(stats.nilrad_at[x] for x in thin)
+    return stats
+
+
+def _membership_per_level(space, g, eps, x, power_cap):
+    """Whether x is in the level-eps Margulis domain of g, classifying g
+    on every call."""
+    prof = isometry.classify(g, space)
+    cap = power_cap
+    if prof.kind == "hyperbolic":
+        cap = min(cap, max(1, math.ceil(eps / prof.ell)))
+    y = x
+    for _ in range(cap):
+        y = isometry.apply_isometry(space, g, y)
+        if space.dist(x, y) <= eps + bounds.TOL:
+            return True
+    return False
+
+
+def _gap_report_per_level(space, g, eps1, eps2, sample, power_cap=64,
+                          P0=None, r0=None):
+    """domain_gap_report with one scan per level and point, and whole
+    tables for the row minima."""
+    if not (0 < eps1 <= eps2):
+        raise InputError("need 0 < eps1 <= eps2")
+    if power_cap < 1:
+        raise InputError("need eps > 0 and power_cap >= 1")
+    inside = [[_membership_per_level(space, g, eps, x, power_cap)
+               for x in sample] for eps in (eps1, eps2)]
+    inner = [x for x, hit in zip(sample, inside[0]) if hit]
+    within = [x for x, hit in zip(sample, inside[1]) if hit]
+    outside = [x for x, hit in zip(sample, inside[1]) if not hit]
+    if not inner:
+        raise PreconditionError("inner domain empty on the sample")
+    gaps = space.dist_table(outside, inner).min(axis=1).tolist()
+    spans = space.dist_table(within, inner).min(axis=1).tolist()
+    lb2 = None
+    if P0 is not None and r0 is not None and eps2 <= r0 and eps1 < 2.0:
+        lb2 = isometry.gap_lower_bound_ii(P0, eps1, eps2)
+    return isometry.GapReport(
+        eps1=eps1, eps2=eps2, power_cap=power_cap,
+        inner_count=len(inner), outer_count=len(outside),
+        min_gap_observed=min(gaps) if gaps else math.inf,
+        lower_bound_i=(eps2 - eps1) / 2.0, lower_bound_ii=lb2,
+        upper_span_observed=max(spans) if spans else 0.0)
+
+
+_ACTION_SPECS = {
+    "readme-h2": ({"model": "h2", "generators": [
+        {"name": "a", "matrix": [[2, 0], [0, 0.5]]},
+        {"name": "b", "matrix": [[1.25, 0.75], [0.75, 1.25]]}]}, "0,1"),
+    "tree": ({"model": "free_tree", "params": {"rank": 3}, "generators": [
+        {"name": "u", "word": "ab"}, {"name": "v", "word": "c a^-1"}]}, "e"),
+    "parabolic": ({"model": "h2", "generators": [
+        {"name": "a", "matrix": [[1, 1], [0, 1]]},
+        {"name": "b", "matrix": [[1, 0], [1, 1]]}]}, "0,1"),
+    # a rotation about i by 0.23 turns: a point can come back within
+    # eps1 only at a later power than within eps2
+    "elliptic": ({"model": "h2", "generators": [
+        {"name": "r", "matrix": [[math.cos(0.23 * math.pi),
+                                  -math.sin(0.23 * math.pi)],
+                                 [math.sin(0.23 * math.pi),
+                                  math.cos(0.23 * math.pi)]]},
+        {"name": "b", "matrix": [[1.25, 0.75], [0.75, 1.25]]}]}, "0,1"),
+    # a quarter turn: r^2 and r^3 have finite order too
+    "torsion": ({"model": "h2", "generators": [
+        {"name": "r", "matrix": [[math.cos(math.pi / 4),
+                                  -math.sin(math.pi / 4)],
+                                 [math.sin(math.pi / 4),
+                                  math.cos(math.pi / 4)]]},
+        {"name": "b", "matrix": [[2, 0], [0, 0.5]]}]}, "0,1"),
+}
+_ACTION_ARGV = {
+    "stats": ["stats", "--word-cap", "4"],
+    "stats-cap2": ["stats", "--word-cap", "2", "--sample-size", "30"],
+    "entropy": ["entropy", "--orbit", "--context", "space"],
+    "entropy-cap5": ["entropy", "--orbit", "--word-cap", "5"],
+    "margulis": ["margulis", "--eps1", "2.5", "--eps2", "3.5",
+                 "--sample-size", "300"],
+    "margulis-wide": ["margulis", "--eps1", "2.0", "--eps2", "4.0",
+                      "--power-cap", "5", "--radius", "4",
+                      "--sample-size", "200", "--P0", "4", "--r0", "4"],
+}
+
+
+def _run_cli(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, [x for x in err.splitlines()
+                       if not x.startswith("elapsed:")]
+
+
+@pytest.mark.parametrize("pair", sorted(_ACTION_SPECS))
+@pytest.mark.parametrize("command", sorted(_ACTION_ARGV))
+def test_action_commands_report_as_the_per_word_reference(
+        tmp_path, capsys, monkeypatch, pair, command):
+    spec, point = _ACTION_SPECS[pair]
+    argv = _ACTION_ARGV[command] + ["--input", _spec_file(tmp_path, spec)]
+    argv += ["--center" if command.startswith("margulis") else "--base",
+             point]
+    got = _run_cli(argv, capsys)
+    monkeypatch.setattr(bounds, "orbit_growth_counts", _orbit_counts_per_word)
+    monkeypatch.setattr(bounds, "action_stats", _action_stats_per_word)
+    monkeypatch.setattr(isometry, "domain_gap_report", _gap_report_per_level)
+    assert got == _run_cli(argv, capsys)
+    if pair != "parabolic" or command.startswith("entropy"):
+        assert got[0] == 0
