@@ -13,6 +13,7 @@ from .isometry import IsometryProfile
 from .sampled import DiscreteSpace
 
 _FW_ROWS = 64   # rows per block of a Floyd-Warshall step
+_FW_INF = 2 ** 14 - 1   # int16 infinity: a sum of two entries fits
 
 
 class MetricGraphSpace(DiscreteSpace):
@@ -35,23 +36,31 @@ class MetricGraphSpace(DiscreteSpace):
         if len(self.index) != len(self.vertices):
             raise InputError("duplicate vertex ids")
         n = len(self.vertices)
-        D = np.full((n, n), np.inf)
-        np.fill_diagonal(D, 0.0)
+        ends, weights = [], []
         for u, v, w in edges:
             if not math.isfinite(w):
                 raise InputError(f"non-finite edge weight {w}")
             if w <= 0:
                 raise InputError(f"nonpositive edge weight {w}")
-            i, j = self.index[u], self.index[v]
-            D[i, j] = D[j, i] = min(D[i, j], float(w))
+            ends.append((self.index[u], self.index[v]))
+            weights.append(float(w))
+        # integer weights whose paths stay below _FW_INF run in int16,
+        # where the sums are as exact as in floats and every one fits
+        small = (all(w.is_integer() for w in weights)
+                 and (n - 1) * max(weights, default=0.0) < _FW_INF)
+        inf = _FW_INF if small else np.inf
+        D = np.full((n, n), inf, dtype=np.int16 if small else float)
+        np.fill_diagonal(D, 0)
+        for (i, j), w in zip(ends, weights):
+            D[i, j] = D[j, i] = min(D[i, j], w)
         # Floyd-Warshall over the upper triangle, in blocks of rows.  The
         # full update keeps D equal to D.T bit for bit, as fp addition
         # commutes, so column k is D[:k, k] ++ D[k, k:]; step k changes
-        # only the span of its finite entries, since inf + w = inf
-        via = np.empty((_FW_ROWS, n))
+        # only the span of its finite entries, since inf + w >= inf
+        via = np.empty((_FW_ROWS, n), D.dtype)
         for k in range(n):
             col = np.concatenate((D[:k, k], D[k, k:]))
-            f = np.flatnonzero(col < np.inf)
+            f = np.flatnonzero(col < inf)
             end = f[-1] + 1
             for a in range(f[0], end, _FW_ROWS):
                 b = min(a + _FW_ROWS, end)
@@ -59,8 +68,9 @@ class MetricGraphSpace(DiscreteSpace):
                                                  out=via[:b - a, :end - a]),
                            out=D[a:b, a:end])
         np.copyto(D, D.T, where=np.tri(n, k=-1, dtype=bool))
-        if not np.all(np.isfinite(D)):
+        if not np.all(D < inf):
             raise InputError("graph is not connected")
+        D = D.astype(float, copy=False)
         self.table = D
         self.isometries = {}
 

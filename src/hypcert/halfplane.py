@@ -52,26 +52,34 @@ def dist_table(xs, ys) -> np.ndarray:
 
     Each point is checked once, the shorter side's first.  One Python
     row per point of the shorter side: ``dist`` is symmetric to the
-    bit, so a tall table is built as the transpose of a wide one.
+    bit, so a tall table is built as the transpose of a wide one, and
+    the table of a list against itself as its upper triangle, mirrored.
     """
     if len(xs) > len(ys):
         return dist_table(ys, xs).T
     zx = [check_point(p) for p in xs]
+    if xs is ys:
+        return _table(zx, np.array(zx, dtype=complex), square=True)
     return _table(zx, np.array([check_point(q) for q in ys], dtype=complex))
 
 
-def _table(zx, zy):
-    """``dist`` over checked points zx by the checked array zy; long
-    rows go in column blocks, which bound a row's Python lists."""
+def _table(zx, zy, square=False):
+    """``dist`` over checked points zx by the checked array zy, or only
+    the upper triangle, mirrored, when zy holds zx; long rows go in
+    column blocks, which bound a row's Python lists.  A quotient that
+    overflows is inf, as in ``dist``, without a warning."""
     re, im, root = zy.real / 2, zy.imag / 2, np.sqrt(zy.imag)
     D = np.empty((len(zx), len(zy)))
-    for i, p in enumerate(zx):
-        for j in range(0, len(zy), _TABLE_COLUMNS):
-            c = slice(j, j + _TABLE_COLUMNS)
-            num = list(map(math.hypot, (p.real / 2 - re[c]).tolist(),
-                           (p.imag / 2 - im[c]).tolist()))
-            D[i, c] = list(map(math.asinh,
-                               (num / (math.sqrt(p.imag) * root[c])).tolist()))
+    with np.errstate(over="ignore"):
+        for i, p in enumerate(zx):
+            for j in range(i if square else 0, len(zy), _TABLE_COLUMNS):
+                c = slice(j, j + _TABLE_COLUMNS)
+                num = list(map(math.hypot, (p.real / 2 - re[c]).tolist(),
+                               (p.imag / 2 - im[c]).tolist()))
+                D[i, c] = list(map(math.asinh, (
+                    num / (math.sqrt(p.imag) * root[c])).tolist()))
+            if square:
+                D[i + 1:, i] = D[i, i + 1:]
     D *= 2.0
     return D
 

@@ -333,9 +333,20 @@ def level_elements(space, E) -> list:
 
 
 def has_finite_order(space, g, k: int) -> bool:
-    """Whether g^j is the identity for some 1 <= j <= k."""
-    return any(space.is_identity(h)
-               for _, h in walk_words(space, [(("g", 1), g)], k))
+    """Whether g^j is the identity for some 1 <= j <= k, with g^j =
+    compose(g^(j-1), g): the elements, checks and budget of the walk
+    over the one letter g."""
+    if k < 1:
+        raise InputError("max_len must be >= 1")
+    h = g
+    for j in range(k):
+        if j >= WORD_BUDGET:
+            raise BudgetError("word budget exhausted")
+        if j:
+            h = _compose(space, h, g)
+        if space.is_identity(h):
+            return True
+    return False
 
 
 def word_to_text(word) -> str:

@@ -17,6 +17,7 @@ EXACT_PACK_CAP = 64
 _TRIANGLE_TILE = 64   # rows per tile of the triangle check
 _DELTA_BLOCK = 12288   # sums per row block of the exhaustive delta
 _MAX_ENTRY = np.finfo(float).max / 8   # no sum of six entries overflows
+_INT16_CAP = 2 ** 14   # two int16 entries below it have an int16 sum
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,23 @@ def _triangle_holds(D) -> bool:
     equal to D.T bit for bit."""
     # x -> fl(x + TOL) is monotone, so TOL is added once to the running min.
     # (j, i, k) makes the comparison of (i, j, k), so a tile skips the
-    # columns before its first row
-    for a in range(0, len(D), _TRIANGLE_TILE):
-        tile = D[a:a + _TRIANGLE_TILE]
+    # columns before its first row.  Integers below 2^14 (none is negative,
+    # as no entry is below -TOL) are scanned in int16, where every sum
+    # fits, with tolerance 0: for integers d and s, d > fl(s + TOL)
+    # exactly when d > s
+    E, tol = D, TOL
+    if D.size and D.max() < _INT16_CAP:
+        I = D.astype(np.int16)
+        if np.array_equal(I, D):
+            E, tol = I, 0
+    for a in range(0, len(E), _TRIANGLE_TILE):
+        tile = E[a:a + _TRIANGLE_TILE]
         rows = tile[:, a:]
-        t, low = np.empty(rows.shape), np.full(rows.shape, np.inf)
-        for k in range(len(D)):
-            np.minimum(low, np.add(tile[:, k, None], D[k, a:], out=t), out=low)
-        if np.greater(rows, np.add(low, TOL, out=low)).any():
+        t = np.empty(rows.shape, E.dtype)
+        low = np.full(rows.shape, np.inf if tol else _INT16_CAP, E.dtype)
+        for k in range(len(E)):
+            np.minimum(low, np.add(tile[:, k, None], E[k, a:], out=t), out=low)
+        if np.greater(rows, np.add(low, tol, out=low)).any():
             return False
     return True
 
@@ -168,23 +178,45 @@ def _delta_exhaustive(space, D, n):
     # sums, the defect, best - margin) adds under 2^-48 max(1, max|D|), so
     # a distance below best - margin puts the defect strictly below best:
     # the quadruple can neither take nor tie it.
-    margin = TOL + 2.0 ** -40 * max(1.0, float(np.abs(D).max()))
+    top = max(1.0, float(np.abs(D).max()))
+    margin = TOL + 2.0 ** -40 * top
+    # on integers below 2^50 every sum and difference is exact: the
+    # defect is half the median gap, with no slack
+    exact = top < 2.0 ** 50 and np.array_equal(np.rint(D), D)
+    slack = 0.0 if exact else 2.0 ** -44 * top
     buffers = np.empty((6, max(_DELTA_BLOCK, n)))
     best, worst = 0.0, None
     for k in range(n - 2, 1, -1):   # downward: large defects come early
-        v, quad = _delta_middle(D, k, best - margin, buffers)
+        v, quad = _delta_middle(D, k, best, margin, slack, buffers)
         if v > best or (v == best and worst and quad < worst):
             best, worst = v, quad
     worst = tuple(space.points[v] for v in (worst or (0,) * 4))
     return HyperbolicityEstimate(best, math.comb(n, 4), "exhaustive", worst)
 
 
-def _delta_middle(D, k, floor, buffers):
-    """Largest defect over i < j < k < l and its first quadruple, skipping
-    the rows (i, j) and columns l with D[i, j], D[i, k], D[j, k] or
-    D[k, l] below floor.  Rows are the pairs (i, j) in i-major order,
-    columns the l, in blocks of at most _DELTA_BLOCK sums that read the
-    upper triangle of D only."""
+def _delta_middle(D, k, best, margin, slack, buffers):
+    """Largest defect over i < j < k < l and its first quadruple, among
+    those that can reach best: rows (i, j) and columns l with D[i, j],
+    D[i, k], D[j, k] or D[k, l] below best - margin are skipped.  Rows
+    are the pairs (i, j) in i-major order, columns the l, in blocks of
+    at most _DELTA_BLOCK sums that read the upper triangle of D only.
+
+    Each block is screened by its exact median gaps g = hi - med; the
+    defect is within slack of g / 2.  A block whose largest gap G has
+    G / 2 + slack below best, or at most the largest defect found so
+    far, is skipped; the rest evaluate the defect only where g / 2 is
+    within 2 slack of G / 2 (in place when that is every sum)."""
+    # With M = max(1, max|D|) and u = 2^-53, the sums are at most 2M.  The
+    # defect's mid = ((s1 + s2) + s3 - hi) - lo rounds four times, off the
+    # median by at most (4 + 6 + 4 + 2) u M, and hi - mid once more, by 2u
+    # M: the defect is within 9u M of (hi - med) / 2, and g / 2 within u
+    # M of it (halving is exact above the subnormals, which M >= 1 covers).
+    # So |defect - g / 2| < 10u M < 2^-49 M, and slack = 2^-44 M leaves
+    # room for the rounding of G / 2 + slack and of G - 4 slack: a skipped
+    # block holds no defect at or above best nor above the block's best so
+    # far, and any sum whose defect can be the block's largest has g / 2
+    # >= G / 2 - 20u M, above the cut.
+    floor = best - margin
     pi, pj = np.triu_indices(k, 1)
     keep = np.minimum(D[pi, pj], D[pi, k])
     keep = np.minimum(keep, D[pj, k], out=keep) >= floor
@@ -196,19 +228,40 @@ def _delta_middle(D, k, floor, buffers):
     Dij, Dik, Djk = D[pi, pj][:, None], D[pi, k][:, None], D[pj, k][:, None]
     Dkl, above = D[k, ls], D[:k, ls]
     step = max(1, _DELTA_BLOCK // cols)
-    best, worst = 0.0, None
+    found, worst = 0.0, None
     for a in range(0, pi.size, step):
         b = min(a + step, pi.size)
         s1, s2, s3, hi, lo, out = buffers[:, :(b - a) * cols].reshape(6, -1, cols)
         np.add(Dij[a:b], Dkl, out=s1)
         np.add(Dik[a:b], np.take(above, pj[a:b], 0, s2, "clip"), out=s2)
         np.add(np.take(above, pi[a:b], 0, s3, "clip"), Djk[a:b], out=s3)
-        vals = _pairing_defects(s1, s2, s3, hi, lo, out)
-        r, c = divmod(int(np.argmax(vals)), cols)
-        if vals[r, c] > best:
-            best = float(vals[r, c])
+        gap = _median_gaps(s1, s2, s3, hi, lo, out)
+        G = float(gap.max())
+        lim = G / 2.0 + slack
+        if lim <= found or lim < best:
+            continue
+        cut = G - 4.0 * slack
+        if cut > 0.0:
+            at = np.flatnonzero(gap >= cut)
+            vals = _pairing_defects(*(s.ravel()[at] for s in (s1, s2, s3)))
+        else:   # no gap is negative: every sum is a candidate
+            at, vals = None, _pairing_defects(s1, s2, s3, hi, lo, out).ravel()
+        t = int(np.argmax(vals))
+        if vals[t] > found:
+            found = float(vals[t])
+            r, c = divmod(t if at is None else int(at[t]), cols)
             worst = (int(pi[a + r]), int(pj[a + r]), k, int(ls[c]))
-    return best, worst
+    return found, worst
+
+
+def _median_gaps(s1, s2, s3, hi, lo, out):
+    """hi - med of the three sums, in out; min and max are exact."""
+    np.minimum(s1, s2, out=lo)
+    np.maximum(s1, s2, out=hi)
+    np.minimum(hi, s3, out=out)
+    np.maximum(hi, s3, out=hi)
+    np.maximum(lo, out, out=out)
+    return np.subtract(hi, out, out=out)
 
 
 def _delta_sampled(space, D, n, n_quadruples, seed):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -306,7 +307,9 @@ class TestMetricGraph:
         lambda: graphspace.random_connected_graph(40, 30, 7),
         lambda: graphspace.regular_tree_graph(3, 3),
         lambda: _shuffled_grid(6, seed=2),
-        lambda: _wide_weight_graph(150, 200, seed=5)])
+        lambda: _wide_weight_graph(150, 200, seed=5),
+        lambda: _integer_weight_graph(120, 60, seed=3),
+        lambda: _integer_weight_graph(40, 10, seed=4, top=420)])
     def test_table_is_full_floyd_warshall(self, build, monkeypatch):
         built = []
 
@@ -323,11 +326,22 @@ class TestMetricGraph:
     @pytest.mark.parametrize("edges", [
         [(0, 1, 1.0), (2, 3, 1.0)],
         # interleaved components: every finite span has gaps
-        [(0, 2, 1.0), (2, 4, 1.5), (1, 3, 1.0), (3, 5, 0.5)]])
+        [(0, 2, 1.0), (2, 4, 1.5), (1, 3, 1.0), (3, 5, 0.5)],
+        [(0, 2, 1), (2, 4, 3), (1, 3, 2), (3, 5, 1)],
+        [(0, 2, 8000), (2, 4, 3), (1, 3, 2), (3, 5, 1)]])
     def test_disconnected_graph_rejected(self, edges):
         vertices = sorted({v for e in edges for v in e[:2]})
         with pytest.raises(InputError, match="graph is not connected"):
             graphspace.MetricGraphSpace(vertices, edges)
+
+    @pytest.mark.parametrize("w", [5460, 5461, 8192, 16383, 2 ** 15])
+    def test_int16_steps_hold_only_paths_below_16383(self, w):
+        # a path of three edges of weight w: at 3 w >= 16383 the far end
+        # would read as int16's infinity
+        G = graphspace.MetricGraphSpace(range(4), [(0, 1, w), (1, 2, w),
+                                                   (2, 3, w)])
+        assert G.table.dtype == float
+        assert G.table[0].tolist() == [0.0, w, 2.0 * w, 3.0 * w]
 
     def test_regular_tree_graph_ball_sizes(self):
         G = graphspace.regular_tree_graph(4, 3)
@@ -363,6 +377,15 @@ def _wide_weight_graph(n, chords, seed):
     pairs += [tuple(rng.sample(range(n), 2)) for _ in range(chords)]
     edges = [(u, v, 10.0 ** rng.uniform(-3.0, 6.0)) for u, v in pairs]
     return graphspace.MetricGraphSpace(verts, edges)
+
+
+def _integer_weight_graph(n, chords, seed, top=9):
+    """A random tree plus chords with integer weights from 1 to top."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(chords)]
+    return graphspace.MetricGraphSpace(
+        range(n), [(u, v, rng.randint(1, top)) for u, v in pairs])
 
 
 def _reference_floyd_warshall(vertices, edges):
@@ -448,6 +471,24 @@ def test_dist_table_is_the_scalar_loop(model):
                                [[space.dist(x, y) for y in b] for x in a])
     assert space.dist_table([], ys).shape == (0, len(ys))
     assert space.dist_table(xs, []).shape == (len(xs), 0)
+
+
+def test_overflowing_h2_tables_are_inf_without_a_warning(capfd):
+    # sinh(d/2) past the float range: dist is inf, and so is every table
+    pts = [complex(1e300, 1e-300), complex(-1e300, 1e-300), 1j,
+           complex(-1e300, 1.0)]
+    want = [[halfplane.dist(p, q) for q in pts] for p in pts]
+    assert math.inf in want[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="warn"):
+            _same_in_type_and_bits(halfplane.dist_table(pts, pts).tolist(),
+                                   want)
+            _same_in_type_and_bits(
+                halfplane.dist_table(pts, list(pts)).tolist(), want)
+            _same_in_type_and_bits(
+                [halfplane.H2.dist_row(p, pts).tolist() for p in pts], want)
+    assert capfd.readouterr().err == ""
 
 
 def test_long_h2_rows_are_the_scalar_loop():
@@ -588,8 +629,7 @@ def test_tree_rows_check_nothing(monkeypatch):
 def _min_rows(space, xs, ys):
     """space.dist_table(xs, ys).min(axis=1), or the error it raises."""
     try:
-        with np.errstate(over="ignore"):   # entries that are inf, as in dist
-            return space.dist_table(xs, ys).min(axis=1)
+        return space.dist_table(xs, ys).min(axis=1)
     except (InputError, ValueError) as e:
         return type(e), str(e)
 

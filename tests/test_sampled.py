@@ -543,11 +543,13 @@ class TestFastPaths:
         assert results[0] == results[1]
 
     def test_delta_skip_is_strict(self):
-        # a floor equal to a distance keeps the rows and columns at it
+        # a floor equal to a distance keeps the rows and columns at it,
+        # and a block whose largest gap ties best is still evaluated
         D = tied_squares().dist
         buffers = np.empty((6, 64))
-        assert sampled._delta_middle(D, 7, 1.0, buffers) == (1.0, (0, 6, 7, 8))
-        assert sampled._delta_middle(D, 7, np.nextafter(1.0, 2.0),
+        assert sampled._delta_middle(D, 7, 1.0, 0.0, 0.0, buffers) == \
+            (1.0, (0, 6, 7, 8))
+        assert sampled._delta_middle(D, 7, np.nextafter(1.0, 2.0), 0.0, 0.0,
                                      buffers) == (0.0, None)
 
     def test_exhaustive_delta_memory(self):
@@ -605,3 +607,179 @@ class TestFastPaths:
             sampled.SampledSpace(tuple(range(n)), D)
         D[n - 2, n - 3] = D[n - 3, n - 2] = 1.5
         assert len(sampled.SampledSpace(tuple(range(n)), D)) == n
+
+
+def _two_squares(cycles, sides, diagonals, n=8, other=2.0):
+    """Two 4-cycles with the given sides and diagonals, every other
+    distance `other`."""
+    D = np.full((n, n), other)
+    np.fill_diagonal(D, 0.0)
+    for cycle, a, d in zip(cycles, sides, diagonals):
+        for t, p in enumerate(cycle):
+            q, r = cycle[(t + 1) % 4], cycle[(t + 2) % 4]
+            D[p, q] = D[q, p] = a
+            D[p, r] = D[r, p] = d
+    return sampled.SampledSpace(tuple(range(n)), D)
+
+
+def _defect_and_half_gap(D, quad):
+    i, j, k, l = quad
+    s1, s2, s3 = D[i][j] + D[k][l], D[i][k] + D[j][l], D[i][l] + D[j][k]
+    lo, med, hi = sorted((s1, s2, s3))
+    return (hi - (s1 + s2 + s3 - hi - lo)) / 2.0, (hi - med) / 2.0
+
+
+# Squares whose defects differ by at most two ulps in the defect formula,
+# where the median gaps would report another square or another value:
+# the formula's first maximum is reported.  In "tied" the first square's
+# half gap is 2 ulps below both defects; in "same-middle-index" both
+# squares have middle index 4, so one block holds them.
+_APART = ((0, 1, 2, 3), (4, 5, 6, 7))
+_ULP_SQUARES = {
+    "later-by-an-ulp": (_APART, (0.7520059687602847, 0.8103011076584113),
+                        (1.455100126576169, 1.5133952654742955), {}),
+    "first-by-an-ulp": (_APART, (0.9203635083940913, 0.9742346886818084),
+                        (1.496190186631627, 1.5500613669193442), {}),
+    "tied": (_APART, (0.8491606779558808, 0.9180774262262786),
+             (1.5565209238771547, 1.6254376721475525), {}),
+    "same-middle-index": (((0, 1, 4, 5), (2, 3, 4, 6)),
+                          (0.9524560164915884, 0.8890774388109604),
+                          (1.2530878324969215, 1.1897092548162935),
+                          {"n": 7, "other": 1.6}),
+}
+
+
+def _ulp_squares(name):
+    cycles, sides, diagonals, kw = _ULP_SQUARES[name]
+    return _two_squares(cycles, sides, diagonals, **kw)
+
+
+def _screen_spaces():
+    G, R = graphspace.grid_graph(5), graphspace.random_connected_graph(18, 7, 3)
+    tree = freetree.FreeTreeSpace(2)
+    ball = sampled.from_points(tree.ball("", 2), tree.dist)
+    h2 = {s: sampled.from_points(halfplane.sample_ball(1j, 4.0, 18,
+                                                       random.Random(s)),
+                                 halfplane.dist) for s in (1, 2, 3)}
+    big = 2.0 ** 997   # exact scaling to entries near 1e300
+    return {
+        "h2-1": h2[1], "h2-2": h2[2], "h2-3": h2[3],
+        "graph": _graph_space(R), "grid": _graph_space(G), "tree-ball": ball,
+        # tied defects whose sums differ in their last bits
+        "tree-ball-tenths": sampled.SampledSpace(ball.points, ball.dist * 0.1),
+        "h2-near-1e300": sampled.SampledSpace(h2[1].points, h2[1].dist * big),
+        "grid-near-1e300": sampled.SampledSpace(tuple(G.vertices),
+                                                G.table * big),
+        **{name: _ulp_squares(name) for name in _ULP_SQUARES},
+    }
+
+
+class TestDeltaScreen:
+    @pytest.mark.parametrize("name", sorted(_screen_spaces()))
+    def test_screened_delta_matches_brute_force(self, name, monkeypatch):
+        sp = _screen_spaces()[name]
+        best, checked, worst = _reference_delta(sp)
+        shapes = []
+
+        def recording(s1, *rest):
+            shapes.append(s1.shape)
+            return pairing_defects(s1, *rest)
+
+        pairing_defects = sampled._pairing_defects
+        monkeypatch.setattr(sampled, "_pairing_defects", recording)
+        for block in (1, 5, 7, sampled._DELTA_BLOCK):
+            monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
+            est = sampled.four_point_delta(sp)
+            assert est.delta_hat.hex() == best.hex()
+            assert (est.quadruples_checked, est.worst_quadruple) == \
+                (checked, worst)
+        evaluated = sum(math.prod(shape) for shape in shapes)
+        if name.startswith("h2"):
+            # the screen leaves few sums to the defect formula
+            assert evaluated < 4 * checked / 10
+            assert all(len(shape) == 1 for shape in shapes)
+        if name == "tree-ball-tenths":
+            # every sum is a candidate: blocks evaluated in place
+            assert any(len(shape) == 2 for shape in shapes)
+
+    @pytest.mark.parametrize("name", sorted(_ULP_SQUARES))
+    def test_the_formula_decides_between_near_ties(self, name):
+        sp = _ulp_squares(name)
+        D = sp.dist.tolist()
+        quads = [tuple(sorted(cycle)) for cycle in _ULP_SQUARES[name][0]]
+        (vA, gA), (vB, gB) = (_defect_and_half_gap(D, q) for q in quads)
+        assert abs(vA - vB) <= 2 * math.ulp(vA)
+        want = (max(vA, vB), quads[vB > vA])
+        assert want == _reference_delta(sp)[::2]
+        assert (max(gA, gB), quads[gB > gA]) != want   # what gaps would say
+        est = sampled.four_point_delta(sp)
+        assert (est.delta_hat, est.worst_quadruple) == want
+
+    def test_integer_tables_need_no_slack(self, monkeypatch):
+        # on integers the defect is half the median gap: only the sums
+        # at a block's largest gap reach the formula
+        sp = _graph_space(graphspace.grid_graph(6))
+        calls = []
+        monkeypatch.setattr(sampled, "_delta_middle",
+                            lambda *args: calls.append(args[4]) or (0.0, None))
+        sampled.four_point_delta(sp)
+        sampled.four_point_delta(sampled.SampledSpace(sp.points, sp.dist / 4))
+        sampled.four_point_delta(sampled.SampledSpace(sp.points,
+                                                      sp.dist * 1.05))
+        n = len(sp) - 3   # middle indices 2 .. n - 2
+        assert calls == ([0.0] * n + [2.0 ** -44 * 2.5] * n
+                         + [2.0 ** -44 * (sp.dist * 1.05).max()] * n)
+
+
+def _integer_table(n, seed):
+    """Shortest paths of a random graph with integer weights 1..9."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v, rng.randint(1, 9)) for v in range(1, n)]
+    edges += [(*rng.sample(range(n), 2), rng.randint(1, 9))
+              for _ in range(n // 2)]
+    return graphspace.MetricGraphSpace(range(n), edges).table.copy()
+
+
+class TestIntegerTriangle:
+    @pytest.mark.parametrize("row", [3, 4])
+    @pytest.mark.parametrize("scale", [1, 1000])
+    def test_int16_check_is_the_triple_loop_at_the_bound(self, row, scale,
+                                                         monkeypatch):
+        # tiles of 4 rows: row 3 ends the first tile, row 4 starts the
+        # next; scale 1000 puts sums near the top of int16
+        monkeypatch.setattr(sampled, "_TRIANGLE_TILE", 4)
+        D = _integer_table(10, 2) * scale
+        j = 9
+        bound = min(D[row, k] + D[k, j] for k in range(len(D))
+                    if k not in (row, j))
+        assert D.max() < 2 ** 14
+        D[row, j] = D[j, row] = bound
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[row, j] = D[j, row] = bound + 1
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+
+    @pytest.mark.parametrize("top", [2 ** 14 - 1, 2 ** 14, 2 ** 15, 40000])
+    def test_entries_past_int16_sums_are_checked_in_floats(self, top):
+        # equilateral: valid, however its sums would wrap in int16
+        D = np.full((5, 5), float(top))
+        np.fill_diagonal(D, 0.0)
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[0, 1] = D[1, 0] = 1.0
+        D[2, 3] = D[3, 2] = 2.0 * top + 1.0
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+
+    def test_non_integral_entries_are_checked_in_floats(self):
+        # 1.5 + 1.5 = 3 holds; in integers 1 + 1 = 2 would not
+        D = np.array([[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]])
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[0, 2] = D[2, 0] = np.nextafter(3.0 + sampled.TOL, 4.0)
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+
+    def test_negative_zero_entries_are_integers(self):
+        # points 0 and 1 coincide at distance -0.0
+        D = np.full((4, 4), 2.0)
+        np.fill_diagonal(D, -0.0)
+        D[0, 1] = D[1, 0] = -0.0
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[0, 2] = D[2, 0] = 3.0
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)

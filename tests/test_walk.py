@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hypcert import bounds, cli, freetree, halfplane, isometry, pingpong, tits
+from hypcert import (bounds, cli, freetree, graphspace, halfplane, isometry,
+                     pingpong, tits)
 from hypcert.errors import BudgetError, InputError, PreconditionError
 
 H2 = halfplane.H2
@@ -172,6 +173,87 @@ class TestFiniteOrder:
 
     def test_hyperbolic_is_not_finite_order(self, schottky_pair):
         assert not pingpong.has_finite_order(H2, schottky_pair[0], 24)
+
+
+def _walked_finite_order(space, g, k):
+    """has_finite_order as the walk over the one letter g decides it."""
+    return any(space.is_identity(h)
+               for _, h in pingpong.walk_words(space, [(("g", 1), g)], k))
+
+
+def _finite_order_trace(finite_order, space, g, k, monkeypatch):
+    """The verdict or error of finite_order, and the bits of every
+    element it checks, in order."""
+    seen = []
+    is_identity = type(space).is_identity
+    monkeypatch.setattr(type(space), "is_identity",
+                        lambda self, h: seen.append(_exact(h))
+                        or is_identity(self, h))
+    try:
+        out = finite_order(space, g, k)
+    except (InputError, BudgetError) as e:
+        out = type(e), str(e)
+    monkeypatch.setattr(type(space), "is_identity", is_identity)
+    return out, seen
+
+
+def _finite_order_cases():
+    rot = halfplane.rotation_about_i
+    tree2, tree3 = freetree.FreeTreeSpace(2), freetree.FreeTreeSpace(3)
+    cases = {f"rotation-{m}-{k}": (H2, rot(2.0 * math.pi / m), k)
+             for m in range(2, 13) for k in (1, m - 1, m, 24)}
+    # about 1 + i, where g^j g and g g^j differ in their last bits
+    shift = halfplane.Moebius(1.0, 1.0, 0.0, 1.0)
+    cases.update({f"rotation-about-1+i-{m}": (
+        H2, shift @ rot(2.0 * math.pi / m) @ shift.inverse(), 24)
+        for m in (5, 7, 12)})
+    cases.update({
+        "rotation-1-rad": (H2, rot(1.0), 24),
+        "schottky-a": (H2, halfplane.Moebius(2.0, 0.0, 0.0, 0.5), 24),
+        "schottky-b": (H2, halfplane.Moebius(1.25, 0.75, 0.75, 1.25), 24),
+        "parabolic": (H2, halfplane.Moebius(1.0, 1.0, 0.0, 1.0), 24),
+        "identity": (H2, halfplane.Moebius.identity(), 3),
+        "depth-0": (H2, rot(math.pi), 0),
+        "tree-a": (tree2, "a", 24), "tree-aB": (tree2, "aB", 24),
+        "tree-abA": (tree2, "abA", 24), "tree-cBa": (tree3, "cBa", 8),
+        "tree-identity": (tree2, "", 2), "tree-depth-minus-1": (tree2, "a", -1),
+    })
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_finite_order_cases()))
+def test_finite_order_is_the_walk(case, monkeypatch):
+    space, g, k = _finite_order_cases()[case]
+    assert (_finite_order_trace(pingpong.has_finite_order, space, g, k,
+                                monkeypatch)
+            == _finite_order_trace(_walked_finite_order, space, g, k,
+                                   monkeypatch))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, 6])
+@pytest.mark.parametrize("g", ["order-6", "order-5", "schottky"])
+def test_finite_order_budget_is_the_walk(budget, g, monkeypatch):
+    monkeypatch.setattr(pingpong, "WORD_BUDGET", budget)
+    g = {"order-6": halfplane.rotation_about_i(2.0 * math.pi / 6),
+         "order-5": halfplane.rotation_about_i(2.0 * math.pi / 5),
+         "schottky": halfplane.Moebius(2.0, 0.0, 0.0, 0.5)}[g]
+    for k in (1, 5, 6, 7, 12):
+        assert (_finite_order_trace(pingpong.has_finite_order, H2, g, k,
+                                    monkeypatch)
+                == _finite_order_trace(_walked_finite_order, H2, g, k,
+                                       monkeypatch))
+
+
+def test_finite_order_checks_a_graph_isometry_before_composing(monkeypatch):
+    G = graphspace.grid_graph(3)
+    G.register_isometry("flip", {(i, j): (j, i)
+                                 for i in range(3) for j in range(3)})
+    got = _finite_order_trace(pingpong.has_finite_order, G, "flip", 8,
+                              monkeypatch)
+    assert got == _finite_order_trace(_walked_finite_order, G, "flip", 8,
+                                      monkeypatch)
+    assert got == ((InputError, "graph isometries support no products"),
+                   ["flip"])
 
 
 def test_group_oracle_tells_apart_generators_that_share_a_name():
