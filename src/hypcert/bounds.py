@@ -19,18 +19,15 @@ from .errors import InputError
 class BoundsConfig:
     P0: int = 4
     r0: float = 0.5
-    delta: float = 1.0
     eps0: float = 0.1
     N: int = 1
-    tolerance: float = TOL
 
     def __post_init__(self):
         # comparisons with NaN are false, so NaN fails each of them
         if not (0 < self.eps0 < math.inf and 0 < self.r0 < math.inf
-                and -math.inf < self.delta < math.inf
                 and self.N >= 1 and self.P0 >= 1):
             raise InputError("need finite eps0 > 0, finite r0 > 0, "
-                             "finite delta, N >= 1, P0 >= 1")
+                             "N >= 1, P0 >= 1")
 
     def derived(self) -> "DerivedConstants":
         E0 = math.log(1.0 + self.P0) / self.r0
@@ -112,8 +109,8 @@ def entropy_bounds_check(config: BoundsConfig, measured: float,
     """
     der = config.derived()
     lower_applies = context == "group_nonelementary"
-    lower_ok = (measured >= der.C0 - config.tolerance) if lower_applies else None
-    upper_ok = measured <= der.E0 + config.tolerance
+    lower_ok = (measured >= der.C0 - TOL) if lower_applies else None
+    upper_ok = measured <= der.E0 + TOL
     return {
         "context": context,
         "measured": measured,
@@ -165,7 +162,7 @@ def action_stats(space, generators, sample, word_cap: int,
     letters = pingpong.group_letters(space, generators)
     pingpong.check_walk_length(len(letters), word_cap)
     levels = [E for E, _ in pingpong.walk_levels(space, letters, word_cap)]
-    gs = [g for E in levels for g in pingpong.level_elements(space, E)]
+    gs = [g for E in levels for g in space.unbatch(E)]
     nontrivial = np.array([not space.is_identity(g) for g in gs])
     if not nontrivial.any():
         raise InputError("no nontrivial elements within the word cap")

@@ -294,8 +294,8 @@ def cmd_margulis(args):
 
 
 def _bounds_config(args):
-    return bounds.BoundsConfig(P0=args.P0, r0=args.r0, delta=args.delta,
-                               eps0=args.eps0, N=args.N)
+    return bounds.BoundsConfig(P0=args.P0, r0=args.r0, eps0=args.eps0,
+                               N=args.N)
 
 
 def cmd_entropy(args):
@@ -424,7 +424,6 @@ def _add_bounds_flags(sp):
     """The BoundsConfig flags shared by entropy, bounds and stats."""
     sp.add_argument("--P0", type=int, default=4)
     sp.add_argument("--r0", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=1.0)
     sp.add_argument("--eps0", type=float, default=0.1)
     sp.add_argument("--N", type=int, default=1)
 

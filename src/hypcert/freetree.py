@@ -215,6 +215,8 @@ class FreeTreeSpace(DiscreteSpace):
     it enters (``parse_point``, ``ball`` centres, ``dist_table``); ``act``,
     ``dist``, ``dist_row``, ``compose`` and ``power`` take them as they are."""
 
+    delta = 0.0   # the four-point constant: a tree is 0-hyperbolic
+
     def __init__(self, rank: int = 2):
         if not 2 <= rank <= 26:
             raise InputError("rank must be between 2 and 26")

@@ -110,25 +110,22 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     if power_cap < 1:
         raise InputError("need eps > 0 and power_cap >= 1")
     # x is in the level-eps domain if d(x, g^i x) <= eps at some 0 < i <=
-    # cap, which stops at eps / ell for hyperbolic g; one scan for both
-    prof = classify(g, space)
-    caps = [power_cap if prof.kind != "hyperbolic"
-            else min(power_cap, max(1, math.ceil(eps / prof.ell)))
-            for eps in (eps1, eps2)]
-    inside = []
+    # cap.  Unless g is elliptic, d(x, g^i x) grows with i, so the first
+    # power decides; one scan serves both levels, as eps1 <= eps2
+    cap = power_cap if classify(g, space).kind == "elliptic" else 1
+    nearest_power = []
     for x in sample:
-        y, hits = x, [False, False]
-        for i in range(1, caps[1] + 1):
+        y, least = x, math.inf
+        for _ in range(cap):
             y = apply_isometry(space, g, y)
-            d = space.dist(x, y)
-            hits = [hit or (i <= cap and d <= eps + TOL)
-                    for hit, cap, eps in zip(hits, caps, (eps1, eps2))]
-            if all(hit or i >= cap for hit, cap in zip(hits, caps)):
+            least = min(least, space.dist(x, y))
+            if least <= eps1 + TOL:
                 break
-        inside.append(hits)
-    inner = [x for x, (hit, _) in zip(sample, inside) if hit]
-    within = [x for x, (_, hit) in zip(sample, inside) if hit]
-    outside = [x for x, (_, hit) in zip(sample, inside) if not hit]
+        nearest_power.append(least)
+    inner = [x for x, d in zip(sample, nearest_power) if d <= eps1 + TOL]
+    within = [x for x, d in zip(sample, nearest_power) if d <= eps2 + TOL]
+    outside = [x for x, d in zip(sample, nearest_power)
+               if not d <= eps2 + TOL]
     if not inner:
         raise PreconditionError("inner domain empty on the sample")
     gaps = space.nearest(outside, inner).tolist()

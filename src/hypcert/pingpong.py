@@ -1,7 +1,7 @@
 """Free-group and free-semigroup certification: axis endpoint
-projections, explicit power thresholds, ping-pong set disjointness,
-Schottky margins, and the shortlex walk over reduced words that the
-independent word oracle runs on."""
+projections, explicit power thresholds, ping-pong set disjointness, and
+the shortlex walk over reduced words that the independent word oracle
+runs on."""
 
 from __future__ import annotations
 
@@ -16,11 +16,6 @@ from .errors import (BudgetError, DomainError, ElementaryPairError,
 
 # words one walk may visit; read at each call, so tests can lower it
 WORD_BUDGET = 10 ** 6
-# powers of each generator whose displacements schottky_margin measures
-SCHOTTKY_POWERS = 6
-# parents per block of a level that walk_levels builds at once in
-# batch arithmetic, which bounds the block's temporary arrays
-_BATCH_PARENTS = 4096
 
 
 @dataclass
@@ -196,43 +191,6 @@ def pingpong_certify(space, data: PingPongData, points,
         sample_size=len(points))
 
 
-@dataclass
-class SchottkyMargin:
-    L_hat: float
-    threshold: float
-    passes: bool
-
-
-def schottky_margin(space, a, b, delta: float, points,
-                    profiles=None) -> SchottkyMargin:
-    """Sampled estimate of the pair's Margulis constant L(a, b).
-
-    L_hat is the grid infimum of max over the two generators of the
-    minimal displacement under the powers 1..SCHOTTKY_POWERS; it
-    over-estimates the true infimum, so a passing margin is advisory
-    and should be paired with the word oracle.  ``profiles`` are the
-    pair's classifications, when the caller has them already.
-    """
-    pa, pb = profiles or (isometry.classify(a, space),
-                          isometry.classify(b, space))
-    if pa.kind == "elliptic" or pb.kind == "elliptic":
-        raise DomainError("both isometries must be non-elliptic")
-    d = space.dist
-
-    def min_disp(g, x):
-        best = math.inf
-        y = x
-        for _ in range(SCHOTTKY_POWERS):
-            y = isometry.apply_isometry(space, g, y)
-            best = min(best, d(x, y))
-        return best
-
-    L_hat = min(max(min_disp(a, x), min_disp(b, x)) for x in points)
-    threshold = max(pa.ell, pb.ell) + 56.0 * delta
-    return SchottkyMargin(L_hat=float(L_hat), threshold=float(threshold),
-                          passes=bool(L_hat > threshold + TOL))
-
-
 def _compose(space, g, h):
     return space.compose(g, h)
 
@@ -259,22 +217,21 @@ def _inverses(letters):
 
 def walk_levels(space, letters, max_len: int):
     """Each level of the shortlex walk over freely reduced words of
-    length 1..max_len: its words' elements (the model's batch, or a
-    list), and their last letters' positions in ``letters``, which are
-    ((name, sign), element) pairs in walk order, one name per generator.
+    length 1..max_len: its words' elements, as the model's batch, and
+    their last letters' positions in ``letters``, which are ((name,
+    sign), element) pairs in walk order, one name per generator.
 
     A word's children append each letter but its last one's inverse, in
     order, so word i of a level past the first extends word i // c of
-    the one before, for c letters that may follow a word.  A child's
-    element is its parent's composed with the letter's (None composes
-    nothing), from the level before, _BATCH_PARENTS parents at a time.
+    the one before, for c letters that may follow a word.  The model
+    composes each child's parent with its letter, a level at a time.
     The levels hold the first WORD_BUDGET words, as it is at the call;
     asking for more raises BudgetError."""
     if max_len < 1:
         raise InputError("max_len must be >= 1")
     inverse, c = _inverses(letters)
-    batched = hasattr(space, "compose_batch")
-    L = (space.batch if batched else list)([g for _, g in letters])
+    gs = [g for _, g in letters]
+    L = space.batch(gs)
     ix = np.arange(len(letters), dtype=np.min_scalar_type(len(letters)))
     budget, count, E, last = WORD_BUDGET, 0, None, None
     for _ in range(max_len):
@@ -285,34 +242,23 @@ def walk_levels(space, letters, max_len: int):
         if not take:
             raise BudgetError("word budget exhausted")
         if last is None:
-            E, last = (L[:, :take] if batched else L[:take]), ix[:take]
+            E, last = space.batch(gs[:take]), ix[:take]
         else:
-            E, last = _children(space, batched, E, last[:-(-take // c)], L,
-                                inverse, ix, take)
+            last = _child_letters(last[:-(-take // c)], inverse, ix)[:take]
+            E = space.compose_level(E, np.arange(take) // c, L, last)
         count += take
         yield E, last
         if take < size:
             raise BudgetError("word budget exhausted")
 
 
-def _children(space, batched, E, last, L, inverse, ix, take):
-    """The first take words of the level after (E, last), as walk_levels;
-    the level's array is filled a block of parents at a time."""
+def _child_letters(last, inverse, ix):
+    """The last letters of the children of words whose last letters are
+    ``last``, in walk order: each letter but the inverse of the parent's."""
     keep = np.ones((len(last), len(inverse)), dtype=bool)
     inv = inverse[last]
     keep[np.flatnonzero(inv >= 0), inv[inv >= 0]] = False
-    letter = np.broadcast_to(ix, keep.shape)[keep][:take]
-    if not batched:
-        return [h if g is None else _compose(space, g, h) for g, h in
-                zip(map(E.__getitem__, np.nonzero(keep)[0].tolist()),
-                    map(L.__getitem__, letter.tolist()))], letter
-    out, n = np.empty((4, take)), 0
-    for s in range(0, len(last), _BATCH_PARENTS):
-        rows = keep[s:s + _BATCH_PARENTS]
-        block = space.compose_batch(E[:, s:s + len(rows)], L)[:, rows]
-        out[:, n:n + block.shape[1]] = block[:, :take - n]
-        n += block.shape[1]
-    return out, letter
+    return np.broadcast_to(ix, keep.shape)[keep]
 
 
 def walk_words(space, letters, max_len: int):
@@ -324,12 +270,7 @@ def walk_words(space, letters, max_len: int):
     for E, last in walk_levels(space, letters, max_len):
         words = [(words[i // c] if words else ()) + (syms[j],)
                  for i, j in enumerate(last.tolist())]
-        yield from zip(words, level_elements(space, E))
-
-
-def level_elements(space, E) -> list:
-    """The elements of a level of walk_levels, one object each."""
-    return space.unbatch(E) if hasattr(space, "compose_batch") else E
+        yield from zip(words, space.unbatch(E))
 
 
 def has_finite_order(space, g, k: int) -> bool:
@@ -372,11 +313,11 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
     still told apart when letters cancel.
 
     The group kind decides as walk_words would, with its words, order
-    and budget, without an isometry object per word where the model
-    allows: on a model with batch arithmetic it builds each level as
-    one array; for two elements of a model that can tell whether they
-    commute, two that do not are a free basis, so no word is the
-    identity and only the walk's length is checked against the budget.
+    and budget, but tests each level of walk_levels at once, without an
+    isometry object per word.  For two elements of a model that can
+    tell whether they commute, two that do not are a free basis, so no
+    word is the identity and only the walk's length is checked against
+    the budget.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -391,12 +332,7 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
                 and not space.commute(gens[0][1], gens[1][1])):
             check_walk_length(2 * len(gens), depth)
             return True, None
-        letters = group_letters(space, indexed)
-        if hasattr(space, "compose_batch"):
-            word = _first_identity_batched(space, letters, depth)
-        else:
-            word = next((w for w, g in walk_words(space, letters, depth)
-                         if space.is_identity(g)), None)
+        word = _first_identity(space, group_letters(space, indexed), depth)
         return word is None, None if word is None else text(word)
     if kind != "semigroup":
         raise InputError(f"unknown oracle kind {kind!r}")
@@ -421,7 +357,7 @@ def check_walk_length(k, depth):
         level *= k - 1
 
 
-def _first_identity_batched(space, letters, depth):
+def _first_identity(space, letters, depth):
     """The first word of walk_words(space, letters, depth) whose element
     is the identity, or None, rebuilt from the last letters of the
     levels of walk_levels by the parent rule i // (k - 1)."""

@@ -3,14 +3,13 @@ shortlex word enumeration, and the (N, w) witness driver."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 
 from . import TOL, halfplane, isometry, pingpong
-from .errors import (BudgetError, DomainError, ElementaryPairError,
+from .errors import (DomainError, ElementaryPairError,
                      InputError, SearchExhausted)
 from .pingpong import word_to_text
 
@@ -31,16 +30,22 @@ def enumerate_words(letters, max_len: int):
     """All freely reduced words of length 1..max_len in shortlex order.
 
     Words are tuples of (letter name, +1 or -1); the letter order is
-    each generator followed by its inverse.  This is
-    pingpong.walk_words without elements, and stops with SearchExhausted
-    where the walk's budget runs out.
+    each generator followed by its inverse.  These are the words of
+    pingpong.walk_words, built here a word at a time; past the first
+    pingpong.WORD_BUDGET of them the search stops with SearchExhausted.
     """
-    syms = [((name, sign), None) for name in letters for sign in (1, -1)]
-    try:
-        for word, _ in pingpong.walk_words(None, syms, max_len):
+    if max_len < 1:
+        raise InputError("max_len must be >= 1")
+    syms = [(name, sign) for name in letters for sign in (1, -1)]
+    budget, level = pingpong.WORD_BUDGET, [()]
+    for _ in range(max_len):
+        level = [w + (s,) for w in level for s in syms
+                 if not w or w[-1] != (s[0], -s[1])]
+        for word in level:
+            if not budget:
+                raise SearchExhausted("word budget exhausted")
+            budget -= 1
             yield word
-    except BudgetError:
-        raise SearchExhausted("word budget exhausted") from None
 
 
 def evaluate_word(space, word, table):
@@ -109,13 +114,13 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
     """Search for a word w and power N with a certified free pair (a^N, w).
 
     Large translation lengths go through axis projections and the
-    explicit power threshold; small or mixed ones through Schottky
-    margins over conjugate words, with an oracle-certified shortlex
-    search as the last resort.  Returned witnesses always carry a
-    passing word oracle.
+    explicit power threshold, a hyperbolic and a parabolic generator
+    through the semigroup oracle, and the other pairs through an
+    oracle-certified shortlex search.  Returned witnesses always carry a
+    passing word oracle.  A delta below the model's four-point constant
+    ``space.delta`` is refused: the power threshold would prove nothing.
     """
     cfg = cfg or TitsConfig()
-    rng = random.Random(cfg.seed)
     stats = {"candidates": 0, "words": 0}
 
     pa = isometry.classify(a, space)
@@ -125,20 +130,24 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
                 space, g, cfg.oracle_depth):
             raise InputError("generator has finite order; "
                              "the free-group search needs torsion-free input")
+    # a graph pair stops above: its isometries are elliptic, with no powers
+    if cfg.delta < space.delta:
+        raise InputError(f"delta {cfg.delta} is below the model's "
+                         f"four-point constant {space.delta}")
 
     if isometry.elementary_profiles(space, pa, pb):
         raise ElementaryPairError("the pair generates an elementary group")
     if pa.kind == "hyperbolic" and pb.kind == "hyperbolic":
         if pa.ell > cfg.eps0 / 3.0:
             return _large_ell_group(space, a, b, abs(pa.ell - pb.ell) <= TOL,
-                                    names, cfg, rng, stats)
-        return _small_ell(space, a, b, (pa, pb), names, cfg, rng, stats)
+                                    names, cfg, stats)
+        return _small_ell(space, a, b, names, cfg, stats)
     if {pa.kind, pb.kind} == {"hyperbolic", "parabolic"}:
         return _semigroup_case(space, a, b, names, cfg, stats)
-    return _small_ell(space, a, b, (pa, pb), names, cfg, rng, stats)
+    return _small_ell(space, a, b, names, cfg, stats)
 
 
-def _large_ell_group(space, a, b, same_ell, names, cfg, rng, stats):
+def _large_ell_group(space, a, b, same_ell, names, cfg, stats):
     """Try b itself when it translates like a, then the conjugates
     b^j a b^-j, which always do; a candidate sharing an axis endpoint
     with a is passed over."""
@@ -147,7 +156,7 @@ def _large_ell_group(space, a, b, same_ell, names, cfg, rng, stats):
         for j, bj in _conjugates(space, a, b, cfg.conjugate_bound))
     if same_ell:
         candidates = itertools.chain([(((names[1], 1),), b)], candidates)
-    last_err = None
+    last_err, rng = None, random.Random(cfg.seed)
     for word, g in candidates:
         stats["candidates"] += 1
         try:
@@ -170,13 +179,9 @@ def _expand(compact):
     return tuple(out)
 
 
-def _small_ell(space, a, b, profiles, names, cfg, rng, stats):
-    # Schottky leg over the conjugate family, when both are hyperbolic
-    if all(p.kind == "hyperbolic" for p in profiles):
-        sm_witness = _conjugate_schottky(space, a, b, names, cfg, rng, stats)
-        if sm_witness is not None:
-            return sm_witness
-    # oracle-certified shortlex fallback
+def _small_ell(space, a, b, names, cfg, stats):
+    """The first shortlex word w, not a power of a, for which the group
+    oracle finds no relation between a and w."""
     letters = pingpong.group_letters(space, [(names[0], a), (names[1], b)])
     cap = 4 ** min(cfg.N_max, 9)
     # walk no level past the one where the word cap is reached
@@ -197,32 +202,6 @@ def _small_ell(space, a, b, profiles, names, cfg, rng, stats):
         if stats["words"] >= cap:
             break
     raise SearchExhausted("no oracle-certified witness within the word budget")
-
-
-def _conjugate_schottky(space, a, b, names, cfg, rng, stats):
-    pts = _certify_sample(space, 0.0, 1, cfg, rng)
-    conj = list(_conjugates(space, a, b, cfg.conjugate_bound))
-    # each conjugate is classified once, by the first pair that needs it
-    profile = functools.cache(lambda k: isometry.classify(conj[k][1], space))
-    for p, q in itertools.combinations(range(len(conj)), 2):
-        (i, bi), (j, bj) = conj[p], conj[q]
-        stats["candidates"] += 1
-        try:
-            if isometry.elementary_profiles(space, profile(p), profile(q)):
-                continue
-            sm = pingpong.schottky_margin(space, bi, bj, cfg.delta, pts,
-                                          (profile(p), profile(q)))
-        except DomainError:
-            continue
-        if not sm.passes:
-            continue
-        word = _expand(((names[1], j - i), (names[0], 1), (names[1], i - j)))
-        passed, _ = pingpong.word_oracle(
-            space, [("u", bi), ("v", bj)], cfg.oracle_depth, "group")
-        if passed:
-            return _oracle_witness("small_ell", "group", 1,
-                                   word_to_text(word), cfg, stats)
-    return None
 
 
 def _semigroup_case(space, a, b, names, cfg, stats):

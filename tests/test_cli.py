@@ -110,9 +110,21 @@ class TestCertify:
         code, _ = run(tmp_path, "certify", "--input", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("delta, code", [
+        ("0", 2), ("0.5", 2), ("0.693147", 2), ("0.6931471805599453", 0)])
+    def test_delta_below_log_2_is_exit_2(self, tmp_path, capsys,
+                                         h2_pair_file, delta, code):
+        got, rep = run(tmp_path, "certify", "--input", h2_pair_file,
+                       "--delta", delta)
+        assert got == code
+        if code:
+            assert rep is None
+            assert "four-point constant" in capsys.readouterr().err
+        else:
+            assert rep["result"]["valid"]
+
     def test_search_exhausted_is_exit_4(self, tmp_path, capsys):
-        # two parabolics: the Schottky leg does not apply, and one word
-        # is too few for the shortlex fallback
+        # two parabolics: one word is too few for the shortlex search
         spec = {"model": "h2", "generators": [
             {"name": "a", "matrix": [[1, 1], [0, 1]]},
             {"name": "b", "matrix": [[1, 0], [1, 1]]}]}
@@ -151,6 +163,22 @@ class TestEntropyAndBounds:
         r = rep["result"]
         assert r["systole_floor"] == 0.1
         assert r["packing_bound"] == 20.0
+
+    @pytest.mark.parametrize("command", ["bounds", "stats", "entropy"])
+    def test_no_delta_in_the_bounds_config(self, tmp_path, tree_pair_file,
+                                           capsys, command):
+        argv = [command] + ([] if command == "bounds"
+                            else ["--input", tree_pair_file])
+        code, rep = run(tmp_path, *argv)
+        assert code == 0
+        config = rep["manifest"]["config"]
+        assert {"P0", "r0", "eps0", "N"} <= set(config)
+        assert not {"delta", "tolerance"} & set(config)
+        if command == "bounds":
+            assert set(rep["result"]["config"]) == {"P0", "r0", "eps0", "N"}
+        with pytest.raises(SystemExit):
+            cli.main(argv + ["--delta", "1"])
+        capsys.readouterr()
 
     def test_packing_bound_beyond_floats_is_inf(self, tmp_path):
         code, rep = run(tmp_path, "bounds", "--R", "1000", "--r", "0.01")
@@ -468,7 +496,6 @@ class TestMalformedInput:
         (["bounds", "--r0", "nan"], _A),
         (["bounds", "--r0", "inf"], _A),
         (["bounds", "--eps0", "nan"], _A),
-        (["bounds", "--delta", "inf"], _A),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
@@ -477,8 +504,7 @@ class TestMalformedInput:
             "space-delta-sums-overflow", "space-int-beyond-float",
             "certify-delta-nan", "certify-delta-inf", "certify-delta-negative",
             "certify-eps0-zero", "certify-eps0-nan", "certify-N-max-zero",
-            "bounds-r0-nan", "bounds-r0-inf", "bounds-eps0-nan",
-            "bounds-delta-inf"])
+            "bounds-r0-nan", "bounds-r0-inf", "bounds-eps0-nan"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))

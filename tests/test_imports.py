@@ -1,8 +1,9 @@
 """Each module of the package and of its tests uses every name it
 imports, each package module reads no underscore-prefixed name of
 another package module, every public function, class and method is
-named by the package or the benchmark, and every field of a package
-dataclass is read by them."""
+named by the package or the benchmark, every field of a package
+dataclass is read by them, and the pipeline modules test no space's
+type or attributes beyond a kept few."""
 
 import ast
 import pathlib
@@ -30,8 +31,18 @@ KEPT = {
 KEPT_FIELDS = {
     "GapReport": "the margulis report emits its fields through vars()",
     "FreeCertificate.violations": "tests read the overlapping points",
-    "SchottkyMargin.L_hat": "tests read the margin as evidence",
-    "SchottkyMargin.threshold": "tests read the margin as evidence",
+}
+
+# the pipeline modules, which reach a model only through its interface
+PIPELINE = ("isometry", "pingpong", "tits", "bounds")
+# the type or attribute tests of a space that they still make, as
+# "function: call", each kept for what it serves
+SPACE_PROBES = {
+    "word_oracle: hasattr(space, 'commute')":
+        "only the tree can tell whether two elements commute",
+    "_certify_sample: isinstance(space, halfplane.HalfPlane)":
+        "the sample leg picks H2's ball by model until it is replaced "
+        "by exact legs (ROADMAP item 3)",
 }
 
 
@@ -119,6 +130,42 @@ def unread_fields(package: list, others: list = ()) -> list:
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
     return sorted(f for f in fields if f.split(".")[1] not in read)
+
+
+def space_probes(source: str) -> list:
+    """"function: call" for each hasattr or isinstance call whose first
+    argument is a name ``space``, by the function that makes it."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        found += [f"{fn.name}: {ast.unparse(node)}"
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) in ("hasattr",
+                                                         "isinstance")
+                  and node.args and getattr(node.args[0], "id", None)
+                  == "space"]
+    return sorted(set(found))
+
+
+def test_pipeline_probes_no_model_but_the_kept_ones():
+    """A pipeline module asks the model through its interface: a new
+    type or attribute test of a space fails, and a kept one that goes
+    leaves SPACE_PROBES."""
+    found = [probe for name in PIPELINE
+             for probe in space_probes((SRC / f"{name}.py").read_text())]
+    assert sorted(found) == sorted(SPACE_PROBES)
+
+
+def test_space_probe_is_caught():
+    source = ("def walk(space, gs):\n"
+              "    if hasattr(space, 'compose_batch'):\n"
+              "        return isinstance(space, Tree) or hasattr(gs, 'x')\n"
+              "def keyed(space, p):\n"
+              "    return isinstance(p, complex)\n")
+    assert space_probes(source) == [
+        "walk: hasattr(space, 'compose_batch')",
+        "walk: isinstance(space, Tree)"]
 
 
 def test_every_public_name_is_referenced():

@@ -180,6 +180,43 @@ class TestMargulisDomain:
         with pytest.raises(PreconditionError):
             isometry.domain_gap_report(H2, g, 0.1, 0.2, pts)
 
+    @pytest.mark.parametrize("kind", ["hyperbolic", "parabolic", "tree",
+                                      "elliptic"])
+    def test_first_power_decides_unless_elliptic(self, kind, tree2,
+                                                 monkeypatch):
+        # d(x, g^i x) grows with i for non-elliptic g: one act per point
+        # at any power cap; an elliptic g scans up to the cap
+        space, g, eps, pts = {
+            "hyperbolic": (H2, halfplane.Moebius(2.0, 0.0, 0.0, 0.5), 1.5,
+                           halfplane.sample_ball(1j, 3.0, 40,
+                                                 random.Random(0))),
+            "parabolic": (H2, halfplane.Moebius(1.0, 1.0, 0.0, 1.0), 0.5,
+                          halfplane.sample_ball(1j, 3.0, 40,
+                                                random.Random(1))),
+            "tree": (tree2, "ab", 2, tree2.ball("", 3)),
+            "elliptic": (H2, halfplane.rotation_about_i(0.3), 0.5,
+                         halfplane.sample_ball(1j, 3.0, 40,
+                                               random.Random(2)))}[kind]
+        acts = []
+        act = isometry.apply_isometry
+        monkeypatch.setattr(isometry, "apply_isometry",
+                            lambda s, h, x: acts.append(x) or act(s, h, x))
+        rep = isometry.domain_gap_report(space, g, eps, 2 * eps, pts,
+                                         power_cap=64)
+        assert rep.inner_count
+        if kind != "elliptic":
+            assert len(acts) == len(pts)
+            return
+        # an elliptic g is scanned until a power comes within eps
+        expected = 0
+        for x in pts:
+            y = x
+            for _ in range(64):
+                y, expected = act(space, g, y), expected + 1
+                if space.dist(x, y) <= eps + 1e-9:
+                    break
+        assert len(pts) < len(acts) == expected
+
     def test_packing_gap_floor_formula(self):
         lb = isometry.gap_lower_bound_ii(4, 0.1, 0.5)
         expected = math.log(19.0) / (2.0 * math.log(5.0)) * 0.5 - 0.5

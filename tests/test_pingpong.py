@@ -132,56 +132,6 @@ class TestEndSets:
         assert rep["overlaps"] > 0
 
 
-class TestSchottkyMargin:
-    def test_tree_standard_generators(self, tree2, rng):
-        pts = tree2.sample_ball("", 4, 200, rng)
-        sm = pingpong.schottky_margin(tree2, "a", "b", 0.0, pts)
-        # the grid infimum of max displacement is 1, attained at the origin
-        assert sm.L_hat == 1.0
-        assert sm.threshold == 1.0
-
-    def test_h2_crossing_axes_fail_threshold(self, schottky_pair, rng):
-        # the two axes cross at i, so the grid infimum sits at ell and
-        # can never clear the ell + 56 delta threshold
-        a, b = schottky_pair
-        pts = halfplane.sample_ball(1j, 3.0, 200, rng)
-        sm = pingpong.schottky_margin(H2, a, b, 0.01, pts)
-        assert sm.L_hat >= 2.0 * math.log(2.0) - 1e-6
-        assert sm.threshold == pytest.approx(2.0 * math.log(2.0) + 0.56)
-        assert not sm.passes
-
-    def test_h2_distant_axes_pass(self, rng):
-        a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        shift = halfplane.Moebius(1.0, 10.0, 0.0, 1.0)
-        b = shift @ halfplane.Moebius(1.25, 0.75, 0.75, 1.25) @ shift.inverse()
-        pts = halfplane.sample_ball(5.0 + 2j, 5.0, 300, rng)
-        sm = pingpong.schottky_margin(H2, a, b, 0.01, pts)
-        assert sm.passes
-
-    @pytest.mark.parametrize("model", ["tree", "h2"])
-    def test_twelve_distances_per_point(self, model, tree2, monkeypatch):
-        # six powers of each generator at each sample point, and no more
-        rng = random.Random(0)
-        if model == "tree":
-            space, a, b = tree2, "a", "b"
-            pts = tree2.sample_ball("", 4, 50, rng)
-        else:
-            shift = halfplane.Moebius(1.0, 10.0, 0.0, 1.0)
-            space, a = H2, halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-            b = shift @ halfplane.Moebius(1.25, 0.75, 0.75, 1.25) \
-                @ shift.inverse()
-            pts = halfplane.sample_ball(5.0 + 2j, 5.0, 50, rng)
-        dist, calls = space.dist, []
-
-        def counted(p, q):
-            calls.append(None)
-            return dist(p, q)
-
-        monkeypatch.setattr(space, "dist", counted)
-        pingpong.schottky_margin(space, a, b, 0.01, pts)
-        assert 0 < len(calls) <= 12 * len(pts)
-
-
 class TestWordOracle:
     def test_sanov_passes(self):
         s1 = halfplane.Moebius(1.0, 2.0, 0.0, 1.0)

@@ -136,26 +136,13 @@ def _hyperbolic(u, v, ell):
                              (lam - inv) / s, (v * inv - u * lam) / s)
 
 
-def test_small_translation_pair_runs_the_schottky_leg():
+def test_small_translation_pair_answers_with_the_third_shortlex_word():
+    # a and a^-1 are powers of a, so b is the first word tried
     a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
-    wit = tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
-    # the three conjugate pairs fail their margins, so the shortlex
-    # fallback answers with its third word
+    wit = tits.tits_witness(H2, a, b)
     assert wit.case_tag == "small_ell"
     assert wit.w == "b"
-    assert wit.search_stats == {"candidates": 3, "words": 3}
-
-
-def test_schottky_leg_certifies_the_first_conjugate_pair():
-    # at delta 0 the margin threshold is the translation length, which
-    # the first conjugates b a b^-1 and b^2 a b^-2 clear; conjugated by
-    # b^-1 they are a and the witness
-    a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
-    wit = tits.tits_witness(H2, a, b,
-                            tits.TitsConfig(delta=0.0, conjugate_bound=3))
-    assert wit.case_tag == "small_ell"
-    assert wit.w == "b a b^-1"
-    assert wit.search_stats == {"candidates": 1, "words": 0}
+    assert wit.search_stats == {"candidates": 0, "words": 3}
     assert wit.certificate.valid
 
 
@@ -172,42 +159,6 @@ def test_small_translation_pair_classifies_each_generator_once(monkeypatch):
     tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
     assert sum(g is a for g in seen) == 1
     assert sum(g is b for g in seen) == 1
-
-
-def test_schottky_leg_classifies_each_conjugate_once(monkeypatch):
-    a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
-    seen = []
-    classify = isometry.classify
-
-    def counting(g, space):
-        seen.append(g)
-        return classify(g, space)
-
-    def no_margin(*args):
-        raise DomainError("margins are not under test")
-
-    monkeypatch.setattr(isometry, "classify", counting)
-    monkeypatch.setattr(pingpong, "schottky_margin", no_margin)
-    wit = tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
-    # a and b, then the three conjugates of the three pairs, once each
-    assert wit.search_stats["candidates"] == 3
-    assert len(seen) == 5 and len({id(g) for g in seen}) == 5
-
-
-def test_schottky_margins_reuse_the_cached_profiles(monkeypatch):
-    a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
-    seen = []
-    classify = isometry.classify
-
-    def counting(g, space):
-        seen.append(g)
-        return classify(g, space)
-
-    monkeypatch.setattr(isometry, "classify", counting)
-    tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
-    # a, b and the three conjugates, each once: the three margins take
-    # the conjugates' cached profiles instead of classifying them again
-    assert len(seen) == 5
 
 
 def test_shipped_pair_classifies_a_twice(schottky_pair, monkeypatch):
@@ -249,7 +200,16 @@ def test_unequal_lengths_try_each_conjugate_once():
     # b a b^-1 is the first candidate, and b itself is never tried
     a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
     b = halfplane.Moebius(1.4, 0.6, 0.6, 1.4)
-    wit = tits.tits_witness(H2, a, b, tits.TitsConfig(delta=0.0))
+    wit = tits.tits_witness(H2, a, b, tits.TitsConfig(delta=math.log(2.0)))
+    assert (wit.N, wit.w) == (40, "b a b^-1")
+    assert wit.search_stats == {"candidates": 1, "words": 0}
+    # at delta 0, which tits_witness refuses in H2, the conjugate search
+    # passes over the first two conjugates
+    with pytest.raises(InputError, match="four-point constant"):
+        tits.tits_witness(H2, a, b, tits.TitsConfig(delta=0.0))
+    stats = {"candidates": 0, "words": 0}
+    wit = tits._large_ell_group(H2, a, b, False, ("a", "b"),
+                                tits.TitsConfig(delta=0.0), stats)
     assert wit.case_tag == "large_ell_group"
     assert (wit.N, wit.w) == (1, "b^3 a b^-3")
     assert wit.certificate.valid

@@ -109,12 +109,13 @@ def test_action_stats_classifies_each_element_once(schottky_pair, rng,
 
 def test_one_composition_per_word(tree2, monkeypatch):
     calls = []
+    compose = freetree.FreeTreeSpace.compose
 
-    def compose(space, g, h):
+    def counting(space, g, h):
         calls.append((g, h))
-        return space.compose(g, h)
+        return compose(space, g, h)
 
-    monkeypatch.setattr(pingpong, "_compose", compose)
+    monkeypatch.setattr(freetree.FreeTreeSpace, "compose", counting)
     letters = pingpong.group_letters(tree2, [("a", "a"), ("b", "b")])
     words = list(pingpong.walk_words(tree2, letters, 3))
     # every word past the first level, and no level past max_len
@@ -125,19 +126,19 @@ def test_one_composition_per_word(tree2, monkeypatch):
     assert calls == []
 
 
-def test_walk_budget(monkeypatch):
+def test_walk_budget(tree2, monkeypatch):
     monkeypatch.setattr(pingpong, "WORD_BUDGET", 5)
-    letters = [(("a", 1), None), (("a", -1), None)]
-    walk = pingpong.walk_words(None, letters, 10)
+    letters = [(("a", 1), "a"), (("a", -1), "A")]
+    walk = pingpong.walk_words(tree2, letters, 10)
     assert len([next(walk) for _ in range(5)]) == 5
     with pytest.raises(BudgetError):
         next(walk)
 
 
-def test_walk_reads_budget_at_call(monkeypatch):
+def test_walk_reads_budget_at_call(tree2, monkeypatch):
     monkeypatch.setattr(pingpong, "WORD_BUDGET", 3)
     with pytest.raises(BudgetError):
-        list(pingpong.walk_words(None, [(("a", 1), None)], 4))
+        list(pingpong.walk_words(tree2, [(("a", 1), "a")], 4))
 
 
 def test_semigroup_oracle_budget_guard(schottky_pair, monkeypatch):
@@ -313,11 +314,11 @@ def _bits(x):
     return np.where(np.isnan(x), np.nan, x).tobytes()
 
 
-@pytest.fixture(params=[pingpong._BATCH_PARENTS, 5], ids=["block", "block5"])
+@pytest.fixture(params=[halfplane._LEVEL_BLOCK, 5], ids=["block", "block5"])
 def blocks(request, monkeypatch):
-    """Both the default block of parents and one that splits every level
-    past the second into several blocks."""
-    monkeypatch.setattr(pingpong, "_BATCH_PARENTS", request.param)
+    """Both the default block of H2's compose_level and one that splits
+    every level past the first into several blocks."""
+    monkeypatch.setattr(halfplane, "_LEVEL_BLOCK", request.param)
 
 
 def _same_as_per_word(space, gens, depth):
@@ -331,17 +332,25 @@ def test_batched_oracle_on_schottky_pairs(gens, blocks):
     _same_as_per_word(H2, gens, 8)
 
 
-def test_batched_products_match_matmul_bit_for_bit():
+def test_batched_products_match_matmul_bit_for_bit(monkeypatch, capfd):
+    # blocks of 5 columns split the 121 products into 25 blocks
+    monkeypatch.setattr(halfplane, "_LEVEL_BLOCK", 5)
     rng = random.Random(7)
     gs = [_hyperbolic(rng) for _ in range(6)]
     gs += [g ** 600 for g in gs[:3]]   # entries overflow to inf and NaN
     # the products of the last two have trace 0 and a negative first entry
     gs += [M(0.0, -1.0, 1.0, 0.0), M(2.0, -1.0, -1.0, 1.0)]
-    table = H2.compose_batch(H2.batch(gs), H2.batch(gs))
-    products = [[(g @ h).entries() for h in gs] for g in gs]
-    assert _bits(np.moveaxis(table, 0, -1)) == _bits(products)
-    assert (H2.is_identity_batch(table).tolist()
-            == [[M._unit(*e).is_identity() for e in row] for row in products])
+    rows, cols = np.divmod(np.arange(len(gs) ** 2), len(gs))
+    B = H2.batch(gs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        level = H2.compose_level(B, rows, B, cols)
+    products = [(gs[i] @ gs[j]).entries() for i, j in zip(rows, cols)]
+    assert any(v != v for e in products for v in e)
+    assert _bits(level.T) == _bits(products)
+    assert (H2.is_identity_batch(level).tolist()
+            == [M._unit(*e).is_identity() for e in products])
+    assert capfd.readouterr().err == ""
     near = [(2.0, 0.0, 0.0, 2.0), (1.0, 1e-10, -1e-10, 1.0 + 1e-10),
             (1.0, 2e-9, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0 + 2e-9),
             (math.inf, 0.0, 0.0, math.inf), (math.nan, 0.0, 0.0, 1.0)]
@@ -424,7 +433,7 @@ def test_commuting_tree_pair_walks_to_the_relation(tree2):
                                   [("u", "aab"), ("v", "ABaab")]])
 def test_non_commuting_tree_pair_composes_nothing(tree2, monkeypatch, gens):
     calls = []
-    monkeypatch.setattr(pingpong, "_compose",
+    monkeypatch.setattr(freetree.FreeTreeSpace, "compose",
                         lambda space, g, h: calls.append(g) or g)
     assert pingpong.word_oracle(tree2, gens, 8) == (True, None)
     assert calls == []
@@ -527,7 +536,7 @@ def _walk_prefix(walk):
 
 
 def _letter_cases():
-    tree2 = freetree.FreeTreeSpace(2)
+    tree2, tree3 = freetree.FreeTreeSpace(2), freetree.FreeTreeSpace(3)
     a, b = M(2, 0, 0, 0.5), M(1.25, 0.75, 0.75, 1.25)
     H2_group = pingpong.group_letters(H2, [(0, a), (1, b)])
     return {
@@ -543,8 +552,10 @@ def _letter_cases():
             tree2, [("u", "ab"), ("v", "aBB")]), 5),
         "tree-semigroup": (tree2, [(("u", 1), "ab"), (("v", 1), "ba"),
                                    (("w", 1), "A")], 4),
-        "no-elements": (None, [((n, s), None) for n in "abc"
-                               for s in (1, -1)], 4),
+        # the rank-3 tree's own generators, each element its word
+        "no-elements": (tree3, pingpong.group_letters(
+            tree3, [(n, n) for n in "abc"]), 4),
+        "tree-one-letter": (tree2, [(("u", 1), "aB")], 6),
     }
 
 
@@ -570,7 +581,7 @@ def test_levels_follow_the_parent_rule(letter_case, blocks):
     lasts, rebuilt = [], []
     for level, (E, last) in enumerate(
             pingpong.walk_levels(space, letters, depth), 1):
-        assert len(pingpong.level_elements(space, E)) == len(last)
+        assert len(space.unbatch(E)) == len(last)
         lasts.append(last)
         for i in range(len(last)):
             word, k = [], i
@@ -597,15 +608,16 @@ def test_walk_budget_ends_mid_level_as_the_per_word_walk(
     assert sum(levels) == len(got[0])
 
 
-def test_walk_letters_hold_every_inverse_or_none():
-    letters = [(("a", 1), None), (("a", -1), None), (("b", 1), None)]
+def test_walk_letters_hold_every_inverse_or_none(tree2):
+    letters = [(("a", 1), "a"), (("a", -1), "A"), (("b", 1), "b")]
     with pytest.raises(InputError):
-        next(pingpong.walk_levels(None, letters, 2))
+        next(pingpong.walk_levels(tree2, letters, 2))
 
 
-def test_walk_without_letters_is_empty():
-    assert list(pingpong.walk_levels(None, [], 3)) == []
-    assert list(pingpong.walk_words(None, [], 3)) == []
+def test_walk_without_letters_is_empty(tree2):
+    for space in (H2, tree2):
+        assert list(pingpong.walk_levels(space, [], 3)) == []
+        assert list(pingpong.walk_words(space, [], 3)) == []
 
 
 # ------------------------------ the action commands, level by level
