@@ -254,8 +254,7 @@ def cmd_certify(args):
     if len(gens) != 2:
         raise InputError("certification needs exactly two generators")
     cfg = tits.TitsConfig(delta=args.delta, eps0=args.eps0,
-                          N_max=args.N_max, oracle_depth=args.depth,
-                          sample_size=args.sample_size, seed=args.seed)
+                          N_max=args.N_max, oracle_depth=args.depth)
     names = (gens[0][0], gens[1][0])
     wit = tits.tits_witness(space, gens[0][1], gens[1][1], cfg, names=names)
     cert = wit.certificate
@@ -265,10 +264,9 @@ def cmd_certify(args):
             "case": wit.case_tag, "N": wit.N, "witness_word": wit.w,
             "kind": cert.kind, "valid": cert.valid,
             "M0": cert.M0, "swapped": cert.swapped,
-            "disjoint_ok": cert.disjoint_ok, "nesting_ok": cert.nesting_ok,
+            "disjoint_ok": cert.disjoint_ok,
             "oracle_depth": cert.oracle_depth,
             "oracle_passed": cert.oracle_passed,
-            "sample_size": cert.sample_size,
             "search_stats": dict(wit.search_stats),
         },
     }
@@ -475,7 +473,6 @@ def build_parser():
     sp.add_argument("--eps0", type=float, default=0.1)
     sp.add_argument("--depth", type=int, default=8)
     sp.add_argument("--N-max", dest="N_max", type=int, default=64)
-    sp.add_argument("--sample-size", type=int, default=400)
 
     sp = add("margulis", cmd_margulis, help="sampled Margulis domain gaps")
     sp.add_argument("--input", required=True)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all subsystems.
 
 Exit-code mapping used by the CLI:
-  InputError -> 2, BudgetError -> 3, SearchExhausted -> 4.
+  InputError -> 2, BudgetError -> 3, SearchExhausted -> 4, any other
+  HypcertError -> 2.  An elliptic generator to certify is an InputError.
 """
 
 
@@ -23,11 +24,6 @@ class DomainError(HypcertError):
 
 class ElementaryPairError(DomainError):
     """Two isometries share boundary data; no ping-pong configuration exists."""
-
-
-class AmbiguityError(HypcertError):
-    """Two independent classification routes disagree; the message gives
-    both diagnostics."""
 
 
 class BudgetError(HypcertError):

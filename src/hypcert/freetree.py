@@ -7,6 +7,7 @@ identity vertex.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -304,6 +305,22 @@ class FreeTreeSpace(DiscreteSpace):
         """Whether g h = h g.  Two words that do not commute are a free
         basis of the group they generate (Nielsen-Schreier and Hopf)."""
         return _seam_mul(g, h) == _seam_mul(h, g)
+
+    def meeting_sides(self, sides) -> list:
+        """The name pairs, in order, of the (name, centre, anchor) sides
+        whose sets {z : d(z, centre) <= d(z, anchor)} meet.  For m the
+        vertex of [c, p] at floor(d(c, p) / 2) from c and m' the next, a
+        set is the side of the edge (m, m') that holds m, or the tree when
+        c = p; two are disjoint exactly when neither holds the other's m."""
+        edges, d = [], self.dist
+        for name, c, p in sides:
+            w = _seam_mul(invert(c), p)
+            k = len(w) // 2
+            edges.append((name, _seam_mul(c, w[:k]), _seam_mul(c, w[:k + 1])))
+        return [(n1, n2) for (n1, m1, e1), (n2, m2, e2)
+                in itertools.combinations(edges, 2)
+                if m1 == e1 or m2 == e2 or d(m2, m1) < d(m2, e1)
+                or d(m1, m2) < d(m1, e2)]
 
     def classify(self, g: str) -> IsometryProfile:
         """Elliptic for the identity, else hyperbolic with the cyclically

@@ -6,22 +6,19 @@ are reals, with ``math.inf`` standing for the point at infinity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import TOL, isometry
-from .errors import AmbiguityError, InputError
+from . import TOL
+from .errors import InputError
 from .isometry import IsometryProfile
 
 INF = math.inf
 
 PARABOLIC_BAND = 1e-9
-CROSS_CHECK_BAND = 1e-3
-# the orbit estimator carries an O(log n / n) residual near the parabolic
-# border, so the cross-check only flags gross contradictions
-AMBIGUITY_TOL = 1e-2
 _LOG_MAX = 709.78  # just below the log of the largest double
 _TABLE_COLUMNS = 4096
 _LEVEL_BLOCK = 1 << 14   # columns per block of compose_level
@@ -454,23 +451,21 @@ class HalfPlane:
     def boundary_eq(self, x, y) -> bool:
         return boundary_eq(x, y)
 
+    def meeting_sides(self, sides) -> list:
+        """The name pairs, in order, of the (name, centre, anchor) sides
+        whose sets {z : d(z, centre) <= d(z, anchor)} meet, decided
+        exactly for the float points: on the hyperboloid, where
+        cosh d(z, w) = -<Z, W>, a set is {X : <X, C - P> >= 0}.  Sets that
+        touch only at an ideal point count as meeting."""
+        normals = [(name, _side_normal(check_point(c), check_point(p)))
+                   for name, c, p in sides]
+        return [(n1, n2) for (n1, u), (n2, v)
+                in itertools.combinations(normals, 2) if not _apart(u, v)]
+
     def classify(self, g: Moebius) -> IsometryProfile:
-        """Classify by |trace|; near the parabolic border the orbit growth
-        rate is consulted as an independent tiebreaker."""
+        """Classify by |trace| alone: within PARABOLIC_BAND of 2 is
+        parabolic, unless the identity; above hyperbolic, below elliptic."""
         tr = abs(g.trace())
-        if abs(tr - 2.0) <= CROSS_CHECK_BAND:
-            orbit = isometry.orbit_translation_length(g)
-            trace_par = abs(tr - 2.0) <= PARABOLIC_BAND
-            if trace_par and orbit > AMBIGUITY_TOL:
-                raise AmbiguityError(
-                    f"trace says parabolic (|trace| {tr!r}) "
-                    f"but the orbit translates by {orbit!r}")
-            if not trace_par:
-                ell_tr = 2.0 * math.acosh(tr / 2.0) if tr > 2.0 else 0.0
-                if abs(ell_tr - orbit) > AMBIGUITY_TOL:
-                    raise AmbiguityError(
-                        "trace and orbit translation lengths disagree: "
-                        f"{ell_tr!r} vs {orbit!r}")
         if tr > 2.0 + PARABOLIC_BAND:
             ell = 2.0 * math.acosh(tr / 2.0)
             rep, att = _fixed_boundary_pair(g)
@@ -507,6 +502,30 @@ def _parabolic_fixed_point(g):
     if abs(c) < 1e-12:
         return INF
     return (a - d) / (2.0 * c)
+
+
+def _side_normal(c, p):
+    """C - P for the lift Z = (|z|^2 + 1, |z|^2 - 1, 2 Re z) / (2 Im z),
+    times 2 s^3 Im c Im p for s the least power of two that makes c and
+    p integral: integers, all 0 when c = p."""
+    ratios = [v.as_integer_ratio() for v in (c.real, c.imag, p.real, p.imag)]
+    s = max(den for _, den in ratios)
+    cx, cy, px, py = (num * (s // den) for num, den in ratios)
+    c2, p2, s2 = cx * cx + cy * cy, px * px + py * py, s * s
+    return (py * (c2 + s2) - cy * (p2 + s2), py * (c2 - s2) - cy * (p2 - s2),
+            2 * s * (cx * py - px * cy))
+
+
+def _apart(u, v):
+    """Whether {X : <X, u> >= 0} and {X : <X, v> >= 0} are disjoint, for
+    <u, v> = -u0 v0 + u1 v1 + u2 v2: when <u, v> < -|u| |v| their edges
+    neither cross nor touch, and then no X is in both exactly when
+    u / |u| + v / |v| points to the future, q2 u0 |u0| + q1 v0 |v0| > 0."""
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    q1, q2 = u1 * u1 + u2 * u2 - u0 * u0, v1 * v1 + v2 * v2 - v0 * v0
+    b = u1 * v1 + u2 * v2 - u0 * v0
+    return (b < 0 and b * b > q1 * q2
+            and q2 * u0 * abs(u0) + q1 * v0 * abs(v0) > 0)
 
 
 H2 = HalfPlane()

@@ -113,41 +113,29 @@ def _powers(space, data: PingPongData):
 
 
 def _proof_sides(space, data: PingPongData, powers):
-    """The four proof sets as (name, centre, anchor): the set holds the
-    points at least as close to the centre as to the anchor."""
+    """The four proof sets: A+ holds the points at least as close to
+    a^N x- as to x+, and so on."""
     aN, a_N, bN, b_N = powers
-
-    def image(g, x):
-        return isometry.apply_isometry(space, g, x)
-
-    return [("A+", image(aN, data.x_minus), data.x_plus),
-            ("A-", image(a_N, data.x_plus), data.x_minus),
-            ("B+", image(bN, data.y_minus), data.y_plus),
-            ("B-", image(b_N, data.y_plus), data.y_minus)]
+    return _sides(data, [isometry.apply_isometry(space, g, x) for g, x in (
+        (aN, data.x_minus), (a_N, data.x_plus),
+        (bN, data.y_minus), (b_N, data.y_plus))])
 
 
-def _overlaps(space, sides, points):
-    """(z, names) for each point z in two or more of the sets."""
-    names, centres, anchors = zip(*sides)
-    inside = (space.dist_table(points, centres)
-              <= space.dist_table(points, anchors)).tolist()
-    hits = ((z, [n for n, hit in zip(names, row) if hit])
-            for z, row in zip(points, inside))
-    return [(z, tuple(ns)) for z, ns in hits if len(ns) > 1]
+def _sides(data: PingPongData, centres):
+    """(name, centre, anchor) of A+, A-, B+ and B-, anchored at x+, x-, y+
+    and y-: a set holds the points at least as close to its centre."""
+    return list(zip(("A+", "A-", "B+", "B-"), centres,
+                    (data.x_plus, data.x_minus, data.y_plus, data.y_minus)))
 
 
-def end_set_disjointness(space, data: PingPongData, T: float, points):
-    """Sampled pairwise-disjointness check of the four T-neighbourhood
-    sets of the axis ends."""
+def end_set_disjointness(space, data: PingPongData, T: float):
+    """Whether the four T-neighbourhood sets of the axis ends are pairwise
+    disjoint, by the model's meeting_sides, and the pairs that meet."""
     alpha, beta = data.alpha, data.beta
-    sides = [("A+", alpha.point_along(data.x_plus, T), data.x_plus),
-             ("A-", alpha.point_along(data.x_minus, -T), data.x_minus),
-             ("B+", beta.point_along(data.y_plus, T), data.y_plus),
-             ("B-", beta.point_along(data.y_minus, -T), data.y_minus)]
-    overlaps = _overlaps(space, sides, points)
-    return {"T": T, "checked": len(points), "overlaps": len(overlaps),
-            "disjoint": not overlaps,
-            "first_overlap": overlaps[0] if overlaps else None}
+    meeting = space.meeting_sides(_sides(data, [
+        alpha.point_along(data.x_plus, T), alpha.point_along(data.x_minus, -T),
+        beta.point_along(data.y_plus, T), beta.point_along(data.y_minus, -T)]))
+    return {"T": T, "disjoint": not meeting, "meeting": meeting}
 
 
 @dataclass
@@ -157,38 +145,34 @@ class FreeCertificate:
     M0: float = None
     swapped: bool = False
     disjoint_ok: bool = None
-    nesting_ok: bool = None
     violations: list = field(default_factory=list)
     oracle_depth: int = 0
     oracle_passed: bool = False
-    sample_size: int = 0
 
     @property
     def valid(self) -> bool:
         return bool(self.disjoint_ok is not False and self.oracle_passed)
 
 
-def pingpong_certify(space, data: PingPongData, points,
+def pingpong_certify(space, data: PingPongData,
                      oracle_depth: int = 8) -> FreeCertificate:
     """Certify that the record's a^N and b^N generate a free group.
 
-    Two independent legs: the four attracting/repelling sets must be
-    pairwise disjoint on the sample (sound when the record's delta
-    really bounds the space's hyperbolicity), and the word oracle must
-    find no nontrivial relation up to the given depth.
+    Both legs must pass for ``valid``: the model's meeting_sides finds
+    the four sets pairwise disjoint for every point (``violations`` names
+    the pairs that meet), and the word oracle finds no relation up to
+    the given depth.  Nesting holds by the sets' definition, but the
+    centres are float images: the leg decides the float-built sets.
     """
     powers = _powers(space, data)
     aN, _, bN, _ = powers
-    violations = _overlaps(space, _proof_sides(space, data, powers), points)
+    violations = space.meeting_sides(_proof_sides(space, data, powers))
     passed, _ = word_oracle(space, [("a", aN), ("b", bN)], oracle_depth,
                             "group")
     return FreeCertificate(
-        kind="group", N=data.N, M0=data.M0,
-        swapped=data.swapped, disjoint_ok=not violations,
-        # a^N maps X minus A- onto int A+ by the sets' definition; b likewise
-        nesting_ok=True, violations=violations,
-        oracle_depth=oracle_depth, oracle_passed=passed,
-        sample_size=len(points))
+        kind="group", N=data.N, M0=data.M0, swapped=data.swapped,
+        disjoint_ok=not violations, violations=violations,
+        oracle_depth=oracle_depth, oracle_passed=passed)
 
 
 def _compose(space, g, h):

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 
-from . import TOL, halfplane, isometry, pingpong
+from . import TOL, isometry, pingpong
 from .errors import (DomainError, ElementaryPairError,
                      InputError, SearchExhausted)
 from .pingpong import word_to_text
@@ -66,8 +65,6 @@ class TitsConfig:
     N_max: int = 64
     oracle_depth: int = 8
     conjugate_bound: int = 16
-    sample_size: int = 400
-    seed: int = 0
 
     def __post_init__(self):
         # comparisons with NaN are false, so NaN fails each of them
@@ -84,14 +81,6 @@ class TitsWitness:
     w: str
     certificate: pingpong.FreeCertificate
     search_stats: dict = field(default_factory=dict)
-
-
-def _certify_sample(space, M0, N, cfg, rng):
-    # only hyperbolic pairs get here, and graph isometries are elliptic
-    if isinstance(space, halfplane.HalfPlane):
-        radius = max(3.0 * (M0 + N * 2.0), 10.0)
-        return halfplane.sample_ball(1j, radius, cfg.sample_size, rng)
-    return space.sample_ball("", 5, cfg.sample_size, rng)
 
 
 def _conjugates(space, a, b, k):
@@ -113,37 +102,35 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
                  names=("a", "b")) -> TitsWitness:
     """Search for a word w and power N with a certified free pair (a^N, w).
 
-    Large translation lengths go through axis projections and the
-    explicit power threshold, a hyperbolic and a parabolic generator
-    through the semigroup oracle, and the other pairs through an
-    oracle-certified shortlex search.  Returned witnesses always carry a
-    passing word oracle.  A delta below the model's four-point constant
-    ``space.delta`` is refused: the power threshold would prove nothing.
+    Large translation lengths go through axis projections, the explicit
+    power threshold and exactly disjoint proof sets, a hyperbolic and a
+    parabolic generator through the semigroup oracle, and the other
+    pairs through an oracle-certified shortlex search.  Returned
+    witnesses always carry a passing word oracle.  An elliptic generator
+    (torsion, or a non-discrete group) is refused, as is a delta below
+    ``space.delta``, where the power threshold would prove nothing.
     """
     cfg = cfg or TitsConfig()
     stats = {"candidates": 0, "words": 0}
 
     pa = isometry.classify(a, space)
     pb = isometry.classify(b, space)
-    for g, prof in ((a, pa), (b, pb)):
-        if prof.kind == "elliptic" and pingpong.has_finite_order(
-                space, g, cfg.oracle_depth):
-            raise InputError("generator has finite order; "
-                             "the free-group search needs torsion-free input")
-    # a graph pair stops above: its isometries are elliptic, with no powers
+    if "elliptic" in (pa.kind, pb.kind):
+        raise InputError("an elliptic generator means torsion or a "
+                         "non-discrete group; there is no free pair to find")
+    # a graph pair stops above: its isometries are elliptic
     if cfg.delta < space.delta:
         raise InputError(f"delta {cfg.delta} is below the model's "
                          f"four-point constant {space.delta}")
 
     if isometry.elementary_profiles(space, pa, pb):
         raise ElementaryPairError("the pair generates an elementary group")
-    if pa.kind == "hyperbolic" and pb.kind == "hyperbolic":
-        if pa.ell > cfg.eps0 / 3.0:
-            return _large_ell_group(space, a, b, abs(pa.ell - pb.ell) <= TOL,
-                                    names, cfg, stats)
-        return _small_ell(space, a, b, names, cfg, stats)
     if {pa.kind, pb.kind} == {"hyperbolic", "parabolic"}:
         return _semigroup_case(space, a, b, names, cfg, stats)
+    # no generator is elliptic, so b is hyperbolic when a is
+    if pa.kind == "hyperbolic" and pa.ell > cfg.eps0 / 3.0:
+        return _large_ell_group(space, a, b, abs(pa.ell - pb.ell) <= TOL,
+                                names, cfg, stats)
     return _small_ell(space, a, b, names, cfg, stats)
 
 
@@ -156,14 +143,13 @@ def _large_ell_group(space, a, b, same_ell, names, cfg, stats):
         for j, bj in _conjugates(space, a, b, cfg.conjugate_bound))
     if same_ell:
         candidates = itertools.chain([(((names[1], 1),), b)], candidates)
-    last_err, rng = None, random.Random(cfg.seed)
+    last_err = None
     for word, g in candidates:
         stats["candidates"] += 1
         try:
             data = pingpong.min_free_power(space, a, g, cfg.delta)
-            pts = _certify_sample(space, data.M0, data.N, cfg, rng)
             cert = pingpong.pingpong_certify(
-                space, data, pts, oracle_depth=cfg.oracle_depth)
+                space, data, oracle_depth=cfg.oracle_depth)
             if cert.valid:
                 return TitsWitness("large_ell_group", data.N,
                                    word_to_text(word), cert, stats)

@@ -120,9 +120,8 @@ def test_criterion_07_end_neighbourhood_disjointness():
     b = halfplane.Moebius(1.25, 0.75, 0.75, 1.25)
     delta_hat = 1.0
     data = pingpong.pingpong_data(H2, a, b, 56, delta_hat)
-    pts = halfplane.sample_ball(1j, 8.0, 1000, random.Random(0))
-    clear = pingpong.end_set_disjointness(H2, data, 65.0 * delta_hat, pts)
-    control = pingpong.end_set_disjointness(H2, data, 0.0, pts)
+    clear = pingpong.end_set_disjointness(H2, data, 65.0 * delta_hat)
+    control = pingpong.end_set_disjointness(H2, data, 0.0)
     verdict(7, "end neighbourhoods disjoint at 65 delta, overlap at 0",
             clear["disjoint"] and not control["disjoint"])
 

@@ -356,8 +356,7 @@ class TestCertifyReport:
     def _result(N):
         return {"case": "large_ell_group", "N": N, "witness_word": "b",
                 "kind": "group", "valid": True, "M0": 0.0, "swapped": False,
-                "disjoint_ok": True, "nesting_ok": True, "oracle_depth": 8,
-                "oracle_passed": True, "sample_size": 400,
+                "disjoint_ok": True, "oracle_depth": 8, "oracle_passed": True,
                 "search_stats": {"candidates": 1, "words": 0}}
 
     def test_h2_pair(self, tmp_path, h2_pair_file):
@@ -375,15 +374,26 @@ class TestCertifyReport:
 class TestSampleSize:
     @pytest.mark.parametrize("size", ["0", "-3"])
     @pytest.mark.parametrize("command", [
-        ["certify"], ["stats"],
+        ["stats"],
         ["margulis", "--eps1", "0.5", "--eps2", "1.0", "--center", "e"]],
-        ids=["certify", "stats", "margulis"])
+        ids=["stats", "margulis"])
     def test_non_positive_is_exit_2(self, tmp_path, tree_pair_file, capsys,
                                     command, size):
         code, _ = run(tmp_path, *command, "--input", tree_pair_file,
                       "--sample-size", size)
         assert code == 2
         assert "need n >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0", "-3", "5"])
+    def test_certify_takes_no_sample_size(self, tmp_path, tree_pair_file,
+                                          capsys, size):
+        # certify decides its proof sets for every point and samples none
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "certify", "--input", tree_pair_file,
+                "--sample-size", size)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sample-size" in \
+            capsys.readouterr().err
 
 
 class TestMalformedInput:
@@ -569,6 +579,31 @@ class TestUnderflowingImage:
         g = halfplane.Moebius(1e180, 0.0, 0.0, 1e-180)
         with pytest.raises(InputError, match="underflows"):
             g(1j)
+
+
+class TestEllipticGenerators:
+    @pytest.mark.parametrize("theta", [math.pi / 9, math.pi / 12, 1.0],
+                             ids=["order-9", "order-12", "one-radian"])
+    def test_certify_refuses_a_rotation(self, tmp_path, capsys, theta):
+        # a rotation about i of finite order is torsion, and one of
+        # infinite order makes the group non-discrete
+        c, s = math.cos(theta), math.sin(theta)
+        code, rep = run(tmp_path, "certify", "--input", _spec(
+            tmp_path, [[[c, s], [-s, c]], [[2.0, 0.0], [0.0, 0.5]]]))
+        assert code == 2 and rep is None
+        assert "torsion or a non-discrete group" in capsys.readouterr().err
+
+    def test_small_rotation_far_from_i_is_elliptic(self, tmp_path):
+        # the rotation by 0.006 about i e^8, whose trace an orbit estimate
+        # once contradicted with a translation length of -0.0104
+        c, s = math.cos(0.003), math.sin(0.003)
+        path = _spec(tmp_path, [[[c, -math.exp(8.0) * s],
+                                 [math.exp(-8.0) * s, c]]])
+        code, rep = run(tmp_path, "classify", "--input", path)
+        assert code == 0
+        assert rep["result"]["generators"][0]["kind"] == "elliptic"
+        code, rep = run(tmp_path, "stats", "--input", path, "--base", "0,1")
+        assert code == 0 and rep is not None
 
 
 class TestWalkBudgetUpFront:

@@ -40,9 +40,6 @@ PIPELINE = ("isometry", "pingpong", "tits", "bounds")
 SPACE_PROBES = {
     "word_oracle: hasattr(space, 'commute')":
         "only the tree can tell whether two elements commute",
-    "_certify_sample: isinstance(space, halfplane.HalfPlane)":
-        "the sample leg picks H2's ball by model until it is replaced "
-        "by exact legs (ROADMAP item 3)",
 }
 
 

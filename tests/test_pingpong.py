@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
 
+import mpmath as mp
 import pytest
 
-from hypcert import halfplane, isometry, pingpong
-from hypcert.errors import (BudgetError, ElementaryPairError,
+from hypcert import freetree, halfplane, isometry, pingpong
+from hypcert.errors import (BudgetError, ElementaryPairError, InputError,
                             PreconditionError)
 
 H2 = halfplane.H2
@@ -99,13 +101,13 @@ class TestProofSets:
         far_minus = (a ** -N)(1j)
         assert "A-" in pingpong.proof_set_membership(H2, data, far_minus)
 
-    def test_certificate_valid(self, schottky_pair, rng):
+    def test_certificate_valid(self, schottky_pair):
         a, b = schottky_pair
         data = pingpong.min_free_power(H2, a, b, 1.0)
-        pts = halfplane.sample_ball(1j, 10.0, 400, rng)
-        cert = pingpong.pingpong_certify(H2, data, pts)
+        cert = pingpong.pingpong_certify(H2, data)
         assert cert.valid
-        assert cert.disjoint_ok and cert.nesting_ok and cert.oracle_passed
+        assert cert.disjoint_ok and cert.oracle_passed
+        assert cert.violations == []
         assert cert.N == 56
 
     def test_underpowered_n_rejected(self, schottky_pair, rng):
@@ -115,21 +117,20 @@ class TestProofSets:
 
 
 class TestEndSets:
-    def test_disjoint_above_threshold(self, schottky_pair, rng):
+    def test_disjoint_above_threshold(self, schottky_pair):
         a, b = schottky_pair
         data = pingpong.pingpong_data(H2, a, b, 56, 1.0)
-        pts = halfplane.sample_ball(1j, 8.0, 1000, rng)
-        rep = pingpong.end_set_disjointness(H2, data, 65.0 * 1.0, pts)
-        assert rep["disjoint"]
-        assert rep["overlaps"] == 0
+        rep = pingpong.end_set_disjointness(H2, data, 65.0 * 1.0)
+        assert rep == {"T": 65.0, "disjoint": True, "meeting": []}
 
-    def test_overlap_at_zero(self, schottky_pair, rng):
+    def test_overlap_at_zero(self, schottky_pair):
+        # at T = 0 each centre is its anchor, so each set is the plane
         a, b = schottky_pair
         data = pingpong.pingpong_data(H2, a, b, 56, 1.0)
-        pts = halfplane.sample_ball(1j, 8.0, 1000, rng)
-        rep = pingpong.end_set_disjointness(H2, data, 0.0, pts)
+        rep = pingpong.end_set_disjointness(H2, data, 0.0)
         assert not rep["disjoint"]
-        assert rep["overlaps"] > 0
+        assert rep["meeting"] == list(itertools.combinations(
+            ["A+", "A-", "B+", "B-"], 2))
 
 
 class TestWordOracle:
@@ -169,16 +170,19 @@ class TestWordOracle:
 
 
 def test_certify_reports_overlapping_proof_sets(schottky_pair):
-    # at delta 0 the power is 1 and the four sets overlap near i
+    # at delta 0 the power is 1, and A+ and A- each meet B+ and B-; the
+    # sets are disjoint from N = 2 on
     a, b = schottky_pair
     data = pingpong.min_free_power(H2, a, b, 0.0)
     assert data.N == 1
-    pts = halfplane.sample_ball(1j, 6.0, 2000, random.Random(0))
-    cert = pingpong.pingpong_certify(H2, data, pts)
+    cert = pingpong.pingpong_certify(H2, data)
     assert cert.disjoint_ok is False
     assert not cert.valid
-    assert cert.violations
-    assert all(len(names) >= 2 for _, names in cert.violations)
+    assert cert.violations == [("A+", "B+"), ("A+", "B-"),
+                               ("A-", "B+"), ("A-", "B-")]
+    data.N = 2
+    cert = pingpong.pingpong_certify(H2, data)
+    assert cert.disjoint_ok and cert.violations == [] and cert.valid
 
 
 def test_certify_classifies_nothing(schottky_pair, monkeypatch):
@@ -193,6 +197,125 @@ def test_certify_classifies_nothing(schottky_pair, monkeypatch):
         return classify(g, space)
 
     monkeypatch.setattr(isometry, "classify", counting)
-    cert = pingpong.pingpong_certify(H2, data, [1j])
+    cert = pingpong.pingpong_certify(H2, data)
     assert cert.valid and cert.N == 56
     assert seen == []
+
+
+def _reference_arc(c, p):
+    """The closed ideal arc of the side {z : d(z, c) <= d(z, p)} as
+    (start, length) in the angle 2 atan(xi), inf at pi, at 200 digits.
+
+    As z tends to a real xi, d(z, c) - d(z, p) tends to
+    log(Im p |c - xi|^2 / (Im c |p - xi|^2)), so xi is in the arc when
+    f(xi) = Im c |p - xi|^2 - Im p |c - xi|^2 >= 0; inf is in it when
+    Im c >= Im p.  f's leading coefficient is Im c - Im p."""
+    with mp.workdps(200):
+        cx, cy, px, py = (mp.mpf(v) for v in (c.real, c.imag, p.real, p.imag))
+        A = cy - py
+        B = -2 * (cy * px - py * cx)
+        C = cy * (px ** 2 + py ** 2) - py * (cx ** 2 + cy ** 2)
+        turn = 2 * mp.pi
+
+        def angle(xi):
+            return 2 * mp.atan(xi)
+
+        if A == 0 and B == 0:           # c = p: the whole circle
+            return mp.mpf(0), turn
+        if A == 0:                      # a vertical bisector
+            r = -C / B
+            return (angle(r), mp.pi - angle(r)) if B > 0 else \
+                (mp.pi, angle(r) + mp.pi)
+        root = mp.sqrt(B * B - 4 * A * C)
+        r1, r2 = sorted([(-B - root) / (2 * A), (-B + root) / (2 * A)])
+        if A < 0:
+            return angle(r1), angle(r2) - angle(r1)
+        return angle(r2), turn - (angle(r2) - angle(r1))
+
+
+def _reference_arcs_meet(arc1, arc2):
+    with mp.workdps(200):
+        turn = 2 * mp.pi
+        (s1, n1), (s2, n2) = arc1, arc2
+        return (mp.fmod(s2 - s1 + 2 * turn, turn) <= n1
+                or mp.fmod(s1 - s2 + 2 * turn, turn) <= n2)
+
+
+def _random_sides(rng, n):
+    """n sides (k, c, p) with c up to distance 40 from i and p up to 10
+    from c; c is the farther from i in three sides of four, so that many
+    sets face away from each other, and p = c in every tenth."""
+    sides = []
+    for k in range(n):
+        c = halfplane.point_at(1j, rng.uniform(0, 2 * math.pi),
+                               rng.uniform(0, 40))
+        p = halfplane.point_at(c, rng.uniform(0, 2 * math.pi),
+                               rng.uniform(0.01, 10))
+        if k % 4 and halfplane.dist(c, 1j) < halfplane.dist(p, 1j):
+            c, p = p, c
+        sides.append((k, c, c if k % 10 == 9 else p))
+    return sides
+
+
+class TestMeetingSides:
+    def test_h2_matches_the_ideal_arcs(self):
+        # sides cut the plane along their bisectors; two closed half-planes
+        # meet exactly when their closed ideal arcs do
+        sides = _random_sides(random.Random(7), 70)
+        arcs = [_reference_arc(c, p) for _, c, p in sides]
+        expected = [(i, j) for i, j in itertools.combinations(range(70), 2)
+                    if _reference_arcs_meet(arcs[i], arcs[j])]
+        assert H2.meeting_sides(sides) == expected
+        assert 0.1 < 1 - len(expected) / math.comb(70, 2) < 0.9
+
+    @pytest.mark.parametrize("R, meet", [(3.0, False), (2.0, True),
+                                         (1.5, True), (2.0 + 2 ** -51, False),
+                                         (2.0 - 2 ** -51, True)])
+    def test_annulus(self, R, meet):
+        # {|z| <= 2} and {|z| >= R}: the same <n1, n2> on both sides of
+        # R = 2, where only the time components tell them apart
+        sides = [("in", 1j, 4j), ("out", 2j * R, 0.5j * R)]
+        assert H2.meeting_sides(sides) == ([("in", "out")] if meet else [])
+
+    @pytest.mark.parametrize("gap", [1.0, 2.0 ** -40, 0.0, -1.0])
+    def test_half_planes_asymptotic_at_infinity_meet(self, gap):
+        # {Re z <= 0} and {Re z >= gap}: for gap > 0 they are disjoint in
+        # the plane, but their closures touch at inf, which counts as meeting
+        sides = [("left", -1 + 1j, 1 + 1j),
+                 ("right", complex(gap + 1, 1), complex(gap - 1, 1))]
+        assert H2.meeting_sides(sides) == [("left", "right")]
+
+    @pytest.mark.parametrize("space", ["h2", "tree"])
+    def test_equal_centre_and_anchor_is_everything(self, space, tree2):
+        # x and y are disjoint: {|z| <= 2^1/2} and {|z| >= 32^1/2} in H2,
+        # the words that start with a and those that start with b
+        model, e, x, y = {"h2": (H2, 5e6j, (1j, 2j), (8j, 4j)),
+                          "tree": (tree2, "aB", ("a", ""), ("b", ""))}[space]
+        assert model.meeting_sides([("all", e, e), ("x", *x),
+                                    ("y", *y)]) == [("all", "x"),
+                                                    ("all", "y")]
+
+    def test_h2_refuses_a_non_point(self):
+        with pytest.raises(InputError):
+            H2.meeting_sides([("x", complex(math.inf, 1.0), 1j),
+                              ("y", 1j, 2j)])
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_tree_matches_brute_force(self, rank):
+        # two half-trees that meet share m1 or m2, which lie in B(e, 3)
+        # with their sides' words, so B(e, 5) holds a common point
+        tree = freetree.FreeTreeSpace(rank)
+        words = tree.ball("", 3)
+        rng = random.Random(rank)
+        sides = []
+        for k in range(60):
+            c = rng.choice(words)
+            sides.append((k, c, c if k % 10 == 9 else rng.choice(words)))
+        ball = tree.ball("", 5)
+        _, cs, ps = zip(*sides)
+        inside = (tree.dist_table(ball, cs) <= tree.dist_table(ball, ps))
+        both = inside.T.astype(int) @ inside.astype(int)
+        expected = [(i, j) for i, j in itertools.combinations(range(60), 2)
+                    if both[i, j]]
+        assert tree.meeting_sides(sides) == expected
+        assert 0 < len(expected) < math.comb(60, 2)

@@ -160,6 +160,26 @@ class TestFourPointDelta:
         # four-point delta of the hyperbolic plane is at most log 3
         assert 0.0 < est.delta_hat <= math.log(3.0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_h2_samples_stay_within_log_2(self, seed):
+        # log 2 is the four-point constant of CAT(-1) spaces (H2.delta)
+        pts = halfplane.sample_ball(1j, 6.0, 60, random.Random(seed))
+        est = sampled.four_point_delta(sampled.from_points(pts,
+                                                           halfplane.dist))
+        assert 0.0 < est.delta_hat <= H2.delta + sampled.TOL
+
+    @pytest.mark.parametrize("R, below", [(5.0, 9.079e-5), (20.0, 0.0),
+                                          (30.0, 0.0)])
+    def test_four_axis_points_tend_to_log_2(self, R, below):
+        # four points at distance R from i in the four axis directions;
+        # the pairing sums are near 4R, where one ulp is 1.4e-14 at R = 20,
+        # and the defect lands 1.9e-15 above log 2
+        pts = [halfplane.point_at(1j, k * math.pi / 2.0, R) for k in range(4)]
+        est = sampled.four_point_delta(sampled.from_points(pts,
+                                                           halfplane.dist))
+        assert math.log(2.0) - est.delta_hat == pytest.approx(
+            below, rel=1e-3, abs=2e-15)
+
 
 class TestPackingAndCovering:
     def test_tree_unit_ball_fixture(self, tree_ball_space):
