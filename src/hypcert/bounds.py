@@ -190,7 +190,7 @@ def action_stats(space, generators, sample, word_cap: int,
 
 def _nilrad_at(space, disp, radii_grid, profiles):
     """The last grid radius r at which every pair of elements displacing
-    the point by at most r is non-elliptic with equal fixed sets."""
+    the point by at most r is non-elliptic with meeting fixed sets."""
     best = 0.0
     for r in radii_grid:
         near = [profiles[i] for i in np.flatnonzero(disp <= r)]

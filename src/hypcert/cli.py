@@ -1,9 +1,9 @@
 """Command-line front end: JSON reports, fixtures, and the degeneration
 experiment.
 
-Every report embeds its run manifest (command, inputs, config, seed,
-version); reruns with identical manifests are byte-identical, so wall
-times go to stderr only.
+Every report embeds its run manifest (command, input, config, version,
+and the seed of a command that draws random numbers); reruns with
+identical manifests are byte-identical, so wall times go to stderr only.
 """
 
 from __future__ import annotations
@@ -31,21 +31,15 @@ def _round12(obj):
         if math.isinf(obj) or math.isnan(obj):
             return repr(obj)
         return float(f"{obj:.12g}")
-    if isinstance(obj, complex):
-        return {"re": _round12(obj.real), "im": _round12(obj.imag)}
     if isinstance(obj, dict):
         return {str(k): _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, freetree.TreeEnd):
         return {"prefix": obj.prefix, "period": obj.period}
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    return repr(obj)
+    raise TypeError(f"no report form for {type(obj).__name__}")
 
 
 def emit(report, args):
@@ -61,14 +55,20 @@ def _write(text, args):
         sys.stdout.write(text)
 
 
-def manifest(args, command, config):
-    return {
-        "command": command,
-        "input": getattr(args, "input", None),
-        "config": config,
-        "seed": args.seed,
-        "version": __version__,
-    }
+# parsed names that are not flags of the run's config
+_NOT_CONFIG = ("command", "fn", "input", "output", "seed")
+
+
+def manifest(args):
+    """The run manifest; its config is every parsed flag but the input,
+    output and seed, in the order the parser declares them."""
+    out = {"command": args.command, "input": getattr(args, "input", None),
+           "config": {k: v for k, v in vars(args).items()
+                      if k not in _NOT_CONFIG}}
+    if "seed" in args:
+        out["seed"] = args.seed
+    out["version"] = __version__
+    return out
 
 
 def load_json(path):
@@ -167,13 +167,13 @@ def load_group_spec(path):
 
 
 def resolve_seed(args):
+    """HYPCERT_SEED in place of --seed, in a command that takes one."""
     env = os.environ.get("HYPCERT_SEED")
-    if env is not None:
+    if env is not None and "seed" in args:
         try:
             args.seed = int(env)
         except ValueError:
             raise InputError(f"HYPCERT_SEED must be an integer, got {env!r}")
-    return args.seed
 
 
 # ---------------------------------------------------------------- commands
@@ -184,8 +184,7 @@ def cmd_delta(args):
     est = sampled.four_point_delta(space, mode=args.mode,
                                    n_quadruples=args.quadruples,
                                    seed=args.seed)
-    cfg = {"mode": args.mode, "quadruples": args.quadruples}
-    emit({"manifest": manifest(args, "delta", cfg),
+    emit({"manifest": manifest(args),
           "result": {"delta_hat": est.delta_hat,
                      "quadruples_checked": est.quadruples_checked,
                      "mode": est.mode,
@@ -200,9 +199,7 @@ def cmd_pack(args):
                                   mode=args.mode)
     bound = (None if args.P0 is None else
              bounds.packing_bound(args.P0, args.r0, args.R, args.r))
-    cfg = {"center": args.center, "R": args.R, "r": args.r, "mode": args.mode,
-           "P0": args.P0, "r0": args.r0}
-    emit({"manifest": manifest(args, "pack", cfg),
+    emit({"manifest": manifest(args),
           "result": {"pack_exact": prof.pack_exact,
                      "pack_greedy": prof.pack_greedy,
                      "cov_greedy": prof.cov_greedy,
@@ -230,8 +227,7 @@ def _parse_point_id(space, text):
 def cmd_cov(args):
     space = load_space(args.input)
     n = sampled.covering_number(space, space.points, args.r, mode=args.mode)
-    cfg = {"r": args.r, "mode": args.mode}
-    emit({"manifest": manifest(args, "cov", cfg),
+    emit({"manifest": manifest(args),
           "result": {"covering_number": n, "region_size": len(space)}}, args)
     return 0
 
@@ -242,9 +238,8 @@ def cmd_classify(args):
     for name, g in gens:
         prof = isometry.classify(g, space)
         out.append({"name": name, "kind": prof.kind, "ell": prof.ell,
-                    "asymptotic": prof.asymptotic,
                     "fixed_boundary": prof.fixed_boundary})
-    emit({"manifest": manifest(args, "classify", {}),
+    emit({"manifest": manifest(args),
           "result": {"generators": out}}, args)
     return 0
 
@@ -253,13 +248,13 @@ def cmd_certify(args):
     space, gens = load_group_spec(args.input)
     if len(gens) != 2:
         raise InputError("certification needs exactly two generators")
-    cfg = tits.TitsConfig(delta=args.delta, eps0=args.eps0,
-                          N_max=args.N_max, oracle_depth=args.depth)
+    man = manifest(args)
+    cfg = tits.TitsConfig(**man["config"])
     names = (gens[0][0], gens[1][0])
     wit = tits.tits_witness(space, gens[0][1], gens[1][1], cfg, names=names)
     cert = wit.certificate
     report = {
-        "manifest": manifest(args, "certify", vars(cfg).copy()),
+        "manifest": man,
         "result": {
             "case": wit.case_tag, "N": wit.N, "witness_word": wit.w,
             "kind": cert.kind, "valid": cert.valid,
@@ -283,10 +278,7 @@ def cmd_margulis(args):
     rep = isometry.domain_gap_report(space, g, args.eps1, args.eps2, sample,
                                      power_cap=args.power_cap,
                                      P0=args.P0, r0=args.r0)
-    cfg = {"eps1": args.eps1, "eps2": args.eps2, "power_cap": args.power_cap,
-           "radius": args.radius, "sample_size": args.sample_size,
-           "center": args.center, "P0": args.P0, "r0": args.r0}
-    emit({"manifest": manifest(args, "margulis", cfg),
+    emit({"manifest": manifest(args),
           "result": vars(rep)}, args)
     return 0
 
@@ -299,22 +291,20 @@ def _bounds_config(args):
 def cmd_entropy(args):
     space, gens = load_group_spec(args.input)
     try:
-        radii = [float(x) for x in args.radii.split(",")]
+        args.radii = [float(x) for x in args.radii.split(",")]
     except ValueError:
         raise InputError(f"--radii needs numbers, got {args.radii!r}") from None
     base = space.parse_point(args.base)
     if args.orbit:
-        counts = bounds.orbit_growth_counts(space, gens, base, radii,
+        counts = bounds.orbit_growth_counts(space, gens, base, args.radii,
                                             args.word_cap)
     else:
-        counts = bounds.ball_growth_counts(space, base, radii)
+        counts = bounds.ball_growth_counts(space, base, args.radii)
     rep = bounds.entropy_estimate(counts)
-    bc = _bounds_config(args)
+    # the checks read C0 and E0, which need no eps0
+    bc = bounds.BoundsConfig(P0=args.P0, r0=args.r0, N=args.N)
     check = bounds.entropy_bounds_check(bc, rep["estimate"], args.context)
-    cfg = {"radii": radii, "orbit": args.orbit, "word_cap": args.word_cap,
-           "base": args.base, "P0": args.P0, "r0": args.r0, "N": args.N,
-           "eps0": args.eps0, "context": args.context}
-    emit({"manifest": manifest(args, "entropy", cfg),
+    emit({"manifest": manifest(args),
           "result": {"estimate": rep["estimate"], "counts": rep["counts"],
                      "window": rep["window"], "bounds_check": check}}, args)
     return 0
@@ -323,7 +313,7 @@ def cmd_entropy(args):
 def cmd_bounds(args):
     bc = _bounds_config(args)
     der = bc.derived()
-    result = {"config": vars(bc), "C0": der.C0, "E0": der.E0, "H0": der.H0,
+    result = {"C0": der.C0, "E0": der.E0, "H0": der.H0,
               "diastole_floor": bounds.diastole_floor(bc)}
     if args.nilrad_plus is not None:
         try:
@@ -336,8 +326,7 @@ def cmd_bounds(args):
     if args.R is not None and args.r is not None:
         result["packing_bound"] = bounds.packing_bound(
             args.P0, args.r0, args.R, args.r)
-    emit({"manifest": manifest(args, "bounds", vars(bc)),
-          "result": result}, args)
+    emit({"manifest": manifest(args), "result": result}, args)
     return 0
 
 
@@ -360,10 +349,7 @@ def cmd_stats(args):
         "note": ("sys values are word_cap-truncated over-estimates; "
                  "dias under-estimates the true supremum"),
     }
-    cfg = {"word_cap": args.word_cap, "radius": args.radius,
-           "sample_size": args.sample_size, "base": args.base,
-           **vars(bc)}
-    emit({"manifest": manifest(args, "stats", cfg), "result": result}, args)
+    emit({"manifest": manifest(args), "result": result}, args)
     return 0
 
 
@@ -418,11 +404,13 @@ def cmd_degenerate(args):
 # ---------------------------------------------------------------- parser
 
 
-def _add_bounds_flags(sp):
-    """The BoundsConfig flags shared by entropy, bounds and stats."""
+def _add_bounds_flags(sp, eps0=True):
+    """The BoundsConfig flags shared by entropy, bounds and stats; no
+    number of entropy's reads eps0."""
     sp.add_argument("--P0", type=int, default=4)
     sp.add_argument("--r0", type=float, default=0.5)
-    sp.add_argument("--eps0", type=float, default=0.1)
+    if eps0:
+        sp.add_argument("--eps0", type=float, default=0.1)
     sp.add_argument("--N", type=int, default=1)
 
 
@@ -436,14 +424,19 @@ def build_parser():
                     "entropy and systole bound checks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, seeded=False, **kw):
         sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
-        sp.add_argument("--seed", type=int, default=0)
+        # an alias such as tits reports the command's own name
+        sp.set_defaults(fn=fn, command=name)
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", default=None)
         return sp
 
-    sp = add("delta", cmd_delta, help="four-point hyperbolicity estimate")
+    # each command takes the flags that change its result, declared in
+    # the order its manifest config echoes them
+    sp = add("delta", cmd_delta, seeded=True,
+             help="four-point hyperbolicity estimate")
     sp.add_argument("--input", required=True)
     sp.add_argument("--mode", choices=["exhaustive", "sampled"],
                     default="exhaustive")
@@ -471,29 +464,30 @@ def build_parser():
     sp.add_argument("--input", required=True)
     sp.add_argument("--delta", type=float, default=1.0)
     sp.add_argument("--eps0", type=float, default=0.1)
-    sp.add_argument("--depth", type=int, default=8)
     sp.add_argument("--N-max", dest="N_max", type=int, default=64)
+    sp.add_argument("--depth", dest="oracle_depth", type=int, default=8)
 
-    sp = add("margulis", cmd_margulis, help="sampled Margulis domain gaps")
+    sp = add("margulis", cmd_margulis, seeded=True,
+             help="sampled Margulis domain gaps")
     sp.add_argument("--input", required=True)
     sp.add_argument("--eps1", type=float, required=True)
     sp.add_argument("--eps2", type=float, required=True)
     sp.add_argument("--power-cap", type=int, default=64)
-    sp.add_argument("--center", default="0,1")
     sp.add_argument("--radius", type=float, default=3.0)
     sp.add_argument("--sample-size", type=int, default=1000)
+    sp.add_argument("--center", default="0,1")
     sp.add_argument("--P0", type=int, default=None)
     sp.add_argument("--r0", type=float, default=1.0)
 
     sp = add("entropy", cmd_entropy, help="growth-rate estimate and bounds")
     sp.add_argument("--input", required=True)
     sp.add_argument("--radii", default="1,2,3,4,5,6,7,8,9,10,11,12")
-    sp.add_argument("--base", default="e")
     sp.add_argument("--orbit", action="store_true")
     sp.add_argument("--word-cap", type=int, default=8)
+    sp.add_argument("--base", default="e")
+    _add_bounds_flags(sp, eps0=False)
     sp.add_argument("--context", default="group_nonelementary",
                     choices=["group_nonelementary", "space"])
-    _add_bounds_flags(sp)
 
     sp = add("bounds", cmd_bounds, help="constant ledger and closed forms")
     _add_bounds_flags(sp)
@@ -501,12 +495,13 @@ def build_parser():
     sp.add_argument("--R", type=float, default=None)
     sp.add_argument("--r", type=float, default=None)
 
-    sp = add("stats", cmd_stats, help="sampled systole/diastole/nilradius")
+    sp = add("stats", cmd_stats, seeded=True,
+             help="sampled systole/diastole/nilradius")
     sp.add_argument("--input", required=True)
     sp.add_argument("--word-cap", type=int, default=4)
-    sp.add_argument("--base", default="e")
     sp.add_argument("--radius", type=float, default=3.0)
     sp.add_argument("--sample-size", type=int, default=100)
+    sp.add_argument("--base", default="e")
     _add_bounds_flags(sp)
 
     sp = add("degenerate", cmd_degenerate,

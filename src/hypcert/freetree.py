@@ -327,7 +327,7 @@ class FreeTreeSpace(DiscreteSpace):
         reduced length as translation length."""
         c, core = cyclic_reduce(g)
         if not core:
-            return IsometryProfile("elliptic", 0.0, 0.0)
+            return IsometryProfile("elliptic", 0.0)
         ends = TreeLine(TreeEnd(c, invert(core)), TreeEnd(c, core))
-        return IsometryProfile("hyperbolic", float(len(core)), float(len(core)),
-                               axis=ends, fixed_boundary=ends)
+        return IsometryProfile("hyperbolic", float(len(core)), axis=ends,
+                               fixed_boundary=ends)

@@ -123,7 +123,7 @@ class MetricGraphSpace(DiscreteSpace):
         """Every graph isometry is elliptic."""
         if g not in self.isometries:
             raise InputError(f"unknown graph isometry {g!r}")
-        return IsometryProfile("elliptic", 0.0, 0.0)
+        return IsometryProfile("elliptic", 0.0)
 
 
 def grid_graph(n: int) -> MetricGraphSpace:

@@ -469,13 +469,12 @@ class HalfPlane:
         if tr > 2.0 + PARABOLIC_BAND:
             ell = 2.0 * math.acosh(tr / 2.0)
             rep, att = _fixed_boundary_pair(g)
-            return IsometryProfile("hyperbolic", ell, ell,
-                                   axis=HGeodesic(rep, att),
+            return IsometryProfile("hyperbolic", ell, axis=HGeodesic(rep, att),
                                    fixed_boundary=(rep, att))
         if tr >= 2.0 - PARABOLIC_BAND and not g.is_identity():
             fx = _parabolic_fixed_point(g)
-            return IsometryProfile("parabolic", 0.0, 0.0, fixed_boundary=(fx,))
-        return IsometryProfile("elliptic", 0.0, 0.0)
+            return IsometryProfile("parabolic", 0.0, fixed_boundary=(fx,))
+        return IsometryProfile("elliptic", 0.0)
 
 
 def _fixed_boundary_pair(g):

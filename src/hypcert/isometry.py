@@ -7,8 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from . import TOL
 from .errors import InputError, PreconditionError
 
@@ -17,7 +15,6 @@ from .errors import InputError, PreconditionError
 class IsometryProfile:
     kind: str  # elliptic | parabolic | hyperbolic
     ell: float
-    asymptotic: float
     axis: object = None
     fixed_boundary: tuple = ()
 
@@ -33,13 +30,12 @@ def classify(g, space) -> IsometryProfile:
 
 def elementary_profiles(space, pa: IsometryProfile,
                         pb: IsometryProfile) -> bool:
-    """Whether both isometries are non-elliptic and fix the same boundary
-    set, compared by the space's boundary_eq: then the pair generates
-    an elementary group."""
-    s1, s2, eq = pa.fixed_boundary, pb.fixed_boundary, space.boundary_eq
-    return ("elliptic" not in (pa.kind, pb.kind) and len(s1) == len(s2)
-            and all(any(eq(u, v) for v in s2) for u in s1)
-            and all(any(eq(u, v) for v in s1) for u in s2))
+    """Whether both isometries are non-elliptic and their fixed boundary
+    sets meet, compared by the space's boundary_eq: then the pair fixes
+    a boundary point and generates an elementary group."""
+    return "elliptic" not in (pa.kind, pb.kind) and any(
+        space.boundary_eq(u, v)
+        for u in pa.fixed_boundary for v in pb.fixed_boundary)
 
 
 def orbit_translation_length(g) -> float:
@@ -52,21 +48,20 @@ def orbit_translation_length(g) -> float:
     Evaluated in extended precision since the matrix powers overflow
     doubles for translation lengths over a few tenths.
     """
+    import mpmath as mp  # only this estimate needs it; no command calls it
+
+    def orbit_dist(P):
+        # for det-1 matrices, sinh(d(i, Pi)/2) = sqrt((B+C)^2 + (A-D)^2)/2,
+        # which avoids the cancellation in Im(Pi) at huge powers
+        s = mp.sqrt((P[0, 1] + P[1, 0]) ** 2 + (P[0, 0] - P[1, 1]) ** 2) / 2
+        return 2 * mp.asinh(s)
+
     half = 512
     with mp.workdps(60):
         M = mp.matrix([[g.a, g.b], [g.c, g.d]])
         Ph = M ** half
         Pf = Ph * Ph
-        d_half = _mp_orbit_dist(Ph)
-        d_full = _mp_orbit_dist(Pf)
-        return float((d_full - d_half) / half)
-
-
-def _mp_orbit_dist(P):
-    # for det-1 matrices, sinh(d(i, Pi)/2) = sqrt((B+C)^2 + (A-D)^2) / 2,
-    # which avoids the cancellation in Im(Pi) at huge powers
-    s = mp.sqrt((P[0, 1] + P[1, 0]) ** 2 + (P[0, 0] - P[1, 1]) ** 2) / 2
-    return 2 * mp.asinh(s)
+        return float((orbit_dist(Pf) - orbit_dist(Ph)) / half)
 
 
 def apply_isometry(space, g, x):

@@ -25,7 +25,7 @@ class PingPongData:
     orientation, the spread M0 = d(x-, x+) and both axes.  A record
     built for a pair of generators also holds them, the second in the
     record's orientation (its inverse when swapped), with the power N
-    and the hyperbolicity constant delta it serves."""
+    it serves."""
     x_minus: object
     x_plus: object
     y_minus: object
@@ -37,7 +37,6 @@ class PingPongData:
     a: object = None
     b: object = None
     N: int = None
-    delta: float = None
 
 
 def endpoint_projections(space, alpha, beta) -> PingPongData:
@@ -78,7 +77,6 @@ def min_free_power(space, a, b, delta: float) -> PingPongData:
     data = endpoint_projections(space, pa.axis, pb.axis)
     data.a = a
     data.b = isometry.isometry_power(space, b, -1) if data.swapped else b
-    data.delta = delta
     data.N = max(1, math.ceil((data.M0 + 77.0 * delta) / pa.ell - TOL))
     return data
 

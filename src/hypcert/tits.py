@@ -12,9 +12,14 @@ from .errors import (DomainError, ElementaryPairError,
                      InputError, SearchExhausted)
 from .pingpong import word_to_text
 
+# conjugates b^j a b^-j the large-translation search tries; read at
+# each call, so tests can lower it
+CONJUGATE_BOUND = 16
+
 
 def is_elementary_pair(space, a, b) -> bool:
-    """True iff the two non-elliptic isometries fix the same boundary set.
+    """True iff the two non-elliptic isometries fix a common boundary
+    point.
 
     Discreteness of the generated group is the caller's responsibility;
     the comparison itself is model-exact.
@@ -64,7 +69,6 @@ class TitsConfig:
     eps0: float = 0.1
     N_max: int = 64
     oracle_depth: int = 8
-    conjugate_bound: int = 16
 
     def __post_init__(self):
         # comparisons with NaN are false, so NaN fails each of them
@@ -140,7 +144,7 @@ def _large_ell_group(space, a, b, same_ell, names, cfg, stats):
     with a is passed over."""
     candidates = (
         (_expand(((names[1], j), (names[0], 1), (names[1], -j))), bj)
-        for j, bj in _conjugates(space, a, b, cfg.conjugate_bound))
+        for j, bj in _conjugates(space, a, b, CONJUGATE_BOUND))
     if same_ell:
         candidates = itertools.chain([(((names[1], 1),), b)], candidates)
     last_err = None

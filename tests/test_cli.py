@@ -146,6 +146,17 @@ class TestMargulis:
         assert r["lower_bound_i"] == 0.25
         assert r["min_gap_observed"] >= 0.25 - 0.02
 
+    @pytest.mark.parametrize("r0, want", [
+        ("2", isometry.gap_lower_bound_ii(4, 1.5, 1.8)), ("1", None)])
+    def test_packing_gap_floor_needs_eps2_within_r0(self, tmp_path,
+                                                    h2_pair_file, r0, want):
+        code, rep = run(tmp_path, "margulis", "--input", h2_pair_file,
+                        "--P0", "4", "--r0", r0, "--eps1", "1.5",
+                        "--eps2", "1.8")
+        assert code == 0
+        assert rep["result"]["lower_bound_ii"] == (
+            None if want is None else round(want, 11))
+
 
 class TestEntropyAndBounds:
     def test_tree_entropy(self, tmp_path, tree_pair_file):
@@ -172,10 +183,11 @@ class TestEntropyAndBounds:
         code, rep = run(tmp_path, *argv)
         assert code == 0
         config = rep["manifest"]["config"]
-        assert {"P0", "r0", "eps0", "N"} <= set(config)
+        assert {"P0", "r0", "N"} <= set(config)
+        # entropy's checks read C0 and E0, which need no eps0
+        assert ("eps0" in config) == (command != "entropy")
         assert not {"delta", "tolerance"} & set(config)
-        if command == "bounds":
-            assert set(rep["result"]["config"]) == {"P0", "r0", "eps0", "N"}
+        assert "config" not in rep["result"]
         with pytest.raises(SystemExit):
             cli.main(argv + ["--delta", "1"])
         capsys.readouterr()
@@ -241,6 +253,13 @@ class TestDeterminism:
         assert code == 2
         assert rep is None
         assert "input error: HYPCERT_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1j, {1.0}, object()],
+                             ids=["complex", "set", "object"])
+    def test_a_value_with_no_report_form_is_refused(self, value):
+        # written as its repr, it would read as a string
+        with pytest.raises(TypeError, match="no report form"):
+            cli._round12({"result": [value]})
 
     def test_float_formatting_stable(self, tmp_path, h2_pair_file):
         code, rep = run(tmp_path, "classify", "--input", h2_pair_file)
@@ -369,6 +388,18 @@ class TestCertifyReport:
                         "--delta", "0")
         assert code == 0
         assert rep["result"] == self._result(1)
+
+    def test_swapped_tree_pair(self, tmp_path):
+        # the ends of b a project on the axis of a^-2 in reverse order,
+        # so the record holds (b a)^-1; N = ceil((1 + 77) / 2)
+        spec = {"model": "free_tree", "params": {"rank": 2}, "generators": [
+            {"name": "a", "word": "a^-2"}, {"name": "b", "word": "b a"}]}
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(spec))
+        code, rep = run(tmp_path, "certify", "--input", str(path))
+        assert code == 0
+        assert rep["result"] == {**self._result(39), "M0": 1.0,
+                                 "swapped": True}
 
 
 class TestSampleSize:
@@ -663,10 +694,11 @@ class TestParserOnce:
         assert shared == fresh
         assert cli.build_parser.cache_info().misses == 1
         # the environment's seed is still read at every call
+        stats = argvs[3]
         monkeypatch.setenv("HYPCERT_SEED", "7")
-        assert run(tmp_path, "bounds")[1]["manifest"]["seed"] == 7
+        assert run(tmp_path, *stats)[1]["manifest"]["seed"] == 7
         monkeypatch.delenv("HYPCERT_SEED")
-        assert run(tmp_path, "bounds")[1]["manifest"]["seed"] == 0
+        assert run(tmp_path, *stats)[1]["manifest"]["seed"] == 0
         assert cli.build_parser.cache_info().misses == 1
 
 
@@ -688,3 +720,79 @@ class TestMargulisClassifiesOnce:
         err = capsys.readouterr().err.splitlines()
         assert err[:-1] == ["error: inner domain empty on the sample"]
         assert err[-1].startswith("elapsed:")
+
+
+class TestFlagsAreTheConfig:
+    """A command takes only the flags that change its result, and its
+    manifest config echoes exactly those flags."""
+
+    SEEDED = ("delta", "margulis", "stats")
+
+    @pytest.fixture
+    def argvs(self, h2_pair_file, tree_pair_file, tree_ball_file,
+              family_file):
+        return {
+            "delta": ["--input", tree_ball_file],
+            "pack": ["--input", tree_ball_file, "--center", "e",
+                     "--R", "2", "--r", "1"],
+            "cov": ["--input", tree_ball_file, "--r", "1"],
+            "classify": ["--input", h2_pair_file],
+            "certify": ["--input", tree_pair_file],
+            "margulis": ["--input", h2_pair_file, "--eps1", "1.5",
+                         "--eps2", "2.0", "--sample-size", "50"],
+            "entropy": ["--input", tree_pair_file, "--radii", "1,2,3"],
+            "bounds": [],
+            "stats": ["--input", tree_pair_file, "--word-cap", "2"],
+            "degenerate": ["--input", family_file, "--steps", "4"],
+        }
+
+    @staticmethod
+    def _commands():
+        """The subcommand parsers by name, aliases included."""
+        return next(a for a in cli.build_parser()._actions
+                    if a.dest == "command").choices
+
+    def test_every_command_is_covered(self, argvs):
+        assert set(self._commands()) - {"tits"} == set(argvs)
+
+    @pytest.mark.parametrize("command", [
+        "delta", "pack", "cov", "classify", "certify", "margulis", "entropy",
+        "bounds", "stats"])
+    def test_config_keys_are_the_flags(self, tmp_path, argvs, command):
+        code, rep = run(tmp_path, command, *argvs[command])
+        assert code == 0
+        dests = [a.dest for a in self._commands()[command]._actions
+                 if a.dest != "help"]
+        assert list(rep["manifest"]["config"]) == [
+            d for d in dests if d not in ("input", "output", "seed")]
+        assert ("seed" in dests) == (command in self.SEEDED)
+        assert ("seed" in rep["manifest"]) == (command in self.SEEDED)
+
+    @pytest.mark.parametrize("command", [
+        "pack", "cov", "classify", "certify", "entropy", "bounds",
+        "degenerate"])
+    def test_unseeded_command_ignores_the_env_seed(self, tmp_path, capsys,
+                                                   monkeypatch, argvs,
+                                                   command):
+        out = []
+        for env in ("1", "2", "x"):
+            monkeypatch.setenv("HYPCERT_SEED", env)
+            path = tmp_path / f"out-{env}"
+            assert cli.main([command, *argvs[command],
+                             "--output", str(path)]) == 0
+            out.append(path.read_bytes())
+        assert out[0] == out[1] == out[2]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *argvs[command], "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_seeded_command_reads_the_env_seed(self, tmp_path, capsys,
+                                               monkeypatch, argvs, command):
+        monkeypatch.setenv("HYPCERT_SEED", "5")
+        code, rep = run(tmp_path, command, *argvs[command], "--seed", "1")
+        assert code == 0 and rep["manifest"]["seed"] == 5
+        monkeypatch.setenv("HYPCERT_SEED", "x")
+        assert cli.main([command, *argvs[command]]) == 2
+        assert "input error: HYPCERT_SEED" in capsys.readouterr().err

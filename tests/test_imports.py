@@ -2,12 +2,16 @@
 imports, each package module reads no underscore-prefixed name of
 another package module, every public function, class and method is
 named by the package or the benchmark, every field of a package
-dataclass is read by them, and the pipeline modules test no space's
-type or attributes beyond a kept few."""
+dataclass is read by them, the pipeline modules test no space's type
+or attributes beyond a kept few, and the commands start without
+mpmath."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +197,16 @@ def test_module_uses_its_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_no_private_name_of_another(path):
     assert private_reads(path.read_text()) == []
+
+
+def test_the_commands_import_no_mpmath():
+    """mpmath serves only isometry.orbit_translation_length, which no
+    command calls, so it is imported there and not at startup."""
+    probe = "import sys, hypcert.cli; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_unused_import_is_caught():

@@ -41,7 +41,6 @@ class TestClassification:
         prof = isometry.classify(halfplane.Moebius(1.0, 1.0, 0.0, 1.0), H2)
         assert prof.kind == "parabolic"
         assert prof.ell == 0.0
-        assert prof.asymptotic == 0.0
         assert prof.fixed_boundary == (math.inf,)
 
     def test_elliptic(self):

@@ -1,8 +1,9 @@
 """Known wrong answers, each pinned by a test that asserts the right one.
 
-Every test here is a strict xfail: it fails today, and the change that
-mends its defect turns it into a pass, which strict mode reports as a
-failure until that change deletes the marker.  The reason names the
+A test whose defect is open is a strict xfail: it fails today, and the
+change that mends its defect turns it into a pass, which strict mode
+reports as a failure until that change deletes the marker; the test
+then stays as the defect's regression test.  The reason names the
 ROADMAP item that describes the defect and its mending."""
 
 import csv
@@ -43,18 +44,18 @@ def test_psl2z_pair_is_no_proof(tmp_path):
     assert not (code == 0 and rep["result"]["valid"])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-def test_pair_with_a_common_fixed_point_is_exit_2(tmp_path):
+def test_pair_with_a_common_fixed_point_is_exit_2(tmp_path, capsys):
     # 4z and z + 1 both fix inf: the group is solvable and not discrete
     code, _ = _certify(tmp_path, [[[2, 0], [0, 0.5]], [[1, 1], [0, 1]]])
     assert code == 2
+    assert "elementary group" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-def test_hyperbolics_sharing_an_endpoint_are_exit_2(tmp_path):
+def test_hyperbolics_sharing_an_endpoint_are_exit_2(tmp_path, capsys):
     # 4z and 4z - 2 share the endpoint inf
     code, _ = _certify(tmp_path, [[[2, 0], [0, 0.5]], [[2, -1], [0, 0.5]]])
     assert code == 2
+    assert "elementary group" in capsys.readouterr().err
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")

@@ -25,9 +25,12 @@ class TestElementaryDetection:
         assert tits.is_elementary_pair(H2, s, t)
 
     def test_parabolic_vs_hyperbolic(self):
-        s = halfplane.Moebius(1.0, 1.0, 0.0, 1.0)
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        assert not tits.is_elementary_pair(H2, s, a)
+        # z + 1 fixes inf, an endpoint of a's axis; the parabolic
+        # [[0, 1], [-1, 2]] fixes 1, off it
+        assert tits.is_elementary_pair(H2, halfplane.Moebius(1, 1, 0, 1), a)
+        assert not tits.is_elementary_pair(
+            H2, halfplane.Moebius(0, 1, -1, 2), a)
 
     def test_tree_powers_elementary(self, tree2):
         assert tits.is_elementary_pair(tree2, "ab", "abab")
@@ -91,12 +94,14 @@ class TestWitnessSearch:
 
     def test_mixed_pair_semigroup(self):
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        s = halfplane.Moebius(1.0, 2.0, 0.0, 1.0)
+        s = halfplane.Moebius(0.0, 1.0, -1.0, 2.0)
         wit = tits.tits_witness(H2, a, s)
         assert wit.case_tag == "large_ell_semigroup"
         assert wit.certificate.kind == "semigroup"
-        # N = 1 fails on the relation a s a^-1 = s^4; escalation stops at 2
-        assert wit.N == 2
+        # N = 1 fails: a s has trace 1, so (a s)^3 = (s a)^3 = e;
+        # escalation stops at 2
+        assert (wit.N, wit.w) == (2, "b")
+        assert wit.search_stats == {"candidates": 2, "words": 0}
 
     def test_torsion_refused(self):
         r = halfplane.rotation_about_i(math.pi / 2.0)
@@ -156,7 +161,8 @@ def test_small_translation_pair_classifies_each_generator_once(monkeypatch):
         return classify(g, space)
 
     monkeypatch.setattr(isometry, "classify", counting)
-    tits.tits_witness(H2, a, b, tits.TitsConfig(conjugate_bound=3))
+    monkeypatch.setattr(tits, "CONJUGATE_BOUND", 3)
+    tits.tits_witness(H2, a, b)
     assert sum(g is a for g in seen) == 1
     assert sum(g is b for g in seen) == 1
 
