@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -184,11 +185,7 @@ def cmd_delta(args):
     est = sampled.four_point_delta(space, mode=args.mode,
                                    n_quadruples=args.quadruples,
                                    seed=args.seed)
-    emit({"manifest": manifest(args),
-          "result": {"delta_hat": est.delta_hat,
-                     "quadruples_checked": est.quadruples_checked,
-                     "mode": est.mode,
-                     "worst_quadruple": list(est.worst_quadruple)}}, args)
+    emit({"manifest": manifest(args), "result": vars(est)}, args)
     return 0
 
 
@@ -251,21 +248,12 @@ def cmd_certify(args):
     man = manifest(args)
     cfg = tits.TitsConfig(**man["config"])
     names = (gens[0][0], gens[1][0])
-    wit = tits.tits_witness(space, gens[0][1], gens[1][1], cfg, names=names)
-    cert = wit.certificate
-    report = {
-        "manifest": man,
-        "result": {
-            "case": wit.case_tag, "N": wit.N, "witness_word": wit.w,
-            "kind": cert.kind, "valid": cert.valid,
-            "M0": cert.M0, "swapped": cert.swapped,
-            "disjoint_ok": cert.disjoint_ok,
-            "oracle_depth": cert.oracle_depth,
-            "oracle_passed": cert.oracle_passed,
-            "search_stats": dict(wit.search_stats),
-        },
-    }
-    emit(report, args)
+    cert = tits.tits_witness(space, gens[0][1], gens[1][1], cfg, names=names)
+    # in declaration order: vars() would put valid, set after __init__, last
+    emit({"manifest": man,
+          "result": {f.name: getattr(cert, f.name)
+                     for f in dataclasses.fields(cert)
+                     if f.name != "violations"}}, args)
     return 0 if cert.valid else 1
 
 
@@ -305,8 +293,7 @@ def cmd_entropy(args):
     bc = bounds.BoundsConfig(P0=args.P0, r0=args.r0, N=args.N)
     check = bounds.entropy_bounds_check(bc, rep["estimate"], args.context)
     emit({"manifest": manifest(args),
-          "result": {"estimate": rep["estimate"], "counts": rep["counts"],
-                     "window": rep["window"], "bounds_check": check}}, args)
+          "result": {**rep, "bounds_check": check}}, args)
     return 0
 
 

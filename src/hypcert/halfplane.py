@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import TOL
-from .errors import InputError
+from .errors import DomainError, InputError
 from .isometry import IsometryProfile
 
 INF = math.inf
@@ -485,8 +485,13 @@ def _fixed_boundary_pair(g):
         other = b / (d - a) if abs(d - a) > 0 else 0.0
         roots = [INF, other]
     else:
-        disc = math.sqrt((d - a) * (d - a) + 4.0 * b * c)
+        # tr^2 - 4 det is positive for a hyperbolic matrix, but rounding,
+        # as in a long product, can take it to 0 or below
+        disc = math.sqrt(max((d - a) * (d - a) + 4.0 * b * c, 0.0))
         roots = [((a - d) + disc) / (2.0 * c), ((a - d) - disc) / (2.0 * c)]
+    if boundary_eq(*roots):
+        raise DomainError("the fixed points of a hyperbolic matrix are "
+                          "lost to rounding")
     # derivative at a fixed x is (cx + d)^-2; attracting iff |cx + d| > 1
     def mult(x):
         if math.isinf(x):

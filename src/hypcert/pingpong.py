@@ -138,18 +138,23 @@ def end_set_disjointness(space, data: PingPongData, T: float):
 
 @dataclass
 class FreeCertificate:
-    kind: str  # group | semigroup
-    N: int
+    """A free pair (a^N, w) and what certifies it.  The fields but
+    ``violations``, in declaration order, are the certify report."""
+    case: str = None  # small_ell | large_ell_group | large_ell_semigroup
+    N: int = None
+    witness_word: str = None
+    kind: str = None  # group | semigroup
+    valid: bool = field(init=False)
     M0: float = None
     swapped: bool = False
     disjoint_ok: bool = None
-    violations: list = field(default_factory=list)
     oracle_depth: int = 0
     oracle_passed: bool = False
+    search_stats: dict = field(default_factory=dict)
+    violations: list = field(default_factory=list)
 
-    @property
-    def valid(self) -> bool:
-        return bool(self.disjoint_ok is not False and self.oracle_passed)
+    def __post_init__(self):
+        self.valid = bool(self.disjoint_ok is not False and self.oracle_passed)
 
 
 def pingpong_certify(space, data: PingPongData,
@@ -161,10 +166,17 @@ def pingpong_certify(space, data: PingPongData,
     the pairs that meet), and the word oracle finds no relation up to
     the given depth.  Nesting holds by the sets' definition, but the
     centres are float images: the leg decides the float-built sets.
+    The caller fills in the case, the witness word and the search stats.
     """
     powers = _powers(space, data)
     aN, _, bN, _ = powers
-    violations = space.meeting_sides(_proof_sides(space, data, powers))
+    try:
+        violations = space.meeting_sides(_proof_sides(space, data, powers))
+    except InputError as e:
+        # the centres are images under powers the program built, so a
+        # point the model refuses is lost to rounding, not given
+        raise DomainError(f"a proof-set centre is lost to rounding ({e})") \
+            from None
     passed, _ = word_oracle(space, [("a", aN), ("b", bN)], oracle_depth,
                             "group")
     return FreeCertificate(

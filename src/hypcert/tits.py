@@ -1,33 +1,20 @@
-"""Quantitative free-subgroup search: elementary-pair detection, bounded
-shortlex word enumeration, and the (N, w) witness driver."""
+"""Quantitative free-subgroup search: bounded shortlex word
+enumeration and the search for a free pair (a^N, w)."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import TOL, isometry, pingpong
-from .errors import (DomainError, ElementaryPairError,
-                     InputError, SearchExhausted)
+from .errors import (DomainError, ElementaryPairError, InputError,
+                     PreconditionError, SearchExhausted)
 from .pingpong import word_to_text
 
 # conjugates b^j a b^-j the large-translation search tries; read at
 # each call, so tests can lower it
 CONJUGATE_BOUND = 16
-
-
-def is_elementary_pair(space, a, b) -> bool:
-    """True iff the two non-elliptic isometries fix a common boundary
-    point.
-
-    Discreteness of the generated group is the caller's responsibility;
-    the comparison itself is model-exact.
-    """
-    pa, pb = isometry.classify(a, space), isometry.classify(b, space)
-    if pa.kind == "elliptic" or pb.kind == "elliptic":
-        raise DomainError("elementary detection needs non-elliptic inputs")
-    return isometry.elementary_profiles(space, pa, pb)
 
 
 def enumerate_words(letters, max_len: int):
@@ -78,15 +65,6 @@ class TitsConfig:
                              "and N_max >= 1")
 
 
-@dataclass
-class TitsWitness:
-    case_tag: str  # small_ell | large_ell_group | large_ell_semigroup
-    N: int
-    w: str
-    certificate: pingpong.FreeCertificate
-    search_stats: dict = field(default_factory=dict)
-
-
 def _conjugates(space, a, b, k):
     """(j, b^j a b^-j) for j = 1..k, each built when it is asked for."""
     for j in range(1, k + 1):
@@ -95,22 +73,15 @@ def _conjugates(space, a, b, k):
             isometry.isometry_power(space, b, -j))
 
 
-def _oracle_witness(case, kind, N, text, cfg, stats):
-    """A witness whose certificate rests on a passing word oracle alone."""
-    cert = pingpong.FreeCertificate(
-        kind=kind, N=N, oracle_depth=cfg.oracle_depth, oracle_passed=True)
-    return TitsWitness(case, N, text, cert, stats)
-
-
 def tits_witness(space, a, b, cfg: TitsConfig = None,
-                 names=("a", "b")) -> TitsWitness:
+                 names=("a", "b")) -> pingpong.FreeCertificate:
     """Search for a word w and power N with a certified free pair (a^N, w).
 
     Large translation lengths go through axis projections, the explicit
     power threshold and exactly disjoint proof sets, a hyperbolic and a
     parabolic generator through the semigroup oracle, and the other
     pairs through an oracle-certified shortlex search.  Returned
-    witnesses always carry a passing word oracle.  An elliptic generator
+    certificates always carry a passing word oracle.  An elliptic generator
     (torsion, or a non-discrete group) is refused, as is a delta below
     ``space.delta``, where the power threshold would prove nothing.
     """
@@ -140,13 +111,13 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
 
 def _large_ell_group(space, a, b, same_ell, names, cfg, stats):
     """Try b itself when it translates like a, then the conjugates
-    b^j a b^-j, which always do; a candidate sharing an axis endpoint
-    with a is passed over."""
+    b^j a b^-j, which always do.  A candidate sharing an axis endpoint
+    with a, or one that the floats cannot hold, is passed over."""
     candidates = (
-        (_expand(((names[1], j), (names[0], 1), (names[1], -j))), bj)
+        ([(names[1], 1)] * j + [(names[0], 1)] + [(names[1], -1)] * j, bj)
         for j, bj in _conjugates(space, a, b, CONJUGATE_BOUND))
     if same_ell:
-        candidates = itertools.chain([(((names[1], 1),), b)], candidates)
+        candidates = itertools.chain([([(names[1], 1)], b)], candidates)
     last_err = None
     for word, g in candidates:
         stats["candidates"] += 1
@@ -155,18 +126,12 @@ def _large_ell_group(space, a, b, same_ell, names, cfg, stats):
             cert = pingpong.pingpong_certify(
                 space, data, oracle_depth=cfg.oracle_depth)
             if cert.valid:
-                return TitsWitness("large_ell_group", data.N,
-                                   word_to_text(word), cert, stats)
-        except DomainError as e:
+                return replace(
+                    cert, case="large_ell_group",
+                    witness_word=word_to_text(word), search_stats=stats)
+        except (DomainError, PreconditionError) as e:
             last_err = e
     raise SearchExhausted(f"no certified conjugate witness ({last_err})")
-
-
-def _expand(compact):
-    out = []
-    for name, exp in compact:
-        out.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
-    return tuple(out)
 
 
 def _small_ell(space, a, b, names, cfg, stats):
@@ -187,8 +152,10 @@ def _small_ell(space, a, b, names, cfg, stats):
         passed, _ = pingpong.word_oracle(
             space, [(names[0], a), ("w", g)], cfg.oracle_depth, "group")
         if passed:
-            return _oracle_witness("small_ell", "group", 1,
-                                   word_to_text(word), cfg, stats)
+            return pingpong.FreeCertificate(
+                case="small_ell", N=1, witness_word=word_to_text(word),
+                kind="group", oracle_depth=cfg.oracle_depth,
+                oracle_passed=True, search_stats=stats)
         if stats["words"] >= cap:
             break
     raise SearchExhausted("no oracle-certified witness within the word budget")
@@ -204,8 +171,10 @@ def _semigroup_case(space, a, b, names, cfg, stats):
             space, [(names[0], aN), (names[1], bN)],
             cfg.oracle_depth, "semigroup")
         if passed:
-            return _oracle_witness("large_ell_semigroup", "semigroup", N,
-                                   names[1], cfg, stats)
+            return pingpong.FreeCertificate(
+                case="large_ell_semigroup", N=N, witness_word=names[1],
+                kind="semigroup", oracle_depth=cfg.oracle_depth,
+                oracle_passed=True, search_stats=stats)
         last = counter
     raise SearchExhausted(
         f"semigroup oracle kept finding coincidences (last: {last})")

@@ -12,7 +12,7 @@ import sys
 import time
 
 from hypcert import (bounds, cli, freetree, graphspace, halfplane, isometry,
-                     pingpong, sampled, tits)
+                     pingpong, sampled)
 
 H2 = halfplane.H2
 
@@ -173,7 +173,8 @@ def test_criterion_11_overlap_bound():
     ok = True
     for space, a, b in fixtures:
         if not isinstance(space, halfplane.HalfPlane):
-            if tits.is_elementary_pair(space, a, b):
+            if isometry.elementary_profiles(space, isometry.classify(a, space),
+                                            isometry.classify(b, space)):
                 ok = False
         ell = isometry.classify(a, space).ell
         length = bounds.axis_proximity_length(space, a, b, eps0 / 37.0)

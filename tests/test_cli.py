@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
-from hypcert import cli, halfplane, isometry, pingpong
+from hypcert import cli, halfplane, isometry, pingpong, sampled
 from hypcert.errors import InputError
 
 
@@ -29,6 +30,12 @@ class TestDelta:
         assert code == 0
         assert rep["manifest"]["config"]["mode"] == "sampled"
         assert rep["manifest"]["seed"] == 4
+
+    def test_result_is_the_estimate_record(self, tmp_path, tree_ball_file):
+        code, rep = run(tmp_path, "delta", "--input", tree_ball_file)
+        assert code == 0
+        assert list(rep["result"]) == [
+            f.name for f in dataclasses.fields(sampled.HyperbolicityEstimate)]
 
     def test_missing_input_is_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "delta", "--input", "/no/such/file.json")
@@ -134,6 +141,20 @@ class TestCertify:
                         "--N-max", "1")
         assert code == 4 and rep is None
         assert capsys.readouterr().err.startswith("search exhausted:")
+
+    def test_semigroup_search_exhausted_is_exit_4(self, tmp_path, capsys):
+        # the pair of test_mixed_pair_semigroup, which needs N = 2
+        spec = {"model": "h2", "generators": [
+            {"name": "a", "matrix": [[2, 0], [0, 0.5]]},
+            {"name": "b", "matrix": [[0, 1], [-1, 2]]}]}
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps(spec))
+        code, rep = run(tmp_path, "certify", "--input", str(p),
+                        "--N-max", "1")
+        assert code == 4 and rep is None
+        assert capsys.readouterr().err.startswith(
+            "search exhausted: semigroup oracle kept finding coincidences "
+            "(last: a b a b a b = b a b a b a)")
 
 
 class TestMargulis:
@@ -483,14 +504,26 @@ class TestMalformedInput:
                     "edges": [[0, 1, math.inf], [1, 2, 1], [2, 0, 1]]}},
         {"model": "graph", "params": {"vertices": [], "edges": []},
          "generators": [{"name": "g", "perm": []}]},
+        '{"model": "h2", "generators": [',
+        {"model": "h2", "params": [], "generators": []},
+        {"model": "h2", "generators": [{"name": "a"}]},
+        {"model": "graph", "generators": []},
+        {"model": "sphere", "generators": []},
+        {"model": "free_tree", "params": {"rank": 27}, "generators": []},
+        {"model": "free_tree", "params": {"rank": 2},
+         "generators": [{"word": "a^"}]},
     ], ids=["perm-image-out-of-range", "perm-too-short", "perm-too-long",
             "edge-out-of-range", "edge-negative-index", "matrix-1x2",
             "matrix-3x3", "matrix-string-entry", "word-beyond-rank",
             "vertex-nested-list", "name-list", "edge-weight-nan",
-            "edge-weight-infinity", "no-vertices"])
+            "edge-weight-infinity", "no-vertices", "json-text",
+            "params-list", "h2-without-matrix", "graph-without-params",
+            "unknown-model", "rank-27", "word-open-power"])
     def test_malformed_group_spec_is_exit_2(self, tmp_path, capsys, spec):
+        # a string is the file's text as it stands
+        text = spec if isinstance(spec, str) else json.dumps(spec)
         code, rep = run(tmp_path, "classify",
-                        "--input", self._write(tmp_path, json.dumps(spec)))
+                        "--input", self._write(tmp_path, text))
         assert code == 2
         assert rep is None
         assert "input error" in capsys.readouterr().err
@@ -537,6 +570,14 @@ class TestMalformedInput:
         (["bounds", "--r0", "nan"], _A),
         (["bounds", "--r0", "inf"], _A),
         (["bounds", "--eps0", "nan"], _A),
+        (_CERTIFY + ["--depth", "0"], _PAIR),
+        (_CERTIFY, {**_PAIR, "generators": _PAIR["generators"][:1]}),
+        (_DEGENERATE, {**_FAMILY, "model": "free_tree"}),
+        (_DELTA, {"points": [0, 1, 2],
+                  "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}),
+        (_DELTA, {"points": [0, 1, 2, 3],
+                  "dist": [[0, -1, 2, 1], [-1, 0, 1, 2], [2, 1, 0, 1],
+                           [1, 2, 1, 0]]}),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
@@ -545,7 +586,9 @@ class TestMalformedInput:
             "space-delta-sums-overflow", "space-int-beyond-float",
             "certify-delta-nan", "certify-delta-inf", "certify-delta-negative",
             "certify-eps0-zero", "certify-eps0-nan", "certify-N-max-zero",
-            "bounds-r0-nan", "bounds-r0-inf", "bounds-eps0-nan"])
+            "bounds-r0-nan", "bounds-r0-inf", "bounds-eps0-nan",
+            "certify-depth-zero", "certify-one-generator",
+            "family-not-h2", "space-three-points", "space-negative-entry"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))
