@@ -278,10 +278,13 @@ def _bounds_config(args):
 
 def cmd_entropy(args):
     space, gens = load_group_spec(args.input)
+    text = args.radii
     try:
-        args.radii = [float(x) for x in args.radii.split(",")]
+        args.radii = [float(x) for x in text.split(",")]
     except ValueError:
-        raise InputError(f"--radii needs numbers, got {args.radii!r}") from None
+        raise InputError(f"--radii needs numbers, got {text!r}") from None
+    if not all(map(math.isfinite, args.radii)):
+        raise InputError(f"--radii needs finite numbers, got {text!r}")
     base = space.parse_point(args.base)
     if args.orbit:
         counts = bounds.orbit_growth_counts(space, gens, base, args.radii,

@@ -8,6 +8,7 @@ identity vertex.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -169,9 +170,6 @@ class TreeLine(tuple):
     def __new__(cls, neg: TreeEnd, pos: TreeEnd):
         return super().__new__(cls, (neg, pos))
 
-    def boundary(self) -> tuple:
-        return tuple(self)
-
     def reversed(self) -> "TreeLine":
         return TreeLine(self[1], self[0])
 
@@ -190,8 +188,6 @@ class TreeLine(tuple):
         depth = _depth(em, ep) + len(x)
         return median(em.ray_word(depth), ep.ray_word(depth), x)
 
-    project_boundary = project
-
     def point_along(self, base: str, T: float) -> str:
         """The vertex at signed distance round(T) from a vertex of the line."""
         steps = int(round(abs(T)))
@@ -208,6 +204,14 @@ class TreeLine(tuple):
         """Position of a vertex of the line: its distance from a vertex far
         toward the first end."""
         return word_dist(self[0].ray_word(len(p) + _depth(*self)), p)
+
+
+def _whole_radius(R) -> int:
+    """The whole part of a finite radius: a tree ball holds the vertices
+    at whole distances up to it."""
+    if not math.isfinite(R):
+        raise InputError(f"radius must be finite, got {R}")
+    return int(R)
 
 
 class FreeTreeSpace(DiscreteSpace):
@@ -259,7 +263,7 @@ class FreeTreeSpace(DiscreteSpace):
         """All vertices within distance R of center, BFS order."""
         center = self.check_point(center)
         shells = [[""]]
-        for _ in range(int(R)):
+        for _ in range(_whole_radius(R)):
             shells.append(sorted(
                 w + ch
                 for w in shells[-1]
@@ -280,7 +284,7 @@ class FreeTreeSpace(DiscreteSpace):
 
     def ball_size(self, center: str, R) -> int:
         """Closed form; the tree looks the same from every vertex."""
-        return sum(self.sphere_sizes(int(R)))
+        return sum(self.sphere_sizes(_whole_radius(R)))
 
     def act(self, g: str, x: str) -> str:
         return _seam_mul(g, x)

@@ -248,11 +248,8 @@ class HGeodesic:
         """Nearest point of an interior point, or the limit of those for
         a boundary point."""
         if not isinstance(z, complex):
-            return self.project_boundary(float(z))
+            return self.at(self.param_boundary(float(z)))
         return self.at(self.param(z))
-
-    def project_boundary(self, xi: float) -> complex:
-        return self.at(self.param_boundary(xi))
 
     def point_along(self, base, T: float) -> complex:
         """The point at signed arclength T from a point of the line."""
@@ -260,9 +257,6 @@ class HGeodesic:
 
     def reversed(self) -> "HGeodesic":
         return HGeodesic(self.pos, self.neg)
-
-    def boundary(self):
-        return (self.neg, self.pos)
 
 
 def rotation_about_i(theta: float) -> Moebius:

@@ -118,13 +118,16 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
                 break
         nearest_power.append(least)
     inner = [x for x, d in zip(sample, nearest_power) if d <= eps1 + TOL]
-    within = [x for x, d in zip(sample, nearest_power) if d <= eps2 + TOL]
-    outside = [x for x, d in zip(sample, nearest_power)
-               if not d <= eps2 + TOL]
     if not inner:
         raise PreconditionError("inner domain empty on the sample")
-    gaps = space.nearest(outside, inner).tolist()
-    spans = space.nearest(within, inner).tolist()
+    within = [x for x, d in zip(sample, nearest_power)
+              if not d <= eps1 + TOL and d <= eps2 + TOL]
+    outside = [x for x, d in zip(sample, nearest_power)
+               if not d <= eps2 + TOL]
+    # one call measures both against the inner domain; an inner point's
+    # own distance, the model's 0, starts the spans
+    near = space.nearest(inner[:1] + within + outside, inner).tolist()
+    spans, gaps = near[:1 + len(within)], near[1 + len(within):]
     lb2 = None
     if P0 is not None and r0 is not None and eps2 <= r0 and eps1 < 2.0:
         lb2 = gap_lower_bound_ii(P0, eps1, eps2)
@@ -134,5 +137,5 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
         min_gap_observed=min(gaps) if gaps else math.inf,
         lower_bound_i=(eps2 - eps1) / 2.0,
         lower_bound_ii=lb2,
-        upper_span_observed=max(spans) if spans else 0.0,
+        upper_span_observed=max(spans),
     )

@@ -6,7 +6,7 @@ runs on."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,46 +18,24 @@ from .errors import (BudgetError, DomainError, ElementaryPairError,
 WORD_BUDGET = 10 ** 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class PingPongData:
-    """Projections x-, x+ of the second axis's ends on the first axis,
-    their projections y-, y+ back on the second axis in its fixed
-    orientation, the spread M0 = d(x-, x+) and both axes.  A record
-    built for a pair of generators also holds them, the second in the
-    record's orientation (its inverse when swapped), with the power N
-    it serves."""
-    x_minus: object
-    x_plus: object
-    y_minus: object
-    y_plus: object
+    """The ping-pong record of two hyperbolic generators a, b at power
+    N: b in the record's orientation (its inverse when swapped), the
+    spread M0 = d(x-, x+), both axes, the projections x-, x+ of the
+    second axis's ends on the first axis and their projections y-, y+
+    back on the second axis."""
+    a: object
+    b: object
+    N: int
     M0: float
     swapped: bool
     alpha: object
     beta: object
-    a: object = None
-    b: object = None
-    N: int = None
-
-
-def endpoint_projections(space, alpha, beta) -> PingPongData:
-    """The ping-pong record of two axes, oriented forward.
-
-    If the projection of beta's forward endpoint trails the backward
-    one along alpha, the roles are swapped (equivalent to replacing the
-    second generator by its inverse) and this is recorded.
-    """
-    if any(space.boundary_eq(u, v)
-           for u in alpha.boundary() for v in beta.boundary()):
-        raise ElementaryPairError("the axes share a boundary endpoint")
-    bm, bp = beta.boundary()
-    xm = alpha.project_boundary(bm)
-    xp = alpha.project_boundary(bp)
-    swapped = alpha.order_key(xp) < alpha.order_key(xm)
-    if swapped:
-        xm, xp = xp, xm
-        beta = beta.reversed()
-    return PingPongData(xm, xp, beta.project(xm), beta.project(xp),
-                        float(space.dist(xm, xp)), swapped, alpha, beta)
+    x_minus: object
+    x_plus: object
+    y_minus: object
+    y_plus: object
 
 
 def min_free_power(space, a, b, delta: float) -> PingPongData:
@@ -66,6 +44,8 @@ def min_free_power(space, a, b, delta: float) -> PingPongData:
 
     Both isometries must be hyperbolic with the same translation length
     (arrange this by conjugation before calling) and non-elementary.
+    If the projection of b's forward end trails the backward one along
+    a's axis, b is replaced by its inverse and the record is swapped.
     """
     pa, pb = isometry.classify(a, space), isometry.classify(b, space)
     if pa.kind != "hyperbolic" or pb.kind != "hyperbolic":
@@ -74,11 +54,18 @@ def min_free_power(space, a, b, delta: float) -> PingPongData:
         raise PreconditionError(
             f"translation lengths differ: {pa.ell} vs {pb.ell}; "
             "conjugate one generator first")
-    data = endpoint_projections(space, pa.axis, pb.axis)
-    data.a = a
-    data.b = isometry.isometry_power(space, b, -1) if data.swapped else b
-    data.N = max(1, math.ceil((data.M0 + 77.0 * delta) / pa.ell - TOL))
-    return data
+    if isometry.elementary_profiles(space, pa, pb):
+        raise ElementaryPairError("the axes share a boundary endpoint")
+    alpha, beta = pa.axis, pb.axis
+    xm, xp = (alpha.project(end) for end in pb.fixed_boundary)
+    swapped = alpha.order_key(xp) < alpha.order_key(xm)
+    if swapped:
+        xm, xp, beta = xp, xm, beta.reversed()
+        b = isometry.isometry_power(space, b, -1)
+    M0 = float(space.dist(xm, xp))
+    return PingPongData(
+        a, b, max(1, math.ceil((M0 + 77.0 * delta) / pa.ell - TOL)), M0,
+        swapped, alpha, beta, xm, xp, beta.project(xm), beta.project(xp))
 
 
 def pingpong_data(space, a, b, N: int, delta: float) -> PingPongData:
@@ -87,8 +74,7 @@ def pingpong_data(space, a, b, N: int, delta: float) -> PingPongData:
     data = min_free_power(space, a, b, delta)
     if N < data.N:
         raise PreconditionError(f"N = {N} below certified threshold {data.N}")
-    data.N = N
-    return data
+    return replace(data, N=N)
 
 
 def proof_set_membership(space, data: PingPongData, z):

@@ -135,17 +135,12 @@ def _large_ell_group(space, a, b, same_ell, names, cfg, stats):
 
 
 def _small_ell(space, a, b, names, cfg, stats):
-    """The first shortlex word w, not a power of a, for which the group
-    oracle finds no relation between a and w."""
+    """The first shortlex word w among the first 4^min(N_max, 9), not a
+    power of a, for which the group oracle finds no relation between a
+    and w."""
     letters = pingpong.group_letters(space, [(names[0], a), (names[1], b)])
-    cap = 4 ** min(cfg.N_max, 9)
-    # walk no level past the one where the word cap is reached
-    max_len, total = 1, 4
-    while total < cap:
-        max_len += 1
-        total += 4 * 3 ** (max_len - 1)
-    for word, g in pingpong.walk_words(space, letters,
-                                       min(cfg.N_max, max_len)):
+    for word, g in itertools.islice(pingpong.walk_words(
+            space, letters, cfg.N_max), 4 ** min(cfg.N_max, 9)):
         stats["words"] += 1
         if all(name == names[0] for name, _ in word):
             continue  # powers of a never make a free pair with a
@@ -156,8 +151,6 @@ def _small_ell(space, a, b, names, cfg, stats):
                 case="small_ell", N=1, witness_word=word_to_text(word),
                 kind="group", oracle_depth=cfg.oracle_depth,
                 oracle_passed=True, search_stats=stats)
-        if stats["words"] >= cap:
-            break
     raise SearchExhausted("no oracle-certified witness within the word budget")
 
 

@@ -537,6 +537,9 @@ class TestMalformedInput:
         {"name": "a", "matrix": [[2.0, 0.0], [0.0, 0.5]]},
         {"name": "b", "matrix": [[1.25, 0.75], [0.75, 1.25]]}]}
     _CERTIFY = ["certify", "--input", "{family}"]
+    _TREE_STATS = ["stats", "--input", "{tree}"]
+    _TREE_MARGULIS = ["margulis", "--input", "{tree}", "--eps1", "1",
+                      "--eps2", "2", "--center", "e"]
     _HUGE = [[0, 1e308, 6e307, 6e307], [1e308, 0, 6e307, 6e307],
              [6e307, 6e307, 0, 1e308], [6e307, 6e307, 1e308, 0]]
 
@@ -578,6 +581,14 @@ class TestMalformedInput:
         (_DELTA, {"points": [0, 1, 2, 3],
                   "dist": [[0, -1, 2, 1], [-1, 0, 1, 2], [2, 1, 0, 1],
                            [1, 2, 1, 0]]}),
+        (_TREE_STATS + ["--radius", "nan"], _A),
+        (_TREE_STATS + ["--radius", "inf"], _A),
+        (_TREE_MARGULIS + ["--radius", "nan"], _A),
+        (_TREE_MARGULIS + ["--radius", "inf"], _A),
+        (["entropy", "--input", "{tree}", "--radii", "1,2,nan"], _A),
+        (["entropy", "--input", "{tree}", "--radii", "1,2,inf"], _A),
+        (["entropy", "--input", "{family}", "--orbit", "--base", "0,1",
+          "--radii", "1,2,nan"], _PAIR),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
@@ -588,7 +599,10 @@ class TestMalformedInput:
             "certify-eps0-zero", "certify-eps0-nan", "certify-N-max-zero",
             "bounds-r0-nan", "bounds-r0-inf", "bounds-eps0-nan",
             "certify-depth-zero", "certify-one-generator",
-            "family-not-h2", "space-three-points", "space-negative-entry"])
+            "family-not-h2", "space-three-points", "space-negative-entry",
+            "tree-stats-radius-nan", "tree-stats-radius-inf",
+            "tree-margulis-radius-nan", "tree-margulis-radius-inf",
+            "tree-radii-nan", "tree-radii-inf", "h2-orbit-radii-nan"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))

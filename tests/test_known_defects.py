@@ -58,6 +58,19 @@ def test_hyperbolics_sharing_an_endpoint_are_exit_2(tmp_path, capsys):
     assert "elementary group" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_hyperbolics_with_nearby_endpoints_are_not_elementary(tmp_path,
+                                                              capsys):
+    # b = g [[2, 0], [0, 1/2]] g^-1 for g = [[5, u], [1, 1]] has axis u -> 5;
+    # 4z fixes 0 and inf, neither of them.  At u = 1e-9 the pair certifies
+    u, v = 5e-10, 5.0
+    s = v - u
+    b = [[(2 * v - u / 2) / s, -1.5 * u * v / s],
+         [1.5 / s, (v / 2 - 2 * u) / s]]
+    _certify(tmp_path, [[[2, 0], [0, 0.5]], b])
+    assert "elementary group" not in capsys.readouterr().err
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @pytest.mark.parametrize("k, number", [(10, float), (14, int)],
                          ids=["k10-float", "k14-int"])

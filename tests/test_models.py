@@ -105,7 +105,7 @@ class TestHGeodesic:
 
     def test_boundary_projection_of_infinity(self):
         g = halfplane.HGeodesic(-1.0, 1.0)
-        assert g.project_boundary(math.inf) == pytest.approx(1j)
+        assert g.project(math.inf) == pytest.approx(1j)
 
     def test_reversed_circle_stays_in_half_plane(self):
         # neg > pos: the point at t on (3, 1) is the point at -t on (1, 3)
@@ -164,6 +164,12 @@ class TestFreeTree:
     def test_parse_and_format(self):
         assert freetree.parse_word("a^2 b^-1") == "aaB"
         assert freetree.parse_word("a^2b^-1") == "aaB"
+
+    @pytest.mark.parametrize("method", ["ball", "ball_size"])
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_is_refused(self, tree2, method, R):
+        with pytest.raises(InputError, match="radius must be finite"):
+            getattr(tree2, method)("", R)
 
     @given(words, words)
     def test_word_metric_symmetry(self, u, v):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -15,44 +16,42 @@ H2 = halfplane.H2
 class TestEndpointProjections:
     def test_h2_schottky_pair(self, schottky_pair):
         a, b = schottky_pair
-        ep = pingpong.endpoint_projections(
-            H2, H2.classify(a).axis, H2.classify(b).axis)
+        data = pingpong.min_free_power(H2, a, b, 1.0)
         # both endpoints of the (-1, 1) axis project onto i
-        assert ep.M0 == pytest.approx(0.0)
-        assert not ep.swapped
-        assert ep.x_minus == pytest.approx(1j)
-        assert ep.x_plus == pytest.approx(1j)
+        assert data.M0 == pytest.approx(0.0)
+        assert not data.swapped
+        assert data.x_minus == pytest.approx(1j)
+        assert data.x_plus == pytest.approx(1j)
 
     def test_offset_axes_have_positive_spread(self):
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
         shift = halfplane.Moebius(1.0, 3.0, 0.0, 1.0)
         b = shift @ halfplane.Moebius(1.25, 0.75, 0.75, 1.25) @ shift.inverse()
-        ep = pingpong.endpoint_projections(
-            H2, H2.classify(a).axis, H2.classify(b).axis)
-        assert ep.M0 > 0.0
+        assert pingpong.min_free_power(H2, a, b, 1.0).M0 > 0.0
 
     def test_swap_detection(self):
+        # b^-1 runs along b's axis reversed: its record is swapped back
+        # into b's orientation, with the same ends and spread
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
         shift = halfplane.Moebius(1.0, 3.0, 0.0, 1.0)
         b = shift @ halfplane.Moebius(1.25, 0.75, 0.75, 1.25) @ shift.inverse()
-        ep_fwd = pingpong.endpoint_projections(
-            H2, H2.classify(a).axis, H2.classify(b).axis)
-        ep_rev = pingpong.endpoint_projections(
-            H2, H2.classify(a).axis, H2.classify(b).axis.reversed())
-        assert ep_fwd.swapped != ep_rev.swapped
-        assert ep_fwd.M0 == pytest.approx(ep_rev.M0)
+        fwd = pingpong.min_free_power(H2, a, b, 1.0)
+        rev = pingpong.min_free_power(H2, a, b ** -1, 1.0)
+        assert fwd.swapped != rev.swapped
+        assert fwd.M0 == pytest.approx(rev.M0)
+        for end in ("x_minus", "x_plus", "y_minus", "y_plus"):
+            assert getattr(fwd, end) == pytest.approx(getattr(rev, end))
 
     def test_shared_endpoint_rejected(self):
+        # 4z and 4z + 2 have one translation length and share the end inf
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        g = halfplane.Moebius(3.0, 0.0, 0.0, 1.0 / 3.0)
-        with pytest.raises(ElementaryPairError):
-            pingpong.endpoint_projections(
-                H2, H2.classify(a).axis, H2.classify(g).axis)
+        g = halfplane.Moebius(2.0, 1.0, 0.0, 0.5)
+        with pytest.raises(ElementaryPairError,
+                           match="the axes share a boundary endpoint"):
+            pingpong.min_free_power(H2, a, g, 1.0)
 
     def test_tree_lines(self, tree2):
-        ep = pingpong.endpoint_projections(
-            tree2, tree2.classify("a").axis, tree2.classify("b").axis)
-        assert ep.M0 == 0.0
+        assert pingpong.min_free_power(tree2, "a", "b", 0.0).M0 == 0.0
 
 
 class TestMinFreePower:
@@ -84,10 +83,13 @@ class TestMinFreePower:
         assert sorted(data.swapped for _, data in records) == [False, True]
         for g, data in records:
             assert data.a is a
+            axis = H2.classify(g).axis
             if data.swapped:
                 assert H2.iso_key(data.b) == H2.iso_key(g ** -1)
+                assert data.beta == axis.reversed()
             else:
                 assert data.b is g
+                assert data.beta == axis
 
 
 class TestProofSets:
@@ -180,8 +182,9 @@ def test_certify_reports_overlapping_proof_sets(schottky_pair):
     assert not cert.valid
     assert cert.violations == [("A+", "B+"), ("A+", "B-"),
                                ("A-", "B+"), ("A-", "B-")]
-    data.N = 2
-    cert = pingpong.pingpong_certify(H2, data)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.N = 2
+    cert = pingpong.pingpong_certify(H2, dataclasses.replace(data, N=2))
     assert cert.disjoint_ok and cert.violations == [] and cert.valid
 
 
