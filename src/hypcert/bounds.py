@@ -200,25 +200,3 @@ def _nilrad_at(space, disp, radii_grid, profiles):
         best = r
     return best
 
-
-def axis_proximity_length(space, a, b, reach: float, step: float = 0.01,
-                          span: float = 40.0) -> float:
-    """Arclength of a's axis spent within `reach` of b's axis.
-
-    Measured by scanning the axis parameter and counting step cells
-    whose point projects within the reach; an empirical stand-in for
-    the closed-form segment of the overlap bound.
-    """
-    pa = isometry.classify(a, space)
-    pb = isometry.classify(b, space)
-    if pa.kind != "hyperbolic" or pb.kind != "hyperbolic":
-        raise InputError("both isometries must be hyperbolic")
-    base = pa.axis.at(0.0)
-    total = 0.0
-    n = int(span / step)
-    for k in range(-n, n + 1):
-        z = pa.axis.point_along(base, k * step)
-        foot = pb.axis.project(z)
-        if space.dist(z, foot) <= reach:
-            total += step
-    return total

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,6 +272,40 @@ class FreeTreeSpace(DiscreteSpace):
                 if not w or ch != w[-1].swapcase()
             ))
         return [_seam_mul(center, w) for shell in shells for w in shell]
+
+    def sample_ball(self, center: str, R, n: int, rng) -> list:
+        """``DiscreteSpace.sample_ball``'s picks, without building the
+        ball: each drawn index of its BFS order is unranked into its word."""
+        if n < 1:
+            raise InputError("need n >= 1")
+        center = self.check_point(center)
+        sizes = self.sphere_sizes(_whole_radius(R))
+        size = sum(sizes)
+        if size <= n:
+            return self.ball(center, R)
+        if size > sys.maxsize:
+            raise InputError(f"radius {R}: a ball of {size} points is past "
+                             "what a draw can index")
+        # ball("", R) lists shells by length, each sorted: in a shell, a
+        # word is a block of (k - 1)^(L - 1) words per first letter, for k
+        # letters, then of (k - 1)^(L - 2) per next letter, and so on
+        letters = sorted(self.alphabet)
+        after = {"": letters, **{ch: [c for c in letters if c != ch.swapcase()]
+                                 for ch in letters}}
+        out = []
+        for i in sorted(rng.sample(range(size), n)):
+            length = 0
+            while i >= sizes[length]:
+                i -= sizes[length]
+                length += 1
+            w = ""
+            for left in range(length - 1, -1, -1):
+                q, i = divmod(i, (len(letters) - 1) ** left)
+                w += after[w[-1:]][q]
+            out.append(_seam_mul(center, w))
+        if center not in out:
+            out[0] = center
+        return out
 
     def sphere_sizes(self, R: int) -> list:
         """Vertex counts of the spheres S(e, 0..R)."""

@@ -97,29 +97,14 @@ def _powers(space, data: PingPongData):
 
 
 def _proof_sides(space, data: PingPongData, powers):
-    """The four proof sets: A+ holds the points at least as close to
-    a^N x- as to x+, and so on."""
+    """(name, centre, anchor) of the four proof sets: A+ holds the points
+    at least as close to a^N x- as to x+, and so on."""
     aN, a_N, bN, b_N = powers
-    return _sides(data, [isometry.apply_isometry(space, g, x) for g, x in (
-        (aN, data.x_minus), (a_N, data.x_plus),
-        (bN, data.y_minus), (b_N, data.y_plus))])
-
-
-def _sides(data: PingPongData, centres):
-    """(name, centre, anchor) of A+, A-, B+ and B-, anchored at x+, x-, y+
-    and y-: a set holds the points at least as close to its centre."""
-    return list(zip(("A+", "A-", "B+", "B-"), centres,
-                    (data.x_plus, data.x_minus, data.y_plus, data.y_minus)))
-
-
-def end_set_disjointness(space, data: PingPongData, T: float):
-    """Whether the four T-neighbourhood sets of the axis ends are pairwise
-    disjoint, by the model's meeting_sides, and the pairs that meet."""
-    alpha, beta = data.alpha, data.beta
-    meeting = space.meeting_sides(_sides(data, [
-        alpha.point_along(data.x_plus, T), alpha.point_along(data.x_minus, -T),
-        beta.point_along(data.y_plus, T), beta.point_along(data.y_minus, -T)]))
-    return {"T": T, "disjoint": not meeting, "meeting": meeting}
+    return list(zip(("A+", "A-", "B+", "B-"), [
+        isometry.apply_isometry(space, g, x) for g, x in (
+            (aN, data.x_minus), (a_N, data.x_plus),
+            (bN, data.y_minus), (b_N, data.y_plus))],
+        (data.x_plus, data.x_minus, data.y_plus, data.y_minus)))
 
 
 @dataclass

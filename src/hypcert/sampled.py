@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,7 +18,9 @@ EXACT_PACK_CAP = 64
 _TRIANGLE_TILE = 64   # rows per tile of the triangle check
 _DELTA_BLOCK = 12288   # sums per row block of the exhaustive delta
 _MAX_ENTRY = np.finfo(float).max / 8   # no sum of six entries overflows
+_INT8_CAP = 2 ** 6   # two int8 entries below it have an int8 sum
 _INT16_CAP = 2 ** 14   # two int16 entries below it have an int16 sum
+_FLOAT32_CAP = 2.0 ** 100   # float32 holds entries below it and their sums
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,11 @@ class SampledSpace:
         """The space of to_json's output; list ids come back as tuples."""
         obj = obj if isinstance(obj, dict) else {}
         pts, rows = obj.get("points"), obj.get("dist")
-        if not (isinstance(pts, list) and isinstance(rows, list) and all(
-                isinstance(row, list) and len(row) == len(pts)
-                and all(type(x) in (int, float) for x in row) for row in rows)):
+        # every entry's type in one pass: no bool, str or nested list
+        if not (isinstance(pts, list) and isinstance(rows, list)
+                and all(isinstance(row, list) and len(row) == len(pts)
+                        for row in rows)
+                and {*map(type, chain.from_iterable(rows))} <= {int, float}):
             raise InputError('expected {"points": [...], "dist": [[...]]}, '
                              "a row of numbers per point")
         try:
@@ -84,25 +89,76 @@ class SampledSpace:
 def _triangle_holds(D) -> bool:
     """D[i, j] <= (D[i, k] + D[k, j]) + TOL for all i, j and k, on a D
     equal to D.T bit for bit."""
-    # x -> fl(x + TOL) is monotone, so TOL is added once to the running min.
-    # (j, i, k) makes the comparison of (i, j, k), so a tile skips the
-    # columns before its first row.  Integers below 2^14 (none is negative,
-    # as no entry is below -TOL) are scanned in int16, where every sum
-    # fits, with tolerance 0: for integers d and s, d > fl(s + TOL)
-    # exactly when d > s
-    E, tol = D, TOL
-    if D.size and D.max() < _INT16_CAP:
-        I = D.astype(np.int16)
-        if np.array_equal(I, D):
-            E, tol = I, 0
-    for a in range(0, len(E), _TRIANGLE_TILE):
-        tile = E[a:a + _TRIANGLE_TILE]
-        rows = tile[:, a:]
-        t = np.empty(rows.shape, E.dtype)
-        low = np.full(rows.shape, np.inf if tol else _INT16_CAP, E.dtype)
-        for k in range(len(E)):
-            np.minimum(low, np.add(tile[:, k, None], E[k, a:], out=t), out=low)
-        if np.greater(rows, np.add(low, tol, out=low)).any():
+    # Integers below 2^6, or 2^14, are scanned in int8, or int16, where
+    # every sum of two fits, with tolerance 0: for integers d and s,
+    # d > fl(s + TOL) exactly when d > s.  A float table that float32
+    # holds with every sum of two is screened in float32, and float64
+    # decides what the screen passes on; any other runs in float64.
+    top = float(max(D.max(), -D.min())) if D.size else 0.0   # max|D|
+    tiles = range(0, len(D), _TRIANGLE_TILE)
+    for cap, kind in ((_INT8_CAP, np.int8), (_INT16_CAP, np.int16)):
+        if top < cap:
+            I = D.astype(kind)
+            if np.array_equal(I, D):
+                return not any(_excess(I, I, 0, a)[0].size for a in tiles)
+            break
+    if top >= _FLOAT32_CAP:
+        return not any(_excess(D, D, TOL, a)[0].size for a in tiles)
+    # With M = max(1, top) and u = 2^-24, a float32 entry is within u M of
+    # D's, and a float32 sum of two within 4.01 u M of the exact sum s of
+    # D's entries: the screen's minimum over k is at most s + 4.01 u M for
+    # each k.  fl(low - margin) adds at most 3 * 2^-53 M, and the float64
+    # comparison's side fl(fl(D[i, k] + D[k, j]) + TOL) is at least s -
+    # 2^-52 M.  So with margin = 16 u M a pair at or below fl(low -
+    # margin) holds for every k but i and j, which the +inf diagonal
+    # leaves out.  Those two are decided exactly for every pair: as fl is
+    # monotone, the smaller of fl(D[i, i] + D[i, j]) and fl(D[i, j] +
+    # D[j, j]) is fl(D[i, j] + min(D[i, i], D[j, j])), which is below
+    # D[i, j] only when one of the two diagonal entries is negative: the
+    # symmetric table's rows of those points hold every such pair.
+    d = np.diag(D)
+    neg = np.flatnonzero(d < 0)
+    rows = D[neg]
+    if np.greater(rows, (rows + np.minimum(d[neg, None], d)) + TOL).any():
+        return False
+    E = D.astype(np.float32)
+    np.fill_diagonal(E, np.inf)
+    margin = 2.0 ** -20 * max(1.0, top)
+    for a in reversed(tiles):   # the smallest tile first
+        i, j = _excess(E, D, -margin, a)
+        if 2 * i.size > E[a:a + _TRIANGLE_TILE, a:].size:
+            # most pairs lie on a shortest path, as in a graph: the screen
+            # decides too few of them, and the rest runs in float64
+            return not any(_excess(D, D, TOL, b)[0].size for b in tiles
+                           if b <= a)
+        if not _pairs_hold(D, i, j):
+            return False
+    return True
+
+
+def _excess(E, R, tol, a):
+    """The pairs (i, j), i in the tile of rows from a and j >= a, with
+    R[i, j] above the min over k of (E[i, k] + E[k, j]), plus tol in R's
+    type."""
+    # x -> fl(x + tol) is monotone, so tol is added once to the running
+    # min.  (j, i, k) makes the comparison of (i, j, k), so a tile skips
+    # the columns before its first row.
+    tile = E[a:a + _TRIANGLE_TILE]
+    low = tile[:, 0, None] + E[0, a:]
+    t = np.empty_like(low)
+    for k in range(1, len(E)):
+        np.minimum(low, np.add(tile[:, k, None], E[k, a:], out=t), out=low)
+    i, j = np.nonzero(np.greater(R[a:a + _TRIANGLE_TILE, a:],
+                                 np.add(low, tol, dtype=R.dtype)))
+    return i + a, j + a
+
+
+def _pairs_hold(D, i, j):
+    """The float64 check of the pairs (i[t], j[t]) over every k."""
+    for a in range(0, i.size, _TRIANGLE_TILE):
+        s, t = i[a:a + _TRIANGLE_TILE], j[a:a + _TRIANGLE_TILE]
+        low = np.add(D[s], D[t]).min(axis=1)   # D[k, j] is D[j, k]
+        if np.greater(D[s, t], low + TOL).any():
             return False
     return True
 
@@ -184,17 +240,22 @@ def _delta_exhaustive(space, D, n):
     # defect is half the median gap, with no slack
     exact = top < 2.0 ** 50 and np.array_equal(np.rint(D), D)
     slack = 0.0 if exact else 2.0 ** -44 * top
+    # A float32 copy screens the blocks first (see _delta_middle); on
+    # integers below 2^22 its sums and gaps are exact too
+    screen = None if top >= _FLOAT32_CAP else (
+        D.astype(np.float32),
+        0.0 if exact and top < 2.0 ** 22 else 2.0 ** -20 * top)
     buffers = np.empty((6, max(_DELTA_BLOCK, n)))
     best, worst = 0.0, None
     for k in range(n - 2, 1, -1):   # downward: large defects come early
-        v, quad = _delta_middle(D, k, best, margin, slack, buffers)
+        v, quad = _delta_middle(D, k, best, margin, slack, buffers, screen)
         if v > best or (v == best and worst and quad < worst):
             best, worst = v, quad
     worst = tuple(space.points[v] for v in (worst or (0,) * 4))
     return HyperbolicityEstimate(best, math.comb(n, 4), "exhaustive", worst)
 
 
-def _delta_middle(D, k, best, margin, slack, buffers):
+def _delta_middle(D, k, best, margin, slack, buffers, screen=None):
     """Largest defect over i < j < k < l and its first quadruple, among
     those that can reach best: rows (i, j) and columns l with D[i, j],
     D[i, k], D[j, k] or D[k, l] below best - margin are skipped.  Rows
@@ -205,7 +266,11 @@ def _delta_middle(D, k, best, margin, slack, buffers):
     defect is within slack of g / 2.  A block whose largest gap G has
     G / 2 + slack below best, or at most the largest defect found so
     far, is skipped; the rest evaluate the defect only where g / 2 is
-    within 2 slack of G / 2 (in place when that is every sum)."""
+    within 2 slack of G / 2 (in place when that is every sum).
+
+    A screen (D32, slack32), D in float32 and a slack that bounds the
+    defects above half its median gaps, first skips blocks of twice the
+    sums by the same rule; only the blocks it leaves run in float64."""
     # With M = max(1, max|D|) and u = 2^-53, the sums are at most 2M.  The
     # defect's mid = ((s1 + s2) + s3 - hi) - lo rounds four times, off the
     # median by at most (4 + 6 + 4 + 2) u M, and hi - mid once more, by 2u
@@ -216,6 +281,15 @@ def _delta_middle(D, k, best, margin, slack, buffers):
     # block holds no defect at or above best nor above the block's best so
     # far, and any sum whose defect can be the block's largest has g / 2
     # >= G / 2 - 20u M, above the cut.
+    #
+    # In float32, with v = 2^-24, an entry is within v M of D's and a sum
+    # of two within 4.01 v M of the exact sum of D's entries; min and max
+    # are exact, so the gap is within 8.02 v M of the exact median gap
+    # before its own rounding, 2.01 v M more.  The float64 defect lies
+    # within 2^-48 M of half the exact gap, so within 5.1 v M of half the
+    # float32 gap, and slack32 = 16 v M covers that and the rounding of
+    # G32 / 2 + slack32.  A block the screen skips holds no defect at or
+    # above best nor above the best so far; it would change nothing.
     floor = best - margin
     pi, pj = np.triu_indices(k, 1)
     keep = np.minimum(D[pi, pj], D[pi, k])
@@ -225,33 +299,64 @@ def _delta_middle(D, k, best, margin, slack, buffers):
     cols = ls.size
     if not cols:
         return 0.0, None
-    Dij, Dik, Djk = D[pi, pj][:, None], D[pi, k][:, None], D[pj, k][:, None]
-    Dkl, above = D[k, ls], D[:k, ls]
+    sums = None   # gathered at the first block the screen leaves
     step = max(1, _DELTA_BLOCK // cols)
+    if screen is not None:
+        D32, slack32 = screen
+        sums32 = _pair_sums(D32, pi, pj, k, ls)
+        wide = buffers.view(np.float32)   # the float64 buffers' bytes
+        outer = max(1, 2 * _DELTA_BLOCK // cols)
+    else:
+        outer = step
     found, worst = 0.0, None
-    for a in range(0, pi.size, step):
-        b = min(a + step, pi.size)
-        s1, s2, s3, hi, lo, out = buffers[:, :(b - a) * cols].reshape(6, -1, cols)
-        np.add(Dij[a:b], Dkl, out=s1)
-        np.add(Dik[a:b], np.take(above, pj[a:b], 0, s2, "clip"), out=s2)
-        np.add(np.take(above, pi[a:b], 0, s3, "clip"), Djk[a:b], out=s3)
-        gap = _median_gaps(s1, s2, s3, hi, lo, out)
-        G = float(gap.max())
-        lim = G / 2.0 + slack
-        if lim <= found or lim < best:
-            continue
-        cut = G - 4.0 * slack
-        if cut > 0.0:
-            at = np.flatnonzero(gap >= cut)
-            vals = _pairing_defects(*(s.ravel()[at] for s in (s1, s2, s3)))
-        else:   # no gap is negative: every sum is a candidate
-            at, vals = None, _pairing_defects(s1, s2, s3, hi, lo, out).ravel()
-        t = int(np.argmax(vals))
-        if vals[t] > found:
-            found = float(vals[t])
-            r, c = divmod(t if at is None else int(at[t]), cols)
-            worst = (int(pi[a + r]), int(pj[a + r]), k, int(ls[c]))
+    for a0 in range(0, pi.size, outer):
+        b0 = min(a0 + outer, pi.size)
+        if screen is not None:
+            bufs = wide[:, :(b0 - a0) * cols].reshape(6, -1, cols)
+            G = float(_median_gaps(*sums32(a0, b0, bufs), *bufs[3:]).max())
+            lim = G / 2.0 + slack32
+            if lim <= found or lim < best:
+                continue
+        sums = sums or _pair_sums(D, pi, pj, k, ls)
+        for a in range(a0, b0, step):
+            b = min(a + step, b0)
+            s1, s2, s3, hi, lo, out = buffers[:, :(b - a) * cols].reshape(
+                6, -1, cols)
+            sums(a, b, (s1, s2, s3))
+            gap = _median_gaps(s1, s2, s3, hi, lo, out)
+            G = float(gap.max())
+            lim = G / 2.0 + slack
+            if lim <= found or lim < best:
+                continue
+            cut = G - 4.0 * slack
+            if cut > 0.0:
+                at = np.flatnonzero(gap >= cut)
+                vals = _pairing_defects(*(s.ravel()[at] for s in (s1, s2, s3)))
+            else:   # no gap is negative: every sum is a candidate
+                at = None
+                vals = _pairing_defects(s1, s2, s3, hi, lo, out).ravel()
+            t = int(np.argmax(vals))
+            if vals[t] > found:
+                found = float(vals[t])
+                r, c = divmod(t if at is None else int(at[t]), cols)
+                worst = (int(pi[a + r]), int(pj[a + r]), k, int(ls[c]))
     return found, worst
+
+
+def _pair_sums(T, pi, pj, k, ls):
+    """A function that writes the three pairing sums of rows a..b,
+    columns ls, from table T into the given buffers and returns them:
+    T[i, j] + T[k, l], T[i, k] + T[j, l] and T[i, l] + T[j, k]."""
+    col, Tkl, above = T[:k, k], T[k, ls], T[:k, ls]
+
+    def fill(a, b, bufs):
+        i, j = pi[a:b], pj[a:b]
+        s1, s2, s3 = bufs[:3]
+        np.add(T[i, j][:, None], Tkl, out=s1)
+        np.add(col[i][:, None], np.take(above, j, 0, s2, "clip"), out=s2)
+        np.add(np.take(above, i, 0, s3, "clip"), col[j][:, None], out=s3)
+        return s1, s2, s3
+    return fill
 
 
 def _median_gaps(s1, s2, s3, hi, lo, out):

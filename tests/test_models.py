@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcert import freetree, graphspace, halfplane, tits
+from hypcert import freetree, graphspace, halfplane, sampled, tits
 from hypcert.errors import InputError
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0)
@@ -211,6 +211,23 @@ class TestFreeTree:
         assert len(T.ball("", 1)) == 5
         assert len(T.ball("", 2)) == 17
         assert T.sphere_sizes(3) == [1, 4, 12, 36]
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_sample_ball_picks_as_from_the_whole_ball(self, rank):
+        # the draw is over the ball's BFS order; each pick is unranked
+        T = freetree.FreeTreeSpace(rank)
+        for R in range(7):
+            for seed in range(5):
+                for center, n in (("", 1), ("ab", 7), ("Ba", 40), ("c", 300)):
+                    center = center if rank == 3 else center.replace("c", "b")
+                    want = sampled.DiscreteSpace.sample_ball(
+                        T, center, R, n, random.Random(seed))
+                    assert T.sample_ball(center, R, n,
+                                         random.Random(seed)) == want
+
+    def test_sample_ball_past_an_index_is_refused(self, tree2):
+        with pytest.raises(InputError, match="past what a draw can index"):
+            tree2.sample_ball("", 40, 10, random.Random(0))
 
 
 rank3_words = st.text("abcABC", max_size=40).map(freetree.reduce_word)

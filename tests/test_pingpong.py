@@ -118,18 +118,31 @@ class TestProofSets:
             pingpong.pingpong_data(H2, a, b, 2, 1.0)
 
 
+def end_set_disjointness(space, data, T):
+    """Whether the four T-neighbourhood sets of the axis ends are pairwise
+    disjoint, by the model's meeting_sides, and the pairs that meet: each
+    is the (name, centre, anchor) side of a proof set with its centre
+    moved T along the axis, past its anchor."""
+    alpha, beta = data.alpha, data.beta
+    meeting = space.meeting_sides(list(zip(("A+", "A-", "B+", "B-"), (
+        alpha.point_along(data.x_plus, T), alpha.point_along(data.x_minus, -T),
+        beta.point_along(data.y_plus, T), beta.point_along(data.y_minus, -T)),
+        (data.x_plus, data.x_minus, data.y_plus, data.y_minus))))
+    return {"T": T, "disjoint": not meeting, "meeting": meeting}
+
+
 class TestEndSets:
     def test_disjoint_above_threshold(self, schottky_pair):
         a, b = schottky_pair
         data = pingpong.pingpong_data(H2, a, b, 56, 1.0)
-        rep = pingpong.end_set_disjointness(H2, data, 65.0 * 1.0)
+        rep = end_set_disjointness(H2, data, 65.0 * 1.0)
         assert rep == {"T": 65.0, "disjoint": True, "meeting": []}
 
     def test_overlap_at_zero(self, schottky_pair):
         # at T = 0 each centre is its anchor, so each set is the plane
         a, b = schottky_pair
         data = pingpong.pingpong_data(H2, a, b, 56, 1.0)
-        rep = pingpong.end_set_disjointness(H2, data, 0.0)
+        rep = end_set_disjointness(H2, data, 0.0)
         assert not rep["disjoint"]
         assert rep["meeting"] == list(itertools.combinations(
             ["A+", "A-", "B+", "B-"], 2))

@@ -669,6 +669,16 @@ _ULP_SQUARES = {
 }
 
 
+# Squares near 10 whose defects differ by one ulp, the winner first or
+# later, while float32 half gaps order them the other way.
+_F32_SQUARES = {
+    "first-wins": ((7.66650749988191, 7.748743672414555),
+                   (14.616817574802369, 14.699053747335014)),
+    "later-wins": ((7.67282199206292, 7.724294199790232),
+                   (14.910745390106362, 14.962217597833677)),
+}
+
+
 def _ulp_squares(name):
     cycles, sides, diagonals, kw = _ULP_SQUARES[name]
     return _two_squares(cycles, sides, diagonals, **kw)
@@ -750,6 +760,34 @@ class TestDeltaScreen:
         assert calls == ([0.0] * n + [2.0 ** -44 * 2.5] * n
                          + [2.0 ** -44 * (sp.dist * 1.05).max()] * n)
 
+    @pytest.mark.parametrize("name", sorted(_F32_SQUARES))
+    def test_float32_screen_leaves_one_ulp_to_float64(self, name,
+                                                       monkeypatch):
+        # the float32 half gaps order the squares against their defects,
+        # which differ by one ulp: with no slack the screen would skip
+        # the winner of "first-wins"
+        sides, diagonals = _F32_SQUARES[name]
+        sp = _two_squares(_APART, sides, diagonals, other=20.0)
+        D, D32 = sp.dist.tolist(), sp.dist.astype(np.float32)
+        quads = [tuple(sorted(cycle)) for cycle in _APART]
+        (vA, _), (vB, _) = (_defect_and_half_gap(D, q) for q in quads)
+        assert abs(vA - vB) == math.ulp(vA)
+        halves = [_defect_and_half_gap(D32, q)[1] for q in quads]
+        assert (halves[0] > halves[1]) != (vA > vB)
+        best, checked, worst = _reference_delta(sp)
+        assert (best, worst) == (max(vA, vB), quads[vB > vA])
+        screens = []
+        middle = sampled._delta_middle
+        monkeypatch.setattr(sampled, "_delta_middle", lambda *args:
+                            screens.append(args[6]) or middle(*args))
+        for block in (1, 5, 7):
+            monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
+            est = sampled.four_point_delta(sp)
+            assert est.delta_hat.hex() == best.hex()
+            assert (est.quadruples_checked, est.worst_quadruple) == \
+                (checked, worst)
+        assert screens and all(s[1] == 2.0 ** -20 * 20.0 for s in screens)
+
 
 def _integer_table(n, seed):
     """Shortest paths of a random graph with integer weights 1..9."""
@@ -758,6 +796,88 @@ def _integer_table(n, seed):
     edges += [(*rng.sample(range(n), 2), rng.randint(1, 9))
               for _ in range(n // 2)]
     return graphspace.MetricGraphSpace(range(n), edges).table.copy()
+
+
+def _scan_types(monkeypatch):
+    """The dtypes of the tables that the triangle check scans, in order."""
+    kinds = []
+    excess = sampled._excess
+    monkeypatch.setattr(sampled, "_excess", lambda E, *rest:
+                        kinds.append(E.dtype.name) or excess(E, *rest))
+    return kinds
+
+
+def _near_ten(n=10, seed=0):
+    """Entries in [10, 11], and a last point 25 from every other, which
+    fixes max|D| and so the float32 margin."""
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(10.0, 11.0, (n, n))
+    D = np.minimum(D, D.T)
+    D[-1, :] = D[:, -1] = 25.0
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+class TestFloat32Triangle:
+    @pytest.mark.parametrize("row", [3, 4])
+    def test_screen_is_the_triple_loop_at_the_bound(self, row, monkeypatch):
+        # tiles of 4 rows: row 3 ends the first tile, row 4 starts the next
+        monkeypatch.setattr(sampled, "_TRIANGLE_TILE", 4)
+        kinds = _scan_types(monkeypatch)
+        D, j = _near_ten(seed=row), 8
+        bound = min((D[row, k] + D[k, j]) + sampled.TOL
+                    for k in range(len(D)) if k not in (row, j))
+        D[row, j] = D[j, row] = bound
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[row, j] = D[j, row] = np.nextafter(bound, np.inf)
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+        # the screen passes a pair at fl(low - margin) by itself and
+        # leaves the next float to float64: both hold
+        E = D.astype(np.float32)
+        low = min(E[row, k] + E[k, j] for k in range(len(D))
+                  if k not in (row, j))
+        edge = float(low) - 2.0 ** -20 * 25.0
+        for x in (edge, np.nextafter(edge, np.inf)):
+            D[row, j] = D[j, row] = x
+            assert sampled._triangle_holds(D) and _triangle_loop(D)
+        assert set(kinds) == {"float32"}
+
+    @pytest.mark.parametrize("d0, x, d1, holds, scanned", [
+        (-sampled.TOL, 3.0078873113505356e-09, 0.0, False, False),
+        (-sampled.TOL, 2e-09, 0.0, True, True),
+        (sampled.TOL, 3.0078873113505356e-09, sampled.TOL, True, True),
+        (-0.0, -0.0, -0.0, True, True),
+        (0.0, -sampled.TOL / 2, sampled.TOL, False, True),
+    ], ids=["minus-tol-decides", "minus-tol-holds", "plus-tol",
+            "negative-zeros", "plus-tol-over-a-negative-pair"])
+    def test_diagonal_is_decided_exactly(self, d0, x, d1, holds, scanned,
+                                         monkeypatch):
+        # points 0 and 1 are x apart, with diagonal entries d0 and d1.  In
+        # "minus-tol-decides" only k = i refuses, as fl(fl(x - TOL) + TOL)
+        # < x, and the exact diagonal pass does so before any scan; in the
+        # last, only k = 0 for the pair (1, 1), TOL > fl(fl(x + x) + TOL)
+        # = 0, which the screen leaves to float64
+        kinds = _scan_types(monkeypatch)
+        D = _near_ten(6)
+        D[1, 2:] = D[2:, 1] = D[0, 2:]
+        D[0, 1] = D[1, 0] = x
+        D[0, 0], D[1, 1] = d0, d1
+        assert sampled._triangle_holds(D) == _triangle_loop(D) == holds
+        assert set(kinds) == ({"float32"} if scanned else set())
+
+    @pytest.mark.parametrize("row", [3, 4])
+    def test_huge_entries_are_checked_in_float64(self, row, monkeypatch):
+        # 2^997 scales exactly to entries near 1e300, past float32
+        monkeypatch.setattr(sampled, "_TRIANGLE_TILE", 4)
+        kinds = _scan_types(monkeypatch)
+        D, j = _near_ten(seed=row) * 2.0 ** 997, 8
+        bound = min((D[row, k] + D[k, j]) + sampled.TOL
+                    for k in range(len(D)) if k not in (row, j))
+        D[row, j] = D[j, row] = bound
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[row, j] = D[j, row] = np.nextafter(bound, np.inf)
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+        assert set(kinds) == {"float64"}
 
 
 class TestIntegerTriangle:
@@ -794,6 +914,23 @@ class TestIntegerTriangle:
         assert sampled._triangle_holds(D) and _triangle_loop(D)
         D[0, 2] = D[2, 0] = np.nextafter(3.0 + sampled.TOL, 4.0)
         assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+
+    @pytest.mark.parametrize("top, kind", [
+        (63, "int8"), (64, "int16"), (2 ** 14 - 1, "int16"),
+        (2 ** 14, "float32")])
+    def test_integer_tiers_at_their_caps(self, top, kind, monkeypatch):
+        # the pair (0, 2) at top, through point 1 at top exactly (holds)
+        # and at top - 1 (refused); every other entry is top, so sums
+        # reach 2 top
+        kinds = _scan_types(monkeypatch)
+        D = np.full((6, 6), float(top))
+        np.fill_diagonal(D, 0.0)
+        D[0, 1] = D[1, 0] = top // 2
+        D[1, 2] = D[2, 1] = top - top // 2
+        assert sampled._triangle_holds(D) and _triangle_loop(D)
+        D[1, 2] = D[2, 1] = top - top // 2 - 1
+        assert not sampled._triangle_holds(D) and not _triangle_loop(D)
+        assert set(kinds) == {kind}
 
     def test_negative_zero_entries_are_integers(self):
         # points 0 and 1 coincide at distance -0.0
