@@ -1,4 +1,4 @@
-"""Cayley trees of free groups: reduced-word arithmetic, geodesics, ends, lines.
+"""Cayley trees of free groups: reduced-word arithmetic, medians, ends, lines.
 
 Group elements and tree vertices are freely reduced words over
 a..z (generators) and A..Z (their inverses); the empty string is the
@@ -70,10 +70,6 @@ def common_prefix(u: str, v: str) -> str:
     return u[:i]
 
 
-def mul(u: str, v: str) -> str:
-    return reduce_word(u + v)
-
-
 def _seam_mul(u: str, v: str) -> str:
     """The product of two reduced words: only letters where u ends and v
     begins can cancel, so nothing else is scanned."""
@@ -85,22 +81,11 @@ def _seam_mul(u: str, v: str) -> str:
     return u[:len(u) - k] + v[k:]
 
 
-def word_dist(u: str, v: str) -> int:
-    return len(mul(invert(u), v))
-
-
 def median(u: str, v: str, w: str) -> str:
-    """The tree median: the unique common point of the three geodesics."""
-    p = common_prefix(mul(invert(u), v), mul(invert(u), w))
-    return mul(u, p)
-
-
-def geodesic_path(u: str, v: str) -> list:
-    """All vertices on [u, v], endpoints included, in order."""
-    p = common_prefix(u, v)
-    down = [u[:k] for k in range(len(u), len(p), -1)]
-    up = [v[:k] for k in range(len(p), len(v) + 1)]
-    return down + up
+    """The tree median of three reduced words, the unique common point of
+    the three geodesics: the longest of their pairwise common prefixes."""
+    return max(common_prefix(u, v), common_prefix(u, w), common_prefix(v, w),
+               key=len)
 
 
 def _conjugator_length(w: str) -> int:
@@ -112,8 +97,8 @@ def _conjugator_length(w: str) -> int:
 
 
 def cyclic_reduce(w: str) -> tuple:
-    """Returns (conjugator c, core u) with w = c u c^-1 and u cyclically reduced."""
-    w = reduce_word(w)
+    """(conjugator c, core u) with w = c u c^-1 and u cyclically reduced,
+    for a reduced word w."""
     k = _conjugator_length(w)
     return w[:k], w[k:len(w) - k]
 
@@ -171,9 +156,6 @@ class TreeLine(tuple):
     def __new__(cls, neg: TreeEnd, pos: TreeEnd):
         return super().__new__(cls, (neg, pos))
 
-    def reversed(self) -> "TreeLine":
-        return TreeLine(self[1], self[0])
-
     def project(self, x) -> str:
         """Nearest vertex of the line to a vertex, or the limit of those
         along a ray into an end."""
@@ -189,22 +171,11 @@ class TreeLine(tuple):
         depth = _depth(em, ep) + len(x)
         return median(em.ray_word(depth), ep.ray_word(depth), x)
 
-    def point_along(self, base: str, T: float) -> str:
-        """The vertex at signed distance round(T) from a vertex of the line."""
-        steps = int(round(abs(T)))
-        target = self[1] if T >= 0 else self[0]
-        deep = target.ray_word(len(base) + steps + _depth(target))
-        path = geodesic_path(base, deep)
-        return path[min(steps, len(path) - 1)]
-
-    def at(self, t: float) -> str:
-        """Arclength parametrization, from the attracting end's junction."""
-        return self.point_along(self[1].prefix, t)
-
     def order_key(self, p: str) -> int:
         """Position of a vertex of the line: its distance from a vertex far
         toward the first end."""
-        return word_dist(self[0].ray_word(len(p) + _depth(*self)), p)
+        far = self[0].ray_word(len(p) + _depth(*self))
+        return len(_seam_mul(invert(far), p))
 
 
 def _whole_radius(R) -> int:

@@ -139,25 +139,6 @@ def grid_graph(n: int) -> MetricGraphSpace:
     return MetricGraphSpace(verts, edges)
 
 
-def regular_tree_graph(degree: int, depth: int) -> MetricGraphSpace:
-    """Finite radius-`depth` piece of the degree-regular infinite tree."""
-    verts = [0]
-    edges = []
-    frontier = [0]
-    nxt_id = 1
-    for level in range(depth):
-        new_frontier = []
-        for v in frontier:
-            fan = degree if level == 0 else degree - 1
-            for _ in range(fan):
-                verts.append(nxt_id)
-                edges.append((v, nxt_id, 1.0))
-                new_frontier.append(nxt_id)
-                nxt_id += 1
-        frontier = new_frontier
-    return MetricGraphSpace(verts, edges)
-
-
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> MetricGraphSpace:
     """Seeded random connected graph: random tree plus chords, weights in [0.5, 2]."""
     if n < 2:

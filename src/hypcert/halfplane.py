@@ -251,19 +251,6 @@ class HGeodesic:
             return self.at(self.param_boundary(float(z)))
         return self.at(self.param(z))
 
-    def point_along(self, base, T: float) -> complex:
-        """The point at signed arclength T from a point of the line."""
-        return self.at(self.param(base) + T)
-
-    def reversed(self) -> "HGeodesic":
-        return HGeodesic(self.pos, self.neg)
-
-
-def rotation_about_i(theta: float) -> Moebius:
-    """Elliptic rotation by angle theta around the point i."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return Moebius(c, -s, s, c)
-
 
 def point_at(origin: complex, theta: float, rho: float) -> complex:
     """Point at hyperbolic distance rho from ``origin``, direction theta.

@@ -22,16 +22,13 @@ WORD_BUDGET = 10 ** 6
 class PingPongData:
     """The ping-pong record of two hyperbolic generators a, b at power
     N: b in the record's orientation (its inverse when swapped), the
-    spread M0 = d(x-, x+), both axes, the projections x-, x+ of the
-    second axis's ends on the first axis and their projections y-, y+
-    back on the second axis."""
+    spread M0 = d(x-, x+), the projections x-, x+ of b's axis ends on
+    a's axis and their projections y-, y+ back on b's axis."""
     a: object
     b: object
     N: int
     M0: float
     swapped: bool
-    alpha: object
-    beta: object
     x_minus: object
     x_plus: object
     y_minus: object
@@ -60,12 +57,13 @@ def min_free_power(space, a, b, delta: float) -> PingPongData:
     xm, xp = (alpha.project(end) for end in pb.fixed_boundary)
     swapped = alpha.order_key(xp) < alpha.order_key(xm)
     if swapped:
-        xm, xp, beta = xp, xm, beta.reversed()
+        xm, xp = xp, xm
         b = isometry.isometry_power(space, b, -1)
     M0 = float(space.dist(xm, xp))
+    # a projection onto a line does not depend on its orientation
     return PingPongData(
         a, b, max(1, math.ceil((M0 + 77.0 * delta) / pa.ell - TOL)), M0,
-        swapped, alpha, beta, xm, xp, beta.project(xm), beta.project(xp))
+        swapped, xm, xp, beta.project(xm), beta.project(xp))
 
 
 def pingpong_data(space, a, b, N: int, delta: float) -> PingPongData:
@@ -264,7 +262,7 @@ def word_to_text(word) -> str:
             runs[-1][1] += sign
         else:
             runs.append([name, sign])
-    return " ".join(n if e == 1 else f"{n}^{e}" for n, e in runs)
+    return " ".join(f"{n}" if e == 1 else f"{n}^{e}" for n, e in runs)
 
 
 def word_oracle(space, gens, depth: int, kind: str = "group"):

@@ -165,7 +165,8 @@ def _semigroup_case(space, a, b, names, cfg, stats):
             cfg.oracle_depth, "semigroup")
         if passed:
             return pingpong.FreeCertificate(
-                case="large_ell_semigroup", N=N, witness_word=names[1],
+                case="large_ell_semigroup", N=N,
+                witness_word=word_to_text([(names[1], 1)] * N),
                 kind="semigroup", oracle_depth=cfg.oracle_depth,
                 oracle_passed=True, search_stats=stats)
         last = counter

@@ -13,6 +13,7 @@ import time
 
 from hypcert import (bounds, cli, freetree, graphspace, halfplane, isometry,
                      pingpong, sampled)
+from helpers import rotation_about_i
 from test_bounds import axis_proximity_length
 from test_pingpong import end_set_disjointness
 
@@ -149,7 +150,7 @@ def test_criterion_09_sanov_oracle():
     s1 = halfplane.Moebius(1.0, 2.0, 0.0, 1.0)
     s2 = halfplane.Moebius(1.0, 0.0, 2.0, 1.0)
     passed, _ = pingpong.word_oracle(H2, [("a", s1), ("b", s2)], 8, "group")
-    r = halfplane.rotation_about_i(math.pi / 2.0)
+    r = rotation_about_i(math.pi / 2.0)
     failed, counter = pingpong.word_oracle(H2, [("g", r)], 8, "group")
     verdict(9, "free-pair oracle and the order-4 counterexample",
             passed and not failed and counter == "g^4")

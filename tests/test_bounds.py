@@ -4,6 +4,7 @@ import pytest
 
 from hypcert import bounds, graphspace, halfplane, isometry, sampled
 from hypcert.errors import InputError
+from helpers import point_along
 
 H2 = halfplane.H2
 
@@ -140,17 +141,21 @@ def axis_proximity_length(space, a, b, reach, step=0.01, span=40.0):
 
     Measured by scanning the axis parameter and counting step cells
     whose point projects within the reach; an empirical stand-in for
-    the closed-form segment of the overlap bound.
+    the closed-form segment of the overlap bound.  The scan starts at
+    the apex of an H² axis, and at the junction of the attracting end of
+    a tree axis.
     """
     pa = isometry.classify(a, space)
     pb = isometry.classify(b, space)
     if pa.kind != "hyperbolic" or pb.kind != "hyperbolic":
         raise InputError("both isometries must be hyperbolic")
-    base = pa.axis.at(0.0)
+    axis = pa.axis
+    base = (axis.at(0.0) if isinstance(axis, halfplane.HGeodesic)
+            else axis[1].prefix)
     total = 0.0
     n = int(span / step)
     for k in range(-n, n + 1):
-        z = pa.axis.point_along(base, k * step)
+        z = point_along(axis, base, k * step)
         foot = pb.axis.project(z)
         if space.dist(z, foot) <= reach:
             total += step

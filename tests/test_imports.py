@@ -22,8 +22,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # public names that only tests reach, each kept for what it serves
 KEPT = {
-    "rotation_about_i": "criterion 9 builds its elliptic generator with it",
-    "regular_tree_graph": "the README lists tree graphs among the generators",
     "to_json": "SampledSpace.to_json writes the fixtures and criterion 14",
 }
 
@@ -34,9 +32,6 @@ KEPT_FIELDS = {
     "HyperbolicityEstimate": "the delta report emits its fields by vars()",
     "FreeCertificate": "the certify report emits its fields but violations",
     "FreeCertificate.violations": "tests read the overlapping points",
-    "PingPongData.alpha": "the record keeps both axes; tests build the "
-                          "end sets of criterion 7 on them",
-    "PingPongData.beta": "the record keeps both axes, b's in its orientation",
 }
 
 # the pipeline modules, which reach a model only through its interface

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypcert import graphspace, halfplane, isometry
 from hypcert.errors import PreconditionError
+from helpers import rotation_about_i
 
 H2 = halfplane.H2
 
@@ -44,7 +45,7 @@ class TestClassification:
         assert prof.fixed_boundary == (math.inf,)
 
     def test_elliptic(self):
-        prof = isometry.classify(halfplane.rotation_about_i(1.0), H2)
+        prof = isometry.classify(rotation_about_i(1.0), H2)
         assert prof.kind == "elliptic"
         assert prof.ell == 0.0
 
@@ -193,7 +194,7 @@ class TestMargulisDomain:
                           halfplane.sample_ball(1j, 3.0, 40,
                                                 random.Random(1))),
             "tree": (tree2, "ab", 2, tree2.ball("", 3)),
-            "elliptic": (H2, halfplane.rotation_about_i(0.3), 0.5,
+            "elliptic": (H2, rotation_about_i(0.3), 0.5,
                          halfplane.sample_ball(1j, 3.0, 40,
                                                random.Random(2)))}[kind]
         acts = []

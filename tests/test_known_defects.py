@@ -8,10 +8,14 @@ ROADMAP item that describes the defect and its mending."""
 
 import csv
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from hypcert import bounds, cli, halfplane, pingpong
+from hypcert import bounds, cli, halfplane, pingpong, tits
+from hypcert.errors import HypcertError
+from helpers import exact_relation, int_mul
 
 H2 = halfplane.H2
 
@@ -106,3 +110,71 @@ def test_cyclic_orbit_counts_every_point():
     a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
     assert bounds.orbit_growth_counts(H2, [("a", a)], 1j, [60.0], 20) == \
         [(60.0, 41)]
+
+
+def _psl2z_pairs(count, seed=0):
+    """Seeded pairs of integer matrices, each a product of 2 to 6
+    factors S T^k = [[0, -1], [1, k]] with k in {-2, -1, 1, 2}."""
+    rng = random.Random(seed)
+
+    def word():
+        m = (1, 0, 0, 1)
+        for _ in range(rng.randint(2, 6)):
+            (a, b, c, d), k = m, rng.choice((-2, -1, 1, 2))
+            m = (b, -a + k * b, d, -c + k * d)
+        return m
+
+    return [(word(), word()) for _ in range(count)]
+
+
+def _named_pair(a, b, cert):
+    """The pair (a^N, w) a certificate names, as integer matrices: w is
+    its witness word in the generators a and b."""
+    def power(m, n):
+        if n < 0:
+            (p, q, r, s), n = m, -n
+            m = (s, -q, -r, p)
+        out = (1, 0, 0, 1)
+        for _ in range(n):
+            out = int_mul(out, m)
+        return out
+
+    w = (1, 0, 0, 1)
+    for token in cert.witness_word.split():
+        name, _, exp = token.partition("^")
+        w = int_mul(w, power({"a": a, "b": b}[name], int(exp or 1)))
+    return power(a, cert.N), w
+
+
+def test_exact_relation_reference():
+    S, T = (0, -1, 1, 0), (1, 1, 0, 1)
+    assert exact_relation([S, T], 1) == (((0, 1),), ((0, -1),))  # S = S^-1
+    # Sanov's pair is free
+    assert exact_relation([(1, 2, 0, 1), (1, 0, 2, 1)], 5) is None
+    # (a^2 b)^3 = e for the semigroup regression pair, but not with b^2
+    a, b = (-1, -1, -1, -2), (-3, -8, 2, 5)
+    assert exact_relation([int_mul(a, a), b], 9, positive=True) == \
+        ((), ((0, 1), (1, 1)) * 3)
+    assert exact_relation([int_mul(a, a), int_mul(b, b)], 9,
+                          positive=True) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 19")
+def test_no_certificate_names_a_pair_with_an_exact_relation():
+    # 500 seeded PSL(2, Z) pairs through the search; a valid certificate
+    # is false when its pair has an exact relation: a reduced one of at
+    # most 10 letters, or for a semigroup a positive one of at most 18
+    seen, false = Counter(), Counter()
+    for a, b in _psl2z_pairs(500):
+        try:
+            cert = tits.tits_witness(H2, halfplane.Moebius(*a),
+                                     halfplane.Moebius(*b))
+        except HypcertError as e:
+            seen[type(e).__name__] += 1
+            continue
+        seen[cert.case if cert.valid else "invalid"] += 1
+        semigroup = cert.kind == "semigroup"
+        if cert.valid and exact_relation(_named_pair(a, b, cert),
+                                         9 if semigroup else 5, semigroup):
+            false[cert.case] += 1
+    assert not false, (dict(false), dict(seen))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcert import freetree, graphspace, halfplane, sampled, tits
+from hypcert import bounds, freetree, graphspace, halfplane, sampled, tits
 from hypcert.errors import InputError
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0)
@@ -153,6 +153,15 @@ class TestPolarAndSampling:
 
 
 words = st.lists(st.sampled_from("abAB"), max_size=8).map("".join)
+reduced_words = words.map(freetree.reduce_word)
+
+
+def mul(u, v):
+    return freetree.reduce_word(u + v)
+
+
+def word_dist(u, v):
+    return len(mul(freetree.invert(u), v))
 
 
 class TestFreeTree:
@@ -173,24 +182,21 @@ class TestFreeTree:
 
     @given(words, words)
     def test_word_metric_symmetry(self, u, v):
-        assert freetree.word_dist(u, v) == freetree.word_dist(v, u)
+        assert word_dist(u, v) == word_dist(v, u)
 
     @given(words, words, words)
     def test_word_metric_triangle(self, u, v, w):
-        assert freetree.word_dist(u, w) <= \
-            freetree.word_dist(u, v) + freetree.word_dist(v, w)
+        assert word_dist(u, w) <= word_dist(u, v) + word_dist(v, w)
 
     @given(words, words, words)
     def test_left_invariance(self, g, u, v):
-        assert freetree.word_dist(freetree.mul(g, u), freetree.mul(g, v)) == \
-            freetree.word_dist(u, v)
+        assert word_dist(mul(g, u), mul(g, v)) == word_dist(u, v)
 
-    @given(words, words, words)
+    @given(reduced_words, reduced_words, reduced_words)
     def test_median_lies_on_all_sides(self, u, v, w):
         m = freetree.median(u, v, w)
         for p, q in ((u, v), (u, w), (v, w)):
-            assert freetree.word_dist(p, m) + freetree.word_dist(m, q) == \
-                freetree.word_dist(p, q)
+            assert word_dist(p, m) + word_dist(m, q) == word_dist(p, q)
 
     def test_cyclic_reduce(self):
         conj, core = freetree.cyclic_reduce("Bab")
@@ -251,8 +257,8 @@ class TestReducedWordProducts:
 
     @given(rank3_words, rank3_words)
     def test_act_and_dist(self, g, x):
-        assert self.T.act(g, x) == freetree.mul(g, x)
-        assert self.T.dist(g, x) == freetree.word_dist(g, x)
+        assert self.T.act(g, x) == mul(g, x)
+        assert self.T.dist(g, x) == word_dist(g, x)
 
     def test_act_and_dist_check_nothing(self, monkeypatch):
         # words are checked where they enter, not again on every use
@@ -294,11 +300,16 @@ class TestReducedWordProducts:
         self.T.power(g, -5)
         self.T.act(g, h)
         self.T.dist(g, h)
+        # nor do the classifications, projections and walks of a search
+        # or of the action statistics
+        T2 = freetree.FreeTreeSpace(2)
+        tits.tits_witness(T2, "a", "b")
+        bounds.action_stats(T2, [("a", "a"), ("b", "bAB")], T2.ball("", 2),
+                            3, bounds.BoundsConfig())
         assert chars == []
-        # whole-word products passed 7,718,956 characters here; the
-        # classifications still reduce a few, which shows the patch took
-        tits.tits_witness(freetree.FreeTreeSpace(2), "a", "b")
-        assert 0 < sum(chars) < 10_000
+        # text that enters is reduced, which shows the patch took
+        assert T2.parse_point("a b^-1") == "aB"
+        assert chars == [2]
 
 
 class TestMetricGraph:
@@ -328,7 +339,7 @@ class TestMetricGraph:
     @pytest.mark.parametrize("build", [
         lambda: graphspace.grid_graph(6),
         lambda: graphspace.random_connected_graph(40, 30, 7),
-        lambda: graphspace.regular_tree_graph(3, 3),
+        lambda: _regular_tree_graph(3, 3),
         lambda: _shuffled_grid(6, seed=2),
         lambda: _wide_weight_graph(150, 200, seed=5),
         lambda: _integer_weight_graph(120, 60, seed=3),
@@ -367,7 +378,7 @@ class TestMetricGraph:
         assert G.table[0].tolist() == [0.0, w, 2.0 * w, 3.0 * w]
 
     def test_regular_tree_graph_ball_sizes(self):
-        G = graphspace.regular_tree_graph(4, 3)
+        G = _regular_tree_graph(4, 3)
         assert len(G.vertices) == 1 + 4 + 12 + 36
 
     @settings(max_examples=20)
@@ -389,6 +400,19 @@ def _shuffled_grid(n, seed):
     edges = [((i, j), (i + di, j + dj), 1.0) for i, j in verts
              for di, dj in ((1, 0), (0, 1)) if i + di < n and j + dj < n]
     return graphspace.MetricGraphSpace(verts, edges)
+
+
+def _regular_tree_graph(degree, depth):
+    """The radius-depth ball of the degree-regular tree, with unit edges
+    and vertices numbered in BFS order from the centre 0."""
+    edges, frontier, n = [], [0], 1
+    for level in range(depth):
+        fan = degree if level == 0 else degree - 1
+        edges += [(v, n + k, 1.0) for k, v in enumerate(
+            v for v in frontier for _ in range(fan))]
+        frontier = list(range(n, n + fan * len(frontier)))
+        n += len(frontier)
+    return graphspace.MetricGraphSpace(range(n), edges)
 
 
 def _wide_weight_graph(n, chords, seed):

@@ -9,6 +9,7 @@ import pytest
 from hypcert import freetree, halfplane, isometry, pingpong
 from hypcert.errors import (BudgetError, ElementaryPairError, InputError,
                             PreconditionError)
+from helpers import point_along, rotation_about_i
 
 H2 = halfplane.H2
 
@@ -83,13 +84,10 @@ class TestMinFreePower:
         assert sorted(data.swapped for _, data in records) == [False, True]
         for g, data in records:
             assert data.a is a
-            axis = H2.classify(g).axis
             if data.swapped:
                 assert H2.iso_key(data.b) == H2.iso_key(g ** -1)
-                assert data.beta == axis.reversed()
             else:
                 assert data.b is g
-                assert data.beta == axis
 
 
 class TestProofSets:
@@ -122,12 +120,14 @@ def end_set_disjointness(space, data, T):
     """Whether the four T-neighbourhood sets of the axis ends are pairwise
     disjoint, by the model's meeting_sides, and the pairs that meet: each
     is the (name, centre, anchor) side of a proof set with its centre
-    moved T along the axis, past its anchor."""
-    alpha, beta = data.alpha, data.beta
-    meeting = space.meeting_sides(list(zip(("A+", "A-", "B+", "B-"), (
-        alpha.point_along(data.x_plus, T), alpha.point_along(data.x_minus, -T),
-        beta.point_along(data.y_plus, T), beta.point_along(data.y_minus, -T)),
-        (data.x_plus, data.x_minus, data.y_plus, data.y_minus))))
+    moved T along the axis, past its anchor.  The axes are those of the
+    record's a and b, so b's runs in the record's orientation."""
+    alpha, beta = (isometry.classify(g, space).axis for g in (data.a, data.b))
+    anchors = (data.x_plus, data.x_minus, data.y_plus, data.y_minus)
+    centres = [point_along(axis, p, t) for axis, p, t in zip(
+        (alpha, alpha, beta, beta), anchors, (T, -T, T, -T))]
+    meeting = space.meeting_sides(list(zip(("A+", "A-", "B+", "B-"),
+                                           centres, anchors)))
     return {"T": T, "disjoint": not meeting, "meeting": meeting}
 
 
@@ -158,7 +158,7 @@ class TestWordOracle:
         assert counter is None
 
     def test_finite_order_counterexample(self):
-        g = halfplane.rotation_about_i(math.pi / 2.0)
+        g = rotation_about_i(math.pi / 2.0)
         passed, counter = pingpong.word_oracle(H2, [("g", g)], 8, "group")
         assert not passed
         assert counter == "g^4"

@@ -6,6 +6,7 @@ import pytest
 
 from hypcert import cli, graphspace, halfplane, isometry, pingpong, tits
 from hypcert.errors import ElementaryPairError, InputError, SearchExhausted
+from helpers import rotation_about_i
 
 H2 = halfplane.H2
 
@@ -44,7 +45,7 @@ class TestElementaryDetection:
 
     def test_elliptic_rejected(self):
         # the rule speaks of non-elliptic pairs; the search refuses the rest
-        r = halfplane.rotation_about_i(1.0)
+        r = rotation_about_i(1.0)
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
         assert not _elementary(H2, r, a)
         with pytest.raises(InputError, match="elliptic generator"):
@@ -107,12 +108,32 @@ class TestWitnessSearch:
         assert wit.case == "large_ell_semigroup"
         assert wit.kind == "semigroup"
         # N = 1 fails: a s has trace 1, so (a s)^3 = (s a)^3 = e;
-        # escalation stops at 2
-        assert (wit.N, wit.witness_word) == (2, "b")
+        # escalation stops at 2, and the record names the pair checked
+        assert (wit.N, wit.witness_word) == (2, "b^2")
         assert wit.search_stats == {"candidates": 2, "words": 0}
 
+    def test_semigroup_record_names_the_checked_pair(self, tmp_path):
+        # the oracle runs on (a^N, b^N); a^2 b has trace 1, so (a^2 b)^4 =
+        # a^2 b is a positive relation in (a^2, b), not in (a^2, b^2)
+        spec = {"model": "h2", "generators": [
+            {"name": "a", "matrix": [[-1, -1], [-1, -2]]},
+            {"name": "b", "matrix": [[-3, -8], [2, 5]]}]}
+        path, out = tmp_path / "pair.json", tmp_path / "cert.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["certify", "--input", str(path),
+                         "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())["result"]
+        assert (rep["case"], rep["N"], rep["witness_word"]) == \
+            ("large_ell_semigroup", 2, "b^2")
+
+    def test_numeric_names_read_as_text(self):
+        a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
+        s = halfplane.Moebius(0.0, 1.0, -1.0, 2.0)
+        wit = tits.tits_witness(H2, a, s, names=(1, 2))
+        assert wit.witness_word == "2^2"
+
     def test_torsion_refused(self):
-        r = halfplane.rotation_about_i(math.pi / 2.0)
+        r = rotation_about_i(math.pi / 2.0)
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
         with pytest.raises(InputError):
             tits.tits_witness(H2, r, a)

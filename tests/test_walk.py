@@ -12,6 +12,7 @@ import pytest
 from hypcert import (bounds, cli, freetree, graphspace, halfplane, isometry,
                      pingpong, tits)
 from hypcert.errors import BudgetError, InputError, PreconditionError
+from helpers import rotation_about_i
 
 H2 = halfplane.H2
 
@@ -159,13 +160,13 @@ def test_semigroup_counterexample_names_both_words():
 
 class TestFiniteOrder:
     def test_order_twelve_rotation(self):
-        r = halfplane.rotation_about_i(math.pi / 6.0)
+        r = rotation_about_i(math.pi / 6.0)
         assert not pingpong.has_finite_order(H2, r, 8)
         assert pingpong.has_finite_order(H2, r, 12)
         assert not pingpong.has_finite_order(H2, r, 11)
 
     def test_bounds_counts_order_twelve_as_finite(self, rng):
-        r = halfplane.rotation_about_i(math.pi / 6.0)
+        r = rotation_about_i(math.pi / 6.0)
         sample = halfplane.sample_ball(1j, 1.0, 20, rng)
         st = bounds.action_stats(H2, [("r", r)], sample, 3,
                                  bounds.BoundsConfig())
@@ -199,7 +200,7 @@ def _finite_order_trace(finite_order, space, g, k, monkeypatch):
 
 
 def _finite_order_cases():
-    rot = halfplane.rotation_about_i
+    rot = rotation_about_i
     tree2, tree3 = freetree.FreeTreeSpace(2), freetree.FreeTreeSpace(3)
     cases = {f"rotation-{m}-{k}": (H2, rot(2.0 * math.pi / m), k)
              for m in range(2, 13) for k in (1, m - 1, m, 24)}
@@ -235,8 +236,8 @@ def test_finite_order_is_the_walk(case, monkeypatch):
 @pytest.mark.parametrize("g", ["order-6", "order-5", "schottky"])
 def test_finite_order_budget_is_the_walk(budget, g, monkeypatch):
     monkeypatch.setattr(pingpong, "WORD_BUDGET", budget)
-    g = {"order-6": halfplane.rotation_about_i(2.0 * math.pi / 6),
-         "order-5": halfplane.rotation_about_i(2.0 * math.pi / 5),
+    g = {"order-6": rotation_about_i(2.0 * math.pi / 6),
+         "order-5": rotation_about_i(2.0 * math.pi / 5),
          "schottky": halfplane.Moebius(2.0, 0.0, 0.0, 0.5)}[g]
     for k in (1, 5, 6, 7, 12):
         assert (_finite_order_trace(pingpong.has_finite_order, H2, g, k,
@@ -359,9 +360,9 @@ def test_batched_products_match_matmul_bit_for_bit(monkeypatch, capfd):
 
 
 @pytest.mark.parametrize("gens, depth, counter", [
-    ([("g", halfplane.rotation_about_i(2 * math.pi / k))], 8, f"g^{k}")
+    ([("g", rotation_about_i(2 * math.pi / k))], 8, f"g^{k}")
     for k in range(2, 9)] + [
-    ([("g", halfplane.rotation_about_i(math.pi / 2))], 3, None),
+    ([("g", rotation_about_i(math.pi / 2))], 3, None),
     ([("w", M(1, 1, 0, 1)), ("w", M(1, 2, 0, 1))], 3, "w^2 w^-1"),
     (PSL2Z, 6, "a^2 b^-1 a^2 b^-1"),
     (PSL2Z, 5, None),
@@ -546,7 +547,7 @@ def _letter_cases():
         "h2-overflow": (H2, pingpong.group_letters(
             H2, [(0, a ** 1100), (1, b ** 1100)]), 4),
         "h2-semigroup": (H2, [((0, 1), a), ((1, 1), b)], 6),
-        "h2-one-letter": (H2, [(("g", 1), halfplane.rotation_about_i(1.0))],
+        "h2-one-letter": (H2, [(("g", 1), rotation_about_i(1.0))],
                           7),
         "tree-group": (tree2, pingpong.group_letters(
             tree2, [("u", "ab"), ("v", "aBB")]), 5),
