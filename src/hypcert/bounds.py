@@ -5,7 +5,6 @@ estimators with their closed-form floors."""
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,18 +63,9 @@ def orbit_growth_counts(space, generators, base, radii, word_cap: int):
     """Orbit-point counts |B(base, R) ∩ orbit| using words up to word_cap."""
     letters = pingpong.group_letters(space, generators)
     pingpong.check_walk_length(len(letters), word_cap)
-    orbit = {_pt_key(base): base}
-    for E, _ in pingpong.walk_levels(space, letters, word_cap):
-        for p in space.act_batch(E, base):
-            orbit.setdefault(_pt_key(p), p)
-    dists = sorted(space.dist_row(base, list(orbit.values())).tolist())
+    levels = (E for E, _ in pingpong.walk_levels(space, letters, word_cap))
+    dists = np.sort(space.orbit_dists(base, levels)).tolist()
     return [(float(R), bisect.bisect_right(dists, R + TOL)) for R in radii]
-
-
-def _pt_key(p):
-    if isinstance(p, complex):
-        return (round(p.real, 9), round(p.imag, 9))
-    return p
 
 
 def entropy_estimate(counts):
@@ -156,8 +146,8 @@ def action_stats(space, generators, sample, word_cap: int,
     words (sys, and sys_free excluding detected finite-order elements),
     the largest dyadic radius whose almost-stabilizer stays pairwise
     elementary (nilrad), and the thin-part supremum of the latter.
-    All values are truncations: sys over-estimates and dias
-    under-estimates their true counterparts.
+    sys is a truncation: it over-estimates the true minimal
+    displacement.  dias, the sample maximum of sys, has no side.
     """
     letters = pingpong.group_letters(space, generators)
     pingpong.check_walk_length(len(letters), word_cap)
@@ -174,9 +164,9 @@ def action_stats(space, generators, sample, word_cap: int,
 
     stats = ActionStats(word_cap=word_cap, sample_size=len(sample))
     radii_grid = [config.eps0 * 2.0 ** k for k in range(-2, 7)]
-    for x in sample:
-        images = [p for E in levels for p in space.act_batch(E, x)]
-        disp = space.dist_row(x, list(itertools.compress(images, nontrivial)))
+    table = space.displacement_table(sample, levels)
+    for x, row in zip(sample, table):
+        disp = row[nontrivial]
         stats.sys_at[x] = disp.min().item()
         free = disp[~finite_order]
         stats.sys_free_at[x] = free.min().item() if free.size else math.inf
@@ -189,14 +179,14 @@ def action_stats(space, generators, sample, word_cap: int,
 
 
 def _nilrad_at(space, disp, radii_grid, profiles):
-    """The last grid radius r at which every pair of elements displacing
-    the point by at most r is non-elliptic with meeting fixed sets."""
-    best = 0.0
-    for r in radii_grid:
-        near = [profiles[i] for i in np.flatnonzero(disp <= r)]
-        if not all(isometry.elementary_profiles(space, p, q)
-                   for p, q in itertools.combinations(near, 2)):
-            break
-        best = r
-    return best
-
+    """The last grid radius r (or 0.0) at which every pair of elements
+    displacing the point by at most r is non-elliptic with meeting fixed
+    sets.  Each pair is tested once, in displacement order, up to the
+    first that fails, at displacement t: r is the last radius below t."""
+    order = np.argsort(disp, kind="stable")[:np.count_nonzero(
+        disp <= radii_grid[-1])].tolist()
+    t = next((disp[b] for j, b in enumerate(order) if not all(
+        isometry.elementary_profiles(space, profiles[min(a, b)],
+                                     profiles[max(a, b)])
+        for a in order[:j])), math.inf)
+    return max((r for r in radii_grid if r < t), default=0.0)

@@ -24,6 +24,11 @@ _WORD_TOKEN = re.compile(r"\s*([a-zA-Z])(?:\^(-?\d+))?")
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
 _CANCELLING = re.compile("|".join(ch + ch.swapcase()
                                   for ch in _LOWER + _LOWER.upper()))
+# a letter batch stores letter k as k + 1, its inverse as -(k + 1)
+_CODES = bytes(range(1, 27)) + bytes(range(255, 229, -1))
+_TO_CODES = bytes.maketrans((_LOWER + _LOWER.upper()).encode(), _CODES)
+_TO_LETTERS = bytes.maketrans(_CODES, (_LOWER + _LOWER.upper()).encode())
+_PAIR_BLOCK = 1 << 14   # products per block of the displacement table
 
 
 def reduce_word(w: str) -> str:
@@ -79,6 +84,36 @@ def _seam_mul(u: str, v: str) -> str:
     while k < n and u[-1 - k] == v[k].swapcase():
         k += 1
     return u[:len(u) - k] + v[k:]
+
+
+def _mul(U, nu, V, nv):
+    """The products u v of the words in the rows of two letter batches,
+    row by row (a V of one row multiplies every row): they cancel only at
+    the seam, so the loops run over V's columns, never over rows."""
+    V, nv = np.broadcast_to(V, (len(U), V.shape[1])), np.broadcast_to(nv, nu.shape)
+    rows, k, live = np.arange(len(U)), np.zeros_like(nu), np.ones(len(U), bool)
+    for i in range(min(U.shape[1], V.shape[1])):
+        live &= (i < nu) & (U[rows, nu - 1 - i] == -V[:, i])
+        k += live
+    head, n = nu - k, nu + nv - 2 * k
+    R = np.zeros((len(n), max(1, n.max(initial=0))), dtype=np.int8)
+    w = min(R.shape[1], U.shape[1])
+    np.multiply(U[:, :w], np.arange(w) < head[:, None], out=R[:, :w])
+    for c in range(V.shape[1]):
+        at = np.flatnonzero((c >= k) & (c < nv))
+        R[at, head[at] - k[at] + c] = V[at, c]
+    return R, n
+
+
+def _lcp(X, Y):
+    """Common prefix lengths of the words in the rows of two letter
+    arrays, broadcast against each other, over their common columns."""
+    k = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]), dtype=np.intp)
+    live = np.ones(k.shape, dtype=bool)
+    for j in range(min(X.shape[-1], Y.shape[-1])):
+        live &= (X[..., j] == Y[..., j]) & (X[..., j] != 0)
+        k += live
+    return k
 
 
 def median(u: str, v: str, w: str) -> str:
@@ -181,8 +216,8 @@ class TreeLine(tuple):
 def _whole_radius(R) -> int:
     """The whole part of a finite radius: a tree ball holds the vertices
     at whole distances up to it."""
-    if not math.isfinite(R):
-        raise InputError(f"radius must be finite, got {R}")
+    if not 0 <= R < math.inf:
+        raise InputError(f"radius must be finite and >= 0, got {R}")
     return int(R)
 
 
@@ -190,7 +225,9 @@ class FreeTreeSpace(DiscreteSpace):
     """The Cayley tree of the free group of the given rank; its vertices
     and isometries are both reduced words.  A word is checked once, where
     it enters (``parse_point``, ``ball`` centres, ``dist_table``); ``act``,
-    ``dist``, ``dist_row``, ``compose`` and ``power`` take them as they are."""
+    ``dist``, ``dist_row``, ``compose`` and ``power`` take them as they are.
+    A batch of words is a letter batch (zero-padded int8 rows, and their
+    lengths); ``unbatch`` makes strings where words are classified or printed."""
 
     delta = 0.0   # the four-point constant: a tree is 0-hyperbolic
 
@@ -215,17 +252,50 @@ class FreeTreeSpace(DiscreteSpace):
         return len(_seam_mul(invert(u), v))
 
     def dist_table(self, xs, ys) -> np.ndarray:
-        """``dist`` over xs by ys, as ints; each word is checked once."""
-        inv = [invert(self.check_point(x)) for x in xs]
-        ys = [self.check_point(y) for y in ys]
-        return np.array([[len(_seam_mul(u, y)) for y in ys] for u in inv],
-                        dtype=int).reshape(len(inv), len(ys))
+        """``dist`` over xs by ys, as ints, from common prefixes: d(u, v)
+        = |u| + |v| - 2 lcp(u, v).  Each word is checked once."""
+        (X, m), (Y, n) = (self.batch([self.check_point(w) for w in ws])
+                          for ws in (xs, ys))
+        return m[:, None] + n - 2 * _lcp(X[:, None], Y)
 
     def dist_row(self, x: str, ps) -> np.ndarray:
-        """``dist`` from x to each of ps, unchecked: products of checked
-        words, as the program builds them, are reduced."""
-        u = invert(x)
-        return np.array([len(_seam_mul(u, p)) for p in ps], dtype=int)
+        """``dist`` from x to each of ps, a list or a letter batch of words,
+        unchecked: the program's products of checked words are reduced."""
+        (X, m), (Y, n) = self.batch([x]), (self.batch(ps)
+                                           if isinstance(ps, list) else ps)
+        return m + n - 2 * _lcp(X, Y)
+
+    def displacement_table(self, xs, levels) -> np.ndarray:
+        """d(x, g x) = |x| + |g x| - 2 lcp(x, g x) for each point x of xs,
+        a row each, and each element g of the batches in levels, in order;
+        _PAIR_BLOCK products at a time, so only the table grows with xs."""
+        X, m = self.batch(xs)
+        cols = np.cumsum([0] + [len(n) for _, n in levels]).tolist()
+        out = np.empty((len(xs), cols[-1]), dtype=int)
+        step = max(1, _PAIR_BLOCK // max(1, cols[-1]))
+        for s in range(0, len(xs), step):
+            b = len(m[s:s + step])
+            for (A, n), c in zip(levels, cols):
+                Xs, ms = (np.repeat(a[s:s + step], len(n), 0) for a in (X, m))
+                P, p = _mul(np.tile(A, (b, 1)), np.tile(n, b), Xs, ms)
+                out[s:s + b, c:c + len(n)] = (ms + p - 2 * _lcp(Xs, P)).reshape(b, -1)
+        return out
+
+    def orbit_dists(self, x: str, levels) -> np.ndarray:
+        """``dist`` from x to x and to its images under the elements of
+        the batches in levels, each point once, told by its row of letters."""
+        seen, out = set(), []
+        for A, n in itertools.chain([self.batch([x])], (
+                self.act_batch(E, x) for E in levels)):
+            keys = A.view(f"S{A.shape[1]}")[:, 0].tolist()
+            new = set(keys)
+            new -= seen
+            seen |= new
+            if len(new) < len(keys):   # a row of each point not met before
+                rows = list({k: i for i, k in enumerate(keys) if k in new}.values())
+                A, n = A[rows], n[rows]
+            out.append(self.dist_row(x, (A, n)))
+        return np.concatenate(out)
 
     def parse_point(self, text: str) -> str:
         """A word in generator syntax, or "e" for the identity."""
@@ -294,6 +364,30 @@ class FreeTreeSpace(DiscreteSpace):
 
     def act(self, g: str, x: str) -> str:
         return _seam_mul(g, x)
+
+    def batch(self, gs) -> tuple:
+        """The letter batch of a list of words."""
+        n = np.fromiter(map(len, gs), dtype=np.intp, count=len(gs))
+        A = np.zeros((len(gs), max(1, n.max(initial=0))), dtype=np.int8)
+        A[np.arange(A.shape[1]) < n[:, None]] = np.frombuffer(
+            "".join(gs).encode().translate(_TO_CODES), dtype=np.int8)
+        return A, n
+
+    def unbatch(self, E) -> list:
+        """The words of a letter batch."""
+        W, text = E[0].shape[1], E[0].tobytes().translate(_TO_LETTERS).decode()
+        return [text[i * W:i * W + k] for i, k in enumerate(E[1].tolist())]
+
+    def compose_level(self, E, parents, L, letters) -> tuple:
+        """``compose`` of E's word parents[i] with L's word letters[i]."""
+        return _mul(E[0][parents], E[1][parents], L[0][letters], L[1][letters])
+
+    def act_batch(self, E, x: str) -> tuple:
+        """``act`` of every word of E on x, as a letter batch."""
+        return _mul(*E, *self.batch([x]))
+
+    def is_identity_batch(self, E) -> np.ndarray:
+        return E[1] == 0
 
     def compose(self, g: str, h: str) -> str:
         """g h for reduced words g and h."""

@@ -419,6 +419,21 @@ class HalfPlane:
             self.unbatch(E[:, np.argmin(m2 != 0)][:, None])[0](z)
         return out.tolist()
 
+    def displacement_table(self, xs, levels) -> np.ndarray:
+        """d(x, g x) for each point x of xs, a row each, and each element
+        g of the batches in levels, in order: a ``dist_row`` per point."""
+        return np.array([self.dist_row(x, [p for E in levels for p in
+                                           self.act_batch(E, x)]) for x in xs])
+
+    def orbit_dists(self, x, levels) -> np.ndarray:
+        """``dist`` from x to x and to its images under the elements of the
+        batches in levels, each point once, as rounded to 9 decimals."""
+        orbit = {}
+        for p in itertools.chain([x], (p for E in levels
+                                       for p in self.act_batch(E, x))):
+            orbit.setdefault((round(p.real, 9), round(p.imag, 9)), p)
+        return self.dist_row(x, list(orbit.values()))
+
     def is_identity_batch(self, E) -> np.ndarray:
         """``Moebius.is_identity`` of every column of E."""
         a, b, c, d = E

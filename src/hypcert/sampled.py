@@ -561,8 +561,8 @@ def covering_number(space: SampledSpace, region, r: float,
 class DiscreteSpace:
     """Defaults shared by the discrete models (the free-group tree and
     finite graphs).  Subclasses provide ``dist``, ``dist_table``, ``act``,
-    ``compose``, ``is_identity`` and ``ball``; a batch of isometries is
-    a list."""
+    ``compose``, ``is_identity`` and ``ball``; a graph never walks, so the
+    walk's batch methods are the tree's own."""
 
     def sample_ball(self, center, R, n: int, rng) -> list:
         """The whole ball when it has at most n points, else n seeded
@@ -580,26 +580,6 @@ class DiscreteSpace:
 
     def ball_size(self, center, R) -> int:
         return len(self.ball(center, R))
-
-    def batch(self, gs) -> list:
-        return list(gs)
-
-    def unbatch(self, gs) -> list:
-        return gs
-
-    def compose_level(self, E, parents, L, letters) -> list:
-        """``compose`` of E[parents[i]] with L[letters[i]], for each i."""
-        return [self.compose(E[i], L[j])
-                for i, j in zip(parents.tolist(), letters.tolist())]
-
-    def is_identity_batch(self, gs) -> np.ndarray:
-        return np.array([self.is_identity(g) for g in gs], dtype=bool)
-
-    def act_batch(self, gs, x) -> list:
-        return [self.act(g, x) for g in gs]
-
-    def dist_row(self, x, ps) -> np.ndarray:
-        return self.dist_table([x], ps)[0]
 
     def nearest(self, xs, ys) -> np.ndarray:
         return self.dist_table(xs, ys).min(axis=1)

@@ -241,6 +241,27 @@ class TestEntropyAndBounds:
         assert code == 0 and rep["result"]["sample_size"] == 100
         assert peak < 4e6
 
+    def test_stats_on_a_large_tree_sample_composes_in_blocks(self, tmp_path,
+                                                             tree_pair_file):
+        # 5,000 points by 160 elements: 800,000 products, built 16,384 at
+        # a time beside the 6.4 MB table (all at once they peak at 63 MB)
+        tracemalloc.start()
+        try:
+            code, rep = run(tmp_path, "stats", "--input", tree_pair_file,
+                            "--sample-size", "5000", "--radius", "8")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and rep["result"]["sample_size"] == 5000
+        assert peak < 12e6
+
+    def test_stats_on_a_negative_tree_radius_is_an_input_error(
+            self, tmp_path, tree_pair_file, capsys):
+        code, rep = run(tmp_path, "stats", "--input", tree_pair_file,
+                        "--radius", "-1")
+        assert code == 2 and rep is None
+        assert "radius must be finite and >= 0" in capsys.readouterr().err
+
 
 class TestDegenerate:
     def test_trajectory_csv(self, tmp_path, family_file):

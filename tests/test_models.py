@@ -180,6 +180,17 @@ class TestFreeTree:
         with pytest.raises(InputError, match="radius must be finite"):
             getattr(tree2, method)("", R)
 
+    @pytest.mark.parametrize("method", ["ball", "ball_size", "sample_ball"])
+    @pytest.mark.parametrize("R", [-1, -0.5])
+    def test_negative_radius_is_refused(self, tree2, method, R):
+        rest = (5, random.Random(0)) if method == "sample_ball" else ()
+        with pytest.raises(InputError, match="radius must be finite and >= 0"):
+            getattr(tree2, method)("", R, *rest)
+
+    @pytest.mark.parametrize("R", [0, 0.5, 1, 2.5, 3])
+    def test_ball_size_counts_the_ball(self, tree2, R):
+        assert len(tree2.ball("aB", R)) == tree2.ball_size("aB", R)
+
     @given(words, words)
     def test_word_metric_symmetry(self, u, v):
         assert word_dist(u, v) == word_dist(v, u)
@@ -310,6 +321,92 @@ class TestReducedWordProducts:
         # text that enters is reduced, which shows the patch took
         assert T2.parse_point("a b^-1") == "aB"
         assert chars == [2]
+
+
+def _reduced(rng, space, length):
+    """A random reduced word of the given length over the space's
+    alphabet."""
+    letters, w = sorted(space.alphabet), ""
+    while len(w) < length:
+        ch = rng.choice(letters)
+        if not w or ch != w[-1].swapcase():
+            w += ch
+    return w
+
+
+def _word_pairs(rank):
+    """Pairs (u, v) of reduced words of rank ``rank``: random ones of
+    mixed lengths, either side the longer, and the empty word, full
+    cancellation u u^-1 and cancellation of all but a letter."""
+    T, rng = freetree.FreeTreeSpace(rank), random.Random(rank)
+    pairs = [(_reduced(rng, T, rng.randint(0, 7)),
+              _reduced(rng, T, rng.randint(0, 3))) for _ in range(150)]
+    pairs += [(v, u) for u, v in pairs[:75]]
+    top = chr(ord("a") + rank - 1)   # the last letter, code +-rank
+    for u in ("", top, top.upper() + "a", _reduced(rng, T, 6)):
+        pairs += [(u, ""), ("", u), (u, freetree.invert(u)),
+                  (freetree.invert(u), u)]
+        if len(u) > 1:
+            pairs.append((u, freetree.invert(u[1:])))
+    return T, pairs
+
+
+class TestLetterBatches:
+    """The tree's letter-batch kernels against the string product and
+    the scalar distance, in ranks whose letter codes reach +-26."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 26])
+    def test_unbatch_gives_the_words_back(self, rank):
+        T, pairs = _word_pairs(rank)
+        us = [u for u, _ in pairs]
+        assert T.unbatch(T.batch(us)) == us
+        assert T.unbatch(T.batch([])) == [] and T.unbatch(T.batch([""])) == [""]
+        assert T.is_identity_batch(T.batch(us)).tolist() == \
+            [u == "" for u in us]
+
+    @pytest.mark.parametrize("rank", [2, 3, 26])
+    def test_products_are_the_seam_products(self, rank):
+        T, pairs = _word_pairs(rank)
+        us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+        rows = np.arange(len(pairs))
+        # every row once, and the words of L gathered in another order
+        level = T.compose_level(T.batch(us), rows, T.batch(vs), rows)
+        assert T.unbatch(level) == [freetree._seam_mul(u, v)
+                                    for u, v in pairs]
+        back = rows[::-1].copy()
+        level = T.compose_level(T.batch(us), rows, T.batch(vs), back)
+        assert T.unbatch(level) == [freetree._seam_mul(u, vs[j])
+                                    for u, j in zip(us, back)]
+        for x in {"", us[0], vs[1], freetree.invert(us[2]), us[3] + us[3]}:
+            x = freetree.reduce_word(x)
+            assert T.unbatch(T.act_batch(T.batch(us), x)) == \
+                [T.act(g, x) for g in us]
+
+    @pytest.mark.parametrize("rank", [2, 3, 26])
+    def test_distances_are_the_scalar_ones(self, rank):
+        T, pairs = _word_pairs(rank)
+        us, vs = [u for u, _ in pairs][:60], [v for _, v in pairs][-50:]
+        _same_in_type_and_bits(T.dist_table(us, vs).tolist(),
+                               [[T.dist(u, v) for v in vs] for u in us])
+        for x in us[:10]:
+            want = [[T.dist(x, v) for v in vs]]
+            _same_in_type_and_bits([T.dist_row(x, vs).tolist()], want)
+            _same_in_type_and_bits(
+                [T.dist_row(x, T.batch(vs)).tolist()], want)
+
+    @pytest.mark.parametrize("block", [freetree._PAIR_BLOCK, 1, 7, 64])
+    @pytest.mark.parametrize("rank", [2, 3, 26])
+    def test_displacement_table_is_dist_of_act(self, rank, block,
+                                               monkeypatch):
+        monkeypatch.setattr(freetree, "_PAIR_BLOCK", block)
+        T, pairs = _word_pairs(rank)
+        xs = [u for u, _ in pairs][:25] + [""]
+        levels = [[v for _, v in pairs][:9], [u for u, _ in pairs][30:40],
+                  [""]]
+        got = T.displacement_table(xs, [T.batch(gs) for gs in levels])
+        _same_in_type_and_bits(got.tolist(), [
+            [T.dist(x, T.act(g, x)) for gs in levels for g in gs]
+            for x in xs])
 
 
 class TestMetricGraph:
@@ -570,6 +667,17 @@ def test_models_share_the_readme_interface(space):
     assert [n for n in names if not callable(getattr(space, n, None))] == []
 
 
+@pytest.mark.parametrize("space", [halfplane.H2, freetree.FreeTreeSpace(2)],
+                         ids=["h2", "tree"])
+def test_walking_models_share_the_readme_walk_interface(space):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("the walk and action interface:", 1)[1].split(
+        "\n\n", 2)[1]
+    names = re.findall(r"`(\w+)`", block)
+    assert "compose_level" in names and "orbit_dists" in names
+    assert [n for n in names if not callable(getattr(space, n, None))] == []
+
+
 # --------------------------- batch action, built-point rows, row minima
 
 def _points_bits(zs):
@@ -647,7 +755,7 @@ def test_unbatch_gives_the_matrices_back():
         _points_bits([complex(*g.entries()[2:]) for g in gs])
 
 
-@pytest.mark.parametrize("model", sorted(_TABLE_CASES))
+@pytest.mark.parametrize("model", ["h2", "tree"])
 def test_dist_row_is_the_table_row(model):
     space, xs, ys, bad = _TABLE_CASES[model]
     for x in xs:

@@ -35,11 +35,12 @@ UNREACHED = {
     "graphspace.MetricGraphSpace.is_identity": DEFAULT,
     # the commands measure H² points by rows and minima, not tables
     "halfplane.HalfPlane.dist_table": DEFAULT,
-    # a tree has its own dist_row; the action commands refuse a graph
-    "sampled.DiscreteSpace.dist_row": DEFAULT,
+    # a tree walk composes whole levels of letter arrays, and the only
+    # elliptic word, which has_finite_order would compose, is the identity
+    "freetree.FreeTreeSpace.compose": DEFAULT,
     # the tree oracle decides a non-commuting pair without a walk, a
     # commuting one is elementary, and no discrete pair is semigroup
-    "sampled.DiscreteSpace.is_identity_batch": DEFAULT,
+    "freetree.FreeTreeSpace.is_identity_batch": DEFAULT,
     "sampled.DiscreteSpace.iso_key": DEFAULT,
     "sampled.from_points": BENCH,
     "halfplane.dist_table": BENCH + ", through from_points",

@@ -22,6 +22,14 @@ def _pairs(tree2, schottky_pair):
             "tree": (tree2, [("a", "a"), ("b", "b")], "")}
 
 
+def _pt_key(p):
+    """An orbit point's key: H² points rounded to 9 decimals, words as
+    they are."""
+    if isinstance(p, complex):
+        return (round(p.real, 9), round(p.imag, 9))
+    return p
+
+
 def _exact(g):
     if isinstance(g, halfplane.Moebius):
         return (g.a, g.b, g.c, g.d)
@@ -42,11 +50,11 @@ def test_walk_elements_match_per_word_fold(model, tree2, schottky_pair):
 def _orbit_counts_by_fold(space, gens, base, radii, word_cap):
     d = space.dist
     table = dict(gens)
-    orbit = {bounds._pt_key(base): base}
+    orbit = {_pt_key(base): base}
     for word in tits.enumerate_words([n for n, _ in gens], word_cap):
         g = tits.evaluate_word(space, word, table)
         p = isometry.apply_isometry(space, g, base)
-        orbit.setdefault(bounds._pt_key(p), p)
+        orbit.setdefault(_pt_key(p), p)
     return [(float(R), sum(1 for p in orbit.values()
                            if d(base, p) <= R + bounds.TOL)) for R in radii]
 
@@ -63,10 +71,10 @@ def test_orbit_counts_match_per_word_fold(model, tree2, schottky_pair):
 def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
                                               monkeypatch):
     space, gens, base = _pairs(tree2, schottky_pair)[model]
-    orbit = {bounds._pt_key(base)}
+    orbit = {_pt_key(base)}
     for _, g in pingpong.walk_words(
             space, pingpong.group_letters(space, gens), 4):
-        orbit.add(bounds._pt_key(isometry.apply_isometry(space, g, base)))
+        orbit.add(_pt_key(isometry.apply_isometry(space, g, base)))
     calls = []
     model = type(space)
     dist, dist_table, dist_row = model.dist, model.dist_table, model.dist_row
@@ -80,7 +88,8 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
         return dist_table(self, xs, ys)
 
     def counting_row(self, x, ps):
-        calls.extend(ps)
+        # the tree measures its images as rows of a letter batch
+        calls.extend(range(len(ps[1])) if isinstance(ps, tuple) else ps)
         return dist_row(self, x, ps)
 
     monkeypatch.setattr(model, "dist", counting_dist)
@@ -109,22 +118,26 @@ def test_action_stats_classifies_each_element_once(schottky_pair, rng,
 
 
 def test_one_composition_per_word(tree2, monkeypatch):
-    calls = []
-    compose = freetree.FreeTreeSpace.compose
+    rows, mul = [], freetree._mul
 
-    def counting(space, g, h):
-        calls.append((g, h))
-        return compose(space, g, h)
+    def counting(U, nu, V, nv):
+        rows.append(len(U))
+        return mul(U, nu, V, nv)
 
-    monkeypatch.setattr(freetree.FreeTreeSpace, "compose", counting)
+    def no_compose(space, g, h):
+        raise AssertionError("a per-word product")
+
+    monkeypatch.setattr(freetree, "_mul", counting)
+    monkeypatch.setattr(freetree.FreeTreeSpace, "compose", no_compose)
     letters = pingpong.group_letters(tree2, [("a", "a"), ("b", "b")])
     words = list(pingpong.walk_words(tree2, letters, 3))
-    # every word past the first level, and no level past max_len
+    # every word past the first level is a row of its level's one
+    # product, and no level is past max_len
     assert len(words) == 4 + 12 + 36
-    assert len(calls) == 12 + 36
-    calls.clear()
+    assert rows == [12, 36]
+    rows.clear()
     list(tits.enumerate_words("ab", 3))
-    assert calls == []
+    assert rows == []
 
 
 def test_walk_budget(tree2, monkeypatch):
@@ -250,10 +263,10 @@ def test_finite_order_checks_a_graph_isometry_before_composing(monkeypatch):
     G = graphspace.grid_graph(3)
     G.register_isometry("flip", {(i, j): (j, i)
                                  for i in range(3) for j in range(3)})
+    # what the walk gives: "flip" is checked at the first level and the
+    # second level's product is refused (a graph has no walk batches)
     got = _finite_order_trace(pingpong.has_finite_order, G, "flip", 8,
                               monkeypatch)
-    assert got == _finite_order_trace(_walked_finite_order, G, "flip", 8,
-                                      monkeypatch)
     assert got == ((InputError, "graph isometries support no products"),
                    ["flip"])
 
@@ -626,11 +639,11 @@ def test_walk_without_letters_is_empty(tree2):
 
 def _orbit_counts_per_word(space, generators, base, radii, word_cap):
     """orbit_growth_counts with an isometry and an action per word."""
-    orbit = {bounds._pt_key(base): base}
+    orbit = {_pt_key(base): base}
     letters = pingpong.group_letters(space, generators)
     for _, g in _per_word_walk(space, letters, word_cap):
         p = isometry.apply_isometry(space, g, base)
-        orbit.setdefault(bounds._pt_key(p), p)
+        orbit.setdefault(_pt_key(p), p)
     dists = sorted(space.dist_table([base], list(orbit.values()))[0].tolist())
     return [(float(R), sum(1 for d in dists if d <= R + bounds.TOL))
             for R in radii]
@@ -776,3 +789,60 @@ def test_action_commands_report_as_the_per_word_reference(
     assert got == _run_cli(argv, capsys)
     if pair != "parabolic" or command.startswith("entropy"):
         assert got[0] == 0
+
+
+def _nilrad_by_grid(space, disp, radii_grid, profiles):
+    """The nilradius as the grid loop decides it: every pair of the
+    elements within each grid radius, tested again at each radius."""
+    best = 0.0
+    for r in radii_grid:
+        near = [profiles[i] for i in np.flatnonzero(disp <= r)]
+        if not all(isometry.elementary_profiles(space, p, q)
+                   for i, p in enumerate(near) for q in near[i + 1:]):
+            break
+        best = r
+    return best
+
+
+_NILRAD_SPECS = {
+    **{pair: _ACTION_SPECS[pair]
+       for pair in ("readme-h2", "elliptic", "torsion", "tree")},
+    # the powers of a share their axis, so near pairs can be elementary
+    "tree-rank2": ({"model": "free_tree", "params": {"rank": 2},
+                    "generators": [{"name": "a", "word": "ab"},
+                                   {"name": "b", "word": "a"}]}, "e"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_NILRAD_SPECS))
+def test_nilrad_tests_each_pair_once_as_the_grid_loop(tmp_path, pair,
+                                                      monkeypatch):
+    spec, point = _NILRAD_SPECS[pair]
+    space, gens = cli.load_group_spec(_spec_file(tmp_path, spec))
+    sample = space.sample_ball(space.parse_point(point), 3.0, 40,
+                               random.Random(0))
+    letters = pingpong.group_letters(space, gens)
+    levels = [E for E, _ in pingpong.walk_levels(space, letters, 4)]
+    gs = [g for E in levels for g in space.unbatch(E)]
+    nontrivial = np.array([not space.is_identity(g) for g in gs])
+    profiles = [isometry.classify(g, space)
+                for g, keep in zip(gs, nontrivial) if keep]
+    table = space.displacement_table(sample, levels)[:, nontrivial]
+    tested, elementary = [], isometry.elementary_profiles
+
+    def counting(space, pa, pb):
+        tested.append((id(pa), id(pb)))
+        return elementary(space, pa, pb)
+
+    values = set()
+    for eps0 in (0.1, 0.3, 1.0, 2.5):
+        grid = [eps0 * 2.0 ** k for k in range(-2, 7)]
+        for disp in table:
+            want = _nilrad_by_grid(space, disp, grid, profiles)
+            monkeypatch.setattr(isometry, "elementary_profiles", counting)
+            assert bounds._nilrad_at(space, disp, grid, profiles) == want
+            monkeypatch.setattr(isometry, "elementary_profiles", elementary)
+            assert len(tested) == len(set(tested))
+            tested.clear()
+            values.add(want)
+    assert len(values) > 1   # the samples reach more than one grid radius
