@@ -20,10 +20,7 @@ from .isometry import IsometryProfile
 from .sampled import DiscreteSpace
 
 _WORD_TOKEN = re.compile(r"\s*([a-zA-Z])(?:\^(-?\d+))?")
-# a letter next to its inverse: what a reduced word never contains
 _LOWER = "abcdefghijklmnopqrstuvwxyz"
-_CANCELLING = re.compile("|".join(ch + ch.swapcase()
-                                  for ch in _LOWER + _LOWER.upper()))
 # a letter batch stores letter k as k + 1, its inverse as -(k + 1)
 _CODES = bytes(range(1, 27)) + bytes(range(255, 229, -1))
 _TO_CODES = bytes.maketrans((_LOWER + _LOWER.upper()).encode(), _CODES)
@@ -43,10 +40,6 @@ def reduce_word(w: str) -> str:
 
 def invert(w: str) -> str:
     return w[::-1].swapcase()
-
-
-def is_reduced(w: str) -> bool:
-    return not _CANCELLING.search(w)
 
 
 def parse_word(text: str) -> str:
@@ -153,21 +146,19 @@ class TreeEnd:
 
     Canonical form: primitive period, and the shortest prefix (trailing
     letters shared with the period end are absorbed by rotating it), so
-    equality of ends is string equality.
+    equality of ends is string equality.  The ray must be reduced and
+    the period non-empty, as in the axis ends ``classify`` builds from
+    ``cyclic_reduce``.
     """
 
     prefix: str
     period: str
 
     def __post_init__(self):
-        if not self.period:
-            raise InputError("empty period")
         p, q = self.prefix, primitive_root(self.period)
         while p and p[-1] == q[-1]:
             p = p[:-1]
             q = q[-1] + q[:-1]
-        if not is_reduced(p + q + q):
-            raise InputError(f"non-reduced ray {p!r}.{q!r}")
         object.__setattr__(self, "prefix", p)
         object.__setattr__(self, "period", q)
 

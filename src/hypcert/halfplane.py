@@ -21,7 +21,7 @@ INF = math.inf
 PARABOLIC_BAND = 1e-9
 _LOG_MAX = 709.78  # just below the log of the largest double
 _TABLE_COLUMNS = 4096
-_LEVEL_BLOCK = 1 << 14   # columns per block of compose_level
+_LEVEL_BLOCK = 1 << 14   # columns of compose_level, entries of a table
 _NEAREST_BLOCK = 1 << 14   # table entries per block of nearest's estimate
 _NEAREST_MARGIN = 1e-12   # relative; far above the estimate's few ulps
 
@@ -52,34 +52,67 @@ def dist_table(xs, ys) -> np.ndarray:
     row per point of the shorter side: ``dist`` is symmetric to the
     bit, so a tall table is built as the transpose of a wide one, and
     the table of a list against itself as its upper triangle, mirrored.
+    Long rows go in column blocks, which bound a row's Python lists.  A
+    quotient that overflows is inf, as in ``dist``, without a warning.
     """
     if len(xs) > len(ys):
         return dist_table(ys, xs).T
-    zx = [check_point(p) for p in xs]
-    if xs is ys:
-        return _table(zx, np.array(zx, dtype=complex), square=True)
-    return _table(zx, np.array([check_point(q) for q in ys], dtype=complex))
-
-
-def _table(zx, zy, square=False):
-    """``dist`` over checked points zx by the checked array zy, or only
-    the upper triangle, mirrored, when zy holds zx; long rows go in
-    column blocks, which bound a row's Python lists.  A quotient that
-    overflows is inf, as in ``dist``, without a warning."""
+    zx, square = [check_point(p) for p in xs], xs is ys
+    zy = np.array(zx if square else [check_point(q) for q in ys],
+                  dtype=complex)
     re, im, root = zy.real / 2, zy.imag / 2, np.sqrt(zy.imag)
     D = np.empty((len(zx), len(zy)))
     with np.errstate(over="ignore"):
         for i, p in enumerate(zx):
             for j in range(i if square else 0, len(zy), _TABLE_COLUMNS):
                 c = slice(j, j + _TABLE_COLUMNS)
-                num = list(map(math.hypot, (p.real / 2 - re[c]).tolist(),
-                               (p.imag / 2 - im[c]).tolist()))
-                D[i, c] = list(map(math.asinh, (
-                    num / (math.sqrt(p.imag) * root[c])).tolist()))
+                D[i, c] = _half_dists(p.real / 2 - re[c], p.imag / 2 - im[c],
+                                      math.sqrt(p.imag) * root[c])
             if square:
                 D[i + 1:, i] = D[i, i + 1:]
     D *= 2.0
     return D
+
+
+def _paired(zx, zy) -> np.ndarray:
+    """``dist(zx[k], zy[k])`` for every k of two arrays of checked points
+    that broadcast against each other, bit for bit.  A quotient that
+    overflows is inf, as in ``dist``, without a warning."""
+    dx, dy = zx.real / 2 - zy.real / 2, zx.imag / 2 - zy.imag / 2
+    with np.errstate(over="ignore"):
+        half = _half_dists(dx.ravel(), dy.ravel(),
+                           (np.sqrt(zx.imag) * np.sqrt(zy.imag)).ravel())
+    return 2.0 * np.reshape(half, dx.shape)
+
+
+def _half_dists(dx, dy, den) -> list:
+    """asinh(hypot(dx, dy) / den) entry by entry, for flat arrays of the
+    halved coordinate differences and of the products of the roots of
+    the imaginary parts: half of ``dist``, by math's hypot and asinh,
+    whose last bits numpy's do not match."""
+    num = list(map(math.hypot, dx.tolist(), dy.tolist()))
+    return list(map(math.asinh, (num / den).tolist()))
+
+
+def _round9(t) -> np.ndarray:
+    """``round(v, 9)`` of every float v of the array t, bit for bit:
+    rint(t 1e9) / 1e9 where that rounds the exact product, as it does
+    wherever y = t 1e9 is below 2^51 and more than |y| 2^-50 from a
+    half-integer; ``round`` itself elsewhere."""
+    with np.errstate(all="ignore"):
+        y = t * 1e9
+        r = np.rint(y)
+        out = r / 1e9
+        sure = (np.abs(y) < 2.0 ** 51) & (
+            np.abs(np.abs(y - r) - 0.5) > np.abs(y) * 2.0 ** -50)
+    at = np.flatnonzero(~sure)
+    out[at] = [round(v, 9) for v in t[at].tolist()]
+    return out
+
+
+def _is_point(zs) -> np.ndarray:
+    """Where the complex array zs holds upper half-plane points."""
+    return (zs.imag > 0) & np.isfinite(zs)
 
 
 dist.dist_table = dist_table
@@ -301,11 +334,11 @@ class HalfPlane:
     def dist_row(self, x, ps) -> np.ndarray:
         """``dist_table([x], ps)[0]`` for points the program built, still
         checked, since their floats can overflow, but all at once."""
-        x, zy = check_point(x), np.array(ps, dtype=complex)
-        ok = (zy.imag > 0) & np.isfinite(zy.real) & np.isfinite(zy.imag)
+        x, zy = check_point(x), np.asarray(ps, dtype=complex)
+        ok = _is_point(zy)
         if not ok.all():
             check_point(ps[int(np.argmin(ok))])
-        return _table([x], zy)[0]
+        return _paired(x, zy)
 
     def nearest(self, xs, ys) -> np.ndarray:
         """``dist_table(xs, ys).min(axis=1)`` bit for bit, with its checks.
@@ -314,8 +347,8 @@ class HalfPlane:
         is within a few ulps: only its hypot and asinh differ.  An entry
         above its row's least estimate by more than _NEAREST_MARGIN, plus
         an absolute part above the subnormal range, is no minimum; the rest
-        are measured with ``dist``, as is every entry with a subnormal hypot
-        and every row with a non-finite estimate."""
+        are measured as ``dist`` measures them, as is every entry with a
+        subnormal hypot and every row with a non-finite estimate."""
         if not (len(xs) and len(ys)):
             return dist_table(xs, ys).min(axis=1)
         pts = [xs, ys]
@@ -335,8 +368,7 @@ class HalfPlane:
                     + 2.0 ** 64 * tiny) | (num < tiny)
             near[~np.isfinite(est).all(axis=1)] = True
             rows, cols = np.nonzero(near)
-            exact = list(map(dist, zx[s + rows].tolist(), zy[cols].tolist()))
-            np.minimum.at(out, s + rows, exact)
+            np.minimum.at(out, s + rows, _paired(zx[s + rows], zy[cols]))
         return out
 
     def parse_point(self, text: str) -> complex:
@@ -403,36 +435,56 @@ class HalfPlane:
         """The matrices of the columns of E."""
         return [Moebius._unit(*col) for col in E.T.tolist()]
 
-    def act_batch(self, E, z) -> list:
-        """``act`` of every column of E on z, as a list: the float
-        operations of ``Moebius.__call__``, raising its error for the
-        first column whose image underflows."""
+    def act_batch(self, E, zs) -> np.ndarray:
+        """``act`` of every column of E on a point, or on each point of a
+        column of them, a row each, as a complex array: the float
+        operations of ``Moebius.__call__``.  For the first point with an
+        image that is no point, it raises the call's error at the first
+        column whose |cz + d|^2 underflows, if there is one."""
         a, b, c, d = E
-        x, y = z.real, z.imag
+        x, y = np.real(zs), np.imag(zs)
         with np.errstate(all="ignore"):   # float * complex as in CPython
             dr, di = c * x - 0.0 * y + d, c * y + 0.0 * x + 0.0
             m2 = dr * dr + di * di
             nr, ni = a * x - 0.0 * y + b, a * y + 0.0 * x + 0.0
-            out = np.empty(len(m2), dtype=complex)
+            out = np.empty(m2.shape, dtype=complex)
             out.real, out.imag = (nr * dr - ni * -di) / m2, y / m2
-        if not m2.all():
-            self.unbatch(E[:, np.argmin(m2 != 0)][:, None])[0](z)
-        return out.tolist()
+        ok = _is_point(out)
+        if not ok.all():   # an image whose |cz + d|^2 is 0 is not finite
+            ok = ok.reshape(-1, ok.shape[-1])
+            row = int(np.argmin(ok.all(axis=1)))
+            for g in self.unbatch(E[:, ~ok[row]]):
+                g(complex(np.reshape(zs, -1)[row]))
+        return out
 
     def displacement_table(self, xs, levels) -> np.ndarray:
         """d(x, g x) for each point x of xs, a row each, and each element
-        g of the batches in levels, in order: a ``dist_row`` per point."""
-        return np.array([self.dist_row(x, [p for E in levels for p in
-                                           self.act_batch(E, x)]) for x in xs])
+        g of the batches in levels, in order; _LEVEL_BLOCK entries at a
+        time, so only the table grows with xs.  The first point with an
+        image that is no point raises what ``act`` then ``dist`` raise."""
+        E = np.concatenate(levels, axis=1)
+        zx = np.array(xs, dtype=complex)[:, None]
+        out = np.empty((len(zx), E.shape[1]))
+        step = max(1, _LEVEL_BLOCK // max(1, E.shape[1]))
+        for s in range(0, len(zx), step):
+            P = self.act_batch(E, zx[s:s + step])
+            ok = _is_point(P)
+            if not ok.all():
+                check_point(P[~ok][0])
+            out[s:s + step] = _paired(zx[s:s + step], P)
+        return out
 
     def orbit_dists(self, x, levels) -> np.ndarray:
         """``dist`` from x to x and to its images under the elements of the
-        batches in levels, each point once, as rounded to 9 decimals."""
-        orbit = {}
-        for p in itertools.chain([x], (p for E in levels
-                                       for p in self.act_batch(E, x))):
-            orbit.setdefault((round(p.real, 9), round(p.imag, 9)), p)
-        return self.dist_row(x, list(orbit.values()))
+        batches in levels, each point once, as rounded to 9 decimals: the
+        first point of each key, its two coordinates rounded, is kept."""
+        P = np.concatenate([[x]] + [self.act_batch(E, x) for E in levels])
+        kr, ki = _round9(P.real), _round9(P.imag)
+        order = np.lexsort((ki, kr))   # stable: equal keys in walk order
+        kr, ki = kr[order], ki[order]
+        first = np.ones(len(P), dtype=bool)
+        first[1:] = (kr[1:] != kr[:-1]) | (ki[1:] != ki[:-1])
+        return self.dist_row(x, P[np.sort(order[first])])
 
     def is_identity_batch(self, E) -> np.ndarray:
         """``Moebius.is_identity`` of every column of E."""

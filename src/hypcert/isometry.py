@@ -100,23 +100,29 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     from the eps1 domain; the second bound applies when eps2 <= r0 for
     a declared packing profile (P0, r0).
     """
-    if not (0 < eps1 <= eps2):
-        raise InputError("need 0 < eps1 <= eps2")
+    # comparisons with NaN are false, so NaN fails each of them
+    if not 0 < eps1 <= eps2 < math.inf:
+        raise InputError("need 0 < eps1 <= eps2 < inf")
     if power_cap < 1:
-        raise InputError("need eps > 0 and power_cap >= 1")
+        raise InputError("need power_cap >= 1")
+    if not (P0 is None or P0 >= 1) or not (r0 is None or 0 < r0 < math.inf):
+        raise InputError("need P0 >= 1 and finite r0 > 0")
     # x is in the level-eps domain if d(x, g^i x) <= eps at some 0 < i <=
     # cap.  Unless g is elliptic, d(x, g^i x) grows with i, so the first
     # power decides; one scan serves both levels, as eps1 <= eps2
-    cap = power_cap if classify(g, space).kind == "elliptic" else 1
-    nearest_power = []
-    for x in sample:
-        y, least = x, math.inf
-        for _ in range(cap):
-            y = apply_isometry(space, g, y)
-            least = min(least, space.dist(x, y))
-            if least <= eps1 + TOL:
-                break
-        nearest_power.append(least)
+    if classify(g, space).kind != "elliptic":
+        nearest_power = space.displacement_table(
+            sample, [space.batch([g])])[:, 0].tolist()
+    else:
+        nearest_power = []
+        for x in sample:
+            y, least = x, math.inf
+            for _ in range(power_cap):
+                y = apply_isometry(space, g, y)
+                least = min(least, space.dist(x, y))
+                if least <= eps1 + TOL:
+                    break
+            nearest_power.append(least)
     inner = [x for x, d in zip(sample, nearest_power) if d <= eps1 + TOL]
     if not inner:
         raise PreconditionError("inner domain empty on the sample")

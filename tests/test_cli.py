@@ -255,6 +255,20 @@ class TestEntropyAndBounds:
         assert code == 0 and rep["result"]["sample_size"] == 5000
         assert peak < 12e6
 
+    def test_stats_on_a_large_h2_sample_measures_in_blocks(self, tmp_path,
+                                                           h2_pair_file):
+        # 5,000 points by 160 elements: 800,000 images, made and measured
+        # 16,384 at a time beside the 6.4 MB table (all at once, 111 MB)
+        tracemalloc.start()
+        try:
+            code, rep = run(tmp_path, "stats", "--input", h2_pair_file,
+                            "--base", "0,1", "--sample-size", "5000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and rep["result"]["sample_size"] == 5000
+        assert peak < 20e6
+
     def test_stats_on_a_negative_tree_radius_is_an_input_error(
             self, tmp_path, tree_pair_file, capsys):
         code, rep = run(tmp_path, "stats", "--input", tree_pair_file,
@@ -575,6 +589,8 @@ class TestMalformedInput:
     _TREE_STATS = ["stats", "--input", "{tree}"]
     _TREE_MARGULIS = ["margulis", "--input", "{tree}", "--eps1", "1",
                       "--eps2", "2", "--center", "e"]
+    _H2_MARGULIS = ["margulis", "--input", "{family}", "--eps1", "1.5",
+                    "--eps2", "1.8", "--center", "0,1"]
     _HUGE = [[0, 1e308, 6e307, 6e307], [1e308, 0, 6e307, 6e307],
              [6e307, 6e307, 0, 1e308], [6e307, 6e307, 1e308, 0]]
 
@@ -624,6 +640,13 @@ class TestMalformedInput:
         (["entropy", "--input", "{tree}", "--radii", "1,2,inf"], _A),
         (["entropy", "--input", "{family}", "--orbit", "--base", "0,1",
           "--radii", "1,2,nan"], _PAIR),
+        (_H2_MARGULIS + ["--P0", "0", "--r0", "2"], _PAIR),
+        (_H2_MARGULIS + ["--P0", "-3", "--r0", "2"], _PAIR),
+        (_H2_MARGULIS + ["--P0", "4", "--r0", "nan"], _PAIR),
+        (_H2_MARGULIS + ["--P0", "4", "--r0", "-1"], _PAIR),
+        (_H2_MARGULIS + ["--P0", "4", "--r0", "inf"], _PAIR),
+        (["margulis", "--input", "{family}", "--eps1", "1.5", "--eps2",
+          "inf", "--center", "0,1"], _PAIR),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
@@ -637,7 +660,9 @@ class TestMalformedInput:
             "family-not-h2", "space-three-points", "space-negative-entry",
             "tree-stats-radius-nan", "tree-stats-radius-inf",
             "tree-margulis-radius-nan", "tree-margulis-radius-inf",
-            "tree-radii-nan", "tree-radii-inf", "h2-orbit-radii-nan"])
+            "tree-radii-nan", "tree-radii-inf", "h2-orbit-radii-nan",
+            "margulis-P0-zero", "margulis-P0-negative", "margulis-r0-nan",
+            "margulis-r0-negative", "margulis-r0-inf", "margulis-eps2-inf"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))

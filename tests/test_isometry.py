@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,18 @@ from hypcert.errors import PreconditionError
 from helpers import rotation_about_i
 
 H2 = halfplane.H2
+
+
+def _gap_cases(tree2):
+    """(space, g, eps1, sample) of a margulis scan, by the kind of g."""
+    return {
+        "hyperbolic": (H2, halfplane.Moebius(2.0, 0.0, 0.0, 0.5), 1.5,
+                       halfplane.sample_ball(1j, 3.0, 40, random.Random(0))),
+        "parabolic": (H2, halfplane.Moebius(1.0, 1.0, 0.0, 1.0), 0.5,
+                      halfplane.sample_ball(1j, 3.0, 40, random.Random(1))),
+        "tree": (tree2, "ab", 2, tree2.ball("", 3)),
+        "elliptic": (H2, rotation_about_i(0.3), 0.5,
+                     halfplane.sample_ball(1j, 3.0, 40, random.Random(2)))}
 
 
 def random_hyperbolic(rng):
@@ -184,29 +197,29 @@ class TestMargulisDomain:
                                       "elliptic"])
     def test_first_power_decides_unless_elliptic(self, kind, tree2,
                                                  monkeypatch):
-        # d(x, g^i x) grows with i for non-elliptic g: one act per point
+        # d(x, g^i x) grows with i for non-elliptic g: one image per point
         # at any power cap; an elliptic g scans up to the cap
-        space, g, eps, pts = {
-            "hyperbolic": (H2, halfplane.Moebius(2.0, 0.0, 0.0, 0.5), 1.5,
-                           halfplane.sample_ball(1j, 3.0, 40,
-                                                 random.Random(0))),
-            "parabolic": (H2, halfplane.Moebius(1.0, 1.0, 0.0, 1.0), 0.5,
-                          halfplane.sample_ball(1j, 3.0, 40,
-                                                random.Random(1))),
-            "tree": (tree2, "ab", 2, tree2.ball("", 3)),
-            "elliptic": (H2, rotation_about_i(0.3), 0.5,
-                         halfplane.sample_ball(1j, 3.0, 40,
-                                               random.Random(2)))}[kind]
-        acts = []
+        space, g, eps, pts = _gap_cases(tree2)[kind]
+        acts, images = [], []
         act = isometry.apply_isometry
         monkeypatch.setattr(isometry, "apply_isometry",
                             lambda s, h, x: acts.append(x) or act(s, h, x))
+        table = type(space).displacement_table
+
+        def counting_table(self, xs, levels):
+            out = table(self, xs, levels)
+            images.append(out.size)
+            return out
+
+        monkeypatch.setattr(type(space), "displacement_table", counting_table)
         rep = isometry.domain_gap_report(space, g, eps, 2 * eps, pts,
                                          power_cap=64)
         assert rep.inner_count
         if kind != "elliptic":
-            assert len(acts) == len(pts)
+            # one table of one column: an image per point
+            assert acts == [] and images == [len(pts)]
             return
+        assert images == []
         # an elliptic g is scanned until a power comes within eps
         expected = 0
         for x in pts:
@@ -216,6 +229,20 @@ class TestMargulisDomain:
                 if space.dist(x, y) <= eps + 1e-9:
                     break
         assert len(pts) < len(acts) == expected
+
+    @pytest.mark.parametrize("kind", ["hyperbolic", "parabolic", "tree"])
+    def test_first_power_table_is_the_per_point_loop(self, kind, tree2,
+                                                     monkeypatch):
+        space, g, eps, pts = _gap_cases(tree2)[kind]
+        want = [space.dist(x, space.act(g, x)) for x in pts]
+        got = space.displacement_table(pts, [space.batch([g])])[:, 0]
+        assert [repr(d) for d in got.tolist()] == [repr(d) for d in want]
+        assert {type(d) for d in got.tolist()} == {type(d) for d in want}
+        rep = isometry.domain_gap_report(space, g, eps, 2 * eps, pts)
+        monkeypatch.setattr(type(space), "displacement_table",
+                            lambda self, xs, levels: np.array(
+                                [[d] for d in want], dtype=object))
+        assert rep == isometry.domain_gap_report(space, g, eps, 2 * eps, pts)
 
     def test_packing_gap_floor_formula(self):
         lb = isometry.gap_lower_bound_ii(4, 0.1, 0.5)

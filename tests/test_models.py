@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 import re
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcert import bounds, freetree, graphspace, halfplane, sampled, tits
+from hypcert import (bounds, freetree, graphspace, halfplane, isometry,
+                     pingpong, sampled, tits)
 from hypcert.errors import InputError
+from helpers import rotation_about_i
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0)
 finite_y = st.floats(min_value=1e-3, max_value=50.0)
@@ -164,6 +168,11 @@ def word_dist(u, v):
     return len(mul(freetree.invert(u), v))
 
 
+def is_reduced(w):
+    """Whether no letter of w stands next to its inverse."""
+    return all(a != b.swapcase() for a, b in zip(w, w[1:]))
+
+
 class TestFreeTree:
     def test_reduce(self):
         assert freetree.reduce_word("aA") == ""
@@ -222,6 +231,25 @@ class TestFreeTree:
     def test_tree_end_translate(self, tree2):
         _, att = tree2.classify("a").axis
         assert freetree.TreeEnd("", "a") == att
+
+    @pytest.mark.parametrize("rank, digest", [
+        (2, "973fe4e2b267fe1cbe349de424bdfdc0839b999ea2db69fc112c7fb900136a89"),
+        (3, "98672daefcf7067212bc334c357ea1b3a99af2afb04fc1c062beb723fb63ce97")])
+    def test_classify_ends_are_reduced_rays(self, rank, digest):
+        # every axis end of the ball's words is a reduced ray with a
+        # non-empty period, so TreeEnd need not check either; the digest
+        # pins the profiles as they were while it still did
+        T = freetree.FreeTreeSpace(rank)
+        profiles = []
+        for w in T.ball("", 4):
+            p = T.classify(w)
+            for end in p.fixed_boundary:
+                assert end.period and is_reduced(
+                    end.prefix + end.period + end.period)
+                assert end.period == freetree.primitive_root(end.period)
+            profiles.append((w, p.kind, p.ell, tuple(
+                (e.prefix, e.period) for e in p.fixed_boundary)))
+        assert hashlib.sha256(repr(profiles).encode()).hexdigest() == digest
 
     def test_ball_census(self):
         T = freetree.FreeTreeSpace(2)
@@ -290,7 +318,7 @@ class TestReducedWordProducts:
 
     @given(st.text("abcABC", max_size=12))
     def test_check_point_rejects_exactly_the_unreduced(self, w):
-        if freetree.is_reduced(w):
+        if is_reduced(w):
             assert self.T.check_point(w) == w
         else:
             with pytest.raises(InputError):
@@ -407,6 +435,140 @@ class TestLetterBatches:
         _same_in_type_and_bits(got.tolist(), [
             [T.dist(x, T.act(g, x)) for gs in levels for g in gs]
             for x in xs])
+
+
+def _float_bits(xs):
+    return np.asarray(xs, dtype=float).view(np.int64).tolist()
+
+
+def _walk_levels(gens, cap):
+    letters = pingpong.group_letters(halfplane.H2, list(zip("abc", gens)))
+    return [E for E, _ in pingpong.walk_levels(halfplane.H2, letters, cap)]
+
+
+_H2_ORBITS = {
+    "readme": ([halfplane.Moebius(2.0, 0.0, 0.0, 0.5),
+                halfplane.Moebius(1.25, 0.75, 0.75, 1.25)], 1j, 5),
+    # 0.23 turns about i, and a quarter turn: images come back near i
+    "elliptic": ([rotation_about_i(0.46 * math.pi),
+                  halfplane.Moebius(1.25, 0.75, 0.75, 1.25)], 1j, 5),
+    "torsion": ([rotation_about_i(math.pi / 2),
+                 halfplane.Moebius(2.0, 0.0, 0.0, 0.5)], 1j, 5),
+    # z -> 4z and z -> z + 1: a z a^-1 = b^4, so words meet in many
+    # points; below 5e-10 the imaginary parts of A^k z key as 0.0, and a
+    # real part of -1e-12 keys as -0.0, which the dict took for 0.0
+    "4z": ([halfplane.Moebius(2.0, 0.0, 0.0, 0.5),
+            halfplane.Moebius(1.0, 1.0, 0.0, 1.0)],
+           complex(-1e-12, 1e-6), 6),
+    # the half turn about i takes 1e-12 + i to -1e-12 + i: keys 0.0 and
+    # -0.0, one point to the dict
+    "half-turn": ([rotation_about_i(math.pi),
+                   halfplane.Moebius(2.0, 0.0, 0.0, 0.5)],
+                  complex(1e-12, 1.0), 5),
+}
+
+
+def _orbit_dists_by_dict(x, levels):
+    """The orbit distances as a dict of rounded keys found them: each
+    image by ``Moebius.__call__``, the first of each key kept."""
+    orbit = {}
+    for p in itertools.chain([x], (g(x) for E in levels
+                                   for g in halfplane.H2.unbatch(E))):
+        orbit.setdefault((round(p.real, 9), round(p.imag, 9)), p)
+    return [halfplane.dist(x, p) for p in orbit.values()]
+
+
+class TestH2Kernels:
+    """H²'s image, paired distance and rounding kernels against the
+    scalar ``Moebius.__call__``, ``dist`` and ``round``."""
+
+    def test_round9_is_round_bit_for_bit(self, capfd):
+        rng = random.Random(9)
+        ties = [(k + 0.5) * 1e-9 for k in range(-50, 50)]
+        ties += [j / 1024 for j in range(-99, 100, 2)]   # exact ties
+        edge = 2.0 ** 51 / 1e9
+        vals = ties + [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-309,
+                       1e-300, -1e-300, 1e300, -1e300, 1e-20, -1e20,
+                       1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                       1.4999999999999998e-9, 2.5e-9, -2.5e-9]
+        for t in (edge, -edge):
+            vals += np.nextafter(t, [np.inf] * 20 + [-np.inf] * 20).tolist()
+            vals += [t * (1 + k * 1e-9) for k in range(-20, 21)]
+        vals += [rng.uniform(-1e3, 1e3) for _ in range(2000)]
+        vals += np.array([rng.getrandbits(64) for _ in range(4000)],
+                         dtype=np.uint64).view(float).tolist()
+        t = np.array(vals)
+        with np.errstate(all="raise"):
+            got = halfplane._round9(t)
+        assert _float_bits(got) == _float_bits([round(v, 9) for v in vals])
+        assert capfd.readouterr().err == ""
+
+    def test_paired_is_dist_bit_for_bit(self):
+        rng = random.Random(3)
+        pts = halfplane.sample_ball(0.5 + 2j, 6.0, 60, rng)
+        xs = pts + [complex(z.real * s, z.imag * s) for z in pts[:10]
+                    for s in (1e-150, 1e150)]
+        ys = pts[::-1] + [complex(z.real * s, z.imag * s) for z in pts[10:20]
+                          for s in (1e150, 1e-150)]
+        # the quotient overflows to inf; numpy's hypot reverses the
+        # order of the near-ties' distances from i
+        xs += [complex(1e300, 1e-300), complex(-1e300, 1.0), 1j, 1j, 1j]
+        ys += [complex(-1e300, 1e-300), complex(1e300, 1e-300),
+               1.5118578764628696 + 0.19561301242971602j,
+               -2.1503367583981627 + 16.654951386091813j,
+               -0.8449038053460146 + 0.16883370029561454j]
+        want = [halfplane.dist(x, y) for x, y in zip(xs, ys)]
+        assert math.inf in want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn"):
+                got = halfplane._paired(np.array(xs), np.array(ys))
+                grid = halfplane._paired(np.array(xs[:7])[:, None],
+                                         np.array(ys))
+        _same_in_type_and_bits([got.tolist()], [want])
+        _same_in_type_and_bits(grid.tolist(), [
+            [halfplane.dist(x, y) for y in ys] for x in xs[:7]])
+
+    @pytest.mark.parametrize("block", [1, 7, halfplane._LEVEL_BLOCK])
+    def test_displacement_table_is_dist_of_act(self, block, monkeypatch):
+        monkeypatch.setattr(halfplane, "_LEVEL_BLOCK", block)
+        H2 = halfplane.H2
+        levels = _walk_levels(_H2_ORBITS["readme"][0], 3)
+        levels.append(H2.batch([halfplane.Moebius(1e75, 0.0, 0.0, 1e-75),
+                                halfplane.Moebius(1.0, 0.0, 0.0, 1.0)]))
+        xs = halfplane.sample_ball(1j, 4.0, 25, random.Random(2)) + [
+            complex(0.0, 1e-150), complex(-1e150, 1e150)]
+        gs = [g for E in levels for g in H2.unbatch(E)]
+        _same_in_type_and_bits(H2.displacement_table(xs, levels).tolist(), [
+            [halfplane.dist(x, g(x)) for g in gs] for x in xs])
+
+    @pytest.mark.parametrize("orbit", sorted(_H2_ORBITS))
+    def test_orbit_dists_keep_the_dict_keys(self, orbit):
+        gens, x, cap = _H2_ORBITS[orbit]
+        levels = _walk_levels(gens, cap)
+        want = _orbit_dists_by_dict(x, levels)
+        if orbit == "4z":   # more than a fifth of the images collide
+            assert 5 * len(want) < 4 * sum(E.shape[1] for E in levels)
+        _same_in_type_and_bits(
+            [halfplane.H2.orbit_dists(x, iter(levels)).tolist()], [want])
+
+    def test_first_point_names_the_error(self):
+        # at 1e3 i the image's Im overflows; at i, |cz + d|^2 underflows
+        g = halfplane.Moebius(10.0, -1e163, 1e-163, 0.0)
+        assert isometry.classify(g, halfplane.H2).kind == "hyperbolic"
+        for xs in ([1e3j, 1j], [1j, 1e3j]):
+            with pytest.raises(InputError) as per_point:
+                for x in xs:
+                    halfplane.dist(x, g(x))
+            assert ("underflows" in str(per_point.value)) == (xs[0] == 1j)
+            for run in (
+                    lambda: halfplane.H2.displacement_table(
+                        xs, [halfplane.H2.batch([g])]),
+                    lambda: isometry.domain_gap_report(
+                        halfplane.H2, g, 1.0, 2.0, xs)):
+                with pytest.raises(InputError) as batched:
+                    run()
+                assert str(batched.value) == str(per_point.value)
 
 
 class TestMetricGraph:
@@ -723,8 +885,13 @@ def test_act_batch_is_moebius_call_bit_for_bit(z, capfd):
     assert len(gs) > 10
     with np.errstate(all="raise"):
         got = H2.act_batch(H2.batch(gs), z)
-    assert all(type(p) is complex for p in got)
-    assert _points_bits(got) == _points_bits([g(z) for g in gs])
+        # a column of points broadcasts against the batch, a row each
+        grid = H2.act_batch(H2.batch(gs), np.array([[z], [1j], [z]]))
+    assert got.dtype == complex and got.shape == (len(gs),)
+    assert _points_bits(got.tolist()) == _points_bits([g(z) for g in gs])
+    assert grid.shape == (3, len(gs))
+    for row, p in zip(grid, (z, 1j, z)):
+        assert _points_bits(row.tolist()) == _points_bits([g(p) for g in gs])
     assert capfd.readouterr().err == ""
 
 

@@ -78,6 +78,7 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
     calls = []
     model = type(space)
     dist, dist_table, dist_row = model.dist, model.dist_table, model.dist_row
+    paired = halfplane._paired
 
     def counting_dist(self, p, q):
         calls.append(q)
@@ -89,12 +90,21 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
 
     def counting_row(self, x, ps):
         # the tree measures its images as rows of a letter batch
-        calls.extend(range(len(ps[1])) if isinstance(ps, tuple) else ps)
+        calls.extend(range(len(ps[1])))
         return dist_row(self, x, ps)
+
+    def counting_paired(zx, zy):
+        # H² measures its points with the paired kernel, an entry each
+        out = paired(zx, zy)
+        calls.extend(range(out.size))
+        return out
 
     monkeypatch.setattr(model, "dist", counting_dist)
     monkeypatch.setattr(model, "dist_table", counting_table)
-    monkeypatch.setattr(model, "dist_row", counting_row)
+    if space is H2:
+        monkeypatch.setattr(halfplane, "_paired", counting_paired)
+    else:
+        monkeypatch.setattr(model, "dist_row", counting_row)
     bounds.orbit_growth_counts(space, gens, base, [1.0, 2.0, 3.0, 4.0], 4)
     assert len(calls) == len(orbit)
 
