@@ -1,4 +1,4 @@
-"""Upper half-plane model: exact distances, Moebius isometries, geodesics.
+"""Upper half-plane model: float distances, Moebius isometries, geodesics.
 
 Points are complex numbers with positive imaginary part.  Boundary points
 are reals, with ``math.inf`` standing for the point at infinity.
@@ -20,10 +20,7 @@ INF = math.inf
 
 PARABOLIC_BAND = 1e-9
 _LOG_MAX = 709.78  # just below the log of the largest double
-_TABLE_COLUMNS = 4096
 _LEVEL_BLOCK = 1 << 14   # columns of compose_level, entries of a table
-_NEAREST_BLOCK = 1 << 14   # table entries per block of nearest's estimate
-_NEAREST_MARGIN = 1e-12   # relative; far above the estimate's few ulps
 
 
 def check_point(p) -> complex:
@@ -40,58 +37,33 @@ def dist(p, q) -> float:
     cosh identity would overflow.  Halving the operands (exact) instead
     of doubling the denominator keeps the quotient from being inf/inf.
     """
-    p, q = check_point(p), check_point(q)
-    num = math.hypot(p.real / 2 - q.real / 2, p.imag / 2 - q.imag / 2)
-    return 2.0 * math.asinh(num / (math.sqrt(p.imag) * math.sqrt(q.imag)))
+    return float(_paired(check_point(p), check_point(q)))
 
 
 def dist_table(xs, ys) -> np.ndarray:
-    """``dist`` over xs by ys, bit for bit (numpy's hypot and asinh differ).
-
-    Each point is checked once, the shorter side's first.  One Python
-    row per point of the shorter side: ``dist`` is symmetric to the
-    bit, so a tall table is built as the transpose of a wide one, and
-    the table of a list against itself as its upper triangle, mirrored.
-    Long rows go in column blocks, which bound a row's Python lists.  A
-    quotient that overflows is inf, as in ``dist``, without a warning.
-    """
-    if len(xs) > len(ys):
-        return dist_table(ys, xs).T
-    zx, square = [check_point(p) for p in xs], xs is ys
-    zy = np.array(zx if square else [check_point(q) for q in ys],
-                  dtype=complex)
-    re, im, root = zy.real / 2, zy.imag / 2, np.sqrt(zy.imag)
-    D = np.empty((len(zx), len(zy)))
-    with np.errstate(over="ignore"):
-        for i, p in enumerate(zx):
-            for j in range(i if square else 0, len(zy), _TABLE_COLUMNS):
-                c = slice(j, j + _TABLE_COLUMNS)
-                D[i, c] = _half_dists(p.real / 2 - re[c], p.imag / 2 - im[c],
-                                      math.sqrt(p.imag) * root[c])
-            if square:
-                D[i + 1:, i] = D[i, i + 1:]
-    D *= 2.0
-    return D
+    """``dist`` over xs by ys, bit for bit, in blocks of rows of about
+    _LEVEL_BLOCK entries, which bound the temporary arrays.  Each point
+    is checked once, the shorter side's first."""
+    pts = [xs, ys]
+    for k in (0, 1) if len(xs) <= len(ys) else (1, 0):
+        pts[k] = np.array([check_point(p) for p in pts[k]], dtype=complex)
+    zx, zy = pts
+    out = np.empty((len(zx), len(zy)))
+    step = max(1, _LEVEL_BLOCK // max(1, len(zy)))
+    for s in range(0, len(zx), step):
+        out[s:s + step] = _paired(zx[s:s + step, None], zy)
+    return out
 
 
-def _paired(zx, zy) -> np.ndarray:
-    """``dist(zx[k], zy[k])`` for every k of two arrays of checked points
-    that broadcast against each other, bit for bit.  A quotient that
-    overflows is inf, as in ``dist``, without a warning."""
+@np.errstate(over="ignore")   # a decorator: set up once, not per call
+def _paired(zx, zy):
+    """The H² distance kernel: ``dist(zx[k], zy[k])`` for every k of two
+    checked points, or arrays of them that broadcast against each other,
+    by numpy's hypot and arcsinh.  A quotient that overflows is inf,
+    without a warning."""
     dx, dy = zx.real / 2 - zy.real / 2, zx.imag / 2 - zy.imag / 2
-    with np.errstate(over="ignore"):
-        half = _half_dists(dx.ravel(), dy.ravel(),
-                           (np.sqrt(zx.imag) * np.sqrt(zy.imag)).ravel())
-    return 2.0 * np.reshape(half, dx.shape)
-
-
-def _half_dists(dx, dy, den) -> list:
-    """asinh(hypot(dx, dy) / den) entry by entry, for flat arrays of the
-    halved coordinate differences and of the products of the roots of
-    the imaginary parts: half of ``dist``, by math's hypot and asinh,
-    whose last bits numpy's do not match."""
-    num = list(map(math.hypot, dx.tolist(), dy.tolist()))
-    return list(map(math.asinh, (num / den).tolist()))
+    return 2.0 * np.arcsinh(
+        np.hypot(dx, dy) / (np.sqrt(zx.imag) * np.sqrt(zy.imag)))
 
 
 def _round9(t) -> np.ndarray:
@@ -191,15 +163,13 @@ class Moebius:
         return out
 
     def __call__(self, z: complex) -> complex:
-        den = self.c * z + self.d
-        m2 = den.real * den.real + den.imag * den.imag
-        num = (self.a * z + self.b) * den.conjugate()
+        num, m2 = _image(self.entries(), z.real, z.imag)
         if not m2:
             raise InputError(f"the image of {z} under {self!r} is not "
                              "representable: |cz + d|^2 underflows to 0")
         # Im(gz) = Im(z) / |cz + d|^2 for det 1: exact positivity,
         # where the plain complex division cancels to zero
-        return complex(num.real / m2, z.imag / m2)
+        return complex(num / m2, z.imag / m2)
 
     def is_identity(self) -> bool:
         return (
@@ -214,6 +184,14 @@ class Moebius:
 
     def __repr__(self):
         return f"Moebius({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
+
+
+def _image(entries, x, y) -> tuple:
+    """Re(g z) |cz + d|^2 and |cz + d|^2, for the entries a, b, c, d of g
+    and z = x + iy, as floats or as arrays that broadcast."""
+    a, b, c, d = entries
+    dr, di = c * x + d, c * y
+    return (a * x + b) * dr + a * y * di, dr * dr + di * di
 
 
 def _first_nonzero(*vals):
@@ -340,37 +318,6 @@ class HalfPlane:
             check_point(ps[int(np.argmin(ok))])
         return _paired(x, zy)
 
-    def nearest(self, xs, ys) -> np.ndarray:
-        """``dist_table(xs, ys).min(axis=1)`` bit for bit, with its checks.
-
-        A numpy estimate of the table, in blocks of _NEAREST_BLOCK entries,
-        is within a few ulps: only its hypot and asinh differ.  An entry
-        above its row's least estimate by more than _NEAREST_MARGIN, plus
-        an absolute part above the subnormal range, is no minimum; the rest
-        are measured as ``dist`` measures them, as is every entry with a
-        subnormal hypot and every row with a non-finite estimate."""
-        if not (len(xs) and len(ys)):
-            return dist_table(xs, ys).min(axis=1)
-        pts = [xs, ys]
-        for k in (0, 1) if len(xs) <= len(ys) else (1, 0):
-            pts[k] = np.array([check_point(p) for p in pts[k]], dtype=complex)
-        zx, zy = pts
-        re, im, root = zy.real / 2, zy.imag / 2, np.sqrt(zy.imag)
-        out = np.full(len(zx), np.inf)
-        step = max(1, _NEAREST_BLOCK // len(zy))
-        rel, tiny = _NEAREST_MARGIN, np.finfo(float).tiny
-        for s in range(0, len(zx), step):
-            p = zx[s:s + step, None]
-            with np.errstate(all="ignore"):
-                num = np.hypot(p.real / 2 - re, p.imag / 2 - im)
-                est = 2.0 * np.arcsinh(num / (np.sqrt(p.imag) * root))
-            near = (est <= est.min(axis=1, keepdims=True) * (1.0 + rel)
-                    + 2.0 ** 64 * tiny) | (num < tiny)
-            near[~np.isfinite(est).all(axis=1)] = True
-            rows, cols = np.nonzero(near)
-            np.minimum.at(out, s + rows, _paired(zx[s + rows], zy[cols]))
-        return out
-
     def parse_point(self, text: str) -> complex:
         """'x,y' for the point x + iy."""
         try:
@@ -437,18 +384,15 @@ class HalfPlane:
 
     def act_batch(self, E, zs) -> np.ndarray:
         """``act`` of every column of E on a point, or on each point of a
-        column of them, a row each, as a complex array: the float
-        operations of ``Moebius.__call__``.  For the first point with an
+        column of them, a row each, as a complex array, by the image
+        formula of ``Moebius.__call__``.  For the first point with an
         image that is no point, it raises the call's error at the first
         column whose |cz + d|^2 underflows, if there is one."""
-        a, b, c, d = E
-        x, y = np.real(zs), np.imag(zs)
-        with np.errstate(all="ignore"):   # float * complex as in CPython
-            dr, di = c * x - 0.0 * y + d, c * y + 0.0 * x + 0.0
-            m2 = dr * dr + di * di
-            nr, ni = a * x - 0.0 * y + b, a * y + 0.0 * x + 0.0
+        y = np.imag(zs)
+        with np.errstate(all="ignore"):
+            num, m2 = _image(E, np.real(zs), y)
             out = np.empty(m2.shape, dtype=complex)
-            out.real, out.imag = (nr * dr - ni * -di) / m2, y / m2
+            out.real, out.imag = num / m2, y / m2
         ok = _is_point(out)
         if not ok.all():   # an image whose |cz + d|^2 is 0 is not finite
             ok = ok.reshape(-1, ok.shape[-1])

@@ -132,7 +132,8 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
                if not d <= eps2 + TOL]
     # one call measures both against the inner domain; an inner point's
     # own distance, the model's 0, starts the spans
-    near = space.nearest(inner[:1] + within + outside, inner).tolist()
+    near = space.dist_table(inner[:1] + within + outside,
+                            inner).min(axis=1).tolist()
     spans, gaps = near[:1 + len(within)], near[1 + len(within):]
     lb2 = None
     if P0 is not None and r0 is not None and eps2 <= r0 and eps1 < 2.0:

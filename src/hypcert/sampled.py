@@ -581,9 +581,6 @@ class DiscreteSpace:
     def ball_size(self, center, R) -> int:
         return len(self.ball(center, R))
 
-    def nearest(self, xs, ys) -> np.ndarray:
-        return self.dist_table(xs, ys).min(axis=1)
-
     def iso_key(self, g):
         return g
 

@@ -75,7 +75,7 @@ def test_hyperbolics_with_nearby_endpoints_are_not_elementary(tmp_path,
     assert "elementary group" not in capsys.readouterr().err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23")
 @pytest.mark.parametrize("k, number", [(10, float), (14, int)],
                          ids=["k10-float", "k14-int"])
 def test_oracle_finds_the_first_relation(k, number):
@@ -86,7 +86,7 @@ def test_oracle_finds_the_first_relation(k, number):
     assert pingpong.word_oracle(H2, gens, 3, "group") == (False, "c^2 d^-1")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23")
 def test_float_matrix_of_determinant_one_is_accepted():
     # d = c^2 for c = [[2, 1], [1, 1]]^12 has determinant exactly 1
     _, d = _fibonacci_pair(12, float)

@@ -529,6 +529,37 @@ class TestH2Kernels:
         _same_in_type_and_bits(grid.tolist(), [
             [halfplane.dist(x, y) for y in ys] for x in xs[:7]])
 
+    def test_paired_bits_do_not_depend_on_layout(self):
+        pts = halfplane.sample_ball(0.5 + 2j, 8.0, 300, random.Random(22))
+        zx, zy = np.array(pts), np.array(pts[::-1])
+        want = _float_bits(halfplane._paired(zx, zy))
+        wide = np.zeros((2, 3 * len(pts)), dtype=complex)
+        wide[0, ::3], wide[1, ::3] = zx, zy   # strided views of both
+        assert _float_bits(halfplane._paired(wide[0, ::3],
+                                             wide[1, ::3])) == want
+        assert _float_bits(halfplane._paired(zx[::-1], zy[::-1]))[::-1] == want
+        assert _float_bits([halfplane._paired(np.array(x), np.array(y))
+                            for x, y in zip(pts, pts[::-1])]) == want
+        assert _float_bits([halfplane._paired(x, y)
+                            for x, y in zip(pts, pts[::-1])]) == want
+        # and its two ufuncs on strided and 0-d operands
+        dx, dy = zx.real - zy.real, zx.imag - zy.imag
+        for f, args in ((np.arcsinh, (dx / zy.imag,)), (np.hypot, (dx, dy))):
+            flat = _float_bits(f(*args))
+            assert _float_bits(f(*(np.repeat(v, 2)[::2] for v in args))) \
+                == flat
+            assert _float_bits([f(*(np.array(v[k]) for v in args))
+                                for k in range(len(dx))]) == flat
+
+    def test_dist_is_symmetric_bit_for_bit(self):
+        pts = halfplane.sample_ball(0.5 + 2j, 8.0, 300, random.Random(22))
+        pairs = list(itertools.combinations(pts, 2))
+        assert _float_bits([halfplane.dist(p, q) for p, q in pairs]) == \
+            _float_bits([halfplane.dist(q, p) for p, q in pairs])
+        table = halfplane.dist_table(pts, pts)
+        assert table.tobytes() == np.ascontiguousarray(table.T).tobytes()
+        assert not table.diagonal().any()
+
     @pytest.mark.parametrize("block", [1, 7, halfplane._LEVEL_BLOCK])
     def test_displacement_table_is_dist_of_act(self, block, monkeypatch):
         monkeypatch.setattr(halfplane, "_LEVEL_BLOCK", block)
@@ -798,10 +829,18 @@ def test_overflowing_h2_tables_are_inf_without_a_warning(capfd):
 
 
 def test_long_h2_rows_are_the_scalar_loop():
-    # rows past halfplane's column block are built in pieces
     ys = halfplane.sample_ball(2j, 6.0, 5000, random.Random(1))
     _same_in_type_and_bits(halfplane.dist_table([1j], ys).tolist(),
                            [[halfplane.dist(1j, y) for y in ys]])
+
+
+@pytest.mark.parametrize("block", [1, 7, halfplane._LEVEL_BLOCK])
+def test_h2_tables_in_blocks_are_the_scalar_loop(block, monkeypatch):
+    monkeypatch.setattr(halfplane, "_LEVEL_BLOCK", block)
+    xs = halfplane.sample_ball(1j, 6.0, 30, random.Random(4))
+    for a, b in ((xs, xs[:4]), (xs[:4], xs)):
+        _same_in_type_and_bits(halfplane.dist_table(a, b).tolist(),
+                               [[halfplane.dist(x, y) for y in b] for x in a])
 
 
 @pytest.mark.parametrize("model", sorted(_TABLE_CASES))
@@ -860,9 +899,7 @@ def _act_cases():
            halfplane.Moebius(1.0, 0.0, 0.0, 1.0),
            halfplane.Moebius(1e150, 0.0, 0.0, 1e-150),
            halfplane.Moebius(-2.0, 1.0, -1.0, 0.0),
-           # signed zeros: at z = -0.0 + 1j the real part of gz is +0.0
-           # only through the zero imaginary part that float * complex
-           # gives the float factor
+           # signed zeros: at z = -0.0 + 1j the real part of gz is -0.0
            halfplane.Moebius(2.0, -0.0, -0.0, 0.5)]
     return gs
 
@@ -948,29 +985,6 @@ def test_tree_rows_check_nothing(monkeypatch):
     assert calls == []
 
 
-def _min_rows(space, xs, ys):
-    """space.dist_table(xs, ys).min(axis=1), or the error it raises."""
-    try:
-        return space.dist_table(xs, ys).min(axis=1)
-    except (InputError, ValueError) as e:
-        return type(e), str(e)
-
-
-def _nearest(space, xs, ys):
-    try:
-        return space.nearest(xs, ys)
-    except (InputError, ValueError) as e:
-        return type(e), str(e)
-
-
-def _same_minima(space, xs, ys):
-    got, want = _nearest(space, xs, ys), _min_rows(space, xs, ys)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 def _h2_cases():
     rng = random.Random(5)
     ball = halfplane.sample_ball(1j, 6.0, 300, rng)
@@ -1001,23 +1015,34 @@ def _h2_cases():
 
 
 @pytest.mark.parametrize("case", sorted(_h2_cases()))
-def test_nearest_is_the_table_minimum_bit_for_bit(case):
+def test_h2_table_is_dist_bit_for_bit(case):
     xs, ys = _h2_cases()[case]
-    _same_minima(halfplane.H2, xs, ys)
+    table = halfplane.dist_table(xs, ys)
+    assert table.shape == (len(xs), len(ys))
+    _same_in_type_and_bits(table.tolist(),
+                           [[halfplane.dist(x, y) for y in ys] for x in xs])
 
 
 _OTHER_BAD = {"h2": complex(1.0, -1.0), "tree": "bB", "grid": (7, 7)}
 
 
+def _error(call, *args):
+    with pytest.raises(InputError) as raised:
+        call(*args)
+    return str(raised.value)
+
+
 @pytest.mark.parametrize("model", sorted(_TABLE_CASES))
-def test_nearest_checks_as_the_table_does(model):
+def test_dist_table_names_the_first_bad_point_it_checks(model):
+    """H² checks the shorter side first, xs on a tie; the tree and the
+    graph check xs first."""
     space, xs, ys, bad = _TABLE_CASES[model]
-    other = _OTHER_BAD[model]   # which is named depends on the order
-    for a, b in ((xs, ys), (ys, xs), (xs + [bad], ys), (xs, [bad] + ys),
-                 ([bad], ys), (xs, [bad]), (xs[:1], ys + [bad]),
-                 (xs + [bad], [other] + ys), (ys + [bad], [other] + xs),
-                 ([bad], [other]), (xs + [bad], [other])):
-        _same_minima(space, a, b)
-    for a, b in ((xs + [bad], ys), (xs, [bad] + ys)):
-        with pytest.raises(InputError):
-            space.nearest(a, b)
+    other = _OTHER_BAD[model]
+    for a, b in ((xs + [bad], ys), (xs, [bad] + ys), ([bad], ys), (xs, [bad]),
+                 (xs[:1], ys + [bad]), (xs + [bad], [other] + ys),
+                 (ys + [bad], [other] + xs), ([bad], [other]),
+                 (xs + [bad], [other])):
+        first = b + a if model == "h2" and len(b) < len(a) else a + b
+        named = next(p for p in first if p in (bad, other))
+        assert _error(space.dist_table, a, b) == \
+            _error(space.dist_table, [named], [])

@@ -33,8 +33,6 @@ UNREACHED = {
     # a graph generator's power is refused before any product or test
     "graphspace.MetricGraphSpace.compose": DEFAULT,
     "graphspace.MetricGraphSpace.is_identity": DEFAULT,
-    # the commands measure H² points by rows and minima, not tables
-    "halfplane.HalfPlane.dist_table": DEFAULT,
     # a tree walk composes whole levels of letter arrays, and the only
     # elliptic word, which has_finite_order would compose, is the identity
     "freetree.FreeTreeSpace.compose": DEFAULT,
@@ -43,7 +41,6 @@ UNREACHED = {
     "freetree.FreeTreeSpace.is_identity_batch": DEFAULT,
     "sampled.DiscreteSpace.iso_key": DEFAULT,
     "sampled.from_points": BENCH,
-    "halfplane.dist_table": BENCH + ", through from_points",
     "graphspace.grid_graph": BENCH,
     "graphspace.random_connected_graph": BENCH,
     "sampled.SampledSpace.to_json": "writes the fixtures and criterion 14",
