@@ -44,8 +44,9 @@ class DerivedConstants:
 def packing_bound(P0: int, r0: float, R: float, r: float) -> float:
     """Propagated packing ceiling P0 (1 + P0)^(R/s - 1), s = min(r, r0);
     inf where it leaves the float range."""
-    if not (0 < r <= R):
-        raise InputError("need 0 < r <= R")
+    # comparisons with NaN are false, so NaN fails each of them
+    if not (0 < r <= R and P0 >= 1 and 0 < r0 < math.inf):
+        raise InputError("need 0 < r <= R, P0 >= 1 and finite r0 > 0")
     s = r if r <= r0 else r0
     try:
         return P0 * (1.0 + P0) ** (R / s - 1.0)
@@ -63,7 +64,7 @@ def orbit_growth_counts(space, generators, base, radii, word_cap: int):
     """Orbit-point counts |B(base, R) ∩ orbit| using words up to word_cap."""
     letters = pingpong.group_letters(space, generators)
     pingpong.check_walk_length(len(letters), word_cap)
-    levels = (E for E, _ in pingpong.walk_levels(space, letters, word_cap))
+    levels = [E for E, _ in pingpong.walk_levels(space, letters, word_cap)]
     dists = np.sort(space.orbit_dists(base, levels)).tolist()
     return [(float(R), bisect.bisect_right(dists, R + TOL)) for R in radii]
 

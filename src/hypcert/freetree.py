@@ -20,11 +20,6 @@ from .isometry import IsometryProfile
 from .sampled import DiscreteSpace
 
 _WORD_TOKEN = re.compile(r"\s*([a-zA-Z])(?:\^(-?\d+))?")
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
-# a letter batch stores letter k as k + 1, its inverse as -(k + 1)
-_CODES = bytes(range(1, 27)) + bytes(range(255, 229, -1))
-_TO_CODES = bytes.maketrans((_LOWER + _LOWER.upper()).encode(), _CODES)
-_TO_LETTERS = bytes.maketrans(_CODES, (_LOWER + _LOWER.upper()).encode())
 _PAIR_BLOCK = 1 << 14   # products per block of the displacement table
 
 
@@ -82,14 +77,16 @@ def _seam_mul(u: str, v: str) -> str:
 def _mul(U, nu, V, nv):
     """The products u v of the words in the rows of two letter batches,
     row by row (a V of one row multiplies every row): they cancel only at
-    the seam, so the loops run over V's columns, never over rows."""
+    the seam, where a letter meets its inverse, its byte ^ 32 (the byte
+    form of ``swapcase``), so the loops run over V's columns, never over
+    rows."""
     V, nv = np.broadcast_to(V, (len(U), V.shape[1])), np.broadcast_to(nv, nu.shape)
     rows, k, live = np.arange(len(U)), np.zeros_like(nu), np.ones(len(U), bool)
     for i in range(min(U.shape[1], V.shape[1])):
-        live &= (i < nu) & (U[rows, nu - 1 - i] == -V[:, i])
+        live &= (i < nu) & (U[rows, nu - 1 - i] == V[:, i] ^ 32)
         k += live
     head, n = nu - k, nu + nv - 2 * k
-    R = np.zeros((len(n), max(1, n.max(initial=0))), dtype=np.int8)
+    R = np.zeros((len(n), max(1, n.max(initial=0))), dtype=np.uint8)
     w = min(R.shape[1], U.shape[1])
     np.multiply(U[:, :w], np.arange(w) < head[:, None], out=R[:, :w])
     for c in range(V.shape[1]):
@@ -216,9 +213,10 @@ class FreeTreeSpace(DiscreteSpace):
     """The Cayley tree of the free group of the given rank; its vertices
     and isometries are both reduced words.  A word is checked once, where
     it enters (``parse_point``, ``ball`` centres, ``dist_table``); ``act``,
-    ``dist``, ``dist_row``, ``compose`` and ``power`` take them as they are.
-    A batch of words is a letter batch (zero-padded int8 rows, and their
-    lengths); ``unbatch`` makes strings where words are classified or printed."""
+    ``dist``, ``compose`` and ``power`` take them as they are.  A batch
+    of words is a letter batch (the words' ASCII bytes as zero-padded
+    uint8 rows, and their lengths); ``unbatch`` makes strings where words
+    are classified or printed."""
 
     delta = 0.0   # the four-point constant: a tree is 0-hyperbolic
 
@@ -249,13 +247,6 @@ class FreeTreeSpace(DiscreteSpace):
                           for ws in (xs, ys))
         return m[:, None] + n - 2 * _lcp(X[:, None], Y)
 
-    def dist_row(self, x: str, ps) -> np.ndarray:
-        """``dist`` from x to each of ps, a list or a letter batch of words,
-        unchecked: the program's products of checked words are reduced."""
-        (X, m), (Y, n) = self.batch([x]), (self.batch(ps)
-                                           if isinstance(ps, list) else ps)
-        return m + n - 2 * _lcp(X, Y)
-
     def displacement_table(self, xs, levels) -> np.ndarray:
         """d(x, g x) = |x| + |g x| - 2 lcp(x, g x) for each point x of xs,
         a row each, and each element g of the batches in levels, in order;
@@ -274,19 +265,14 @@ class FreeTreeSpace(DiscreteSpace):
 
     def orbit_dists(self, x: str, levels) -> np.ndarray:
         """``dist`` from x to x and to its images under the elements of
-        the batches in levels, each point once, told by its row of letters."""
-        seen, out = set(), []
-        for A, n in itertools.chain([self.batch([x])], (
-                self.act_batch(E, x) for E in levels)):
-            keys = A.view(f"S{A.shape[1]}")[:, 0].tolist()
-            new = set(keys)
-            new -= seen
-            seen |= new
-            if len(new) < len(keys):   # a row of each point not met before
-                rows = list({k: i for i, k in enumerate(keys) if k in new}.values())
-                A, n = A[rows], n[rows]
-            out.append(self.dist_row(x, (A, n)))
-        return np.concatenate(out)
+        the batches in the list levels, each point once.  The group acts
+        freely, g x = h x only where g = h, so a point is told by its
+        element's row of bytes, the identity's first."""
+        keys = np.concatenate([[b""]] + [A.view(f"S{A.shape[1]}")[:, 0]
+                                         for A, _ in levels])
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        return np.concatenate(
+            [[0], self.displacement_table([x], levels)[0]])[first]
 
     def parse_point(self, text: str) -> str:
         """A word in generator syntax, or "e" for the identity."""
@@ -359,23 +345,19 @@ class FreeTreeSpace(DiscreteSpace):
     def batch(self, gs) -> tuple:
         """The letter batch of a list of words."""
         n = np.fromiter(map(len, gs), dtype=np.intp, count=len(gs))
-        A = np.zeros((len(gs), max(1, n.max(initial=0))), dtype=np.int8)
+        A = np.zeros((len(gs), max(1, n.max(initial=0))), dtype=np.uint8)
         A[np.arange(A.shape[1]) < n[:, None]] = np.frombuffer(
-            "".join(gs).encode().translate(_TO_CODES), dtype=np.int8)
+            "".join(gs).encode(), dtype=np.uint8)
         return A, n
 
     def unbatch(self, E) -> list:
         """The words of a letter batch."""
-        W, text = E[0].shape[1], E[0].tobytes().translate(_TO_LETTERS).decode()
-        return [text[i * W:i * W + k] for i, k in enumerate(E[1].tolist())]
+        return [w.decode() for w in
+                E[0].view(f"S{E[0].shape[1]}")[:, 0].tolist()]
 
     def compose_level(self, E, parents, L, letters) -> tuple:
         """``compose`` of E's word parents[i] with L's word letters[i]."""
         return _mul(E[0][parents], E[1][parents], L[0][letters], L[1][letters])
-
-    def act_batch(self, E, x: str) -> tuple:
-        """``act`` of every word of E on x, as a letter batch."""
-        return _mul(*E, *self.batch([x]))
 
     def is_identity_batch(self, E) -> np.ndarray:
         return E[1] == 0

@@ -82,9 +82,12 @@ def _round9(t) -> np.ndarray:
     return out
 
 
-def _is_point(zs) -> np.ndarray:
-    """Where the complex array zs holds upper half-plane points."""
-    return (zs.imag > 0) & np.isfinite(zs)
+def _check_points(zs):
+    """check_point's error for the first entry of the complex array zs
+    that is no upper half-plane point, if one is not."""
+    ok = (zs.imag > 0) & np.isfinite(zs)
+    if not ok.all():
+        check_point(zs[~ok][0])
 
 
 dist.dist_table = dist_table
@@ -99,9 +102,10 @@ def boundary_eq(x, y) -> bool:
 class Moebius:
     """Real Moebius transformation acting on the upper half-plane.
 
-    Stored with determinant one; the sign ambiguity (+M and -M act
-    identically) is resolved by normalizing to nonnegative trace, with the
-    first nonzero entry positive as tiebreaker.
+    Stored with determinant one.  +M and -M act identically, and as
+    negation is exact in floats, images, distances, |trace|, fixed points
+    and identity tests read the same bits from either; only
+    ``HalfPlane.iso_key`` tells which of the two a matrix is.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -115,20 +119,14 @@ class Moebius:
         if det <= 0:
             raise InputError(f"matrix with nonpositive determinant {det}")
         s = math.sqrt(det)
-        self._set(a / s, b / s, c / s, d / s)
-
-    def _set(self, a, b, c, d):
-        tr = a + d
-        if tr < 0 or (tr == 0 and _first_nonzero(a, b, c, d) < 0):
-            a, b, c, d = -a, -b, -c, -d
-        self.a, self.b, self.c, self.d = a, b, c, d
+        self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
 
     @classmethod
     def _unit(cls, a, b, c, d):
         # for products of already det-1 matrices, where recomputing the
         # determinant would lose to cancellation at large entries
         m = cls.__new__(cls)
-        m._set(a, b, c, d)
+        m.a, m.b, m.c, m.d = a, b, c, d
         return m
 
     @classmethod
@@ -142,12 +140,7 @@ class Moebius:
         return Moebius._unit(self.d, -self.b, -self.c, self.a)
 
     def __matmul__(self, other: "Moebius") -> "Moebius":
-        return Moebius._unit(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Moebius._unit(*_product(self.entries(), other.entries()))
 
     def __pow__(self, n: int) -> "Moebius":
         if n == 0:
@@ -172,12 +165,7 @@ class Moebius:
         return complex(num / m2, z.imag / m2)
 
     def is_identity(self) -> bool:
-        return (
-            abs(self.b) <= TOL
-            and abs(self.c) <= TOL
-            and abs(self.a - self.d) <= TOL
-            and abs(abs(self.a) - 1.0) <= TOL
-        )
+        return _is_identity(*self.entries())
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -186,19 +174,29 @@ class Moebius:
         return f"Moebius({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
 
 
+# Below, the entries a, b, c, d of a matrix are floats or arrays that
+# broadcast, so that one matrix and a batch share each formula.
+
+def _product(p, q) -> tuple:
+    """The entries of the product of the matrices of entries p and q."""
+    pa, pb, pc, pd = p
+    qa, qb, qc, qd = q
+    return (pa * qa + pb * qc, pa * qb + pb * qd,
+            pc * qa + pd * qc, pc * qb + pd * qd)
+
+
+def _is_identity(a, b, c, d):
+    """Whether the matrix is +-1 up to TOL in each entry."""
+    return ((abs(b) <= TOL) & (abs(c) <= TOL) & (abs(a - d) <= TOL)
+            & (abs(abs(a) - 1.0) <= TOL))
+
+
 def _image(entries, x, y) -> tuple:
     """Re(g z) |cz + d|^2 and |cz + d|^2, for the entries a, b, c, d of g
-    and z = x + iy, as floats or as arrays that broadcast."""
+    and z = x + iy."""
     a, b, c, d = entries
     dr, di = c * x + d, c * y
     return (a * x + b) * dr + a * y * di, dr * dr + di * di
-
-
-def _first_nonzero(*vals):
-    for v in vals:
-        if v != 0:
-            return v
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -309,15 +307,6 @@ class HalfPlane:
     def dist_table(self, xs, ys) -> np.ndarray:
         return dist_table(xs, ys)
 
-    def dist_row(self, x, ps) -> np.ndarray:
-        """``dist_table([x], ps)[0]`` for points the program built, still
-        checked, since their floats can overflow, but all at once."""
-        x, zy = check_point(x), np.asarray(ps, dtype=complex)
-        ok = _is_point(zy)
-        if not ok.all():
-            check_point(ps[int(np.argmin(ok))])
-        return _paired(x, zy)
-
     def parse_point(self, text: str) -> complex:
         """'x,y' for the point x + iy."""
         try:
@@ -358,24 +347,13 @@ class HalfPlane:
 
     def compose_level(self, E, parents, L, letters) -> np.ndarray:
         """``compose`` of column parents[i] of E with column letters[i]
-        of L, for each i: the products and sums of ``Moebius.__matmul__``,
-        then the sign rule of ``Moebius._set``, on _LEVEL_BLOCK columns
-        at a time, which bounds the temporary arrays."""
+        of L, for each i, by the product of ``Moebius.__matmul__``, on
+        _LEVEL_BLOCK columns at a time, which bounds the temporary arrays."""
         out = np.empty((4, len(parents)))
         with np.errstate(all="ignore"):
             for s in range(0, len(parents), _LEVEL_BLOCK):
-                cols = slice(s, s + _LEVEL_BLOCK)
-                pa, pb, pc, pd = E[:, parents[cols]]
-                qa, qb, qc, qd = L[:, letters[cols]]
-                R = out[:, cols]
-                R[:] = (pa * qa + pb * qc, pa * qb + pb * qd,
-                        pc * qa + pd * qc, pc * qb + pd * qd)
-                a, b, c, d = R
-                tr = a + d
-                first = np.where(a != 0, a,
-                                 np.where(b != 0, b, np.where(c != 0, c, d)))
-                np.negative(R, out=R,
-                            where=(tr < 0) | ((tr == 0) & (first < 0)))
+                c = slice(s, s + _LEVEL_BLOCK)
+                out[:, c] = _product(E[:, parents[c]], L[:, letters[c]])
         return out
 
     def unbatch(self, E) -> list:
@@ -393,7 +371,7 @@ class HalfPlane:
             num, m2 = _image(E, np.real(zs), y)
             out = np.empty(m2.shape, dtype=complex)
             out.real, out.imag = num / m2, y / m2
-        ok = _is_point(out)
+        ok = (out.imag > 0) & np.isfinite(out)
         if not ok.all():   # an image whose |cz + d|^2 is 0 is not finite
             ok = ok.reshape(-1, ok.shape[-1])
             row = int(np.argmin(ok.all(axis=1)))
@@ -412,33 +390,38 @@ class HalfPlane:
         step = max(1, _LEVEL_BLOCK // max(1, E.shape[1]))
         for s in range(0, len(zx), step):
             P = self.act_batch(E, zx[s:s + step])
-            ok = _is_point(P)
-            if not ok.all():
-                check_point(P[~ok][0])
+            _check_points(P)
             out[s:s + step] = _paired(zx[s:s + step], P)
         return out
 
     def orbit_dists(self, x, levels) -> np.ndarray:
-        """``dist`` from x to x and to its images under the elements of the
-        batches in levels, each point once, as rounded to 9 decimals: the
-        first point of each key, its two coordinates rounded, is kept."""
+        """``dist`` from x to x and to its checked images under the
+        elements of the batches in levels, each point once: the first of
+        each key, its two coordinates rounded to 9 decimals, is kept."""
         P = np.concatenate([[x]] + [self.act_batch(E, x) for E in levels])
         kr, ki = _round9(P.real), _round9(P.imag)
         order = np.lexsort((ki, kr))   # stable: equal keys in walk order
         kr, ki = kr[order], ki[order]
         first = np.ones(len(P), dtype=bool)
         first[1:] = (kr[1:] != kr[:-1]) | (ki[1:] != ki[:-1])
-        return self.dist_row(x, P[np.sort(order[first])])
+        P = P[np.sort(order[first])]
+        _check_points(P)   # x, first, is checked first
+        return _paired(P[0], P)
 
     def is_identity_batch(self, E) -> np.ndarray:
         """``Moebius.is_identity`` of every column of E."""
-        a, b, c, d = E
         with np.errstate(all="ignore"):
-            return ((np.abs(b) <= TOL) & (np.abs(c) <= TOL)
-                    & (np.abs(a - d) <= TOL) & (np.abs(np.abs(a) - 1.0) <= TOL))
+            return _is_identity(*E)
 
     def iso_key(self, g: Moebius) -> tuple:
-        return tuple(round(v, 9) for v in g.entries())
+        """The entries, rounded to 9 decimals, of the one of g and -g
+        whose trace is not negative, or, at trace 0, whose first nonzero
+        entry is positive: the one place where +-g is told apart."""
+        e = g.entries()
+        tr = e[0] + e[3]
+        if tr < 0 or tr == 0 and next((v for v in e if v), 0.0) < 0:
+            e = [-v for v in e]
+        return tuple(round(v, 9) for v in e)
 
     def boundary_eq(self, x, y) -> bool:
         return boundary_eq(x, y)

@@ -60,10 +60,13 @@ def min_free_power(space, a, b, delta: float) -> PingPongData:
         xm, xp = xp, xm
         b = isometry.isometry_power(space, b, -1)
     M0 = float(space.dist(xm, xp))
+    threshold = (M0 + 77.0 * delta) / pa.ell
+    if not threshold < math.inf:
+        raise InputError(f"delta {delta}: the power threshold "
+                         "(M0 + 77 delta) / ell is not finite")
     # a projection onto a line does not depend on its orientation
-    return PingPongData(
-        a, b, max(1, math.ceil((M0 + 77.0 * delta) / pa.ell - TOL)), M0,
-        swapped, xm, xp, beta.project(xm), beta.project(xp))
+    return PingPongData(a, b, max(1, math.ceil(threshold - TOL)), M0, swapped,
+                        xm, xp, beta.project(xm), beta.project(xp))
 
 
 def pingpong_data(space, a, b, N: int, delta: float) -> PingPongData:

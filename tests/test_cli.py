@@ -591,6 +591,9 @@ class TestMalformedInput:
                       "--eps2", "2", "--center", "e"]
     _H2_MARGULIS = ["margulis", "--input", "{family}", "--eps1", "1.5",
                     "--eps2", "1.8", "--center", "0,1"]
+    _SQUARE_SPACE = {"points": [0, 1, 2, 3], "dist": _SQUARE}
+    _PACK = ["pack", "--input", "{family}", "--center", "0", "--R", "2",
+             "--r", "0.5"]
     _HUGE = [[0, 1e308, 6e307, 6e307], [1e308, 0, 6e307, 6e307],
              [6e307, 6e307, 0, 1e308], [6e307, 6e307, 1e308, 0]]
 
@@ -647,6 +650,11 @@ class TestMalformedInput:
         (_H2_MARGULIS + ["--P0", "4", "--r0", "inf"], _PAIR),
         (["margulis", "--input", "{family}", "--eps1", "1.5", "--eps2",
           "inf", "--center", "0,1"], _PAIR),
+        (_PACK + ["--P0", "4", "--r0", "0"], _SQUARE_SPACE),
+        (_PACK + ["--P0", "-2", "--R", "2.5", "--r", "1"], _SQUARE_SPACE),
+        (_PACK + ["--P0", "4", "--r0", "-1"], _SQUARE_SPACE),
+        (_PACK + ["--P0", "4", "--r0", "nan"], _SQUARE_SPACE),
+        (_CERTIFY + ["--delta", "1e308"], _PAIR),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
@@ -662,7 +670,9 @@ class TestMalformedInput:
             "tree-margulis-radius-nan", "tree-margulis-radius-inf",
             "tree-radii-nan", "tree-radii-inf", "h2-orbit-radii-nan",
             "margulis-P0-zero", "margulis-P0-negative", "margulis-r0-nan",
-            "margulis-r0-negative", "margulis-r0-inf", "margulis-eps2-inf"])
+            "margulis-r0-negative", "margulis-r0-inf", "margulis-eps2-inf",
+            "pack-r0-zero", "pack-P0-negative", "pack-r0-negative",
+            "pack-r0-nan", "certify-delta-overflows"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))

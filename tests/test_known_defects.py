@@ -104,6 +104,19 @@ def test_degenerating_rows_before_the_limit_are_hyperbolic(tmp_path,
     assert [row["kind"] for row in rows[59:64]] == ["hyperbolic"] * 5
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 24")
+def test_free_group_diastole_is_one(tmp_path, tree_pair_file):
+    # F2 on its own tree: w a w^-1 moves the vertex w by 1, so every
+    # point's systole, and their supremum, the diastole, is 1
+    for cap in (2, 4, 6):
+        out = tmp_path / f"stats{cap}.json"
+        assert cli.main(["stats", "--input", tree_pair_file, "--base", "e",
+                         "--radius", "4", "--word-cap", str(cap),
+                         "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())["result"]
+        assert (cap, rep["sys_min"], rep["dias_estimate"]) == (cap, 1, 1)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
 def test_cyclic_orbit_counts_every_point():
     # 4^k i for |k| <= 20 lie within 60 of i: 41 distinct points

@@ -61,9 +61,22 @@ class TestMoebius:
         assert a * d - b * c == pytest.approx(1.0)
 
     def test_sign_convention(self):
-        g = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
-        h = halfplane.Moebius._unit(-2.0, 0.0, 0.0, -0.5)
-        assert h.entries() == g.entries()
+        # M and -M: one iso_key, the one of nonnegative trace, and at
+        # trace 0 of positive first nonzero entry; bit-equal images
+        H2 = halfplane.H2
+        for g, want in [(halfplane.Moebius(2.0, 0.0, 0.0, 0.5),
+                         (2.0, 0.0, 0.0, 0.5)),
+                        (halfplane.Moebius(0.0, -1.0, 1.0, 0.0),
+                         (0.0, 1.0, -1.0, 0.0)),
+                        (halfplane.Moebius(1.0, 2.0, -1.0, -1.0),
+                         (1.0, 2.0, -1.0, -1.0))]:
+            h = halfplane.Moebius._unit(*(-v for v in g.entries()))
+            assert H2.iso_key(g) == H2.iso_key(h) == want
+            assert abs(g.trace()) == abs(h.trace())
+            assert g.is_identity() == h.is_identity() is False
+            for z in (1j, 0.5 + 2j, complex(-3.0, 1e-9)):
+                assert repr(g(z)) == repr(h(z))
+        assert halfplane.Moebius._unit(-1.0, 0.0, 0.0, -1.0).is_identity()
 
     def test_inverse_roundtrip(self):
         g = halfplane.Moebius(3.0, 1.0, 2.0, 1.0)
@@ -370,7 +383,7 @@ def _word_pairs(rank):
     pairs = [(_reduced(rng, T, rng.randint(0, 7)),
               _reduced(rng, T, rng.randint(0, 3))) for _ in range(150)]
     pairs += [(v, u) for u, v in pairs[:75]]
-    top = chr(ord("a") + rank - 1)   # the last letter, code +-rank
+    top = chr(ord("a") + rank - 1)   # the last letter
     for u in ("", top, top.upper() + "a", _reduced(rng, T, 6)):
         pairs += [(u, ""), ("", u), (u, freetree.invert(u)),
                   (freetree.invert(u), u)]
@@ -381,7 +394,7 @@ def _word_pairs(rank):
 
 class TestLetterBatches:
     """The tree's letter-batch kernels against the string product and
-    the scalar distance, in ranks whose letter codes reach +-26."""
+    the scalar distance, in ranks up to the whole alphabet."""
 
     @pytest.mark.parametrize("rank", [2, 3, 26])
     def test_unbatch_gives_the_words_back(self, rank):
@@ -405,10 +418,12 @@ class TestLetterBatches:
         level = T.compose_level(T.batch(us), rows, T.batch(vs), back)
         assert T.unbatch(level) == [freetree._seam_mul(u, vs[j])
                                     for u, j in zip(us, back)]
+        # acting is composing with the point as the letter
         for x in {"", us[0], vs[1], freetree.invert(us[2]), us[3] + us[3]}:
             x = freetree.reduce_word(x)
-            assert T.unbatch(T.act_batch(T.batch(us), x)) == \
-                [T.act(g, x) for g in us]
+            level = T.compose_level(T.batch(us), rows, T.batch([x]),
+                                    np.zeros_like(rows))
+            assert T.unbatch(level) == [T.act(g, x) for g in us]
 
     @pytest.mark.parametrize("rank", [2, 3, 26])
     def test_distances_are_the_scalar_ones(self, rank):
@@ -416,11 +431,12 @@ class TestLetterBatches:
         us, vs = [u for u, _ in pairs][:60], [v for _, v in pairs][-50:]
         _same_in_type_and_bits(T.dist_table(us, vs).tolist(),
                                [[T.dist(u, v) for v in vs] for u in us])
+        # orbit_dists measures x and the images of the distinct words
         for x in us[:10]:
-            want = [[T.dist(x, v) for v in vs]]
-            _same_in_type_and_bits([T.dist_row(x, vs).tolist()], want)
+            images = {g: T.act(g, x) for g in [""] + vs}
             _same_in_type_and_bits(
-                [T.dist_row(x, T.batch(vs)).tolist()], want)
+                [T.orbit_dists(x, [T.batch(vs)]).tolist()],
+                [[T.dist(x, p) for p in images.values()]])
 
     @pytest.mark.parametrize("block", [freetree._PAIR_BLOCK, 1, 7, 64])
     @pytest.mark.parametrize("rank", [2, 3, 26])
@@ -824,7 +840,14 @@ def test_overflowing_h2_tables_are_inf_without_a_warning(capfd):
             _same_in_type_and_bits(
                 halfplane.dist_table(pts, list(pts)).tolist(), want)
             _same_in_type_and_bits(
-                [halfplane.H2.dist_row(p, pts).tolist() for p in pts], want)
+                [halfplane.dist_table([p], pts)[0].tolist() for p in pts],
+                want)
+            # z -> z - 2e300 takes pts[0] to pts[1]
+            far = halfplane.H2.batch(
+                [halfplane.Moebius(1.0, -2e300, 0.0, 1.0)])
+            _same_in_type_and_bits(
+                [halfplane.H2.orbit_dists(pts[0], [far]).tolist()],
+                [[0.0, math.inf]])
     assert capfd.readouterr().err == ""
 
 
@@ -960,28 +983,48 @@ def test_unbatch_gives_the_matrices_back():
 
 
 @pytest.mark.parametrize("model", ["h2", "tree"])
-def test_dist_row_is_the_table_row(model):
-    space, xs, ys, bad = _TABLE_CASES[model]
-    for x in xs:
-        _same_in_type_and_bits([space.dist_row(x, ys).tolist()],
-                               space.dist_table([x], ys).tolist())
-    if model == "h2":   # floats the program builds can overflow
-        with pytest.raises(InputError) as row:
-            space.dist_row(xs[0], ys + [bad])
-        with pytest.raises(InputError) as table:
-            space.dist_table([xs[0]], ys + [bad])
-        assert str(row.value) == str(table.value)
+def test_orbit_dists_are_the_table_row(model):
+    # an orbit with no repeated key is the table row of its images
+    space, xs, _, _ = _TABLE_CASES[model]
+    gs = {"h2": [halfplane.Moebius(2.0, 0.0, 0.0, 0.5),
+                 halfplane.Moebius(1.25, 0.75, 0.75, 1.25),
+                 halfplane.Moebius(1e150, 0.0, 0.0, 1e-150)],
+          "tree": ["a", "Ba", "abA", "bb"]}[model]
+    for x in xs[:2]:
+        images = [x] + [space.act(g, x) for g in gs]
+        _same_in_type_and_bits(
+            [space.orbit_dists(x, [space.batch(gs[:2]),
+                                   space.batch(gs[2:])]).tolist()],
+            space.dist_table([x], images).tolist())
+
+
+def test_h2_orbit_dists_check_the_images_as_the_table_does():
+    # floats the program builds can overflow: 1e300 i to 1e310 i
+    x = complex(0.0, 1e300)
+    gs = [halfplane.Moebius(2.0, 0.0, 0.0, 0.5),
+          halfplane.Moebius(1e5, 0.0, 0.0, 1e-5)]
+    with pytest.raises(InputError) as row:
+        halfplane.H2.orbit_dists(x, [halfplane.H2.batch(gs)])
+    with pytest.raises(InputError) as table:
+        halfplane.dist_table([x], [g(x) for g in gs])
+    assert str(row.value) == str(table.value)
 
 
 def test_tree_rows_check_nothing(monkeypatch):
     tree = freetree.FreeTreeSpace(2)
     ball = tree.ball("", 3)
-    want = {x: tree.dist_table([x], ball).tolist() for x in ball[:20]}
+    want = {x: [tree.dist(x, tree.act(g, x)) for g in ball]
+            for x in ball[:20]}
     calls = []
     monkeypatch.setattr(freetree.FreeTreeSpace, "check_point",
                         lambda self, w: calls.append(w) or w)
+    level = [tree.batch(ball)]
     for x, row in want.items():
-        _same_in_type_and_bits([tree.dist_row(x, ball).tolist()], row)
+        # every word of the ball is one element: x's orbit row is its
+        # displacement row, with the identity, first in the ball, at 0
+        _same_in_type_and_bits([tree.orbit_dists(x, level).tolist()], [row])
+        _same_in_type_and_bits(
+            tree.displacement_table([x], level).tolist(), [row])
     assert calls == []
 
 

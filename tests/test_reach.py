@@ -117,7 +117,7 @@ def _runs(tmp_path, tree_ball, files, family):
     point = {"h2": "0,1", "free_tree": "e", "graph": "0"}
     sanov = pair("sanov", ("a", [[1, 2], [0, 1]]), ("b", [[1, 0], [2, 1]]))
     mixed = pair("mixed", ("a", [[2, 0], [0, 0.5]]), ("s", [[0, 1], [-1, 2]]))
-    # trace 0: the sign rule's tie-break runs
+    # z -> -1/z has order 2: stats' torsion test runs
     elliptic = pair("elliptic", ("r", [[0, -1], [1, 0]]),
                     ("a", [[2, 0], [0, 0.5]]))
     # |cz + d|^2 underflows to 0 for every sample point

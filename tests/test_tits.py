@@ -1,6 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -302,3 +305,34 @@ def test_conjugates_the_floats_cannot_hold_are_passed_over(tmp_path, capsys,
     assert code == 4 and rep is None
     assert capsys.readouterr().err.startswith(
         "search exhausted: no certified conjugate witness")
+
+
+def _ford_free_pairs():
+    """Every unordered pair g, h of integer matrices with entries in
+    [-6, 6], det 1, c > 0 and |a + d| >= 2 whose discs inside the
+    isometric circles |cz + d| = 1 of g, g^-1, h and h^-1 are pairwise
+    disjoint, compared exactly; a parabolic's own two circles may touch,
+    as |a + d| >= 2 allows.  Each pair is free by ping-pong."""
+    R = range(-6, 7)
+    mats = [(a, b, c, d) for a, b, c, d in itertools.product(R, R, R, R)
+            if a * d - b * c == 1 and c > 0 and abs(a + d) >= 2]
+
+    def discs(m):   # the centres -d/c of g's circle and a/c of g^-1's
+        a, _, c, d = m
+        return [(Fraction(-d, c), Fraction(1, c)), (Fraction(a, c),
+                                                    Fraction(1, c))]
+
+    return [(g, h) for g, h in itertools.combinations(mats, 2)
+            if all(abs(x - y) > r + s for x, r in discs(g)
+                   for y, s in discs(h))]
+
+
+def test_ford_free_pairs_are_never_refused():
+    pairs = _ford_free_pairs()
+    kinds = Counter(sum(abs(m[0] + m[3]) == 2 for m in pair)
+                    for pair in pairs)
+    # parabolics in a pair: 0 hyperbolic, 1 mixed, 2 parabolic pairs
+    assert len(pairs) == 720 and kinds == {0: 116, 1: 456, 2: 148}
+    refused = [(g, h) for g, h in pairs if not tits.tits_witness(
+        H2, halfplane.Moebius(*g), halfplane.Moebius(*h)).valid]
+    assert refused == []

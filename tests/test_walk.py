@@ -77,8 +77,8 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
         orbit.add(_pt_key(isometry.apply_isometry(space, g, base)))
     calls = []
     model = type(space)
-    dist, dist_table, dist_row = model.dist, model.dist_table, model.dist_row
-    paired = halfplane._paired
+    dist, dist_table = model.dist, model.dist_table
+    paired, lcp = halfplane._paired, freetree._lcp
 
     def counting_dist(self, p, q):
         calls.append(q)
@@ -88,25 +88,26 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
         calls.extend(ys)
         return dist_table(self, xs, ys)
 
-    def counting_row(self, x, ps):
-        # the tree measures its images as rows of a letter batch
-        calls.extend(range(len(ps[1])))
-        return dist_row(self, x, ps)
-
     def counting_paired(zx, zy):
         # H² measures its points with the paired kernel, an entry each
         out = paired(zx, zy)
         calls.extend(range(out.size))
         return out
 
+    def counting_lcp(X, Y):
+        # the tree measures its images by common prefixes, an entry each
+        out = lcp(X, Y)
+        calls.extend(range(out.size))
+        return out
+
     monkeypatch.setattr(model, "dist", counting_dist)
     monkeypatch.setattr(model, "dist_table", counting_table)
-    if space is H2:
-        monkeypatch.setattr(halfplane, "_paired", counting_paired)
-    else:
-        monkeypatch.setattr(model, "dist_row", counting_row)
+    monkeypatch.setattr(halfplane, "_paired", counting_paired)
+    monkeypatch.setattr(freetree, "_lcp", counting_lcp)
     bounds.orbit_growth_counts(space, gens, base, [1.0, 2.0, 3.0, 4.0], 4)
-    assert len(calls) == len(orbit)
+    # the tree's base is at 0 from itself unmeasured, and each other
+    # point is the image of one element, which is measured once
+    assert len(calls) == len(orbit) - (space is not H2)
 
 
 def test_action_stats_classifies_each_element_once(schottky_pair, rng,
