@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import __version__, bounds, freetree, graphspace, halfplane
+from . import __version__, bounds, freetree, halfplane
 from . import isometry, sampled, tits
 from .errors import (BudgetError, HypcertError, InputError, SearchExhausted)
 
@@ -122,46 +122,15 @@ def load_group_spec(path):
                 raise InputError("h2 generators need a matrix")
             gens.append((names[k], _moebius(m)))
     elif model == "free_tree":
-        try:
-            rank = int(params.get("rank", 2))
-        except (TypeError, ValueError):
-            raise InputError(
-                f"rank must be an integer: {params['rank']!r}") from None
+        rank = params.get("rank", 2)
+        if type(rank) is not int:
+            raise InputError(f"rank must be an integer, got {rank!r}")
         space = freetree.FreeTreeSpace(rank)
         for k, g in enumerate(gens_spec):
             if not isinstance(g.get("word"), str):
                 raise InputError("free_tree generators need a word string")
             gens.append((names[k],
                          space.check_point(freetree.parse_word(g["word"]))))
-    elif model == "graph":
-        verts = params.get("vertices")
-        edges = params.get("edges")
-        if not (isinstance(verts, list) and isinstance(edges, list)):
-            raise InputError("graph model needs params.vertices and params.edges")
-        verts = [tuple(v) if isinstance(v, list) else v for v in verts]
-
-        def vertex(i):
-            if i not in range(len(verts)):
-                raise InputError(f"vertex index {i!r} out of range")
-            return verts[int(i)]
-
-        def edge(e):
-            if not (isinstance(e, list) and len(e) == 3):
-                raise InputError(f"an edge is [u, v, weight], got {e!r}")
-            u, v, w = e
-            if not isinstance(w, (int, float)):
-                raise InputError(f"non-numeric edge weight {w!r}")
-            return vertex(u), vertex(v), w
-
-        space = graphspace.MetricGraphSpace(verts, [edge(e) for e in edges])
-        for name, g in zip(names, gens_spec):
-            if not isinstance(g.get("perm"), list):
-                raise InputError("graph generators need a perm list")
-            if len(g["perm"]) != len(verts):
-                raise InputError(f"perm of {name!r} needs one image per vertex")
-            space.register_isometry(
-                name, {v: vertex(j) for v, j in zip(verts, g["perm"])})
-            gens.append((name, name))
     else:
         raise InputError(f"unknown model {model!r}")
     return space, gens
@@ -192,10 +161,11 @@ def cmd_delta(args):
 def cmd_pack(args):
     space = load_space(args.input)
     center = _parse_point_id(space, args.center)
-    prof = sampled.packing_number(space, center, args.R, args.r,
-                                  mode=args.mode)
+    # the bound refuses bad flags before the search runs
     bound = (None if args.P0 is None else
              bounds.packing_bound(args.P0, args.r0, args.R, args.r))
+    prof = sampled.packing_number(space, center, args.R, args.r,
+                                  mode=args.mode)
     emit({"manifest": manifest(args),
           "result": {"pack_exact": prof.pack_exact,
                      "pack_greedy": prof.pack_greedy,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InputError
 from .isometry import IsometryProfile
-from .sampled import DiscreteSpace
 
 _WORD_TOKEN = re.compile(r"\s*([a-zA-Z])(?:\^(-?\d+))?")
 _PAIR_BLOCK = 1 << 14   # products per block of the displacement table
@@ -209,7 +208,7 @@ def _whole_radius(R) -> int:
     return int(R)
 
 
-class FreeTreeSpace(DiscreteSpace):
+class FreeTreeSpace:
     """The Cayley tree of the free group of the given rank; its vertices
     and isometries are both reduced words.  A word is checked once, where
     it enters (``parse_point``, ``ball`` centres, ``dist_table``); ``act``,
@@ -292,8 +291,9 @@ class FreeTreeSpace(DiscreteSpace):
         return [_seam_mul(center, w) for shell in shells for w in shell]
 
     def sample_ball(self, center: str, R, n: int, rng) -> list:
-        """``DiscreteSpace.sample_ball``'s picks, without building the
-        ball: each drawn index of its BFS order is unranked into its word."""
+        """The whole ball when it has at most n points, else n seeded
+        picks of its BFS order that keep the center, drawn as indices and
+        each unranked into its word without building the ball."""
         if n < 1:
             raise InputError("need n >= 1")
         center = self.check_point(center)
@@ -377,6 +377,12 @@ class FreeTreeSpace(DiscreteSpace):
 
     def is_identity(self, g: str) -> bool:
         return g == ""
+
+    def iso_key(self, g: str) -> str:
+        return g
+
+    def boundary_eq(self, u: TreeEnd, v: TreeEnd) -> bool:
+        return u == v
 
     def commute(self, g: str, h: str) -> bool:
         """Whether g h = h g.  Two words that do not commute are a free

@@ -1,4 +1,5 @@
-"""Finite weighted graphs as metric spaces, with permutation isometries."""
+"""Finite weighted graphs as metric spaces: the shortest-path tables
+that the metric estimators are measured and tested on."""
 
 from __future__ import annotations
 
@@ -7,22 +8,16 @@ import random
 
 import numpy as np
 
-from . import TOL
 from .errors import InputError
-from .isometry import IsometryProfile
-from .sampled import DiscreteSpace
 
 _FW_ROWS = 64   # rows per block of a Floyd-Warshall step
 _FW_INF = 2 ** 14 - 1   # int16 infinity: a sum of two entries fits
 
 
-class MetricGraphSpace(DiscreteSpace):
-    """Connected weighted graph with its all-pairs shortest-path metric.
-
-    Vertices are arbitrary hashable ids; isometries are registered
-    distance-preserving vertex permutations, named by strings.  They act
-    on points only: products and powers are not supported.
-    """
+class MetricGraphSpace:
+    """Connected weighted graph with its all-pairs shortest-path metric;
+    vertices are arbitrary hashable ids.  It is a metric table only, not
+    a group model: a finite group acting on it is elliptic throughout."""
 
     def __init__(self, vertices, edges):
         """edges: iterable of (u, v, weight) with positive finite weights."""
@@ -72,7 +67,6 @@ class MetricGraphSpace(DiscreteSpace):
             raise InputError("graph is not connected")
         D = D.astype(float, copy=False)
         self.table = D
-        self.isometries = {}
 
     def _position(self, v) -> int:
         try:
@@ -86,44 +80,6 @@ class MetricGraphSpace(DiscreteSpace):
     def dist_table(self, xs, ys) -> np.ndarray:
         return self.table[np.ix_([self._position(p) for p in xs],
                                  [self._position(q) for q in ys])]
-
-    def register_isometry(self, name: str, perm) -> None:
-        """perm maps vertex -> vertex; must preserve the distance table."""
-        idx = np.array([self.index[perm[v]] for v in self.vertices])
-        if sorted(idx) != list(range(len(self.vertices))):
-            raise InputError("not a permutation of the vertices")
-        if not np.allclose(self.table[np.ix_(idx, idx)], self.table, atol=TOL):
-            raise InputError(f"permutation {name!r} does not preserve distances")
-        self.isometries[name] = dict(perm)
-
-    def parse_point(self, text: str):
-        """The vertex whose text form is the given text."""
-        for v in self.vertices:
-            if str(v) == text:
-                return v
-        raise InputError(f"unknown vertex {text!r}")
-
-    def act(self, name: str, p):
-        return self.isometries[name][p]
-
-    def ball(self, center, R: float) -> list:
-        row = self.table[self._position(center)]
-        return [v for v, dv in zip(self.vertices, row) if dv <= R + TOL]
-
-    def compose(self, g, h):
-        raise InputError("graph isometries support no products")
-
-    def power(self, g, n: int):
-        raise InputError("graph isometries support no powers")
-
-    def is_identity(self, g) -> bool:
-        return all(self.act(g, v) == v for v in self.vertices)
-
-    def classify(self, g) -> IsometryProfile:
-        """Every graph isometry is elliptic."""
-        if g not in self.isometries:
-            raise InputError(f"unknown graph isometry {g!r}")
-        return IsometryProfile("elliptic", 0.0)
 
 
 def grid_graph(n: int) -> MetricGraphSpace:

@@ -23,7 +23,7 @@ def classify(g, space) -> IsometryProfile:
     """Type, translation length and boundary data of an isometry.
 
     Half-plane matrices classify by |trace|, tree words by cyclically
-    reduced length; finite-graph permutations are always elliptic.
+    reduced length.
     """
     return space.classify(g)
 

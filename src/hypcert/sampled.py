@@ -557,32 +557,3 @@ def covering_number(space: SampledSpace, region, r: float,
             fallback=len(greedy))
     return len(_min_cover(D, reg, centers, r, greedy))
 
-
-class DiscreteSpace:
-    """Defaults shared by the discrete models (the free-group tree and
-    finite graphs).  Subclasses provide ``dist``, ``dist_table``, ``act``,
-    ``compose``, ``is_identity`` and ``ball``; a graph never walks, so the
-    walk's batch methods are the tree's own."""
-
-    def sample_ball(self, center, R, n: int, rng) -> list:
-        """The whole ball when it has at most n points, else n seeded
-        picks that keep the center."""
-        if n < 1:
-            raise InputError("need n >= 1")
-        pts = self.ball(center, R)
-        if len(pts) <= n:
-            return pts
-        keep = sorted(rng.sample(range(len(pts)), n))
-        out = [pts[i] for i in keep]
-        if center not in out:
-            out[0] = center
-        return out
-
-    def ball_size(self, center, R) -> int:
-        return len(self.ball(center, R))
-
-    def iso_key(self, g):
-        return g
-
-    def boundary_eq(self, u, v) -> bool:
-        return u == v

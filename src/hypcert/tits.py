@@ -93,7 +93,6 @@ def tits_witness(space, a, b, cfg: TitsConfig = None,
     if "elliptic" in (pa.kind, pb.kind):
         raise InputError("an elliptic generator means torsion or a "
                          "non-discrete group; there is no free pair to find")
-    # a graph pair stops above: its isometries are elliptic
     if cfg.delta < space.delta:
         raise InputError(f"delta {cfg.delta} is below the model's "
                          f"four-point constant {space.delta}")

@@ -1,6 +1,6 @@
 """Builders and walks that only tests need: an elliptic generator,
-points along the model lines of hyperbolic axes, and an exact word
-walk over integer matrices."""
+points along the model lines of hyperbolic axes, a reference ball
+sampler and an exact word walk over integer matrices."""
 
 import math
 
@@ -28,6 +28,19 @@ def point_along(axis, base, T: float):
     path = ([base[:j] for j in range(len(base), k, -1)]
             + [deep[:j] for j in range(k, len(deep) + 1)])
     return path[min(steps, len(path) - 1)]
+
+
+def sample_ball_reference(space, center, R, n: int, rng) -> list:
+    """The whole of ``space.ball(center, R)`` when it has at most n
+    points, else n seeded picks of it that keep the center."""
+    pts = space.ball(center, R)
+    if len(pts) <= n:
+        return pts
+    keep = sorted(rng.sample(range(len(pts)), n))
+    out = [pts[i] for i in keep]
+    if center not in out:
+        out[0] = center
+    return out
 
 
 def int_mul(m, n):

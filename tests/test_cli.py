@@ -70,6 +70,22 @@ class TestPackCov:
         assert code == 0
         assert rep["result"]["theoretical_bound"] == "inf"
 
+    @pytest.mark.parametrize("flags", [["--P0", "0"], ["--r0", "0"]],
+                             ids=["P0-zero", "r0-zero"])
+    def test_bad_bound_flags_are_refused_before_the_search(
+            self, tmp_path, tree_ball_file, monkeypatch, flags):
+        calls, search = [], sampled.packing_number
+
+        def recorded(*args, **kw):
+            calls.append(args)
+            return search(*args, **kw)
+
+        monkeypatch.setattr(sampled, "packing_number", recorded)
+        code, rep = run(tmp_path, "pack", "--input", tree_ball_file,
+                        "--center", "e", "--R", "2", "--r", "1",
+                        "--P0", "4", *flags)
+        assert (code, rep, calls) == (2, None, [])
+
     def test_cov(self, tmp_path, tree_ball_file):
         code, rep = run(tmp_path, "cov", "--input", tree_ball_file,
                         "--r", "1")
@@ -354,19 +370,6 @@ class TestModelInputs:
         code, _ = run(tmp_path, "entropy", "--input", h2_pair_file, "--orbit")
         assert code == 2
 
-    def test_graph_base_names_a_vertex(self, tmp_path):
-        path = _cycle_file(tmp_path)
-        code, rep = run(tmp_path, "entropy", "--input", path,
-                        "--base", "0", "--radii", "0,1,2")
-        assert code == 0
-        assert rep["result"]["counts"] == [[0.0, 1], [1.0, 3], [2.0, 4]]
-        code, _ = run(tmp_path, "margulis", "--input", path, "--eps1", "0.5",
-                      "--eps2", "1", "--center", "0")
-        assert code == 0
-        # stats needs inverses, which graph isometries do not support
-        code, _ = run(tmp_path, "stats", "--input", path, "--base", "0")
-        assert code == 2
-
     def test_h2_ball_entropy_asks_for_orbit(self, tmp_path, h2_pair_file,
                                             capsys):
         code, _ = run(tmp_path, "entropy", "--input", h2_pair_file,
@@ -385,9 +388,11 @@ class TestModelInputs:
         assert code == 2 and rep is None
         assert "rank-2 alphabet" in capsys.readouterr().err
 
-    def test_graph_certify_is_exit_2(self, tmp_path):
-        code, _ = run(tmp_path, "certify", "--input", _cycle_file(tmp_path))
-        assert code == 2
+    def test_graph_is_an_unknown_model(self, tmp_path, capsys):
+        # finite graphs are metric tables, not group models
+        code, rep = run(tmp_path, "classify", "--input", _cycle_file(tmp_path))
+        assert (code, rep) == (2, None)
+        assert "unknown model 'graph'" in capsys.readouterr().err
 
     def test_tits_is_certify(self, tmp_path, h2_pair_file):
         code, rep = run(tmp_path, "tits", "--input", h2_pair_file)
@@ -498,9 +503,6 @@ class TestSampleSize:
 
 
 class TestMalformedInput:
-    _CYCLE3 = {"vertices": [0, 1, 2],
-               "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]}
-
     @staticmethod
     def _write(tmp_path, text):
         path = tmp_path / "spec.json"
@@ -523,51 +525,25 @@ class TestMalformedInput:
         assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [
-        {"model": "graph", "params": _CYCLE3,
-         "generators": [{"perm": [2, 1, 7]}]},
-        {"model": "graph", "params": _CYCLE3,
-         "generators": [{"perm": [2, 1]}]},
-        {"model": "graph", "params": _CYCLE3,
-         "generators": [{"perm": [2, 1, 0, 0]}]},
-        {"model": "graph", "generators": [],
-         "params": {"vertices": [0, 1, 2], "edges": [[0, 1, 1], [1, 3, 1]]}},
-        {"model": "graph", "generators": [],
-         "params": {"vertices": [0, 1, 2],
-                    "edges": [[0, 1, 1], [1, 2, 1], [2, -1, 1]]}},
         {"model": "h2", "generators": [{"matrix": [[2.0, 0.0]]}]},
         {"model": "h2", "generators": [
             {"matrix": [[2.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]}]},
         {"model": "h2", "generators": [{"matrix": [["2", 0.0], [0.0, 0.5]]}]},
         {"model": "free_tree", "params": {"rank": 2},
          "generators": [{"word": "c"}]},
-        {"model": "graph", "generators": [],
-         "params": {"vertices": [[[0]], 1, 2],
-                    "edges": [[0, 1, 1], [1, 2, 1]]}},
         {"model": "h2", "generators": [
             {"name": ["a"], "matrix": [[2.0, 0.0], [0.0, 0.5]]}]},
-        {"model": "graph", "generators": [],
-         "params": {"vertices": [0, 1, 2],
-                    "edges": [[0, 1, math.nan], [1, 2, 1]]}},
-        {"model": "graph", "generators": [],
-         "params": {"vertices": [0, 1, 2],
-                    "edges": [[0, 1, math.inf], [1, 2, 1], [2, 0, 1]]}},
-        {"model": "graph", "params": {"vertices": [], "edges": []},
-         "generators": [{"name": "g", "perm": []}]},
         '{"model": "h2", "generators": [',
         {"model": "h2", "params": [], "generators": []},
         {"model": "h2", "generators": [{"name": "a"}]},
-        {"model": "graph", "generators": []},
         {"model": "sphere", "generators": []},
         {"model": "free_tree", "params": {"rank": 27}, "generators": []},
         {"model": "free_tree", "params": {"rank": 2},
          "generators": [{"word": "a^"}]},
-    ], ids=["perm-image-out-of-range", "perm-too-short", "perm-too-long",
-            "edge-out-of-range", "edge-negative-index", "matrix-1x2",
-            "matrix-3x3", "matrix-string-entry", "word-beyond-rank",
-            "vertex-nested-list", "name-list", "edge-weight-nan",
-            "edge-weight-infinity", "no-vertices", "json-text",
-            "params-list", "h2-without-matrix", "graph-without-params",
-            "unknown-model", "rank-27", "word-open-power"])
+    ], ids=["matrix-1x2", "matrix-3x3", "matrix-string-entry",
+            "word-beyond-rank", "name-list", "json-text", "params-list",
+            "h2-without-matrix", "unknown-model", "rank-27",
+            "word-open-power"])
     def test_malformed_group_spec_is_exit_2(self, tmp_path, capsys, spec):
         # a string is the file's text as it stands
         text = spec if isinstance(spec, str) else json.dumps(spec)
@@ -684,24 +660,22 @@ class TestMalformedInput:
 
 
 class TestMalformedSpecShape:
-    _CYCLE3 = {"vertices": [0, 1, 2],
-               "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]}
-
     @pytest.mark.parametrize("spec", [
-        {"model": "graph", "generators": [],
-         "params": {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2, 1]]}},
-        {"model": "graph", "generators": [],
-         "params": {"vertices": [0, 1, 2],
-                    "edges": [[0, 1, "x"], [1, 2, 1], [2, 0, 1]]}},
-        {"model": "graph", "params": _CYCLE3, "generators": [{"perm": 5}]},
         {"model": "free_tree", "generators": [{"word": 5}]},
         {"model": "free_tree", "params": {"rank": "x"},
+         "generators": [{"word": "a"}]},
+        # a rank is a JSON integer, not a number or a string that int() reads
+        {"model": "free_tree", "params": {"rank": 2.5},
+         "generators": [{"word": "a"}]},
+        {"model": "free_tree", "params": {"rank": "3"},
+         "generators": [{"word": "a"}]},
+        {"model": "free_tree", "params": {"rank": 3.0},
          "generators": [{"word": "a"}]},
         [{"model": "free_tree"}],
         {"model": "h2",
          "generators": {"a": {"matrix": [[2.0, 0.0], [0.0, 0.5]]}}},
-    ], ids=["edge-of-two", "edge-weight-string", "perm-not-a-list",
-            "word-not-a-string", "rank-not-a-number", "top-level-list",
+    ], ids=["word-not-a-string", "rank-not-a-number", "rank-2.5",
+            "rank-string-3", "rank-3.0", "top-level-list",
             "generators-object"])
     def test_is_exit_2(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"

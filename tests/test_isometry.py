@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcert import graphspace, halfplane, isometry
+from hypcert import halfplane, isometry
 from hypcert.errors import PreconditionError
 from helpers import rotation_about_i
 
@@ -78,28 +78,6 @@ class TestClassification:
         assert prof.ell == 1
         rep, att = prof.axis
         assert att.prefix == "B"
-
-    def test_graph_permutation(self):
-        G = graphspace.grid_graph(3)
-        G.register_isometry("flip", {(i, j): (j, i)
-                                     for i in range(3) for j in range(3)})
-        prof = isometry.classify("flip", G)
-        assert prof.kind == "elliptic"
-
-    def test_graph_classify_measures_no_distance(self, monkeypatch):
-        # the profile holds no fixed point, so no centre is searched for
-        G = graphspace.grid_graph(6)
-        G.register_isometry("reflect", {(i, j): (5 - i, j)
-                                        for i in range(6) for j in range(6)})
-        dist, calls = G.dist, []
-
-        def counted(p, q):
-            calls.append((p, q))
-            return dist(p, q)
-
-        monkeypatch.setattr(G, "dist", counted)
-        assert isometry.classify("reflect", G).kind == "elliptic"
-        assert calls == []
 
 
 class TestTranslationLengthCrossCheck:

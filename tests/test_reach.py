@@ -30,17 +30,18 @@ UNREACHED = {
     "pingpong.proof_set_membership": TRACED,
     "isometry.orbit_translation_length": TRACED,
     "isometry.orbit_translation_length.orbit_dist": TRACED,
-    # a graph generator's power is refused before any product or test
-    "graphspace.MetricGraphSpace.compose": DEFAULT,
-    "graphspace.MetricGraphSpace.is_identity": DEFAULT,
     # a tree walk composes whole levels of letter arrays, and the only
     # elliptic word, which has_finite_order would compose, is the identity
     "freetree.FreeTreeSpace.compose": DEFAULT,
     # the tree oracle decides a non-commuting pair without a walk, a
     # commuting one is elementary, and no discrete pair is semigroup
     "freetree.FreeTreeSpace.is_identity_batch": DEFAULT,
-    "sampled.DiscreteSpace.iso_key": DEFAULT,
+    "freetree.FreeTreeSpace.iso_key": DEFAULT,
     "sampled.from_points": BENCH,
+    "graphspace.MetricGraphSpace.__init__": BENCH,
+    "graphspace.MetricGraphSpace._position": BENCH,
+    "graphspace.MetricGraphSpace.dist": BENCH,
+    "graphspace.MetricGraphSpace.dist_table": BENCH,
     "graphspace.grid_graph": BENCH,
     "graphspace.random_connected_graph": BENCH,
     "sampled.SampledSpace.to_json": "writes the fixtures and criterion 14",
@@ -108,13 +109,7 @@ def _runs(tmp_path, tree_ball, files, family):
     h2_sample = write("h2_sample.json", {
         "points": list(range(len(pts))),
         "dist": halfplane.H2.dist_table(pts, pts).tolist()})
-    files["graph"] = write("graph.json", {
-        "model": "graph", "params": {
-            "vertices": [0, 1, 2, 3],
-            "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]},
-        "generators": [{"name": "r", "perm": [1, 2, 3, 0]},
-                       {"name": "f", "perm": [0, 3, 2, 1]}]})
-    point = {"h2": "0,1", "free_tree": "e", "graph": "0"}
+    point = {"h2": "0,1", "free_tree": "e"}
     sanov = pair("sanov", ("a", [[1, 2], [0, 1]]), ("b", [[1, 0], [2, 1]]))
     mixed = pair("mixed", ("a", [[2, 0], [0, 0.5]]), ("s", [[0, 1], [-1, 2]]))
     # z -> -1/z has order 2: stats' torsion test runs
@@ -134,10 +129,8 @@ def _runs(tmp_path, tree_ball, files, family):
         runs += [(["delta", "--input", space], 0),
                  (["delta", "--input", space, "--mode", "sampled",
                    "--quadruples", "100"], 0)]
-    # exit 2 where a graph command needs products or powers, and where
-    # an H² one needs finite balls
-    refused = {("certify", "graph"), ("entropy", "h2"),
-               ("entropy --orbit", "graph"), ("stats", "graph")}
+    # exit 2 where an H² command needs finite balls
+    refused = {("entropy", "h2")}
     for model, path in files.items():
         at = point[model]
         for head, rest in (

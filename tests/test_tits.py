@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypcert import cli, graphspace, halfplane, isometry, pingpong, tits
+from hypcert import cli, halfplane, isometry, pingpong, tits
 from hypcert.errors import ElementaryPairError, InputError, SearchExhausted
 from helpers import rotation_about_i
 
@@ -152,15 +152,6 @@ class TestWitnessSearch:
         wit = tits.tits_witness(H2, a, b)
         w = b @ a @ b.inverse() if wit.witness_word == "b a b^-1" else b
         assert not _elementary(H2, a, w)
-
-
-def test_finite_order_check_lets_model_errors_through():
-    G = graphspace.grid_graph(3)
-    G.register_isometry("flip", {(i, j): (j, i)
-                                 for i in range(3) for j in range(3)})
-    # graph isometries have no powers, so the oracle cannot run on them
-    with pytest.raises(InputError):
-        pingpong.has_finite_order(G, "flip", 8)
 
 
 def _hyperbolic_rows(u, v, ell):

@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hypcert import (bounds, cli, freetree, graphspace, halfplane, isometry,
-                     pingpong, tits)
+from hypcert import (bounds, cli, freetree, halfplane, isometry, pingpong,
+                     tits)
 from hypcert.errors import BudgetError, InputError, PreconditionError
 from helpers import rotation_about_i
 
@@ -268,18 +268,6 @@ def test_finite_order_budget_is_the_walk(budget, g, monkeypatch):
                                     monkeypatch)
                 == _finite_order_trace(_walked_finite_order, H2, g, k,
                                        monkeypatch))
-
-
-def test_finite_order_checks_a_graph_isometry_before_composing(monkeypatch):
-    G = graphspace.grid_graph(3)
-    G.register_isometry("flip", {(i, j): (j, i)
-                                 for i in range(3) for j in range(3)})
-    # what the walk gives: "flip" is checked at the first level and the
-    # second level's product is refused (a graph has no walk batches)
-    got = _finite_order_trace(pingpong.has_finite_order, G, "flip", 8,
-                              monkeypatch)
-    assert got == ((InputError, "graph isometries support no products"),
-                   ["flip"])
 
 
 def test_group_oracle_tells_apart_generators_that_share_a_name():
