@@ -14,7 +14,8 @@ from . import TOL, isometry
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, PreconditionError)
 
-# words one walk may visit; read at each call, so tests can lower it
+# words one walk may visit, and the largest power N that certify builds;
+# read at each call, so tests can lower it
 WORD_BUDGET = 10 ** 6
 
 
@@ -61,9 +62,11 @@ def min_free_power(space, a, b, delta: float) -> PingPongData:
         b = isometry.isometry_power(space, b, -1)
     M0 = float(space.dist(xm, xp))
     threshold = (M0 + 77.0 * delta) / pa.ell
-    if not threshold < math.inf:
-        raise InputError(f"delta {delta}: the power threshold "
-                         "(M0 + 77 delta) / ell is not finite")
+    # refused before any power is built: a tree's a^N is N letters long
+    if not threshold <= WORD_BUDGET:
+        raise InputError(f"delta {delta}: the power threshold N = "
+                         f"(M0 + 77 delta) / ell = {threshold:.6g} is above "
+                         f"the word budget {WORD_BUDGET}")
     # a projection onto a line does not depend on its orientation
     return PingPongData(a, b, max(1, math.ceil(threshold - TOL)), M0, swapped,
                         xm, xp, beta.project(xm), beta.project(xp))

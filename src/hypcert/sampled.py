@@ -16,7 +16,7 @@ from .errors import BudgetError, InputError, PreconditionError
 EXHAUSTIVE_CAP = 200
 EXACT_PACK_CAP = 64
 _TRIANGLE_TILE = 64   # rows per tile of the triangle check
-_DELTA_BLOCK = 12288   # sums per row block of the exhaustive delta
+_DELTA_BLOCK = 12288   # sums per delta block, bools per cover block
 _MAX_ENTRY = np.finfo(float).max / 8   # no sum of six entries overflows
 _INT8_CAP = 2 ** 6   # two int8 entries below it have an int8 sum
 _INT16_CAP = 2 ** 14   # two int16 entries below it have an int16 sum
@@ -43,14 +43,16 @@ class SampledSpace:
             raise InputError("duplicate point ids")
         if D.shape != (n, n):
             raise InputError(f"distance matrix shape {D.shape} for {n} points")
-        if not np.all(np.abs(D) <= _MAX_ENTRY):
+        # one pass each for the extremes, no table-sized copy: NaN fails
+        lo, hi = (float(D.min()), float(D.max())) if D.size else (0.0, 0.0)
+        if not -_MAX_ENTRY <= lo <= hi <= _MAX_ENTRY:
             raise InputError(f"non-finite distance entries or above {_MAX_ENTRY:.6g}")
-        if np.any(D < -TOL) or np.any(np.abs(np.diag(D)) > TOL):
+        if lo < -TOL or np.any(np.abs(np.diag(D)) > TOL):
             raise InputError("negative distances or nonzero diagonal")
-        if not np.allclose(D, D.T, rtol=0, atol=TOL):
-            raise InputError("distance matrix not symmetric")
-        if not np.array_equal(D, D.T):   # a new array: the caller's stays
-            D = np.minimum(D, D.T)
+        if not np.array_equal(D, D.T):
+            if not np.allclose(D, D.T, rtol=0, atol=TOL):
+                raise InputError("distance matrix not symmetric")
+            D = np.minimum(D, D.T)   # a new array: the caller's stays
             object.__setattr__(self, "dist", D)
         if not _triangle_holds(D):
             raise InputError("triangle inequality violated")
@@ -101,6 +103,7 @@ def _triangle_holds(D) -> bool:
             I = D.astype(kind)
             if np.array_equal(I, D):
                 return not any(_excess(I, I, 0, a)[0].size for a in tiles)
+            del I   # not held while the float32 copy is
             break
     if top >= _FLOAT32_CAP:
         return not any(_excess(D, D, TOL, a)[0].size for a in tiles)
@@ -370,12 +373,16 @@ def _median_gaps(s1, s2, s3, hi, lo, out):
 
 
 def _delta_sampled(space, D, n, n_quadruples, seed):
+    """The largest defect over seeded quadruples, drawn in blocks of
+    4096 rows: the blocks read PCG64's stream as one draw of every row
+    would, and only a strictly larger defect replaces the first one
+    found."""
     rng = np.random.default_rng(seed)
     best = 0.0
     worst = (space.points[0],) * 4
     checked = 0
     while checked < n_quadruples:
-        batch = min(1 << 16, n_quadruples - checked)
+        batch = min(1 << 12, n_quadruples - checked)
         Q = rng.integers(0, n, size=(batch, 4))
         ok = ((Q[:, 0] != Q[:, 1]) & (Q[:, 0] != Q[:, 2]) & (Q[:, 0] != Q[:, 3])
               & (Q[:, 1] != Q[:, 2]) & (Q[:, 1] != Q[:, 3]) & (Q[:, 2] != Q[:, 3]))
@@ -500,17 +507,28 @@ def packing_number(space: SampledSpace, center, R: float, r: float,
 
 
 def _greedy_cover(D, region, centers, r):
-    """Greedy cover by closed r-balls: each step takes the first best center."""
-    cov = D[np.ix_(centers, np.unique(region))] <= r + TOL
-    uncovered = np.ones(cov.shape[1], dtype=bool)
+    """Greedy cover by closed r-balls: each step takes the first best
+    center.  The ball table is bool, built and updated in blocks of
+    about _DELTA_BLOCK entries."""
+    cols = np.unique(region)
+    cov = np.empty((len(centers), cols.size), dtype=bool)
+    step = max(1, _DELTA_BLOCK // cols.size)
+    for a in range(0, len(centers), step):
+        np.less_equal(D[np.ix_(centers[a:a + step], cols)], r + TOL,
+                      out=cov[a:a + step])
+    gain = np.count_nonzero(cov, axis=1)   # uncovered points in each ball
+    uncovered = np.ones(cols.size, dtype=bool)
+    step = max(1, _DELTA_BLOCK // len(centers))
     chosen = []
     while uncovered.any():
-        gain = np.count_nonzero(cov & uncovered, axis=1)
         pick = int(np.argmax(gain))
         if gain[pick] == 0:
             raise PreconditionError("region not coverable by sample centers")
         chosen.append(centers[pick])
-        uncovered &= ~cov[pick]
+        new = np.flatnonzero(cov[pick] & uncovered)
+        uncovered[new] = False
+        for a in range(0, new.size, step):
+            gain -= np.count_nonzero(cov[:, new[a:a + step]], axis=1)
     return chosen
 
 

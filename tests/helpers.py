@@ -1,10 +1,13 @@
 """Builders and walks that only tests need: an elliptic generator,
 points along the model lines of hyperbolic axes, a reference ball
-sampler and an exact word walk over integer matrices."""
+sampler, the sampled four-point delta in one draw per 2^16 quadruples
+and an exact word walk over integer matrices."""
 
 import math
 
-from hypcert import freetree, halfplane
+import numpy as np
+
+from hypcert import freetree, halfplane, sampled
 
 
 def rotation_about_i(theta: float) -> halfplane.Moebius:
@@ -41,6 +44,34 @@ def sample_ball_reference(space, center, R, n: int, rng) -> list:
     if center not in out:
         out[0] = center
     return out
+
+
+def delta_sampled_reference(space, n_quadruples: int, seed: int):
+    """(delta_hat, worst_quadruple, quadruples_checked) of the sampled
+    four-point delta drawn as one (65536, 4) array per batch, which the
+    package's smaller draws must reproduce bit for bit."""
+    D, n = space.dist, len(space)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    worst = (space.points[0],) * 4
+    checked = 0
+    while checked < n_quadruples:
+        batch = min(1 << 16, n_quadruples - checked)
+        Q = rng.integers(0, n, size=(batch, 4))
+        ok = ((Q[:, 0] != Q[:, 1]) & (Q[:, 0] != Q[:, 2]) & (Q[:, 0] != Q[:, 3])
+              & (Q[:, 1] != Q[:, 2]) & (Q[:, 1] != Q[:, 3]) & (Q[:, 2] != Q[:, 3]))
+        Q = Q[ok]
+        checked += batch
+        if Q.size == 0:
+            continue
+        i, j, k, l = Q.T
+        vals = sampled._pairing_defects(D[i, j] + D[k, l], D[i, k] + D[j, l],
+                                        D[i, l] + D[j, k])
+        t = int(np.argmax(vals))
+        if vals[t] > best:
+            best = float(vals[t])
+            worst = tuple(space.points[v] for v in Q[t])
+    return best, worst, checked
 
 
 def int_mul(m, n):

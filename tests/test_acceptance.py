@@ -77,9 +77,11 @@ def test_criterion_04_propagation_bound():
     T = freetree.FreeTreeSpace(2)
     sp = sampled.from_points(T.ball("", 2), T.dist)
     P0, r0 = 4, 1.0
-    # verify the fixture really is P0-packed at scale r0 everywhere
+    # verify the fixture really is P0-packed at scale r0 everywhere: at
+    # most P0 points of each ball B(x, 3 r0) pairwise more than 2 r0 apart
+    # (at R = r0 any metric space reads 1)
     packed = all(
-        sampled.packing_number(sp, x, r0, r0).pack_exact <= P0
+        sampled.packing_number(sp, x, 3.0 * r0, r0).pack_exact <= P0
         for x in sp.points)
     ok = packed
     for R in (1.0, 1.5, 2.0):

@@ -631,6 +631,12 @@ class TestMalformedInput:
         (_PACK + ["--P0", "4", "--r0", "-1"], _SQUARE_SPACE),
         (_PACK + ["--P0", "4", "--r0", "nan"], _SQUARE_SPACE),
         (_CERTIFY + ["--delta", "1e308"], _PAIR),
+        # a power beyond the word budget is refused before it is built:
+        # N = 5.6e21 on the H² pair, and 3,850,001 letters of (ab)^N
+        (_CERTIFY + ["--delta", "1e20"], _PAIR),
+        (_CERTIFY + ["--delta", "1e5"],
+         {"model": "free_tree", "params": {"rank": 2}, "generators": [
+             {"name": "a", "word": "ab"}, {"name": "b", "word": "aB"}]}),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
@@ -648,7 +654,8 @@ class TestMalformedInput:
             "margulis-P0-zero", "margulis-P0-negative", "margulis-r0-nan",
             "margulis-r0-negative", "margulis-r0-inf", "margulis-eps2-inf",
             "pack-r0-zero", "pack-P0-negative", "pack-r0-negative",
-            "pack-r0-nan", "certify-delta-overflows"])
+            "pack-r0-nan", "certify-delta-overflows",
+            "certify-power-above-budget", "certify-tree-power-above-budget"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))

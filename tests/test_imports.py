@@ -199,9 +199,12 @@ def test_module_reads_no_private_name_of_another(path):
 def test_the_commands_import_no_mpmath():
     """mpmath serves only isometry.orbit_translation_length, which no
     command calls, so it is imported there and not at startup; nor is
-    graphspace, which builds metric tables for the benchmark and tests."""
+    graphspace, which builds metric tables for the benchmark and tests,
+    nor numpy.random, which only the sampled delta draws from and whose
+    first import costs about 6 MB of resident memory."""
     probe = ("import sys, hypcert.cli; print([m for m in "
-             "('mpmath', 'hypcert.graphspace') if m in sys.modules])")
+             "('mpmath', 'hypcert.graphspace', 'numpy.random') "
+             "if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -69,6 +69,16 @@ class TestMinFreePower:
     def test_tree_pair_needs_no_power(self, tree2):
         assert pingpong.min_free_power(tree2, "a", "b", 0.0).N == 1
 
+    def test_power_above_the_word_budget_is_an_input_error(
+            self, schottky_pair, monkeypatch):
+        # N = 56 at delta 1: the threshold is refused just above the budget
+        a, b = schottky_pair
+        monkeypatch.setattr(pingpong, "WORD_BUDGET", 56)
+        assert pingpong.min_free_power(H2, a, b, 1.0).N == 56
+        monkeypatch.setattr(pingpong, "WORD_BUDGET", 55)
+        with pytest.raises(InputError, match="delta 1.0: the power threshold"):
+            pingpong.min_free_power(H2, a, b, 1.0)
+
     def test_unequal_lengths_rejected(self):
         a = halfplane.Moebius(2.0, 0.0, 0.0, 0.5)
         b = halfplane.Moebius(1.4, 0.6, 0.6, 1.4)

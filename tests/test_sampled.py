@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hypcert import cli, freetree, graphspace, halfplane, sampled
 from hypcert.errors import BudgetError, InputError, PreconditionError
+from helpers import delta_sampled_reference
 
 H2 = halfplane.H2
 
@@ -97,6 +98,20 @@ class TestSampledSpace:
         with pytest.raises(InputError, match="above"):
             sampled.SampledSpace(tuple(range(4)), 10 * D)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 1), (1, 1)])
+    def test_non_finite_entries_are_refused(self, entry, at):
+        D = euclidean_square().dist.copy()
+        D[at] = D[at[::-1]] = entry
+        with pytest.raises(InputError, match="non-finite"):
+            sampled.SampledSpace(tuple(range(4)), D)
+
+    def test_empty_and_ill_shaped_tables(self):
+        assert len(sampled.SampledSpace((), np.zeros((0, 0)))) == 0
+        for D in (np.zeros((0,)), np.zeros((2, 3)), np.zeros((1, 1, 1))):
+            with pytest.raises(InputError, match="shape"):
+                sampled.SampledSpace((0,), D)
+
     def test_validates_triangle(self):
         import numpy as np
         D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
@@ -143,6 +158,26 @@ class TestFourPointDelta:
                                      n_quadruples=200, seed=9)
         assert a.delta_hat == b.delta_hat
         assert a.worst_quadruple == b.worst_quadruple
+
+    @pytest.mark.parametrize("n", [4, 5, 37, 729])
+    def test_sampled_blocks_read_one_stream(self, n):
+        # blocks of 4096 draws give the quadruples, the first largest
+        # defect and the count of one draw per 2^16
+        if n == 4:
+            sp = euclidean_square()
+        elif n == 729:
+            G = graphspace.grid_graph(27)
+            sp = sampled.from_points(G.vertices, G.dist)
+        else:
+            pts = halfplane.sample_ball(1j, 5.0, n, random.Random(n))
+            sp = sampled.from_points(pts, halfplane.dist)
+        for m in (1, 4095, 4096, 4097, 65537, 200000):
+            for seed in (0, 7, 2 ** 40 + 3):
+                est = sampled.four_point_delta(sp, "sampled", m, seed)
+                best, worst, checked = delta_sampled_reference(sp, m, seed)
+                assert est.delta_hat.hex() == best.hex()
+                assert est.worst_quadruple == worst
+                assert est.quadruples_checked == checked == m
 
     def test_exhaustive_cap(self, monkeypatch):
         T = freetree.FreeTreeSpace(2)
@@ -426,6 +461,64 @@ def _triangle_loop(D):
                    for i, j, k in itertools.product(range(len(D)), repeat=3))
 
 
+@pytest.fixture(scope="module")
+def h2_thousand():
+    pts = halfplane.sample_ball(1j, 6.0, 1000, random.Random(3))
+    return sampled.from_points(pts, halfplane.dist)
+
+
+def _traced_peak(f, warm=True):
+    """tracemalloc's peak over a call of f, after a first call, when
+    warm, that imports what f needs."""
+    if warm:
+        f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTableMemory:
+    """Each O(n^2) step holds the table and at most bool or block-sized
+    scratch: a float64 temporary of the table's size fails here."""
+
+    def test_validation_of_a_symmetric_h2_table(self, h2_thousand):
+        # the table in float32 for the triangle screen is the largest part
+        D = h2_thousand.dist
+        peak = _traced_peak(
+            lambda: sampled.SampledSpace(h2_thousand.points, D), warm=False)
+        assert peak < 0.9 * D.nbytes
+
+    def test_validation_of_a_grid_table(self):
+        G = graphspace.grid_graph(30)
+        sp = sampled.from_points(G.vertices, G.dist)
+        peak = _traced_peak(lambda: sampled.SampledSpace(sp.points, sp.dist),
+                            warm=False)
+        assert peak < 0.3 * sp.dist.nbytes
+
+    def test_sampled_delta(self, h2_thousand):
+        peak = _traced_peak(lambda: sampled.four_point_delta(
+            h2_thousand, "sampled", 200000, 5))
+        assert peak < 1.5e6
+
+    def test_greedy_cover_of_every_point(self, h2_thousand):
+        sp = h2_thousand
+        r = float(sp.dist.max()) / 3.0
+        peak = _traced_peak(lambda: sampled.covering_number(
+            sp, sp.points, r, "greedy"))
+        assert peak < 0.35 * sp.dist.nbytes
+
+    def test_greedy_packing(self, h2_thousand):
+        # a 35-point ball: the cover of it by every point compares
+        # 1000 x 35 entries, not the whole table's 10^6
+        sp = h2_thousand
+        peak = _traced_peak(lambda: sampled.packing_number(
+            sp, sp.points[0], 4.0, 4.0 / 3.0, "greedy"))
+        assert peak < 0.5e6
+
+
 class TestFastPaths:
     def test_h2_table_matches_scalar_loop(self):
         pts = halfplane.sample_ball(1j, 6.0, 60, random.Random(5))
@@ -453,7 +546,7 @@ class TestFastPaths:
         with pytest.raises(InputError):
             sampled.from_points(sub + ["nowhere"], G.dist)
 
-    def test_greedy_cover_matches_set_loop(self):
+    def test_greedy_cover_matches_set_loop(self, monkeypatch):
         G = graphspace.grid_graph(7)
         D = sampled.from_points(G.vertices, G.dist).dist
         rng = random.Random(11)
@@ -466,10 +559,15 @@ class TestFastPaths:
                 try:
                     want = _reference_greedy_cover(D, reg, cen, r)
                 except PreconditionError:
-                    with pytest.raises(PreconditionError):
-                        sampled._greedy_cover(D, reg, cen, r)
-                    continue
-                assert sampled._greedy_cover(D, reg, cen, r) == want
+                    want = PreconditionError
+                # blocks of one entry, of part of a row and of whole rows
+                for block in (1, 5, 7, 12288):
+                    monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
+                    if want is PreconditionError:
+                        with pytest.raises(PreconditionError):
+                            sampled._greedy_cover(D, reg, cen, r)
+                    else:
+                        assert sampled._greedy_cover(D, reg, cen, r) == want
 
     def test_greedy_cover_refuses_an_uncoverable_region(self):
         G = graphspace.grid_graph(4)
