@@ -212,6 +212,10 @@ def four_point_delta(space: SampledSpace, mode: str = "exhaustive",
                 f"{n} points exceeds exhaustive cap {EXHAUSTIVE_CAP}")
         return _delta_exhaustive(space, D, n)
     if mode == "sampled":
+        if not n_quadruples >= 1:
+            raise InputError("need at least 1 quadruple")
+        if not seed >= 0:
+            raise InputError("need a seed >= 0")
         return _delta_sampled(space, D, n, n_quadruples, seed)
     raise InputError(f"unknown mode {mode!r}")
 
@@ -243,11 +247,10 @@ def _delta_exhaustive(space, D, n):
     # defect is half the median gap, with no slack
     exact = top < 2.0 ** 50 and np.array_equal(np.rint(D), D)
     slack = 0.0 if exact else 2.0 ** -44 * top
-    # A float32 copy screens the blocks first (see _delta_middle); on
-    # integers below 2^22 its sums and gaps are exact too
+    # Float32 Gromov products screen the pairs first (see _delta_middle);
+    # on integers below 2^22 they and their bounds are exact too
     screen = None if top >= _FLOAT32_CAP else (
-        D.astype(np.float32),
-        0.0 if exact and top < 2.0 ** 22 else 2.0 ** -20 * top)
+        np.float32, 0.0 if exact and top < 2.0 ** 22 else 2.0 ** -20 * top)
     buffers = np.empty((6, max(_DELTA_BLOCK, n)))
     best, worst = 0.0, None
     for k in range(n - 2, 1, -1):   # downward: large defects come early
@@ -271,9 +274,9 @@ def _delta_middle(D, k, best, margin, slack, buffers, screen=None):
     far, is skipped; the rest evaluate the defect only where g / 2 is
     within 2 slack of G / 2 (in place when that is every sum).
 
-    A screen (D32, slack32), D in float32 and a slack that bounds the
-    defects above half its median gaps, first skips blocks of twice the
-    sums by the same rule; only the blocks it leaves run in float64."""
+    A screen (kind, slack32), a float type and a slack that bounds the
+    defects above the Gromov-product bounds in that type, first keeps
+    only the rows whose bound can reach best (see _screened_pairs)."""
     # With M = max(1, max|D|) and u = 2^-53, the sums are at most 2M.  The
     # defect's mid = ((s1 + s2) + s3 - hi) - lo rounds four times, off the
     # median by at most (4 + 6 + 4 + 2) u M, and hi - mid once more, by 2u
@@ -284,66 +287,114 @@ def _delta_middle(D, k, best, margin, slack, buffers, screen=None):
     # block holds no defect at or above best nor above the block's best so
     # far, and any sum whose defect can be the block's largest has g / 2
     # >= G / 2 - 20u M, above the cut.
-    #
-    # In float32, with v = 2^-24, an entry is within v M of D's and a sum
-    # of two within 4.01 v M of the exact sum of D's entries; min and max
-    # are exact, so the gap is within 8.02 v M of the exact median gap
-    # before its own rounding, 2.01 v M more.  The float64 defect lies
-    # within 2^-48 M of half the exact gap, so within 5.1 v M of half the
-    # float32 gap, and slack32 = 16 v M covers that and the rounding of
-    # G32 / 2 + slack32.  A block the screen skips holds no defect at or
-    # above best nor above the best so far; it would change nothing.
     floor = best - margin
-    pi, pj = np.triu_indices(k, 1)
-    keep = np.minimum(D[pi, pj], D[pi, k])
-    keep = np.minimum(keep, D[pj, k], out=keep) >= floor
-    pi, pj = pi[keep], pj[keep]
     ls = k + 1 + np.flatnonzero(D[k, k + 1:] >= floor)
     cols = ls.size
     if not cols:
         return 0.0, None
-    sums = None   # gathered at the first block the screen leaves
-    step = max(1, _DELTA_BLOCK // cols)
-    if screen is not None:
-        D32, slack32 = screen
-        sums32 = _pair_sums(D32, pi, pj, k, ls)
-        wide = buffers.view(np.float32)   # the float64 buffers' bytes
-        outer = max(1, 2 * _DELTA_BLOCK // cols)
+    if screen is None:
+        pi, pj = np.triu_indices(k, 1)
+        keep = np.minimum(D[pi, pj], D[pi, k])
+        keep = np.minimum(keep, D[pj, k], out=keep) >= floor
+        pi, pj = pi[keep], pj[keep]
     else:
-        outer = step
+        pi, pj = _screened_pairs(D, k, ls, floor, best, screen, buffers)
+    sums = _pair_sums(D, pi, pj, k, ls)
+    step = max(1, _DELTA_BLOCK // cols)
     found, worst = 0.0, None
-    for a0 in range(0, pi.size, outer):
-        b0 = min(a0 + outer, pi.size)
-        if screen is not None:
-            bufs = wide[:, :(b0 - a0) * cols].reshape(6, -1, cols)
-            G = float(_median_gaps(*sums32(a0, b0, bufs), *bufs[3:]).max())
-            lim = G / 2.0 + slack32
-            if lim <= found or lim < best:
-                continue
-        sums = sums or _pair_sums(D, pi, pj, k, ls)
-        for a in range(a0, b0, step):
-            b = min(a + step, b0)
-            s1, s2, s3, hi, lo, out = buffers[:, :(b - a) * cols].reshape(
-                6, -1, cols)
-            sums(a, b, (s1, s2, s3))
-            gap = _median_gaps(s1, s2, s3, hi, lo, out)
-            G = float(gap.max())
-            lim = G / 2.0 + slack
-            if lim <= found or lim < best:
-                continue
-            cut = G - 4.0 * slack
-            if cut > 0.0:
-                at = np.flatnonzero(gap >= cut)
-                vals = _pairing_defects(*(s.ravel()[at] for s in (s1, s2, s3)))
-            else:   # no gap is negative: every sum is a candidate
-                at = None
-                vals = _pairing_defects(s1, s2, s3, hi, lo, out).ravel()
-            t = int(np.argmax(vals))
-            if vals[t] > found:
-                found = float(vals[t])
-                r, c = divmod(t if at is None else int(at[t]), cols)
-                worst = (int(pi[a + r]), int(pj[a + r]), k, int(ls[c]))
+    for a in range(0, pi.size, step):
+        b = min(a + step, pi.size)
+        s1, s2, s3, hi, lo, out = buffers[:, :(b - a) * cols].reshape(
+            6, -1, cols)
+        sums(a, b, (s1, s2, s3))
+        gap = _median_gaps(s1, s2, s3, hi, lo, out)
+        G = float(gap.max())
+        lim = G / 2.0 + slack
+        if lim <= found or lim < best:
+            continue
+        cut = G - 4.0 * slack
+        if cut > 0.0:
+            at = np.flatnonzero(gap >= cut)
+            vals = _pairing_defects(*(s.ravel()[at] for s in (s1, s2, s3)))
+        else:   # no gap is negative: every sum is a candidate
+            at = None
+            vals = _pairing_defects(s1, s2, s3, hi, lo, out).ravel()
+        t = int(np.argmax(vals))
+        if vals[t] > found:
+            found = float(vals[t])
+            r, c = divmod(t if at is None else int(at[t]), cols)
+            worst = (int(pi[a + r]), int(pj[a + r]), k, int(ls[c]))
     return found, worst
+
+
+def _screened_pairs(D, k, ls, floor, best, screen, buffers):
+    """The pairs i < j < k, in i-major order, with D[i, j], D[i, k] and
+    D[j, k] at least floor whose defect over the columns ls can reach
+    best, bounded in the screen's float type by Gromov products at k.
+
+    With (x|y) = (D[x, k] + D[y, k] - D[x, y]) / 2, the sums are D[i, k]
+    + D[j, k] + D[k, l] - 2p for p = (i|j), (j|l) and (i|l), so the
+    defect is med - min of the three products: |min(hi, c) - lo| for lo
+    and hi the smaller and larger of (i|l) and (j|l), and c = (i|j).  A
+    pair's bound is its maximum over l.  Pairs are walked by offset d =
+    1 .. m // 2 over the m kept rows, j = i + d mod m (for even m, twice
+    at d = m / 2), so a block of offsets reads windows of the (i|l) laid out twice
+    and gathers no pair.  A block whose largest bound plus slack32 is
+    below best, or at most 0, is skipped; elsewhere the pairs whose
+    bound plus slack32 is at or above best and above 0 are kept."""
+    # With M = max(1, max|D|) and u = 2^-24, a product lies in [-M/2, M];
+    # formed in float64 and rounded once it is within (1 + 2^-27) u M of
+    # the exact product.  min, max and med are exact selections, and the
+    # subtraction rounds once more, by at most u M: the bound is within
+    # 3.1 u M of the largest exact defect.  The float64 defect lies within
+    # 2^-48 M of the exact one, and bound + slack32 is formed in float64,
+    # so slack32 = 16 u M leaves a skipped pair no defect at or above
+    # best nor above 0: it would change nothing.  On integers below 2^22
+    # the products are half-integers, which float32 holds, the bound is
+    # the exact largest defect and slack32 is 0.
+    kind, slack32 = screen
+    I = np.flatnonzero(D[:k, k] >= floor)
+    m, cols = I.size, ls.size
+    keep = np.zeros((k, k), dtype=bool)
+    if m < 2:
+        return np.nonzero(keep)
+    col = D[I, k]
+    P = np.empty((2 * m, cols), kind)   # (i|l) at [i, l] and [i + m, l]
+    P[:m] = ((col[:, None] + D[k, ls]) - D[I[:, None], ls]) / 2.0
+    P[m:] = P[:m]
+    # offset d's j = I[i + d mod m], D[j, k] and (j|l) are rows d .. d + m
+    # - 1 of the arrays laid out twice: windows [d, i] of them
+    window = np.lib.stride_tricks.as_strided
+    js = window(np.concatenate((I, I)), (m, m), (I.itemsize,) * 2)
+    cs = window(np.concatenate((col, col)), (m, m), (col.itemsize,) * 2)
+    Ps = window(P, (m, m, cols), (P.strides[0], *P.strides))
+    # blocks of whole offsets, at most _DELTA_BLOCK pairs unless one
+    # offset is more, and of columns, at most 6 _DELTA_BLOCK bounds unless
+    # one column is more: each half of the float64 buffers' bytes holds 6
+    # max(_DELTA_BLOCK, n) float32
+    scratch = buffers.view(kind).reshape(2, -1)
+    width = min(cols, max(1, 6 * _DELTA_BLOCK // m))
+    offsets = max(1, min(6 * _DELTA_BLOCK // (m * width), _DELTA_BLOCK // m))
+    for d0 in range(1, m // 2 + 1, offsets):
+        d1 = min(d0 + offsets, m // 2 + 1)
+        j = js[d0:d1]
+        Dij = D[I, j]
+        c = (((col + cs[d0:d1]) - Dij) / 2.0).astype(kind)[:, :, None]
+        for l0 in range(0, cols, width):
+            A = P[:m, l0:l0 + width]
+            B = Ps[d0:d1, :, l0:l0 + width]
+            lo, t = scratch[:, :B.size].reshape(2, *B.shape)
+            np.minimum(A, B, out=lo)
+            np.maximum(A, B, out=t)
+            np.minimum(t, c, out=t)
+            np.abs(np.subtract(t, lo, out=t), out=t)
+            G = float(t.max()) + slack32
+            if G < best or G <= 0.0:
+                continue
+            lim = slack32 + t.max(axis=2).astype(float)
+            ok = (lim >= best) & (lim > 0.0) & (Dij >= floor)
+            keep[np.minimum(I, j)[ok], np.maximum(I, j)[ok]] = True
+    return np.nonzero(keep)
 
 
 def _pair_sums(T, pi, pj, k, ls):
@@ -557,7 +608,7 @@ def covering_number(space: SampledSpace, region, r: float,
                     mode: str = "exact") -> int:
     """Fewest sample points whose closed r-balls cover the region;
     exact mode takes regions of at most EXACT_PACK_CAP points."""
-    if r <= 0:
+    if not r > 0:
         raise InputError("need r > 0")
     reg = [space.index(p) for p in region]
     if not reg:

@@ -637,6 +637,10 @@ class TestMalformedInput:
         (_CERTIFY + ["--delta", "1e5"],
          {"model": "free_tree", "params": {"rank": 2}, "generators": [
              {"name": "a", "word": "ab"}, {"name": "b", "word": "aB"}]}),
+        (_DELTA + ["--mode", "sampled", "--quadruples", "0"], _SQUARE_SPACE),
+        (_DELTA + ["--mode", "sampled", "--quadruples", "-5"], _SQUARE_SPACE),
+        (_DELTA + ["--mode", "sampled", "--seed", "-1"], _SQUARE_SPACE),
+        (["cov", "--input", "{family}", "--r", "nan"], _SQUARE_SPACE),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
@@ -655,7 +659,9 @@ class TestMalformedInput:
             "margulis-r0-negative", "margulis-r0-inf", "margulis-eps2-inf",
             "pack-r0-zero", "pack-P0-negative", "pack-r0-negative",
             "pack-r0-nan", "certify-delta-overflows",
-            "certify-power-above-budget", "certify-tree-power-above-budget"])
+            "certify-power-above-budget", "certify-tree-power-above-budget",
+            "delta-zero-quadruples", "delta-negative-quadruples",
+            "delta-negative-seed", "cov-r-nan"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))

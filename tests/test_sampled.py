@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -885,6 +886,104 @@ class TestDeltaScreen:
             assert (est.quadruples_checked, est.worst_quadruple) == \
                 (checked, worst)
         assert screens and all(s[1] == 2.0 ** -20 * 20.0 for s in screens)
+
+    @pytest.mark.parametrize("name", sorted(_screen_spaces()))
+    def test_defect_is_the_gromov_product_spread(self, name):
+        # in exact arithmetic, on the dyadic entries scaled to integers:
+        # the pairing sum with (x|y) is D[i, k] + D[j, k] + D[k, l] -
+        # 2 (x|y), so hi - med of the sums is twice med - min of the
+        # products, which is twice max(lo - c, min(hi, c) - lo)
+        D = _scaled_to_integers(_screen_spaces()[name].dist)
+        n = len(D)
+        for i, j, k, l in itertools.combinations(range(n), 4):
+            s = (D[i][j] + D[k][l], D[i][k] + D[j][l], D[i][l] + D[j][k])
+            # twice the products (i|j), (j|l) and (i|l) at k
+            c, b, a = (D[x][k] + D[y][k] - D[x][y]
+                       for x, y in ((i, j), (j, l), (i, l)))
+            total = D[i][k] + D[j][k] + D[k][l]
+            assert [total - p for p in (c, b, a)] == list(s)
+            _, mid, high = sorted(s)
+            spread = sorted((a, b, c))
+            lo, hi = min(a, b), max(a, b)
+            assert high - mid == spread[1] - spread[0] == \
+                max(lo - c, min(hi, c) - lo) == abs(min(hi, c) - lo)
+
+    @pytest.mark.parametrize("table", ["grid", "int20-1", "int20-2",
+                                       "tree-ball"])
+    def test_screened_pairs_on_integers_are_the_pairs_that_reach_best(
+            self, table, monkeypatch):
+        # on integers the screen is exact: it keeps the pairs of the
+        # pruned rows whose defect over the kept columns reaches best and
+        # 0, in i-major order, for any block size.  Blocks of 1, 5 and 7
+        # split the offsets and the columns, and the even m of some middle
+        # indices keep a pair at offset m / 2, which both of its points
+        # visit.
+        D = (_screen_spaces()[table].dist if not table.startswith("int")
+             else _integer_table(20, int(table[-1])))
+        n, half_offsets = len(D), 0
+        for best in (0.0, 1.0, 1.5, 2.0, 3.0):
+            for k in range(2, n - 1):
+                ls = k + 1 + np.flatnonzero(D[k, k + 1:] >= best)
+                if not ls.size:
+                    continue
+                I = np.flatnonzero(D[:k, k] >= best)
+                want = [(i, j) for i, j in itertools.combinations(I, 2)
+                        if D[i, j] >= best and 0.0 < max(
+                            _defect_and_half_gap(D, (i, j, k, l))[0]
+                            for l in ls) >= best]
+                for block in (1, 5, 7, 12288):
+                    monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
+                    pi, pj = sampled._screened_pairs(
+                        D, k, ls, best, best, (np.float32, 0.0),
+                        np.empty((6, max(block, n))))
+                    assert list(zip(pi.tolist(), pj.tolist())) == want
+                local = {int(v): t for t, v in enumerate(I)}
+                half_offsets += I.size % 2 == 0 and any(
+                    local[j] - local[i] == I.size // 2 for i, j in want)
+        if table != "tree-ball":
+            assert half_offsets
+        else:   # a tree's defects are 0: no pair is kept
+            assert half_offsets == 0
+
+    @pytest.mark.parametrize("name", ["graph", "h2-1", "tree-ball-tenths"])
+    def test_screen_keeps_only_rows_the_distances_keep(self, name):
+        # a slack that every bound reaches leaves the distance prune alone
+        D = _screen_spaces()[name].dist
+        n = len(D)
+        for best in (0.2, 0.5, 1.0):
+            for k in range(2, n - 1):
+                ls = k + 1 + np.flatnonzero(D[k, k + 1:] >= best)
+                if not ls.size:
+                    continue
+                pi, pj = sampled._screened_pairs(
+                    D, k, ls, best, best, (np.float32, 1e6),
+                    np.empty((6, sampled._DELTA_BLOCK)))
+                want = [(i, j) for i, j in itertools.combinations(range(k), 2)
+                        if min(D[i, j], D[i, k], D[j, k]) >= best]
+                assert list(zip(pi.tolist(), pj.tolist())) == want
+
+    def test_screen_leaves_few_pairs_to_float64(self, monkeypatch):
+        # an H² sample has no distance that prunes a row: only the
+        # product bounds keep the float64 pass to a few pairs
+        pts = halfplane.sample_ball(1j, 4.0, 60, random.Random(5))
+        sp = sampled.from_points(pts, halfplane.dist)
+        rows = []
+        pair_sums = sampled._pair_sums
+        monkeypatch.setattr(sampled, "_pair_sums", lambda T, pi, *rest:
+                            rows.append(pi.size) or pair_sums(T, pi, *rest))
+        est = sampled.four_point_delta(sp)
+        assert (est.delta_hat, est.quadruples_checked,
+                est.worst_quadruple) == _reference_delta(sp)
+        pairs = sum(math.comb(k, 2) for k in range(2, len(sp) - 1))
+        assert 0 < sum(rows) < pairs / 10
+
+
+def _scaled_to_integers(D):
+    """D's entries times the largest of their denominators: the float
+    entries are dyadic, so the products are exact integers."""
+    fracs = [[Fraction(x) for x in row] for row in D.tolist()]
+    scale = max(x.denominator for row in fracs for x in row)
+    return [[int(x * scale) for x in row] for row in fracs]
 
 
 def _integer_table(n, seed):
