@@ -78,7 +78,7 @@ def load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such input file: {path}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:   # an integer past Python's digit limit too
         raise InputError(f"malformed JSON in {path}: {e}")
 
 
@@ -86,13 +86,25 @@ def load_space(path) -> sampled.SampledSpace:
     return sampled.SampledSpace.from_json(load_json(path))
 
 
+def _numbers(v, n=None):
+    """v's entries as floats if v is a JSON list of numbers, n of them
+    if n is given, else None; a bool is not a number."""
+    if not (isinstance(v, list) and n in (None, len(v))
+            and all(type(x) in (int, float) for x in v)):
+        return None
+    try:
+        return [float(x) for x in v]
+    except OverflowError:
+        raise InputError("an integer beyond the float range") from None
+
+
 def _moebius(m):
     """The Moebius map of a 2x2 matrix given as JSON rows of numbers."""
-    try:
-        (a, b), (c, d) = m
-        return halfplane.Moebius(a, b, c, d)
-    except (TypeError, ValueError):
-        raise InputError(f"not a 2x2 matrix of numbers: {m!r}") from None
+    rows = [_numbers(row, 2) for row in
+            (m if isinstance(m, list) and len(m) == 2 else [None])]
+    if None in rows:
+        raise InputError(f"not a 2x2 matrix of numbers: {m!r}")
+    return halfplane.Moebius(*rows[0], *rows[1])
 
 
 def load_group_spec(path):
@@ -313,12 +325,6 @@ def cmd_stats(args):
     return 0
 
 
-def _numbers(v, n=None) -> bool:
-    """Whether v is a JSON list of numbers, n of them if n is given."""
-    return (isinstance(v, list) and n in (None, len(v))
-            and all(type(x) in (int, float) for x in v))
-
-
 def cmd_degenerate(args):
     spec = load_json(args.input)
     if not isinstance(spec, dict):
@@ -331,14 +337,17 @@ def cmd_degenerate(args):
     except (KeyError, TypeError):
         raise InputError("degeneration families need a.matrix "
                          "and b.poly_matrix") from None
-    if not (isinstance(polys, list) and len(polys) == 2 and all(
-            isinstance(row, list) and len(row) == 2 and all(map(_numbers, row))
-            for row in polys)):
+    polys = ([[_numbers(p) for p in row] for row in polys]
+             if isinstance(polys, list) and len(polys) == 2 and all(
+                 isinstance(row, list) and len(row) == 2 for row in polys)
+             else [[None]])
+    if any(None in row for row in polys):
         raise InputError("b.poly_matrix is a 2x2 matrix of coefficient lists")
     t_range = spec.get("t_range", [0.0, 1.0])
-    if not _numbers(t_range, 2):
+    ts = _numbers(t_range, 2)
+    if ts is None:
         raise InputError(f"t_range must be two numbers, got {t_range!r}")
-    t0f, t1f = t_range
+    t0f, t1f = ts
     steps = args.steps if args.steps is not None else spec.get("steps", 64)
     if not (type(steps) is int and steps >= 0):
         raise InputError(f"steps must be an integer >= 0, got {steps!r}")

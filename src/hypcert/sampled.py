@@ -241,89 +241,56 @@ def _delta_exhaustive(space, D, n):
     # sums, the defect, best - margin) adds under 2^-48 max(1, max|D|), so
     # a distance below best - margin puts the defect strictly below best:
     # the quadruple can neither take nor tie it.
-    top = max(1.0, float(np.abs(D).max()))
+    top = max(1.0, float(max(D.max(), -D.min())))
     margin = TOL + 2.0 ** -40 * top
-    # on integers below 2^50 every sum and difference is exact: the
-    # defect is half the median gap, with no slack
-    exact = top < 2.0 ** 50 and np.array_equal(np.rint(D), D)
-    slack = 0.0 if exact else 2.0 ** -44 * top
-    # Float32 Gromov products screen the pairs first (see _delta_middle);
-    # on integers below 2^22 they and their bounds are exact too
-    screen = None if top >= _FLOAT32_CAP else (
-        np.float32, 0.0 if exact and top < 2.0 ** 22 else 2.0 ** -20 * top)
+    # the Gromov-product screen's type and slack (see _screened_pairs):
+    # exact on integers below 2^22, float64 where float32 cannot hold D
+    if top >= _FLOAT32_CAP:
+        screen = (np.float64, 2.0 ** -44 * top)
+    elif top < 2.0 ** 22 and np.array_equal(np.rint(D), D):
+        screen = (np.float32, 0.0)
+    else:
+        screen = (np.float32, 2.0 ** -20 * top)
     buffers = np.empty((6, max(_DELTA_BLOCK, n)))
     best, worst = 0.0, None
     for k in range(n - 2, 1, -1):   # downward: large defects come early
-        v, quad = _delta_middle(D, k, best, margin, slack, buffers, screen)
+        v, quad = _delta_middle(D, k, best, margin, buffers, screen)
         if v > best or (v == best and worst and quad < worst):
             best, worst = v, quad
     worst = tuple(space.points[v] for v in (worst or (0,) * 4))
     return HyperbolicityEstimate(best, math.comb(n, 4), "exhaustive", worst)
 
 
-def _delta_middle(D, k, best, margin, slack, buffers, screen=None):
+def _delta_middle(D, k, best, margin, buffers, screen):
     """Largest defect over i < j < k < l and its first quadruple, among
-    those that can reach best: rows (i, j) and columns l with D[i, j],
-    D[i, k], D[j, k] or D[k, l] below best - margin are skipped.  Rows
-    are the pairs (i, j) in i-major order, columns the l, in blocks of
-    at most _DELTA_BLOCK sums that read the upper triangle of D only.
-
-    Each block is screened by its exact median gaps g = hi - med; the
-    defect is within slack of g / 2.  A block whose largest gap G has
-    G / 2 + slack below best, or at most the largest defect found so
-    far, is skipped; the rest evaluate the defect only where g / 2 is
-    within 2 slack of G / 2 (in place when that is every sum).
-
-    A screen (kind, slack32), a float type and a slack that bounds the
-    defects above the Gromov-product bounds in that type, first keeps
-    only the rows whose bound can reach best (see _screened_pairs)."""
-    # With M = max(1, max|D|) and u = 2^-53, the sums are at most 2M.  The
-    # defect's mid = ((s1 + s2) + s3 - hi) - lo rounds four times, off the
-    # median by at most (4 + 6 + 4 + 2) u M, and hi - mid once more, by 2u
-    # M: the defect is within 9u M of (hi - med) / 2, and g / 2 within u
-    # M of it (halving is exact above the subnormals, which M >= 1 covers).
-    # So |defect - g / 2| < 10u M < 2^-49 M, and slack = 2^-44 M leaves
-    # room for the rounding of G / 2 + slack and of G - 4 slack: a skipped
-    # block holds no defect at or above best nor above the block's best so
-    # far, and any sum whose defect can be the block's largest has g / 2
-    # >= G / 2 - 20u M, above the cut.
+    the pairs (i, j) that the screen keeps (see _screened_pairs) and the
+    columns l with D[k, l] at least best - margin.  Rows are the pairs
+    in i-major order, columns the l; the three sums are formed in blocks
+    of at most _DELTA_BLOCK and each goes through the defect formula.
+    A value below best may come back: the caller keeps only one that
+    takes or ties best."""
     floor = best - margin
     ls = k + 1 + np.flatnonzero(D[k, k + 1:] >= floor)
     cols = ls.size
     if not cols:
         return 0.0, None
-    if screen is None:
-        pi, pj = np.triu_indices(k, 1)
-        keep = np.minimum(D[pi, pj], D[pi, k])
-        keep = np.minimum(keep, D[pj, k], out=keep) >= floor
-        pi, pj = pi[keep], pj[keep]
-    else:
-        pi, pj = _screened_pairs(D, k, ls, floor, best, screen, buffers)
-    sums = _pair_sums(D, pi, pj, k, ls)
+    pi, pj = _screened_pairs(D, k, ls, floor, best, screen, buffers)
+    col, Dkl, above = D[:k, k], D[k, ls], D[:k, ls]
     step = max(1, _DELTA_BLOCK // cols)
     found, worst = 0.0, None
     for a in range(0, pi.size, step):
-        b = min(a + step, pi.size)
-        s1, s2, s3, hi, lo, out = buffers[:, :(b - a) * cols].reshape(
+        i, j = pi[a:a + step], pj[a:a + step]
+        s1, s2, s3, hi, lo, out = buffers[:, :i.size * cols].reshape(
             6, -1, cols)
-        sums(a, b, (s1, s2, s3))
-        gap = _median_gaps(s1, s2, s3, hi, lo, out)
-        G = float(gap.max())
-        lim = G / 2.0 + slack
-        if lim <= found or lim < best:
-            continue
-        cut = G - 4.0 * slack
-        if cut > 0.0:
-            at = np.flatnonzero(gap >= cut)
-            vals = _pairing_defects(*(s.ravel()[at] for s in (s1, s2, s3)))
-        else:   # no gap is negative: every sum is a candidate
-            at = None
-            vals = _pairing_defects(s1, s2, s3, hi, lo, out).ravel()
+        np.add(D[i, j][:, None], Dkl, out=s1)
+        np.add(col[i][:, None], np.take(above, j, 0, s2, "clip"), out=s2)
+        np.add(np.take(above, i, 0, s3, "clip"), col[j][:, None], out=s3)
+        vals = _pairing_defects(s1, s2, s3, hi, lo, out).ravel()
         t = int(np.argmax(vals))
         if vals[t] > found:
             found = float(vals[t])
-            r, c = divmod(t if at is None else int(at[t]), cols)
-            worst = (int(pi[a + r]), int(pj[a + r]), k, int(ls[c]))
+            r, c = divmod(t, cols)
+            worst = (int(i[r]), int(j[r]), k, int(ls[c]))
     return found, worst
 
 
@@ -338,21 +305,27 @@ def _screened_pairs(D, k, ls, floor, best, screen, buffers):
     and hi the smaller and larger of (i|l) and (j|l), and c = (i|j).  A
     pair's bound is its maximum over l.  Pairs are walked by offset d =
     1 .. m // 2 over the m kept rows, j = i + d mod m (for even m, twice
-    at d = m / 2), so a block of offsets reads windows of the (i|l) laid out twice
-    and gathers no pair.  A block whose largest bound plus slack32 is
-    below best, or at most 0, is skipped; elsewhere the pairs whose
-    bound plus slack32 is at or above best and above 0 are kept."""
-    # With M = max(1, max|D|) and u = 2^-24, a product lies in [-M/2, M];
-    # formed in float64 and rounded once it is within (1 + 2^-27) u M of
-    # the exact product.  min, max and med are exact selections, and the
-    # subtraction rounds once more, by at most u M: the bound is within
-    # 3.1 u M of the largest exact defect.  The float64 defect lies within
-    # 2^-48 M of the exact one, and bound + slack32 is formed in float64,
-    # so slack32 = 16 u M leaves a skipped pair no defect at or above
-    # best nor above 0: it would change nothing.  On integers below 2^22
-    # the products are half-integers, which float32 holds, the bound is
-    # the exact largest defect and slack32 is 0.
-    kind, slack32 = screen
+    at d = m / 2), so a block of offsets reads windows of the (i|l)
+    laid out twice and gathers no pair.  A block whose largest bound
+    plus slack is below best, or at most 0, is skipped; elsewhere the
+    pairs whose bound plus slack is at or above best and above 0 are
+    kept."""
+    # With M = max(1, max|D|) and u the screen type's unit roundoff, a
+    # product lies in [-M/2, M].  In float32 (u = 2^-24) it is formed in
+    # float64 and rounded once, within (1 + 2^-27) u M of the exact
+    # product; in float64 (u = 2^-53) its two roundings leave it within 2
+    # u M.  min, max and med are exact selections, and the subtraction
+    # rounds once more, by at most 1.5 u M: the bound is within 3.6 u M,
+    # or 5.5 u M, of the largest exact defect.  The float64 sums round
+    # once each, the formula's mid = ((s1 + s2) + s3 - hi) - lo four
+    # times and hi - mid once more, so the float64 defect lies within 11
+    # 2^-53 M < 2^-48 M of the exact one.  bound + slack is formed in
+    # float64, so slack = 2^-20 M in float32, or 2^-44 M in float64,
+    # leaves a skipped pair no defect at or above best nor above 0: it
+    # would change nothing.  On integers below 2^22 the products are
+    # half-integers, which float32 holds, the bound is the exact largest
+    # defect and the slack is 0.
+    kind, slack = screen
     I = np.flatnonzero(D[:k, k] >= floor)
     m, cols = I.size, ls.size
     keep = np.zeros((k, k), dtype=bool)
@@ -369,12 +342,14 @@ def _screened_pairs(D, k, ls, floor, best, screen, buffers):
     cs = window(np.concatenate((col, col)), (m, m), (col.itemsize,) * 2)
     Ps = window(P, (m, m, cols), (P.strides[0], *P.strides))
     # blocks of whole offsets, at most _DELTA_BLOCK pairs unless one
-    # offset is more, and of columns, at most 6 _DELTA_BLOCK bounds unless
-    # one column is more: each half of the float64 buffers' bytes holds 6
-    # max(_DELTA_BLOCK, n) float32
+    # offset is more, and of columns, at most room bounds unless one
+    # column is more: room is 3 _DELTA_BLOCK in float64 and 6 _DELTA_BLOCK
+    # in float32, and each half of the buffers' bytes holds 3 max(
+    # _DELTA_BLOCK, n) float64
     scratch = buffers.view(kind).reshape(2, -1)
-    width = min(cols, max(1, 6 * _DELTA_BLOCK // m))
-    offsets = max(1, min(6 * _DELTA_BLOCK // (m * width), _DELTA_BLOCK // m))
+    room = scratch.shape[1] * _DELTA_BLOCK // buffers.shape[1]
+    width = min(cols, max(1, room // m))
+    offsets = max(1, min(room // (m * width), _DELTA_BLOCK // m))
     for d0 in range(1, m // 2 + 1, offsets):
         d1 = min(d0 + offsets, m // 2 + 1)
         j = js[d0:d1]
@@ -388,39 +363,13 @@ def _screened_pairs(D, k, ls, floor, best, screen, buffers):
             np.maximum(A, B, out=t)
             np.minimum(t, c, out=t)
             np.abs(np.subtract(t, lo, out=t), out=t)
-            G = float(t.max()) + slack32
+            G = float(t.max()) + slack
             if G < best or G <= 0.0:
                 continue
-            lim = slack32 + t.max(axis=2).astype(float)
+            lim = slack + t.max(axis=2).astype(float)
             ok = (lim >= best) & (lim > 0.0) & (Dij >= floor)
             keep[np.minimum(I, j)[ok], np.maximum(I, j)[ok]] = True
     return np.nonzero(keep)
-
-
-def _pair_sums(T, pi, pj, k, ls):
-    """A function that writes the three pairing sums of rows a..b,
-    columns ls, from table T into the given buffers and returns them:
-    T[i, j] + T[k, l], T[i, k] + T[j, l] and T[i, l] + T[j, k]."""
-    col, Tkl, above = T[:k, k], T[k, ls], T[:k, ls]
-
-    def fill(a, b, bufs):
-        i, j = pi[a:b], pj[a:b]
-        s1, s2, s3 = bufs[:3]
-        np.add(T[i, j][:, None], Tkl, out=s1)
-        np.add(col[i][:, None], np.take(above, j, 0, s2, "clip"), out=s2)
-        np.add(np.take(above, i, 0, s3, "clip"), col[j][:, None], out=s3)
-        return s1, s2, s3
-    return fill
-
-
-def _median_gaps(s1, s2, s3, hi, lo, out):
-    """hi - med of the three sums, in out; min and max are exact."""
-    np.minimum(s1, s2, out=lo)
-    np.maximum(s1, s2, out=hi)
-    np.minimum(hi, s3, out=out)
-    np.maximum(hi, s3, out=hi)
-    np.maximum(lo, out, out=out)
-    return np.subtract(hi, out, out=out)
 
 
 def _delta_sampled(space, D, n, n_quadruples, seed):

@@ -540,10 +540,14 @@ class TestMalformedInput:
         {"model": "free_tree", "params": {"rank": 27}, "generators": []},
         {"model": "free_tree", "params": {"rank": 2},
          "generators": [{"word": "a^"}]},
+        {"model": "h2",
+         "generators": [{"matrix": [[True, 2], [False, True]]}]},
+        {"model": "h2",
+         "generators": [{"matrix": [[10 ** 400, 0], [0, 1]]}]},
     ], ids=["matrix-1x2", "matrix-3x3", "matrix-string-entry",
             "word-beyond-rank", "name-list", "json-text", "params-list",
             "h2-without-matrix", "unknown-model", "rank-27",
-            "word-open-power"])
+            "word-open-power", "matrix-bool-entry", "matrix-int-beyond-float"])
     def test_malformed_group_spec_is_exit_2(self, tmp_path, capsys, spec):
         # a string is the file's text as it stands
         text = spec if isinstance(spec, str) else json.dumps(spec)
@@ -641,6 +645,13 @@ class TestMalformedInput:
         (_DELTA + ["--mode", "sampled", "--quadruples", "-5"], _SQUARE_SPACE),
         (_DELTA + ["--mode", "sampled", "--seed", "-1"], _SQUARE_SPACE),
         (["cov", "--input", "{family}", "--r", "nan"], _SQUARE_SPACE),
+        (_DEGENERATE, {**_FAMILY,
+                       "a": {"matrix": [[True, 2], [False, True]]}}),
+        (_DEGENERATE, {**_FAMILY,
+                       "a": {"matrix": [[10 ** 400, 0], [0, 1]]}}),
+        (_DEGENERATE, {**_FAMILY, "b": {"poly_matrix": [[[10 ** 400], [0.0]],
+                                                        [[0.0], [1.0]]]}}),
+        (_DEGENERATE, {**_FAMILY, "t_range": [0, 10 ** 400]}),
     ], ids=["radii", "nilrad-plus", "nilrad-plus-nan", "family-without-b",
             "family-list", "t-range-of-one", "steps-not-a-number",
             "poly-matrix-of-numbers", "negative-steps", "space-nested-list-id",
@@ -661,12 +672,24 @@ class TestMalformedInput:
             "pack-r0-nan", "certify-delta-overflows",
             "certify-power-above-budget", "certify-tree-power-above-budget",
             "delta-zero-quadruples", "delta-negative-quadruples",
-            "delta-negative-seed", "cov-r-nan"])
+            "delta-negative-seed", "cov-r-nan", "family-a-bool-entry",
+            "family-a-int-beyond-float", "poly-int-beyond-float",
+            "t-range-int-beyond-float"])
     def test_malformed_argument_is_exit_2(self, tmp_path, capsys,
                                           tree_pair_file, argv, family):
         family = self._write(tmp_path, json.dumps(family))
         argv = [x.format(tree=tree_pair_file, family=family) for x in argv]
         code, rep = run(tmp_path, *argv)
+        assert code == 2
+        assert rep is None
+        assert "input error" in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_is_exit_2(self, tmp_path, capsys):
+        # Python reads at most 4300 digits of an integer: json.load's
+        # ValueError is an input error, not a traceback
+        text = '{"points": [0, 1, 2, 3], "dist": [[%s]]}' % ("9" * 5000)
+        code, rep = run(tmp_path, "delta",
+                        "--input", self._write(tmp_path, text))
         assert code == 2
         assert rep is None
         assert "input error" in capsys.readouterr().err

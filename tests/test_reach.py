@@ -30,9 +30,6 @@ UNREACHED = {
     "pingpong.proof_set_membership": TRACED,
     "isometry.orbit_translation_length": TRACED,
     "isometry.orbit_translation_length.orbit_dist": TRACED,
-    # a tree walk composes whole levels of letter arrays, and the only
-    # elliptic word, which has_finite_order would compose, is the identity
-    "freetree.FreeTreeSpace.compose": DEFAULT,
     # the tree oracle decides a non-commuting pair without a walk, a
     # commuting one is elementary, and no discrete pair is semigroup
     "freetree.FreeTreeSpace.is_identity_batch": DEFAULT,
@@ -112,6 +109,10 @@ def _runs(tmp_path, tree_ball, files, family):
     point = {"h2": "0,1", "free_tree": "e"}
     sanov = pair("sanov", ("a", [[1, 2], [0, 1]]), ("b", [[1, 0], [2, 1]]))
     mixed = pair("mixed", ("a", [[2, 0], [0, 0.5]]), ("s", [[0, 1], [-1, 2]]))
+    # u = ab and v = a: tits' conjugates compose tree elements
+    tree_conjugates = write("tree_conjugates.json", {
+        "model": "free_tree", "params": {"rank": 2}, "generators": [
+            {"name": "u", "word": "ab"}, {"name": "v", "word": "a"}]})
     # z -> -1/z has order 2: stats' torsion test runs
     elliptic = pair("elliptic", ("r", [[0, -1], [1, 0]]),
                     ("a", [[2, 0], [0, 0.5]]))
@@ -148,6 +149,7 @@ def _runs(tmp_path, tree_ball, files, family):
     return runs + [
         (["certify", "--input", sanov], 0),
         (["certify", "--input", mixed], 0),
+        (["certify", "--input", tree_conjugates], 0),
         (["stats", "--input", elliptic, "--base", "0,1", "--word-cap", "2",
           "--sample-size", "5", "--radius", "0.5"], 0),
         (["margulis", "--input", huge, "--eps1", "1", "--eps2", "2"], 2),

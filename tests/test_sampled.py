@@ -663,13 +663,13 @@ class TestFastPaths:
 
     def test_delta_skip_is_strict(self):
         # a floor equal to a distance keeps the rows and columns at it,
-        # and a block whose largest gap ties best is still evaluated
+        # and a pair whose bound ties best is still evaluated
         D = tied_squares().dist
-        buffers = np.empty((6, 64))
-        assert sampled._delta_middle(D, 7, 1.0, 0.0, 0.0, buffers) == \
+        buffers, screen = np.empty((6, 64)), (np.float32, 0.0)
+        assert sampled._delta_middle(D, 7, 1.0, 0.0, buffers, screen) == \
             (1.0, (0, 6, 7, 8))
-        assert sampled._delta_middle(D, 7, np.nextafter(1.0, 2.0), 0.0, 0.0,
-                                     buffers) == (0.0, None)
+        assert sampled._delta_middle(D, 7, np.nextafter(1.0, 2.0), 0.0,
+                                     buffers, screen) == (0.0, None)
 
     def test_exhaustive_delta_memory(self):
         # buffers of a fixed size: a block that grows with n fails here
@@ -808,28 +808,23 @@ class TestDeltaScreen:
     def test_screened_delta_matches_brute_force(self, name, monkeypatch):
         sp = _screen_spaces()[name]
         best, checked, worst = _reference_delta(sp)
-        shapes = []
+        evaluated = []
 
-        def recording(s1, *rest):
-            shapes.append(s1.shape)
+        def counting(s1, *rest):
+            evaluated.append(s1.size)
             return pairing_defects(s1, *rest)
 
         pairing_defects = sampled._pairing_defects
-        monkeypatch.setattr(sampled, "_pairing_defects", recording)
+        monkeypatch.setattr(sampled, "_pairing_defects", counting)
         for block in (1, 5, 7, sampled._DELTA_BLOCK):
             monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
             est = sampled.four_point_delta(sp)
             assert est.delta_hat.hex() == best.hex()
             assert (est.quadruples_checked, est.worst_quadruple) == \
                 (checked, worst)
-        evaluated = sum(math.prod(shape) for shape in shapes)
         if name.startswith("h2"):
             # the screen leaves few sums to the defect formula
-            assert evaluated < 4 * checked / 10
-            assert all(len(shape) == 1 for shape in shapes)
-        if name == "tree-ball-tenths":
-            # every sum is a candidate: blocks evaluated in place
-            assert any(len(shape) == 2 for shape in shapes)
+            assert sum(evaluated) < 4 * checked / 10
 
     @pytest.mark.parametrize("name", sorted(_ULP_SQUARES))
     def test_the_formula_decides_between_near_ties(self, name):
@@ -845,19 +840,26 @@ class TestDeltaScreen:
         assert (est.delta_hat, est.worst_quadruple) == want
 
     def test_integer_tables_need_no_slack(self, monkeypatch):
-        # on integers the defect is half the median gap: only the sums
-        # at a block's largest gap reach the formula
+        # integers below 2^22 are screened exactly in float32, any other
+        # table below _FLOAT32_CAP in float32 with slack 2^-20 M, and one
+        # at or above it in float64 with slack 2^-44 M; the grid's
+        # largest distance is 10
         sp = _graph_space(graphspace.grid_graph(6))
-        calls = []
-        monkeypatch.setattr(sampled, "_delta_middle",
-                            lambda *args: calls.append(args[4]) or (0.0, None))
-        sampled.four_point_delta(sp)
-        sampled.four_point_delta(sampled.SampledSpace(sp.points, sp.dist / 4))
-        sampled.four_point_delta(sampled.SampledSpace(sp.points,
-                                                      sp.dist * 1.05))
         n = len(sp) - 3   # middle indices 2 .. n - 2
-        assert calls == ([0.0] * n + [2.0 ** -44 * 2.5] * n
-                         + [2.0 ** -44 * (sp.dist * 1.05).max()] * n)
+        for scale, screen in (
+                (1.0, (np.float32, 0.0)),
+                (2.0 ** 18, (np.float32, 0.0)),
+                (2.0 ** 19, (np.float32, 2.0 ** -20 * 10 * 2.0 ** 19)),
+                (0.25, (np.float32, 2.0 ** -20 * 2.5)),
+                (1.05, (np.float32, 2.0 ** -20 * (sp.dist * 1.05).max())),
+                (2.0 ** 96, (np.float32, 2.0 ** -20 * 10 * 2.0 ** 96)),
+                (2.0 ** 97, (np.float64, 2.0 ** -44 * 10 * 2.0 ** 97))):
+            calls = []
+            monkeypatch.setattr(sampled, "_delta_middle", lambda *args:
+                                calls.append(args[5]) or (0.0, None))
+            sampled.four_point_delta(sampled.SampledSpace(sp.points,
+                                                          sp.dist * scale))
+            assert calls == [screen] * n
 
     @pytest.mark.parametrize("name", sorted(_F32_SQUARES))
     def test_float32_screen_leaves_one_ulp_to_float64(self, name,
@@ -878,7 +880,7 @@ class TestDeltaScreen:
         screens = []
         middle = sampled._delta_middle
         monkeypatch.setattr(sampled, "_delta_middle", lambda *args:
-                            screens.append(args[6]) or middle(*args))
+                            screens.append(args[5]) or middle(*args))
         for block in (1, 5, 7):
             monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
             est = sampled.four_point_delta(sp)
@@ -912,12 +914,12 @@ class TestDeltaScreen:
                                        "tree-ball"])
     def test_screened_pairs_on_integers_are_the_pairs_that_reach_best(
             self, table, monkeypatch):
-        # on integers the screen is exact: it keeps the pairs of the
-        # pruned rows whose defect over the kept columns reaches best and
-        # 0, in i-major order, for any block size.  Blocks of 1, 5 and 7
-        # split the offsets and the columns, and the even m of some middle
-        # indices keep a pair at offset m / 2, which both of its points
-        # visit.
+        # on integers the screen is exact in either type: it keeps the
+        # pairs of the pruned rows whose defect over the kept columns
+        # reaches best and 0, in i-major order, for any block size.
+        # Blocks of 1, 5 and 7 split the offsets and the columns, and the
+        # even m of some middle indices keep a pair at offset m / 2, which
+        # both of its points visit.
         D = (_screen_spaces()[table].dist if not table.startswith("int")
              else _integer_table(20, int(table[-1])))
         n, half_offsets = len(D), 0
@@ -931,10 +933,11 @@ class TestDeltaScreen:
                         if D[i, j] >= best and 0.0 < max(
                             _defect_and_half_gap(D, (i, j, k, l))[0]
                             for l in ls) >= best]
-                for block in (1, 5, 7, 12288):
+                for block, kind in itertools.product(
+                        (1, 5, 7, 12288), (np.float32, np.float64)):
                     monkeypatch.setattr(sampled, "_DELTA_BLOCK", block)
                     pi, pj = sampled._screened_pairs(
-                        D, k, ls, best, best, (np.float32, 0.0),
+                        D, k, ls, best, best, (kind, 0.0),
                         np.empty((6, max(block, n))))
                     assert list(zip(pi.tolist(), pj.tolist())) == want
                 local = {int(v): t for t, v in enumerate(I)}
@@ -967,15 +970,39 @@ class TestDeltaScreen:
         # product bounds keep the float64 pass to a few pairs
         pts = halfplane.sample_ball(1j, 4.0, 60, random.Random(5))
         sp = sampled.from_points(pts, halfplane.dist)
-        rows = []
-        pair_sums = sampled._pair_sums
-        monkeypatch.setattr(sampled, "_pair_sums", lambda T, pi, *rest:
-                            rows.append(pi.size) or pair_sums(T, pi, *rest))
+        kept = _kept_pairs(monkeypatch)
         est = sampled.four_point_delta(sp)
         assert (est.delta_hat, est.quadruples_checked,
                 est.worst_quadruple) == _reference_delta(sp)
         pairs = sum(math.comb(k, 2) for k in range(2, len(sp) - 1))
-        assert 0 < sum(rows) < pairs / 10
+        assert 0 < sum(p for p, _ in kept) < pairs / 10
+
+    def test_float64_screen_leaves_few_quadruples_to_float64(self,
+                                                             monkeypatch):
+        # entries near 1e300 are past float32: the products are bounded
+        # in float64, and they too keep the defect formula to a few of
+        # the quadruples.  At 18 points the first middle index, with best
+        # still 0, keeps its 120 pairs of 680 (one column each)
+        sp = _screen_spaces()["h2-near-1e300"]
+        kept = _kept_pairs(monkeypatch)
+        est = sampled.four_point_delta(sp)
+        assert (est.delta_hat, est.quadruples_checked,
+                est.worst_quadruple) == _reference_delta(sp)
+        assert 0 < sum(p * c for p, c in kept) < est.quadruples_checked / 10
+
+
+def _kept_pairs(monkeypatch):
+    """A list that gathers, for each _screened_pairs call, how many
+    pairs it hands to the float64 formula and over how many columns."""
+    kept, screened = [], sampled._screened_pairs
+
+    def counting(D, k, ls, *rest):
+        pi, pj = screened(D, k, ls, *rest)
+        kept.append((pi.size, ls.size))
+        return pi, pj
+
+    monkeypatch.setattr(sampled, "_screened_pairs", counting)
+    return kept
 
 
 def _scaled_to_integers(D):
