@@ -86,25 +86,18 @@ def load_space(path) -> sampled.SampledSpace:
     return sampled.SampledSpace.from_json(load_json(path))
 
 
-def _numbers(v, n=None):
-    """v's entries as floats if v is a JSON list of numbers, n of them
-    if n is given, else None; a bool is not a number."""
-    if not (isinstance(v, list) and n in (None, len(v))
-            and all(type(x) in (int, float) for x in v)):
-        return None
-    try:
-        return [float(x) for x in v]
-    except OverflowError:
-        raise InputError("an integer beyond the float range") from None
-
-
 def _moebius(m):
-    """The Moebius map of a 2x2 matrix given as JSON rows of numbers."""
-    rows = [_numbers(row, 2) for row in
-            (m if isinstance(m, list) and len(m) == 2 else [None])]
-    if None in rows:
+    """The Moebius map of a 2x2 matrix given as JSON rows of numbers;
+    integer entries reach it as they are, so its determinant is exact."""
+    if not (isinstance(m, list) and len(m) == 2
+            and all(_numbers(row, 2) for row in m)):
         raise InputError(f"not a 2x2 matrix of numbers: {m!r}")
-    return halfplane.Moebius(*rows[0], *rows[1])
+    (a, b), (c, d) = m
+    try:
+        return halfplane.Moebius(a, b, c, d)
+    except OverflowError:
+        raise InputError(f"matrix {m!r} has an integer beyond the float "
+                         "range") from None
 
 
 def load_group_spec(path):
@@ -325,6 +318,12 @@ def cmd_stats(args):
     return 0
 
 
+def _numbers(v, n=None) -> bool:
+    """Whether v is a JSON list of numbers, n of them if n is given."""
+    return (isinstance(v, list) and n in (None, len(v))
+            and all(type(x) in (int, float) for x in v))
+
+
 def cmd_degenerate(args):
     spec = load_json(args.input)
     if not isinstance(spec, dict):
@@ -337,35 +336,34 @@ def cmd_degenerate(args):
     except (KeyError, TypeError):
         raise InputError("degeneration families need a.matrix "
                          "and b.poly_matrix") from None
-    polys = ([[_numbers(p) for p in row] for row in polys]
-             if isinstance(polys, list) and len(polys) == 2 and all(
-                 isinstance(row, list) and len(row) == 2 for row in polys)
-             else [[None]])
-    if any(None in row for row in polys):
+    if not (isinstance(polys, list) and len(polys) == 2 and all(
+            isinstance(row, list) and len(row) == 2 and all(map(_numbers, row))
+            for row in polys)):
         raise InputError("b.poly_matrix is a 2x2 matrix of coefficient lists")
     t_range = spec.get("t_range", [0.0, 1.0])
-    ts = _numbers(t_range, 2)
-    if ts is None:
+    if not _numbers(t_range, 2):
         raise InputError(f"t_range must be two numbers, got {t_range!r}")
-    t0f, t1f = ts
+    t0f, t1f = t_range
     steps = args.steps if args.steps is not None else spec.get("steps", 64)
     if not (type(steps) is int and steps >= 0):
         raise InputError(f"steps must be an integer >= 0, got {steps!r}")
-    rows = []
-    for k in range(steps + 1):
-        t = t0f + (t1f - t0f) * k / steps if steps > 0 else t0f
-        m = [[float(np.polyval(polys[i][j], t)) for j in range(2)]
-             for i in range(2)]
-        b = halfplane.Moebius(m[0][0], m[0][1], m[1][0], m[1][1])
-        g = a @ b
-        tr = abs(g.trace())
-        prof = isometry.classify(g, halfplane.H2)
-        rows.append((t, prof.ell, tr, prof.kind))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "ell", "trace", "kind"])
-    for t, ell, tr, kind in rows:
-        writer.writerow([f"{t:.12g}", f"{ell:.12g}", f"{tr:.12g}", kind])
+    try:
+        for k in range(steps + 1):
+            t = t0f + (t1f - t0f) * k / steps if steps > 0 else t0f
+            m = [[float(np.polyval(polys[i][j], t)) for j in range(2)]
+                 for i in range(2)]
+            b = halfplane.Moebius(m[0][0], m[0][1], m[1][0], m[1][1])
+            g = a @ b
+            tr = abs(g.trace())
+            prof = isometry.classify(g, halfplane.H2)
+            writer.writerow([f"{t:.12g}", f"{prof.ell:.12g}", f"{tr:.12g}",
+                             prof.kind])
+    except OverflowError:
+        raise InputError("b.poly_matrix or t_range holds an integer beyond "
+                         "the float range") from None
     _write(buf.getvalue(), args)
     return 0
 

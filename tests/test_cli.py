@@ -108,6 +108,19 @@ class TestClassify:
         assert gens["a"]["fixed_boundary"][1] == "inf"
         assert gens["b"]["fixed_boundary"] == [-1.0, 1.0]
 
+    def test_integer_matrix_keeps_its_exact_determinant(self, tmp_path):
+        # both have determinant exactly 1, which reads 0 from their
+        # products rounded to float64; as JSON integers they reach
+        # Moebius unrounded
+        code, rep = run(tmp_path, "classify", "--input", _spec(tmp_path, [
+            [[2 ** 30 + 1, 2 ** 30], [2 ** 30 + 2, 2 ** 30 + 1]],
+            [[7778742049, 4807526976], [4807526976, 2971215073]]]))
+        assert code == 0
+        for g, tr in zip(rep["result"]["generators"],
+                         (2 ** 31 + 2, 7778742049 + 2971215073)):
+            assert g["kind"] == "hyperbolic"
+            assert g["ell"] == pytest.approx(2.0 * math.acosh(tr / 2.0))
+
     def test_tree_pair(self, tmp_path, tree_pair_file):
         code, rep = run(tmp_path, "classify", "--input", tree_pair_file)
         assert code == 0
