@@ -61,12 +61,10 @@ def ball_growth_counts(space, base, radii):
 
 
 def orbit_growth_counts(space, generators, base, radii, word_cap: int):
-    """Orbit-point counts |B(base, R) ∩ orbit| using words up to word_cap."""
-    letters = pingpong.group_letters(space, generators)
-    pingpong.check_walk_length(len(letters), word_cap)
-    levels = [E for E, _ in pingpong.walk_levels(space, letters, word_cap)]
-    dists = np.sort(space.orbit_dists(base, levels)).tolist()
-    return [(float(R), bisect.bisect_right(dists, R + TOL)) for R in radii]
+    """Orbit-point counts |B(base, R) ∩ orbit| along the radii, as the
+    model's orbit of the group counts them: exactly on the tree, over the
+    words up to word_cap on H²."""
+    return space.orbit(generators, word_cap).counts(base, radii)
 
 
 def entropy_estimate(counts):
@@ -136,47 +134,75 @@ class ActionStats:
     nilrad_plus_estimate: float = -math.inf
     word_cap: int = 0
     sample_size: int = 0
+    note: str = ""
 
 
 def action_stats(space, generators, sample, word_cap: int,
                  config: BoundsConfig) -> ActionStats:
     """Sampled displacement statistics of the group generated by the
-    given isometries.
+    given isometries, as the model's orbit of the group measures them.
 
-    Per point: minimal displacement over the enumerated nontrivial
-    words (sys, and sys_free excluding detected finite-order elements),
-    the largest dyadic radius whose almost-stabilizer stays pairwise
-    elementary (nilrad), and the thin-part supremum of the latter.
-    sys is a truncation: it over-estimates the true minimal
-    displacement.  dias, the sample maximum of sys, has no side.
+    Per point: minimal displacement over the nontrivial elements (sys,
+    and sys_free excluding finite-order elements), the largest dyadic
+    radius whose almost-stabilizer stays pairwise elementary (nilrad),
+    and the thin-part supremum of the latter.  The orbit's note says
+    which side sys has: exact on the tree, a truncation over-estimating
+    it on H², where dias, the sample maximum of sys, has no side.
     """
-    letters = pingpong.group_letters(space, generators)
-    pingpong.check_walk_length(len(letters), word_cap)
-    levels = [E for E, _ in pingpong.walk_levels(space, letters, word_cap)]
-    gs = [g for E in levels for g in space.unbatch(E)]
-    nontrivial = np.array([not space.is_identity(g) for g in gs])
-    if not nontrivial.any():
-        raise InputError("no nontrivial elements within the word cap")
-    elems = [g for g, keep in zip(gs, nontrivial) if keep]
-    profiles = [isometry.classify(g, space) for g in elems]
-    finite_order = np.array([p.kind == "elliptic"
-                             and pingpong.has_finite_order(space, g, 24)
-                             for g, p in zip(elems, profiles)], dtype=bool)
-
-    stats = ActionStats(word_cap=word_cap, sample_size=len(sample))
+    orbit = space.orbit(generators, word_cap)
+    stats = ActionStats(word_cap=word_cap, sample_size=len(sample),
+                        note=orbit.note)
     radii_grid = [config.eps0 * 2.0 ** k for k in range(-2, 7)]
-    table = space.displacement_table(sample, levels)
-    for x, row in zip(sample, table):
-        disp = row[nontrivial]
-        stats.sys_at[x] = disp.min().item()
-        free = disp[~finite_order]
-        stats.sys_free_at[x] = free.min().item() if free.size else math.inf
-        stats.nilrad_at[x] = _nilrad_at(space, disp, radii_grid, profiles)
+    for x, (sys_x, free, nilrad) in zip(
+            sample, orbit.displacement_stats(sample, radii_grid)):
+        stats.sys_at[x], stats.sys_free_at[x] = sys_x, free
+        stats.nilrad_at[x] = nilrad
     stats.dias_estimate = max(stats.sys_at.values())
     thin = [x for x, v in stats.sys_at.items() if v < config.eps0]
     if thin:
         stats.nilrad_plus_estimate = max(stats.nilrad_at[x] for x in thin)
     return stats
+
+
+class WordWalk:
+    """The orbit of the group of the (name, isometry) generators as far
+    as the shortlex walk over its words up to word_cap reaches."""
+
+    note = ("sys values are word_cap-truncated over-estimates; "
+            "dias under-estimates the true supremum")
+
+    def __init__(self, space, generators, word_cap: int):
+        letters = pingpong.group_letters(space, generators)
+        pingpong.check_walk_length(len(letters), word_cap)
+        self.space = space
+        self.levels = [E for E, _ in
+                       pingpong.walk_levels(space, letters, word_cap)]
+
+    def counts(self, base, radii) -> list:
+        """(R, orbit points within R of base) along the radii."""
+        dists = np.sort(self.space.orbit_dists(base, self.levels)).tolist()
+        return [(float(R), bisect.bisect_right(dists, R + TOL))
+                for R in radii]
+
+    def displacement_stats(self, sample, radii_grid):
+        """(sys, sys_free, nilrad) at each point of the sample, over the
+        walk's nontrivial elements, each classified once."""
+        space = self.space
+        gs = [g for E in self.levels for g in space.unbatch(E)]
+        nontrivial = np.array([not space.is_identity(g) for g in gs])
+        if not nontrivial.any():
+            raise InputError("no nontrivial elements within the word cap")
+        elems = [g for g, keep in zip(gs, nontrivial) if keep]
+        profiles = [isometry.classify(g, space) for g in elems]
+        finite_order = np.array([p.kind == "elliptic"
+                                 and pingpong.has_finite_order(space, g, 24)
+                                 for g, p in zip(elems, profiles)], dtype=bool)
+        for row in space.displacement_table(sample, self.levels):
+            disp = row[nontrivial]
+            free = disp[~finite_order]
+            yield (disp.min().item(),
+                   free.min().item() if free.size else math.inf,
+                   _nilrad_at(space, disp, radii_grid, profiles))
 
 
 def _nilrad_at(space, disp, radii_grid, profiles):

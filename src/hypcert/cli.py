@@ -311,8 +311,7 @@ def cmd_stats(args):
         "nilrad_plus": "-inf" if nil_plus == -math.inf else nil_plus,
         "systole_floor": bounds.systole_floor(bc, nil_plus),
         "diastole_floor": bounds.diastole_floor(bc),
-        "note": ("sys values are word_cap-truncated over-estimates; "
-                 "dias under-estimates the true supremum"),
+        "note": st.note,
     }
     emit({"manifest": manifest(args), "result": result}, args)
     return 0

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import InputError
 from .isometry import IsometryProfile
+from .stallings import Stallings
 
 _WORD_TOKEN = re.compile(r"\s*([a-zA-Z])(?:\^(-?\d+))?")
-_PAIR_BLOCK = 1 << 14   # products per block of the displacement table
 
 
 def reduce_word(w: str) -> str:
@@ -71,27 +71,6 @@ def _seam_mul(u: str, v: str) -> str:
     while k < n and u[-1 - k] == v[k].swapcase():
         k += 1
     return u[:len(u) - k] + v[k:]
-
-
-def _mul(U, nu, V, nv):
-    """The products u v of the words in the rows of two letter batches,
-    row by row (a V of one row multiplies every row): they cancel only at
-    the seam, where a letter meets its inverse, its byte ^ 32 (the byte
-    form of ``swapcase``), so the loops run over V's columns, never over
-    rows."""
-    V, nv = np.broadcast_to(V, (len(U), V.shape[1])), np.broadcast_to(nv, nu.shape)
-    rows, k, live = np.arange(len(U)), np.zeros_like(nu), np.ones(len(U), bool)
-    for i in range(min(U.shape[1], V.shape[1])):
-        live &= (i < nu) & (U[rows, nu - 1 - i] == V[:, i] ^ 32)
-        k += live
-    head, n = nu - k, nu + nv - 2 * k
-    R = np.zeros((len(n), max(1, n.max(initial=0))), dtype=np.uint8)
-    w = min(R.shape[1], U.shape[1])
-    np.multiply(U[:, :w], np.arange(w) < head[:, None], out=R[:, :w])
-    for c in range(V.shape[1]):
-        at = np.flatnonzero((c >= k) & (c < nv))
-        R[at, head[at] - k[at] + c] = V[at, c]
-    return R, n
 
 
 def _lcp(X, Y):
@@ -213,9 +192,8 @@ class FreeTreeSpace:
     and isometries are both reduced words.  A word is checked once, where
     it enters (``parse_point``, ``ball`` centres, ``dist_table``); ``act``,
     ``dist``, ``compose`` and ``power`` take them as they are.  A batch
-    of words is a letter batch (the words' ASCII bytes as zero-padded
-    uint8 rows, and their lengths); ``unbatch`` makes strings where words
-    are classified or printed."""
+    of words is a letter batch: the words' ASCII bytes as zero-padded
+    uint8 rows, and their lengths."""
 
     delta = 0.0   # the four-point constant: a tree is 0-hyperbolic
 
@@ -247,31 +225,16 @@ class FreeTreeSpace:
         return m[:, None] + n - 2 * _lcp(X[:, None], Y)
 
     def displacement_table(self, xs, levels) -> np.ndarray:
-        """d(x, g x) = |x| + |g x| - 2 lcp(x, g x) for each point x of xs,
-        a row each, and each element g of the batches in levels, in order;
-        _PAIR_BLOCK products at a time, so only the table grows with xs."""
-        X, m = self.batch(xs)
-        cols = np.cumsum([0] + [len(n) for _, n in levels]).tolist()
-        out = np.empty((len(xs), cols[-1]), dtype=int)
-        step = max(1, _PAIR_BLOCK // max(1, cols[-1]))
-        for s in range(0, len(xs), step):
-            b = len(m[s:s + step])
-            for (A, n), c in zip(levels, cols):
-                Xs, ms = (np.repeat(a[s:s + step], len(n), 0) for a in (X, m))
-                P, p = _mul(np.tile(A, (b, 1)), np.tile(n, b), Xs, ms)
-                out[s:s + b, c:c + len(n)] = (ms + p - 2 * _lcp(Xs, P)).reshape(b, -1)
-        return out
+        """d(x, g x) for each point x of xs, a row each, and each element
+        g of the letter batches in levels, in order."""
+        gs = [g for E in levels for g in self.unbatch(E)]
+        return np.array([[self.dist(x, _seam_mul(g, x)) for g in gs]
+                         for x in xs], dtype=int).reshape(len(xs), len(gs))
 
-    def orbit_dists(self, x: str, levels) -> np.ndarray:
-        """``dist`` from x to x and to its images under the elements of
-        the batches in the list levels, each point once.  The group acts
-        freely, g x = h x only where g = h, so a point is told by its
-        element's row of bytes, the identity's first."""
-        keys = np.concatenate([[b""]] + [A.view(f"S{A.shape[1]}")[:, 0]
-                                         for A, _ in levels])
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        return np.concatenate(
-            [[0], self.displacement_table([x], levels)[0]])[first]
+    def orbit(self, generators, word_cap=None) -> "Stallings":
+        """The orbit of the group of the (name, word) generators, exact:
+        the tree reads it off its Stallings graph, at any word cap."""
+        return Stallings([g for _, g in generators])
 
     def parse_point(self, text: str) -> str:
         """A word in generator syntax, or "e" for the identity."""
@@ -355,13 +318,6 @@ class FreeTreeSpace:
         return [w.decode() for w in
                 E[0].view(f"S{E[0].shape[1]}")[:, 0].tolist()]
 
-    def compose_level(self, E, parents, L, letters) -> tuple:
-        """``compose`` of E's word parents[i] with L's word letters[i]."""
-        return _mul(E[0][parents], E[1][parents], L[0][letters], L[1][letters])
-
-    def is_identity_batch(self, E) -> np.ndarray:
-        return E[1] == 0
-
     def compose(self, g: str, h: str) -> str:
         """g h for reduced words g and h."""
         return _seam_mul(g, h)
@@ -374,12 +330,6 @@ class FreeTreeSpace:
         w = g if n > 0 else invert(g)
         k = _conjugator_length(w)
         return w[:k] + w[k:len(w) - k] * abs(n) + w[len(w) - k:]
-
-    def is_identity(self, g: str) -> bool:
-        return g == ""
-
-    def iso_key(self, g: str) -> str:
-        return g
 
     def boundary_eq(self, u: TreeEnd, v: TreeEnd) -> bool:
         return u == v

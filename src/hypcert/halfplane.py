@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import TOL
+from . import TOL, bounds
 from .errors import DomainError, InputError
 from .isometry import IsometryProfile
 
@@ -407,6 +407,11 @@ class HalfPlane:
         P = P[np.sort(order[first])]
         _check_points(P)   # x, first, is checked first
         return _paired(P[0], P)
+
+    def orbit(self, generators, word_cap: int) -> bounds.WordWalk:
+        """The orbit of the group of the (name, matrix) generators, as far
+        as the walk over the words up to word_cap reaches."""
+        return bounds.WordWalk(self, generators, word_cap)
 
     def is_identity_batch(self, E) -> np.ndarray:
         """``Moebius.is_identity`` of every column of E."""

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from . import TOL
 from .errors import InputError, PreconditionError
 
+_ROW_BLOCK = 1 << 14   # entries of a block of the gap table's rows
+
 
 @dataclass
 class IsometryProfile:
@@ -130,10 +132,14 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
               if not d <= eps1 + TOL and d <= eps2 + TOL]
     outside = [x for x, d in zip(sample, nearest_power)
                if not d <= eps2 + TOL]
-    # one call measures both against the inner domain; an inner point's
-    # own distance, the model's 0, starts the spans
-    near = space.dist_table(inner[:1] + within + outside,
-                            inner).min(axis=1).tolist()
+    # the rows measure both against the inner domain, in blocks of at
+    # most _ROW_BLOCK entries; an inner point's own distance, the model's
+    # 0, starts the spans
+    rows = inner[:1] + within + outside
+    step = max(1, _ROW_BLOCK // len(inner))
+    near = [d for s in range(0, len(rows), step)
+            for d in space.dist_table(rows[s:s + step], inner).min(axis=1)
+            .tolist()]
     spans, gaps = near[:1 + len(within)], near[1 + len(within):]
     lb2 = None
     if P0 is not None and r0 is not None and eps2 <= r0 and eps1 < 2.0:

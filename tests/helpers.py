@@ -1,7 +1,7 @@
 """Builders and walks that only tests need: an elliptic generator,
 points along the model lines of hyperbolic axes, a reference ball
-sampler, the sampled four-point delta in one draw per 2^16 quadruples
-and an exact word walk over integer matrices."""
+sampler, the sampled four-point delta in one draw per 2^16 quadruples,
+an exact word walk over integer matrices and a tree the walk runs on."""
 
 import math
 
@@ -14,6 +14,25 @@ def rotation_about_i(theta: float) -> halfplane.Moebius:
     """Elliptic rotation by angle theta around the point i."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return halfplane.Moebius(c, -s, s, c)
+
+
+class WalkedTree(freetree.FreeTreeSpace):
+    """The tree with the identity tests and level products that the walk
+    asks of a model, a seam product per word.  The package's tree reads
+    its orbits off their Stallings graphs and walks no words past the
+    first level; the tests still run the walk on reduced words, where
+    every element is its own word."""
+
+    def is_identity(self, g):
+        return g == ""
+
+    def compose_level(self, E, parents, L, letters):
+        ws, ls = self.unbatch(E), self.unbatch(L)
+        return self.batch([freetree._seam_mul(ws[i], ls[j]) for i, j
+                           in zip(parents.tolist(), letters.tolist())])
+
+    def is_identity_batch(self, E):
+        return E[1] == 0
 
 
 def point_along(axis, base, T: float):

@@ -430,10 +430,12 @@ class TestWordWalkInputs:
         assert "duplicate generator names" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["entropy", "--orbit"], ["stats"]])
-    def test_word_budget_overrun_is_exit_3(self, tmp_path, tree_pair_file,
+    def test_word_budget_overrun_is_exit_3(self, tmp_path, h2_pair_file,
                                            monkeypatch, command):
+        # the tree counts exactly, with no walk: H² walks its words
         monkeypatch.setattr("hypcert.pingpong.WORD_BUDGET", 100)
-        code, _ = run(tmp_path, *command, "--input", tree_pair_file)
+        code, _ = run(tmp_path, *command, "--base", "0,1",
+                      "--input", h2_pair_file)
         assert code == 3
 
     def test_generator_named_w_does_not_certify_a_commuting_pair(
@@ -802,14 +804,14 @@ class TestWalkBudgetUpFront:
         assert "budget exceeded: word budget exhausted" in \
             capsys.readouterr().err
 
-    def test_exit_3_at_the_budget_only(self, tmp_path, tree_pair_file,
+    def test_exit_3_at_the_budget_only(self, tmp_path, h2_pair_file,
                                        monkeypatch):
         # 4 + 12 + 36 + 108 = 160 words of length at most 4
         for budget, want in ((159, 3), (160, 0)):
             monkeypatch.setattr(pingpong, "WORD_BUDGET", budget)
             for command in (["entropy", "--orbit"], ["stats"]):
                 code, _ = run(tmp_path, *command, "--word-cap", "4",
-                              "--input", tree_pair_file)
+                              "--base", "0,1", "--input", h2_pair_file)
                 assert code == want
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,30 @@ class TestMargulisDomain:
                             lambda self, xs, levels: np.array(
                                 [[d] for d in want], dtype=object))
         assert rep == isometry.domain_gap_report(space, g, eps, 2 * eps, pts)
+
+    @pytest.mark.parametrize("kind", ["hyperbolic", "parabolic", "tree",
+                                      "elliptic"])
+    def test_gap_rows_in_blocks_are_the_whole_table(self, kind, tree2,
+                                                    monkeypatch):
+        space, g, eps, pts = _gap_cases(tree2)[kind]
+        want = isometry.domain_gap_report(space, g, eps, 2 * eps, pts)
+        for block in (1, 7, 100):
+            monkeypatch.setattr(isometry, "_ROW_BLOCK", block)
+            assert isometry.domain_gap_report(space, g, eps, 2 * eps,
+                                              pts) == want
+
+    def test_gap_report_of_5000_points_keeps_to_its_row_blocks(self):
+        # the whole (1 + within + outside) x inner table peaks at 17 MB
+        g = halfplane.Moebius(2, 0, 0, 0.5)
+        pts = halfplane.sample_ball(1j, 3.0, 5000, random.Random(0))
+        tracemalloc.start()
+        try:
+            rep = isometry.domain_gap_report(H2, g, 1.5, 2.0, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.inner_count * (5000 - rep.inner_count) > 1_000_000
+        assert peak < 2e6
 
     def test_packing_gap_floor_formula(self):
         lb = isometry.gap_lower_bound_ii(4, 0.1, 0.5)

@@ -86,7 +86,7 @@ def test_oracle_finds_the_first_relation(k, number):
     assert pingpong.word_oracle(H2, gens, 3, "group") == (False, "c^2 d^-1")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 23")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 32")
 def test_float_matrix_of_determinant_one_is_accepted():
     # d = c^2 for c = [[2, 1], [1, 1]]^12 has determinant exactly 1
     _, d = _fibonacci_pair(12, float)
@@ -104,7 +104,6 @@ def test_degenerating_rows_before_the_limit_are_hyperbolic(tmp_path,
     assert [row["kind"] for row in rows[59:64]] == ["hyperbolic"] * 5
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 24")
 def test_free_group_diastole_is_one(tmp_path, tree_pair_file):
     # F2 on its own tree: w a w^-1 moves the vertex w by 1, so every
     # point's systole, and their supremum, the diastole, is 1

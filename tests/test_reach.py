@@ -21,7 +21,6 @@ from hypcert import cli, halfplane
 SRC = pathlib.Path(cli.__file__).resolve().parent
 
 TRACED = "perfbench/trace.py wraps it by name; no command calls it"
-DEFAULT = "an interface method that no command reaches on any model"
 BENCH = "builds a space for the metric benchmark and tests"
 UNREACHED = {
     "tits.evaluate_word": TRACED,
@@ -30,10 +29,6 @@ UNREACHED = {
     "pingpong.proof_set_membership": TRACED,
     "isometry.orbit_translation_length": TRACED,
     "isometry.orbit_translation_length.orbit_dist": TRACED,
-    # the tree oracle decides a non-commuting pair without a walk, a
-    # commuting one is elementary, and no discrete pair is semigroup
-    "freetree.FreeTreeSpace.is_identity_batch": DEFAULT,
-    "freetree.FreeTreeSpace.iso_key": DEFAULT,
     "sampled.from_points": BENCH,
     "graphspace.MetricGraphSpace.__init__": BENCH,
     "graphspace.MetricGraphSpace._position": BENCH,
@@ -153,7 +148,7 @@ def _runs(tmp_path, tree_ball, files, family):
         (["stats", "--input", elliptic, "--base", "0,1", "--word-cap", "2",
           "--sample-size", "5", "--radius", "0.5"], 0),
         (["margulis", "--input", huge, "--eps1", "1", "--eps2", "2"], 2),
-        (["entropy", "--input", files["free_tree"], "--orbit",
+        (["entropy", "--input", files["h2"], "--orbit", "--base", "0,1",
           "--word-cap", "14"], 3),
         (["bounds", "--nilrad-plus", "0.5", "--R", "2", "--r", "1"], 0),
         (["degenerate", "--input", family], 0),

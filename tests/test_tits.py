@@ -179,6 +179,14 @@ def test_small_translation_pair_answers_with_the_third_shortlex_word():
     assert wit.valid
 
 
+def test_small_translation_tree_pair_takes_the_walk_s_first_level(tree2):
+    # eps0 / 3 past ell = 2: the tree, which walks no further than the
+    # first level, answers with b, a non-commuting word, as H² does
+    wit = tits.tits_witness(tree2, "ab", "aaB", tits.TitsConfig(eps0=9.0))
+    assert (wit.case, wit.witness_word, wit.search_stats, wit.valid) == (
+        "small_ell", "b", {"candidates": 0, "words": 3}, True)
+
+
 def test_small_translation_pair_classifies_each_generator_once(monkeypatch):
     a, b = _hyperbolic(-1.0, 1.0, 0.02), _hyperbolic(-3.0, 2.5, 0.02)
     seen = []

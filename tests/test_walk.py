@@ -1,6 +1,7 @@
 """The shortlex walk over reduced words and the code that runs on it:
 the word oracle, orbit counts, action statistics and finite order."""
 
+import dataclasses
 import json
 import math
 import random
@@ -12,14 +13,14 @@ import pytest
 from hypcert import (bounds, cli, freetree, halfplane, isometry, pingpong,
                      tits)
 from hypcert.errors import BudgetError, InputError, PreconditionError
-from helpers import rotation_about_i
+from helpers import WalkedTree, rotation_about_i
 
 H2 = halfplane.H2
 
 
-def _pairs(tree2, schottky_pair):
+def _pairs(schottky_pair):
     return {"h2": (H2, list(zip("ab", schottky_pair)), 1j),
-            "tree": (tree2, [("a", "a"), ("b", "b")], "")}
+            "tree": (WalkedTree(2), [("a", "a"), ("b", "b")], "")}
 
 
 def _pt_key(p):
@@ -30,6 +31,11 @@ def _pt_key(p):
     return p
 
 
+def _is_identity(space, g):
+    """A word is the identity when it is empty; H² asks its model."""
+    return g == "" if isinstance(g, str) else space.is_identity(g)
+
+
 def _exact(g):
     if isinstance(g, halfplane.Moebius):
         return (g.a, g.b, g.c, g.d)
@@ -37,8 +43,8 @@ def _exact(g):
 
 
 @pytest.mark.parametrize("model", ["h2", "tree"])
-def test_walk_elements_match_per_word_fold(model, tree2, schottky_pair):
-    space, gens, _ = _pairs(tree2, schottky_pair)[model]
+def test_walk_elements_match_per_word_fold(model, schottky_pair):
+    space, gens, _ = _pairs(schottky_pair)[model]
     walk = list(pingpong.walk_words(
         space, pingpong.group_letters(space, gens), 5))
     assert [w for w, _ in walk] == list(tits.enumerate_words("ab", 5))
@@ -60,17 +66,20 @@ def _orbit_counts_by_fold(space, gens, base, radii, word_cap):
 
 
 @pytest.mark.parametrize("model", ["h2", "tree"])
-def test_orbit_counts_match_per_word_fold(model, tree2, schottky_pair):
-    space, gens, base = _pairs(tree2, schottky_pair)[model]
+def test_orbit_counts_match_per_word_fold(model, schottky_pair):
+    # H² counts the words up to the cap; the tree counts every point, the
+    # fold's at a cap that reaches the largest radius from the base e
+    space, gens, base = _pairs(schottky_pair)[model]
     radii = [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
     assert (bounds.orbit_growth_counts(space, gens, base, radii, 5)
-            == _orbit_counts_by_fold(space, gens, base, radii, 5))
+            == _orbit_counts_by_fold(space, gens, base, radii,
+                                     5 if space is H2 else 8))
 
 
 @pytest.mark.parametrize("model", ["h2", "tree"])
-def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
+def test_orbit_counts_measure_each_point_once(model, schottky_pair,
                                               monkeypatch):
-    space, gens, base = _pairs(tree2, schottky_pair)[model]
+    space, gens, base = _pairs(schottky_pair)[model]
     orbit = {_pt_key(base)}
     for _, g in pingpong.walk_words(
             space, pingpong.group_letters(space, gens), 4):
@@ -105,9 +114,83 @@ def test_orbit_counts_measure_each_point_once(model, tree2, schottky_pair,
     monkeypatch.setattr(halfplane, "_paired", counting_paired)
     monkeypatch.setattr(freetree, "_lcp", counting_lcp)
     bounds.orbit_growth_counts(space, gens, base, [1.0, 2.0, 3.0, 4.0], 4)
-    # the tree's base is at 0 from itself unmeasured, and each other
-    # point is the image of one element, which is measured once
-    assert len(calls) == len(orbit) - (space is not H2)
+    # H² measures each point once; the tree counts its points as loops
+    # of its Stallings graph and measures none
+    assert len(calls) == (len(orbit) if space is H2 else 0)
+
+
+# ------------------------------------------- the tree's exact orbit
+
+# rank-2 and rank-3 pairs, and a pair that generates a cyclic group; the
+# word cap at which the reference finds every element that moves a point
+# of the 1-ball by at most 64 eps0 = 6.4, which has at most 8 letters
+_TREE_GROUPS = {
+    "rank2": (2, ["ab", "Ab"], 8),
+    "rank2-folded": (2, ["aab", "ABaab"], 8),
+    "rank3": (3, ["ab", "cA"], 8),
+    "rank3-long": (3, ["abc", "Bca"], 8),
+    "elementary": (2, ["ab", "abab"], 4),   # (ab)^k, k <= 4
+}
+
+
+@pytest.mark.parametrize("group", sorted(_TREE_GROUPS))
+def test_tree_orbit_is_the_fold_at_a_cap_past_the_radius(group):
+    rank, words, cap = _TREE_GROUPS[group]
+    space, gens = freetree.FreeTreeSpace(rank), list(zip("uv", words))
+    radii = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -1.0, 2.5]
+    want = _orbit_counts_by_fold(space, gens, "", radii, 6)
+    for word_cap in (1, 3, 6):   # the word cap bounds no tree count
+        assert bounds.orbit_growth_counts(space, gens, "", radii,
+                                          word_cap) == want
+    sample, cfg = space.ball("", 1), bounds.BoundsConfig()
+    got = bounds.action_stats(space, gens, sample, 2, cfg)
+    ref = _action_stats_per_word(space, gens, sample, cap, cfg)
+    assert (got.sys_at, got.sys_free_at, got.nilrad_at, got.dias_estimate,
+            got.nilrad_plus_estimate) == (
+        ref.sys_at, ref.sys_free_at, ref.nilrad_at, ref.dias_estimate,
+        ref.nilrad_plus_estimate)
+
+
+def test_tree_counts_are_exact_at_every_cap(tmp_path, capsys):
+    # u = ab and v = a^-1 b: a Stallings graph of two vertices and three
+    # edges, 2^13 - 1 = 8191 orbit points within 12 of e
+    path = _spec_file(tmp_path, {"model": "free_tree", "generators": [
+        {"name": "u", "word": "ab"}, {"name": "v", "word": "a^-1 b"}]})
+    for cap in ("6", "8", "10"):
+        assert cli.main(["entropy", "--input", path, "--orbit",
+                         "--word-cap", cap]) == 0
+        counts = json.loads(capsys.readouterr().out)["result"]["counts"]
+        assert counts[-1] == [12.0, 8191]
+
+
+@pytest.mark.parametrize("budget, code", [(47, 3), (48, 0)])
+def test_tree_counts_step_over_the_budget(tmp_path, monkeypatch, capsys,
+                                          tree_pair_file, budget, code):
+    # F2's graph is one vertex with 4 darts: 12 steps for the radius 12
+    monkeypatch.setattr(pingpong, "WORD_BUDGET", budget)
+    assert cli.main(["entropy", "--input", tree_pair_file, "--orbit"]) == code
+    assert ("word budget exhausted" in capsys.readouterr().err) == (code == 3)
+
+
+def test_tree_counts_past_printable_integers_are_exit_2(tree_pair_file,
+                                                       capsys):
+    # F2 has 2 3^R - 1 points within R: 4295 digits at R = 9000, and more
+    # than Python prints at R = 9012
+    assert cli.main(["entropy", "--input", tree_pair_file, "--orbit",
+                     "--radii", "1,2,9000"]) == 0
+    counts = json.loads(capsys.readouterr().out)["result"]["counts"]
+    assert counts[-1][1] == 2 * 3 ** 9000 - 1
+    assert cli.main(["entropy", "--input", tree_pair_file, "--orbit",
+                     "--radii", "1,2,9100"]) == 2
+    assert "past the integers a report prints" in capsys.readouterr().err
+
+
+def test_trivial_tree_group(tree2):
+    gens = [("u", ""), ("v", "")]
+    assert bounds.orbit_growth_counts(tree2, gens, "ab", [0.0, 9.0], 4) == \
+        [(0.0, 1), (9.0, 1)]
+    with pytest.raises(InputError, match="trivial group"):
+        bounds.action_stats(tree2, gens, ["", "a"], 4, bounds.BoundsConfig())
 
 
 def test_action_stats_classifies_each_element_once(schottky_pair, rng,
@@ -128,20 +211,21 @@ def test_action_stats_classifies_each_element_once(schottky_pair, rng,
     assert len(calls) == len(elems)
 
 
-def test_one_composition_per_word(tree2, monkeypatch):
-    rows, mul = [], freetree._mul
+def test_one_composition_per_word(schottky_pair, monkeypatch):
+    rows, product = [], halfplane._product
 
-    def counting(U, nu, V, nv):
-        rows.append(len(U))
-        return mul(U, nu, V, nv)
+    def counting(p, q):
+        if isinstance(p[0], np.ndarray):   # a batch, not one matrix
+            rows.append(p[0].size)
+        return product(p, q)
 
     def no_compose(space, g, h):
         raise AssertionError("a per-word product")
 
-    monkeypatch.setattr(freetree, "_mul", counting)
-    monkeypatch.setattr(freetree.FreeTreeSpace, "compose", no_compose)
-    letters = pingpong.group_letters(tree2, [("a", "a"), ("b", "b")])
-    words = list(pingpong.walk_words(tree2, letters, 3))
+    letters = pingpong.group_letters(H2, list(zip("ab", schottky_pair)))
+    monkeypatch.setattr(halfplane, "_product", counting)
+    monkeypatch.setattr(halfplane.HalfPlane, "compose", no_compose)
+    words = list(pingpong.walk_words(H2, letters, 3))
     # every word past the first level is a row of its level's one
     # product, and no level is past max_len
     assert len(words) == 4 + 12 + 36
@@ -151,19 +235,19 @@ def test_one_composition_per_word(tree2, monkeypatch):
     assert rows == []
 
 
-def test_walk_budget(tree2, monkeypatch):
+def test_walk_budget(monkeypatch):
     monkeypatch.setattr(pingpong, "WORD_BUDGET", 5)
     letters = [(("a", 1), "a"), (("a", -1), "A")]
-    walk = pingpong.walk_words(tree2, letters, 10)
+    walk = pingpong.walk_words(WalkedTree(2), letters, 10)
     assert len([next(walk) for _ in range(5)]) == 5
     with pytest.raises(BudgetError):
         next(walk)
 
 
-def test_walk_reads_budget_at_call(tree2, monkeypatch):
+def test_walk_reads_budget_at_call(monkeypatch):
     monkeypatch.setattr(pingpong, "WORD_BUDGET", 3)
     with pytest.raises(BudgetError):
-        list(pingpong.walk_words(tree2, [(("a", 1), "a")], 4))
+        list(pingpong.walk_words(WalkedTree(2), [(("a", 1), "a")], 4))
 
 
 def test_semigroup_oracle_budget_guard(schottky_pair, monkeypatch):
@@ -225,7 +309,7 @@ def _finite_order_trace(finite_order, space, g, k, monkeypatch):
 
 def _finite_order_cases():
     rot = rotation_about_i
-    tree2, tree3 = freetree.FreeTreeSpace(2), freetree.FreeTreeSpace(3)
+    tree2, tree3 = WalkedTree(2), WalkedTree(3)
     cases = {f"rotation-{m}-{k}": (H2, rot(2.0 * math.pi / m), k)
              for m in range(2, 13) for k in (1, m - 1, m, 24)}
     # about 1 + i, where g^j g and g g^j differ in their last bits
@@ -289,8 +373,8 @@ def _per_word_oracle(space, gens, depth, kind="group"):
     names = [name for name, _ in gens]
     letters = pingpong.group_letters(
         space, [(i, g) for i, (_, g) in enumerate(gens)])
-    for word, g in pingpong.walk_words(space, letters, depth):
-        if space.is_identity(g):
+    for word, g in _per_word_walk(space, letters, depth):
+        if _is_identity(space, g):
             return False, pingpong.word_to_text(
                 [(names[i], sign) for i, sign in word])
     return True, None
@@ -436,9 +520,9 @@ def test_oracle_depth_zero_is_an_input_error(model, tree2, schottky_pair):
 # ------------------------------------------- the group oracle on trees
 
 
-def test_commuting_tree_pair_walks_to_the_relation(tree2):
+def test_commuting_tree_pair_walks_to_the_relation():
     gens = [("u", "ab"), ("v", "abab")]
-    assert _same_as_per_word(tree2, gens, 8) == (False, "u^2 v^-1")
+    assert _same_as_per_word(WalkedTree(2), gens, 8) == (False, "u^2 v^-1")
 
 
 @pytest.mark.parametrize("gens", [[("a", "a"), ("b", "b")],
@@ -549,7 +633,7 @@ def _walk_prefix(walk):
 
 
 def _letter_cases():
-    tree2, tree3 = freetree.FreeTreeSpace(2), freetree.FreeTreeSpace(3)
+    tree2, tree3 = WalkedTree(2), WalkedTree(3)
     a, b = M(2, 0, 0, 0.5), M(1.25, 0.75, 0.75, 1.25)
     H2_group = pingpong.group_letters(H2, [(0, a), (1, b)])
     return {
@@ -654,14 +738,15 @@ def _action_stats_per_word(space, generators, sample, word_cap, config):
     letters = pingpong.group_letters(space, generators)
     elems = [(pingpong.word_to_text(word), g)
              for word, g in _per_word_walk(space, letters, word_cap)
-             if not space.is_identity(g)]
+             if not _is_identity(space, g)]
     if not elems:
         raise InputError("no nontrivial elements within the word cap")
     profiles = {w: isometry.classify(g, space) for w, g in elems}
     finite_order = {w: profiles[w].kind == "elliptic"
                     and pingpong.has_finite_order(space, g, 24)
                     for w, g in elems}
-    stats = bounds.ActionStats(word_cap=word_cap, sample_size=len(sample))
+    stats = bounds.ActionStats(word_cap=word_cap, sample_size=len(sample),
+                               note=space.orbit(generators, word_cap).note)
     radii_grid = [config.eps0 * 2.0 ** k for k in range(-2, 7)]
     for x in sample:
         row = space.dist_table(
@@ -753,6 +838,11 @@ _ACTION_SPECS = {
                                   math.cos(math.pi / 4)]]},
         {"name": "b", "matrix": [[2, 0], [0, 0.5]]}]}, "0,1"),
 }
+# the tree's reports are exact: the tree pair runs where the references
+# below, at word cap _TREE_CAP, find every element that they count and
+# every one that moves a sample point by at most 64 eps0 = 6.4
+_TREE_ARGV = {"stats": ["--radius", "1"], "entropy": ["--radii", "1,2,3,4,5,6"]}
+_TREE_CAP = 8
 _ACTION_ARGV = {
     "stats": ["stats", "--word-cap", "4"],
     "stats-cap2": ["stats", "--word-cap", "2", "--sample-size", "30"],
@@ -781,9 +871,23 @@ def test_action_commands_report_as_the_per_word_reference(
     argv = _ACTION_ARGV[command] + ["--input", _spec_file(tmp_path, spec)]
     argv += ["--center" if command.startswith("margulis") else "--base",
              point]
+    if spec["model"] == "free_tree":
+        argv += _TREE_ARGV.get(command.split("-")[0], [])
     got = _run_cli(argv, capsys)
-    monkeypatch.setattr(bounds, "orbit_growth_counts", _orbit_counts_per_word)
-    monkeypatch.setattr(bounds, "action_stats", _action_stats_per_word)
+
+    def cap(space, word_cap):
+        return word_cap if space is H2 else _TREE_CAP
+
+    monkeypatch.setattr(
+        bounds, "orbit_growth_counts",
+        lambda space, gens, base, radii, word_cap: _orbit_counts_per_word(
+            space, gens, base, radii, cap(space, word_cap)))
+    monkeypatch.setattr(
+        bounds, "action_stats",
+        lambda space, gens, sample, word_cap, config: dataclasses.replace(
+            _action_stats_per_word(space, gens, sample,
+                                   cap(space, word_cap), config),
+            word_cap=word_cap))
     monkeypatch.setattr(isometry, "domain_gap_report", _gap_report_per_level)
     assert got == _run_cli(argv, capsys)
     if pair != "parabolic" or command.startswith("entropy"):
@@ -818,6 +922,8 @@ def test_nilrad_tests_each_pair_once_as_the_grid_loop(tmp_path, pair,
                                                       monkeypatch):
     spec, point = _NILRAD_SPECS[pair]
     space, gens = cli.load_group_spec(_spec_file(tmp_path, spec))
+    if space is not H2:
+        space = WalkedTree(space.rank)
     sample = space.sample_ball(space.parse_point(point), 3.0, 40,
                                random.Random(0))
     letters = pingpong.group_letters(space, gens)
