@@ -13,6 +13,8 @@ import numpy as np
 from . import TOL, isometry, pingpong
 from .errors import InputError
 
+_SORT_BLOCK = 1 << 14   # entries of a block of rows that nilradii sorts
+
 
 @dataclass
 class BoundsConfig:
@@ -192,28 +194,70 @@ class WordWalk:
         nontrivial = np.array([not space.is_identity(g) for g in gs])
         if not nontrivial.any():
             raise InputError("no nontrivial elements within the word cap")
-        elems = [g for g, keep in zip(gs, nontrivial) if keep]
-        profiles = [isometry.classify(g, space) for g in elems]
-        finite_order = np.array([p.kind == "elliptic"
+        profiles = [isometry.classify(g, space) if keep else None
+                    for g, keep in zip(gs, nontrivial)]
+        finite_order = np.array([keep and p.kind == "elliptic"
                                  and pingpong.has_finite_order(space, g, 24)
-                                 for g, p in zip(elems, profiles)], dtype=bool)
-        for row in space.displacement_table(sample, self.levels):
-            disp = row[nontrivial]
-            free = disp[~finite_order]
-            yield (disp.min().item(),
-                   free.min().item() if free.size else math.inf,
-                   _nilrad_at(space, disp, radii_grid, profiles))
+                                 for g, p, keep in zip(gs, profiles,
+                                                       nontrivial)],
+                                dtype=bool)
+        # the trivial elements' columns go to inf, past every radius
+        table = space.displacement_table(sample, self.levels)
+        table[:, ~nontrivial] = math.inf
+        return zip(table.min(axis=1).tolist(),
+                   table.min(axis=1, where=~finite_order,
+                             initial=math.inf).tolist(),
+                   _nilradii(space, table, radii_grid, profiles))
 
 
-def _nilrad_at(space, disp, radii_grid, profiles):
-    """The last grid radius r (or 0.0) at which every pair of elements
-    displacing the point by at most r is non-elliptic with meeting fixed
-    sets.  Each pair is tested once, in displacement order, up to the
-    first that fails, at displacement t: r is the last radius below t."""
-    order = np.argsort(disp, kind="stable")[:np.count_nonzero(
-        disp <= radii_grid[-1])].tolist()
-    t = next((disp[b] for j, b in enumerate(order) if not all(
-        isometry.elementary_profiles(space, profiles[min(a, b)],
-                                     profiles[max(a, b)])
-        for a in order[:j])), math.inf)
-    return max((r for r in radii_grid if r < t), default=0.0)
+def _nilradii(space, table, radii_grid, profiles):
+    """The nilradius at each point, a row of the table of displacements
+    of the elements of the profiles: the last radius r of the ascending
+    grid (or 0.0) at which every pair of elements displacing the point
+    by at most r is non-elliptic with meeting fixed sets.  A point walks
+    its elements within the last radius in displacement order up to the
+    first, at t, that fails with one before it: r is the last radius
+    below t.  The points walk together, a place in their orders at a
+    time, and each pair is tested once for the whole table."""
+    n = table.shape[1]
+    within = np.count_nonzero(table <= radii_grid[-1], axis=1)
+    # the orders' first within.max() places, sorted in blocks of rows of
+    # about _SORT_BLOCK entries, which bound the temporary arrays
+    order = np.empty((len(table), within.max(initial=0)),
+                     dtype=np.min_scalar_type(n))
+    step = max(1, _SORT_BLOCK // max(1, n))
+    for s in range(0, len(table), step):
+        order[s:s + step] = np.argsort(table[s:s + step], axis=1,
+                                       kind="stable")[:, :order.shape[1]]
+    t = np.full(len(table), math.inf)
+    tested = failed = np.empty(0, dtype=np.int64)   # sorted pair codes
+    walking = np.flatnonzero(within > 1)
+    for j in range(1, order.shape[1]):
+        walking = walking[within[walking] > j]
+        if not walking.size:
+            break
+        # the pairs of element j of each order with the ones before it,
+        # by (lower, higher) element, as one code
+        b = order[walking, j].astype(np.int64)
+        a = order[walking, :j].astype(np.int64)
+        pairs = np.minimum(a, b[:, None]) * n + np.maximum(a, b[:, None])
+        new = np.sort(pairs, axis=None)
+        new = new[np.diff(new, prepend=-1) > 0]
+        new = new[~_among(tested, new)].tolist()
+        if new:
+            tested = np.sort(np.concatenate((tested, new)))
+            failed = np.sort(np.concatenate((failed, [
+                k for k in new if not isometry.elementary_profiles(
+                    space, profiles[k // n], profiles[k % n])])))
+        fails = _among(failed, pairs).any(axis=1)
+        t[walking[fails]] = table[walking[fails], b[fails]]
+        walking = walking[~fails]
+    grid = np.array(radii_grid)
+    below = np.searchsorted(grid, t)   # the radii below t
+    return np.where(below > 0, grid[below - 1], 0.0).tolist()
+
+
+def _among(keys, x):
+    """Whether each entry of x is one of the sorted keys."""
+    at = np.minimum(np.searchsorted(keys, x), max(keys.size - 1, 0))
+    return keys[at] == x if keys.size else np.zeros(np.shape(x), dtype=bool)

@@ -224,12 +224,23 @@ class FreeTreeSpace:
                           for ws in (xs, ys))
         return m[:, None] + n - 2 * _lcp(X[:, None], Y)
 
+    def nearest_dist(self, xs, ys) -> np.ndarray:
+        """``dist_table(xs, ys).min(axis=1)``."""
+        return self.dist_table(xs, ys).min(axis=1)
+
     def displacement_table(self, xs, levels) -> np.ndarray:
         """d(x, g x) for each point x of xs, a row each, and each element
         g of the letter batches in levels, in order."""
         gs = [g for E in levels for g in self.unbatch(E)]
         return np.array([[self.dist(x, _seam_mul(g, x)) for g in gs]
                          for x in xs], dtype=int).reshape(len(xs), len(gs))
+
+    def power_scan(self, g: str, xs, power_cap: int, eps) -> np.ndarray:
+        """The least d(x, g^i x) over 0 < i <= power_cap for each point x
+        of xs: the first power's, since d(x, g^i x) = i |u| + 2 d(x, axis)
+        grows with i for g = c u c^-1 with u not empty, and the identity
+        moves no point."""
+        return self.displacement_table(xs, [self.batch([g])])[:, 0]
 
     def orbit(self, generators, word_cap=None) -> "Stallings":
         """The orbit of the group of the (name, word) generators, exact:

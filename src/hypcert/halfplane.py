@@ -44,15 +44,48 @@ def dist_table(xs, ys) -> np.ndarray:
     """``dist`` over xs by ys, bit for bit, in blocks of rows of about
     _LEVEL_BLOCK entries, which bound the temporary arrays.  Each point
     is checked once, the shorter side's first."""
-    pts = [xs, ys]
-    for k in (0, 1) if len(xs) <= len(ys) else (1, 0):
-        pts[k] = np.array([check_point(p) for p in pts[k]], dtype=complex)
-    zx, zy = pts
+    zx, zy = _checked(xs, ys)
     out = np.empty((len(zx), len(zy)))
     step = max(1, _LEVEL_BLOCK // max(1, len(zy)))
     for s in range(0, len(zx), step):
         out[s:s + step] = _paired(zx[s:s + step, None], zy)
     return out
+
+
+def _lift(z) -> tuple:
+    """The hyperboloid lifts (|z|^2 + 1, |z|^2 - 1, 2 Re z) / (2 Im z) of
+    the points z, where cosh d(z, w) = -<Z, W> = Z0 W0 - Z1 W1 - Z2 W2."""
+    with np.errstate(all="ignore"):
+        s, h = z.real * z.real + z.imag * z.imag, 2.0 * z.imag
+        return (s + 1.0) / h, (s - 1.0) / h, z.real / z.imag
+
+
+def _candidates(lx, ly) -> tuple:
+    """(rows, columns), row-major, of the pairs of the lifts lx by ly
+    whose distance may be their row's least, as a float ``_paired``
+    measures it: every pair whose cosh d is not above (1 + 2^-20) times
+    the row's least, up to the rounding bound e = 2^-46 X0 max(Y0)."""
+    # With u = 2^-53 and the products below 2^1000: each lifted
+    # coordinate is within 5 u X0 of the exact one (|X1|, |X2| <= X0), so
+    # the three exact products of the float lifts are within 10 u X0 Y0
+    # each of the true ones, and forming C rounds by at most 8 u X0 Y0
+    # more: C is within 38 u X0 Y0 of cosh d, which e = 128 u X0 max(Y0)
+    # covers with room for the roundings of the bound T below.  The
+    # column of the least cosh d* of a row has C <= T; a column left out
+    # has cosh d > (1 + 2^-20)(1 - 2u) cosh d*, so d > d* + 2^-21 (acosh
+    # grows by more than eta / (1 + eta) from v to v (1 + eta)).
+    # ``_paired`` is within 2^-48 d + 2^-500 of d (hypot, two sqrt, a
+    # product, a quotient and arcsinh, at most 2 ulp each; the products
+    # bound Im z Im w below by 2^-1002, which keeps a subnormal
+    # difference's error far below 2^-500), and d < 2^10: it measures
+    # every column left out above the row's least.
+    (x0, x1, x2), (y0, y1, y2) = lx, ly
+    C = np.multiply.outer(x0, y0)
+    C -= np.multiply.outer(x1, y1)
+    C -= np.multiply.outer(x2, y2)
+    e = 2.0 ** -46 * x0 * y0.max()
+    T = (C.min(axis=1) + e) * (1.0 + 2.0 ** -20) + e
+    return np.divmod(np.flatnonzero(C <= T[:, None]), len(y0))
 
 
 @np.errstate(over="ignore")   # a decorator: set up once, not per call
@@ -82,12 +115,48 @@ def _round9(t) -> np.ndarray:
     return out
 
 
+def _first_of_each_key(kr, ki) -> np.ndarray:
+    """The ascending positions of the first of each key (kr[k], ki[k]):
+    one stable sort by kr, then only the runs of equal kr are sorted
+    again, stably, by ki.  A key with a NaN equals no other."""
+    order = np.argsort(kr, kind="stable")
+    kr, ki = kr[order], ki[order]
+    tie = kr[1:] == kr[:-1]
+    if tie.any():
+        run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+        again = np.lexsort((ki[run], kr[run]))   # kr[run] ascends already
+        order[run], ki[run] = order[run][again], ki[run][again]
+    first = np.ones(len(kr), dtype=bool)
+    first[1:] = (kr[1:] != kr[:-1]) | (ki[1:] != ki[:-1])
+    return np.sort(order[first])
+
+
 def _check_points(zs):
     """check_point's error for the first entry of the complex array zs
     that is no upper half-plane point, if one is not."""
     ok = (zs.imag > 0) & np.isfinite(zs)
     if not ok.all():
         check_point(zs[~ok][0])
+
+
+def _points(ps) -> np.ndarray:
+    """The points ps as a complex array, each checked as check_point
+    checks it: the first that is no point raises its error."""
+    try:
+        zs = np.fromiter(map(complex, ps), complex, len(ps))
+    except (TypeError, ValueError):   # check_point's error, in order
+        zs = np.array([check_point(p) for p in ps], dtype=complex)
+    _check_points(zs)
+    return zs
+
+
+def _checked(xs, ys) -> list:
+    """xs and ys as complex arrays, each point checked once, the shorter
+    side's first, xs on a tie."""
+    pts = [xs, ys]
+    for k in (0, 1) if len(xs) <= len(ys) else (1, 0):
+        pts[k] = _points(pts[k])
+    return pts
 
 
 dist.dist_table = dist_table
@@ -261,8 +330,10 @@ class HGeodesic:
         return self.at(self.param(z))
 
 
-def point_at(origin: complex, theta: float, rho: float) -> complex:
-    """Point at hyperbolic distance rho from ``origin``, direction theta.
+def point_at(origin: complex, theta, rho):
+    """The points at hyperbolic distances rho from ``origin``, in the
+    directions theta, which are floats, for one point, or arrays that
+    broadcast, for an array of them.
 
     theta = pi/2 points straight up.  Evaluated in closed form so that
     very large rho stays representable: where e^(2 rho) overflows, the
@@ -270,26 +341,36 @@ def point_at(origin: complex, theta: float, rho: float) -> complex:
     A point that doubles cannot hold is an input error.
     """
     origin = check_point(origin)
-    # geodesic polar formula around i, then translate i -> origin
-    c = math.cos((math.pi / 2.0 - theta) / 2.0)
-    s = math.sin((math.pi / 2.0 - theta) / 2.0)
+    theta, rho = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(rho, dtype=float))
+    shape, theta, rho = theta.shape, theta.ravel(), rho.ravel()
     y0 = origin.imag
-    e = math.exp(min(rho, 709.0))  # e * e overflows long before the clamp
-    if math.isfinite(e * e):
+    # geodesic polar formula around i, then translate i -> origin
+    with np.errstate(all="ignore"):
+        c = np.cos((math.pi / 2.0 - theta) / 2.0)
+        s = np.sin((math.pi / 2.0 - theta) / 2.0)
+        e = np.exp(np.minimum(rho, 709.0))  # e * e overflows long before
         den = c * c + s * s * e * e
         zx = c * s * (e * e - 1.0) / den
         zy = y0 * (e / den)
-    else:  # s = 0 is straight up, where c = 1 and den = e^-2rho may underflow
-        t2 = math.exp(-2.0 * rho)
-        den = c * c * t2 + s * s
-        zx = c * s * (1.0 - t2) / den if s else 0.0
-        log_y = math.log(y0) - rho - (math.log(den) if den else -2.0 * rho)
-        zy = math.exp(log_y) if log_y < _LOG_MAX else math.inf
-    p = complex(y0 * zx + origin.real, zy)
-    if not (p.imag > 0.0 and math.isfinite(p.real) and math.isfinite(p.imag)):
-        raise InputError(f"the point at distance {rho} from {origin} "
-                         "cannot be held in doubles")
-    return p
+        far = np.flatnonzero(~np.isfinite(e * e))
+        if far.size:
+            # s = 0 is straight up, where c = 1 and den = e^-2rho may
+            # underflow
+            c, s, r = c[far], s[far], rho[far]
+            t2 = np.exp(-2.0 * r)
+            den = c * c * t2 + s * s
+            zx[far] = np.where(s != 0, c * s * (1.0 - t2) / den, 0.0)
+            log_y = math.log(y0) - r - np.where(den != 0, np.log(den),
+                                                -2.0 * r)
+            zy[far] = np.where(log_y < _LOG_MAX, np.exp(log_y), math.inf)
+        p = np.empty(len(zx), dtype=complex)
+        p.real, p.imag = y0 * zx + origin.real, zy
+    bad = np.flatnonzero(~((p.imag > 0.0) & np.isfinite(p)))
+    if bad.size:
+        raise InputError(f"the point at distance {float(rho[bad[0]])} from "
+                         f"{origin} cannot be held in doubles")
+    return p.reshape(shape) if shape else complex(p[0])
 
 
 class HalfPlane:
@@ -306,6 +387,28 @@ class HalfPlane:
 
     def dist_table(self, xs, ys) -> np.ndarray:
         return dist_table(xs, ys)
+
+    def nearest_dist(self, xs, ys) -> np.ndarray:
+        """``dist_table(xs, ys).min(axis=1)``, bit for bit, with the
+        points checked as there.  In the same row blocks, the paired
+        kernel measures only each row's candidates, the columns that a
+        screen by cosh d on the hyperboloid lifts cannot rule out; where
+        a lift product could overflow, the table is measured whole."""
+        zx, zy = _checked(xs, ys)
+        lx, ly = _lift(zx), _lift(zy)
+        with np.errstate(all="ignore"):
+            if not (len(zx) and len(zy)
+                    and lx[0].max() * ly[0].max() < 2.0 ** 1000):
+                return self.dist_table(zx, zy).min(axis=1)
+        out = np.empty(len(zx))
+        step = max(1, _LEVEL_BLOCK // len(zy))
+        for s in range(0, len(zx), step):
+            rows, cols = _candidates([X[s:s + step] for X in lx], ly)
+            d = _paired(zx[s + rows], zy[cols])
+            # rows ascend and each row has a candidate: its run is a block
+            out[s:s + step] = np.minimum.reduceat(
+                d, np.flatnonzero(np.diff(rows, prepend=-1)))
+        return out
 
     def parse_point(self, text: str) -> complex:
         """'x,y' for the point x + iy."""
@@ -394,17 +497,33 @@ class HalfPlane:
             out[s:s + step] = _paired(zx[s:s + step], P)
         return out
 
+    def power_scan(self, g: Moebius, xs, power_cap: int,
+                   eps: float) -> np.ndarray:
+        """The least d(x, g^i x) over 0 < i <= power_cap for each point x
+        of xs, a point's scan ending at the first power within eps.  The
+        points still scanned step together, y -> g(y) by ``act_batch``
+        and d(x, y) by the paired kernel, bit for bit ``g(y)`` and
+        ``dist``; the first point, then the first image of a step, that
+        is no point raises what those raise."""
+        zx = _points(xs)
+        E, at, y = self.batch([g]), np.arange(len(zx)), zx
+        least = np.full(len(zx), math.inf)
+        for _ in range(power_cap):
+            if not at.size:
+                break
+            y = self.act_batch(E, y[:, None])[:, 0]
+            _check_points(y)
+            least[at] = np.minimum(least[at], _paired(zx[at], y))
+            going = ~(least[at] <= eps)
+            at, y = at[going], y[going]
+        return least
+
     def orbit_dists(self, x, levels) -> np.ndarray:
         """``dist`` from x to x and to its checked images under the
         elements of the batches in levels, each point once: the first of
         each key, its two coordinates rounded to 9 decimals, is kept."""
         P = np.concatenate([[x]] + [self.act_batch(E, x) for E in levels])
-        kr, ki = _round9(P.real), _round9(P.imag)
-        order = np.lexsort((ki, kr))   # stable: equal keys in walk order
-        kr, ki = kr[order], ki[order]
-        first = np.ones(len(P), dtype=bool)
-        first[1:] = (kr[1:] != kr[:-1]) | (ki[1:] != ki[:-1])
-        P = P[np.sort(order[first])]
+        P = P[_first_of_each_key(_round9(P.real), _round9(P.imag))]
         _check_points(P)   # x, first, is checked first
         return _paired(P[0], P)
 
@@ -522,20 +641,20 @@ def sample_ball(center: complex, R: float, n: int, rng) -> list[complex]:
     uniform; equivalent in law to disk-model rejection sampling but with
     no rejections and no precision loss at large R.  Any R > 0 is taken;
     a drawn point that doubles cannot hold is an input error (from the
-    center i, that is most points past distance about 745).
+    center i, that is most points past distance about 745).  The n
+    pairs (u, angle) are drawn from rng in order, then the radii and
+    points come from one array formula each.
     """
     center = check_point(center)
     if R <= 0 or n < 1:
         raise InputError("need R > 0 and n >= 1")
-    pts = []
+    draws = np.array([rng.random() for _ in range(2 * n)])
+    u, theta = draws[0::2], draws[1::2] * 2.0 * math.pi
     # cosh R - 1 computed stably for tiny R, and while it stays finite
     cap = 2.0 * math.sinh(R / 2.0) ** 2 if R < _LOG_MAX else math.inf
-    for _ in range(n):
-        u = rng.random()
-        if cap < math.inf:
-            rho = 2.0 * math.asinh(math.sqrt(u * cap / 2.0))
-        else:  # 2 asinh(sqrt(u) sinh(R/2)) to rounding, as u >= 2^-53
-            rho = R + math.log(u) if u else 0.0
-        theta = rng.random() * 2.0 * math.pi
-        pts.append(point_at(center, theta, rho))
-    return pts
+    if cap < math.inf:
+        rho = 2.0 * np.arcsinh(np.sqrt(u * cap / 2.0))
+    else:  # 2 asinh(sqrt(u) sinh(R/2)) to rounding, as u >= 2^-53
+        with np.errstate(divide="ignore"):
+            rho = np.where(u > 0, R + np.log(u), 0.0)
+    return point_at(center, theta, rho).tolist()

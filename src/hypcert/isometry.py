@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import TOL
 from .errors import InputError, PreconditionError
 
@@ -114,41 +116,31 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     # power decides; one scan serves both levels, as eps1 <= eps2
     if classify(g, space).kind != "elliptic":
         nearest_power = space.displacement_table(
-            sample, [space.batch([g])])[:, 0].tolist()
+            sample, [space.batch([g])])[:, 0]
     else:
-        nearest_power = []
-        for x in sample:
-            y, least = x, math.inf
-            for _ in range(power_cap):
-                y = apply_isometry(space, g, y)
-                least = min(least, space.dist(x, y))
-                if least <= eps1 + TOL:
-                    break
-            nearest_power.append(least)
-    inner = [x for x, d in zip(sample, nearest_power) if d <= eps1 + TOL]
-    if not inner:
+        nearest_power = space.power_scan(g, sample, power_cap, eps1 + TOL)
+    inside = np.array(nearest_power <= eps1 + TOL, dtype=bool)
+    if not inside.any():
         raise PreconditionError("inner domain empty on the sample")
-    within = [x for x, d in zip(sample, nearest_power)
-              if not d <= eps1 + TOL and d <= eps2 + TOL]
-    outside = [x for x, d in zip(sample, nearest_power)
-               if not d <= eps2 + TOL]
-    # the rows measure both against the inner domain, in blocks of at
-    # most _ROW_BLOCK entries; an inner point's own distance, the model's
-    # 0, starts the spans
-    rows = inner[:1] + within + outside
+    beyond = ~np.array(nearest_power <= eps2 + TOL, dtype=bool)
+    pts = np.fromiter(sample, object, len(sample))
+    inner, within = pts[inside], pts[~inside & ~beyond]
+    # the rows measure the within and outside points against the inner
+    # domain, in blocks of at most _ROW_BLOCK entries; an inner point's
+    # own distance, the model's 0, starts the spans
+    rows = np.concatenate((inner[:1], within, pts[beyond]))
     step = max(1, _ROW_BLOCK // len(inner))
-    near = [d for s in range(0, len(rows), step)
-            for d in space.dist_table(rows[s:s + step], inner).min(axis=1)
-            .tolist()]
+    near = np.concatenate([space.nearest_dist(rows[s:s + step], inner)
+                           for s in range(0, len(rows), step)])
     spans, gaps = near[:1 + len(within)], near[1 + len(within):]
     lb2 = None
     if P0 is not None and r0 is not None and eps2 <= r0 and eps1 < 2.0:
         lb2 = gap_lower_bound_ii(P0, eps1, eps2)
     return GapReport(
         eps1=eps1, eps2=eps2, power_cap=power_cap,
-        inner_count=len(inner), outer_count=len(outside),
-        min_gap_observed=min(gaps) if gaps else math.inf,
+        inner_count=len(inner), outer_count=int(np.count_nonzero(beyond)),
+        min_gap_observed=gaps.min().item() if gaps.size else math.inf,
         lower_bound_i=(eps2 - eps1) / 2.0,
         lower_bound_ii=lb2,
-        upper_span_observed=max(spans),
+        upper_span_observed=spans.max().item(),
     )

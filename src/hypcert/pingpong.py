@@ -283,28 +283,34 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
 
     The group kind decides as walk_words would, with its words, order
     and budget, but tests each level of walk_levels at once, without an
-    isometry object per word.  For two elements of a model that can
-    tell whether they commute, two that do not are a free basis, so no
-    word is the identity and only the walk's length is checked against
-    the budget.
+    isometry object per word.  A model that composes no levels, the
+    tree, walks no words and decides only the group kind for two
+    elements, by whether they commute: two that do not are a free
+    basis, so no word is the identity and only the walk's length is
+    checked against the budget.  Any other question to it is an input
+    error.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
+    if kind not in ("group", "semigroup"):
+        raise InputError(f"unknown oracle kind {kind!r}")
     names = [name for name, _ in gens]
 
     def text(word):
         return word_to_text([(names[i], sign) for i, sign in word])
 
     indexed = [(i, g) for i, (_, g) in enumerate(gens)]
-    if kind == "group":
-        if (len(gens) == 2 and hasattr(space, "commute")
+    if not hasattr(space, "compose_level"):
+        if not (kind == "group" and len(gens) == 2
                 and not space.commute(gens[0][1], gens[1][1])):
-            check_walk_length(2 * len(gens), depth)
-            return True, None
+            raise InputError(
+                "the tree's word oracle decides only the group kind for "
+                "two words that do not commute, which are a free basis")
+        check_walk_length(2 * len(gens), depth)
+        return True, None
+    if kind == "group":
         word = _first_identity(space, group_letters(space, indexed), depth)
         return word is None, None if word is None else text(word)
-    if kind != "semigroup":
-        raise InputError(f"unknown oracle kind {kind!r}")
     seen = {}
     for word, g in walk_words(space, [((i, 1), g) for i, g in indexed],
                               depth):

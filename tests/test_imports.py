@@ -39,8 +39,8 @@ PIPELINE = ("isometry", "pingpong", "tits", "bounds")
 # the type or attribute tests of a space that they still make, as
 # "function: call", each kept for what it serves
 SPACE_PROBES = {
-    "word_oracle: hasattr(space, 'commute')":
-        "only the tree can tell whether two elements commute",
+    "word_oracle: hasattr(space, 'compose_level')":
+        "the tree walks no words: it decides a pair by whether they commute",
 }
 
 

@@ -177,12 +177,18 @@ class TestMargulisDomain:
     def test_first_power_decides_unless_elliptic(self, kind, tree2,
                                                  monkeypatch):
         # d(x, g^i x) grows with i for non-elliptic g: one image per point
-        # at any power cap; an elliptic g scans up to the cap
+        # at any power cap; an elliptic g scans up to the cap, the points
+        # still scanned stepping together through act_batch
         space, g, eps, pts = _gap_cases(tree2)[kind]
-        acts, images = [], []
+        acts, images, stepped = [], [], []
         act = isometry.apply_isometry
         monkeypatch.setattr(isometry, "apply_isometry",
                             lambda s, h, x: acts.append(x) or act(s, h, x))
+        if kind == "elliptic":
+            step = type(space).act_batch
+            monkeypatch.setattr(type(space), "act_batch", lambda self, E, zs:
+                                stepped.append(np.size(zs))
+                                or step(self, E, zs))
         table = type(space).displacement_table
 
         def counting_table(self, xs, levels):
@@ -198,7 +204,7 @@ class TestMargulisDomain:
             # one table of one column: an image per point
             assert acts == [] and images == [len(pts)]
             return
-        assert images == []
+        assert images == [] and acts == []
         # an elliptic g is scanned until a power comes within eps
         expected = 0
         for x in pts:
@@ -207,7 +213,7 @@ class TestMargulisDomain:
                 y, expected = act(space, g, y), expected + 1
                 if space.dist(x, y) <= eps + 1e-9:
                     break
-        assert len(pts) < len(acts) == expected
+        assert len(pts) < sum(stepped) == expected
 
     @pytest.mark.parametrize("kind", ["hyperbolic", "parabolic", "tree"])
     def test_first_power_table_is_the_per_point_loop(self, kind, tree2,
@@ -246,6 +252,46 @@ class TestMargulisDomain:
             tracemalloc.stop()
         assert rep.inner_count * (5000 - rep.inner_count) > 1_000_000
         assert peak < 2e6
+
+    @pytest.mark.parametrize("g", [
+        rotation_about_i(0.3),
+        halfplane.Moebius(0.0, -1.0, 1.0, 1.0),   # order 3: z -> -1/(z+1)
+        halfplane.Moebius(0.0, -1.0, 1.0, 0.0)],  # order 2: z -> -1/z
+        ids=["rotation", "order-3", "order-2"])
+    @pytest.mark.parametrize("cap", [1, 5, 64])
+    def test_elliptic_power_scan_is_the_scalar_loop(self, g, cap,
+                                                    monkeypatch):
+        pts = halfplane.sample_ball(complex(0.3, 1.5), 3.0, 40,
+                                    random.Random(2))
+        eps = 0.5 + isometry.TOL
+
+        def scalar_scan(space, h, xs, power_cap, eps):
+            out = []
+            for x in xs:
+                y, least = x, math.inf
+                for _ in range(power_cap):
+                    y = h(y)
+                    least = min(least, halfplane.dist(x, y))
+                    if least <= eps:
+                        break
+                out.append(least)
+            return np.array(out)
+
+        got = H2.power_scan(g, pts, cap, eps)
+        want = scalar_scan(H2, g, pts, cap, eps)
+        assert [repr(v) for v in got.tolist()] == \
+            [repr(v) for v in want.tolist()]
+
+        def report():
+            try:
+                return isometry.domain_gap_report(H2, g, 0.5, 1.0, pts,
+                                                  power_cap=cap)
+            except PreconditionError as e:   # no power comes within eps1
+                return str(e)
+
+        rep = report()
+        monkeypatch.setattr(halfplane.HalfPlane, "power_scan", scalar_scan)
+        assert rep == report()
 
     def test_packing_gap_floor_formula(self):
         lb = isometry.gap_lower_bound_ii(4, 0.1, 0.5)

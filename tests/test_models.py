@@ -135,7 +135,7 @@ class TestPolarAndSampling:
     @given(st.floats(min_value=0.0, max_value=300.0),
            st.floats(min_value=0.0, max_value=2.0 * math.pi))
     def test_point_at_distance(self, rho, theta):
-        z = halfplane.point_at(1j, theta, rho)
+        z = halfplane.point_at(1j, np.array([theta]), np.array([rho]))[0]
         assert halfplane.dist(1j, z) == pytest.approx(rho, abs=1e-6)
 
     def test_sample_ball_radius_and_determinism(self):
@@ -852,6 +852,7 @@ def _readme_interface():
 def test_models_share_the_readme_interface(space):
     names = _readme_interface()
     assert "dist_table" in names and "classify" in names
+    assert "nearest_dist" in names and "power_scan" in names
     assert [n for n in names if not callable(getattr(space, n, None))] == []
 
 
@@ -1062,3 +1063,119 @@ def test_dist_table_names_the_first_bad_point_it_checks(model):
         named = next(p for p in first if p in (bad, other))
         assert _error(space.dist_table, a, b) == \
             _error(space.dist_table, [named], [])
+
+
+# ------------------------------------------------ nearest inner distances
+
+def _same_bits(got, want):
+    assert [type(v) for v in got.tolist()] == [type(v) for v in want.tolist()]
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in want.tolist()]
+
+
+def _without_table(monkeypatch):
+    """Make H²'s dist_table fail, so that a nearest_dist that returns
+    went through the screen."""
+    def whole(self, xs, ys):
+        raise AssertionError("measured the whole table")
+    monkeypatch.setattr(halfplane.HalfPlane, "dist_table", whole)
+
+
+@pytest.mark.parametrize("R", [3.0, 12.0])
+def test_nearest_dist_is_the_table_minimum(R, monkeypatch):
+    H2, cases = halfplane.H2, []
+    for seed in range(40):
+        pts = halfplane.sample_ball(complex(0.5, 2.0), R, 150,
+                                    random.Random(seed))
+        # some rows are columns too, at distance 0
+        cases.append((pts[:100] + pts[140:], pts[100:]))
+    wants = [H2.dist_table(xs, ys).min(axis=1) for xs, ys in cases]
+    _without_table(monkeypatch)
+    for (xs, ys), want in zip(cases, wants):
+        _same_bits(H2.nearest_dist(xs, ys), want)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nearest_dist_breaks_near_ties_as_the_table(seed, monkeypatch):
+    # rings of points at one distance from a centre: cosh d and the paired
+    # kernel round differently, and only the kernel's least may be kept
+    rng = random.Random(seed)
+    rows = halfplane.sample_ball(1j, 3.0, 20, rng)
+    rings = [halfplane.point_at(c, np.linspace(0.0, 2.0 * math.pi, 64,
+                                                endpoint=False),
+                                np.full(64, rng.uniform(0.1, 3.0))).tolist()
+             for c in rows[:3]]
+    wants = [halfplane.H2.dist_table(rows, ring).min(axis=1)
+             for ring in rings]
+    _without_table(monkeypatch)
+    for ring, want in zip(rings, wants):
+        _same_bits(halfplane.H2.nearest_dist(rows, ring), want)
+
+
+def test_nearest_dist_measures_overflowing_lifts_whole():
+    H2, calls = halfplane.H2, []
+    table = halfplane.HalfPlane.dist_table
+    for center in (complex(2.0, 1e174), complex(0.0, 1e-200)):
+        pts = halfplane.sample_ball(center, 3.0, 80, random.Random(1))
+        xs, ys = pts[:50], pts[50:]
+        want = table(H2, xs, ys).min(axis=1)
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(halfplane.HalfPlane, "dist_table",
+                        lambda self, a, b: calls.append(len(a))
+                        or table(self, a, b))
+            _same_bits(H2.nearest_dist(xs, ys), want)
+    assert calls == [50, 50]
+
+
+def test_nearest_dist_of_empty_sides_is_the_table_minimum():
+    for space, xs, ys in ((halfplane.H2, [1j, 2j], [3j]),
+                          (freetree.FreeTreeSpace(2), ["", "ab"], ["b"])):
+        assert space.nearest_dist([], ys).shape == (0,)
+        with pytest.raises(ValueError) as raised:
+            space.dist_table(xs, []).min(axis=1)
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            space.nearest_dist(xs, [])
+
+
+def test_nearest_dist_on_the_tree_is_the_table_minimum():
+    T = freetree.FreeTreeSpace(2)
+    ball = T.ball("", 3)
+    xs, ys = ball[::3], ball[1::4]
+    _same_bits(T.nearest_dist(xs, ys), T.dist_table(xs, ys).min(axis=1))
+
+
+@pytest.mark.parametrize("model", ["h2", "tree"])
+def test_nearest_dist_names_the_first_bad_point_as_the_table(model):
+    space, xs, ys, bad = _TABLE_CASES[model]
+    other = _OTHER_BAD[model]
+    for a, b in ((xs + [bad], ys), (xs, [bad] + ys), ([bad], ys), (xs, [bad]),
+                 (xs[:1], ys + [bad]), (xs + [bad], [other] + ys),
+                 (ys + [bad], [other] + xs), ([bad], [other]),
+                 (xs + [bad], [other]), (xs + ["x"], ys), (xs, [bad, "x"])):
+        with pytest.raises(Exception) as table:
+            space.dist_table(a, b)
+        with pytest.raises(type(table.value), match=re.escape(
+                str(table.value))):
+            space.nearest_dist(a, b)
+
+
+# ------------------------------------------------------ orbit point keys
+
+def _first_of_each_key_by_lexsort(kr, ki):
+    order = np.lexsort((ki, kr))
+    kr, ki = kr[order], ki[order]
+    first = np.ones(len(kr), dtype=bool)
+    first[1:] = (kr[1:] != kr[:-1]) | (ki[1:] != ki[:-1])
+    return np.sort(order[first])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_first_of_each_key_is_the_lexsort_reference(seed):
+    rng = np.random.default_rng(seed)
+    values = np.array([-1.5, 0.0, -0.0, 0.25, 1e-9, 3.0, math.inf,
+                       -math.inf, math.nan])
+    n = int(rng.integers(1, 400))
+    # few distinct values: long runs of equal real keys, and equal keys
+    kr = values[rng.integers(0, 3 + seed % 7, n)]
+    ki = values[rng.integers(0, len(values), n)]
+    got = halfplane._first_of_each_key(kr, ki)
+    assert got.tolist() == _first_of_each_key_by_lexsort(kr, ki).tolist()

@@ -113,6 +113,10 @@ def _runs(tmp_path, tree_ball, files, family):
                     ("a", [[2, 0], [0, 0.5]]))
     # |cz + d|^2 underflows to 0 for every sample point
     huge = pair("huge", ("g", [[1e170, 0], [0, 1e-170]]))
+    # the tree's one elliptic isometry: margulis scans its powers
+    tree_identity = write("tree_identity.json", {
+        "model": "free_tree", "params": {"rank": 2}, "generators": [
+            {"name": "e", "word": ""}]})
 
     runs = []
     for space, center in ((tree_ball, "e"), (h2_sample, "0")):
@@ -148,6 +152,13 @@ def _runs(tmp_path, tree_ball, files, family):
         (["stats", "--input", elliptic, "--base", "0,1", "--word-cap", "2",
           "--sample-size", "5", "--radius", "0.5"], 0),
         (["margulis", "--input", huge, "--eps1", "1", "--eps2", "2"], 2),
+        (["margulis", "--input", elliptic, "--eps1", "0.5", "--eps2", "1",
+          "--sample-size", "20"], 0),
+        (["margulis", "--input", tree_identity, "--eps1", "1", "--eps2",
+          "2", "--center", "e", "--sample-size", "5"], 0),
+        # hyperboloid lifts of points this high overflow: the whole table
+        (["margulis", "--input", files["h2"], "--eps1", "1.5", "--eps2",
+          "2", "--center", "2,1e174", "--sample-size", "20"], 0),
         (["entropy", "--input", files["h2"], "--orbit", "--base", "0,1",
           "--word-cap", "14"], 3),
         (["bounds", "--nilrad-plus", "0.5", "--R", "2", "--r", "1"], 0),
