@@ -533,9 +533,24 @@ class HalfPlane:
         return bounds.WordWalk(self, generators, word_cap)
 
     def is_identity_batch(self, E) -> np.ndarray:
-        """``Moebius.is_identity`` of every column of E."""
+        """``Moebius.is_identity`` of every column of E, screened on |b|."""
         with np.errstate(all="ignore"):
-            return _is_identity(*E)
+            out = abs(E[1]) <= TOL
+            out[out] = _is_identity(*E[:, out])
+        return out
+
+    def identity_products(self, E, L, keep) -> np.ndarray:
+        """``is_identity_batch`` of the ``compose_level`` product of
+        column i of E with column j of L at each [i, j] where keep holds,
+        False elsewhere, without forming them: the b entries pa qb + pb qd
+        rule out all but those with |b| <= TOL, which alone are composed."""
+        out = np.zeros(keep.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            # a row per column of L, each along E; x y is y x bit for bit
+            near = abs(L[1][:, None] * E[0] + L[3][:, None] * E[1]) <= TOL
+            j, i = np.divmod(np.flatnonzero(near & keep.T), E.shape[1])
+            out[i, j] = _is_identity(*_product(E[:, i], L[:, j]))
+        return out
 
     def iso_key(self, g: Moebius) -> tuple:
         """The entries, rounded to 9 decimals, of the one of g and -g

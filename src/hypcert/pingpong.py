@@ -221,13 +221,19 @@ def walk_levels(space, letters, max_len: int):
             raise BudgetError("word budget exhausted")
 
 
-def _child_letters(last, inverse, ix):
-    """The last letters of the children of words whose last letters are
-    ``last``, in walk order: each letter but the inverse of the parent's."""
+def _children(last, inverse):
+    """Whether the word ending in letter last[i] has the child ending in
+    letter j, at [i, j]: each letter but the inverse of its last."""
     keep = np.ones((len(last), len(inverse)), dtype=bool)
     inv = inverse[last]
     keep[np.flatnonzero(inv >= 0), inv[inv >= 0]] = False
-    return np.broadcast_to(ix, keep.shape)[keep]
+    return keep
+
+
+def _child_letters(last, inverse, ix):
+    """The last letters of the children of words whose last letters are
+    ``last``, in walk order."""
+    return np.broadcast_to(ix, (len(last), len(ix)))[_children(last, inverse)]
 
 
 def walk_words(space, letters, max_len: int):
@@ -281,10 +287,11 @@ def word_oracle(space, gens, depth: int, kind: str = "group"):
     generator by its position, so generators that share a name are
     still told apart when letters cancel.
 
-    The group kind decides as walk_words would, with its words, order
-    and budget, but tests each level of walk_levels at once, without an
-    isometry object per word.  A model that composes no levels, the
-    tree, walks no words and decides only the group kind for two
+    The group kind decides as walk_words would, with its words, order,
+    first counterexample and budget, but tests each level at once, with
+    no isometry object per word, and decides the deepest level from one
+    entry of each product, unbuilt.  A model that composes no levels,
+    the tree, walks no words and decides only the group kind for two
     elements, by whether they commute: two that do not are a free
     basis, so no word is the identity and only the walk's length is
     checked against the budget.  Any other question to it is an input
@@ -334,16 +341,34 @@ def check_walk_length(k, depth):
 
 def _first_identity(space, letters, depth):
     """The first word of walk_words(space, letters, depth) whose element
-    is the identity, or None, rebuilt from the last letters of the
-    levels of walk_levels by the parent rule i // (k - 1)."""
-    lasts = []
-    for E, last in walk_levels(space, letters, depth):
+    is the identity, or None, with the walk's budget error.  The deepest
+    level is never built: the model tests its words' elements from the
+    level before, as the letters' products, by their b entries.  The word
+    is rebuilt from the levels' last letters by the parent rule i // c."""
+    inverse, c = _inverses(letters)
+    lasts, word = [], []
+    for E, last in walk_levels(space, letters, max(1, depth - 1)):
         lasts.append(last)
         hits = np.flatnonzero(space.is_identity_batch(E))
         if hits.size:
-            i, word = hits[0], []
-            for prev in reversed(lasts):
-                word.append(prev[i])
-                i //= len(letters) - 1
-            return [letters[j][0] for j in reversed(word)]
-    return None
+            break
+    else:
+        if depth == 1 or not letters:
+            return None
+        size = len(last) * c
+        take = min(size, WORD_BUDGET - sum(map(len, lasts)))
+        keep = _children(last, inverse)
+        if take < size:   # the first take children, in walk order
+            keep &= np.cumsum(keep).reshape(keep.shape) <= take
+        hits, j = np.divmod(np.flatnonzero(space.identity_products(
+            E, space.batch([g for _, g in letters]), keep)), len(letters))
+        if not hits.size:
+            if take < size:
+                raise BudgetError("word budget exhausted")
+            return None
+        word.append(j[0])
+    i = hits[0]
+    for last in reversed(lasts):
+        word.append(last[i])
+        i //= c
+    return [letters[j][0] for j in reversed(word)]

@@ -18,10 +18,10 @@ def rotation_about_i(theta: float) -> halfplane.Moebius:
 
 class WalkedTree(freetree.FreeTreeSpace):
     """The tree with the identity tests and level products that the walk
-    asks of a model, a seam product per word.  The package's tree reads
-    its orbits off their Stallings graphs and walks no words past the
-    first level; the tests still run the walk on reduced words, where
-    every element is its own word."""
+    and the group oracle ask of a model, a seam product per word.  The
+    package's tree reads its orbits off their Stallings graphs and walks
+    no words past the first level; the tests still run the walk on
+    reduced words, where every element is its own word."""
 
     def is_identity(self, g):
         return g == ""
@@ -33,6 +33,13 @@ class WalkedTree(freetree.FreeTreeSpace):
 
     def is_identity_batch(self, E):
         return E[1] == 0
+
+    def identity_products(self, E, L, keep):
+        parents, letters = np.nonzero(keep)
+        out = np.zeros(keep.shape, dtype=bool)
+        out[keep] = self.is_identity_batch(
+            self.compose_level(E, parents, L, letters))
+        return out
 
 
 def point_along(axis, base, T: float):

@@ -445,8 +445,19 @@ def test_batched_products_match_matmul_bit_for_bit(monkeypatch, capfd):
     products = [(gs[i] @ gs[j]).entries() for i, j in zip(rows, cols)]
     assert any(v != v for e in products for v in e)
     assert _bits(level.T) == _bits(products)
-    assert (H2.is_identity_batch(level).tolist()
-            == [M._unit(*e).is_identity() for e in products])
+    verdicts = [M._unit(*e).is_identity() for e in products]
+    assert any(verdicts)   # M(0, -1, 1, 0) squared is -1
+    assert H2.is_identity_batch(level).tolist() == verdicts
+    # the same verdicts from the b entries alone, False where keep is not
+    keep = np.ones((len(gs), len(gs)), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (H2.identity_products(B, B, keep).ravel().tolist()
+                == verdicts)
+        keep[::2, 1::3] = False
+        keep[-2, -2] = False
+        assert (H2.identity_products(B, B, keep).ravel().tolist()
+                == [v and k for v, k in zip(verdicts, keep.ravel())])
     assert capfd.readouterr().err == ""
     near = [(2.0, 0.0, 0.0, 2.0), (1.0, 1e-10, -1e-10, 1.0 + 1e-10),
             (1.0, 2e-9, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0 + 2e-9),
@@ -507,6 +518,57 @@ def test_batched_oracle_budget_ends_mid_level(monkeypatch, blocks, cut,
         _same_as_per_word(H2, PSL2Z, 8)
 
 
+@pytest.mark.parametrize("budget", [
+    lambda position: 484, lambda position: position - 30,
+    lambda position: position - 1, lambda position: position,
+    lambda position: position + 5, lambda position: 484 + 972],
+    ids=["level-start", "before-30", "before-1", "at", "after-5",
+         "level-end"])
+def test_batched_oracle_budget_ends_in_the_deepest_level(monkeypatch, blocks,
+                                                         budget):
+    # at depth 6, level 6, which holds the first relation, is never built
+    first = _per_word_oracle(H2, PSL2Z, 6)[1]
+    position = 1 + [pingpong.word_to_text(w) for w in tits.enumerate_words(
+        "ab", 6)].index(first)
+    assert 484 < position <= 484 + 972
+    monkeypatch.setattr(pingpong, "WORD_BUDGET", budget(position))
+    built, compose_level = [], H2.compose_level
+    monkeypatch.setattr(H2, "compose_level", lambda E, parents, L, letters:
+                        built.append(len(parents))
+                        or compose_level(E, parents, L, letters))
+    outs = []
+    for oracle in (pingpong.word_oracle, _per_word_oracle):
+        try:
+            outs.append(oracle(H2, PSL2Z, 6))
+        except BudgetError as e:
+            outs.append(str(e))
+    assert built == [12, 36, 108, 324]   # levels 2 to 5
+    assert outs[0] == outs[1]
+    assert outs[0] == ((False, first) if budget(position) >= position
+                       else "word budget exhausted")
+
+
+@pytest.mark.parametrize("depth", [5, 8])
+def test_one_letter_walk_rebuilds_its_word(depth):
+    # one letter and no inverse: a word's one child extends it, c = 1
+    g = rotation_about_i(2.0 * math.pi / 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (pingpong._first_identity(H2, [(("g", 1), g)], depth)
+                == [("g", 1)] * 5)
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_positive_walk_finds_the_first_identity_of_walk_words(depth):
+    # two letters and no inverses, c = 2: the first identity is b^3
+    letters = [(("a", 1), M(1, 1, 0, 1)),
+               (("b", 1), rotation_about_i(2 * math.pi / 3))]
+    first = next(list(w) for w, g in pingpong.walk_words(H2, letters, 3)
+                 if g.is_identity())
+    assert first == [("b", 1)] * 3
+    assert pingpong._first_identity(H2, letters, depth) == first
+
+
 @pytest.mark.parametrize("model", ["h2", "tree", "tree-commuting"])
 def test_oracle_depth_zero_is_an_input_error(model, tree2, schottky_pair):
     space, gens = {
@@ -523,6 +585,13 @@ def test_oracle_depth_zero_is_an_input_error(model, tree2, schottky_pair):
 def test_commuting_tree_pair_walks_to_the_relation():
     gens = [("u", "ab"), ("v", "abab")]
     assert _same_as_per_word(WalkedTree(2), gens, 8) == (False, "u^2 v^-1")
+
+
+@pytest.mark.parametrize("gens, depth, out", [
+    ([("u", "ab"), ("v", "abab")], 3, (False, "u^2 v^-1")),
+    ([("a", "a"), ("b", "b")], 4, (True, None))], ids=["relation", "free"])
+def test_walked_tree_decides_the_deepest_level(gens, depth, out):
+    assert _same_as_per_word(WalkedTree(2), gens, depth) == out
 
 
 @pytest.mark.parametrize("gens, kind", [
