@@ -8,8 +8,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import TOL, isometry, pingpong
 from .errors import InputError
 
@@ -76,6 +74,7 @@ def entropy_estimate(counts):
     skip the small-radius transient.  Returns a report with per-radius
     counts.
     """
+    import numpy as np
     counts = [(float(R), int(c)) for R, c in counts]
     if len(counts) < 3:
         raise InputError("need at least 3 radii")
@@ -182,6 +181,7 @@ class WordWalk:
 
     def counts(self, base, radii) -> list:
         """(R, orbit points within R of base) along the radii."""
+        import numpy as np
         dists = np.sort(self.space.orbit_dists(base, self.levels)).tolist()
         return [(float(R), bisect.bisect_right(dists, R + TOL))
                 for R in radii]
@@ -189,6 +189,7 @@ class WordWalk:
     def displacement_stats(self, sample, radii_grid):
         """(sys, sys_free, nilrad) at each point of the sample, over the
         walk's nontrivial elements, each classified once."""
+        import numpy as np
         space = self.space
         gs = [g for E in self.levels for g in space.unbatch(E)]
         nontrivial = np.array([not space.is_identity(g) for g in gs])
@@ -219,6 +220,7 @@ def _nilradii(space, table, radii_grid, profiles):
     first, at t, that fails with one before it: r is the last radius
     below t.  The points walk together, a place in their orders at a
     time, and each pair is tested once for the whole table."""
+    import numpy as np
     n = table.shape[1]
     within = np.count_nonzero(table <= radii_grid[-1], axis=1)
     # the orders' first within.max() places, sorted in blocks of rows of
@@ -259,5 +261,6 @@ def _nilradii(space, table, radii_grid, profiles):
 
 def _among(keys, x):
     """Whether each entry of x is one of the sorted keys."""
+    import numpy as np
     at = np.minimum(np.searchsorted(keys, x), max(keys.size - 1, 0))
     return keys[at] == x if keys.size else np.zeros(np.shape(x), dtype=bool)

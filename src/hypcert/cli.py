@@ -20,10 +20,7 @@ import random
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, bounds, freetree, halfplane
-from . import isometry, sampled, tits
+from . import __version__, bounds, freetree, halfplane, isometry, tits
 from .errors import (BudgetError, HypcertError, InputError, SearchExhausted)
 
 
@@ -83,6 +80,7 @@ def load_json(path):
 
 
 def load_space(path) -> sampled.SampledSpace:
+    from . import sampled
     return sampled.SampledSpace.from_json(load_json(path))
 
 
@@ -155,6 +153,7 @@ def resolve_seed(args):
 
 
 def cmd_delta(args):
+    from . import sampled
     space = load_space(args.input)
     est = sampled.four_point_delta(space, mode=args.mode,
                                    n_quadruples=args.quadruples,
@@ -164,6 +163,7 @@ def cmd_delta(args):
 
 
 def cmd_pack(args):
+    from . import sampled
     space = load_space(args.input)
     center = _parse_point_id(space, args.center)
     # the bound refuses bad flags before the search runs
@@ -197,6 +197,7 @@ def _parse_point_id(space, text):
 
 
 def cmd_cov(args):
+    from . import sampled
     space = load_space(args.input)
     n = sampled.covering_number(space, space.points, args.r, mode=args.mode)
     emit({"manifest": manifest(args),
@@ -323,6 +324,16 @@ def _numbers(v, n=None) -> bool:
             and all(type(x) in (int, float) for x in v))
 
 
+def _polyval(coeffs, t) -> float:
+    """The polynomial of the coefficients, highest degree first, at t, by
+    Horner's rule from 0.0: ``numpy.polyval`` bit for bit at a float t,
+    and in floats at an integer t too, where numpy's int64 would wrap."""
+    y = 0.0
+    for c in coeffs:
+        y = y * t + c
+    return y
+
+
 def cmd_degenerate(args):
     spec = load_json(args.input)
     if not isinstance(spec, dict):
@@ -352,7 +363,7 @@ def cmd_degenerate(args):
     try:
         for k in range(steps + 1):
             t = t0f + (t1f - t0f) * k / steps if steps > 0 else t0f
-            m = [[float(np.polyval(polys[i][j], t)) for j in range(2)]
+            m = [[_polyval(polys[i][j], t) for j in range(2)]
                  for i in range(2)]
             b = halfplane.Moebius(m[0][0], m[0][1], m[1][0], m[1][1])
             g = a @ b

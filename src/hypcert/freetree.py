@@ -13,8 +13,6 @@ import re
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
 from .isometry import IsometryProfile
 from .stallings import Stallings
@@ -76,6 +74,7 @@ def _seam_mul(u: str, v: str) -> str:
 def _lcp(X, Y):
     """Common prefix lengths of the words in the rows of two letter
     arrays, broadcast against each other, over their common columns."""
+    import numpy as np
     k = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]), dtype=np.intp)
     live = np.ones(k.shape, dtype=bool)
     for j in range(min(X.shape[-1], Y.shape[-1])):
@@ -231,6 +230,7 @@ class FreeTreeSpace:
     def displacement_table(self, xs, levels) -> np.ndarray:
         """d(x, g x) for each point x of xs, a row each, and each element
         g of the letter batches in levels, in order."""
+        import numpy as np
         gs = [g for E in levels for g in self.unbatch(E)]
         return np.array([[self.dist(x, _seam_mul(g, x)) for g in gs]
                          for x in xs], dtype=int).reshape(len(xs), len(gs))
@@ -271,13 +271,13 @@ class FreeTreeSpace:
         if n < 1:
             raise InputError("need n >= 1")
         center = self.check_point(center)
-        sizes = self.sphere_sizes(_whole_radius(R))
+        sizes = self.sphere_sizes(_whole_radius(R), sys.maxsize)
         size = sum(sizes)
+        if size > sys.maxsize:
+            raise InputError(f"radius {R}: a ball of more than {sys.maxsize} "
+                             "points is past what a draw can index")
         if size <= n:
             return self.ball(center, R)
-        if size > sys.maxsize:
-            raise InputError(f"radius {R}: a ball of {size} points is past "
-                             "what a draw can index")
         # ball("", R) lists shells by length, each sorted: in a shell, a
         # word is a block of (k - 1)^(L - 1) words per first letter, for k
         # letters, then of (k - 1)^(L - 2) per next letter, and so on
@@ -299,25 +299,34 @@ class FreeTreeSpace:
             out[0] = center
         return out
 
-    def sphere_sizes(self, R: int) -> list:
-        """Vertex counts of the spheres S(e, 0..R)."""
-        k = 2 * self.rank
-        sizes = [1]
-        if R >= 1:
-            sizes.append(k)
-        for _ in range(2, R + 1):
-            sizes.append(sizes[-1] * (k - 1))
-        return sizes[: R + 1]
+    def sphere_sizes(self, R: int, cap=math.inf) -> list:
+        """Vertex counts of the spheres S(e, 0..R), or of those up to the
+        first whose ball holds more than cap points."""
+        k, sizes, total = 2 * self.rank, [1], 1
+        while len(sizes) <= R and total <= cap:
+            sizes.append(sizes[-1] * (k - 1) if len(sizes) > 1 else k)
+            total += sizes[-1]
+        return sizes
 
     def ball_size(self, center: str, R) -> int:
-        """Closed form; the tree looks the same from every vertex."""
-        return sum(self.sphere_sizes(_whole_radius(R)))
+        """The sum of the sphere sizes: the tree looks the same from every
+        vertex.  A count with more digits than a report prints is refused;
+        with Python's digit limit off, more than its default limit, since
+        such counts fill memory long before a radius like 1e18."""
+        digits = (sys.get_int_max_str_digits()
+                  or sys.int_info.default_max_str_digits)
+        size = sum(self.sphere_sizes(_whole_radius(R), 10 ** digits - 1))
+        if size >= 10 ** digits:
+            raise InputError(f"radius {R}: a ball of 10^{digits} or more "
+                             "points is past the integers a report prints")
+        return size
 
     def act(self, g: str, x: str) -> str:
         return _seam_mul(g, x)
 
     def batch(self, gs) -> tuple:
         """The letter batch of a list of words."""
+        import numpy as np
         n = np.fromiter(map(len, gs), dtype=np.intp, count=len(gs))
         A = np.zeros((len(gs), max(1, n.max(initial=0))), dtype=np.uint8)
         A[np.arange(A.shape[1]) < n[:, None]] = np.frombuffer(

@@ -10,8 +10,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import TOL, bounds
 from .errors import DomainError, InputError
 from .isometry import IsometryProfile
@@ -44,6 +42,7 @@ def dist_table(xs, ys) -> np.ndarray:
     """``dist`` over xs by ys, bit for bit, in blocks of rows of about
     _LEVEL_BLOCK entries, which bound the temporary arrays.  Each point
     is checked once, the shorter side's first."""
+    import numpy as np
     zx, zy = _checked(xs, ys)
     out = np.empty((len(zx), len(zy)))
     step = max(1, _LEVEL_BLOCK // max(1, len(zy)))
@@ -55,6 +54,7 @@ def dist_table(xs, ys) -> np.ndarray:
 def _lift(z) -> tuple:
     """The hyperboloid lifts (|z|^2 + 1, |z|^2 - 1, 2 Re z) / (2 Im z) of
     the points z, where cosh d(z, w) = -<Z, W> = Z0 W0 - Z1 W1 - Z2 W2."""
+    import numpy as np
     with np.errstate(all="ignore"):
         s, h = z.real * z.real + z.imag * z.imag, 2.0 * z.imag
         return (s + 1.0) / h, (s - 1.0) / h, z.real / z.imag
@@ -79,6 +79,7 @@ def _candidates(lx, ly) -> tuple:
     # bound Im z Im w below by 2^-1002, which keeps a subnormal
     # difference's error far below 2^-500), and d < 2^10: it measures
     # every column left out above the row's least.
+    import numpy as np
     (x0, x1, x2), (y0, y1, y2) = lx, ly
     C = np.multiply.outer(x0, y0)
     C -= np.multiply.outer(x1, y1)
@@ -88,15 +89,16 @@ def _candidates(lx, ly) -> tuple:
     return np.divmod(np.flatnonzero(C <= T[:, None]), len(y0))
 
 
-@np.errstate(over="ignore")   # a decorator: set up once, not per call
 def _paired(zx, zy):
     """The H² distance kernel: ``dist(zx[k], zy[k])`` for every k of two
     checked points, or arrays of them that broadcast against each other,
     by numpy's hypot and arcsinh.  A quotient that overflows is inf,
     without a warning."""
-    dx, dy = zx.real / 2 - zy.real / 2, zx.imag / 2 - zy.imag / 2
-    return 2.0 * np.arcsinh(
-        np.hypot(dx, dy) / (np.sqrt(zx.imag) * np.sqrt(zy.imag)))
+    import numpy as np
+    with np.errstate(over="ignore"):
+        dx, dy = zx.real / 2 - zy.real / 2, zx.imag / 2 - zy.imag / 2
+        return 2.0 * np.arcsinh(
+            np.hypot(dx, dy) / (np.sqrt(zx.imag) * np.sqrt(zy.imag)))
 
 
 def _round9(t) -> np.ndarray:
@@ -104,6 +106,7 @@ def _round9(t) -> np.ndarray:
     rint(t 1e9) / 1e9 where that rounds the exact product, as it does
     wherever y = t 1e9 is below 2^51 and more than |y| 2^-50 from a
     half-integer; ``round`` itself elsewhere."""
+    import numpy as np
     with np.errstate(all="ignore"):
         y = t * 1e9
         r = np.rint(y)
@@ -119,6 +122,7 @@ def _first_of_each_key(kr, ki) -> np.ndarray:
     """The ascending positions of the first of each key (kr[k], ki[k]):
     one stable sort by kr, then only the runs of equal kr are sorted
     again, stably, by ki.  A key with a NaN equals no other."""
+    import numpy as np
     order = np.argsort(kr, kind="stable")
     kr, ki = kr[order], ki[order]
     tie = kr[1:] == kr[:-1]
@@ -134,6 +138,7 @@ def _first_of_each_key(kr, ki) -> np.ndarray:
 def _check_points(zs):
     """check_point's error for the first entry of the complex array zs
     that is no upper half-plane point, if one is not."""
+    import numpy as np
     ok = (zs.imag > 0) & np.isfinite(zs)
     if not ok.all():
         check_point(zs[~ok][0])
@@ -142,6 +147,7 @@ def _check_points(zs):
 def _points(ps) -> np.ndarray:
     """The points ps as a complex array, each checked as check_point
     checks it: the first that is no point raises its error."""
+    import numpy as np
     try:
         zs = np.fromiter(map(complex, ps), complex, len(ps))
     except (TypeError, ValueError):   # check_point's error, in order
@@ -340,6 +346,7 @@ def point_at(origin: complex, theta, rho):
     formula is divided through by it and Im is carried as a logarithm.
     A point that doubles cannot hold is an input error.
     """
+    import numpy as np
     origin = check_point(origin)
     theta, rho = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(rho, dtype=float))
@@ -394,6 +401,7 @@ class HalfPlane:
         kernel measures only each row's candidates, the columns that a
         screen by cosh d on the hyperboloid lifts cannot rule out; where
         a lift product could overflow, the table is measured whole."""
+        import numpy as np
         zx, zy = _checked(xs, ys)
         lx, ly = _lift(zx), _lift(zy)
         with np.errstate(all="ignore"):
@@ -445,6 +453,7 @@ class HalfPlane:
 
     def batch(self, gs) -> np.ndarray:
         """The entries of the given matrices, one column each."""
+        import numpy as np
         return np.array([g.entries() for g in gs], dtype=float).T.reshape(
             4, len(gs))
 
@@ -452,6 +461,7 @@ class HalfPlane:
         """``compose`` of column parents[i] of E with column letters[i]
         of L, for each i, by the product of ``Moebius.__matmul__``, on
         _LEVEL_BLOCK columns at a time, which bounds the temporary arrays."""
+        import numpy as np
         out = np.empty((4, len(parents)))
         with np.errstate(all="ignore"):
             for s in range(0, len(parents), _LEVEL_BLOCK):
@@ -469,6 +479,7 @@ class HalfPlane:
         formula of ``Moebius.__call__``.  For the first point with an
         image that is no point, it raises the call's error at the first
         column whose |cz + d|^2 underflows, if there is one."""
+        import numpy as np
         y = np.imag(zs)
         with np.errstate(all="ignore"):
             num, m2 = _image(E, np.real(zs), y)
@@ -487,6 +498,7 @@ class HalfPlane:
         g of the batches in levels, in order; _LEVEL_BLOCK entries at a
         time, so only the table grows with xs.  The first point with an
         image that is no point raises what ``act`` then ``dist`` raise."""
+        import numpy as np
         E = np.concatenate(levels, axis=1)
         zx = np.array(xs, dtype=complex)[:, None]
         out = np.empty((len(zx), E.shape[1]))
@@ -505,6 +517,7 @@ class HalfPlane:
         and d(x, y) by the paired kernel, bit for bit ``g(y)`` and
         ``dist``; the first point, then the first image of a step, that
         is no point raises what those raise."""
+        import numpy as np
         zx = _points(xs)
         E, at, y = self.batch([g]), np.arange(len(zx)), zx
         least = np.full(len(zx), math.inf)
@@ -522,6 +535,7 @@ class HalfPlane:
         """``dist`` from x to x and to its checked images under the
         elements of the batches in levels, each point once: the first of
         each key, its two coordinates rounded to 9 decimals, is kept."""
+        import numpy as np
         P = np.concatenate([[x]] + [self.act_batch(E, x) for E in levels])
         P = P[_first_of_each_key(_round9(P.real), _round9(P.imag))]
         _check_points(P)   # x, first, is checked first
@@ -534,6 +548,7 @@ class HalfPlane:
 
     def is_identity_batch(self, E) -> np.ndarray:
         """``Moebius.is_identity`` of every column of E, screened on |b|."""
+        import numpy as np
         with np.errstate(all="ignore"):
             out = abs(E[1]) <= TOL
             out[out] = _is_identity(*E[:, out])
@@ -544,6 +559,7 @@ class HalfPlane:
         column i of E with column j of L at each [i, j] where keep holds,
         False elsewhere, without forming them: the b entries pa qb + pb qd
         rule out all but those with |b| <= TOL, which alone are composed."""
+        import numpy as np
         out = np.zeros(keep.shape, dtype=bool)
         with np.errstate(all="ignore"):
             # a row per column of L, each along E; x y is y x bit for bit
@@ -660,6 +676,7 @@ def sample_ball(center: complex, R: float, n: int, rng) -> list[complex]:
     pairs (u, angle) are drawn from rng in order, then the radii and
     points come from one array formula each.
     """
+    import numpy as np
     center = check_point(center)
     if R <= 0 or n < 1:
         raise InputError("need R > 0 and n >= 1")

@@ -7,8 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import TOL
 from .errors import InputError, PreconditionError
 
@@ -104,6 +102,7 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     from the eps1 domain; the second bound applies when eps2 <= r0 for
     a declared packing profile (P0, r0).
     """
+    import numpy as np
     # comparisons with NaN are false, so NaN fails each of them
     if not 0 < eps1 <= eps2 < math.inf:
         raise InputError("need 0 < eps1 <= eps2 < inf")

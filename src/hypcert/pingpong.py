@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import TOL, isometry
 from .errors import (BudgetError, DomainError, ElementaryPairError,
                      InputError, PreconditionError)
@@ -175,6 +173,7 @@ def group_letters(space, gens):
 def _inverses(letters):
     """Each letter's inverse's position (-1 for none), and the number of
     letters that may follow a word: k - 1 of k that hold their inverses."""
+    import numpy as np
     position = {sym: j for j, (sym, _) in enumerate(letters)}
     inverse = np.array([position.get((name, -sign), -1)
                         for (name, sign), _ in letters], dtype=np.intp)
@@ -196,6 +195,7 @@ def walk_levels(space, letters, max_len: int):
     composes each child's parent with its letter, a level at a time.
     The levels hold the first WORD_BUDGET words, as it is at the call;
     asking for more raises BudgetError."""
+    import numpy as np
     if max_len < 1:
         raise InputError("max_len must be >= 1")
     inverse, c = _inverses(letters)
@@ -224,6 +224,7 @@ def walk_levels(space, letters, max_len: int):
 def _children(last, inverse):
     """Whether the word ending in letter last[i] has the child ending in
     letter j, at [i, j]: each letter but the inverse of its last."""
+    import numpy as np
     keep = np.ones((len(last), len(inverse)), dtype=bool)
     inv = inverse[last]
     keep[np.flatnonzero(inv >= 0), inv[inv >= 0]] = False
@@ -233,6 +234,7 @@ def _children(last, inverse):
 def _child_letters(last, inverse, ix):
     """The last letters of the children of words whose last letters are
     ``last``, in walk order."""
+    import numpy as np
     return np.broadcast_to(ix, (len(last), len(ix)))[_children(last, inverse)]
 
 
@@ -345,6 +347,7 @@ def _first_identity(space, letters, depth):
     level is never built: the model tests its words' elements from the
     level before, as the letters' products, by their b entries.  The word
     is rebuilt from the levels' last letters by the parent rule i // c."""
+    import numpy as np
     inverse, c = _inverses(letters)
     lasts, word = [], []
     for E, last in walk_levels(space, letters, max(1, depth - 1)):

@@ -1,13 +1,23 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import pathlib
+import random
+import resource
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from hypcert import cli, halfplane, isometry, pingpong, sampled
 from hypcert.errors import InputError
+
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]
 
 
 def run(tmp_path, *argv):
@@ -323,6 +333,97 @@ class TestDegenerate:
         assert ells[-1] < 1e-2
         assert all(x >= y - 1e-15 for x, y in zip(traces, traces[1:]))
         assert all(x >= y - 1e-15 for x, y in zip(ells, ells[1:]))
+
+    def test_trajectory_keeps_its_bytes(self, tmp_path, family_file):
+        # the digest pins the trajectory as numpy.polyval computed it
+        out = tmp_path / "traj.csv"
+        assert cli.main(["degenerate", "--input", family_file,
+                         "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "38fe16013153d17dfc6f53f3fb6109ba2d5acfc1ff4cd481e3c616cd2d001ebb")
+
+    def test_polyval_is_numpys_bit_for_bit(self):
+        rng = random.Random(0)
+        special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 3, -1]
+
+        def number():
+            kind = rng.randrange(5)
+            if kind == 0:   # an integer past int64
+                return rng.choice([-1, 1]) * rng.randrange(2 ** 63, 2 ** 200)
+            if kind == 1:
+                return rng.randint(-10 ** 6, 10 ** 6)
+            if kind == 2:
+                return rng.choice(special)
+            return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+        for _ in range(3000):
+            coeffs = [number() for _ in range(rng.randrange(7))]
+            t = float(number())
+            with np.errstate(all="ignore"):
+                want = float(np.polyval(coeffs, t))
+            assert cli._polyval(coeffs, t).hex() == want.hex(), (coeffs, t)
+
+    def test_an_integer_t_is_evaluated_in_floats(self, tmp_path):
+        # numpy.polyval multiplies an integer t in int64, where 2^62 * 4
+        # wraps to 0 and the matrix read a determinant of 0
+        rows = []
+        for t_range in ([4, 5], [4.0, 5.0]):
+            spec = {"model": "h2", "a": {"matrix": [[1, 0], [0, 1]]},
+                    "b": {"poly_matrix": [[[2 ** 62, 0], [0]], [[0], [1]]]},
+                    "t_range": t_range, "steps": 0}
+            inp, out = tmp_path / "family.json", tmp_path / "traj.csv"
+            inp.write_text(json.dumps(spec))
+            assert cli.main(["degenerate", "--input", str(inp),
+                             "--output", str(out)]) == 0
+            rows.append(out.read_text().splitlines())
+        assert rows[0] == rows[1] == [
+            "t,ell,trace,kind", "4,44.3614195558,4294967296,hyperbolic"]
+
+
+class TestLargeTreeBalls:
+    """A tree ball too large to draw from or to print is refused as an
+    input error, without its count being built or printed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--radius", "10000"],
+        ["margulis", "--center", "e", "--radius", "10000", "--eps1", "1",
+         "--eps2", "2"]])
+    def test_a_ball_past_a_draw_is_refused(self, tmp_path, tree_pair_file,
+                                           capsys, argv):
+        code, rep = run(tmp_path, *argv, "--input", tree_pair_file)
+        err = capsys.readouterr().err
+        assert code == 2 and rep is None
+        assert "past what a draw can index" in err and len(err) < 200
+
+    def test_a_ball_count_past_what_a_report_prints_is_refused(
+            self, tmp_path, tree_pair_file, capsys):
+        code, rep = run(tmp_path, "entropy", "--input", tree_pair_file,
+                        "--radii", "1,2,9100")
+        err = capsys.readouterr().err
+        assert code == 2 and rep is None
+        assert "past the integers a report prints" in err and len(err) < 200
+        code, rep = run(tmp_path, "entropy", "--input", tree_pair_file,
+                        "--radii", "1,2,9000")
+        assert code == 0
+        assert rep["result"]["counts"][-1][1] == 2 * 3 ** 9000 - 1
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--radius", "1e18"],
+        ["margulis", "--center", "e", "--radius", "1e18", "--eps1", "1",
+         "--eps2", "2"],
+        ["entropy", "--radii", "1,2,1e18"]])
+    def test_a_huge_radius_is_refused_in_bounded_memory(self, tree_pair_file,
+                                                        argv):
+        # in a child process with 1.5 GB of address space, so that a
+        # regression fails there and does not exhaust this machine
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-m", "hypcert.cli", *argv, "--input",
+             tree_pair_file], env=env, preexec_fn=limit,
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("input error: radius 1e+18")
 
 
 class TestDeterminism:

@@ -4,9 +4,10 @@ another package module, every public function, class and method is
 named by the package or the benchmark, every field of a package
 dataclass is read by them, the pipeline modules test no space's type
 or attributes beyond a kept few, and the commands start without
-mpmath."""
+mpmath or numpy."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -201,14 +202,40 @@ def test_the_commands_import_no_mpmath():
     command calls, so it is imported there and not at startup; nor is
     graphspace, which builds metric tables for the benchmark and tests,
     nor numpy.random, which only the sampled delta draws from and whose
-    first import costs about 6 MB of resident memory."""
+    first import costs about 6 MB of resident memory, nor numpy itself,
+    which the functions that build arrays import where they run."""
     probe = ("import sys, hypcert.cli; print([m for m in "
-             "('mpmath', 'hypcert.graphspace', 'numpy.random') "
+             "('mpmath', 'hypcert.graphspace', 'numpy.random', 'numpy') "
              "if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_the_commands_without_arrays_run_without_numpy(
+        tmp_path, h2_pair_file, tree_pair_file, family_file):
+    """classify (H² and tree), certify on a tree pair, bounds and
+    degenerate compute in Python numbers, so a fresh interpreter runs
+    each of them, in turn, without loading numpy.  H² certify still
+    loads it: its float word oracle walks the words in numpy batches,
+    and M0 is measured by halfplane.dist, whose kernel is numpy's."""
+    runs = [["classify", "--input", h2_pair_file],
+            ["classify", "--input", tree_pair_file],
+            ["certify", "--input", tree_pair_file],
+            ["bounds"],
+            ["degenerate", "--input", family_file]]
+    probe = ("import json, sys\n"
+             "from hypcert import cli\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    code = cli.main(argv + ['--output', sys.argv[2]])\n"
+             "    print(argv[0], code, 'numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(runs),
+         str(tmp_path / "out")], env=env, check=True, capture_output=True,
+        text=True).stdout
+    assert out.splitlines() == [f"{argv[0]} 0 False" for argv in runs]
 
 
 def test_unused_import_is_caught():

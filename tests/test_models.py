@@ -287,6 +287,15 @@ class TestFreeTree:
         with pytest.raises(InputError, match="past what a draw can index"):
             tree2.sample_ball("", 40, 10, random.Random(0))
 
+    def test_sphere_sizes_stop_past_the_cap(self, tree2):
+        # the first ball past the cap ends the list, whatever the radius
+        assert tree2.sphere_sizes(10 ** 18, 100) == [1, 4, 12, 36, 108]
+        assert tree2.sphere_sizes(2, 100) == [1, 4, 12]
+
+    def test_ball_size_past_what_a_report_prints_is_refused(self, tree2):
+        with pytest.raises(InputError, match="integers a report prints"):
+            tree2.ball_size("", 10 ** 18)
+
 
 rank3_words = st.text("abcABC", max_size=40).map(freetree.reduce_word)
 
