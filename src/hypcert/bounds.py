@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import TOL, isometry, pingpong
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 _SORT_BLOCK = 1 << 14   # entries of a block of rows that nilradii sorts
 
@@ -191,17 +191,18 @@ class WordWalk:
         walk's nontrivial elements, each classified once."""
         import numpy as np
         space = self.space
-        gs = [g for E in self.levels for g in space.unbatch(E)]
-        nontrivial = np.array([not space.is_identity(g) for g in gs])
+        nontrivial = ~np.concatenate([space.is_identity_batch(E)
+                                      for E in self.levels])
         if not nontrivial.any():
             raise InputError("no nontrivial elements within the word cap")
+        gs = [g for E in self.levels for g in space.unbatch(E)]
         profiles = [isometry.classify(g, space) if keep else None
                     for g, keep in zip(gs, nontrivial)]
-        finite_order = np.array([keep and p.kind == "elliptic"
-                                 and pingpong.has_finite_order(space, g, 24)
-                                 for g, p, keep in zip(gs, profiles,
-                                                       nontrivial)],
-                                dtype=bool)
+        elliptic = [i for i, p in enumerate(profiles)
+                    if p and p.kind == "elliptic"]
+        finite_order = np.zeros(len(gs), dtype=bool)
+        finite_order[elliptic] = _finite_order(
+            space, [gs[i] for i in elliptic], 24)
         # the trivial elements' columns go to inf, past every radius
         table = space.displacement_table(sample, self.levels)
         table[:, ~nontrivial] = math.inf
@@ -209,6 +210,25 @@ class WordWalk:
                    table.min(axis=1, where=~finite_order,
                              initial=math.inf).tolist(),
                    _nilradii(space, table, radii_grid, profiles))
+
+
+def _finite_order(space, gs, k: int):
+    """Whether g^j = compose(g^(j-1), g) is the identity at some j <= k,
+    for each g of gs: the walk over the one letter g, with its elements,
+    checks and budget error, for all g at once up to their identities."""
+    import numpy as np
+    found, at = np.zeros(len(gs), dtype=bool), np.arange(len(gs))
+    G = H = space.batch(gs)
+    for j in range(k):
+        if not at.size:
+            break
+        if j >= pingpong.WORD_BUDGET:
+            raise BudgetError("word budget exhausted")
+        hit = space.is_identity_batch(H)
+        found[at[hit]] = True
+        at = at[~hit]
+        H = space.compose_level(H, np.flatnonzero(~hit), G, at)
+    return found
 
 
 def _nilradii(space, table, radii_grid, profiles):

@@ -20,7 +20,8 @@ import random
 import sys
 import time
 
-from . import __version__, bounds, freetree, halfplane, isometry, tits
+from . import (__version__, bounds, freetree, halfplane, isometry, pingpong,
+               tits)
 from .errors import (BudgetError, HypcertError, InputError, SearchExhausted)
 
 
@@ -495,6 +496,12 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         resolve_seed(args)
+        # flags the walk and the draw read, refused before any work
+        if getattr(args, "word_cap", 1) < 1:
+            raise InputError(f"--word-cap must be >= 1, got {args.word_cap}")
+        if getattr(args, "sample_size", 1) > pingpong.WORD_BUDGET:
+            raise InputError(f"--sample-size {args.sample_size} is past the "
+                             f"{pingpong.WORD_BUDGET} points a draw may take")
         code = args.fn(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

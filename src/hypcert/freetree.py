@@ -83,6 +83,17 @@ def _lcp(X, Y):
     return k
 
 
+def _batch(ws) -> tuple:
+    """The words' ASCII bytes as zero-padded uint8 rows, and their
+    lengths."""
+    import numpy as np
+    n = np.fromiter(map(len, ws), dtype=np.intp, count=len(ws))
+    A = np.zeros((len(ws), max(1, n.max(initial=0))), dtype=np.uint8)
+    A[np.arange(A.shape[1]) < n[:, None]] = np.frombuffer(
+        "".join(ws).encode(), dtype=np.uint8)
+    return A, n
+
+
 def median(u: str, v: str, w: str) -> str:
     """The tree median of three reduced words, the unique common point of
     the three geodesics: the longest of their pairwise common prefixes."""
@@ -190,9 +201,7 @@ class FreeTreeSpace:
     """The Cayley tree of the free group of the given rank; its vertices
     and isometries are both reduced words.  A word is checked once, where
     it enters (``parse_point``, ``ball`` centres, ``dist_table``); ``act``,
-    ``dist``, ``compose`` and ``power`` take them as they are.  A batch
-    of words is a letter batch: the words' ASCII bytes as zero-padded
-    uint8 rows, and their lengths."""
+    ``dist``, ``compose`` and ``power`` take them as they are."""
 
     delta = 0.0   # the four-point constant: a tree is 0-hyperbolic
 
@@ -219,7 +228,7 @@ class FreeTreeSpace:
     def dist_table(self, xs, ys) -> np.ndarray:
         """``dist`` over xs by ys, as ints, from common prefixes: d(u, v)
         = |u| + |v| - 2 lcp(u, v).  Each word is checked once."""
-        (X, m), (Y, n) = (self.batch([self.check_point(w) for w in ws])
+        (X, m), (Y, n) = (_batch([self.check_point(w) for w in ws])
                           for ws in (xs, ys))
         return m[:, None] + n - 2 * _lcp(X[:, None], Y)
 
@@ -227,20 +236,14 @@ class FreeTreeSpace:
         """``dist_table(xs, ys).min(axis=1)``."""
         return self.dist_table(xs, ys).min(axis=1)
 
-    def displacement_table(self, xs, levels) -> np.ndarray:
-        """d(x, g x) for each point x of xs, a row each, and each element
-        g of the letter batches in levels, in order."""
-        import numpy as np
-        gs = [g for E in levels for g in self.unbatch(E)]
-        return np.array([[self.dist(x, _seam_mul(g, x)) for g in gs]
-                         for x in xs], dtype=int).reshape(len(xs), len(gs))
-
     def power_scan(self, g: str, xs, power_cap: int, eps) -> np.ndarray:
         """The least d(x, g^i x) over 0 < i <= power_cap for each point x
         of xs: the first power's, since d(x, g^i x) = i |u| + 2 d(x, axis)
         grows with i for g = c u c^-1 with u not empty, and the identity
         moves no point."""
-        return self.displacement_table(xs, [self.batch([g])])[:, 0]
+        import numpy as np
+        return np.array([self.dist(x, _seam_mul(g, x)) for x in xs],
+                        dtype=int)
 
     def orbit(self, generators, word_cap=None) -> "Stallings":
         """The orbit of the group of the (name, word) generators, exact:
@@ -323,20 +326,6 @@ class FreeTreeSpace:
 
     def act(self, g: str, x: str) -> str:
         return _seam_mul(g, x)
-
-    def batch(self, gs) -> tuple:
-        """The letter batch of a list of words."""
-        import numpy as np
-        n = np.fromiter(map(len, gs), dtype=np.intp, count=len(gs))
-        A = np.zeros((len(gs), max(1, n.max(initial=0))), dtype=np.uint8)
-        A[np.arange(A.shape[1]) < n[:, None]] = np.frombuffer(
-            "".join(gs).encode(), dtype=np.uint8)
-        return A, n
-
-    def unbatch(self, E) -> list:
-        """The words of a letter batch."""
-        return [w.decode() for w in
-                E[0].view(f"S{E[0].shape[1]}")[:, 0].tolist()]
 
     def compose(self, g: str, h: str) -> str:
         """g h for reduced words g and h."""

@@ -443,9 +443,6 @@ class HalfPlane:
     def power(self, g: Moebius, n: int) -> Moebius:
         return g ** n
 
-    def is_identity(self, g: Moebius) -> bool:
-        return g.is_identity()
-
     # Batch arithmetic: many matrices as a (4, n) array of their a, b, c
     # and d entries, computed as the Moebius methods compute them, so the
     # entries and verdicts match theirs bit for bit.  Entries that

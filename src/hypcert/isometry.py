@@ -113,11 +113,8 @@ def domain_gap_report(space, g, eps1, eps2, sample, power_cap=64,
     # x is in the level-eps domain if d(x, g^i x) <= eps at some 0 < i <=
     # cap.  Unless g is elliptic, d(x, g^i x) grows with i, so the first
     # power decides; one scan serves both levels, as eps1 <= eps2
-    if classify(g, space).kind != "elliptic":
-        nearest_power = space.displacement_table(
-            sample, [space.batch([g])])[:, 0]
-    else:
-        nearest_power = space.power_scan(g, sample, power_cap, eps1 + TOL)
+    cap = power_cap if classify(g, space).kind == "elliptic" else 1
+    nearest_power = space.power_scan(g, sample, cap, eps1 + TOL)
     inside = np.array(nearest_power <= eps1 + TOL, dtype=bool)
     if not inside.any():
         raise PreconditionError("inner domain empty on the sample")

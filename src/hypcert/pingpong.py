@@ -194,48 +194,45 @@ def walk_levels(space, letters, max_len: int):
     the one before, for c letters that may follow a word.  The model
     composes each child's parent with its letter, a level at a time.
     The levels hold the first WORD_BUDGET words, as it is at the call;
-    asking for more raises BudgetError."""
+    asking for more raises BudgetError.  A model with no batches, the
+    tree, walks only the first level, as the list of its elements."""
     import numpy as np
     if max_len < 1:
         raise InputError("max_len must be >= 1")
-    inverse, c = _inverses(letters)
+    inverse, _ = _inverses(letters)
     gs = [g for _, g in letters]
-    L = space.batch(gs)
-    ix = np.arange(len(letters), dtype=np.min_scalar_type(len(letters)))
+    batch = getattr(space, "batch", list)
+    L = batch(gs)
     budget, count, E, last = WORD_BUDGET, 0, None, None
     for _ in range(max_len):
-        size = len(inverse) if last is None else len(last) * c
-        take = min(size, budget - count)
-        if not size:
+        keep, cut = _level(last, inverse, budget - count)
+        parents, last = np.nonzero(keep)
+        if last.size:
+            E = (batch(gs[:len(last)]) if E is None
+                 else space.compose_level(E, parents, L, last))
+            count += len(last)
+            yield E, last
+        if cut:
+            raise BudgetError("word budget exhausted")
+        if not last.size:
             return
-        if not take:
-            raise BudgetError("word budget exhausted")
-        if last is None:
-            E, last = space.batch(gs[:take]), ix[:take]
-        else:
-            last = _child_letters(last[:-(-take // c)], inverse, ix)[:take]
-            E = space.compose_level(E, np.arange(take) // c, L, last)
-        count += take
-        yield E, last
-        if take < size:
-            raise BudgetError("word budget exhausted")
 
 
-def _children(last, inverse):
-    """Whether the word ending in letter last[i] has the child ending in
-    letter j, at [i, j]: each letter but the inverse of its last."""
+def _level(last, inverse, room):
+    """The children mask of the words of a level whose last letters are
+    ``last``, or of the empty word for None: at [i, j], whether word i
+    has the child ending in letter j, each letter but its last one's
+    inverse, cut to the first ``room`` in walk order; and whether the
+    cut removed any."""
     import numpy as np
-    keep = np.ones((len(last), len(inverse)), dtype=bool)
-    inv = inverse[last]
-    keep[np.flatnonzero(inv >= 0), inv[inv >= 0]] = False
-    return keep
-
-
-def _child_letters(last, inverse, ix):
-    """The last letters of the children of words whose last letters are
-    ``last``, in walk order."""
-    import numpy as np
-    return np.broadcast_to(ix, (len(last), len(ix)))[_children(last, inverse)]
+    inv = np.full(1, -1) if last is None else inverse[last]
+    keep = np.ones((len(inv), len(inverse)), dtype=bool)
+    has = np.flatnonzero(inv >= 0)
+    keep[has, inv[has]] = False
+    cut = keep.size - len(has) > room
+    if cut:
+        keep &= np.cumsum(keep).reshape(keep.shape) <= room
+    return keep, cut
 
 
 def walk_words(space, letters, max_len: int):
@@ -247,24 +244,7 @@ def walk_words(space, letters, max_len: int):
     for E, last in walk_levels(space, letters, max_len):
         words = [(words[i // c] if words else ()) + (syms[j],)
                  for i, j in enumerate(last.tolist())]
-        yield from zip(words, space.unbatch(E))
-
-
-def has_finite_order(space, g, k: int) -> bool:
-    """Whether g^j is the identity for some 1 <= j <= k, with g^j =
-    compose(g^(j-1), g): the elements, checks and budget of the walk
-    over the one letter g."""
-    if k < 1:
-        raise InputError("max_len must be >= 1")
-    h = g
-    for j in range(k):
-        if j >= WORD_BUDGET:
-            raise BudgetError("word budget exhausted")
-        if j:
-            h = _compose(space, h, g)
-        if space.is_identity(h):
-            return True
-    return False
+        yield from zip(words, getattr(space, "unbatch", list)(E))
 
 
 def word_to_text(word) -> str:
@@ -358,15 +338,12 @@ def _first_identity(space, letters, depth):
     else:
         if depth == 1 or not letters:
             return None
-        size = len(last) * c
-        take = min(size, WORD_BUDGET - sum(map(len, lasts)))
-        keep = _children(last, inverse)
-        if take < size:   # the first take children, in walk order
-            keep &= np.cumsum(keep).reshape(keep.shape) <= take
+        keep, cut = _level(last, inverse,
+                           WORD_BUDGET - sum(map(len, lasts)))
         hits, j = np.divmod(np.flatnonzero(space.identity_products(
             E, space.batch([g for _, g in letters]), keep)), len(letters))
         if not hits.size:
-            if take < size:
+            if cut:
                 raise BudgetError("word budget exhausted")
             return None
         word.append(j[0])

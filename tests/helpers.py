@@ -17,14 +17,19 @@ def rotation_about_i(theta: float) -> halfplane.Moebius:
 
 
 class WalkedTree(freetree.FreeTreeSpace):
-    """The tree with the identity tests and level products that the walk
-    and the group oracle ask of a model, a seam product per word.  The
-    package's tree reads its orbits off their Stallings graphs and walks
-    no words past the first level; the tests still run the walk on
-    reduced words, where every element is its own word."""
+    """The tree with the walk and action interface that H² offers, on
+    letter batches: the words' ASCII bytes as zero-padded uint8 rows, and
+    their lengths.  The package's tree reads its orbits off their
+    Stallings graphs and walks no words; the tests still run the walk on
+    reduced words, where every element is its own word, a seam product
+    and a distance per word."""
 
-    def is_identity(self, g):
-        return g == ""
+    def batch(self, gs):
+        return freetree._batch(gs)
+
+    def unbatch(self, E):
+        return [w.decode() for w in
+                E[0].view(f"S{E[0].shape[1]}")[:, 0].tolist()]
 
     def compose_level(self, E, parents, L, letters):
         ws, ls = self.unbatch(E), self.unbatch(L)
@@ -40,6 +45,11 @@ class WalkedTree(freetree.FreeTreeSpace):
         out[keep] = self.is_identity_batch(
             self.compose_level(E, parents, L, letters))
         return out
+
+    def displacement_table(self, xs, levels):
+        gs = [g for E in levels for g in self.unbatch(E)]
+        return np.array([[self.dist(x, self.act(g, x)) for g in gs]
+                         for x in xs], dtype=int).reshape(len(xs), len(gs))
 
 
 def point_along(axis, base, T: float):
@@ -142,3 +152,18 @@ def exact_relation(gens, length: int, positive: bool = False):
                 nxt.append((w, p))
         level = nxt
     return None
+
+
+_SANOV = {"a": (1, 2, 0, 1), "A": (1, -2, 0, 1),
+          "b": (1, 0, 2, 1), "B": (1, 0, -2, 1)}
+
+
+def sanov(word: str):
+    """The exact integer image (a, b, c, d) of a tree word over a, b and
+    their inverses A, B under Sanov's faithful representation of F2 in
+    SL(2, Z): a -> [[1, 2], [0, 1]], b -> [[1, 0], [2, 1]] (I. N. Sanov,
+    Doklady Akad. Nauk SSSR 57, 1947)."""
+    m = (1, 0, 0, 1)
+    for letter in word:
+        m = int_mul(m, _SANOV[letter])
+    return m

@@ -426,6 +426,68 @@ class TestLargeTreeBalls:
         assert out.stderr.startswith("input error: radius 1e+18")
 
 
+def _run_limited(argv):
+    """A command in a child process with 1.5 GB of address space, so
+    that a regression fails there and does not exhaust this machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "hypcert.cli", *argv],
+                          env=env, preexec_fn=limit, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestLargeSamples:
+    """A --sample-size past pingpong.WORD_BUDGET is refused as an input
+    error before any point is drawn."""
+
+    @pytest.mark.parametrize("model, argv", [
+        ("h2", ["stats", "--base", "0,1", "--radius", "2"]),
+        ("tree", ["stats", "--radius", "20"]),
+        ("h2", ["margulis", "--eps1", "0.5", "--eps2", "0.75"])],
+        ids=["h2-stats", "tree-stats", "h2-margulis"])
+    def test_a_huge_sample_is_refused_in_bounded_memory(
+            self, h2_pair_file, tree_pair_file, model, argv):
+        path = h2_pair_file if model == "h2" else tree_pair_file
+        out = _run_limited(argv + ["--sample-size", "10000000000",
+                                   "--input", path])
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("input error: --sample-size "
+                                     "10000000000 is past the 1000000")
+
+    @pytest.mark.parametrize("command", ["stats", "margulis"])
+    def test_the_budget_bounds_the_sample_size(self, tmp_path, h2_pair_file,
+                                               tree_pair_file, monkeypatch,
+                                               command):
+        argv = ([command, "--eps1", "1.5", "--eps2", "2"]
+                if command == "margulis" else [command, "--word-cap", "1"])
+        where = "--center" if command == "margulis" else "--base"
+        for budget, code in ((16, 2), (17, 0)):
+            monkeypatch.setattr(pingpong, "WORD_BUDGET", budget)
+            for path, point in ((h2_pair_file, "0,1"), (tree_pair_file, "e")):
+                got, _ = run(tmp_path, *argv, where, point, "--radius", "2",
+                             "--sample-size", "17", "--input", path)
+                assert got == code
+
+
+class TestWordCap:
+    @pytest.mark.parametrize("model", ["h2", "tree"])
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--word-cap", "0"], ["stats", "--word-cap", "-3"],
+        ["entropy", "--orbit", "--word-cap", "0"],
+        ["entropy", "--orbit", "--word-cap", "-2"]],
+        ids=["stats-0", "stats-minus-3", "entropy-0", "entropy-minus-2"])
+    def test_a_word_cap_below_one_is_refused(self, tmp_path, capsys,
+                                             h2_pair_file, tree_pair_file,
+                                             model, argv):
+        path, base = ((h2_pair_file, "0,1") if model == "h2"
+                      else (tree_pair_file, "e"))
+        code, rep = run(tmp_path, *argv, "--base", base, "--input", path)
+        assert code == 2 and rep is None
+        assert (f"input error: --word-cap must be >= 1, got {argv[-1]}"
+                in capsys.readouterr().err)
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical(self, tmp_path, h2_pair_file,
                                         tree_ball_file):

@@ -184,27 +184,28 @@ class TestMargulisDomain:
         act = isometry.apply_isometry
         monkeypatch.setattr(isometry, "apply_isometry",
                             lambda s, h, x: acts.append(x) or act(s, h, x))
-        if kind == "elliptic":
+        if space is H2:
             step = type(space).act_batch
             monkeypatch.setattr(type(space), "act_batch", lambda self, E, zs:
                                 stepped.append(np.size(zs))
                                 or step(self, E, zs))
-        table = type(space).displacement_table
+        scan = type(space).power_scan
 
-        def counting_table(self, xs, levels):
-            out = table(self, xs, levels)
-            images.append(out.size)
-            return out
+        def counting_scan(self, h, xs, power_cap, eps):
+            images.append((power_cap, len(xs)))
+            return scan(self, h, xs, power_cap, eps)
 
-        monkeypatch.setattr(type(space), "displacement_table", counting_table)
+        monkeypatch.setattr(type(space), "power_scan", counting_scan)
         rep = isometry.domain_gap_report(space, g, eps, 2 * eps, pts,
                                          power_cap=64)
         assert rep.inner_count
         if kind != "elliptic":
-            # one table of one column: an image per point
-            assert acts == [] and images == [len(pts)]
+            # one scan of the first power: an image per point
+            assert acts == [] and images == [(1, len(pts))]
+            if space is H2:
+                assert stepped == [len(pts)]
             return
-        assert images == [] and acts == []
+        assert images == [(64, len(pts))] and acts == []
         # an elliptic g is scanned until a power comes within eps
         expected = 0
         for x in pts:
@@ -220,13 +221,16 @@ class TestMargulisDomain:
                                                      monkeypatch):
         space, g, eps, pts = _gap_cases(tree2)[kind]
         want = [space.dist(x, space.act(g, x)) for x in pts]
-        got = space.displacement_table(pts, [space.batch([g])])[:, 0]
+        got = space.power_scan(g, pts, 1, eps)
         assert [repr(d) for d in got.tolist()] == [repr(d) for d in want]
         assert {type(d) for d in got.tolist()} == {type(d) for d in want}
+        if space is H2:   # the first column of the displacement table
+            assert got.tobytes() == H2.displacement_table(
+                pts, [H2.batch([g])])[:, 0].tobytes()
         rep = isometry.domain_gap_report(space, g, eps, 2 * eps, pts)
-        monkeypatch.setattr(type(space), "displacement_table",
-                            lambda self, xs, levels: np.array(
-                                [[d] for d in want], dtype=object))
+        monkeypatch.setattr(type(space), "power_scan",
+                            lambda self, h, xs, power_cap, eps: np.array(
+                                want, dtype=object))
         assert rep == isometry.domain_gap_report(space, g, eps, 2 * eps, pts)
 
     @pytest.mark.parametrize("kind", ["hyperbolic", "parabolic", "tree",

@@ -6,16 +6,22 @@ reports as a failure until that change deletes the marker; the test
 then stays as the defect's regression test.  The reason names the
 ROADMAP item that describes the defect and its mending."""
 
+import contextlib
 import csv
+import functools
+import io
 import json
+import math
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from hypcert import bounds, cli, halfplane, pingpong, tits
+from hypcert import bounds, cli, freetree, halfplane, pingpong, tits
 from hypcert.errors import HypcertError
-from helpers import exact_relation, int_mul
+from helpers import exact_relation, int_mul, rotation_about_i, sanov
 
 H2 = halfplane.H2
 
@@ -190,3 +196,125 @@ def test_no_certificate_names_a_pair_with_an_exact_relation():
                                          9 if semigroup else 5, semigroup):
             false[cert.case] += 1
     assert not false, (dict(false), dict(seen))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 34")
+def test_order_thirty_rotation_is_not_free(tmp_path):
+    # the finite-order test powers an elliptic up to 24 only, so the
+    # rotation by 2 pi / 30 about i counts as free: sys_free_min reads
+    # sys_min, 0.0693957462342, its displacement at a sample point
+    r = rotation_about_i(2.0 * math.pi / 30.0)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"model": "h2", "generators": [
+        {"name": "a", "matrix": [[2.0, 0.0], [0.0, 0.5]]},
+        {"name": "r", "matrix": [[r.a, r.b], [r.c, r.d]]}]}))
+    out = tmp_path / "out.json"
+    assert cli.main(["stats", "--input", str(path), "--base", "0,1",
+                     "--radius", "0.5", "--sample-size", "5",
+                     "--output", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["sys_free_min"] > result["sys_min"]
+
+
+# ---------------------------- H² against the tree, through Sanov's map
+
+def _reduced_word(rng, length):
+    w = ""
+    while len(w) < length:
+        ch = rng.choice("abAB")
+        if not w or w[-1] != ch.swapcase():
+            w += ch
+    return w
+
+
+def _sanov_pairs(seed):
+    """Seeded tree pairs: 20 of reduced words of each length range 1-4,
+    5-10 and 10-16, and 20 commuting pairs c w^p c^-1, c w^q c^-1."""
+    rng = random.Random(seed)
+    pairs = [(f"length {lo}-{hi}", _reduced_word(rng, rng.randint(lo, hi)),
+              _reduced_word(rng, rng.randint(lo, hi)))
+             for lo, hi in ((1, 4), (5, 10), (10, 16)) for _ in range(20)]
+    for _ in range(20):
+        w, c = _reduced_word(rng, rng.randint(1, 3)), \
+            _reduced_word(rng, rng.randint(0, 2))
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        pairs.append(("commuting", *(
+            freetree.reduce_word(c + w * k + freetree.invert(c))
+            for k in (p, q))))
+    return pairs
+
+
+def _command(argv, spec):
+    """(exit code, result or None, stderr) of a command on a group spec."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--input", str(path)])
+    result = json.loads(out.getvalue())["result"] if out.getvalue() else None
+    return code, result, err.getvalue()
+
+
+@functools.cache
+def _sanov_runs(seed):
+    """classify and certify of each tree pair of the seed and of its
+    Sanov image, with the images' exact kinds by the sign of tr^2 - 4."""
+    runs = []
+    for stratum, u, v in _sanov_pairs(seed):
+        tree = {"model": "free_tree", "generators": [
+            {"name": "a", "word": u}, {"name": "b", "word": v}]}
+        ms = [sanov(u), sanov(v)]
+        h2 = {"model": "h2", "generators": [
+            {"name": n, "matrix": [[m[0], m[1]], [m[2], m[3]]]}
+            for n, m in zip("ab", ms)]}
+        exact = ["hyperbolic" if abs(m[0] + m[3]) > 2 else "parabolic"
+                 if abs(m[0] + m[3]) == 2 else "elliptic" for m in ms]
+        runs.append({
+            "stratum": stratum, "pair": (u, v), "exact": exact,
+            **{f"{model} {command}": _command([command], spec)
+               for model, spec in (("tree", tree), ("h2", h2))
+               for command in ("classify", "certify")}})
+    return runs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sanov_images_never_contradict_the_tree(seed):
+    """The tree decides freeness exactly, and Sanov's map is faithful: H²
+    may miss a certificate, but it may not certify a pair the tree calls
+    elementary, report a relation in a pair the tree calls free, or give
+    a kind other than the integer trace's."""
+    runs = _sanov_runs(seed)
+    assert {run["stratum"] for run in runs} == {
+        "length 1-4", "length 5-10", "length 10-16", "commuting"}
+    for run in runs:
+        (t_code, _, t_err), (h_code, h_cert, h_err) = \
+            run["tree certify"], run["h2 certify"]
+        assert t_code in (0, 2), run
+        if t_code == 2:   # the tree calls the pair elementary
+            assert "elementary" in t_err, run
+            assert not (h_cert and h_cert["valid"]), run
+        else:
+            assert t_code == 0 and run["tree certify"][1]["valid"], run
+            assert not (h_cert and h_cert["oracle_passed"] is False), run
+            assert "coincidences" not in h_err, run
+        assert [g["kind"] for g in run["h2 classify"][1]["generators"]] \
+            == run["exact"], run
+        assert [g["kind"] for g in run["tree classify"][1]["generators"]] \
+            == ["hyperbolic"] * 2, run
+    assert any(run["stratum"] == "commuting"
+               and run["tree certify"][0] == 2 for run in runs)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 32, 1 and 3")
+def test_sanov_images_certify_where_the_tree_does():
+    # H²'s misses: exit 4 where the tree certifies, by seed and stratum
+    misses, certified = Counter(), Counter()
+    for seed in (1, 2, 3):
+        for run in _sanov_runs(seed):
+            if run["tree certify"][0] == 0:
+                certified[run["stratum"]] += 1
+                if run["h2 certify"][0] != 0:
+                    assert run["h2 certify"][0] == 4, run
+                    misses[seed, run["stratum"]] += 1
+    assert not misses, (dict(misses), dict(certified))

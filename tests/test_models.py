@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypcert import (bounds, freetree, graphspace, halfplane, isometry,
                      pingpong, tits)
 from hypcert.errors import InputError
-from helpers import rotation_about_i, sample_ball_reference
+from helpers import WalkedTree, rotation_about_i, sample_ball_reference
 
 finite_x = st.floats(min_value=-50.0, max_value=50.0)
 finite_y = st.floats(min_value=1e-3, max_value=50.0)
@@ -407,11 +407,13 @@ class TestLetterBatches:
 
     @pytest.mark.parametrize("rank", [2, 3, 26])
     def test_unbatch_gives_the_words_back(self, rank):
+        # dist_table's letter batches, read back as the walked tree does
         T, pairs = _word_pairs(rank)
-        us = [u for u, _ in pairs]
-        assert T.unbatch(T.batch(us)) == us
-        assert T.unbatch(T.batch([])) == [] and T.unbatch(T.batch([""])) == [""]
-        assert T.batch(us)[1].tolist() == [len(u) for u in us]
+        W, us = WalkedTree(rank), [u for u, _ in pairs]
+        assert W.unbatch(freetree._batch(us)) == us
+        assert W.unbatch(freetree._batch([])) == []
+        assert W.unbatch(freetree._batch([""])) == [""]
+        assert freetree._batch(us)[1].tolist() == [len(u) for u in us]
 
     @pytest.mark.parametrize("rank", [2, 3, 26])
     def test_products_are_the_seam_products(self, rank):
@@ -435,14 +437,15 @@ class TestLetterBatches:
     @pytest.mark.parametrize("block", [16384, 1, 7, 64])
     @pytest.mark.parametrize("rank", [2, 3, 26])
     def test_displacement_table_is_dist_of_act(self, rank, block):
-        # the points in calls of at most `block` rows each
+        # the table of power_scan columns at cap 1, one per element, the
+        # points in calls of at most `block` rows each
         T, pairs = _word_pairs(rank)
         xs = [u for u, _ in pairs][:25] + [""]
         levels = [[v for _, v in pairs][:9], [u for u, _ in pairs][30:40],
                   [""]]
         got = np.concatenate([
-            T.displacement_table(xs[s:s + block],
-                                 [T.batch(gs) for gs in levels])
+            np.stack([T.power_scan(g, xs[s:s + block], 1, 0.0)
+                      for gs in levels for g in gs], axis=1)
             for s in range(0, len(xs), block)])
         _same_in_type_and_bits(got.tolist(), [
             [T.dist(x, T.act(g, x)) for gs in levels for g in gs]
@@ -769,7 +772,7 @@ def test_model_contract(make):
         h = space.compose(h, g)
         assert key(space.power(g, n)) == key(h)
     e = space.compose(g, space.power(g, -1))
-    assert halfplane.H2.is_identity(e) if space is halfplane.H2 else e == ""
+    assert e.is_identity() if space is halfplane.H2 else e == ""
 
 
 def _same_in_type_and_bits(got, want):
@@ -873,10 +876,9 @@ def test_walking_models_share_the_readme_walk_interface(space):
         "\n\n", 2)[1]
     names = re.findall(r"`(\w+)`", block)
     assert "compose_level" in names and "orbit_dists" in names
-    # only H² offers it; the tree keeps what dist_table and margulis use
+    # only H² offers it
     offered = [n for n in names if callable(getattr(space, n, None))]
-    assert offered == (names if space is halfplane.H2 else
-                       ["batch", "unbatch", "displacement_table"])
+    assert offered == (names if space is halfplane.H2 else [])
 
 
 # --------------------------- batch action, built-point rows, row minima
@@ -1004,10 +1006,10 @@ def test_tree_rows_check_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(freetree.FreeTreeSpace, "check_point",
                         lambda self, w: calls.append(w) or w)
-    level = [tree.batch(ball)]
     for x, row in want.items():
         _same_in_type_and_bits(
-            tree.displacement_table([x], level).tolist(), [row])
+            [[tree.power_scan(g, [x], 1, 0.0)[0].item() for g in ball]],
+            [row])
     assert calls == []
 
 

@@ -27,6 +27,7 @@ UNREACHED = {
     "tits.enumerate_words": TRACED,
     "pingpong.pingpong_data": TRACED,
     "pingpong.proof_set_membership": TRACED,
+    "pingpong._compose": TRACED,
     "isometry.orbit_translation_length": TRACED,
     "isometry.orbit_translation_length.orbit_dist": TRACED,
     "sampled.from_points": BENCH,
@@ -104,6 +105,9 @@ def _runs(tmp_path, tree_ball, files, family):
     point = {"h2": "0,1", "free_tree": "e"}
     sanov = pair("sanov", ("a", [[1, 2], [0, 1]]), ("b", [[1, 0], [2, 1]]))
     mixed = pair("mixed", ("a", [[2, 0], [0, 0.5]]), ("s", [[0, 1], [-1, 2]]))
+    # b translates farther than a: tits' conjugates compose H² elements
+    h2_conjugates = pair("h2_conjugates", ("a", [[2, 0], [0, 0.5]]),
+                         ("b", [[3, 1], [2, 1]]))
     # u = ab and v = a: tits' conjugates compose tree elements
     tree_conjugates = write("tree_conjugates.json", {
         "model": "free_tree", "params": {"rank": 2}, "generators": [
@@ -148,6 +152,7 @@ def _runs(tmp_path, tree_ball, files, family):
     return runs + [
         (["certify", "--input", sanov], 0),
         (["certify", "--input", mixed], 0),
+        (["certify", "--input", h2_conjugates], 0),
         (["certify", "--input", tree_conjugates], 0),
         (["stats", "--input", elliptic, "--base", "0,1", "--word-cap", "2",
           "--sample-size", "5", "--radius", "0.5"], 0),
@@ -181,6 +186,26 @@ def test_every_function_is_entered_or_listed(tmp_path, tree_ball_file,
     functions = defined_functions(sorted(SRC.glob("*.py")))
     assert sorted(name for key, name in functions.items()
                   if key not in seen) == sorted(UNREACHED)
+
+
+def test_traced_entries_are_what_the_trace_wraps():
+    """Each TRACED entry names a function that perfbench/trace.py wraps,
+    in WRAPS or GENERATORS, or one nested in such a function: read from
+    the file's source, which this test does not import."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "trace.py").read_text())
+    wrapped = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and {t.id for t in node.targets} & {"WRAPS", "GENERATORS"}):
+            wrapped |= {f"{row.elts[0].value}.{row.elts[1].value}"
+                        for row in node.value.elts}
+    assert "pingpong._compose" in wrapped and "tits.enumerate_words" in wrapped
+    traced = [name for name, why in UNREACHED.items() if why == TRACED]
+    assert [name for name in traced
+            if not any(name == w or name.startswith(w + ".")
+                       for w in wrapped)] == []
+    functions = set(defined_functions(sorted(SRC.glob("*.py"))).values())
+    assert set(traced) <= functions
 
 
 def test_unentered_method_sharing_a_name_is_caught(tmp_path):

@@ -32,8 +32,8 @@ def _pt_key(p):
 
 
 def _is_identity(space, g):
-    """A word is the identity when it is empty; H² asks its model."""
-    return g == "" if isinstance(g, str) else space.is_identity(g)
+    """A word is the identity when it is empty; H² asks its matrix."""
+    return g == "" if isinstance(g, str) else g.is_identity()
 
 
 def _exact(g):
@@ -197,7 +197,7 @@ def test_action_stats_classifies_each_element_once(schottky_pair, rng,
                                                    monkeypatch):
     gens = list(zip("ab", schottky_pair))
     elems = [g for _, g in pingpong.walk_words(
-        H2, pingpong.group_letters(H2, gens), 3) if not H2.is_identity(g)]
+        H2, pingpong.group_letters(H2, gens), 3) if not g.is_identity()]
     calls = []
     classify = isometry.classify
 
@@ -269,9 +269,9 @@ def test_semigroup_counterexample_names_both_words():
 class TestFiniteOrder:
     def test_order_twelve_rotation(self):
         r = rotation_about_i(math.pi / 6.0)
-        assert not pingpong.has_finite_order(H2, r, 8)
-        assert pingpong.has_finite_order(H2, r, 12)
-        assert not pingpong.has_finite_order(H2, r, 11)
+        assert not _batched_finite_order(H2, r, 8)
+        assert _batched_finite_order(H2, r, 12)
+        assert not _batched_finite_order(H2, r, 11)
 
     def test_bounds_counts_order_twelve_as_finite(self, rng):
         r = rotation_about_i(math.pi / 6.0)
@@ -282,29 +282,49 @@ class TestFiniteOrder:
         assert all(v == math.inf for v in st.sys_free_at.values())
 
     def test_hyperbolic_is_not_finite_order(self, schottky_pair):
-        assert not pingpong.has_finite_order(H2, schottky_pair[0], 24)
+        assert not _batched_finite_order(H2, schottky_pair[0], 24)
 
 
-def _walked_finite_order(space, g, k):
-    """has_finite_order as the walk over the one letter g decides it."""
-    return any(space.is_identity(h)
-               for _, h in pingpong.walk_words(space, [(("g", 1), g)], k))
+def _walked_finite_order(space, g, k, seen=None):
+    """Whether g^j is the identity for some 1 <= j <= k, as the walk over
+    the one letter g decides it, the reference for the batched decision;
+    the bits of each element it tests go to seen."""
+    for _, h in pingpong.walk_words(space, [(("g", 1), g)], k):
+        if seen is not None:
+            seen.append(_exact(h))
+        if _is_identity(space, h):
+            return True
+    return False
 
 
-def _finite_order_trace(finite_order, space, g, k, monkeypatch):
-    """The verdict or error of finite_order, and the bits of every
-    element it checks, in order."""
-    seen = []
-    is_identity = type(space).is_identity
-    monkeypatch.setattr(type(space), "is_identity",
-                        lambda self, h: seen.append(_exact(h))
-                        or is_identity(self, h))
-    try:
-        out = finite_order(space, g, k)
-    except (InputError, BudgetError) as e:
-        out = type(e), str(e)
-    monkeypatch.setattr(type(space), "is_identity", is_identity)
-    return out, seen
+def _batched_finite_order(space, g, k):
+    """action_stats' batched decision for the one element g."""
+    return bool(bounds._finite_order(space, [g], k)[0])
+
+
+def _finite_order_traces(space, g, k, monkeypatch):
+    """The verdict or error of the walk over the one letter g and of the
+    batched decision, each with the bits of every element it tests, in
+    order."""
+    def run(decide):
+        seen = []
+        try:
+            return decide(seen), seen
+        except (InputError, BudgetError) as e:
+            return (type(e), str(e)), seen
+
+    test = type(space).is_identity_batch
+
+    def batched(seen):
+        monkeypatch.setattr(type(space), "is_identity_batch", lambda self, E:
+                            seen.extend(map(_exact, self.unbatch(E)))
+                            or test(self, E))
+        return _batched_finite_order(space, g, k)
+
+    walked = run(lambda seen: _walked_finite_order(space, g, k, seen))
+    out = run(batched)
+    monkeypatch.setattr(type(space), "is_identity_batch", test)
+    return walked, out
 
 
 def _finite_order_cases():
@@ -323,10 +343,9 @@ def _finite_order_cases():
         "schottky-b": (H2, halfplane.Moebius(1.25, 0.75, 0.75, 1.25), 24),
         "parabolic": (H2, halfplane.Moebius(1.0, 1.0, 0.0, 1.0), 24),
         "identity": (H2, halfplane.Moebius.identity(), 3),
-        "depth-0": (H2, rot(math.pi), 0),
         "tree-a": (tree2, "a", 24), "tree-aB": (tree2, "aB", 24),
         "tree-abA": (tree2, "abA", 24), "tree-cBa": (tree3, "cBa", 8),
-        "tree-identity": (tree2, "", 2), "tree-depth-minus-1": (tree2, "a", -1),
+        "tree-identity": (tree2, "", 2),
     })
     return cases
 
@@ -334,10 +353,8 @@ def _finite_order_cases():
 @pytest.mark.parametrize("case", sorted(_finite_order_cases()))
 def test_finite_order_is_the_walk(case, monkeypatch):
     space, g, k = _finite_order_cases()[case]
-    assert (_finite_order_trace(pingpong.has_finite_order, space, g, k,
-                                monkeypatch)
-            == _finite_order_trace(_walked_finite_order, space, g, k,
-                                   monkeypatch))
+    walked, batched = _finite_order_traces(space, g, k, monkeypatch)
+    assert batched == walked
 
 
 @pytest.mark.parametrize("budget", [0, 1, 5, 6])
@@ -348,10 +365,28 @@ def test_finite_order_budget_is_the_walk(budget, g, monkeypatch):
          "order-5": rotation_about_i(2.0 * math.pi / 5),
          "schottky": halfplane.Moebius(2.0, 0.0, 0.0, 0.5)}[g]
     for k in (1, 5, 6, 7, 12):
-        assert (_finite_order_trace(pingpong.has_finite_order, H2, g, k,
-                                    monkeypatch)
-                == _finite_order_trace(_walked_finite_order, H2, g, k,
-                                       monkeypatch))
+        walked, batched = _finite_order_traces(H2, g, k, monkeypatch)
+        assert batched == walked
+
+
+@pytest.mark.parametrize("budget", [0, 3, 7, 24])
+def test_finite_order_of_a_batch_is_each_walk(budget, monkeypatch):
+    """The elements of one batch step together, each deciding as its own
+    walk would: orders 2 to 12 and 30, and elements of infinite order,
+    with the budget's error where any is undecided past it."""
+    monkeypatch.setattr(pingpong, "WORD_BUDGET", budget)
+    gs = [rotation_about_i(2.0 * math.pi / m) for m in (*range(2, 13), 30)]
+    gs += [rotation_about_i(1.0), halfplane.Moebius(2.0, 0.0, 0.0, 0.5),
+           halfplane.Moebius.identity()]
+    random.Random(3).shuffle(gs)
+    try:
+        want = [_walked_finite_order(H2, g, 24) for g in gs]
+    except BudgetError:
+        with pytest.raises(BudgetError, match="word budget exhausted"):
+            bounds._finite_order(H2, gs, 24)
+        return
+    assert bounds._finite_order(H2, gs, 24).tolist() == want
+    assert want.count(True) == 12
 
 
 def test_group_oracle_tells_apart_generators_that_share_a_name():
@@ -784,6 +819,14 @@ def test_walk_budget_ends_mid_level_as_the_per_word_walk(
     assert sum(levels) == len(got[0])
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_walk_refuses_a_length_below_one(letter_case, max_len):
+    space, letters, _ = letter_case
+    for walk in (pingpong.walk_levels, pingpong.walk_words):
+        with pytest.raises(InputError, match="max_len must be >= 1"):
+            next(walk(space, letters, max_len))
+
+
 def test_walk_letters_hold_every_inverse_or_none(tree2):
     letters = [(("a", 1), "a"), (("a", -1), "A"), (("b", 1), "b")]
     with pytest.raises(InputError):
@@ -822,7 +865,7 @@ def _action_stats_per_word(space, generators, sample, word_cap, config):
         raise InputError("no nontrivial elements within the word cap")
     profiles = {w: isometry.classify(g, space) for w, g in elems}
     finite_order = {w: profiles[w].kind == "elliptic"
-                    and pingpong.has_finite_order(space, g, 24)
+                    and _walked_finite_order(space, g, 24)
                     for w, g in elems}
     stats = bounds.ActionStats(word_cap=word_cap, sample_size=len(sample),
                                note=space.orbit(generators, word_cap).note)
@@ -1034,7 +1077,7 @@ def test_nilrad_tests_each_pair_once_as_the_grid_loop(tmp_path, pair,
     letters = pingpong.group_letters(space, gens)
     levels = [E for E, _ in pingpong.walk_levels(space, letters, 4)]
     gs = [g for E in levels for g in space.unbatch(E)]
-    nontrivial = np.array([not space.is_identity(g) for g in gs])
+    nontrivial = np.array([not _is_identity(space, g) for g in gs])
     profiles = [isometry.classify(g, space)
                 for g, keep in zip(gs, nontrivial) if keep]
     table = space.displacement_table(sample, levels)[:, nontrivial]
